@@ -23,7 +23,6 @@ from .products import (
     Multivector,
     collinearity_residual,
     gram,
-    gram_fn,
     is_collinear,
     is_parallel,
     multivector_product,

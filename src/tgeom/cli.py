@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -87,22 +86,12 @@ def _parse_point(text: str, dim: int, what: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _threads(args) -> int:
-    env = os.environ.get("TGEOM_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise _InputError("TGEOM_THREADS must be an integer") from exc
-    return max(1, args.threads)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tgeom", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid sampling "
-                             "(env TGEOM_THREADS overrides)")
+                        help="accepted and validated but ignored; grid "
+                             "sampling is vectorized (env TGEOM_THREADS likewise)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tube-section", help="radial tube profile -> CSV")
@@ -159,16 +148,13 @@ def _cmd_tube_section(args):
     if args.tau_steps < 1:
         raise _InputError("--tau-steps must be positive")
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
-    threads = _threads(args)
-
-    def sample(tau):
-        return tubes.sample_axisymmetric_tube(w, y, args.kind, [tau])[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(sample, taus))
-    else:
-        results = [sample(t) for t in taus]
+    threads = os.environ.get("TGEOM_THREADS")  # validated like --threads; selects nothing
+    if threads is not None:
+        try:
+            int(threads)
+        except ValueError as exc:
+            raise _InputError("TGEOM_THREADS must be an integer") from exc
+    results = tubes.sample_axisymmetric_tube(w, y, args.kind, taus)
 
     rows = []
     for tau, radii in results:

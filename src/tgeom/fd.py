@@ -171,23 +171,6 @@ def partial_tensors(fn, x, xp, orders, h: float | None = None):
     return out
 
 
-def point_gradient(fn, x, h: float | None = None):
-    """Fourth-order central gradient of a one-point scalar field."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    step = h if h is not None else _STEP_COEF[1] * (1.0 + np.max(np.abs(x)))
-    nodes, unit = _RULES[1]
-    grad = np.zeros(d)
-    for axis in range(d):
-        acc = 0.0
-        for node, wt in zip(nodes, unit):
-            p = x.copy()
-            p[axis] += step * node
-            acc += wt * fn(p)
-        grad[axis] = acc / step
-    return grad
-
-
 def field_derivative(field, x, h: float | None = None):
     """Fourth-order central derivative of an array-valued one-point field.
 

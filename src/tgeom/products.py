@@ -153,10 +153,6 @@ def gram(w: WorldFunction, p: Multivector) -> float:
     return _det(m)
 
 
-# Spec-facing alias: the Gram-determinant function F_n.
-gram_fn = gram
-
-
 def squared_length(w: WorldFunction, p: Multivector) -> tuple[float, bool]:
     """(value, timelike) where value is the Gram determinant of p and
     timelike reports value >= 0.  For order 1 the value is exactly the

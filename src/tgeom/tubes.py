@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fd
 from .errors import (
@@ -46,30 +45,24 @@ class TubeSpec:
             raise ValueError(f"unknown tube kind {self.kind!r}")
 
 
+def _separation_scale(w: WorldFunction, points) -> float:
+    """max(1, |2 sym(pi, pk)|) over the distinct pairs of the points."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    return max([1.0] + [abs(2.0 * float(w.sym(pts[i], pts[k])))
+                        for i in range(n) for k in range(i + 1, n)])
+
+
 def membership_tolerance(w: WorldFunction, points: np.ndarray) -> float:
     """Residual tolerance for tube membership: 1e-9 x (characteristic
     scale)^4, scale = max pairwise root-mean separation.  The Gram residual
     of a first-order tube is degree four in distances."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    best = 1.0
-    for i in range(n):
-        for k in range(n):
-            if i == k:
-                continue
-            sep = abs(2.0 * w.sym(pts[i], pts[k]))
-            best = max(best, float(np.sqrt(sep)))
-    return 1e-9 * best**4
+    return 1e-9 * float(np.sqrt(_separation_scale(w, points))) ** 4
 
 
 def _skeleton_guard(w: WorldFunction, skeleton: Multivector):
     f_n = gram(w, skeleton)
-    pts = skeleton.points
-    scale = 1.0
-    for i in range(pts.shape[0]):
-        for k in range(i + 1, pts.shape[0]):
-            scale = max(scale, abs(2.0 * float(w.sym(pts[i], pts[k]))))
-    if abs(f_n) <= 1e-12 * scale ** skeleton.order:
+    if abs(f_n) <= 1e-12 * _separation_scale(w, skeleton.points) ** skeleton.order:
         raise DegenerateSkeletonError(
             f"skeleton has vanishing squared length ({f_n!r})"
         )
@@ -87,12 +80,31 @@ def tube_residual(w: WorldFunction, spec: TubeSpec, point) -> float:
     return gram(w, extended)
 
 
+def _triple_worlds(w: WorldFunction, p0, p1, p2):
+    """The six ordered world values wij = w(pi, pj) of a point triple,
+    broadcast over leading axes: (w01, w10, w02, w20, w12, w21)."""
+    return w(p0, p1), w(p1, p0), w(p0, p2), w(p2, p0), w(p1, p2), w(p2, p1)
+
+
+def _first_order(w: WorldFunction, kind: str, p0, p1, p2):
+    """First-order tube residual of the kind and the magnitude of the terms
+    it cancels, broadcast over leading axes."""
+    if kind not in TUBE_KINDS:
+        raise ValueError(f"unknown tube kind {kind!r}")
+    w01, w10, w02, w20, w12, w21 = _triple_worlds(w, p0, p1, p2)
+    u2, v2 = w01 + w10, w02 + w20
+    uv, vu = w10 + w02 - w12, w20 + w01 - w21
+    cross = uv * vu if kind == "n" else uv * uv if kind == "f" else vu * vu
+    return u2 * v2 - cross, np.abs(u2 * v2) + np.abs(uv * vu)
+
+
 def _pair_values(w: WorldFunction, p0, p1, p2):
     """Symmetric separations and the triangle antisymmetry of a point triple."""
-    g02 = float(w.sym(p0, p2))
-    g10 = float(w.sym(p1, p0))
-    g12 = float(w.sym(p1, p2))
-    eta_f = float(w.asym(p1, p0) + w.asym(p0, p2) + w.asym(p2, p1))
+    w01, w10, w02, w20, w12, w21 = _triple_worlds(w, p0, p1, p2)
+    g02 = float(0.5 * (w02 + w20))
+    g10 = float(0.5 * (w10 + w01))
+    g12 = float(0.5 * (w12 + w21))
+    eta_f = float(0.5 * (w10 - w01) + 0.5 * (w02 - w20) + 0.5 * (w21 - w12))
     return g02, g10, g12, eta_f
 
 
@@ -139,17 +151,7 @@ def first_order_factors(w: WorldFunction, kind: str, p0, p1, p2):
 def first_order_residual(w: WorldFunction, kind: str, p0, p1, p2) -> float:
     """Direct first-order tube residual of the given kind (no square roots,
     valid on every branch)."""
-    u2 = 2.0 * float(w.sym(p0, p1))
-    v2 = 2.0 * float(w.sym(p0, p2))
-    uv = float(w(p1, p0) + w(p0, p2) - w(p1, p2))
-    vu = float(w(p2, p0) + w(p0, p1) - w(p2, p1))
-    if kind == "n":
-        return u2 * v2 - uv * vu
-    if kind == "f":
-        return u2 * v2 - uv * uv
-    if kind == "p":
-        return u2 * v2 - vu * vu
-    raise ValueError(f"unknown tube kind {kind!r}")
+    return float(_first_order(w, kind, p0, p1, p2)[0])
 
 
 def segment_residual(w: WorldFunction, kind: str, p0, p1, p2) -> float:
@@ -240,15 +242,114 @@ def reduced_asymmetry(w: WorldFunction, y) -> float:
     return abs(float(w.spec.alpha)) * abs(float(b @ np.asarray(y, dtype=float)))
 
 
+#: taus whose probe grids share one world call; bounds the sampler's memory
+_TAU_BLOCK = 64
+
+#: iteration cap of the bracket solver (the usual brentq default)
+_BRENT_MAXITER = 100
+
+
+def _brent(f, xa, xb, fa, fb, xtol, rtol):
+    """Brent's method (Brent 1973, ch. 4) on many independent brackets at once.
+
+    Follows the standard brentq routine step for step, so every bracket ends
+    on the root brentq returns for it, to the last bit.  f(index, x)
+    evaluates the functions of brackets `index` at x; fa and fb are the end
+    values, of strictly opposite signs.  Returns the roots and f there.
+    """
+    n = len(xa)
+    root, froot, index = np.empty(n), np.empty(n), np.arange(n)
+    xtol = np.broadcast_to(np.asarray(xtol, dtype=float), (n,))
+    xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in (xa, xb, fa, fb))
+    xblk, fblk, spre, scur = np.zeros((4, n))
+    for _ in range(_BRENT_MAXITER):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, [xcur, xblk, xcur], [xpre, xcur, xblk])
+        fpre, fcur, fblk = np.where(swap, [fcur, fblk, fcur], [fpre, fcur, fblk])
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[index[done]], froot[index[done]] = xcur[done], fcur[done]
+        if done.all():
+            return root, froot
+        index, xtol, delta, sbis, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+            v[~done] for v in (index, xtol, delta, sbis, xpre, xcur, xblk,
+                               fpre, fcur, fblk, spre, scur))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = f(index, xcur)
+        if np.any(np.isnan(fcur)):
+            raise SolverError("NaN residual inside a root bracket")
+    raise SolverError(f"root bracket did not converge in {_BRENT_MAXITER} iterations")
+
+
+def _block_profiles(residual, y2: float, taus: np.ndarray, rmaxs: np.ndarray, probes: int):
+    """(tau, [radii]) for a block of taus; residual(tau, r) broadcasts."""
+    grid = np.concatenate([np.zeros((len(taus), 1)),
+                           np.geomspace(1e-6, rmaxs, probes - 1, axis=-1)], axis=1)
+    vals, mags = residual(taus[:, None], grid)
+    lo, hi, f_lo, f_hi = grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]
+    # r = 0 is a root only when the residual vanishes to round-off
+    # relative to the cancelling terms it is assembled from
+    at_zero = np.abs(vals[:, 0]) <= 64.0 * np.finfo(float).eps * np.maximum(mags[:, 0], 1.0)
+    roots = [[0.0] if z else [] for z in at_zero]
+    for i, k in zip(*np.nonzero((f_lo == 0.0) & (lo > 0.0))):
+        roots[i].append(float(lo[i, k]))
+    rows, cols = np.nonzero(f_lo * f_hi < 0.0)
+    if len(rows):
+        a, b, tau = lo[rows, cols], hi[rows, cols], taus[rows]
+        r, fr = _brent(lambda index, x: residual(tau[index], x)[0], a, b,
+                       f_lo[rows, cols], f_hi[rows, cols], 1e-12 * (1.0 + b), 1e-15)
+        # one Newton step on a central-difference slope, kept when it stays
+        # in the bracket and does not increase the residual
+        dr = 1e-7 * (1.0 + r)
+        f_up, f_down = residual(tau, np.stack([r + dr, r - dr]))[0]
+        slope = (f_up - f_down) / (2.0 * dr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            polished = r - fr / slope
+        trial = np.flatnonzero((slope != 0.0) & (a <= polished) & (polished <= b))
+        if len(trial):
+            f_pol = residual(tau[trial], polished[trial])[0]
+            keep = np.abs(f_pol) <= np.abs(fr[trial])
+            r[trial[keep]], fr[trial[keep]] = polished[trial[keep]], f_pol[keep]
+        if np.any(np.abs(fr) > 1e-10 * (y2 * (1.0 + tau * tau + r * r)) ** 2):
+            raise SolverError("tube root polish failed to meet tolerance")
+        for i, root in zip(rows, r.tolist()):
+            roots[i].append(root)
+    out = []
+    for tau, found in zip(taus.tolist(), roots):
+        merged = []
+        for r in sorted(found):
+            if merged and abs(r - merged[-1]) < 1e-8 * (1.0 + r):
+                continue  # fold: tangential root, multiplicity 2, reported once
+            merged.append(r)
+        out.append((tau, merged))
+    return out
+
+
 def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[float],
                              rmax: Optional[float] = None, probes: int = 256):
     """Radial profile of the first-order tube with skeleton (origin, y).
 
     For each tau, finds all r >= 0 such that the point tau*y + r*|y|*e_perp
     lies on the tube of the given kind, with e_perp the deterministic unit
-    normal to y.  Roots are bracketed on a geometric grid, bisected to
-    1e-12 and polished with one Newton step; roots closer than 1e-8 are
-    merged (tangential root at a fold).
+    normal to y.  Roots are bracketed on a geometric grid out to rmax, solved
+    by Brent's method to 1e-12 and polished with one Newton step; roots
+    closer than 1e-8 are merged (tangential root at a fold).  The default
+    rmax is per tau, max(10 (1 + 1/g), 3 + 2 sqrt(3) |tau|) for reduced
+    asymmetry g, so no tau's profile depends on the other taus; an explicit
+    rmax applies to every tau.  Taus are sampled in blocks of _TAU_BLOCK,
+    which bounds memory however long the grid is.
 
     Returns a list of (tau, [radii]) pairs.
     """
@@ -271,73 +372,20 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
             raise GeometryError("anisotropy covector must be aligned with y")
     e_perp = spacelike_unit_normal(w, y)
 
-    g_eff = reduced_asymmetry(w, y)
+    taus = np.asarray(tau_grid, dtype=float).reshape(-1)
     if rmax is None:
-        base = 10.0 * (1.0 + 1.0 / max(g_eff, 1e-2))
-        span = 3.0 + 2.0 * np.sqrt(3.0) * float(np.max(np.abs(tau_grid)))
-        rmax = max(base, span)
+        base = 10.0 * (1.0 + 1.0 / max(reduced_asymmetry(w, y), 1e-2))
+        rmaxs = np.maximum(base, 3.0 + 2.0 * np.sqrt(3.0) * np.abs(taus))
+    else:
+        rmaxs = np.full(taus.shape, float(rmax))
 
-    def points_at(tau, rs):
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        return tau * y[None, :] + rs[:, None] * ynorm * e_perp[None, :]
-
-    def residuals(tau, rs, with_magnitude=False):
-        p2 = points_at(tau, rs)
-        u2 = y2
-        v2 = 2.0 * w.sym(np.broadcast_to(origin, p2.shape), p2)
-        uv = w(y, origin) + w(np.broadcast_to(origin, p2.shape), p2) - w(
-            np.broadcast_to(y, p2.shape), p2)
-        vu = w(p2, np.broadcast_to(origin, p2.shape)) + w(origin, y) - w(
-            p2, np.broadcast_to(y, p2.shape))
-        if kind == "n":
-            res = u2 * v2 - uv * vu
-        elif kind == "f":
-            res = u2 * v2 - uv * uv
-        else:
-            res = u2 * v2 - vu * vu
-        if with_magnitude:
-            return res, np.abs(u2 * v2) + np.abs(uv * vu)
-        return res
+    def residual(tau, r):
+        return _first_order(w, kind, origin, y, tau[..., None] * y + r[..., None] * ynorm * e_perp)
 
     out = []
-    grid0 = np.concatenate([[0.0], np.geomspace(1e-6, rmax, probes - 1)])
-    eps = np.finfo(float).eps
-    for tau in tau_grid:
-        tau = float(tau)
-
-        def f_scalar(r, _tau=tau):
-            return float(residuals(_tau, [r])[0])
-
-        vals, mags = residuals(tau, grid0, with_magnitude=True)
-        roots = []
-        # r = 0 is a root only when the residual vanishes to round-off
-        # relative to the cancelling terms it is assembled from
-        if abs(vals[0]) <= 64.0 * eps * max(mags[0], 1.0):
-            roots.append(0.0)
-        for i in range(len(grid0) - 1):
-            a, b_ = grid0[i], grid0[i + 1]
-            fa, fb = vals[i], vals[i + 1]
-            if fa == 0.0 and a > 0.0:
-                roots.append(float(a))
-                continue
-            if fa * fb < 0.0:
-                root = brentq(f_scalar, a, b_, xtol=1e-12 * (1.0 + b_), rtol=1e-15)
-                dr = 1e-7 * (1.0 + root)
-                slope = (f_scalar(root + dr) - f_scalar(root - dr)) / (2.0 * dr)
-                if slope != 0.0:
-                    polished = root - f_scalar(root) / slope
-                    if a <= polished <= b_ and abs(f_scalar(polished)) <= abs(f_scalar(root)):
-                        root = polished
-                sc4 = (y2 * (1.0 + tau * tau + root * root)) ** 2
-                if abs(f_scalar(root)) > 1e-10 * sc4:
-                    raise SolverError("tube root polish failed to meet tolerance")
-                roots.append(float(root))
-        merged = []
-        for r in sorted(roots):
-            if merged and abs(r - merged[-1]) < 1e-8 * (1.0 + r):
-                continue  # fold: tangential root, multiplicity 2, reported once
-            merged.append(r)
-        out.append((tau, merged))
+    for start in range(0, len(taus), _TAU_BLOCK):
+        block = slice(start, start + _TAU_BLOCK)
+        out.extend(_block_profiles(residual, y2, taus[block], rmaxs[block], probes))
     return out
 
 
@@ -402,10 +450,11 @@ def advance_seed(w: WorldFunction, kind: str, p0, direction, mu: float) -> np.nd
 def chain_parallel_residual(w: WorldFunction, kind: str, pa, pb, pc) -> float:
     """Adjacent-segment parallelism defect |ab||bc| - (scalar product) for
     the segment pair (pa->pb, pb->pc), with the product order set by kind."""
-    lab = _sqrt_checked(2.0 * float(w.sym(pa, pb)), "segment length")
-    lbc = _sqrt_checked(2.0 * float(w.sym(pb, pc)), "segment length")
-    uv = float(w(pa, pc) - w(pb, pc) - w(pa, pb))  # (ab . bc)
-    vu = float(w(pc, pa) - w(pc, pb) - w(pb, pa))  # (bc . ab)
+    wab, wba, wac, wca, wbc, wcb = _triple_worlds(w, pa, pb, pc)
+    lab = _sqrt_checked(float(wab + wba), "segment length")
+    lbc = _sqrt_checked(float(wbc + wcb), "segment length")
+    uv = float(wac - wbc - wab)  # (ab . bc)
+    vu = float(wca - wcb - wba)  # (bc . ab)
     if kind == "f":
         return lab * lbc - uv
     if kind == "p":
@@ -426,33 +475,19 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     """
     d = w.dim
 
-    def objective_grad(p):
+    def kind_partial(anchor, p, order):
+        # derivative in p of the kind's separation between anchor and p
         if kind == "f":
-            return fd.partial_tensor(w, p_prev, p, 0, 1)
+            return fd.partial_tensor(w, anchor, p, 0, order)
         if kind == "p":
-            return fd.partial_tensor(w, p, p_prev, 1, 0)
-        return fd.partial_tensor(w.sym, p_prev, p, 0, 1)
+            return fd.partial_tensor(w, p, anchor, order, 0)
+        return fd.partial_tensor(w.sym, anchor, p, 0, order)
 
-    def objective_hess(p):
-        if kind == "f":
-            return fd.partial_tensor(w, p_prev, p, 0, 2)
-        if kind == "p":
-            return fd.partial_tensor(w, p, p_prev, 2, 0)
-        return fd.partial_tensor(w.sym, p_prev, p, 0, 2)
+    def objective_grad(p):
+        return kind_partial(p_prev, p, 1)
 
     def constraint_grad(p):
-        if kind == "f":
-            return fd.partial_tensor(w, p_mid, p, 0, 1)
-        if kind == "p":
-            return fd.partial_tensor(w, p, p_mid, 1, 0)
-        return fd.partial_tensor(w.sym, p_mid, p, 0, 1)
-
-    def constraint_hess(p):
-        if kind == "f":
-            return fd.partial_tensor(w, p_mid, p, 0, 2)
-        if kind == "p":
-            return fd.partial_tensor(w, p, p_mid, 2, 0)
-        return fd.partial_tensor(w.sym, p_mid, p, 0, 2)
+        return kind_partial(p_mid, p, 1)
 
     def residual(z):
         p, lam = z[:d], z[d]
@@ -464,7 +499,7 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     def jacobian(z):
         p, lam = z[:d], z[d]
         jac = np.zeros((d + 1, d + 1))
-        jac[:d, :d] = objective_hess(p) - lam * constraint_hess(p)
+        jac[:d, :d] = kind_partial(p_prev, p, 2) - lam * kind_partial(p_mid, p, 2)
         cg = constraint_grad(p)
         jac[:d, d] = -cg
         jac[d, :d] = 2.0 * cg

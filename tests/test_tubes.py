@@ -1,6 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import tgeom
+from tgeom import tubes
 from tgeom import (
     ComplexLengthError,
     DegenerateSkeletonError,
@@ -294,6 +301,68 @@ def test_sampler_scaled_y_uses_reduced_units():
     assert len(radii) == len(want)
     for a, b in zip(radii, want):
         assert a == pytest.approx(b, rel=1e-8)
+
+
+def test_sampler_whole_grid_equals_per_tau_calls():
+    # each tau's profile, including its default rmax, is independent of the
+    # rest of the grid and of the block it is sampled in
+    w = world("case1", b=[1, 0, 0, 0], alpha=0.65)
+    y = np.array([1.0, 0, 0, 0])
+    taus = np.linspace(-40.0, 40.0, 2 * tubes._TAU_BLOCK + 7)
+    whole = sample_axisymmetric_tube(w, y, "n", taus)
+    assert len(whole) == len(taus)
+    for tau, (got_tau, radii) in zip(taus, whole):
+        [(one_tau, one_radii)] = sample_axisymmetric_tube(w, y, "n", [tau])
+        assert got_tau == one_tau == float(tau)
+        assert radii == one_radii
+
+
+def _scalar_brackets():
+    """(f, a, b, xtol) brackets: cos x - x, a cubic and a sampler bracket."""
+    cubic = lambda x: x**3 - 2.0 * x - 5.0  # noqa: E731
+    brackets = [(lambda x: math.cos(x) - x, a, b, 2e-12) for a, b in
+                ((0.0, 1.0), (-1.0, 2.0), (0.5, 0.9))]
+    brackets += [(cubic, a, b, 1e-12 * (1.0 + b)) for a, b in ((2.0, 3.0), (-10.0, 10.0))]
+    w = world("case1", b=[1, 0, 0, 0], alpha=0.1)
+    y = np.array([1.0, 0, 0, 0])
+    e_perp = tubes.spacelike_unit_normal(w, y)
+    origin = np.zeros(4)
+
+    def tube(r):
+        return first_order_residual(w, "n", origin, y, 0.5 * y + r * e_perp)
+
+    grid = np.geomspace(1e-6, 200.0, 255)
+    vals = [tube(r) for r in grid]
+    found = [(tube, float(grid[i]), float(grid[i + 1]), 1e-12 * (1.0 + float(grid[i + 1])))
+             for i in range(len(grid) - 1) if vals[i] * vals[i + 1] < 0.0]
+    assert len(found) == 2
+    return brackets + found
+
+
+def test_brent_matches_scipy_brentq_bit_for_bit():
+    optimize = pytest.importorskip("scipy.optimize")
+    brackets = _scalar_brackets()
+    fns = [f for f, *_ in brackets]
+    xa = np.array([a for _, a, _, _ in brackets])
+    xb = np.array([b for _, _, b, _ in brackets])
+    xtol = np.array([t for *_, t in brackets])
+
+    def f(index, x):
+        return np.array([fns[i](v) for i, v in zip(index, x)])
+
+    roots, froots = tubes._brent(f, xa, xb, f(range(len(fns)), xa), f(range(len(fns)), xb),
+                                 xtol, 1e-15)
+    for (fn, a, b, tol), root, froot in zip(brackets, roots, froots):
+        assert root == optimize.brentq(fn, a, b, xtol=tol, rtol=1e-15)
+        assert froot == fn(root)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tgeom.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    code = "import sys, tgeom; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------
