@@ -31,16 +31,13 @@ from .worlds import WorldFunction
 #: those checks are relaxed because FD noise grows with derivative order.
 CURVATURE_TOLERANCE = 5e-4
 
-_PART_FNS = ("full", "sym", "asym")
 
-
-def _part_fn(w: WorldFunction, part: str):
+def _tensors(w: WorldFunction, x, xp, orders, part: str) -> dict:
+    """Tensors of one part of w; the full world alone needs no reversed call."""
     if part == "full":
-        return w
-    if part == "sym":
-        return w.sym
-    if part == "asym":
-        return w.asym
+        return fd.partial_tensors(w, x, xp, orders)
+    if part in ("sym", "asym"):
+        return fd.part_tensors(w, x, xp, orders)[part]
     raise ValueError(f"unknown world-function part {part!r}")
 
 
@@ -92,17 +89,11 @@ def fd_derivatives(w: WorldFunction, x, xp, max_order: int = 3,
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     orders = [slot for o in range(1, max_order + 1) for slot in _ORDER_SLOTS[o]]
-    tensors = {}
-    for part in _PART_FNS:
-        tensors[part] = fd.partial_tensors(_part_fn(w, part), x, xp, orders, h=h)
-
-    sym_fwd = tensors["sym"][(1, 0)]
-    sym_rev = fd.partial_tensor(w.sym, xp, x, 0, 1, h=h)
-    asym_fwd = tensors["asym"][(1, 0)]
-    asym_rev = fd.partial_tensor(w.asym, xp, x, 0, 1, h=h)
+    tensors = fd.part_tensors(w, x, xp, orders, h=h)
+    rev = fd.part_tensors(w, xp, x, [(0, 1)], h=h)
     defects = {
-        "sym_swap": float(np.max(np.abs(sym_fwd - sym_rev))),
-        "asym_swap": float(np.max(np.abs(asym_fwd + asym_rev))),
+        "sym_swap": float(np.max(np.abs(tensors["sym"][(1, 0)] - rev["sym"][(0, 1)]))),
+        "asym_swap": float(np.max(np.abs(tensors["asym"][(1, 0)] + rev["asym"][(0, 1)]))),
     }
     return DerivativeBundle(x, xp, max_order, tensors, defects)
 
@@ -125,14 +116,12 @@ class FundamentalMetric:
 
 
 def _mixed_second(w, x, xp, part):
-    return fd.partial_tensor(_part_fn(w, part), x, xp, 1, 1)
+    return _tensors(w, x, xp, [(1, 1)], part)[(1, 1)]
 
 
 def fundamental_metric(w: WorldFunction, x, xp) -> FundamentalMetric:
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    cov = _mixed_second(w, x, xp, "full")
-    g_cov = _mixed_second(w, x, xp, "sym")
+    t = fd.part_tensors(w, np.asarray(x, float), np.asarray(xp, float), [(1, 1)])
+    cov, g_cov = t["full"][(1, 1)], t["sym"][(1, 1)]
     contra = _inv(cov.T, "covariant fundamental metric").T
     g_contra = _inv(g_cov.T, "symmetric covariant fundamental metric").T
     return FundamentalMetric(cov, contra, g_cov, g_contra)
@@ -153,24 +142,16 @@ class ChristoffelSet:
 
 
 def christoffels(w: WorldFunction, x, xp) -> ChristoffelSet:
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    out = {}
+    parts = fd.part_tensors(w, np.asarray(x, float), np.asarray(xp, float),
+                            [(1, 1), (2, 1), (1, 2)])
+    symbols = []  # tilde_x, tilde_xp, g_x, g_xp
     for part in ("full", "sym"):
-        fn = _part_fn(w, part)
-        t = fd.partial_tensors(fn, x, xp, [(1, 1), (2, 1), (1, 2)])
-        s = t[(1, 1)]
-        v = _inv(s.T, f"{part} fundamental metric").T
+        t = parts[part]
+        v = _inv(t[(1, 1)].T, f"{part} fundamental metric").T
         # upper index from contraction with the contravariant metric
-        gamma_x = np.einsum("is,kls->ikl", v, t[(2, 1)])
-        gamma_xp = np.einsum("si,skl->ikl", v, t[(1, 2)])
-        out[part] = (gamma_x, gamma_xp)
-    return ChristoffelSet(
-        tilde_x=out["full"][0],
-        tilde_xp=out["full"][1],
-        g_x=out["sym"][0],
-        g_xp=out["sym"][1],
-    )
+        symbols += [np.einsum("is,kls->ikl", v, t[(2, 1)]),
+                    np.einsum("si,skl->ikl", v, t[(1, 2)])]
+    return ChristoffelSet(*symbols)
 
 
 def christoffel_derivative(w: WorldFunction, x, xp, part: str = "full") -> np.ndarray:
@@ -179,9 +160,8 @@ def christoffel_derivative(w: WorldFunction, x, xp, part: str = "full") -> np.nd
 
     Returns array [i, k, l, m].
     """
-    fn = _part_fn(w, part)
-    t = fd.partial_tensors(fn, np.asarray(x, float), np.asarray(xp, float),
-                           [(1, 1), (2, 1), (3, 1)])
+    t = _tensors(w, np.asarray(x, float), np.asarray(xp, float),
+                 [(1, 1), (2, 1), (3, 1)], part)
     s = t[(1, 1)]
     v = _inv(s.T, "fundamental metric").T
     t21 = t[(2, 1)]
@@ -247,11 +227,8 @@ def coincidence_coefficients(w: WorldFunction, x) -> CoincidenceCoefficients:
     e.g. d/dx^l of [G_,ik] is [G_,ikl] + [G_,ikl'] -- direct stencils only.
     """
     x = np.asarray(x, dtype=float)
-    sig = fd.partial_tensors(w, x, x, [(2, 0), (1, 1), (0, 2)])
-    gpart = fd.partial_tensors(w.sym, x, x, [(2, 0), (3, 0), (2, 1)])
-    apart = fd.partial_tensors(
-        w.asym, x, x, [(1, 0), (2, 0), (1, 1), (3, 0), (2, 1), (1, 2)]
-    )
+    t = fd.part_tensors(w, x, x, [(1, 0), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2)])
+    sig, gpart, apart = t["full"], t["sym"], t["asym"]
 
     a = apart[(1, 0)]
     g = gpart[(2, 0)]
@@ -348,17 +325,22 @@ def metric_two_point_form(w: WorldFunction, x, xp, anchor_metric: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
+_F_ORDERS = [(1, 1), (2, 1), (1, 2), (2, 2)]
+
+
+def _f_from(t: dict) -> np.ndarray:
+    v = _inv(t[(1, 1)].T, "fundamental metric").T
+    return t[(2, 2)] - np.einsum("sjk,sm,ilm->ilkj", t[(1, 2)], v, t[(2, 1)])
+
+
 def f_tensor(w: WorldFunction, x, xp, part: str = "full") -> np.ndarray:
     """Two-point curvature-like tensor F[i, l, k, j] (primed pair last).
 
     F = w_{,il k'j'} - w_{,s j'k'} V[s, m] w_{,il m'}; identically zero for
     flat symmetric worlds in rectilinear charts.
     """
-    fn = _part_fn(w, part)
-    t = fd.partial_tensors(fn, np.asarray(x, float), np.asarray(xp, float),
-                           [(1, 1), (2, 1), (1, 2), (2, 2)])
-    v = _inv(t[(1, 1)].T, "fundamental metric").T
-    return t[(2, 2)] - np.einsum("sjk,sm,ilm->ilkj", t[(1, 2)], v, t[(2, 1)])
+    return _f_from(_tensors(w, np.asarray(x, float), np.asarray(xp, float),
+                            _F_ORDERS, part))
 
 
 def riemann_from_gamma(gamma: np.ndarray, gamma_derivs: np.ndarray) -> np.ndarray:
@@ -408,11 +390,9 @@ def curvature_bundle(w: WorldFunction, x, xp=None) -> CurvatureBundle:
       tilde_relation_p    same with the opposite contraction side (gamma_tilde_p)
     """
     x = np.asarray(x, dtype=float)
-    xp_eff = x if xp is None else np.asarray(xp, dtype=float)
-
-    f_two = f_tensor(w, x, xp_eff, part="full")
-    f_tilde_co = f_tensor(w, x, x, part="full")
-    f_co = f_tensor(w, x, x, part="sym")
+    co = fd.part_tensors(w, x, x, _F_ORDERS)
+    f_tilde_co, f_co = _f_from(co["full"]), _f_from(co["sym"])
+    f_two = f_tilde_co if xp is None else f_tensor(w, x, xp, part="full")
 
     cc = coincidence_coefficients(w, x)
 

@@ -308,6 +308,10 @@ def run(argv) -> int:
     except InvalidWorldSpecError as exc:
         sys.stderr.write(json.dumps({"error": "world-spec", "detail": str(exc)}) + "\n")
         return 1
+    except OSError as exc:  # an unwritable --out; an unreadable --world is an _InputError
+        detail = f"cannot write output: {exc.strerror or exc}"
+        sys.stderr.write(json.dumps({"error": "input", "detail": detail}) + "\n")
+        return 1
     except SolverError as exc:
         sys.stderr.write(json.dumps({
             "error": "solver", "detail": str(exc), "extra": exc.detail,

@@ -294,14 +294,15 @@ def degeneration_check(w: WorldFunction, x, probe_dirs=None,
     scale = 1.0 + float(np.max(np.abs(x)))
     step = delta * scale
 
-    cc_g = fd.partial_tensor(w.sym, x, x, 2, 0)  # coincidence metric
+    co = fd.part_tensors(w, x, x, [(2, 0), (1, 0), (0, 2)])
+    cc_g = co["sym"][(2, 0)]  # coincidence metric
     try:
         g_inv = np.linalg.inv(cc_g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError("coincidence metric singular") from exc
-    a_co = fd.partial_tensor(w.asym, x, x, 1, 0)
-    sigma_f = fd.partial_tensor(w, x, x, 2, 0)
-    sigma_p = fd.partial_tensor(w, x, x, 0, 2)
+    a_co = co["asym"][(1, 0)]
+    sigma_f = co["full"][(2, 0)]
+    sigma_p = co["full"][(0, 2)]
 
     grad_cancel = 0.0
     eikonal = 0.0
@@ -309,15 +310,17 @@ def degeneration_check(w: WorldFunction, x, probe_dirs=None,
     past = 0.0
     for e in dirs:
         defects = []
-        for dlt in (step, step / 10.0):
-            xq = x + dlt * e
-            a_grad = fd.partial_tensor(w.asym, xq, x, 0, 1)
+        # the outer separation also carries the directed-tube Hessian
+        outer = fd.part_tensors(w, x + step * e, x, [(0, 0), (0, 1), (0, 2)])
+        inner = fd.part_tensors(w, x + step / 10.0 * e, x, [(0, 0), (0, 1)])
+        for dlt, t in ((step, outer), (step / 10.0, inner)):
+            a_grad = t["asym"][(0, 1)]
             grad_cancel = max(
                 grad_cancel,
                 abs(float((a_grad + a_co) @ e)) / (dlt * (1.0 + np.linalg.norm(a_co))),
             )
-            g_grad = fd.partial_tensor(w.sym, xq, x, 0, 1)
-            two_g = 2.0 * float(w.sym(xq, x))
+            g_grad = t["sym"][(0, 1)]
+            two_g = 2.0 * float(t["sym"][(0, 0)])
             if two_g != 0.0:
                 defects.append(
                     (float(g_grad @ g_inv @ g_grad) - two_g) / two_g
@@ -328,10 +331,9 @@ def degeneration_check(w: WorldFunction, x, probe_dirs=None,
             eikonal = max(eikonal, abs(extrap))
 
         # directed-tube second-order conditions at the outer separation
-        xq = x + step * e
-        two_g = 2.0 * float(w.sym(xq, x))
-        g_grad = fd.partial_tensor(w.sym, xq, x, 0, 1)
-        a_hess = fd.partial_tensor(w.asym, xq, x, 0, 2)
+        two_g = 2.0 * float(outer["sym"][(0, 0)])
+        g_grad = outer["sym"][(0, 1)]
+        a_hess = outer["asym"][(0, 2)]
         norm = abs(two_g) * (1.0 + np.linalg.norm(g_grad))
         fut_val = (two_g * float(e @ (a_hess - sigma_p) @ e)
                    + float(g_grad @ e) ** 2)

@@ -9,11 +9,12 @@ rational one); higher orders use the standard second-order rules.
 
 Step sizes balance truncation against rounding per total derivative order:
 
-    order 1: eps^(1/5) * s     order 2: eps^(1/3) * s
+    order 1: eps^(1/5) * s     order 2: eps^(1/4) * s
     order 3: eps^(1/5) * s     order 4: eps^(1/6) * s
 
 with s = 1 + max-norm of the anchor points.  All stencil points for one
-tensor request are evaluated in a single batched world-function call.
+tensor request are evaluated in a single batched world-function call;
+part_tensors serves the world function and both its parts from two calls.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ def partial_tensor(fn, x, xp, nx: int, npr: int, h: float | None = None):
 
 def partial_tensors(fn, x, xp, orders, h: float | None = None):
     """Batch form: orders is a list of (nx, npr); one fn call evaluates every
-    stencil point of every requested tensor."""
+    stencil point of every requested tensor.  fn may return value rows
+    stacked on a leading axis; each row then gets its own tensor."""
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     d = x.shape[-1]
@@ -156,19 +158,36 @@ def partial_tensors(fn, x, xp, orders, h: float | None = None):
             raise FloatingPointError("non-finite world-function value in stencil")
     else:
         values = np.empty(0)
+    rows = np.atleast_2d(values)
 
     out = {}
     for (nx, npr), entry_meta in layout:
         if entry_meta is None:
             out[(nx, npr)] = np.asarray(fn(x, xp), dtype=float)
             continue
-        tensor = np.zeros((d,) * (nx + npr))
+        tensor = np.zeros((len(rows),) + (d,) * (nx + npr))
         for sl, wts, targets in entry_meta:
-            val = float(np.dot(values[sl], wts))
+            val = [np.dot(row[sl], wts) for row in rows]
             for idx in targets:
-                tensor[idx] = val
-        out[(nx, npr)] = tensor
+                tensor[(slice(None),) + idx] = val
+        out[(nx, npr)] = tensor if values.ndim == 2 else tensor[0]
     return out
+
+
+def part_tensors(w, x, xp, orders, h: float | None = None):
+    """partial_tensors of w and of its parts, keyed "full", "sym", "asym".
+
+    One stencil serves all three: two world calls, w(P, Q) and w(Q, P),
+    with the parts formed pointwise exactly as w.sym / w.asym form them.
+    """
+    def parts(p, q):
+        fwd = np.asarray(w(p, q), dtype=float)
+        rev = np.asarray(w(q, p), dtype=float)
+        return np.stack([fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev)])
+
+    stacked = partial_tensors(parts, x, xp, orders, h=h)
+    return {part: {key: t[i] for key, t in stacked.items()}
+            for i, part in enumerate(("full", "sym", "asym"))}
 
 
 def field_derivative(field, x, h: float | None = None):

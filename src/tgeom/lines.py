@@ -54,37 +54,31 @@ def coincidence_gradient(w: WorldFunction, x) -> np.ndarray:
     """Coincidence limit of the antisymmetric part's gradient (the rough
     antisymmetry field)."""
     x = np.asarray(x, dtype=float)
-    return fd.partial_tensor(w.asym, x, x, 1, 0)
+    return fd.part_tensors(w, x, x, [(1, 0)])["asym"][(1, 0)]
 
 
 def _implicit_parts(w: WorldFunction, kind: str):
     """lhs(x), rhs covector builder and Jacobian for the kind's equation."""
     if kind == "f":
-        fn = w
-
         def lhs(x, anchor):
-            return fd.partial_tensor(fn, x, anchor, 0, 1)
+            return fd.partial_tensor(w, x, anchor, 0, 1)
 
         def jac(x, anchor):
-            return fd.partial_tensor(fn, x, anchor, 1, 1).T
+            return fd.partial_tensor(w, x, anchor, 1, 1).T
 
     elif kind == "n":
-        fn = w.sym
-
         def lhs(x, anchor):
-            return fd.partial_tensor(fn, x, anchor, 0, 1)
+            return fd.part_tensors(w, x, anchor, [(0, 1)])["sym"][(0, 1)]
 
         def jac(x, anchor):
-            return fd.partial_tensor(fn, x, anchor, 1, 1).T
+            return fd.part_tensors(w, x, anchor, [(1, 1)])["sym"][(1, 1)].T
 
     elif kind == "p":
-        fn = w
-
         def lhs(xp, anchor):
-            return fd.partial_tensor(fn, anchor, xp, 1, 0)
+            return fd.partial_tensor(w, anchor, xp, 1, 0)
 
         def jac(xp, anchor):
-            return fd.partial_tensor(fn, anchor, xp, 1, 1)
+            return fd.partial_tensor(w, anchor, xp, 1, 1)
 
     else:
         raise ValueError(f"unknown gradient kind {kind!r}")
@@ -197,13 +191,9 @@ def initial_velocity(w: WorldFunction, kind: str, x_start, x_end) -> np.ndarray:
     """
     x_start = np.asarray(x_start, dtype=float)
     x_end = np.asarray(x_end, dtype=float)
-    lhs, _ = _implicit_parts(w, kind)
-    covector = lhs(x_end, x_start)
-    fn = w.sym if kind == "n" else w
-    s0 = fd.partial_tensor(fn, x_start, x_start, 1, 1)
-    if kind == "p":
-        return np.linalg.solve(s0, covector)
-    return np.linalg.solve(s0.T, covector)
+    lhs, jac = _implicit_parts(w, kind)
+    # the kind's Jacobian at coincidence is that system's matrix
+    return np.linalg.solve(jac(x_start, x_start), lhs(x_end, x_start))
 
 
 def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,

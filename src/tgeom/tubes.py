@@ -481,7 +481,7 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
             return fd.partial_tensor(w, anchor, p, 0, order)
         if kind == "p":
             return fd.partial_tensor(w, p, anchor, order, 0)
-        return fd.partial_tensor(w.sym, anchor, p, 0, order)
+        return fd.part_tensors(w, anchor, p, [(0, order)])["sym"][(0, order)]
 
     def objective_grad(p):
         return kind_partial(p_prev, p, 1)

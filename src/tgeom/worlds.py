@@ -41,6 +41,23 @@ _REQUIRED = {
 }
 
 
+def _numeric(name, value):
+    """value (None passes) as a float array; a non-numeric (bool, string,
+    null, ragged) or non-finite entry is a spec error, not a traceback."""
+    if value is None:
+        return None
+    try:
+        raw = np.asarray(value)
+    except ValueError as exc:
+        raise InvalidWorldSpecError(f"{name} must be numeric") from exc
+    if raw.dtype.kind not in "iuf":
+        raise InvalidWorldSpecError(f"{name} must be numeric")
+    arr = raw.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidWorldSpecError(f"{name} must be finite")
+    return arr
+
+
 def _as_point(x, dim):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != dim:
@@ -68,8 +85,12 @@ class WorldSpec:
     def validate(self):
         if self.kind not in WORLD_KINDS:
             raise InvalidWorldSpecError(f"unknown world kind {self.kind!r}")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
+        if type(self.dim) is not int or self.dim < 1:  # bool is an int subclass
             raise InvalidWorldSpecError("dim must be a positive integer")
+        for name in ("metric", "b", "alpha", "beta", "a3"):
+            value = _numeric(name, getattr(self, name))
+            if name in ("alpha", "beta") and value is not None and value.ndim:
+                raise InvalidWorldSpecError(f"{name} must be a number")
         g = np.asarray(self.metric, dtype=float)
         if g.shape != (self.dim, self.dim):
             raise InvalidWorldSpecError("metric must be a d x d matrix")
@@ -107,12 +128,12 @@ class WorldSpec:
             dim = doc["dim"]
         except KeyError as exc:
             raise InvalidWorldSpecError(f"world spec missing key {exc}") from exc
-        if not isinstance(dim, int):
+        if type(dim) is not int:
             raise InvalidWorldSpecError("dim must be an integer")
         metric_doc = doc.get("metric")
         if metric_doc is None:
             raise InvalidWorldSpecError("world spec missing 'metric'")
-        metric = np.asarray(metric_doc, dtype=float)
+        metric = _numeric("metric", metric_doc)
         diagonal = False
         if metric.ndim == 1:
             if metric.shape != (dim,):
@@ -124,27 +145,18 @@ class WorldSpec:
                 )
             metric = np.diag(metric)
             diagonal = True
-        elif metric.ndim == 2:
-            pass
-        else:
+        elif metric.ndim != 2:
             raise InvalidWorldSpecError("metric must be a vector or a matrix")
-
-        def _opt_vec(key):
-            v = doc.get(key)
-            return None if v is None else np.asarray(v, dtype=float)
-
-        a3 = doc.get("a3")
-        if a3 is not None:
-            a3 = np.asarray(a3, dtype=float)
-            if a3.ndim == 1:  # flattened row-major
-                if a3.size != dim**3:
-                    raise InvalidWorldSpecError("flattened a3 must have length dim^3")
-                a3 = a3.reshape((dim,) * 3)
+        a3 = _numeric("a3", doc.get("a3"))
+        if a3 is not None and a3.ndim == 1:  # flattened row-major
+            if a3.size != dim**3:
+                raise InvalidWorldSpecError("flattened a3 must have length dim^3")
+            a3 = a3.reshape((dim,) * 3)
         spec = cls(
             kind=kind,
             dim=dim,
             metric=metric,
-            b=_opt_vec("b"),
+            b=_numeric("b", doc.get("b")),
             alpha=doc.get("alpha"),
             beta=doc.get("beta"),
             a3=a3,

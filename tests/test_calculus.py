@@ -13,6 +13,7 @@ from tgeom import (
     parallel_transport,
     riemann_from_gamma,
     transport_matrix,
+    world_from_callable,
 )
 from tgeom.calculus import metric_by_transport, metric_two_point_form
 from tgeom import fd
@@ -44,6 +45,40 @@ def test_third_derivative_of_cubic_part(cubic):
     a3 = np.asarray(cubic.spec.a3)
     bundle = fd_derivatives(cubic, X0, X0, max_order=3)
     assert np.max(np.abs(bundle.get("asym", 3, 0) - a3)) < 1e-6
+
+
+PART_ORDERS = [(nx, npr) for nx in range(3) for npr in range(3)]
+
+
+@pytest.mark.parametrize("anchor", ["coincidence", "separated"])
+def test_part_tensors_match_per_part_passes(all_worlds, anchor):
+    # one two-call pass reproduces the separate w / w.sym / w.asym passes
+    xp = X0 if anchor == "coincidence" else XP0
+    for name, w in all_worlds.items():
+        parts = fd.part_tensors(w, X0, xp, PART_ORDERS)
+        for part, fn in (("full", w), ("sym", w.sym), ("asym", w.asym)):
+            want = fd.partial_tensors(fn, X0, xp, PART_ORDERS)
+            for key in PART_ORDERS:
+                assert np.array_equal(parts[part][key], want[key]), (name, part, key)
+
+
+def test_coincidence_coefficients_world_points(cubic):
+    # one part pass at coincidence: 8,720 world points at d=4
+    points = []
+
+    def counted(a, b):
+        points.append(np.asarray(a).shape[0])
+        return cubic(a, b)
+
+    w = world_from_callable(counted, 4)
+    coincidence_coefficients(w, X0)
+    assert sum(points) == 8720
+
+
+def test_symmetry_defects_exact(all_worlds):
+    for name, w in all_worlds.items():
+        bundle = fd_derivatives(w, X0, XP0, max_order=1)
+        assert bundle.symmetry_defects == {"sym_swap": 0.0, "asym_swap": 0.0}, name
 
 
 def test_eikonal_identity_euclidean():

@@ -170,7 +170,37 @@ def test_exit_code_bad_spec(tmp_path, world_file, capsys):
     assert run(["check", "degeneration", "--world", bad,
                 "--out", str(tmp_path / "x.json")]) == 1
     err = json.loads(capsys.readouterr().err)
+    jsonschema.validate(err, schema("error.json"))
     assert err["error"] == "world-spec"
+
+
+@pytest.mark.parametrize("doc", [
+    dict(CASE1, alpha=float("nan")),
+    dict(CASE1, b=[1, float("inf"), 0, 0]),
+    dict(CASE1, alpha="x"),
+    dict(CASE1, metric=[1, "a", -1, -1]),
+    {"kind": "euclidean", "dim": True, "metric": [1]},
+], ids=["alpha-nan", "b-infinity", "alpha-string", "metric-string", "dim-true"])
+@pytest.mark.parametrize("command", [["coefficients", "--at", "0,0,0,0"],
+                                     ["check", "degeneration"]],
+                         ids=["coefficients", "check"])
+def test_exit_code_bad_spec_values(tmp_path, world_file, capsys, doc, command):
+    # non-numeric, non-finite or bool entries are spec errors, not tracebacks
+    bad = world_file(doc, "bad.json")
+    assert run(command + ["--world", bad, "--out", str(tmp_path / "x.json")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "world-spec"
+
+
+def test_exit_code_unwritable_out(tmp_path, world_file, capsys):
+    out = tmp_path / "missing" / "dir" / "x.json"
+    assert run(["coefficients", "--world", world_file(CASE1), "--at", "0,0,0,0",
+                "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "input"
+    assert not out.parent.exists()
 
 
 def test_exit_code_geometry_error(tmp_path, world_file, capsys):

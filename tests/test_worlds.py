@@ -121,6 +121,22 @@ def test_spec_validation_errors(doc, message):
         WorldSpec.from_dict(doc)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("alpha", float("nan"), "alpha must be finite"),
+    ("alpha", "x", "alpha must be numeric"),
+    ("alpha", True, "alpha must be numeric"),
+    ("alpha", [0.1, 0.2], "alpha must be a number"),
+    ("b", np.array([1.0, np.inf]), "b must be finite"),
+    ("metric", [[1.0, "a"], ["a", 1.0]], "metric must be numeric"),
+    ("dim", True, "dim must be a positive integer"),
+])
+def test_validate_rejects_bad_values(field, value, message):
+    params = {"kind": "case1", "dim": 2, "metric": np.eye(2),
+              "b": np.array([1.0, 0.0]), "alpha": 0.1, field: value}
+    with pytest.raises(InvalidWorldSpecError, match=message):
+        WorldSpec(**params).validate()
+
+
 def test_asymmetric_a3_rejected():
     a3 = np.zeros((2, 2, 2))
     a3[0, 0, 1] = 1.0  # not symmetric
