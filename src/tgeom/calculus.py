@@ -154,14 +154,9 @@ def christoffels(w: WorldFunction, x, xp) -> ChristoffelSet:
     return ChristoffelSet(*symbols)
 
 
-def christoffel_derivative(w: WorldFunction, x, xp, part: str = "full") -> np.ndarray:
-    """d Gamma^i_kl / dx^m for the unprimed-anchor Christoffel symbol,
-    assembled from third and fourth derivatives (no nested differencing).
-
-    Returns array [i, k, l, m].
-    """
-    t = _tensors(w, np.asarray(x, float), np.asarray(xp, float),
-                 [(1, 1), (2, 1), (3, 1)], part)
+def _symbol_and_derivative(t: dict):
+    """Unprimed-anchor Christoffel symbol [i, k, l] and its derivative
+    [i, k, l, m] from the (1,1), (2,1), (3,1) tensors of one part."""
     s = t[(1, 1)]
     v = _inv(s.T, "fundamental metric").T
     t21 = t[(2, 1)]
@@ -169,19 +164,30 @@ def christoffel_derivative(w: WorldFunction, x, xp, part: str = "full") -> np.nd
     # dS/dx^m has entries d^3 w / dx^k dx^m dxp^q = t21[k, m, q]
     # V S^T = I  =>  dV/dx^m = -V (dS/dx^m)^T V
     dv = -np.einsum("iq,kmq,ks->ism", v, t21, v)
-    return (np.einsum("ism,kls->iklm", dv, t21)
-            + np.einsum("is,klms->iklm", v, t31))
+    return (np.einsum("is,kls->ikl", v, t21),
+            np.einsum("ism,kls->iklm", dv, t21) + np.einsum("is,klms->iklm", v, t31))
+
+
+def christoffel_derivative(w: WorldFunction, x, xp, part: str = "full") -> np.ndarray:
+    """d Gamma^i_kl / dx^m for the unprimed-anchor Christoffel symbol,
+    assembled from third and fourth derivatives (no nested differencing).
+
+    Returns array [i, k, l, m].
+    """
+    return _symbol_and_derivative(_tensors(w, np.asarray(x, float), np.asarray(xp, float),
+                                           [(1, 1), (2, 1), (3, 1)], part))[1]
 
 
 def flat_curvature_defect(w: WorldFunction, x, xp, part: str = "full") -> np.ndarray:
-    """Curvature built from the unprimed-anchor two-point Christoffel symbol.
+    """Curvature built from the unprimed-anchor two-point Christoffel symbol
+    of the full world (part "full") or of its symmetric part ("sym").
 
     Vanishes identically for every world function (the two-point connection
     is flat); the returned array [s, i, l, m] measures the numerical defect.
+    One stencil pass of the chosen part serves the symbol and its derivative.
     """
-    gamma = christoffels(w, x, xp)
-    gam = gamma.tilde_x if part == "full" else gamma.g_x
-    dgam = christoffel_derivative(w, x, xp, part=part)
+    gam, dgam = _symbol_and_derivative(_tensors(w, np.asarray(x, float), np.asarray(xp, float),
+                                                [(1, 1), (2, 1), (3, 1)], part))
     return (dgam.transpose(0, 1, 2, 3) - dgam.transpose(0, 1, 3, 2)
             + np.einsum("jil,sjm->silm", gam, gam)
             - np.einsum("jim,sjl->silm", gam, gam))
@@ -219,15 +225,32 @@ class CoincidenceCoefficients:
     g_grad: np.ndarray = field(default=None)   # g_{ik,l}
 
 
-def coincidence_coefficients(w: WorldFunction, x) -> CoincidenceCoefficients:
-    """Extract the one-point fields at x by coincidence-centered stencils.
+_COEFFICIENT_ORDERS = [(1, 0), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2)]
 
-    Derivatives of the one-point fields (needed for the Christoffel and
-    force tensors) are obtained by the chain rule over both argument slots,
-    e.g. d/dx^l of [G_,ik] is [G_,ikl] + [G_,ikl'] -- direct stencils only.
-    """
-    x = np.asarray(x, dtype=float)
-    t = fd.part_tensors(w, x, x, [(1, 0), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2)])
+# future / past mixing matrices g_tilde_inv . g (contracted on the first or
+# the second index of g_tilde_inv) and the sign of beta each one carries
+_MIXING = (("is,ps->ip", 1.0), ("si,ps->ip", -1.0))
+
+
+def _lowered(g_grad: np.ndarray) -> np.ndarray:
+    """[k,s,l]-indexed g_{ks,l} + g_{sl,k} - g_{lk,s}; trailing axes ride along."""
+    return g_grad + np.einsum("slk...->ksl...", g_grad) - np.einsum("lks...->ksl...", g_grad)
+
+
+def _force_source(a3: np.ndarray, a_hess: np.ndarray) -> np.ndarray:
+    """a_{kls} - (a_{k,ls} + a_{l,ks})/2, indexed [k,l,s]; trailing axes ride along."""
+    return a3 - 0.5 * (a_hess + np.einsum("lks...->kls...", a_hess))
+
+
+def _a_hess(t30, t21, t12) -> np.ndarray:
+    """a_{i,kl} by the two-slot chain rule from the (3,0), (2,1), (1,2) tensors
+    of the antisymmetric part (or their diagonal derivatives)."""
+    return t30 + t21 + np.swapaxes(t21, 1, 2) + t12
+
+
+def _coefficients_from(x: np.ndarray, t: dict) -> CoincidenceCoefficients:
+    """The one-point fields from part tensors taken at xp = x (keys of
+    _COEFFICIENT_ORDERS, per part as fd.part_tensors returns them)."""
     sig, gpart, apart = t["full"], t["sym"], t["asym"]
 
     a = apart[(1, 0)]
@@ -244,24 +267,14 @@ def coincidence_coefficients(w: WorldFunction, x) -> CoincidenceCoefficients:
     # one-point field derivatives via the two-slot chain rule
     g_grad = gpart[(3, 0)] + gpart[(2, 1)]                   # g_{ik,l}
     a_grad = apart[(2, 0)] + apart[(1, 1)]                   # a_{i,k}
-    a_hess = (apart[(3, 0)] + apart[(2, 1)]
-              + apart[(2, 1)].transpose(0, 2, 1)
-              + apart[(1, 2)])                               # a_{i,kl}
+    a_hess = _a_hess(apart[(3, 0)], apart[(2, 1)], apart[(1, 2)])
 
-    # [k,s,l]-indexed combination g_{ks,l} + g_{sl,k} - g_{lk,s}
-    half_sum = (np.einsum("ksl->ksl", g_grad)
-                + np.einsum("slk->ksl", g_grad)
-                - np.einsum("lks->ksl", g_grad))
-    gamma = 0.5 * np.einsum("si,ksl->ikl", g_inv, half_sum)
+    gamma = 0.5 * np.einsum("si,ksl->ikl", g_inv, _lowered(g_grad))
+    beta = np.einsum("si,kls->ikl", g_inv, _force_source(a3, a_hess))
 
-    # -(a_{k,ls} + a_{l,ks})/2 + a_{kls}, indexed [k,l,s]
-    sym_hess = -0.5 * (a_hess + np.einsum("lks->kls", a_hess))
-    beta = np.einsum("si,kls->ikl", g_inv, a3 + sym_hess)
-
-    mixed_f = np.einsum("is,ps->ip", g_tilde_inv, g)
-    mixed_p = np.einsum("si,ps->ip", g_tilde_inv, g)
-    gamma_tilde_f = np.einsum("ip,pkl->ikl", mixed_f, gamma + beta)
-    gamma_tilde_p = np.einsum("ip,pkl->ikl", mixed_p, gamma - beta)
+    gamma_tilde_f, gamma_tilde_p = (
+        np.einsum("ip,pkl->ikl", np.einsum(spec, g_tilde_inv, g), gamma + sign * beta)
+        for spec, sign in _MIXING)
 
     return CoincidenceCoefficients(
         x=x, a=a, g=g, g_inv=g_inv, g_tilde=g_tilde, g_tilde_inv=g_tilde_inv,
@@ -269,6 +282,17 @@ def coincidence_coefficients(w: WorldFunction, x) -> CoincidenceCoefficients:
         gamma_tilde_f=gamma_tilde_f, gamma_tilde_p=gamma_tilde_p,
         a3=a3, g3=g3, a_grad=a_grad, a_hess=a_hess, g_grad=g_grad,
     )
+
+
+def coincidence_coefficients(w: WorldFunction, x) -> CoincidenceCoefficients:
+    """Extract the one-point fields at x by coincidence-centered stencils.
+
+    Derivatives of the one-point fields (needed for the Christoffel and
+    force tensors) are obtained by the chain rule over both argument slots,
+    e.g. d/dx^l of [G_,ik] is [G_,ikl] + [G_,ikl'] -- direct stencils only.
+    """
+    x = np.asarray(x, dtype=float)
+    return _coefficients_from(x, fd.part_tensors(w, x, x, _COEFFICIENT_ORDERS))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +402,71 @@ class CurvatureBundle:
     defects: dict
 
 
+def _diagonal(t: dict, nx: int, npr: int) -> np.ndarray:
+    """d/dx^m of the coincidence tensor t_(nx,npr)(x, x), m on a trailing axis:
+    t_(nx+1,npr) with m in the unprimed group plus t_(nx,npr+1) with m in
+    the primed group."""
+    return np.moveaxis(t[(nx + 1, npr)], nx, -1) + t[(nx, npr + 1)]
+
+
+def _product_rule(spec: str, *pairs) -> np.ndarray:
+    """d/dx^m of np.einsum(spec, *values) from (value, derivative) pairs,
+    each derivative carrying m on a trailing axis (m unused in spec)."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    total = 0.0
+    for j, (_, deriv) in enumerate(pairs):
+        subs = [s + "m" if i == j else s for i, s in enumerate(ins)]
+        ops = [deriv if i == j else value for i, (value, _) in enumerate(pairs)]
+        total = total + np.einsum(",".join(subs) + "->" + out + "m", *ops)
+    return total
+
+
+def _connection_derivatives(cc: CoincidenceCoefficients, t: dict):
+    """d gamma, d gamma_tilde_f, d gamma_tilde_p at x, each [i, k, l, m]:
+    the diagonal chain rule on the part tensors of t (orders up to four,
+    taken at xp = x), then the product rule through the formulas of
+    _coefficients_from."""
+    sym, asym = t["sym"], t["asym"]
+    d_g = cc.g_grad
+    d_g_inv = -np.einsum("ia,abm,bj->ijm", cc.g_inv, d_g, cc.g_inv)
+    # g_tilde_inv = inv(g_tilde).T with g_tilde = -t_full(1,1)
+    d_g_tilde = -_diagonal(t["full"], 1, 1)
+    d_g_tilde_inv = -np.einsum("ib,abm,aj->ijm", cc.g_tilde_inv, d_g_tilde, cc.g_tilde_inv)
+
+    d_g_grad = _diagonal(sym, 3, 0) + _diagonal(sym, 2, 1)
+    d_gamma = 0.5 * _product_rule("si,ksl->ikl", (cc.g_inv, d_g_inv),
+                                  (_lowered(cc.g_grad), _lowered(d_g_grad)))
+    d_a3 = _diagonal(asym, 3, 0)
+    d_a_hess = _a_hess(d_a3, _diagonal(asym, 2, 1), _diagonal(asym, 1, 2))
+    d_beta = _product_rule("si,kls->ikl", (cc.g_inv, d_g_inv),
+                           (_force_source(cc.a3, cc.a_hess), _force_source(d_a3, d_a_hess)))
+
+    out = [d_gamma]
+    for spec, sign in _MIXING:
+        mixed = np.einsum(spec, cc.g_tilde_inv, cc.g)
+        d_mixed = _product_rule(spec, (cc.g_tilde_inv, d_g_tilde_inv), (cc.g, d_g))
+        out.append(_product_rule("ip,pkl->ikl", (mixed, d_mixed),
+                                 (cc.gamma + sign * cc.beta, d_gamma + sign * d_beta)))
+    return out
+
+
+_CURVATURE_ORDERS = [(1, 0), (2, 0), (0, 2), (3, 0), (4, 0), (3, 1), (1, 3)]
+
+
 def curvature_bundle(w: WorldFunction, x, xp=None) -> CurvatureBundle:
     """Assemble coincidence curvature tensors and their consistency defects.
+
+    Every field comes from direct coincidence stencils, with no nested
+    differencing: two fd.part_tensors passes at xp = x (four world calls),
+    one over the orders of F and one over the remaining orders up to four,
+    so that no world call grows past the F pass.  The connections gamma,
+    gamma_tilde_f and gamma_tilde_p are exactly coincidence_coefficients';
+    their derivatives follow from the chain rule along the diagonal,
+    d/dx^m t_(a,b)(x, x) = t_(a+1,b) + t_(a,b+1) with m joining the unprimed
+    or the primed group, and the product rule through g_inv, g_tilde_inv
+    and the future/past mixing matrices.  F of the full world at (x, xp)
+    takes one more world call when xp is given.
 
     Defects reported (all should be small for the shipped worlds):
       pair_symmetry       in-group index symmetry of the coincident tensor
@@ -391,19 +478,16 @@ def curvature_bundle(w: WorldFunction, x, xp=None) -> CurvatureBundle:
     """
     x = np.asarray(x, dtype=float)
     co = fd.part_tensors(w, x, x, _F_ORDERS)
+    rest = fd.part_tensors(w, x, x, _CURVATURE_ORDERS)
+    t = {part: {**co[part], **rest[part]} for part in co}
     f_tilde_co, f_co = _f_from(co["full"]), _f_from(co["sym"])
     f_two = f_tilde_co if xp is None else f_tensor(w, x, xp, part="full")
 
-    cc = coincidence_coefficients(w, x)
-
-    def stacked(p):
-        c = coincidence_coefficients(w, p)
-        return np.stack([c.gamma, c.gamma_tilde_f, c.gamma_tilde_p])
-
-    dstack = fd.field_derivative(stacked, x)
-    r = riemann_from_gamma(cc.gamma, dstack[0])
-    r_f = riemann_from_gamma(cc.gamma_tilde_f, dstack[1])
-    r_p = riemann_from_gamma(cc.gamma_tilde_p, dstack[2])
+    cc = _coefficients_from(x, t)
+    d_gamma, d_gamma_f, d_gamma_p = _connection_derivatives(cc, t)
+    r = riemann_from_gamma(cc.gamma, d_gamma)
+    r_f = riemann_from_gamma(cc.gamma_tilde_f, d_gamma_f)
+    r_p = riemann_from_gamma(cc.gamma_tilde_p, d_gamma_p)
 
     scale = 1.0 + float(np.max(np.abs(f_co)) + np.max(np.abs(f_tilde_co)))
     defects = {

@@ -222,6 +222,9 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
         cc = coincidence_coefficients(w, x)
         return -np.einsum("ikl,k,l->i", pick(cc), v, v), cc.g
 
+    # the first stage of every step-count trial starts at (x0, v0)
+    first_stage = accel(x0, v0)
+
     def integrate(n):
         t0, t1 = tau_span
         h = (t1 - t0) / n
@@ -229,8 +232,8 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
         energies = [0.0]
         x, v = x0.copy(), v0.copy()
         g0 = None
-        for _ in range(n):
-            a1, g = accel(x, v)
+        for step in range(n):
+            a1, g = first_stage if step == 0 else accel(x, v)
             if g0 is None:
                 g0 = float(v @ g @ v)
             energies[-1] = abs(float(v @ g @ v) - g0) / (1.0 + abs(g0))

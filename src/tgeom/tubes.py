@@ -359,9 +359,10 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
         raise GeometryError("sampler needs a world built from a WorldSpec")
     y = np.asarray(y, dtype=float)
     origin = np.zeros(w.dim)
-    y2 = 2.0 * float(w.sym(origin, y))
-    if y2 <= 0.0:
-        raise GeometryError("y must be timelike (positive squared separation)")
+    with np.errstate(all="ignore"):
+        y2 = 2.0 * float(w.sym(origin, y))
+    if not 0.0 < y2 < np.inf:  # NaN at a pole of the world function fails too
+        raise GeometryError(f"y must be timelike (positive finite squared separation, got {y2!r})")
     ynorm = float(np.sqrt(y2))
     if w.spec is not None and w.spec.b is not None:
         g = _metric_of(w)

@@ -15,7 +15,14 @@ from tgeom import (
     transport_matrix,
     world_from_callable,
 )
-from tgeom.calculus import metric_by_transport, metric_two_point_form
+from tgeom.calculus import (
+    _connection_derivatives,
+    _coefficients_from,
+    _CURVATURE_ORDERS,
+    _F_ORDERS,
+    metric_by_transport,
+    metric_two_point_form,
+)
 from tgeom import fd
 from conftest import world, _WARP
 
@@ -62,15 +69,20 @@ def test_part_tensors_match_per_part_passes(all_worlds, anchor):
                 assert np.array_equal(parts[part][key], want[key]), (name, part, key)
 
 
-def test_coincidence_coefficients_world_points(cubic):
-    # one part pass at coincidence: 8,720 world points at d=4
-    points = []
+def _counted(w, dim):
+    """w wrapped to record the number of points of every call."""
+    calls = []
 
     def counted(a, b):
-        points.append(np.asarray(a).shape[0])
-        return cubic(a, b)
+        calls.append(np.asarray(a).shape[0])
+        return w(a, b)
 
-    w = world_from_callable(counted, 4)
+    return world_from_callable(counted, dim), calls
+
+
+def test_coincidence_coefficients_world_points(cubic):
+    # one part pass at coincidence: 8,720 world points at d=4
+    w, points = _counted(cubic, 4)
     coincidence_coefficients(w, X0)
     assert sum(points) == 8720
 
@@ -331,3 +343,104 @@ def test_mixed_curvature_relation_warped(warped_chart):
     assert bundle.defects["mixed_relation"] < 5e-4
     assert bundle.defects["pair_symmetry"] < 5e-4
     assert bundle.defects["block_swap"] < 5e-4
+
+
+def test_flat_curvature_defect_world_points(cubic):
+    # one pass of the chosen part: the full world alone needs no reversed call
+    for part, want in (("full", 8640), ("sym", 17280)):
+        w, calls = _counted(cubic, 4)
+        flat_curvature_defect(w, X0, XP0, part=part)
+        assert sum(calls) == want, part
+
+
+def test_curvature_bundle_world_points(cubic):
+    # two part passes at coincidence: four world calls at d=4, none larger
+    # than the pass over the orders of F
+    w, calls = _counted(cubic, 4)
+    curvature_bundle(w, X0)
+    assert sum(calls) == 60868
+    assert len(calls) == 4
+    assert max(calls) == 15376
+
+
+def test_curvature_bundle_connections_are_coincidence_coefficients(all_worlds):
+    # the bundle's connections come from the same stencils and the same
+    # formulas as coincidence_coefficients
+    for name, w in all_worlds.items():
+        t = fd.part_tensors(w, X0, X0, _F_ORDERS)
+        rest = fd.part_tensors(w, X0, X0, _CURVATURE_ORDERS)
+        bundled = _coefficients_from(X0, {p: {**t[p], **rest[p]} for p in t})
+        cc = coincidence_coefficients(w, X0)
+        for field in ("g", "g_tilde", "gamma", "beta", "gamma_tilde_f", "gamma_tilde_p"):
+            assert np.array_equal(getattr(bundled, field), getattr(cc, field)), (name, field)
+
+
+_G3 = np.diag([1.0, 2.0, 1.5])
+
+
+def _curved_asymmetric(x, xp):
+    # x-dependent metric and an antisymmetric part with nonzero coincidence
+    # gradient and force tensor: no field is constant along the diagonal
+    xi, m = x - xp, 0.5 * (x + xp)
+    conf = 1.0 + 0.2 * np.sin(m[..., 0]) + 0.1 * m[..., 1] * m[..., 2]
+    odd = (0.1 * np.cos(m[..., 1]) * xi[..., 0] + 0.05 * m[..., 2] * xi[..., 1]
+           + 0.04 * (1.0 + m[..., 0]) * xi[..., 0] * xi[..., 1] * xi[..., 2])
+    return 0.5 * conf * np.einsum("...i,ij,...j", xi, _G3, xi) + odd
+
+
+@pytest.mark.parametrize("which", ["warped_chart", "curved_asymmetric"])
+def test_connection_derivatives_match_nested_differencing(warped_chart, which):
+    # direct coincidence stencils vs a fourth-order derivative of the
+    # connections themselves (the nested differencing they replace)
+    w = warped_chart if which == "warped_chart" else world_from_callable(_curved_asymmetric, 3)
+    xw = np.array([0.3, -0.2, 0.4])
+    t = fd.part_tensors(w, xw, xw, _F_ORDERS)
+    rest = fd.part_tensors(w, xw, xw, _CURVATURE_ORDERS)
+    t = {p: {**t[p], **rest[p]} for p in t}
+    direct = _connection_derivatives(_coefficients_from(xw, t), t)
+
+    def connections(p):
+        cc = coincidence_coefficients(w, p)
+        return np.stack([cc.gamma, cc.gamma_tilde_f, cc.gamma_tilde_p])
+
+    nested = fd.field_derivative(connections, xw)
+    assert np.max(np.abs(nested)) > 1e-2
+    for name, d, ref in zip(("gamma", "gamma_tilde_f", "gamma_tilde_p"), direct, nested):
+        assert np.max(np.abs(d - ref)) < 1e-6, name
+
+
+def _constant_force_curvatures(a3):
+    # gamma = 0, g_tilde = g and a constant force tensor: the future/past
+    # connections are +-beta, whose curvature is quadratic in beta
+    beta = np.einsum("si,kls->ikl", np.linalg.inv(MINK), a3)
+    zero = np.zeros((4,) * 4)
+    return zero, riemann_from_gamma(beta, zero), riemann_from_gamma(-beta, zero)
+
+
+def test_curvature_bundle_against_exact_curvature(case1, cubic, warped_chart):
+    # errors against the closed forms; the nested differencing this replaces
+    # reached 3.9e-8 (warped chart), 5.4e-7 (case1 future/past) and 2.7e-10
+    # (cubic_a future/past) on these inputs
+    b = np.array([1.0, 0, 0, 0])
+    case1_a3 = 2 * 0.2 * (np.einsum("i,kl->ikl", b, MINK) + np.einsum("k,li->ikl", b, MINK)
+                          + np.einsum("l,ik->ikl", b, MINK))
+    xw = np.array([0.3, -0.2, 0.4])
+    flat = np.zeros((3,) * 4)
+    cases = [
+        # world, point, exact (r, r_f, r_p), bound on r, on r_f/r_p, on the relations
+        (warped_chart, xw, (flat, flat, flat), 1e-9, 1e-9, 1e-9),
+        # the symmetric part of case1 is flat to 5.9e-9 (1.3e-10 under
+        # nested differencing, whose stencil noise cancels between shifted
+        # copies of a translation-invariant world)
+        (case1, X0, _constant_force_curvatures(case1_a3), 3e-8, 1e-7, 1e-7),
+        (cubic, X0, _constant_force_curvatures(np.asarray(cubic.spec.a3)), 8e-11, 8e-11, 8e-11),
+    ]
+    for w, x, exact, tol_r, tol_tilde, tol_rel in cases:
+        bundle = curvature_bundle(w, x)
+        got = (bundle.riemann, bundle.riemann_tilde_f, bundle.riemann_tilde_p)
+        errs = [float(np.max(np.abs(g - e))) for g, e in zip(got, exact)]
+        assert errs[0] < tol_r, (w.kind, errs)
+        assert max(errs[1:]) < tol_tilde, (w.kind, errs)
+        relations = [bundle.defects[k] for k in ("mixed_relation", "tilde_relation_f",
+                                                 "tilde_relation_p")]
+        assert max(relations) < tol_rel, (w.kind, relations)

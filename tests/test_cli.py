@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import tgeom
 from tgeom import case1_radii
 from tgeom.cli import run
 
@@ -210,6 +213,29 @@ def test_exit_code_geometry_error(tmp_path, world_file, capsys):
                 "--out", str(tmp_path / "x.csv")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "geometry"
+
+
+def test_exit_code_generator_on_pole(tmp_path, world_file):
+    # y on the pole xi^2 = -1/beta of a case2 world: the separation is NaN,
+    # not a positive number, and stderr carries the JSON error alone
+    pole = world_file({"kind": "case2", "dim": 4, "metric": [1, -1, -1, -1],
+                       "b": [1, 0, 0, 0], "alpha": 0.2, "beta": -1})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tgeom.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tgeom", "tube-section", "--world", pole, "--y", "1,0,0,0",
+         "--tau-min", "0", "--tau-max", "1", "--tau-steps", "2",
+         "--out", str(tmp_path / "x.csv")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    for line in lines:
+        jsonschema.validate(json.loads(line), schema("error.json"))
+    err = json.loads(lines[0])
+    assert err["error"] == "geometry"
+    assert "y must be timelike" in err["detail"]
 
 
 def test_exit_code_solver_error(tmp_path, world_file, capsys):
