@@ -83,6 +83,8 @@ def _parse_point(text: str, dim: int, what: str) -> np.ndarray:
         raise _InputError(f"{what} must be comma-separated numbers") from exc
     if len(values) != dim:
         raise _InputError(f"{what} must have {dim} coordinates")
+    if not np.all(np.isfinite(values)):
+        raise _InputError(f"{what} must have finite coordinates")
     return np.asarray(values)
 
 
@@ -316,6 +318,9 @@ def run(argv) -> int:
         sys.stderr.write(json.dumps({
             "error": "solver", "detail": str(exc), "extra": exc.detail,
         }) + "\n")
+        return 2
+    except FloatingPointError as exc:  # a finite-difference stencil overflowed
+        sys.stderr.write(json.dumps({"error": "solver", "detail": str(exc)}) + "\n")
         return 2
     except GeometryError as exc:
         sys.stderr.write(json.dumps({"error": "geometry", "detail": str(exc)}) + "\n")

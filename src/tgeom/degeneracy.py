@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fd
-from .errors import DegenerateSkeletonError, DimensionMismatchError, SingularMetricError
+from .errors import (
+    DegenerateSkeletonError,
+    DimensionMismatchError,
+    GeometryError,
+    SingularMetricError,
+)
 from .products import Multivector, gram, product_matrix
 from .worlds import WorldFunction
 
@@ -90,6 +95,7 @@ class FlatBasis:
     anchor: Multivector
     g: np.ndarray       # basis scalar products
     g_inv: np.ndarray
+    back: tuple         # w(p_i, p_0) for the basis points p_1..p_n
 
     @classmethod
     def build(cls, w: WorldFunction, anchor: Multivector) -> "FlatBasis":
@@ -111,20 +117,21 @@ class FlatBasis:
             raise SingularMetricError("basis scalar-product matrix singular") from exc
         if np.max(np.abs(g_inv @ g - np.eye(g.shape[0]))) > 1e-9:
             raise SingularMetricError("basis matrix badly conditioned")
-        return cls(anchor=anchor, g=g, g_inv=g_inv)
+        p0 = anchor.points[0]
+        back = tuple(w(p, p0) for p in anchor.points[1:])
+        return cls(anchor=anchor, g=g, g_inv=g_inv, back=back)
 
     def coordinates(self, w: WorldFunction, point) -> np.ndarray:
         """Covariant coordinates of a point: scalar products of the basis
-        vectors with the anchor-to-point vector."""
+        vectors with the anchor-to-point vector.  w is the world the basis
+        was built on."""
         pts = self.anchor.points
-        p0 = pts[0]
         point = np.asarray(point, dtype=float)
-        n = self.anchor.order
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = float(
-                w(pts[i + 1], p0) + w(p0, point) - w(pts[i + 1], point)
-            )
+        w0 = w(pts[0], point)
+        out = np.empty(self.anchor.order)
+        for i, back in enumerate(self.back):
+            # scalar calls: a batched w(pts[1:], point) sums in another order
+            out[i] = float(back + w0 - w(pts[i + 1], point))
         return out
 
 
@@ -228,8 +235,6 @@ def _coordinate_solve_rate(w, fb, sample_coords, n_targets, seed):
     basis_rest = fb.anchor.points[1:]
     successes = 0
     scale = 1.0 + float(np.max(np.abs(fb.g)))
-    from .errors import GeometryError
-
     for target in targets:
         x = p0 + rng.normal(scale=0.1, size=w.dim)
         ok = False
@@ -242,9 +247,9 @@ def _coordinate_solve_rate(w, fb, sample_coords, n_targets, seed):
                     ok = True
                     break
                 jac = np.empty((fb.anchor.order, w.dim))
+                grad0 = fd.partial_tensor(w, p0, x, 0, 1)
                 for i, pb in enumerate(basis_rest):
-                    jac[i] = (fd.partial_tensor(w, p0, x, 0, 1)
-                              - fd.partial_tensor(w, pb, x, 0, 1))
+                    jac[i] = grad0 - fd.partial_tensor(w, pb, x, 0, 1)
                 step = np.linalg.solve(jac, -r)
                 x = x + step
         except (GeometryError, FloatingPointError, np.linalg.LinAlgError):

@@ -132,34 +132,38 @@ def partial_tensors(fn, x, xp, orders, h: float | None = None):
     xp = np.asarray(xp, dtype=float)
     d = x.shape[-1]
 
-    pts_x, pts_xp = [], []
-    layout = []  # (order key, entry list with slice bookkeeping)
-    cursor = 0
-    for nx, npr in orders:
-        if nx == 0 and npr == 0:
-            layout.append(((nx, npr), None))
-            continue
-        total = nx + npr
-        step = h if h is not None else step_size(total, x, xp)
-        plan = _tensor_plan(d, nx, npr)
-        entry_meta = []
-        for offs_x, offs_xp, wts, order, targets in plan:
-            k = offs_x.shape[0]
-            pts_x.append(x + step * offs_x)
-            pts_xp.append(xp + step * offs_xp)
-            entry_meta.append((slice(cursor, cursor + k),
-                               wts / step**order, targets))
-            cursor += k
-        layout.append(((nx, npr), entry_meta))
+    # stencils far out in the chart overflow: raise below rather than warn
+    with np.errstate(all="ignore"):
+        pts_x, pts_xp = [], []
+        layout = []  # (order key, entry list with slice bookkeeping)
+        cursor = 0
+        for nx, npr in orders:
+            if nx == 0 and npr == 0:
+                layout.append(((nx, npr), None))
+                continue
+            total = nx + npr
+            step = h if h is not None else step_size(total, x, xp)
+            if not np.isfinite(step**total):
+                raise FloatingPointError(f"stencil step overflows at derivative order {total}")
+            plan = _tensor_plan(d, nx, npr)
+            entry_meta = []
+            for offs_x, offs_xp, wts, order, targets in plan:
+                k = offs_x.shape[0]
+                pts_x.append(x + step * offs_x)
+                pts_xp.append(xp + step * offs_xp)
+                entry_meta.append((slice(cursor, cursor + k),
+                                   wts / step**order, targets))
+                cursor += k
+            layout.append(((nx, npr), entry_meta))
 
-    if cursor:
-        all_x = np.concatenate(pts_x, axis=0)
-        all_xp = np.concatenate(pts_xp, axis=0)
-        values = np.asarray(fn(all_x, all_xp), dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise FloatingPointError("non-finite world-function value in stencil")
-    else:
-        values = np.empty(0)
+        if cursor:
+            all_x = np.concatenate(pts_x, axis=0)
+            all_xp = np.concatenate(pts_xp, axis=0)
+            values = np.asarray(fn(all_x, all_xp), dtype=float)
+            if not np.all(np.isfinite(values)):
+                raise FloatingPointError("non-finite world-function value in stencil")
+        else:
+            values = np.empty(0)
     rows = np.atleast_2d(values)
 
     out = {}

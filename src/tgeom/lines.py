@@ -22,6 +22,7 @@ import numpy as np
 from . import fd
 from .calculus import coincidence_coefficients
 from .errors import GeometryError, SolverError
+from .newton import newton
 from .worlds import WorldFunction, world_from_callable
 
 GRADIENT_KINDS = ("f", "p", "n")
@@ -120,45 +121,31 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
 
     def solve_one(tau, start):
         target = tau * rhs_covector
-        x = start.copy()
-        r = lhs(x, x_start) - target
-        norm = float(np.linalg.norm(r))
-        for _ in range(60):
-            if norm <= 1e-12 * scale:
-                return x, norm, True
-            try:
-                step = np.linalg.solve(jac(x, x_start), -r)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError("singular Jacobian on gradient line") from exc
-            lam = 1.0
-            improved = False
-            for _ in range(40):
-                x_t = x + lam * step
-                r_t = lhs(x_t, x_start) - target
-                n_t = float(np.linalg.norm(r_t))
-                if n_t < norm:
-                    x, r, norm = x_t, r_t, n_t
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
-                break
-        return x, norm, norm <= 1e-9 * scale
+        try:
+            x, record = newton(lambda x: lhs(x, x_start) - target,
+                               lambda x: jac(x, x_start), start, 1e-12 * scale)
+        except SolverError as exc:
+            raise SolverError("singular Jacobian on gradient line",
+                              {"parameter": float(tau), **exc.detail}) from exc
+        return x, record, record.residual_norm <= 1e-9 * scale
 
     points, residuals, converged = [], [], []
     last_good = None
     for tau in tau_grid:
         chord_start = x_start + tau * (x_end - x_start)
-        x, norm, ok = solve_one(tau, last_good if last_good is not None
-                                else chord_start)
-        if not ok and last_good is not None:
+        x, record, ok = solve_one(tau, last_good if last_good is not None
+                                  else chord_start)
+        retried = not ok and last_good is not None
+        if retried:
             # the warm start can inherit a bad branch; retry from the chord
-            x2, norm2, ok2 = solve_one(tau, chord_start)
-            if ok2 or norm2 < norm:
-                x, norm, ok = x2, norm2, ok2
+            x2, record2, ok2 = solve_one(tau, chord_start)
+            if ok2 or record2.residual_norm < record.residual_norm:
+                x, record, ok = x2, record2, ok2
+        norm = record.residual_norm
         if not ok and not warnings:
             raise SolverError(
-                f"gradient line solve failed at parameter {tau} (|r| = {norm:.3e})"
+                f"gradient line solve failed at parameter {tau} (|r| = {norm:.3e})",
+                {"parameter": float(tau), "chord_retry": retried, **record._asdict()},
             )
         points.append(x)
         residuals.append(norm / scale)
@@ -254,13 +241,15 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     xs, energy = integrate(n)
     for attempt in range(5):
         xs2, energy2 = integrate(2 * n)
-        close = np.linalg.norm(xs2[-1] - xs[-1]) < 1e-8 * (1.0 + np.linalg.norm(xs[-1]))
+        change = float(np.linalg.norm(xs2[-1] - xs[-1]))
+        close = change < 1e-8 * (1.0 + np.linalg.norm(xs[-1]))
         xs, energy = xs2, energy2
         n *= 2
         if close:
             break
     else:
-        raise SolverError("geodesic integrator failed its self-convergence check")
+        raise SolverError("geodesic integrator failed its self-convergence check",
+                          {"steps": n, "endpoint_change": change})
     params = np.linspace(tau_span[0], tau_span[1], n + 1)
     return Trajectory(params=params, points=xs, kind=kind, residuals=energy,
                       warnings=[], converged=np.ones(n + 1, dtype=bool))

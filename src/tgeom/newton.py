@@ -1,0 +1,54 @@
+"""The damped Newton iteration of the chain, gradient-line and seed solves."""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import SolverError
+
+MAX_STEPS = 60
+MAX_HALVINGS = 40
+
+
+class NewtonRecord(NamedTuple):
+    """Final residual norm, Newton steps computed, trial steps rejected
+    (each halves the step), and whether the last step found no halving
+    that lowered the norm."""
+
+    residual_norm: float
+    iterations: int
+    backtracks: int
+    stalled: bool
+
+
+def newton(residual, jacobian, z0, tol):
+    """Full Newton steps from z0, each halved until the residual norm falls.
+
+    Stops at norm <= tol, after MAX_STEPS steps, or when MAX_HALVINGS
+    halvings do not help.  Returns (z, NewtonRecord); callers judge success.
+    A singular Jacobian raises SolverError with the record as its detail.
+    """
+    z = np.array(z0, dtype=float)
+    r = residual(z)
+    norm = float(np.linalg.norm(r))
+    iterations = backtracks = 0
+    while not norm <= tol and iterations < MAX_STEPS:  # a NaN norm steps until it stalls
+        try:
+            step = np.linalg.solve(jacobian(z), -r)
+        except np.linalg.LinAlgError as exc:
+            record = NewtonRecord(norm, iterations, backtracks, False)
+            raise SolverError("singular Jacobian", record._asdict()) from exc
+        iterations += 1
+        lam = 1.0
+        for _ in range(MAX_HALVINGS):
+            z_trial = z + lam * step
+            r_trial = residual(z_trial)
+            n_trial = float(np.linalg.norm(r_trial))
+            if n_trial < norm:
+                z, r, norm = z_trial, r_trial, n_trial
+                break
+            lam *= 0.5
+            backtracks += 1
+        else:
+            return z, NewtonRecord(norm, iterations, backtracks, True)
+    return z, NewtonRecord(norm, iterations, backtracks, False)

@@ -24,6 +24,7 @@ from .errors import (
     GeometryError,
     SolverError,
 )
+from .newton import newton
 from .products import Multivector, gram
 from .worlds import WorldFunction
 
@@ -262,7 +263,7 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
     xtol = np.broadcast_to(np.asarray(xtol, dtype=float), (n,))
     xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in (xa, xb, fa, fb))
     xblk, fblk, spre, scur = np.zeros((4, n))
-    for _ in range(_BRENT_MAXITER):
+    for iteration in range(_BRENT_MAXITER):
         flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
         xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
         spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
@@ -289,8 +290,10 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
         fcur = f(index, xcur)
         if np.any(np.isnan(fcur)):
-            raise SolverError("NaN residual inside a root bracket")
-    raise SolverError(f"root bracket did not converge in {_BRENT_MAXITER} iterations")
+            raise SolverError("NaN residual inside a root bracket",
+                              {"brackets": n, "iteration": iteration})
+    raise SolverError(f"root bracket did not converge in {_BRENT_MAXITER} iterations",
+                      {"brackets": n, "iteration": _BRENT_MAXITER})
 
 
 def _block_profiles(residual, y2: float, taus: np.ndarray, rmaxs: np.ndarray, probes: int):
@@ -322,8 +325,12 @@ def _block_profiles(residual, y2: float, taus: np.ndarray, rmaxs: np.ndarray, pr
             f_pol = residual(tau[trial], polished[trial])[0]
             keep = np.abs(f_pol) <= np.abs(fr[trial])
             r[trial[keep]], fr[trial[keep]] = polished[trial[keep]], f_pol[keep]
-        if np.any(np.abs(fr) > 1e-10 * (y2 * (1.0 + tau * tau + r * r)) ** 2):
-            raise SolverError("tube root polish failed to meet tolerance")
+        bound = 1e-10 * (y2 * (1.0 + tau * tau + r * r)) ** 2
+        if np.any(np.abs(fr) > bound):
+            k = int(np.argmax(np.abs(fr) / bound))
+            raise SolverError("tube root polish failed to meet tolerance", {
+                "tau": float(tau[k]), "radius": float(r[k]),
+                "residual": float(fr[k]), "bound": float(bound[k])})
         for i, root in zip(rows, r.tolist()):
             roots[i].append(root)
     out = []
@@ -436,16 +443,21 @@ def advance_seed(w: WorldFunction, kind: str, p0, direction, mu: float) -> np.nd
     base = kind_length_sq(w, kind, p0, p0 + direction)
     if base <= 0.0:
         raise GeometryError("direction is not timelike for this kind")
-    t = mu / np.sqrt(base)
-    for _ in range(60):
-        val = kind_length_sq(w, kind, p0, p0 + t * direction) - mu * mu
-        if abs(val) <= 1e-14 * mu * mu:
-            return p0 + t * direction
-        dt = 1e-7 * (1.0 + abs(t))
-        slope = (kind_length_sq(w, kind, p0, p0 + (t + dt) * direction)
-                 - kind_length_sq(w, kind, p0, p0 + (t - dt) * direction)) / (2.0 * dt)
-        t -= val / slope
-    raise SolverError("seed scaling did not converge")
+
+    def length_sq(t):
+        return kind_length_sq(w, kind, p0, p0 + t * direction)
+
+    # the slope differences the length, not length - mu^2, which rounds differently
+    def slope(z):
+        dt = 1e-7 * (1.0 + abs(z[0]))
+        return np.array([[(length_sq(z[0] + dt) - length_sq(z[0] - dt)) / (2.0 * dt)]])
+
+    tol = 1e-14 * mu * mu
+    z, record = newton(lambda z: np.array([length_sq(z[0]) - mu * mu]), slope,
+                       [mu / np.sqrt(base)], tol)
+    if not record.residual_norm <= tol:
+        raise SolverError("seed scaling did not converge", record._asdict())
+    return p0 + z[0] * direction
 
 
 def chain_parallel_residual(w: WorldFunction, kind: str, pa, pb, pc) -> float:
@@ -509,33 +521,6 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     return residual, jacobian, objective_grad, constraint_grad
 
 
-def _newton_solve(residual, jacobian, z0, scale, max_iter=60):
-    z = z0.copy()
-    r = residual(z)
-    norm = np.linalg.norm(r)
-    for _ in range(max_iter):
-        if norm <= 1e-12 * scale:
-            return z, norm
-        try:
-            step = np.linalg.solve(jacobian(z), -r)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular Jacobian in chain continuation") from exc
-        lam = 1.0
-        for _ in range(40):
-            z_trial = z + lam * step
-            r_trial = residual(z_trial)
-            n_trial = np.linalg.norm(r_trial)
-            if n_trial < norm:
-                z, r, norm = z_trial, r_trial, n_trial
-                break
-            lam *= 0.5
-        else:
-            raise SolverError("chain continuation stalled (damping exhausted)")
-    if norm <= 1e-10 * scale:
-        return z, norm
-    raise SolverError(f"chain continuation did not converge (|r| = {norm:.3e})")
-
-
 def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
                       steps: int) -> BrokenTube:
     """Extend the seed segment into a chain of `steps` additional vertices.
@@ -562,16 +547,31 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     verts = [p0, p1]
     flags = []
     scale = 1.0 + mu * mu
-    for _ in range(steps):
+    for index in range(steps):
         prev_p, mid = verts[-2], verts[-1]
         residual, jacobian, obj_grad, con_grad = _step_system(w, kind, prev_p, mid, mu)
+
+        def solve(z0):
+            try:
+                z, record = newton(residual, jacobian, z0, 1e-12 * scale)
+            except SolverError as exc:
+                raise SolverError("singular Jacobian in chain continuation",
+                                  {"step": index, **exc.detail}) from exc
+            detail = {"step": index, **record._asdict()}
+            if record.stalled:
+                raise SolverError("chain continuation stalled (damping exhausted)", detail)
+            if not record.residual_norm <= 1e-10 * scale:
+                raise SolverError("chain continuation did not converge "
+                                  f"(|r| = {record.residual_norm:.3e})", detail)
+            return z
+
         guess = 2.0 * mid - prev_p
         og = obj_grad(guess)
         cg = con_grad(guess)
         denom = float(cg @ cg)
         lam0 = float(og @ cg) / denom if denom > 0 else 1.0
         z0 = np.concatenate([guess, [lam0]])
-        z, _ = _newton_solve(residual, jacobian, z0, scale)
+        z = solve(z0)
         new_p = z[:d]
 
         # multiplicity probe: restart from a transversally shifted seed
@@ -584,7 +584,7 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         if nrm > 1e-12:
             z_alt0 = np.concatenate([guess + 0.05 * mu * probe_dir / nrm, [lam0]])
             try:
-                z_alt, _ = _newton_solve(residual, jacobian, z_alt0, scale)
+                z_alt = solve(z_alt0)
                 if np.linalg.norm(z_alt[:d] - new_p) > 1e-6 * mu:
                     flagged = True
             except SolverError:

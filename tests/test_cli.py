@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tgeom
 from tgeom import case1_radii
@@ -215,19 +220,23 @@ def test_exit_code_geometry_error(tmp_path, world_file, capsys):
     assert err["error"] == "geometry"
 
 
+def run_module(argv):
+    """Run `python -m tgeom argv` in a fresh interpreter on this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tgeom.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run([sys.executable, "-m", "tgeom"] + argv,
+                          env=env, capture_output=True, text=True)
+
+
 def test_exit_code_generator_on_pole(tmp_path, world_file):
     # y on the pole xi^2 = -1/beta of a case2 world: the separation is NaN,
     # not a positive number, and stderr carries the JSON error alone
     pole = world_file({"kind": "case2", "dim": 4, "metric": [1, -1, -1, -1],
                        "b": [1, 0, 0, 0], "alpha": 0.2, "beta": -1})
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tgeom.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "tgeom", "tube-section", "--world", pole, "--y", "1,0,0,0",
-         "--tau-min", "0", "--tau-max", "1", "--tau-steps", "2",
-         "--out", str(tmp_path / "x.csv")],
-        env=env, capture_output=True, text=True)
+    proc = run_module(["tube-section", "--world", pole, "--y", "1,0,0,0",
+                       "--tau-min", "0", "--tau-max", "1", "--tau-steps", "2",
+                       "--out", str(tmp_path / "x.csv")])
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
@@ -240,8 +249,8 @@ def test_exit_code_generator_on_pole(tmp_path, world_file):
 
 def test_exit_code_solver_error(tmp_path, world_file, capsys):
     # future chain in a rough-antisymmetric world: the seed has no real kind
-    # length, surfaced as a geometry error; a genuinely diverging solve is
-    # exercised through the gradient line on a transformed-domain failure
+    # length, surfaced as a geometry error; a failing solve that exits 2 is
+    # test_exit_code_solver_detail
     case1 = world_file(CASE1)
     code = run(["broken-tube", "--world", case1, "--kind", "f",
                 "--mu", "0.3", "--steps", "1", "--seed-from", "0,0,0,0",
@@ -249,6 +258,72 @@ def test_exit_code_solver_error(tmp_path, world_file, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     jsonschema.validate(err, schema("error.json"))
+
+
+def test_exit_code_solver_detail(tmp_path, world_file, capsys):
+    # the chain step after this seed finds no halving that lowers its residual
+    world = world_file({"kind": "case1", "dim": 4, "metric": [1, -1, -1, -1],
+                        "b": [0.3, 0.1, 0, 0], "alpha": 0.15})
+    code = run(["broken-tube", "--world", world, "--kind", "f", "--mu", "0.1",
+                "--steps", "3", "--seed-from", "0,0,0,0",
+                "--seed-to=-0.015278012475692587,-0.0030556024951385176,"
+                "-0.0015278012475692588,0.0", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "solver"
+    assert err["detail"] == "chain continuation stalled (damping exhausted)"
+    extra = err["extra"]
+    assert extra["stalled"] is True
+    assert extra["iterations"] >= 1 and extra["backtracks"] >= 40
+    assert extra["residual_norm"] > 0.0 and 0 <= extra["step"] < 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["coefficients", "--at", "1e300,0,0,0"],
+    ["check", "degeneration", "--at", "1e300,0,0,0"],
+    ["curvature", "--at", "1e200,0,0,0"],
+    ["gradient-line", "--from", "0,0,0,0", "--to", "1e300,0,0,0"],
+], ids=["coefficients", "check", "curvature", "gradient-line"])
+def test_exit_code_stencil_overflow(tmp_path, world_file, argv):
+    # a stencil far out in the chart overflows: one JSON line, no warnings
+    proc = run_module(argv + ["--world", world_file(EUCL), "--out", str(tmp_path / "x")])
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "solver"
+
+
+_AT_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e300", "-1e308", "1.7976931348623157e308",
+                     "1e77", "1e-320", "0"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from([["coefficients"], ["check", "degeneration"], ["curvature"]]),
+       doc=st.sampled_from([EUCL, CASE1, {"kind": "case2", "dim": 4, "metric": [1, -1, -1, -1],
+                                          "b": [1, 0, 0, 0], "alpha": 0.2, "beta": 1.0}]),
+       at=st.lists(_AT_VALUES, min_size=4, max_size=4))
+def test_fuzz_at_meets_error_contract(tmp_path_factory, command, doc, at):
+    # any --at ends in exit 0/1/2 with stderr that is the documented JSON
+    # and no numpy warning (which a standalone run would print to stderr)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    world = tmp / "world.json"
+    world.write_text(json.dumps(doc))
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = run(command + ["--world", str(world), "--at", ",".join(at),
+                              "--out", str(tmp / "x.json")])
+    assert code in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    for line in stderr.getvalue().splitlines():
+        jsonschema.validate(json.loads(line), schema("error.json"))
+    assert (code == 0) == (stderr.getvalue() == "")
 
 
 def test_gradient_line_warning_stream(tmp_path, world_file, capsys):

@@ -357,6 +357,16 @@ def test_brent_matches_scipy_brentq_bit_for_bit():
         assert froot == fn(root)
 
 
+def test_brent_failures_carry_detail():
+    # a residual that turns NaN inside the bracket, on the first iteration
+    def nan_inside(index, x):
+        return np.full(len(index), np.nan)
+
+    with pytest.raises(tgeom.SolverError, match="NaN residual") as info:
+        tubes._brent(nan_inside, np.zeros(2), np.ones(2), -np.ones(2), np.ones(2), 1e-12, 1e-15)
+    assert info.value.detail == {"brackets": 2, "iteration": 0}
+
+
 def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(tgeom.__file__)))
     path = os.environ.get("PYTHONPATH")
