@@ -18,7 +18,7 @@ from .errors import (
     SingularMetricError,
     SolverError,
 )
-from .worlds import WORLD_KINDS, WorldFunction, WorldSpec, make_world, world_from_callable
+from .worlds import KINDS, WORLD_KINDS, WorldFunction, WorldSpec, make_world, world_from_callable
 from .products import (
     Multivector,
     collinearity_residual,

@@ -168,16 +168,6 @@ def _symbol_and_derivative(t: dict):
             np.einsum("ism,kls->iklm", dv, t21) + np.einsum("is,klms->iklm", v, t31))
 
 
-def christoffel_derivative(w: WorldFunction, x, xp, part: str = "full") -> np.ndarray:
-    """d Gamma^i_kl / dx^m for the unprimed-anchor Christoffel symbol,
-    assembled from third and fourth derivatives (no nested differencing).
-
-    Returns array [i, k, l, m].
-    """
-    return _symbol_and_derivative(_tensors(w, np.asarray(x, float), np.asarray(xp, float),
-                                           [(1, 1), (2, 1), (3, 1)], part))[1]
-
-
 def flat_curvature_defect(w: WorldFunction, x, xp, part: str = "full") -> np.ndarray:
     """Curvature built from the unprimed-anchor two-point Christoffel symbol
     of the full world (part "full") or of its symmetric part ("sym").

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import calculus, degeneracy, lines, tubes
 from .errors import GeometryError, InvalidWorldSpecError, SolverError
-from .worlds import WorldFunction, WorldSpec, make_world
+from .worlds import KINDS, WorldFunction, WorldSpec, make_world
 
 _FMT = "%.17g"
 
@@ -92,14 +92,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tgeom", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and validated but ignored; grid "
-                             "sampling is vectorized (env TGEOM_THREADS likewise)")
+                        help="accepted and validated but ignored: grid "
+                             "sampling is vectorized; kept so existing "
+                             "command lines keep working")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tube-section", help="radial tube profile -> CSV")
     p.add_argument("--world", required=True)
     p.add_argument("--y", required=True, help="generating point, comma-separated")
-    p.add_argument("--kind", choices=tubes.TUBE_KINDS, default="n")
+    p.add_argument("--kind", choices=KINDS, default="n")
     p.add_argument("--tau-min", type=float, required=True)
     p.add_argument("--tau-max", type=float, required=True)
     p.add_argument("--tau-steps", type=int, required=True)
@@ -107,7 +108,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gradient-line", help="gradient line -> CSV")
     p.add_argument("--world", required=True)
-    p.add_argument("--kind", choices=lines.GRADIENT_KINDS, default="f")
+    p.add_argument("--kind", choices=KINDS, default="f")
     p.add_argument("--from", dest="from_", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--steps", type=int, default=32)
@@ -116,7 +117,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("broken-tube", help="equal-length chain -> CSV")
     p.add_argument("--world", required=True)
-    p.add_argument("--kind", choices=tubes.TUBE_KINDS, default="f")
+    p.add_argument("--kind", choices=KINDS, default="f")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed-from", dest="seed_from", required=True)
@@ -150,12 +151,6 @@ def _cmd_tube_section(args):
     if args.tau_steps < 1:
         raise _InputError("--tau-steps must be positive")
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
-    threads = os.environ.get("TGEOM_THREADS")  # validated like --threads; selects nothing
-    if threads is not None:
-        try:
-            int(threads)
-        except ValueError as exc:
-            raise _InputError("TGEOM_THREADS must be an integer") from exc
     results = tubes.sample_axisymmetric_tube(w, y, args.kind, taus)
 
     rows = []

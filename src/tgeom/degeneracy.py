@@ -339,7 +339,10 @@ def degeneration_check(w: WorldFunction, x, probe_dirs=None,
         two_g = 2.0 * float(outer["sym"][(0, 0)])
         g_grad = outer["sym"][(0, 1)]
         a_hess = outer["asym"][(0, 2)]
-        norm = abs(two_g) * (1.0 + np.linalg.norm(g_grad))
+        with np.errstate(over="ignore"):  # an anchor far out in the chart
+            norm = abs(two_g) * (1.0 + np.linalg.norm(g_grad))
+        if norm == np.inf:
+            raise FloatingPointError("tube-condition scale overflows at this anchor")
         fut_val = (two_g * float(e @ (a_hess - sigma_p) @ e)
                    + float(g_grad @ e) ** 2)
         past_val = (two_g * float(e @ (a_hess + sigma_f) @ e)

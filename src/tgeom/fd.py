@@ -14,7 +14,8 @@ Step sizes balance truncation against rounding per total derivative order:
 
 with s = 1 + max-norm of the anchor points.  All stencil points for one
 tensor request are evaluated in a single batched world-function call;
-part_tensors serves the world function and both its parts from two calls.
+part_tensors serves the world function and both its parts from two calls,
+and kind_tensor the two-point function k(a, b) of a tube or line kind.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
+
+from .worlds import check_kind
 
 _EPS = np.finfo(float).eps
 
@@ -194,6 +197,18 @@ def part_tensors(w, x, xp, orders, h: float | None = None):
     stacked = partial_tensors(parts, x, xp, orders, h=h)
     return {part: {key: t[i] for key, t in stacked.items()}
             for i, part in enumerate(("full", "sym", "asym"))}
+
+
+def kind_tensor(w, kind: str, a, b, na: int, nb: int):
+    """Partial tensor, na a-indices then nb b-indices, of the kind's k(a, b)
+    (WorldFunction.of_kind).  The past kind differentiates w itself at
+    (b, a), then moves the b-axes last: a swapped-argument lambda would sum
+    each stencil in transposed order and round differently."""
+    if check_kind(kind) == "n":
+        return part_tensors(w, a, b, [(na, nb)])["sym"][(na, nb)]
+    if kind == "f":
+        return partial_tensor(w, a, b, na, nb)
+    return np.moveaxis(partial_tensor(w, b, a, nb, na), range(nb), range(na, na + nb))
 
 
 def field_derivative(field, x, h: float | None = None):

@@ -23,9 +23,7 @@ from . import fd
 from .calculus import coincidence_coefficients
 from .errors import GeometryError, SolverError
 from .newton import newton
-from .worlds import WorldFunction, world_from_callable
-
-GRADIENT_KINDS = ("f", "p", "n")
+from .worlds import WorldFunction, check_kind, world_from_callable
 
 #: Below this parameter value the defining equation of a rough-antisymmetric
 #: world (nonzero coincidence gradient) degenerates: its right side vanishes
@@ -58,34 +56,6 @@ def coincidence_gradient(w: WorldFunction, x) -> np.ndarray:
     return fd.part_tensors(w, x, x, [(1, 0)])["asym"][(1, 0)]
 
 
-def _implicit_parts(w: WorldFunction, kind: str):
-    """lhs(x), rhs covector builder and Jacobian for the kind's equation."""
-    if kind == "f":
-        def lhs(x, anchor):
-            return fd.partial_tensor(w, x, anchor, 0, 1)
-
-        def jac(x, anchor):
-            return fd.partial_tensor(w, x, anchor, 1, 1).T
-
-    elif kind == "n":
-        def lhs(x, anchor):
-            return fd.part_tensors(w, x, anchor, [(0, 1)])["sym"][(0, 1)]
-
-        def jac(x, anchor):
-            return fd.part_tensors(w, x, anchor, [(1, 1)])["sym"][(1, 1)].T
-
-    elif kind == "p":
-        def lhs(xp, anchor):
-            return fd.partial_tensor(w, anchor, xp, 1, 0)
-
-        def jac(xp, anchor):
-            return fd.partial_tensor(w, anchor, xp, 1, 1)
-
-    else:
-        raise ValueError(f"unknown gradient kind {kind!r}")
-    return lhs, jac
-
-
 def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
                            tau_grid: Sequence[float]) -> Trajectory:
     """Solve the implicit gradient-line system on the parameter grid.
@@ -99,8 +69,11 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
     x_start = np.asarray(x_start, dtype=float)
     x_end = np.asarray(x_end, dtype=float)
     tau_grid = np.asarray(list(tau_grid), dtype=float)
-    lhs, jac = _implicit_parts(w, kind)
-    rhs_covector = lhs(x_end, x_start)
+
+    def lhs(x):  # gradient of the kind's k(x, x_start) in its x_start slot
+        return fd.kind_tensor(w, kind, x, x_start, 0, 1)
+
+    rhs_covector = lhs(x_end)
 
     warnings = []
     rough = float(np.linalg.norm(coincidence_gradient(w, x_start)))
@@ -122,8 +95,9 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
     def solve_one(tau, start):
         target = tau * rhs_covector
         try:
-            x, record = newton(lambda x: lhs(x, x_start) - target,
-                               lambda x: jac(x, x_start), start, 1e-12 * scale)
+            x, record = newton(lambda x: lhs(x) - target,
+                               lambda x: fd.kind_tensor(w, kind, x, x_start, 1, 1).T,
+                               start, 1e-12 * scale)
         except SolverError as exc:
             raise SolverError("singular Jacobian on gradient line",
                               {"parameter": float(tau), **exc.detail}) from exc
@@ -157,14 +131,8 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
                       converged=np.asarray(converged))
 
 
-def _kind_connection(kind: str):
-    if kind == "f":
-        return lambda cc: cc.gamma_tilde_f
-    if kind == "p":
-        return lambda cc: cc.gamma_tilde_p
-    if kind == "n":
-        return lambda cc: cc.gamma
-    raise ValueError(f"unknown gradient kind {kind!r}")
+#: the coincidence connection each kind's geodesic form integrates
+_CONNECTION = {"f": "gamma_tilde_f", "p": "gamma_tilde_p", "n": "gamma"}
 
 
 def initial_velocity(w: WorldFunction, kind: str, x_start, x_end) -> np.ndarray:
@@ -178,9 +146,9 @@ def initial_velocity(w: WorldFunction, kind: str, x_start, x_end) -> np.ndarray:
     """
     x_start = np.asarray(x_start, dtype=float)
     x_end = np.asarray(x_end, dtype=float)
-    lhs, jac = _implicit_parts(w, kind)
     # the kind's Jacobian at coincidence is that system's matrix
-    return np.linalg.solve(jac(x_start, x_start), lhs(x_end, x_start))
+    return np.linalg.solve(fd.kind_tensor(w, kind, x_start, x_start, 1, 1).T,
+                           fd.kind_tensor(w, kind, x_end, x_start, 0, 1))
 
 
 def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
@@ -194,6 +162,7 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     per-sample diagnostic is the relative drift of the metric square of the
     velocity.
     """
+    connection = _CONNECTION[check_kind(kind)]
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if kind in ("f", "p"):
@@ -203,11 +172,10 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
                 "future/past geodesic form needs a fine-antisymmetric world "
                 f"(coincidence gradient norm {rough:.3e})"
             )
-    pick = _kind_connection(kind)
 
     def accel(x, v):
         cc = coincidence_coefficients(w, x)
-        return -np.einsum("ikl,k,l->i", pick(cc), v, v), cc.g
+        return -np.einsum("ikl,k,l->i", getattr(cc, connection), v, v), cc.g
 
     # the first stage of every step-count trial starts at (x0, v0)
     first_stage = accel(x0, v0)

@@ -20,7 +20,7 @@ from .errors import (
     DimensionMismatchError,
     OrderMismatchError,
 )
-from .worlds import WorldFunction
+from .worlds import WorldFunction, check_kind
 
 #: Relative tolerance for the boolean forms of the residual predicates.
 PREDICATE_RTOL = 1e-9
@@ -181,6 +181,7 @@ def collinearity_residual(w: WorldFunction, kind: str, p: Multivector,
     In a symmetric world the three kinds coincide; for asymmetric worlds the
     'f' residual of (p, q) equals the 'p' residual of (q, p).
     """
+    check_kind(kind)
     if p.order != q.order:
         raise OrderMismatchError(f"orders differ: {p.order} != {q.order}")
     lp2 = gram(w, p)
@@ -189,9 +190,7 @@ def collinearity_residual(w: WorldFunction, kind: str, p: Multivector,
         return multivector_product(w, p, q) * multivector_product(w, q, p) - lp2 * lq2
     if kind == "f":
         return multivector_product(w, p, q) ** 2 - lp2 * lq2
-    if kind == "p":
-        return multivector_product(w, q, p) ** 2 - lp2 * lq2
-    raise ValueError(f"unknown collinearity kind {kind!r}")
+    return multivector_product(w, q, p) ** 2 - lp2 * lq2
 
 
 def parallelism_residual(w: WorldFunction, kind: str, sense: str,
@@ -202,16 +201,13 @@ def parallelism_residual(w: WorldFunction, kind: str, sense: str,
     |p||q|, sense 'antiparallel' adds it.  Requires both squared lengths to
     be nonnegative (real lengths); raises ComplexLengthError otherwise.
     """
+    if check_kind(kind) == "n":
+        raise ValueError("parallelism has no neutral kind: use 'f' or 'p'")
     if p.order != q.order:
         raise OrderMismatchError(f"orders differ: {p.order} != {q.order}")
     lp = _real_length(gram(w, p), "first multivector")
     lq = _real_length(gram(w, q), "second multivector")
-    if kind == "f":
-        prod = multivector_product(w, p, q)
-    elif kind == "p":
-        prod = multivector_product(w, q, p)
-    else:
-        raise ValueError(f"unknown parallelism kind {kind!r}")
+    prod = multivector_product(w, p, q) if kind == "f" else multivector_product(w, q, p)
     if sense == "parallel":
         return prod - lp * lq
     if sense == "antiparallel":

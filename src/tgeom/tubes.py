@@ -7,6 +7,8 @@ factor into four first-degree pieces whose zero sets cut the tube into
 segments.  This module also hosts the axisymmetric tube sampler used to
 reproduce closed-form tube profiles, and broken world tubes (equal-length
 chains with extremal continuation, built from world-function values alone).
+A kind's lengths and derivatives read its k(a, b) (WorldFunction.of_kind,
+fd.kind_tensor); a chain step holds 2 k(mid, next) at mu^2.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from .errors import (
 )
 from .newton import newton
 from .products import Multivector, gram
-from .worlds import WorldFunction
-
-TUBE_KINDS = ("n", "f", "p")
+from .worlds import WorldFunction, check_kind
 
 #: alpha coefficient of the factorization per kind
 _ALPHA_Q = {"f": 1.0, "p": 1.0, "n": -1.0}
@@ -42,8 +42,7 @@ class TubeSpec:
     kind: str = "n"
 
     def __post_init__(self):
-        if self.kind not in TUBE_KINDS:
-            raise ValueError(f"unknown tube kind {self.kind!r}")
+        check_kind(self.kind)
 
 
 def _separation_scale(w: WorldFunction, points) -> float:
@@ -71,12 +70,15 @@ def _skeleton_guard(w: WorldFunction, skeleton: Multivector):
 
 
 def tube_residual(w: WorldFunction, spec: TubeSpec, point) -> float:
-    """Gram residual of the skeleton extended by the probe point; zero iff
-    the point lies on the tube.  Skeleton points themselves give zero."""
+    """Residual of the probe point, zero iff it lies on the tube: the
+    first-order residual of the kind for a two-point skeleton, else the Gram
+    residual of the skeleton extended by the point.  Skeleton points give 0."""
     _skeleton_guard(w, spec.skeleton)
     point = np.asarray(point, dtype=float)
     if point.shape != (w.dim,):
         raise DimensionMismatchError("probe point has wrong dimension")
+    if spec.skeleton.order == 1:
+        return first_order_residual(w, spec.kind, *spec.skeleton.points, point)
     extended = Multivector(np.vstack([spec.skeleton.points, point[None, :]]))
     return gram(w, extended)
 
@@ -90,8 +92,7 @@ def _triple_worlds(w: WorldFunction, p0, p1, p2):
 def _first_order(w: WorldFunction, kind: str, p0, p1, p2):
     """First-order tube residual of the kind and the magnitude of the terms
     it cancels, broadcast over leading axes."""
-    if kind not in TUBE_KINDS:
-        raise ValueError(f"unknown tube kind {kind!r}")
+    check_kind(kind)
     w01, w10, w02, w20, w12, w21 = _triple_worlds(w, p0, p1, p2)
     u2, v2 = w01 + w10, w02 + w20
     uv, vu = w10 + w02 - w12, w20 + w01 - w21
@@ -133,8 +134,7 @@ def first_order_factors(w: WorldFunction, kind: str, p0, p1, p2):
     minus the product of the four factors equals the direct Gram residual of
     the kind.  Raises ComplexLengthError on any negative radicand.
     """
-    if kind not in TUBE_KINDS:
-        raise ValueError(f"unknown tube kind {kind!r}")
+    check_kind(kind)
     g02, g10, g12, eta_f = _pair_values(w, p0, p1, p2)
     eta = _eta_q(kind, g10, g02, eta_f)
     alpha = _ALPHA_Q[kind]
@@ -159,8 +159,7 @@ def segment_residual(w: WorldFunction, kind: str, p0, p1, p2) -> float:
     """Residual of the tube segment between the two basic points: the factor
     sqrt(g02) - sqrt(g10) + sqrt(g12 - alpha_q eta_q); zero iff p2 lies on
     the segment."""
-    if kind not in TUBE_KINDS:
-        raise ValueError(f"unknown tube kind {kind!r}")
+    check_kind(kind)
     g02, g10, g12, eta_f = _pair_values(w, p0, p1, p2)
     eta = _eta_q(kind, g10, g02, eta_f)
     return (
@@ -360,8 +359,7 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
 
     Returns a list of (tau, [radii]) pairs.
     """
-    if kind not in TUBE_KINDS:
-        raise ValueError(f"unknown tube kind {kind!r}")
+    check_kind(kind)
     if w.kind not in ("case1", "case2", "constant_a", "euclidean", "cubic_a"):
         raise GeometryError("sampler needs a world built from a WorldSpec")
     y = np.asarray(y, dtype=float)
@@ -424,15 +422,19 @@ class BrokenTube:
 
 
 def kind_length_sq(w: WorldFunction, kind: str, pa, pb) -> float:
-    """Squared segment length of the kind: the full world function forward
-    (future), backward (past), or its symmetric part (neutral)."""
-    if kind == "f":
-        return 2.0 * float(w(pa, pb))
-    if kind == "p":
-        return 2.0 * float(w(pb, pa))
-    if kind == "n":
-        return 2.0 * float(w.sym(pa, pb))
-    raise ValueError(f"unknown tube kind {kind!r}")
+    """Squared segment length of the kind, 2 k(pa, pb).  NaN or infinite,
+    without a warning, at a pole of the world function."""
+    with np.errstate(all="ignore"):
+        return 2.0 * float(w.of_kind(kind, pa, pb))
+
+
+def _timelike_length_sq(w: WorldFunction, kind: str, pa, pb, what: str) -> float:
+    """kind_length_sq of the segment, which must be positive and finite."""
+    sq = kind_length_sq(w, kind, pa, pb)
+    if not 0.0 < sq < np.inf:  # NaN at a pole of the world function fails too
+        raise GeometryError(f"{what} is not timelike for this kind "
+                            f"(positive finite squared length, got {sq!r})")
+    return sq
 
 
 def advance_seed(w: WorldFunction, kind: str, p0, direction, mu: float) -> np.ndarray:
@@ -440,9 +442,7 @@ def advance_seed(w: WorldFunction, kind: str, p0, direction, mu: float) -> np.nd
     on the scaling); convenience for building chain seeds."""
     p0 = np.asarray(p0, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    base = kind_length_sq(w, kind, p0, p0 + direction)
-    if base <= 0.0:
-        raise GeometryError("direction is not timelike for this kind")
+    base = _timelike_length_sq(w, kind, p0, p0 + direction, "direction")
 
     def length_sq(t):
         return kind_length_sq(w, kind, p0, p0 + t * direction)
@@ -463,6 +463,7 @@ def advance_seed(w: WorldFunction, kind: str, p0, direction, mu: float) -> np.nd
 def chain_parallel_residual(w: WorldFunction, kind: str, pa, pb, pc) -> float:
     """Adjacent-segment parallelism defect |ab||bc| - (scalar product) for
     the segment pair (pa->pb, pb->pc), with the product order set by kind."""
+    check_kind(kind)
     wab, wba, wac, wca, wbc, wcb = _triple_worlds(w, pa, pb, pc)
     lab = _sqrt_checked(float(wab + wba), "segment length")
     lbc = _sqrt_checked(float(wbc + wcb), "segment length")
@@ -472,10 +473,8 @@ def chain_parallel_residual(w: WorldFunction, kind: str, pa, pb, pc) -> float:
         return lab * lbc - uv
     if kind == "p":
         return lab * lbc - vu
-    if kind == "n":
-        prod = uv * vu
-        return lab * lbc - np.sqrt(max(prod, 0.0))
-    raise ValueError(f"unknown tube kind {kind!r}")
+    prod = uv * vu
+    return lab * lbc - np.sqrt(max(prod, 0.0))
 
 
 def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
@@ -488,19 +487,11 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     """
     d = w.dim
 
-    def kind_partial(anchor, p, order):
-        # derivative in p of the kind's separation between anchor and p
-        if kind == "f":
-            return fd.partial_tensor(w, anchor, p, 0, order)
-        if kind == "p":
-            return fd.partial_tensor(w, p, anchor, order, 0)
-        return fd.part_tensors(w, anchor, p, [(0, order)])["sym"][(0, order)]
-
     def objective_grad(p):
-        return kind_partial(p_prev, p, 1)
+        return fd.kind_tensor(w, kind, p_prev, p, 0, 1)
 
     def constraint_grad(p):
-        return kind_partial(p_mid, p, 1)
+        return fd.kind_tensor(w, kind, p_mid, p, 0, 1)
 
     def residual(z):
         p, lam = z[:d], z[d]
@@ -512,7 +503,8 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     def jacobian(z):
         p, lam = z[:d], z[d]
         jac = np.zeros((d + 1, d + 1))
-        jac[:d, :d] = kind_partial(p_prev, p, 2) - lam * kind_partial(p_mid, p, 2)
+        jac[:d, :d] = (fd.kind_tensor(w, kind, p_prev, p, 0, 2)
+                       - lam * fd.kind_tensor(w, kind, p_mid, p, 0, 2))
         cg = constraint_grad(p)
         jac[:d, d] = -cg
         jac[d, :d] = 2.0 * cg
@@ -530,15 +522,11 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     Newton seed is the straight continuation.  A second solve from a
     transversally perturbed seed flags non-unique extrema.
     """
-    if kind not in TUBE_KINDS:
-        raise ValueError(f"unknown tube kind {kind!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    seed_sq = kind_length_sq(w, kind, p0, p1)
-    if seed_sq <= 0.0:
-        raise GeometryError("seed segment is not timelike for this kind")
+    seed_sq = _timelike_length_sq(w, kind, p0, p1, "seed segment")
     if abs(np.sqrt(seed_sq) - mu) > 1e-8 * mu:
         raise GeometryError(
             f"seed segment kind length {np.sqrt(seed_sq)!r} does not match mu={mu!r}"

@@ -31,6 +31,9 @@ from .errors import DimensionMismatchError, InvalidWorldSpecError
 
 WORLD_KINDS = ("euclidean", "constant_a", "case1", "case2", "cubic_a")
 
+#: future, past and neutral: the kinds of tubes and lines (WorldFunction.of_kind)
+KINDS = ("f", "p", "n")
+
 # JSON keys each kind requires beyond "kind", "dim", "metric".
 _REQUIRED = {
     "euclidean": (),
@@ -39,6 +42,13 @@ _REQUIRED = {
     "case2": ("b", "alpha", "beta"),
     "cubic_a": ("a3",),
 }
+
+
+def check_kind(kind: str) -> str:
+    """The kind itself when it is one of KINDS; ValueError otherwise."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}: expected 'f', 'p' or 'n'")
+    return kind
 
 
 def _numeric(name, value):
@@ -223,6 +233,16 @@ class WorldFunction:
     def sym(self, x, xp):
         """Symmetric part: the average of the two evaluation orders."""
         return 0.5 * (self(x, xp) + self(xp, x))
+
+    def of_kind(self, kind: str, x, xp):
+        """The kind's two-point function k(x, xp): the world function read
+        forward, w(x, xp), for the future kind; reversed, w(xp, x), for the
+        past kind; its symmetric part for the neutral kind."""
+        if check_kind(kind) == "f":
+            return self(x, xp)
+        if kind == "p":
+            return self(xp, x)
+        return self.sym(x, xp)
 
     def asym(self, x, xp):
         """Antisymmetric part: half the difference of the two orders."""

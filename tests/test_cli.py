@@ -76,15 +76,14 @@ def test_tube_section_deterministic(tmp_path, world_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_tube_section_threads_match(tmp_path, world_file, monkeypatch):
+def test_tube_section_threads_match(tmp_path, world_file):
     args = ["tube-section", "--world", world_file(CASE1), "--y", "1,0,0,0",
             "--kind", "n", "--tau-min", "0.1", "--tau-max", "0.9",
             "--tau-steps", "5"]
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert run(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("TGEOM_THREADS", "4")
-    assert run(args + ["--out", str(out2)]) == 0
+    assert run(["--threads", "4"] + args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -247,6 +246,42 @@ def test_exit_code_generator_on_pole(tmp_path, world_file):
     assert "y must be timelike" in err["detail"]
 
 
+@pytest.mark.parametrize("beta,seed_to", [(1, "0,1,0,0"), (-1, "1,0,0,0")],
+                         ids=["nan", "infinite"])
+@pytest.mark.parametrize("kind", ["f", "p", "n"])
+def test_exit_code_chain_seed_on_pole(tmp_path, world_file, beta, seed_to, kind):
+    # a seed segment onto a pole of a case2 world has a NaN or infinite kind
+    # length: a geometry error, with the JSON error alone on stderr
+    pole = world_file({"kind": "case2", "dim": 4, "metric": [1, -1, -1, -1],
+                       "b": [1, 0, 0, 0], "alpha": 0.2, "beta": beta})
+    proc = run_module(["broken-tube", "--world", pole, "--kind", kind, "--mu", "0.1",
+                       "--steps", "2", "--seed-from", "0,0,0,0", "--seed-to", seed_to,
+                       "--out", str(tmp_path / "x.csv")])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "geometry"
+    assert "seed segment is not timelike" in err["detail"]
+
+
+@pytest.mark.parametrize("command", [
+    ["tube-section", "--y", "1,0,0,0", "--tau-min", "0", "--tau-max", "1", "--tau-steps", "2"],
+    ["gradient-line", "--from", "0,0,0,0", "--to", "1,0,0,0"],
+    ["broken-tube", "--mu", "0.5", "--steps", "1", "--seed-from", "0,0,0,0",
+     "--seed-to", "0.5,0,0,0"],
+], ids=["tube-section", "gradient-line", "broken-tube"])
+def test_exit_code_unknown_kind(tmp_path, world_file, capsys, command):
+    out = tmp_path / "x.csv"
+    assert run(command + ["--world", world_file(EUCL), "--kind", "x", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "input"
+    assert "--kind" in err["detail"]
+    assert not out.exists()
+
+
 def test_exit_code_solver_error(tmp_path, world_file, capsys):
     # future chain in a rough-antisymmetric world: the seed has no real kind
     # length, surfaced as a geometry error; a failing solve that exits 2 is
@@ -282,9 +317,10 @@ def test_exit_code_solver_detail(tmp_path, world_file, capsys):
 @pytest.mark.parametrize("argv", [
     ["coefficients", "--at", "1e300,0,0,0"],
     ["check", "degeneration", "--at", "1e300,0,0,0"],
+    ["check", "degeneration", "--at", "0,0,0,5.643803094122365e+104"],
     ["curvature", "--at", "1e200,0,0,0"],
     ["gradient-line", "--from", "0,0,0,0", "--to", "1e300,0,0,0"],
-], ids=["coefficients", "check", "curvature", "gradient-line"])
+], ids=["coefficients", "check", "check-scale", "curvature", "gradient-line"])
 def test_exit_code_stencil_overflow(tmp_path, world_file, argv):
     # a stencil far out in the chart overflows: one JSON line, no warnings
     proc = run_module(argv + ["--world", world_file(EUCL), "--out", str(tmp_path / "x")])

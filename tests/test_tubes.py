@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tgeom import (
     first_order_factors,
     first_order_residual,
     gradient_line_ode,
+    gram,
     kind_length_sq,
     membership_tolerance,
     path_deviation,
@@ -71,6 +73,35 @@ def test_tube_residual_order_independent(case1):
         ra = tube_residual(case1, spec_a, p2)
         rb = tube_residual(case1, spec_b, p2)
         assert abs(ra - rb) <= 1e-11 * max(1.0, abs(ra))
+
+
+def test_tube_residual_neutral_is_the_gram_residual(all_worlds):
+    # a first-order tube answers with the first-order residual of its kind;
+    # for the neutral kind that is the extended Gram residual to the last bit
+    rng = np.random.default_rng(2)
+    for w in all_worlds.values():
+        for _ in range(20):
+            p0, p1, p2 = timelike_triple(rng)
+            spec = TubeSpec(Multivector(np.array([p0, p1])))
+            assert tube_residual(w, spec, p2) == gram(w, Multivector(np.array([p0, p1, p2])))
+
+
+@pytest.mark.parametrize("kind,tau", [("f", 1.5), ("p", 0.5)])
+def test_tube_residual_honours_kind(case1, kind, tau):
+    # a sampler root of the kind lies on the tube of that kind, which the
+    # neutral tube through the same skeleton misses
+    y = np.array([1.0, 0, 0, 0])
+    [(_, [r])] = sample_axisymmetric_tube(case1, y, kind, [tau])
+    on = tau * y + r * tubes.spacelike_unit_normal(case1, y)
+    spec = TubeSpec(Multivector(np.array([np.zeros(4), y])), kind=kind)
+    tol = membership_tolerance(case1, spec.skeleton.points)
+    assert abs(tube_residual(case1, spec, on)) <= tol
+    assert tube_residual(case1, spec, on) == first_order_residual(case1, kind, np.zeros(4), y, on)
+    assert abs(tube_residual(case1, TubeSpec(spec.skeleton), on)) > 1e6 * tol
+    # its section is the circle of radius r about the axis
+    cands = [np.array([tau, r * np.cos(t), r * np.sin(t), 0.0])
+             for t in np.linspace(0.0, np.pi, 5)]
+    assert len(section_filter(case1, spec, on, cands, tol)) == len(cands)
 
 
 # ---------------------------------------------------------------------------
@@ -456,3 +487,19 @@ def test_kind_length_and_seed_helper(case1, cubic):
         advance_seed(case1, "f", p0, v, mu)
     p1 = advance_seed(case1, "n", p0, v, mu)
     assert np.sqrt(kind_length_sq(case1, "n", p0, p1)) == pytest.approx(mu, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta,direction", [(1.0, [0, 1, 0, 0]), (-1.0, [1, 0, 0, 0])],
+                         ids=["nan", "infinite"])
+def test_seeds_on_a_world_pole_rejected(beta, direction):
+    # at a pole of the screened family the kind length is NaN or infinite:
+    # no timelike seed, and no numpy warning on the way
+    pole = world("case2", b=[1, 0, 0, 0], alpha=0.2, beta=beta)
+    direction = np.array(direction, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in "fpn":
+            with pytest.raises(GeometryError, match="direction is not timelike"):
+                advance_seed(pole, kind, np.zeros(4), direction, 0.1)
+            with pytest.raises(GeometryError, match="seed segment is not timelike"):
+                build_broken_tube(pole, kind, np.zeros(4), direction, 0.1, steps=1)
