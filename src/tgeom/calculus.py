@@ -448,7 +448,7 @@ def curvature_bundle(w: WorldFunction, x, xp=None) -> CurvatureBundle:
     """Assemble coincidence curvature tensors and their consistency defects.
 
     Every field comes from direct coincidence stencils, with no nested
-    differencing: two fd.part_tensors passes at xp = x (four world calls),
+    differencing: two fd.part_tensors passes at xp = x (one world call each),
     one over the orders of F and one over the remaining orders up to four,
     so that no world call grows past the F pass.  The connections gamma,
     gamma_tilde_f and gamma_tilde_p are exactly coincidence_coefficients';

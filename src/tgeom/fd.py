@@ -12,14 +12,21 @@ Step sizes balance truncation against rounding per total derivative order:
     order 1: eps^(1/5) * s     order 2: eps^(1/4) * s
     order 3: eps^(1/5) * s     order 4: eps^(1/6) * s
 
-with s = 1 + max-norm of the anchor points.  All stencil points for one
-tensor request are evaluated in a single batched world-function call;
-part_tensors serves the world function and both its parts from two calls,
-and kind_tensor the two-point function k(a, b) of a tube or line kind.
+with s = 1 + max-norm of the anchor points.  Each request is served by a
+stencil plan, built once per (dim, orders, step mode, coincidence): the
+unique stencil points of all requested tensors, as integer offset rows per
+step class, with gather indices back to each entry's stencil.  One
+world-function call over the unique points then serves every tensor.
+part_tensors serves the world function and both its parts from that one
+call at coincidence (xp = x), where every swapped pair (Q, P) is itself a
+stencil point, and from two calls elsewhere; kind_tensor serves the
+two-point function k(a, b) of a tube or line kind.  Reading one value for
+several entries assumes pointwise evaluation (worlds.world_from_callable).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
@@ -66,12 +73,11 @@ def _axis_groups(combo):
     return groups
 
 
-@lru_cache(maxsize=None)
 def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple):
     """Unit-step product stencil for one tensor entry.
 
-    Returns (offs_x, offs_xp, unit_weights, order) where the displacement of
-    stencil point k is h * offs[k] and its weight is unit_weights[k] / h^order.
+    Returns (offs_x, offs_xp, unit_weights) where the displacement of stencil
+    point k is h * offs[k] and its weight is unit_weights[k] / h^order.
     """
     offs_x = np.zeros((1, dim))
     offs_xp = np.zeros((1, dim))
@@ -94,26 +100,121 @@ def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple):
         offs_x, offs_xp, wts = expand(offs_x, offs_xp, wts, axis, mult, False)
     for axis, mult in _axis_groups(combo_xp):
         offs_x, offs_xp, wts = expand(offs_x, offs_xp, wts, axis, mult, True)
-    order = len(combo_x) + len(combo_xp)
-    # offsets are integers in [-2, 2]; int8 keeps the cached plans, which hold
-    # one offset row per stencil point, at an eighth of their float size
-    return offs_x.astype(np.int8), offs_xp.astype(np.int8), wts, order
+    # offsets are integers in [-2, 2]
+    return offs_x.astype(np.int8), offs_xp.astype(np.int8), wts
 
 
-@lru_cache(maxsize=None)
-def _tensor_plan(dim: int, nx: int, npr: int):
+def _tensor_entries(dim: int, nx: int, npr: int):
     """All unique entries of a (nx, npr) tensor with their stencils and the
     index permutations each entry scatters to."""
     entries = []
     for cx in combinations_with_replacement(range(dim), nx):
         for cp in combinations_with_replacement(range(dim), npr):
-            offs_x, offs_xp, wts, order = _entry_stencil(dim, cx, cp)
+            offs_x, offs_xp, wts = _entry_stencil(dim, cx, cp)
             targets = set()
             for px in permutations(cx):
                 for pp in permutations(cp):
                     targets.add(px + pp)
-            entries.append((offs_x, offs_xp, wts, order, tuple(targets)))
+            entries.append((offs_x, offs_xp, wts, tuple(targets)))
     return entries
+
+
+def _distinct_rows(rows):
+    """Distinct rows of an integer array, numbered in order of first
+    appearance: (index of each one's first appearance, number of every row)."""
+    order = np.lexsort(rows.T)  # stable: each run of equal rows starts at its first
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first_of_run = order[starts]
+    is_first = np.zeros(len(rows), dtype=bool)
+    is_first[first_of_run] = True
+    number = np.cumsum(is_first) - 1
+    row_of = np.empty(len(rows), dtype=np.intp)
+    row_of[order] = number[first_of_run][np.cumsum(starts) - 1]
+    return np.flatnonzero(is_first), row_of
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The unique stencil points of one tensor request and how to read them.
+
+    Unique row r is the point pair (x + step * offs_x[r], xp + step * offs_xp[r])
+    with the step of class cls[r]: orders 1 and 3 share a step, and an explicit
+    h puts every order in one class.  The zero-offset row, the anchor pair
+    at any step, is listed once, in class 0.  values[gather] lists the row values
+    entry by entry, as the stencils of the requested tensors list their
+    points.  In a coincident plan swap[r] is the row of the swapped pair
+    (Q, P), which at xp = x is a stencil point of the same step.
+    """
+
+    cls: np.ndarray               # (n,) int8
+    offs_x: np.ndarray            # (n, d) int8
+    offs_xp: np.ndarray           # (n, d) int8
+    gather: np.ndarray            # (m,) int32, m = stencil points of all entries
+    swap: np.ndarray | None       # (n,) int32, coincident plans only
+    n_classes: int
+    # per requested order: (order, class, entries), entries being
+    # (slice of the gathered values, unit weights, targets); (0, 0) has none
+    tensors: tuple
+
+
+@lru_cache(maxsize=None)
+def _stencil_plan(dim: int, orders: tuple, explicit_step: bool, coincident: bool) -> _Plan:
+    classes, tensors, blocks = {}, [], []
+    cursor = 0
+    for nx, npr in orders:
+        if nx == 0 and npr == 0:
+            tensors.append(((nx, npr), None, None))
+            continue
+        cls = classes.setdefault(None if explicit_step else _STEP_COEF[nx + npr], len(classes))
+        entries = []
+        for offs_x, offs_xp, wts, targets in _tensor_entries(dim, nx, npr):
+            k = len(wts)
+            blocks.append(np.column_stack([np.full(k, cls, dtype=np.int8), offs_x, offs_xp]))
+            entries.append((slice(cursor, cursor + k), wts, targets))
+            cursor += k
+        tensors.append(((nx, npr), cls, tuple(entries)))
+
+    rows = np.concatenate(blocks) if blocks else np.zeros((0, 1 + 2 * dim), dtype=np.int8)
+    # zero offsets give the anchor pair itself whatever the step: one class
+    rows[~np.any(rows[:, 1:], axis=1), 0] = 0
+    if coincident:
+        swapped = [0, *range(1 + dim, 1 + 2 * dim), *range(1, 1 + dim)]
+        rows = np.concatenate([rows, rows[:, swapped]])
+    first, row_of = _distinct_rows(rows)
+    unique = rows[first]
+    swap = None
+    if coincident:
+        # listed row j < cursor is stencil point j; row cursor + j its swap
+        partner = np.concatenate([np.arange(cursor, 2 * cursor), np.arange(cursor)])
+        swap = row_of[partner[first]].astype(np.int32)
+    return _Plan(cls=unique[:, 0].copy(), offs_x=unique[:, 1:1 + dim].copy(),
+                 offs_xp=unique[:, 1 + dim:].copy(),
+                 gather=row_of[:cursor].astype(np.int32), swap=swap,
+                 n_classes=len(classes), tensors=tuple(tensors))
+
+
+class _Parts:
+    """A world function and its two parts as three stacked value rows, formed
+    pointwise exactly as w.sym / w.asym form them.  partial_tensors calls
+    at_coincidence instead when xp = x: w(Q, P) is then read from the plan's
+    own rows, so one world call serves all three."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def __call__(self, p, q):
+        return self._rows(np.asarray(self.w(p, q), dtype=float),
+                          np.asarray(self.w(q, p), dtype=float))
+
+    def at_coincidence(self, p, q, swap):
+        fwd = np.asarray(self.w(p, q), dtype=float)
+        return self._rows(fwd, fwd[swap])
+
+    @staticmethod
+    def _rows(fwd, rev):
+        return np.stack([fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev)])
 
 
 def partial_tensor(fn, x, xp, nx: int, npr: int, h: float | None = None):
@@ -128,54 +229,53 @@ def partial_tensor(fn, x, xp, nx: int, npr: int, h: float | None = None):
 
 
 def partial_tensors(fn, x, xp, orders, h: float | None = None):
-    """Batch form: orders is a list of (nx, npr); one fn call evaluates every
-    stencil point of every requested tensor.  fn may return value rows
-    stacked on a leading axis; each row then gets its own tensor."""
+    """Batch form: orders is a list of (nx, npr); one fn call evaluates the
+    unique stencil points of every requested tensor.  fn may return value
+    rows stacked on a leading axis; each row then gets its own tensor."""
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     d = x.shape[-1]
+    coincident = isinstance(fn, _Parts) and np.array_equal(x, xp)
+    plan = _stencil_plan(d, tuple((nx, npr) for nx, npr in orders), h is not None, coincident)
 
     # stencils far out in the chart overflow: raise below rather than warn
     with np.errstate(all="ignore"):
-        pts_x, pts_xp = [], []
-        layout = []  # (order key, entry list with slice bookkeeping)
-        cursor = 0
-        for nx, npr in orders:
-            if nx == 0 and npr == 0:
-                layout.append(((nx, npr), None))
-                continue
+        steps = []  # per requested order
+        class_step = np.empty(plan.n_classes)
+        for (nx, npr), cls, _ in plan.tensors:
             total = nx + npr
-            step = h if h is not None else step_size(total, x, xp)
-            if not np.isfinite(step**total):
-                raise FloatingPointError(f"stencil step overflows at derivative order {total}")
-            plan = _tensor_plan(d, nx, npr)
-            entry_meta = []
-            for offs_x, offs_xp, wts, order, targets in plan:
-                k = offs_x.shape[0]
-                pts_x.append(x + step * offs_x)
-                pts_xp.append(xp + step * offs_xp)
-                entry_meta.append((slice(cursor, cursor + k),
-                                   wts / step**order, targets))
-                cursor += k
-            layout.append(((nx, npr), entry_meta))
+            step = None
+            if total:
+                step = h if h is not None else step_size(total, x, xp)
+                if not np.isfinite(step**total):
+                    raise FloatingPointError(f"stencil step overflows at derivative order {total}")
+                class_step[cls] = step
+            steps.append(step)
 
-        if cursor:
-            all_x = np.concatenate(pts_x, axis=0)
-            all_xp = np.concatenate(pts_xp, axis=0)
-            values = np.asarray(fn(all_x, all_xp), dtype=float)
+        if plan.gather.size:
+            step = class_step[plan.cls, None]
+            p = x + step * plan.offs_x
+            q = xp + step * plan.offs_xp
+            values = np.asarray(fn.at_coincidence(p, q, plan.swap) if coincident else fn(p, q),
+                                dtype=float)
             if not np.all(np.isfinite(values)):
                 raise FloatingPointError("non-finite world-function value in stencil")
+            # take keeps each value row contiguous: np.dot sums a strided
+            # row in another order, and the entries must round as before
+            values = values.take(plan.gather, axis=-1)
         else:
             values = np.empty(0)
     rows = np.atleast_2d(values)
 
     out = {}
-    for (nx, npr), entry_meta in layout:
-        if entry_meta is None:
+    for ((nx, npr), _, entries), step in zip(plan.tensors, steps):
+        if entries is None:
             out[(nx, npr)] = np.asarray(fn(x, xp), dtype=float)
             continue
+        scale = step**(nx + npr)
         tensor = np.zeros((len(rows),) + (d,) * (nx + npr))
-        for sl, wts, targets in entry_meta:
+        for sl, unit, targets in entries:
+            wts = unit / scale
             val = [np.dot(row[sl], wts) for row in rows]
             for idx in targets:
                 tensor[(slice(None),) + idx] = val
@@ -186,15 +286,10 @@ def partial_tensors(fn, x, xp, orders, h: float | None = None):
 def part_tensors(w, x, xp, orders, h: float | None = None):
     """partial_tensors of w and of its parts, keyed "full", "sym", "asym".
 
-    One stencil serves all three: two world calls, w(P, Q) and w(Q, P),
-    with the parts formed pointwise exactly as w.sym / w.asym form them.
+    One stencil serves all three: one world call over its unique points at
+    coincidence (xp = x), two elsewhere, w(P, Q) and w(Q, P).
     """
-    def parts(p, q):
-        fwd = np.asarray(w(p, q), dtype=float)
-        rev = np.asarray(w(q, p), dtype=float)
-        return np.stack([fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev)])
-
-    stacked = partial_tensors(parts, x, xp, orders, h=h)
+    stacked = partial_tensors(_Parts(w), x, xp, orders, h=h)
     return {part: {key: t[i] for key, t in stacked.items()}
             for i, part in enumerate(("full", "sym", "asym"))}
 
@@ -209,29 +304,3 @@ def kind_tensor(w, kind: str, a, b, na: int, nb: int):
     if kind == "f":
         return partial_tensor(w, a, b, na, nb)
     return np.moveaxis(partial_tensor(w, b, a, nb, na), range(nb), range(na, na + nb))
-
-
-def field_derivative(field, x, h: float | None = None):
-    """Fourth-order central derivative of an array-valued one-point field.
-
-    Returns an array of shape field(x).shape + (d,), the last axis being the
-    differentiation axis.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    step = h if h is not None else _STEP_COEF[1] * (1.0 + np.max(np.abs(x)))
-    nodes, unit = _RULES[1]
-    sample = None
-    out = None
-    for axis in range(d):
-        acc = None
-        for node, wt in zip(nodes, unit):
-            p = x.copy()
-            p[axis] += step * node
-            val = np.asarray(field(p), dtype=float)
-            acc = wt * val if acc is None else acc + wt * val
-        if out is None:
-            sample = acc
-            out = np.zeros(sample.shape + (d,))
-        out[..., axis] = acc / step
-    return out

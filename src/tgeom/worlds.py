@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -278,6 +279,10 @@ class WorldFunction:
         return f"WorldFunction(kind={self.kind!r}, dim={self.dim})"
 
 
+#: batch size from which cubic_a sums its cubic term in a loop, not einsum
+_CUBIC_LOOP_MIN_POINTS = 512
+
+
 def _freeze(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -325,10 +330,29 @@ def make_world(spec: WorldSpec) -> WorldFunction:
 
     else:  # cubic_a
         a3 = _freeze(spec.a3)
+        coef = a3.tolist()
+        terms = [(coef[i][k][l], i, k, l) for i, k, l in product(range(spec.dim), repeat=3)]
+
+        def cubic_sum(xi):
+            # a_ikl xi^i xi^k xi^l summed term by term in (i, k, l) order, as
+            # np.einsum sums it; the loop over contiguous coordinate columns
+            # is several times faster on large batches, where einsum's
+            # per-point cost dominates, and slower on small ones
+            if xi.size < _CUBIC_LOOP_MIN_POINTS * xi.shape[-1]:
+                return np.einsum("ikl,...i,...k,...l", a3, xi, xi, xi)
+            cols = np.moveaxis(xi, -1, 0).copy()
+            acc = np.zeros(xi.shape[:-1])
+            term = np.empty(xi.shape[:-1])
+            for a, i, k, l in terms:
+                np.multiply(a, cols[i], out=term)
+                term *= cols[k]
+                term *= cols[l]
+                acc += term
+            return acc
 
         def evaluator(x, xp):
             xi = x - xp
-            cubic = np.einsum("ikl,...i,...k,...l", a3, xi, xi, xi) / 6.0
+            cubic = cubic_sum(xi) / 6.0
             return quad(x, xp) + cubic
 
     return WorldFunction(evaluator, spec.dim, spec=spec, label=kind)
@@ -338,6 +362,12 @@ def world_from_callable(fn: Callable, dim: int, label: str = "custom") -> WorldF
     """Wrap an arbitrary evaluator (test fixtures, transformed worlds).
 
     The callable must vanish on the diagonal and broadcast over leading axes.
+    Evaluation must be pointwise and batch-invariant: the value at a point
+    pair may not depend on the other pairs of the call, their number or
+    their order.  fd evaluates each distinct stencil point once and reads
+    that value for every stencil entry holding the point, and at xp = x it
+    reads w(Q, P) from the same call, so a batch-dependent evaluator would
+    change derivatives.  The shipped families meet this bit for bit.
     Not part of the JSON wire format; the shipped families remain the only
     CLI-accessible worlds.
     """

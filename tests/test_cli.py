@@ -339,7 +339,7 @@ _AT_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from([["coefficients"], ["check", "degeneration"], ["curvature"]]),
        doc=st.sampled_from([EUCL, CASE1, {"kind": "case2", "dim": 4, "metric": [1, -1, -1, -1],
                                           "b": [1, 0, 0, 0], "alpha": 0.2, "beta": 1.0}]),

@@ -1,0 +1,138 @@
+"""Stencil plans against naive per-entry evaluation.
+
+A plan evaluates each unique stencil point once and reads every entry's
+values back by index; the naive reference below evaluates each entry's own
+stencil, and at xp = x also calls w(Q, P), as the engine did before plans.
+Equality is exact: the plan must change which points are evaluated, never
+the numbers.
+"""
+
+import numpy as np
+import pytest
+
+from tgeom import fd, world_from_callable
+from tgeom.calculus import _COEFFICIENT_ORDERS, _CURVATURE_ORDERS, _F_ORDERS
+
+X0 = np.array([0.2, -0.1, 0.3, 0.05])
+XP0 = np.array([0.5, 0.2, -0.1, 0.1])
+UP_TO_22 = [(nx, npr) for nx in range(3) for npr in range(3)]
+ORDER_SETS = {
+    "coefficients": _COEFFICIENT_ORDERS,
+    "f": _F_ORDERS,
+    "curvature": _CURVATURE_ORDERS,
+    "up_to_22": UP_TO_22,
+    **{f"single{key}": [key] for key in UP_TO_22},
+}
+PARTS = ("full", "sym", "asym")
+
+
+def naive_part_tensors(w, x, xp, orders, h=None):
+    """part_tensors entry by entry: two world calls per entry stencil."""
+    out = {part: {} for part in PARTS}
+    for nx, npr in orders:
+        order = nx + npr
+        if order == 0:
+            fwd, rev = w(x, xp), w(xp, x)
+            for part, value in zip(PARTS, (fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev))):
+                out[part][(nx, npr)] = np.asarray(value, dtype=float)[()]
+            continue
+        step = h if h is not None else fd.step_size(order, x, xp)
+        tensors = np.zeros((3,) + (x.shape[-1],) * order)
+        for offs_x, offs_xp, unit, targets in fd._tensor_entries(x.shape[-1], nx, npr):
+            p, q = x + step * offs_x, xp + step * offs_xp
+            fwd, rev = w(p, q), w(q, p)
+            wts = unit / step**order
+            for i, row in enumerate((fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev))):
+                val = np.dot(row, wts)
+                for idx in targets:
+                    tensors[(i,) + idx] = val
+        for i, part in enumerate(PARTS):
+            out[part][(nx, npr)] = tensors[i]
+    return out
+
+
+@pytest.mark.parametrize("h", [None, 2e-3], ids=["auto_step", "explicit_h"])
+@pytest.mark.parametrize("anchor", ["coincident", "separated"])
+@pytest.mark.parametrize("orders", ORDER_SETS.values(), ids=ORDER_SETS.keys())
+def test_plan_matches_naive_entries(all_worlds, orders, anchor, h):
+    xp = X0 if anchor == "coincident" else XP0
+    for name, w in all_worlds.items():
+        got = fd.part_tensors(w, X0, xp, orders, h=h)
+        want = naive_part_tensors(w, X0, xp, orders, h=h)
+        plain = fd.partial_tensors(w, X0, xp, orders, h=h)
+        for part in PARTS:
+            for key in orders:
+                assert np.array_equal(got[part][key], want[part][key]), (name, part, key)
+        for key in orders:
+            assert np.array_equal(plain[key], want["full"][key]), (name, key)
+
+
+def _recording(w, dim):
+    """w wrapped to keep every call's (P, Q) rows side by side."""
+    calls = []
+
+    def recorded(a, b):
+        a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+        calls.append(np.concatenate([a.reshape(-1, dim), b.reshape(-1, dim)], axis=1))
+        return w(a, b)
+
+    return world_from_callable(recorded, dim), calls
+
+
+@pytest.mark.parametrize("orders", [_COEFFICIENT_ORDERS, _F_ORDERS, _CURVATURE_ORDERS, UP_TO_22])
+@pytest.mark.parametrize("anchor", ["coincident", "separated"])
+def test_world_never_sees_a_repeated_row(cubic, orders, anchor):
+    xp = X0 if anchor == "coincident" else XP0
+    for run in (lambda w: fd.part_tensors(w, X0, xp, orders),
+                lambda w: fd.partial_tensors(w, X0, xp, orders),
+                lambda w: fd.part_tensors(w, X0, xp, orders, h=1e-3)):
+        w, calls = _recording(cubic, 4)
+        run(w)
+        for rows in calls:
+            assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+def test_world_calls_per_request(cubic):
+    # part_tensors: one call at coincidence, w(P, Q) and w(Q, P) elsewhere;
+    # (0, 0) is the anchor pair itself, evaluated apart from the stencil
+    for xp, want in ((X0, 1), (XP0, 2)):
+        w, calls = _recording(cubic, 4)
+        fd.part_tensors(w, X0, xp, _COEFFICIENT_ORDERS)
+        assert len(calls) == want
+    w, calls = _recording(cubic, 4)
+    fd.part_tensors(w, X0, X0, [(0, 0), (0, 1)])
+    assert [len(rows) for rows in calls] == [32, 1, 1]
+
+
+def test_plan_is_built_once(cubic):
+    fd.part_tensors(cubic, X0, X0, _COEFFICIENT_ORDERS)
+    before = fd._stencil_plan.cache_info()
+    fd.part_tensors(cubic, XP0, XP0, _COEFFICIENT_ORDERS)
+    after = fd._stencil_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_coincident_plan_is_closed_under_swap():
+    plan = fd._stencil_plan(4, tuple(_COEFFICIENT_ORDERS), False, True)
+    assert len(plan.cls) == 4417 and len(plan.gather) == 4360
+    assert np.array_equal(plan.swap[plan.swap], np.arange(len(plan.cls)))
+    assert np.array_equal(plan.offs_x[plan.swap], plan.offs_xp)
+    assert np.array_equal(plan.cls[plan.swap], plan.cls)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("anchor", ["coincident", "separated"])
+def test_non_finite_world_value_raises(cubic, bad, anchor):
+    xp = X0 if anchor == "coincident" else XP0
+
+    def spoiled(a, b):
+        out = np.array(cubic(a, b), dtype=float)
+        out.reshape(-1)[-1] = bad
+        return out
+
+    w = world_from_callable(spoiled, 4)
+    for run in (lambda: fd.part_tensors(w, X0, xp, _COEFFICIENT_ORDERS),
+                lambda: fd.partial_tensors(w, X0, xp, [(1, 1)]),
+                lambda: fd.partial_tensors(w, X0, xp, [(2, 0)], h=1e-3)):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            run()

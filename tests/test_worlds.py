@@ -168,3 +168,26 @@ def test_stencil_pole_raises(case2):
     with pytest.raises(FloatingPointError):
         with np.errstate(all="ignore"):
             fd_derivatives(case2, x, xp, max_order=2)
+
+
+def test_evaluation_is_pointwise(all_worlds):
+    # the stencil plans rely on it: a point's value does not depend on the
+    # batch it comes in (cubic_a sums by loop from 512 points, by einsum below)
+    rng = np.random.default_rng(2)
+    p = rng.normal(size=(1500, 4)) * rng.choice([1e-4, 1.0, 30.0], size=(1500, 1))
+    q = rng.normal(size=(1500, 4))
+    for name, w in all_worlds.items():
+        batch = w(p, q)
+        assert np.array_equal(batch[:300], w(p[:300], q[:300])), name
+        assert np.array_equal(batch[::7], [w(a, b) for a, b in zip(p[::7], q[::7])]), name
+
+
+def test_cubic_term_matches_einsum(cubic):
+    a3 = np.asarray(cubic.spec.a3)
+    rng = np.random.default_rng(3)
+    for n in (1, 511, 512, 4360):
+        p, q = rng.normal(size=(2, n, 4))
+        xi = p - q
+        want = (0.5 * np.einsum("...i,ij,...j", xi, np.diag([1.0, -1, -1, -1]), xi)
+                + np.einsum("ikl,...i,...k,...l", a3, xi, xi, xi) / 6.0)
+        assert np.array_equal(cubic(p, q), want), n
