@@ -142,7 +142,9 @@ class _Plan:
     Unique row r is the point pair (x + step * offs_x[r], xp + step * offs_xp[r])
     with the step of class cls[r]: orders 1 and 3 share a step, and an explicit
     h puts every order in one class.  The zero-offset row, the anchor pair
-    at any step, is listed once, in class 0.  values[gather] lists the row values
+    at any step, is listed once, in class 0, as row anchor; its points are
+    (x, xp) themselves, so a -0.0 coordinate keeps its sign.  Order (0, 0)
+    reads that row.  values[gather] lists the row values
     entry by entry, as the stencils of the requested tensors list their
     points.  In a coincident plan swap[r] is the row of the swapped pair
     (Q, P), which at xp = x is a stencil point of the same step.
@@ -153,9 +155,11 @@ class _Plan:
     offs_xp: np.ndarray           # (n, d) int8
     gather: np.ndarray            # (m,) int32, m = stencil points of all entries
     swap: np.ndarray | None       # (n,) int32, coincident plans only
+    anchor: int | None            # the zero-offset row, if any
     n_classes: int
     # per requested order: (order, class, entries), entries being
-    # (slice of the gathered values, unit weights, targets); (0, 0) has none
+    # (slice of the gathered values, unit weights, targets); for (0, 0)
+    # the position of the anchor pair's value in the gathered values
     tensors: tuple
 
 
@@ -165,7 +169,9 @@ def _stencil_plan(dim: int, orders: tuple, explicit_step: bool, coincident: bool
     cursor = 0
     for nx, npr in orders:
         if nx == 0 and npr == 0:
-            tensors.append(((nx, npr), None, None))
+            blocks.append(np.zeros((1, 1 + 2 * dim), dtype=np.int8))
+            tensors.append(((nx, npr), 0, cursor))
+            cursor += 1
             continue
         cls = classes.setdefault(None if explicit_step else _STEP_COEF[nx + npr], len(classes))
         entries = []
@@ -184,6 +190,7 @@ def _stencil_plan(dim: int, orders: tuple, explicit_step: bool, coincident: bool
         rows = np.concatenate([rows, rows[:, swapped]])
     first, row_of = _distinct_rows(rows)
     unique = rows[first]
+    zero = np.flatnonzero(~np.any(unique[:, 1:], axis=1))
     swap = None
     if coincident:
         # listed row j < cursor is stencil point j; row cursor + j its swap
@@ -192,7 +199,9 @@ def _stencil_plan(dim: int, orders: tuple, explicit_step: bool, coincident: bool
     return _Plan(cls=unique[:, 0].copy(), offs_x=unique[:, 1:1 + dim].copy(),
                  offs_xp=unique[:, 1 + dim:].copy(),
                  gather=row_of[:cursor].astype(np.int32), swap=swap,
-                 n_classes=len(classes), tensors=tuple(tensors))
+                 anchor=int(zero[0]) if zero.size else None,
+                 # the anchor row alone still reads a class step
+                 n_classes=max(len(classes), 1), tensors=tuple(tensors))
 
 
 class _Parts:
@@ -241,7 +250,7 @@ def partial_tensors(fn, x, xp, orders, h: float | None = None):
     # stencils far out in the chart overflow: raise below rather than warn
     with np.errstate(all="ignore"):
         steps = []  # per requested order
-        class_step = np.empty(plan.n_classes)
+        class_step = np.zeros(plan.n_classes)
         for (nx, npr), cls, _ in plan.tensors:
             total = nx + npr
             step = None
@@ -256,6 +265,8 @@ def partial_tensors(fn, x, xp, orders, h: float | None = None):
             step = class_step[plan.cls, None]
             p = x + step * plan.offs_x
             q = xp + step * plan.offs_xp
+            if plan.anchor is not None:  # x + step * 0 would turn -0.0 into 0.0
+                p[plan.anchor], q[plan.anchor] = x, xp
             values = np.asarray(fn.at_coincidence(p, q, plan.swap) if coincident else fn(p, q),
                                 dtype=float)
             if not np.all(np.isfinite(values)):
@@ -269,8 +280,8 @@ def partial_tensors(fn, x, xp, orders, h: float | None = None):
 
     out = {}
     for ((nx, npr), _, entries), step in zip(plan.tensors, steps):
-        if entries is None:
-            out[(nx, npr)] = np.asarray(fn(x, xp), dtype=float)
+        if step is None:
+            out[(nx, npr)] = np.array(values[..., entries])
             continue
         scale = step**(nx + npr)
         tensor = np.zeros((len(rows),) + (d,) * (nx + npr))

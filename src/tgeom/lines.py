@@ -6,7 +6,9 @@ Two independent constructions are provided and cross-validated:
 * an implicit solver that tracks the defining proportionality pointwise in
   the line parameter (Newton continuation along the parameter grid), and
 * a geodesic-type ODE integrator driven by the coincidence Christoffel
-  symbols (future: gamma + force, past: gamma - force, neutral: gamma).
+  symbols (future: gamma + force, past: gamma - force, neutral: gamma):
+  one adaptive Dormand-Prince 5(4) pass whose dense output is sampled on a
+  uniform parameter grid.
 
 The two parametrizations differ; comparisons resample both curves by
 normalized chord length first.
@@ -151,75 +153,131 @@ def initial_velocity(w: WorldFunction, kind: str, x_start, x_end) -> np.ndarray:
                            fd.kind_tensor(w, kind, x_end, x_start, 0, 1))
 
 
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's quartic
+# dense output (Hairer, Norsett & Wanner, Solving ODEs I, 1993, II.4-II.6).
+# The last stage is the right side at the accepted point (first same as
+# last), so it starts the next step.  The equation is autonomous: the stage
+# times are not needed.
+_DP_A = tuple(np.array(row) for row in (
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+))
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+# fifth- minus fourth-order weights over all seven stages
+_DP_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40])
+# y(t + theta h) = y(t) + h K^T P (theta, theta^2, theta^3, theta^4)
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+# error tolerance, relative and absolute, per component of the state (x, v)
+_ODE_TOL = 1e-10
+# step-size control: safety factor and the bounds of one step's change
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
+# attempted steps, accepted and rejected, before the integrator gives up
+_ODE_MAX_STEPS = 500
+
+
 def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
                       steps: int = 64) -> Trajectory:
     """Integrate the geodesic-type equation with the kind's coincidence
-    connection by fixed-step RK4.
+    connection by adaptive Dormand-Prince 5(4).
 
-    The step count doubles until halving it moves the endpoint by less than
-    1e-8 (self-convergence check).  For the future/past kinds the world must
-    be fine-antisymmetric (vanishing coincidence gradient at x0).  The
-    per-sample diagnostic is the relative drift of the metric square of the
-    velocity.
+    One pass controls the step with the pair's embedded error estimate on
+    the state (x, v) at a fixed tolerance of 1e-10; the points are its dense
+    output on the uniform grid of 2 max(4, steps) intervals over tau_span.
+    For the future/past kinds the world must be fine-antisymmetric
+    (vanishing coincidence gradient at x0).  The per-sample diagnostic is
+    the relative drift of the metric square of the velocity at the start of
+    the integrator step that contains the sample.  A fixed budget of
+    attempted steps bounds the work; running out of it raises SolverError.
     """
     connection = _CONNECTION[check_kind(kind)]
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
+    t0, t1 = (float(t) for t in tau_span)
+    if not t1 > t0:
+        raise ValueError("tau_span must be increasing")
+    d = len(x0)
+
+    def rhs(y):  # d(x, v)/dtau and the coefficients at x
+        cc = coincidence_coefficients(w, y[:d])
+        v = y[d:]
+        return np.concatenate([v, -np.einsum("ikl,k,l->i", getattr(cc, connection), v, v)]), cc
+
+    y = np.concatenate([x0, v0])
+    stages = np.empty((7, 2 * d))
+    stages[0], cc = rhs(y)
     if kind in ("f", "p"):
-        rough = float(np.linalg.norm(coincidence_gradient(w, x0)))
+        rough = float(np.linalg.norm(cc.a))
         if rough > 1e-10:
             raise GeometryError(
                 "future/past geodesic form needs a fine-antisymmetric world "
                 f"(coincidence gradient norm {rough:.3e})"
             )
+    g0 = float(v0 @ cc.g @ v0)
 
-    def accel(x, v):
-        cc = coincidence_coefficients(w, x)
-        return -np.einsum("ikl,k,l->i", getattr(cc, connection), v, v), cc.g
+    n = 2 * max(4, int(steps))
+    params = np.linspace(t0, t1, n + 1)
+    points = np.empty((n + 1, d))
+    residuals = np.empty(n + 1)
+    sample = 0
+    t, h = t0, (t1 - t0) / n
+    drift = 0.0  # at the start of the current step
+    error_norm = 0.0
+    attempts = 0
+    rejected = False
+    while sample <= n:
+        if attempts == _ODE_MAX_STEPS:
+            raise SolverError(
+                f"geodesic integrator ran out of steps at parameter {t}",
+                {"parameter": t, "step": h, "error_norm": error_norm, "steps": attempts},
+            )
+        attempts += 1
+        last = t + h >= t1
+        if last:
+            h = t1 - t
+        for s, a in enumerate(_DP_A, 1):
+            stages[s], _ = rhs(y + h * (a @ stages[:s]))
+        y_new = y + h * (_DP_B @ stages[:6])
+        stages[6], cc = rhs(y_new)
+        scale = _ODE_TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+        error_norm = float(np.sqrt(np.mean((h * (_DP_E @ stages) / scale) ** 2)))
+        if not error_norm < 1.0:
+            h *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
+            rejected = True
+            continue
 
-    # the first stage of every step-count trial starts at (x0, v0)
-    first_stage = accel(x0, v0)
-
-    def integrate(n):
-        t0, t1 = tau_span
-        h = (t1 - t0) / n
-        xs = [x0.copy()]
-        energies = [0.0]
-        x, v = x0.copy(), v0.copy()
-        g0 = None
-        for step in range(n):
-            a1, g = first_stage if step == 0 else accel(x, v)
-            if g0 is None:
-                g0 = float(v @ g @ v)
-            energies[-1] = abs(float(v @ g @ v) - g0) / (1.0 + abs(g0))
-            k1x, k1v = v, a1
-            a2, _ = accel(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-            k2x, k2v = v + 0.5 * h * k1v, a2
-            a3, _ = accel(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-            k3x, k3v = v + 0.5 * h * k2v, a3
-            a4, _ = accel(x + h * k3x, v + h * k3v)
-            k4x, k4v = v + h * k3v, a4
-            x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            xs.append(x.copy())
-            energies.append(energies[-1])
-        return np.asarray(xs), np.asarray(energies)
-
-    n = max(4, int(steps))
-    xs, energy = integrate(n)
-    for attempt in range(5):
-        xs2, energy2 = integrate(2 * n)
-        change = float(np.linalg.norm(xs2[-1] - xs[-1]))
-        close = change < 1e-8 * (1.0 + np.linalg.norm(xs[-1]))
-        xs, energy = xs2, energy2
-        n *= 2
-        if close:
-            break
-    else:
-        raise SolverError("geodesic integrator failed its self-convergence check",
-                          {"steps": n, "endpoint_change": change})
-    params = np.linspace(tau_span[0], tau_span[1], n + 1)
-    return Trajectory(params=params, points=xs, kind=kind, residuals=energy,
+        t_new = t1 if last else t + h
+        coef = stages.T @ _DP_P
+        while sample <= n and (last or params[sample] < t_new):
+            theta = (params[sample] - t) / h
+            points[sample] = y[:d] + h * (coef[:d] @ (theta ** np.arange(1, 5)))
+            residuals[sample] = drift
+            sample += 1
+        factor = _MAX_FACTOR if error_norm == 0.0 else min(_MAX_FACTOR, _SAFETY * error_norm ** -0.2)
+        h *= min(1.0, factor) if rejected else factor
+        rejected = False
+        t, y = t_new, y_new
+        stages[0] = stages[6]
+        v = y[d:]
+        drift = abs(float(v @ cc.g @ v) - g0) / (1.0 + abs(g0))
+    return Trajectory(params=params, points=points, kind=kind, residuals=residuals,
                       warnings=[], converged=np.ones(n + 1, dtype=bool))
 
 

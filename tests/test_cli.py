@@ -314,6 +314,24 @@ def test_exit_code_solver_detail(tmp_path, world_file, capsys):
     assert extra["residual_norm"] > 0.0 and 0 <= extra["step"] < 3
 
 
+def test_exit_code_ode_step_budget(tmp_path, world_file, capsys, monkeypatch):
+    # a gradient-line integrator that runs out of steps says where and how
+    monkeypatch.setattr(tgeom.lines, "_ODE_MAX_STEPS", 1)
+    out = tmp_path / "traj.csv"
+    code = run(["gradient-line", "--world", world_file(CUBIC), "--kind", "f",
+                "--from", "0,0,0,0", "--to", "1,0.3,-0.2,0.1", "--steps", "8",
+                "--method", "ode", "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "solver"
+    assert set(err["extra"]) == {"parameter", "step", "error_norm", "steps"}
+    assert err["extra"]["steps"] == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["coefficients", "--at", "1e300,0,0,0"],
     ["check", "degeneration", "--at", "1e300,0,0,0"],

@@ -15,6 +15,8 @@ from tgeom.calculus import _COEFFICIENT_ORDERS, _CURVATURE_ORDERS, _F_ORDERS
 
 X0 = np.array([0.2, -0.1, 0.3, 0.05])
 XP0 = np.array([0.5, 0.2, -0.1, 0.1])
+NEG_ZERO = np.array([0.2, -0.0, 0.3, -0.0])
+ANCHORS = {"coincident": (X0, X0), "separated": (X0, XP0), "negative_zero": (NEG_ZERO, NEG_ZERO)}
 UP_TO_22 = [(nx, npr) for nx in range(3) for npr in range(3)]
 ORDER_SETS = {
     "coefficients": _COEFFICIENT_ORDERS,
@@ -52,14 +54,14 @@ def naive_part_tensors(w, x, xp, orders, h=None):
 
 
 @pytest.mark.parametrize("h", [None, 2e-3], ids=["auto_step", "explicit_h"])
-@pytest.mark.parametrize("anchor", ["coincident", "separated"])
+@pytest.mark.parametrize("anchor", ANCHORS)
 @pytest.mark.parametrize("orders", ORDER_SETS.values(), ids=ORDER_SETS.keys())
 def test_plan_matches_naive_entries(all_worlds, orders, anchor, h):
-    xp = X0 if anchor == "coincident" else XP0
+    x, xp = ANCHORS[anchor]
     for name, w in all_worlds.items():
-        got = fd.part_tensors(w, X0, xp, orders, h=h)
-        want = naive_part_tensors(w, X0, xp, orders, h=h)
-        plain = fd.partial_tensors(w, X0, xp, orders, h=h)
+        got = fd.part_tensors(w, x, xp, orders, h=h)
+        want = naive_part_tensors(w, x, xp, orders, h=h)
+        plain = fd.partial_tensors(w, x, xp, orders, h=h)
         for part in PARTS:
             for key in orders:
                 assert np.array_equal(got[part][key], want[part][key]), (name, part, key)
@@ -94,14 +96,34 @@ def test_world_never_sees_a_repeated_row(cubic, orders, anchor):
 
 def test_world_calls_per_request(cubic):
     # part_tensors: one call at coincidence, w(P, Q) and w(Q, P) elsewhere;
-    # (0, 0) is the anchor pair itself, evaluated apart from the stencil
+    # (0, 0) is the plan's zero-offset row, the anchor pair itself
     for xp, want in ((X0, 1), (XP0, 2)):
         w, calls = _recording(cubic, 4)
         fd.part_tensors(w, X0, xp, _COEFFICIENT_ORDERS)
         assert len(calls) == want
     w, calls = _recording(cubic, 4)
     fd.part_tensors(w, X0, X0, [(0, 0), (0, 1)])
-    assert [len(rows) for rows in calls] == [32, 1, 1]
+    assert [len(rows) for rows in calls] == [33]
+    # a second-order stencil already holds the anchor pair
+    w, calls = _recording(cubic, 4)
+    fd.part_tensors(w, X0, XP0, [(0, 0), (0, 1), (0, 2)])
+    alone = fd._stencil_plan(4, ((0, 1), (0, 2)), False, False)
+    assert [len(rows) for rows in calls] == [len(alone.cls)] * 2
+
+
+@pytest.mark.parametrize("orders", [[(0, 0)], [(0, 0), (0, 1)], [(0, 0), (2, 0)], [(1, 1)]])
+def test_anchor_row_keeps_signed_zeros(cubic, orders):
+    # the anchor pair reaches the world as given, not as x + step * 0
+    w, calls = _recording(cubic, 4)
+    fd.partial_tensors(w, NEG_ZERO, NEG_ZERO, orders)
+    anchor = np.concatenate([NEG_ZERO, NEG_ZERO])
+    same = [row for row in calls[0] if np.array_equal(row, anchor)]
+    assert len(same) == (1 if orders != [(1, 1)] else 0)
+    assert all(np.array_equal(np.signbit(row), np.signbit(anchor)) for row in same)
+    if (0, 0) in orders:
+        got = fd.partial_tensors(cubic, NEG_ZERO, NEG_ZERO, orders)[(0, 0)]
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got == cubic(NEG_ZERO, NEG_ZERO)
 
 
 def test_plan_is_built_once(cubic):

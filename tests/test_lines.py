@@ -3,6 +3,7 @@ import pytest
 
 from tgeom import (
     GeometryError,
+    SolverError,
     Trajectory,
     curve_deviation,
     gradient_line_implicit,
@@ -10,7 +11,10 @@ from tgeom import (
     initial_velocity,
     path_deviation,
     reparam_invariance_check,
+    world_from_callable,
 )
+from tgeom import lines
+from tgeom.calculus import coincidence_coefficients
 from conftest import random_a3, world
 
 MINK = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -86,6 +90,62 @@ def test_neutral_ode_ignores_force(cubic, minkowski):
     tr_c = gradient_line_ode(cubic, "n", XA, v0, (0, 1), steps=16)
     tr_e = gradient_line_ode(minkowski, "n", XA, v0, (0, 1), steps=16)
     assert curve_deviation(tr_c.points, tr_e.points) < 1e-9
+
+
+def test_ode_world_call_budget(small_cubic):
+    # one Dormand-Prince pass: one coincidence pass (one world call) for the
+    # first stage and six per attempted step
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return small_cubic(a, b)
+
+    v0 = initial_velocity(small_cubic, "f", XA, XB)
+    gradient_line_ode(world_from_callable(counted, 4), "f", XA, v0, (0, 1), steps=8)
+    assert len(calls) <= 30
+
+
+@pytest.mark.parametrize("steps", [2, 5, 8])
+def test_ode_output_grid(small_cubic, steps):
+    v0 = initial_velocity(small_cubic, "f", XA, XB)
+    traj = gradient_line_ode(small_cubic, "f", XA, v0, (0.25, 1.5), steps=steps)
+    n = 2 * max(4, steps)
+    assert np.array_equal(traj.params, np.linspace(0.25, 1.5, n + 1))
+    assert traj.points.shape == (n + 1, 4) and traj.residuals.shape == (n + 1,)
+    assert np.array_equal(traj.points[0], XA)
+    assert traj.residuals[0] == 0.0
+    assert traj.converged.all() and traj.warnings == []
+
+
+@pytest.mark.parametrize("kind, scale, steps", [("f", 4e-4, 8), ("p", 0.03, 16)])
+def test_ode_matches_dop853(kind, scale, steps):
+    integrate = pytest.importorskip("scipy.integrate")
+    w = world("cubic_a", a3=random_a3(scale=scale, seed=5).ravel().tolist())
+    v0 = initial_velocity(w, kind, XA, XB)
+    connection = lines._CONNECTION[kind]
+
+    def rhs(_, y):
+        v = y[4:]
+        gam = getattr(coincidence_coefficients(w, y[:4]), connection)
+        return np.concatenate([v, -np.einsum("ikl,k,l->i", gam, v, v)])
+
+    traj = gradient_line_ode(w, kind, XA, v0, (0, 1), steps=steps)
+    ref = integrate.solve_ivp(rhs, (0, 1), np.concatenate([XA, v0]), method="DOP853",
+                              rtol=1e-12, atol=1e-12, t_eval=traj.params)
+    assert ref.success
+    assert np.max(np.abs(traj.points - ref.y[:4].T)) < 1e-9
+
+
+def test_ode_step_budget_exhausted(small_cubic, monkeypatch):
+    monkeypatch.setattr(lines, "_ODE_MAX_STEPS", 1)
+    v0 = initial_velocity(small_cubic, "f", XA, XB)
+    with pytest.raises(SolverError) as info:
+        gradient_line_ode(small_cubic, "f", XA, v0, (0, 1), steps=8)
+    detail = info.value.detail
+    assert set(detail) == {"parameter", "step", "error_norm", "steps"}
+    assert detail["steps"] == 1 and 0 < detail["parameter"] < 1
+    assert detail["step"] > 0 and 0 <= detail["error_norm"] < 1
 
 
 def test_ode_rejects_rough_antisymmetry(case1):
