@@ -150,6 +150,8 @@ def _cmd_tube_section(args):
     y = _parse_point(args.y, w.dim, "--y")
     if args.tau_steps < 1:
         raise _InputError("--tau-steps must be positive")
+    if not np.isfinite([args.tau_min, args.tau_max]).all():
+        raise _InputError("--tau-min and --tau-max must be finite")
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
     results = tubes.sample_axisymmetric_tube(w, y, args.kind, taus)
 
@@ -191,6 +193,10 @@ def _cmd_broken_tube(args):
     w = _load_world(args.world)
     p0 = _parse_point(args.seed_from, w.dim, "--seed-from")
     p1 = _parse_point(args.seed_to, w.dim, "--seed-to")
+    if args.steps < 1:
+        raise _InputError("--steps must be positive")
+    if not 0.0 < args.mu < np.inf:
+        raise _InputError("--mu must be positive and finite")
     chain = tubes.build_broken_tube(w, args.kind, p0, p1, args.mu, args.steps)
     header = (["index"] + [f"x{i}" for i in range(w.dim)]
               + ["length_residual", "sym_length_residual",
@@ -215,6 +221,8 @@ def _cmd_check(args):
               else _parse_point(args.at, w.dim, "--at"))
         report = degeneracy.degeneration_check(w, at)
     else:
+        if args.seed < 0:
+            raise _InputError("--seed must be nonnegative")
         # staggered-time basis and probes stay clear of chart poles of the
         # screened family while exercising every condition
         basis = 0.5 * np.vstack([np.zeros(w.dim), np.eye(w.dim)])

@@ -36,6 +36,16 @@ from .worlds import WorldFunction
 IDENTITY_THRESHOLD = 1e-8
 EIKONAL_THRESHOLD = 1e-4
 
+#: diagnostic_probes: spacing along the first coordinate, transverse jitter
+_PROBE_TIME_STEP = 0.35
+_PROBE_JITTER = 0.12
+
+#: coordinate targets of the sampled condition-IV solvability rate
+_IV_TARGETS = 64
+
+#: degeneration_check: outer probe separation relative to the anchor scale
+_DEGENERATION_DELTA = 1e-2
+
 
 @dataclass
 class CheckResult:
@@ -95,7 +105,7 @@ class FlatBasis:
     anchor: Multivector
     g: np.ndarray       # basis scalar products
     g_inv: np.ndarray
-    back: tuple         # w(p_i, p_0) for the basis points p_1..p_n
+    back: np.ndarray    # w(p_i, p_0) for the basis points p_1..p_n
 
     @classmethod
     def build(cls, w: WorldFunction, anchor: Multivector) -> "FlatBasis":
@@ -117,37 +127,30 @@ class FlatBasis:
             raise SingularMetricError("basis scalar-product matrix singular") from exc
         if np.max(np.abs(g_inv @ g - np.eye(g.shape[0]))) > 1e-9:
             raise SingularMetricError("basis matrix badly conditioned")
-        p0 = anchor.points[0]
-        back = tuple(w(p, p0) for p in anchor.points[1:])
+        back = w(anchor.points[1:], anchor.points[0])
         return cls(anchor=anchor, g=g, g_inv=g_inv, back=back)
 
-    def coordinates(self, w: WorldFunction, point) -> np.ndarray:
-        """Covariant coordinates of a point: scalar products of the basis
-        vectors with the anchor-to-point vector.  w is the world the basis
-        was built on."""
+    def coordinates(self, w: WorldFunction, points) -> np.ndarray:
+        """Covariant coordinates of points (..., d) as (..., n): scalar
+        products of the basis vectors with the anchor-to-point vectors.
+        w is the world the basis was built on."""
         pts = self.anchor.points
-        point = np.asarray(point, dtype=float)
-        w0 = w(pts[0], point)
-        out = np.empty(self.anchor.order)
-        for i, back in enumerate(self.back):
-            # scalar calls: a batched w(pts[1:], point) sums in another order
-            out[i] = float(back + w0 - w(pts[i + 1], point))
-        return out
+        points = np.asarray(points, dtype=float)[..., None, :]
+        return self.back + w(pts[0], points) - w(pts[1:], points)
 
 
-def diagnostic_probes(dim: int, count: int = 24, seed: int = 13,
-                      time_step: float = 0.35, jitter: float = 0.12) -> np.ndarray:
+def diagnostic_probes(dim: int, count: int = 24, seed: int = 13) -> np.ndarray:
     """Deterministic probe points staggered along the first coordinate with
     small transverse jitter, so that pairwise separations stay timelike for
     signature metrics (keeping clear of the screened family's pole)."""
     rng = np.random.default_rng(seed)
-    probes = rng.normal(size=(count, dim)) * jitter
-    probes[:, 0] += time_step * np.arange(count)
+    probes = rng.normal(size=(count, dim)) * _PROBE_JITTER
+    probes[:, 0] += _PROBE_TIME_STEP * np.arange(count)
     return probes
 
 
 def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
-                       iv_targets: int = 64, seed: int = 0) -> DegeneracyReport:
+                       seed: int = 0) -> DegeneracyReport:
     """Run the four flat-space conditions against a basis and probe set.
 
     Conditions I-III are residual checks at IDENTITY_THRESHOLD; condition IV
@@ -159,50 +162,49 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
     basis = Multivector(np.asarray(basis_points, dtype=float))
     if basis.order != n:
         raise DimensionMismatchError(f"basis must contain {n + 1} points")
-    probes = [np.asarray(p, dtype=float) for p in probes]
-    if not probes:
+    pts = np.asarray(probes, dtype=float)
+    if len(pts) == 0:
         raise ValueError("need at least one probe point")
     report = DegeneracyReport(world=w.kind)
 
-    # I: symmetry of the world function over probe pairs
-    pts = np.asarray(probes)
+    # I: symmetry of the world function over probe pairs.  I and III make
+    # one world call per probe row: a pair array would grow with its square
     asym = 0.0
     scale_sig = 1.0
-    for i in range(len(pts)):
-        for k in range(i + 1, len(pts)):
-            asym = max(asym, abs(float(w.asym(pts[i], pts[k]))))
-            scale_sig = max(scale_sig, abs(float(w(pts[i], pts[k]))))
+    for i in range(len(pts) - 1):
+        later = pts[i + 1:]
+        asym = max([asym, *np.abs(w.asym(pts[i], later)).tolist()])
+        scale_sig = max([scale_sig, *np.abs(w(pts[i], later)).tolist()])
     report.add("I_symmetry", asym / scale_sig, IDENTITY_THRESHOLD)
 
     # II: basis has nonzero squared length; basis+probe tuples have zero
     f_n = gram(w, basis)
-    scale = max(abs(float(w.sym(basis.points[0], q))) * 2.0 for q in basis.points[1:])
+    p0 = basis.points[0]
+    scale = max((np.abs(w.sym(p0, basis.points[1:])) * 2.0).tolist())
     report.add("II_basis_nondegenerate",
                1.0 if abs(f_n) <= 1e-12 * scale**n else 0.0, 0.5)
     worst = 0.0
-    for q in probes:
+    for q, two_sym in zip(pts, np.abs(2.0 * w.sym(p0, pts)).tolist()):
         extended = Multivector(np.vstack([basis.points, q[None, :]]))
         f_n1 = gram(w, extended)
-        denom = abs(f_n) * (abs(2.0 * float(w.sym(basis.points[0], q))) + scale)
+        denom = abs(f_n) * (two_sym + scale)
         worst = max(worst, abs(f_n1) / max(denom, 1e-300))
     report.add("II_dimension", worst, IDENTITY_THRESHOLD)
 
     # III: reconstruction of the world function from basis coordinates
     fb = FlatBasis.build(w, basis)
-    coords = [fb.coordinates(w, q) for q in probes]
+    coords = fb.coordinates(w, pts)
     worst = 0.0
-    for i in range(len(probes)):
-        for k in range(len(probes)):
-            if i == k:
-                continue
+    for i in range(len(pts)):
+        others = np.delete(np.arange(len(pts)), i)  # no diagonal pair
+        for k, truth in zip(others, w(pts[i], pts[others]).tolist()):
             dx = coords[i] - coords[k]
             recon = 0.5 * float(dx @ fb.g_inv @ dx)
-            truth = float(w(probes[i], probes[k]))
             worst = max(worst, abs(recon - truth) / (1.0 + abs(truth)))
     report.add("III_reconstruction", worst, IDENTITY_THRESHOLD)
 
     # IV: sampled solvability of the coordinate equations
-    rate = _coordinate_solve_rate(w, fb, coords, iv_targets, seed)
+    rate = _coordinate_solve_rate(w, fb, coords, seed)
     report.add("IV_solvability", 1.0 - rate, 0.0)
 
     eigs = np.linalg.eigvalsh(0.5 * (fb.g + fb.g.T))
@@ -219,18 +221,17 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
     return report
 
 
-def _coordinate_solve_rate(w, fb, sample_coords, n_targets, seed):
+def _coordinate_solve_rate(w, fb, coords, seed):
     """Fraction of coordinate targets reachable by Newton on the coordinate
     equations; targets are drawn inside the sampled coordinate range."""
     if w.dim != fb.anchor.order:
         # coordinate count differs from chart dimension: the square Newton
         # system is not defined, count as unsolvable
         return 0.0
-    coords = np.asarray(sample_coords)
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
     rng = np.random.default_rng(seed)
-    targets = lo + (hi - lo) * rng.random((n_targets, fb.anchor.order))
+    targets = lo + (hi - lo) * rng.random((_IV_TARGETS, fb.anchor.order))
     p0 = fb.anchor.points[0]
     basis_rest = fb.anchor.points[1:]
     successes = 0
@@ -255,7 +256,7 @@ def _coordinate_solve_rate(w, fb, sample_coords, n_targets, seed):
         except (GeometryError, FloatingPointError, np.linalg.LinAlgError):
             ok = False
         successes += ok
-    return successes / n_targets
+    return successes / _IV_TARGETS
 
 
 def eta_triangle(w: WorldFunction, x, xp, y) -> float:
@@ -268,9 +269,10 @@ def eta_triangle(w: WorldFunction, x, xp, y) -> float:
     return float(w.asym(x, xp) + w.asym(xp, y) + w.asym(y, x))
 
 
-def degeneration_check(w: WorldFunction, x, probe_dirs=None,
-                       delta: float = 1e-2) -> DegeneracyReport:
-    """First-order tube degeneration diagnostics at a point.
+def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
+    """First-order tube degeneration diagnostics at a point, probed along
+    the coordinate axes, their diagonal and two fixed random directions at
+    separation delta = _DEGENERATION_DELTA (1 + max |x^i|) and delta/10.
 
     neutral_gradient_cancel: variation of the antisymmetric part's gradient
         against its coincidence value over short displacements (the
@@ -285,19 +287,16 @@ def degeneration_check(w: WorldFunction, x, probe_dirs=None,
     """
     x = np.asarray(x, dtype=float)
     d = w.dim
-    if probe_dirs is None:
-        dirs = [np.eye(d)[i] for i in range(d)]
-        dirs.append(np.ones(d) / np.sqrt(d))
-        rng = np.random.default_rng(7)
-        for _ in range(2):
-            v = rng.normal(size=d)
-            dirs.append(v / np.linalg.norm(v))
-    else:
-        dirs = [np.asarray(v, dtype=float) for v in probe_dirs]
+    dirs = [np.eye(d)[i] for i in range(d)]
+    dirs.append(np.ones(d) / np.sqrt(d))
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        v = rng.normal(size=d)
+        dirs.append(v / np.linalg.norm(v))
 
     report = DegeneracyReport(world=w.kind)
     scale = 1.0 + float(np.max(np.abs(x)))
-    step = delta * scale
+    step = _DEGENERATION_DELTA * scale
 
     co = fd.part_tensors(w, x, x, [(2, 0), (1, 0), (0, 2)])
     cc_g = co["sym"][(2, 0)]  # coincidence metric

@@ -373,9 +373,8 @@ def reparam_invariance_check(w: WorldFunction, descriptor, kind: str, x_start,
                              label=f"{w.kind}|transformed")
     base = gradient_line_implicit(w, kind, x_start, x_end, tau_grid)
 
-    values = [float(w(p, x_start)) for p in base.points]
-    values += [float(w(x_start, p)) for p in base.points]
-    derivs = f_prime(np.asarray(values))
+    values = np.concatenate([w(base.points, x_start), w(x_start, base.points)])
+    derivs = f_prime(values)
     if np.any(derivs <= 0.0):
         raise GeometryError(
             "transform derivative changes sign over the encountered values"

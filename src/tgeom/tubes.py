@@ -48,9 +48,8 @@ class TubeSpec:
 def _separation_scale(w: WorldFunction, points) -> float:
     """max(1, |2 sym(pi, pk)|) over the distinct pairs of the points."""
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    return max([1.0] + [abs(2.0 * float(w.sym(pts[i], pts[k])))
-                        for i in range(n) for k in range(i + 1, n)])
+    i, k = np.triu_indices(len(pts), 1)
+    return max([1.0, *np.abs(2.0 * w.sym(pts[i], pts[k])).tolist()])
 
 
 def membership_tolerance(w: WorldFunction, points: np.ndarray) -> float:
@@ -191,16 +190,14 @@ def section_filter(w: WorldFunction, spec: TubeSpec, on_point, candidates,
         raise GeometryError(
             f"section base point is off the tube (residual {base_res!r})"
         )
-    on_point = np.asarray(on_point, dtype=float)
-    result = []
+    cands = [np.asarray(cand, dtype=float) for cand in candidates]
+    if any(cand.shape != (w.dim,) for cand in cands):
+        raise DimensionMismatchError("candidate point has wrong dimension")
     skel = spec.skeleton.points
-    base_vals = np.array([float(w(pl, on_point)) for pl in skel])
-    for cand in candidates:
-        cand = np.asarray(cand, dtype=float)
-        vals = np.array([float(w(pl, cand)) for pl in skel])
-        if np.max(np.abs(vals - base_vals)) <= tol:
-            result.append(cand)
-    return result
+    base_vals = w(skel, np.asarray(on_point, dtype=float))
+    vals = w(skel, np.reshape(cands, (-1, 1, w.dim)))
+    keep = np.max(np.abs(vals - base_vals), axis=1) <= tol
+    return [cand for cand, kept in zip(cands, keep) if kept]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +241,9 @@ def reduced_asymmetry(w: WorldFunction, y) -> float:
 
 #: taus whose probe grids share one world call; bounds the sampler's memory
 _TAU_BLOCK = 64
+
+#: probe radii per tau (r = 0 and a geometric grid out to rmax) that bracket roots
+_PROBES = 256
 
 #: iteration cap of the bracket solver (the usual brentq default)
 _BRENT_MAXITER = 100
@@ -295,10 +295,10 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
                       {"brackets": n, "iteration": _BRENT_MAXITER})
 
 
-def _block_profiles(residual, y2: float, taus: np.ndarray, rmaxs: np.ndarray, probes: int):
+def _block_profiles(residual, y2: float, taus: np.ndarray, rmaxs: np.ndarray):
     """(tau, [radii]) for a block of taus; residual(tau, r) broadcasts."""
     grid = np.concatenate([np.zeros((len(taus), 1)),
-                           np.geomspace(1e-6, rmaxs, probes - 1, axis=-1)], axis=1)
+                           np.geomspace(1e-6, rmaxs, _PROBES - 1, axis=-1)], axis=1)
     vals, mags = residual(taus[:, None], grid)
     lo, hi, f_lo, f_hi = grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]
     # r = 0 is a root only when the residual vanishes to round-off
@@ -344,7 +344,7 @@ def _block_profiles(residual, y2: float, taus: np.ndarray, rmaxs: np.ndarray, pr
 
 
 def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[float],
-                             rmax: Optional[float] = None, probes: int = 256):
+                             rmax: Optional[float] = None):
     """Radial profile of the first-order tube with skeleton (origin, y).
 
     For each tau, finds all r >= 0 such that the point tau*y + r*|y|*e_perp
@@ -391,7 +391,7 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     out = []
     for start in range(0, len(taus), _TAU_BLOCK):
         block = slice(start, start + _TAU_BLOCK)
-        out.extend(_block_profiles(residual, y2, taus[block], rmaxs[block], probes))
+        out.extend(_block_profiles(residual, y2, taus[block], rmaxs[block]))
     return out
 
 
@@ -585,14 +585,10 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         chain_parallel_residual(w, kind, verts[i], verts[i + 1], verts[i + 2])
         for i in range(len(verts) - 2)
     ])
-    lens = np.array([
-        abs(np.sqrt(kind_length_sq(w, kind, verts[i], verts[i + 1])) - mu) / mu
-        for i in range(len(verts) - 1)
-    ])
-    sym_lens = np.array([
-        abs(np.sqrt(2.0 * float(w.sym(verts[i], verts[i + 1]))) - mu) / mu
-        for i in range(len(verts) - 1)
-    ])
+    with np.errstate(all="ignore"):  # kind_length_sq of every segment
+        lens_sq = 2.0 * w.of_kind(kind, verts[:-1], verts[1:])
+    lens = np.abs(np.sqrt(lens_sq) - mu) / mu
+    sym_lens = np.abs(np.sqrt(2.0 * w.sym(verts[:-1], verts[1:])) - mu) / mu
     return BrokenTube(vertices=verts, mu=float(mu), kind=kind,
                       parallel_residuals=par, length_residuals=lens,
                       sym_length_residuals=sym_lens,

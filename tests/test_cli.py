@@ -380,6 +380,39 @@ def test_fuzz_at_meets_error_contract(tmp_path_factory, command, doc, at):
     assert (code == 0) == (stderr.getvalue() == "")
 
 
+_BROKEN = ["broken-tube", "--world", "EUCL", "--seed-from", "0,0,0,0",
+           "--seed-to", "0.5,0,0,0"]
+_SECTION = ["tube-section", "--world", "CASE1", "--y", "1,0,0,0", "--tau-steps", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    _BROKEN + ["--mu", "0.5", "--steps", "0"],
+    _BROKEN + ["--mu", "0.5", "--steps", "-3"],
+    _BROKEN + ["--mu", "nan", "--steps", "2"],
+    _BROKEN + ["--mu", "inf", "--steps", "2"],
+    _BROKEN + ["--mu", "0", "--steps", "2"],
+    _SECTION + ["--tau-min", "nan", "--tau-max", "1"],
+    _SECTION + ["--tau-min", "0", "--tau-max", "inf"],
+    ["check", "euclideaness", "--world", "CASE1", "--seed", "-1"],
+], ids=["steps-0", "steps-negative", "mu-nan", "mu-inf", "mu-0",
+        "tau-min-nan", "tau-max-inf", "seed-negative"])
+def test_numeric_arguments_meet_error_contract(tmp_path, world_file, argv):
+    # an out-of-range number is an input error: one JSON line, no warning
+    files = {"EUCL": world_file(EUCL, "eucl.json"), "CASE1": world_file(CASE1, "case1.json")}
+    argv = [files.get(arg, arg) for arg in argv]
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = run(argv + ["--out", str(tmp_path / "x")])
+    assert code == 1
+    assert not caught, [str(w.message) for w in caught]
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "input"
+
+
 def test_gradient_line_warning_stream(tmp_path, world_file, capsys):
     # rough-antisymmetric world: small parameters carry a structured warning
     out = tmp_path / "traj.csv"

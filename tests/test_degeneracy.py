@@ -3,13 +3,15 @@ import pytest
 
 from tgeom import (
     DegenerateSkeletonError,
+    Multivector,
     SingularMetricError,
     degeneration_check,
     eta_case1_closed,
     eta_triangle,
     euclideaness_check,
+    world_from_callable,
 )
-from tgeom.degeneracy import diagnostic_probes
+from tgeom.degeneracy import FlatBasis, diagnostic_probes
 from conftest import world
 
 
@@ -20,6 +22,13 @@ def orthonormal_basis(n):
 def probes_for(n, count=24, seed=13):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(count, n))
+
+
+def staggered_basis(n):
+    """The basis of `tgeom check euclideaness`: clear of the case2 pole."""
+    basis = 0.5 * orthonormal_basis(n)
+    basis[:, 0] += 0.1 * np.arange(n + 1)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +63,37 @@ def test_asymmetric_worlds_fail_condition_one(all_worlds):
         report = euclideaness_check(all_worlds[name], 4, basis, probes)
         assert not report["I_symmetry"].verdict, name
         assert report.summary["classification"] == "not_euclidean", name
+
+
+def test_flat_basis_coordinates_batch_matches_rows(case1):
+    # (..., d) points give (..., n) coordinates, each row bit for bit the
+    # coordinates of its point alone
+    fb = FlatBasis.build(case1, Multivector(staggered_basis(4)))
+    pts = diagnostic_probes(4, 24, seed=0)
+    batch = fb.coordinates(case1, pts)
+    assert batch.shape == (24, 4)
+    for point, row in zip(pts, batch):
+        assert fb.coordinates(case1, point).tobytes() == row.tobytes()
+    assert fb.coordinates(case1, pts.reshape(2, 12, 4)).tobytes() == batch.tobytes()
+
+
+def test_euclideaness_world_call_budget(case1):
+    # each probe row is one world call, never each pair: at most 3,100 calls
+    # (5,842 with a call per pair) over the same 35,773 points, and the same
+    # report as on the uncounted world
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+        return case1(a, b)
+
+    w = world_from_callable(counted, 4, label="case1")
+    probes = diagnostic_probes(4, 24, seed=0)
+    report = euclideaness_check(w, 4, staggered_basis(4), probes, seed=0)
+    assert len(sizes) <= 3100
+    assert sum(sizes) == 35773
+    want = euclideaness_check(case1, 4, staggered_basis(4), probes, seed=0)
+    assert report.to_json() == want.to_json()
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")

@@ -12,6 +12,7 @@ from tgeom import tubes
 from tgeom import (
     ComplexLengthError,
     DegenerateSkeletonError,
+    DimensionMismatchError,
     GeometryError,
     Multivector,
     TubeSpec,
@@ -213,6 +214,16 @@ def test_section_off_tube_raises(euclid3):
     spec = TubeSpec(Multivector(np.array([[0, 0, 0], [1, 0, 0]], float)))
     with pytest.raises(GeometryError):
         section_filter(euclid3, spec, np.array([0.5, 1.0, 0.0]), [], 1e-9)
+
+
+def test_section_filter_rejects_wrong_dimension(euclid3):
+    # candidates are evaluated in one world call; one of the wrong dimension
+    # is still a dimension error, not a numpy shape error
+    spec = TubeSpec(Multivector(np.array([[0, 0, 0], [1, 0, 0]], float)))
+    on = np.array([0.5, 0.0, 0.0])
+    for cands in ([np.array([0.5, 0.1])], [on, np.array([0.5, 0.1, 0.0, 0.0])]):
+        with pytest.raises(DimensionMismatchError):
+            section_filter(euclid3, spec, on, cands, 1e-9)
 
 
 def test_empty_candidates(euclid3):
