@@ -448,9 +448,9 @@ def curvature_bundle(w: WorldFunction, x, xp=None) -> CurvatureBundle:
     """Assemble coincidence curvature tensors and their consistency defects.
 
     Every field comes from direct coincidence stencils, with no nested
-    differencing: two fd.part_tensors passes at xp = x (one world call each),
-    one over the orders of F and one over the remaining orders up to four,
-    so that no world call grows past the F pass.  The connections gamma,
+    differencing: one fd.part_tensors pass at xp = x over the orders of F
+    and the remaining orders up to four, one world call over 2,993 unique
+    points at d=4.  The connections gamma,
     gamma_tilde_f and gamma_tilde_p are exactly coincidence_coefficients';
     their derivatives follow from the chain rule along the diagonal,
     d/dx^m t_(a,b)(x, x) = t_(a+1,b) + t_(a,b+1) with m joining the unprimed
@@ -467,10 +467,8 @@ def curvature_bundle(w: WorldFunction, x, xp=None) -> CurvatureBundle:
       tilde_relation_p    same with the opposite contraction side (gamma_tilde_p)
     """
     x = np.asarray(x, dtype=float)
-    co = fd.part_tensors(w, x, x, _F_ORDERS)
-    rest = fd.part_tensors(w, x, x, _CURVATURE_ORDERS)
-    t = {part: {**co[part], **rest[part]} for part in co}
-    f_tilde_co, f_co = _f_from(co["full"]), _f_from(co["sym"])
+    t = fd.part_tensors(w, x, x, _F_ORDERS + _CURVATURE_ORDERS)
+    f_tilde_co, f_co = _f_from(t["full"]), _f_from(t["sym"])
     f_two = f_tilde_co if xp is None else f_tensor(w, x, xp, part="full")
 
     cc = _coefficients_from(x, t)

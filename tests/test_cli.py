@@ -413,6 +413,26 @@ def test_numeric_arguments_meet_error_contract(tmp_path, world_file, argv):
     assert err["error"] == "input"
 
 
+@pytest.mark.parametrize("tau", ["1e20", "1e100", "1e300"])
+def test_tube_section_huge_tau_is_geometry_error(tmp_path, world_file, tau):
+    # the residual is round-off or overflows on every probe: one JSON line
+    # naming the tau, no warning, and no CSV of spurious roots
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = run(["tube-section", "--world", world_file(CASE1), "--y", "1,0,0,0",
+                    "--tau-min", tau, "--tau-max", tau, "--tau-steps", "1",
+                    "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert not caught, [str(w.message) for w in caught]
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "geometry" and f"tau {float(tau)!r}" in err["detail"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_gradient_line_warning_stream(tmp_path, world_file, capsys):
     # rough-antisymmetric world: small parameters carry a structured warning
     out = tmp_path / "traj.csv"

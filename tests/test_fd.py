@@ -136,10 +136,18 @@ def test_plan_is_built_once(cubic):
 
 def test_coincident_plan_is_closed_under_swap():
     plan = fd._stencil_plan(4, tuple(_COEFFICIENT_ORDERS), False, True)
-    assert len(plan.cls) == 4417 and len(plan.gather) == 4360
+    assert len(plan.cls) == 1057 and len(plan.gather) == 1184
     assert np.array_equal(plan.swap[plan.swap], np.arange(len(plan.cls)))
     assert np.array_equal(plan.offs_x[plan.swap], plan.offs_xp)
     assert np.array_equal(plan.cls[plan.swap], plan.cls)
+
+
+@pytest.mark.parametrize("orders, points", [((0, 1), 16), ((1, 1), 256), ((0, 2), 105)])
+def test_newton_plans_keep_their_size(orders, points):
+    # the Newton residuals and Jacobians of chains, lines and seeds read these
+    # separated plans; their fourth-order first-derivative rule stays
+    plan = fd._stencil_plan(4, (orders,), False, False)
+    assert len(plan.cls) == points
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

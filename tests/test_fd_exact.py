@@ -1,0 +1,117 @@
+"""Finite-difference error budgets measured against exact derivatives.
+
+Every shipped family is a function W of xi = x - xp alone, so its mixed
+partial tensor of order (a, b) is t_(a,b) = (-1)^b d^(a+b) W / dxi^(a+b).
+sympy differentiates the closed forms (tests only; it is no runtime
+dependency), and the worst relative error of fd.partial_tensors over a
+coincident and a separated anchor is held to a budget per family and total
+derivative order.  The error is max |fd - exact| / max(1, max |exact|) over
+the tensors of that order.
+"""
+
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
+
+import numpy as np
+import pytest
+
+from tgeom import fd
+
+from conftest import MINKOWSKI, random_a3, world
+
+sympy = pytest.importorskip("sympy")
+
+X0 = np.array([0.2, -0.1, 0.3, 0.05])
+XP0 = np.array([0.5, 0.2, -0.1, 0.1])
+ANCHORS = ((X0, X0), (X0, XP0))
+ORDERS = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (2, 2), (3, 1)]
+
+# the conftest worlds: (family, spec parameters)
+FAMILIES = {
+    "euclidean": {},
+    "constant_a": {"b": [0.3, 0.1, 0.0, 0.0]},
+    "case1": {"b": [1, 0, 0, 0], "alpha": 0.2},
+    "case2": {"b": [1, 0, 0, 0], "alpha": 0.2, "beta": 1.0},
+    "cubic_a": {"a3": random_a3(seed=0).ravel().tolist()},
+}
+
+# Worst relative error per total order 1..4, as (budget, measured, measured
+# with the 4-point first-derivative rule on every multiplicity-1 axis of
+# the order-3 and order-4 stencils).  Orders 1 and 2 keep that rule, so
+# their two figures are one; the order-4 worst case is the separated anchor.
+BUDGETS = {
+    "euclidean": ((5e-14, 1.1e-14, 1.1e-14), (2e-9, 5.2e-10, 5.2e-10),
+                  (3e-8, 9.9e-9, 1.5e-8), (1e-6, 2.9e-7, 2.9e-7)),
+    "constant_a": ((1e-13, 2.1e-14, 2.1e-14), (5e-9, 1.8e-9, 1.8e-9),
+                   (1e-7, 3.7e-8, 4.1e-8), (2e-6, 7.8e-7, 7.8e-7)),
+    "case1": ((1e-13, 3.7e-14, 3.7e-14), (1e-8, 3.5e-9, 3.5e-9),
+              (2e-7, 8.0e-8, 1.0e-7), (5e-6, 2.6e-6, 2.6e-6)),
+    "case2": ((1e-11, 3.9e-12, 3.9e-12), (5e-8, 1.8e-8, 1.8e-8),
+              (5e-5, 1.8e-5, 1.8e-5), (1e-3, 4.7e-4, 2.8e-4)),
+    "cubic_a": ((5e-14, 1.3e-14, 1.3e-14), (2e-9, 5.6e-10, 5.6e-10),
+                (5e-8, 1.5e-8, 1.8e-8), (1e-6, 4.2e-7, 4.2e-7)),
+}
+
+
+def _closed_form(family, xi):
+    """W(xi) of a family, with the conftest parameters and Minkowski metric."""
+    params = FAMILIES[family]
+    sq = sum(g * v * v for g, v in zip(MINKOWSKI, xi))
+    quad = sq / 2
+    if family == "euclidean":
+        return quad
+    if family == "cubic_a":
+        a3 = np.asarray(params["a3"]).reshape(4, 4, 4)
+        return quad + sum(a3[i, k, l] * xi[i] * xi[k] * xi[l]
+                          for i in range(4) for k in range(4) for l in range(4)) / 6
+    bxi = sum(b * v for b, v in zip(params["b"], xi))
+    if family == "constant_a":
+        return bxi + quad
+    if family == "case1":
+        return bxi * (1 + params["alpha"] * sq) + quad
+    return bxi * (1 + params["alpha"] / (1 + params["beta"] * sq)) + quad
+
+
+@lru_cache(maxsize=None)
+def _derivatives(family, order):
+    """d^order W / dxi^..., one lambdified function per sorted index tuple."""
+    xi = sympy.symbols("xi0:4")
+    w = _closed_form(family, xi)
+    return {combo: sympy.lambdify(xi, sympy.diff(w, *(xi[i] for i in combo)), "numpy")
+            for combo in combinations_with_replacement(range(4), order)}
+
+
+def exact_tensor(family, x, xp, nx, npr):
+    xi = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
+    out = np.zeros((4,) * (nx + npr))
+    for combo, fn in _derivatives(family, nx + npr).items():
+        value = (-1) ** npr * float(fn(*xi))
+        for idx in set(permutations(combo)):
+            out[idx] = value
+    return out
+
+
+def worst_errors(family):
+    """Worst relative error per total order 1..4 over both anchors."""
+    w = world(family, **FAMILIES[family])
+    worst = [0.0] * 4
+    for x, xp in ANCHORS:
+        got = fd.partial_tensors(w, x, xp, ORDERS)
+        for nx, npr in ORDERS:
+            want = exact_tensor(family, x, xp, nx, npr)
+            err = np.max(np.abs(got[(nx, npr)] - want)) / max(1.0, np.max(np.abs(want)))
+            worst[nx + npr - 1] = max(worst[nx + npr - 1], float(err))
+    return worst
+
+
+def test_exact_tensors_match_mixed_signs():
+    # t_(1,1) of the quadratic form is -g: the primed slot carries the sign
+    assert np.array_equal(exact_tensor("euclidean", X0, XP0, 1, 1), -np.diag(MINKOWSKI))
+    assert np.array_equal(exact_tensor("euclidean", X0, XP0, 2, 0), np.diag(MINKOWSKI))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fd_error_within_budget(family):
+    worst = worst_errors(family)
+    for order, (err, budget) in enumerate(zip(worst, (b[0] for b in BUDGETS[family])), start=1):
+        assert err <= budget, (family, order, err)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -303,6 +304,19 @@ def test_sampler_validates_inputs(case1):
     w_misaligned = world("case1", b=[1, 0.5, 0, 0], alpha=0.2)
     with pytest.raises(GeometryError, match="aligned"):
         sample_axisymmetric_tube(w_misaligned, np.array([1.0, 0, 0, 0]), "n", [0.5])
+
+
+@pytest.mark.parametrize("tau, reason", [(1e20, "round-off"), (1e100, "round-off"),
+                                         (1e300, "not finite")])
+def test_sampler_huge_tau_is_geometry_error(tau, reason):
+    # far out the residual cancels to round-off on every probe, or
+    # overflows: an error naming the tau, not roots at the probe radii
+    w = world("case1", b=[1, 0, 0, 0], alpha=0.1)
+    for kind in ("n", "f", "p"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=re.escape(f"{reason} at tau {tau!r}")):
+                sample_axisymmetric_tube(w, np.array([1.0, 0, 0, 0]), kind, [0.5, tau])
 
 
 def test_sampler_directed_kinds_run(case1):
