@@ -19,7 +19,6 @@ all shipped world families are smooth there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -76,8 +75,7 @@ class DerivativeBundle:
         return self.tensors[part][(nx, npr)]
 
 
-def fd_derivatives(w: WorldFunction, x, xp, max_order: int = 3,
-                   h: Optional[float] = None) -> DerivativeBundle:
+def fd_derivatives(w: WorldFunction, x, xp, max_order: int = 3) -> DerivativeBundle:
     """Central-difference derivative bundle at (x, xp), orders 1..max_order.
 
     The symmetry defect report compares first derivatives against the
@@ -89,8 +87,8 @@ def fd_derivatives(w: WorldFunction, x, xp, max_order: int = 3,
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     orders = [slot for o in range(1, max_order + 1) for slot in _ORDER_SLOTS[o]]
-    tensors = fd.part_tensors(w, x, xp, orders, h=h)
-    rev = fd.part_tensors(w, xp, x, [(0, 1)], h=h)
+    tensors = fd.part_tensors(w, x, xp, orders)
+    rev = fd.part_tensors(w, xp, x, [(0, 1)])
     defects = {
         "sym_swap": float(np.max(np.abs(tensors["sym"][(1, 0)] - rev["sym"][(0, 1)]))),
         "asym_swap": float(np.max(np.abs(tensors["asym"][(1, 0)] + rev["asym"][(0, 1)]))),
@@ -315,23 +313,6 @@ def transport_matrix(w: WorldFunction, space: str, x, xp) -> np.ndarray:
 def parallel_transport(w: WorldFunction, space: str, x, xp, covec) -> np.ndarray:
     covec = np.asarray(covec, dtype=float)
     return transport_matrix(w, space, x, xp) @ covec
-
-
-def metric_by_transport(w: WorldFunction, x, xp, anchor_metric: np.ndarray) -> np.ndarray:
-    """Reconstruct the flat-space metric at x by transporting a symmetric
-    anchor metric from xp (the tilde space of the full world function)."""
-    t = transport_matrix(w, "tilde_xprime", x, xp)
-    return t @ np.asarray(anchor_metric, dtype=float) @ t.T
-
-
-def metric_two_point_form(w: WorldFunction, x, xp, anchor_metric: np.ndarray) -> np.ndarray:
-    """Same metric assembled directly from mixed second derivatives and the
-    coincidence inverse; must agree with metric_by_transport."""
-    s = _mixed_second(w, x, xp, "full")
-    s0 = _mixed_second(w, xp, xp, "full")
-    v0 = _inv(s0.T, "anchor fundamental metric").T
-    inner = v0.T @ np.asarray(anchor_metric, dtype=float) @ v0
-    return s @ inner @ s.T
 
 
 # ---------------------------------------------------------------------------

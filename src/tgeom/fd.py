@@ -17,16 +17,17 @@ Step sizes balance truncation against rounding per total derivative order:
     order 1: eps^(1/5) * s     order 2: eps^(1/4) * s
     order 3: eps^(1/5) * s     order 4: eps^(1/6) * s
 
-with s = 1 + max-norm of the anchor points.  Each request is served by a
-stencil plan, built once per (dim, orders, step mode, coincidence): the
-unique stencil points of all requested tensors, as integer offset rows per
-step class, with gather indices back to each entry's stencil.  One
-world-function call over the unique points then serves every tensor.
-part_tensors serves the world function and both its parts from that one
-call at coincidence (xp = x), where every swapped pair (Q, P) is itself a
-stencil point, and from two calls elsewhere; kind_tensor serves the
-two-point function k(a, b) of a tube or line kind.  Reading one value for
-several entries assumes pointwise evaluation (worlds.world_from_callable).
+with s = 1 + max-norm of the anchor points; no caller sets a step of its
+own.  Each request is served by a stencil plan, built once per (dim,
+orders, coincidence): the unique stencil points of all requested tensors,
+as integer offset rows per step class, with gather indices back to each
+entry's stencil.  One world-function call over the unique points then
+serves every tensor.  part_tensors serves the world function and both its
+parts from that one call at coincidence (xp = x), where every swapped pair
+(Q, P) is itself a stencil point, and from two calls elsewhere;
+kind_tensor serves the two-point function k(a, b) of a tube or line kind.
+Reading one value for several entries assumes pointwise evaluation
+(worlds.world_from_callable).
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ class _Plan:
     """The unique stencil points of one tensor request and how to read them.
 
     Unique row r is the point pair (x + step * offs_x[r], xp + step * offs_xp[r])
-    with the step of class cls[r]: orders 1 and 3 share a step, and an explicit
-    h puts every order in one class.  The zero-offset row, the anchor pair
+    with the step of class cls[r], step_size(class_orders[cls[r]], x, xp):
+    orders 1 and 3 share a step.  The zero-offset row, the anchor pair
     at any step, is listed once, in class 0, as row anchor; its points are
     (x, xp) themselves, so a -0.0 coordinate keeps its sign.  Order (0, 0)
     reads that row.  values[gather] lists the row values
@@ -167,7 +168,7 @@ class _Plan:
     gather: np.ndarray            # (m,) int32, m = stencil points of all entries
     swap: np.ndarray | None       # (n,) int32, coincident plans only
     anchor: int | None            # the zero-offset row, if any
-    n_classes: int
+    class_orders: tuple           # per step class, a total order that takes its step
     # per requested order: (order, class, entries), entries being
     # (slice of the gathered values, unit weights, targets); for (0, 0)
     # the position of the anchor pair's value in the gathered values
@@ -175,8 +176,8 @@ class _Plan:
 
 
 @lru_cache(maxsize=None)
-def _stencil_plan(dim: int, orders: tuple, explicit_step: bool, coincident: bool) -> _Plan:
-    classes, tensors, blocks = {}, [], []
+def _stencil_plan(dim: int, orders: tuple, coincident: bool) -> _Plan:
+    classes, tensors, blocks = {}, [], []  # classes: step coefficient -> (class, order)
     cursor = 0
     for nx, npr in orders:
         if nx == 0 and npr == 0:
@@ -184,7 +185,7 @@ def _stencil_plan(dim: int, orders: tuple, explicit_step: bool, coincident: bool
             tensors.append(((nx, npr), 0, cursor))
             cursor += 1
             continue
-        cls = classes.setdefault(None if explicit_step else _STEP_COEF[nx + npr], len(classes))
+        cls, _ = classes.setdefault(_STEP_COEF[nx + npr], (len(classes), nx + npr))
         entries = []
         for offs_x, offs_xp, wts, targets in _tensor_entries(dim, nx, npr):
             k = len(wts)
@@ -211,8 +212,8 @@ def _stencil_plan(dim: int, orders: tuple, explicit_step: bool, coincident: bool
                  offs_xp=unique[:, 1 + dim:].copy(),
                  gather=row_of[:cursor].astype(np.int32), swap=swap,
                  anchor=int(zero[0]) if zero.size else None,
-                 # the anchor row alone still reads a class step
-                 n_classes=max(len(classes), 1), tensors=tuple(tensors))
+                 class_orders=tuple(order for _, order in classes.values()),
+                 tensors=tuple(tensors))
 
 
 class _Parts:
@@ -237,18 +238,17 @@ class _Parts:
         return np.stack([fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev)])
 
 
-def partial_tensor(fn, x, xp, nx: int, npr: int, h: float | None = None):
+def partial_tensor(fn, x, xp, nx: int, npr: int):
     """Mixed partial tensor of a two-point scalar fn(x, xp).
 
     fn must broadcast over leading axes.  Result shape is (d,)*(nx+npr) with
     the nx unprimed indices first.  Entries related by permutations inside
     the unprimed (or primed) group are computed once and mirrored.
     """
-    results = partial_tensors(fn, x, xp, [(nx, npr)], h=h)
-    return results[(nx, npr)]
+    return partial_tensors(fn, x, xp, [(nx, npr)])[(nx, npr)]
 
 
-def partial_tensors(fn, x, xp, orders, h: float | None = None):
+def partial_tensors(fn, x, xp, orders):
     """Batch form: orders is a list of (nx, npr); one fn call evaluates the
     unique stencil points of every requested tensor.  fn may return value
     rows stacked on a leading axis; each row then gets its own tensor."""
@@ -256,21 +256,18 @@ def partial_tensors(fn, x, xp, orders, h: float | None = None):
     xp = np.asarray(xp, dtype=float)
     d = x.shape[-1]
     coincident = isinstance(fn, _Parts) and np.array_equal(x, xp)
-    plan = _stencil_plan(d, tuple((nx, npr) for nx, npr in orders), h is not None, coincident)
+    plan = _stencil_plan(d, tuple((nx, npr) for nx, npr in orders), coincident)
 
     # stencils far out in the chart overflow: raise below rather than warn
     with np.errstate(all="ignore"):
-        steps = []  # per requested order
-        class_step = np.zeros(plan.n_classes)
+        # the anchor row alone still reads a class step
+        class_step = np.zeros(max(len(plan.class_orders), 1))
+        for cls, order in enumerate(plan.class_orders):
+            class_step[cls] = step_size(order, x, xp)
         for (nx, npr), cls, _ in plan.tensors:
             total = nx + npr
-            step = None
-            if total:
-                step = h if h is not None else step_size(total, x, xp)
-                if not np.isfinite(step**total):
-                    raise FloatingPointError(f"stencil step overflows at derivative order {total}")
-                class_step[cls] = step
-            steps.append(step)
+            if total and not np.isfinite(class_step[cls]**total):
+                raise FloatingPointError(f"stencil step overflows at derivative order {total}")
 
         if plan.gather.size:
             step = class_step[plan.cls, None]
@@ -290,11 +287,11 @@ def partial_tensors(fn, x, xp, orders, h: float | None = None):
     rows = np.atleast_2d(values)
 
     out = {}
-    for ((nx, npr), _, entries), step in zip(plan.tensors, steps):
-        if step is None:
+    for (nx, npr), cls, entries in plan.tensors:
+        if nx == npr == 0:
             out[(nx, npr)] = np.array(values[..., entries])
             continue
-        scale = step**(nx + npr)
+        scale = class_step[cls]**(nx + npr)
         tensor = np.zeros((len(rows),) + (d,) * (nx + npr))
         for sl, unit, targets in entries:
             wts = unit / scale
@@ -305,13 +302,13 @@ def partial_tensors(fn, x, xp, orders, h: float | None = None):
     return out
 
 
-def part_tensors(w, x, xp, orders, h: float | None = None):
+def part_tensors(w, x, xp, orders):
     """partial_tensors of w and of its parts, keyed "full", "sym", "asym".
 
     One stencil serves all three: one world call over its unique points at
     coincidence (xp = x), two elsewhere, w(P, Q) and w(Q, P).
     """
-    stacked = partial_tensors(_Parts(w), x, xp, orders, h=h)
+    stacked = partial_tensors(_Parts(w), x, xp, orders)
     return {part: {key: t[i] for key, t in stacked.items()}
             for i, part in enumerate(("full", "sym", "asym"))}
 

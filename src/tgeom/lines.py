@@ -286,42 +286,40 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
 # ---------------------------------------------------------------------------
 
 
-def resample_by_chord(points: np.ndarray, n: int = 129) -> np.ndarray:
-    """Resample a polyline at n points equally spaced in normalized
-    cumulative chord length."""
-    points = np.asarray(points, dtype=float)
+# samples per curve in the chord-length comparisons
+_RESAMPLE_POINTS = 129
+
+
+def _resample_at_chord(points: np.ndarray, targets: np.ndarray, normalized: bool) -> np.ndarray:
+    """A polyline's points at the given cumulative chord lengths, measured
+    as fractions of its whole length when normalized.  A normalized polyline
+    of zero length is its first point repeated."""
     seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    if s[-1] == 0.0:
-        return np.repeat(points[:1], n, axis=0)
-    s /= s[-1]
-    targets = np.linspace(0.0, 1.0, n)
-    out = np.empty((n, points.shape[1]))
-    for j in range(points.shape[1]):
-        out[:, j] = np.interp(targets, s, points[:, j])
-    return out
+    if normalized:
+        if s[-1] == 0.0:
+            return np.repeat(points[:1], len(targets), axis=0)
+        s /= s[-1]
+    return np.stack([np.interp(targets, s, points[:, j]) for j in range(points.shape[1])],
+                    axis=1)
 
 
-def curve_deviation(a: np.ndarray, b: np.ndarray, n: int = 129) -> float:
+def resample_by_chord(points: np.ndarray) -> np.ndarray:
+    """Resample a polyline at 129 (_RESAMPLE_POINTS) points equally spaced in
+    normalized cumulative chord length."""
+    return _resample_at_chord(np.asarray(points, dtype=float),
+                              np.linspace(0.0, 1.0, _RESAMPLE_POINTS), True)
+
+
+def curve_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Max pointwise distance between two curves after chord-length
     alignment."""
-    ra = resample_by_chord(a, n)
-    rb = resample_by_chord(b, n)
+    ra = resample_by_chord(a)
+    rb = resample_by_chord(b)
     return float(np.max(np.linalg.norm(ra - rb, axis=1)))
 
 
-def _resample_by_abs_arc(points: np.ndarray, smax: float, n: int) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, smax, n)
-    return np.stack(
-        [np.interp(targets, s, points[:, j]) for j in range(points.shape[1])],
-        axis=1,
-    )
-
-
-def path_deviation(a: np.ndarray, b: np.ndarray, n: int = 129) -> float:
+def path_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Max pointwise distance between two curves compared at equal absolute
     chord length, truncated to the shorter curve.
 
@@ -332,9 +330,9 @@ def path_deviation(a: np.ndarray, b: np.ndarray, n: int = 129) -> float:
     b = np.asarray(b, dtype=float)
     la = float(np.sum(np.linalg.norm(np.diff(a, axis=0), axis=1)))
     lb = float(np.sum(np.linalg.norm(np.diff(b, axis=0), axis=1)))
-    smax = min(la, lb)
-    ra = _resample_by_abs_arc(a, smax, n)
-    rb = _resample_by_abs_arc(b, smax, n)
+    targets = np.linspace(0.0, min(la, lb), _RESAMPLE_POINTS)
+    ra = _resample_at_chord(a, targets, False)
+    rb = _resample_at_chord(b, targets, False)
     return float(np.max(np.linalg.norm(ra - rb, axis=1)))
 
 

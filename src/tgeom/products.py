@@ -220,15 +220,14 @@ def _predicate_scale(lp2: float, lq2: float) -> float:
     return scale if scale > 0.0 else 1.0
 
 
-def is_collinear(w: WorldFunction, kind: str, p: Multivector, q: Multivector,
-                 rtol: float = PREDICATE_RTOL) -> bool:
+def is_collinear(w: WorldFunction, kind: str, p: Multivector, q: Multivector) -> bool:
     """Boolean form of collinearity_residual with relative tolerance scaled
     by the product of the two squared lengths (or 1 when either vanishes)."""
     res = collinearity_residual(w, kind, p, q)
-    return abs(res) <= rtol * _predicate_scale(gram(w, p), gram(w, q))
+    return abs(res) <= PREDICATE_RTOL * _predicate_scale(gram(w, p), gram(w, q))
 
 
 def is_parallel(w: WorldFunction, kind: str, sense: str, p: Multivector,
-                q: Multivector, rtol: float = PREDICATE_RTOL) -> bool:
+                q: Multivector) -> bool:
     res = parallelism_residual(w, kind, sense, p, q)
-    return abs(res) <= rtol * _predicate_scale(gram(w, p), gram(w, q))
+    return abs(res) <= PREDICATE_RTOL * _predicate_scale(gram(w, p), gram(w, q))

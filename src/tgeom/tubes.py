@@ -14,7 +14,7 @@ fd.kind_tensor); a chain step holds 2 k(mid, next) at mu^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -351,19 +351,17 @@ def _block_profiles(residual, y2: float, taus: np.ndarray, rmaxs: np.ndarray):
     return out
 
 
-def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[float],
-                             rmax: Optional[float] = None):
+def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[float]):
     """Radial profile of the first-order tube with skeleton (origin, y).
 
     For each tau, finds all r >= 0 such that the point tau*y + r*|y|*e_perp
     lies on the tube of the given kind, with e_perp the deterministic unit
     normal to y.  Roots are bracketed on a geometric grid out to rmax, solved
     by Brent's method to 1e-12 and polished with one Newton step; roots
-    closer than 1e-8 are merged (tangential root at a fold).  The default
-    rmax is per tau, max(10 (1 + 1/g), 3 + 2 sqrt(3) |tau|) for reduced
-    asymmetry g, so no tau's profile depends on the other taus; an explicit
-    rmax applies to every tau.  Taus are sampled in blocks of _TAU_BLOCK,
-    which bounds memory however long the grid is.
+    closer than 1e-8 are merged (tangential root at a fold).  rmax is per
+    tau, max(10 (1 + 1/g), 3 + 2 sqrt(3) |tau|) for reduced asymmetry g, so
+    no tau's profile depends on the other taus.  Taus are sampled in blocks
+    of _TAU_BLOCK, which bounds memory however long the grid is.
 
     Returns a list of (tau, [radii]) pairs.
     """
@@ -387,11 +385,8 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     e_perp = spacelike_unit_normal(w, y)
 
     taus = np.asarray(tau_grid, dtype=float).reshape(-1)
-    if rmax is None:
-        base = 10.0 * (1.0 + 1.0 / max(reduced_asymmetry(w, y), 1e-2))
-        rmaxs = np.maximum(base, 3.0 + 2.0 * np.sqrt(3.0) * np.abs(taus))
-    else:
-        rmaxs = np.full(taus.shape, float(rmax))
+    base = 10.0 * (1.0 + 1.0 / max(reduced_asymmetry(w, y), 1e-2))
+    rmaxs = np.maximum(base, 3.0 + 2.0 * np.sqrt(3.0) * np.abs(taus))
 
     def residual(tau, r):
         return _first_order(w, kind, origin, y, tau[..., None] * y + r[..., None] * ynorm * e_perp)

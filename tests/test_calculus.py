@@ -20,8 +20,6 @@ from tgeom.calculus import (
     _coefficients_from,
     _CURVATURE_ORDERS,
     _F_ORDERS,
-    metric_by_transport,
-    metric_two_point_form,
 )
 from tgeom import fd
 from conftest import world, _WARP
@@ -289,6 +287,22 @@ def test_transport_is_identity_everywhere_flat(minkowski):
     for space in ("tilde_xprime", "tilde_x", "g_xprime", "g_x"):
         out = parallel_transport(minkowski, space, X0, XP0, v)
         assert np.max(np.abs(out - v)) < 1e-7
+
+
+def metric_by_transport(w, x, xp, anchor_metric):
+    """Reconstruct the flat-space metric at x by transporting a symmetric
+    anchor metric from xp (the tilde space of the full world function)."""
+    t = transport_matrix(w, "tilde_xprime", x, xp)
+    return t @ np.asarray(anchor_metric, dtype=float) @ t.T
+
+
+def metric_two_point_form(w, x, xp, anchor_metric):
+    """Same metric assembled directly from mixed second derivatives and the
+    coincidence inverse; must agree with metric_by_transport."""
+    s = fd.partial_tensor(w, x, xp, 1, 1)
+    v0 = np.linalg.inv(fd.partial_tensor(w, xp, xp, 1, 1).T).T
+    inner = v0.T @ np.asarray(anchor_metric, dtype=float) @ v0
+    return s @ inner @ s.T
 
 
 def test_metric_reconstruction_two_routes(cubic):

@@ -144,6 +144,25 @@ def test_check_euclideaness_report(tmp_path, world_file):
     assert doc["summary"]["classification"] == "not_euclidean"
 
 
+def test_check_euclideaness_probes(tmp_path, world_file):
+    # --probes N runs the check on N diagnostic probes, at least 4
+    path = world_file(CASE1)
+    reports = {}
+    for count in (2, 4, 6):
+        out = tmp_path / f"probes{count}.json"
+        assert run(["check", "euclideaness", "--world", path, "--probes", str(count),
+                    "--seed", "3", "--out", str(out)]) == 0
+        reports[count] = out.read_text()
+    w = tgeom.make_world(tgeom.WorldSpec.from_json(json.dumps(CASE1)))
+    basis = 0.5 * np.vstack([np.zeros(4), np.eye(4)])
+    basis[:, 0] += 0.1 * np.arange(5)
+    probes = tgeom.degeneracy.diagnostic_probes(4, 6, seed=3)
+    want = tgeom.euclideaness_check(w, 4, basis, probes, seed=3)
+    assert reports[6] == want.to_json() + "\n"
+    assert reports[2] == reports[4]
+    assert reports[4] != reports[6]
+
+
 def test_coefficients_report(tmp_path, world_file):
     out = tmp_path / "coeffs.json"
     assert run(["coefficients", "--world", world_file(CASE1),

@@ -190,6 +190,17 @@ def test_eta_case1_matches_closed_form(case1):
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
+def test_eta_case2_matches_screened_closed_form(case2):
+    # the screened family's anisotropy is alpha b.xi / (1 + beta xi^2)
+    rng = np.random.default_rng(6)
+    mink = np.diag([1.0, -1, -1, -1])
+    for _ in range(50):
+        x, xp, y = rng.normal(size=(3, 4))
+        got = eta_triangle(case2, x, xp, y)
+        want = eta_case1_closed(x, xp, y, 0.2, [1, 0, 0, 0], mink, screened_beta=1.0)
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+
 def test_eta_symmetry_properties(case1):
     rng = np.random.default_rng(7)
     for _ in range(50):

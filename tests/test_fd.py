@@ -28,7 +28,7 @@ ORDER_SETS = {
 PARTS = ("full", "sym", "asym")
 
 
-def naive_part_tensors(w, x, xp, orders, h=None):
+def naive_part_tensors(w, x, xp, orders):
     """part_tensors entry by entry: two world calls per entry stencil."""
     out = {part: {} for part in PARTS}
     for nx, npr in orders:
@@ -38,7 +38,7 @@ def naive_part_tensors(w, x, xp, orders, h=None):
             for part, value in zip(PARTS, (fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev))):
                 out[part][(nx, npr)] = np.asarray(value, dtype=float)[()]
             continue
-        step = h if h is not None else fd.step_size(order, x, xp)
+        step = fd.step_size(order, x, xp)
         tensors = np.zeros((3,) + (x.shape[-1],) * order)
         for offs_x, offs_xp, unit, targets in fd._tensor_entries(x.shape[-1], nx, npr):
             p, q = x + step * offs_x, xp + step * offs_xp
@@ -53,15 +53,15 @@ def naive_part_tensors(w, x, xp, orders, h=None):
     return out
 
 
-@pytest.mark.parametrize("h", [None, 2e-3], ids=["auto_step", "explicit_h"])
-@pytest.mark.parametrize("anchor", ANCHORS)
+# every step comes from the per-order rule, fd.step_size: "auto_step"
+@pytest.mark.parametrize("anchor", ANCHORS, ids=[f"{name}-auto_step" for name in ANCHORS])
 @pytest.mark.parametrize("orders", ORDER_SETS.values(), ids=ORDER_SETS.keys())
-def test_plan_matches_naive_entries(all_worlds, orders, anchor, h):
+def test_plan_matches_naive_entries(all_worlds, orders, anchor):
     x, xp = ANCHORS[anchor]
     for name, w in all_worlds.items():
-        got = fd.part_tensors(w, x, xp, orders, h=h)
-        want = naive_part_tensors(w, x, xp, orders, h=h)
-        plain = fd.partial_tensors(w, x, xp, orders, h=h)
+        got = fd.part_tensors(w, x, xp, orders)
+        want = naive_part_tensors(w, x, xp, orders)
+        plain = fd.partial_tensors(w, x, xp, orders)
         for part in PARTS:
             for key in orders:
                 assert np.array_equal(got[part][key], want[part][key]), (name, part, key)
@@ -86,8 +86,7 @@ def _recording(w, dim):
 def test_world_never_sees_a_repeated_row(cubic, orders, anchor):
     xp = X0 if anchor == "coincident" else XP0
     for run in (lambda w: fd.part_tensors(w, X0, xp, orders),
-                lambda w: fd.partial_tensors(w, X0, xp, orders),
-                lambda w: fd.part_tensors(w, X0, xp, orders, h=1e-3)):
+                lambda w: fd.partial_tensors(w, X0, xp, orders)):
         w, calls = _recording(cubic, 4)
         run(w)
         for rows in calls:
@@ -107,7 +106,7 @@ def test_world_calls_per_request(cubic):
     # a second-order stencil already holds the anchor pair
     w, calls = _recording(cubic, 4)
     fd.part_tensors(w, X0, XP0, [(0, 0), (0, 1), (0, 2)])
-    alone = fd._stencil_plan(4, ((0, 1), (0, 2)), False, False)
+    alone = fd._stencil_plan(4, ((0, 1), (0, 2)), False)
     assert [len(rows) for rows in calls] == [len(alone.cls)] * 2
 
 
@@ -135,7 +134,7 @@ def test_plan_is_built_once(cubic):
 
 
 def test_coincident_plan_is_closed_under_swap():
-    plan = fd._stencil_plan(4, tuple(_COEFFICIENT_ORDERS), False, True)
+    plan = fd._stencil_plan(4, tuple(_COEFFICIENT_ORDERS), True)
     assert len(plan.cls) == 1057 and len(plan.gather) == 1184
     assert np.array_equal(plan.swap[plan.swap], np.arange(len(plan.cls)))
     assert np.array_equal(plan.offs_x[plan.swap], plan.offs_xp)
@@ -146,7 +145,7 @@ def test_coincident_plan_is_closed_under_swap():
 def test_newton_plans_keep_their_size(orders, points):
     # the Newton residuals and Jacobians of chains, lines and seeds read these
     # separated plans; their fourth-order first-derivative rule stays
-    plan = fd._stencil_plan(4, (orders,), False, False)
+    plan = fd._stencil_plan(4, (orders,), False)
     assert len(plan.cls) == points
 
 
@@ -163,6 +162,6 @@ def test_non_finite_world_value_raises(cubic, bad, anchor):
     w = world_from_callable(spoiled, 4)
     for run in (lambda: fd.part_tensors(w, X0, xp, _COEFFICIENT_ORDERS),
                 lambda: fd.partial_tensors(w, X0, xp, [(1, 1)]),
-                lambda: fd.partial_tensors(w, X0, xp, [(2, 0)], h=1e-3)):
+                lambda: fd.partial_tensors(w, X0, xp, [(2, 0)])):
         with pytest.raises(FloatingPointError, match="non-finite"):
             run()

@@ -342,7 +342,7 @@ def test_screened_spacelike_extent_bounded(case2):
     # even though the search bracket extends far further
     y = np.array([1.0, 0, 0, 0])
     with np.errstate(all="ignore"):
-        [(_, radii)] = sample_axisymmetric_tube(case2, y, "n", [0.0], rmax=60.0)
+        [(_, radii)] = sample_axisymmetric_tube(case2, y, "n", [0.0])
     assert radii, "the spacelike section is nonempty"
     assert max(radii) < 2.0
 
