@@ -28,7 +28,6 @@ from .products import (
     multivector_product,
     parallelism_residual,
     product_matrix,
-    squared_length,
     vector_product,
     vector_product_parts,
 )
@@ -52,13 +51,11 @@ from .calculus import (
     ChristoffelSet,
     CoincidenceCoefficients,
     CurvatureBundle,
-    DerivativeBundle,
     FundamentalMetric,
     christoffels,
     coincidence_coefficients,
     curvature_bundle,
     f_tensor,
-    fd_derivatives,
     flat_curvature_defect,
     fundamental_metric,
     parallel_transport,

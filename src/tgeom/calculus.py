@@ -49,54 +49,6 @@ def _inv(m: np.ndarray, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Derivative bundles
-# ---------------------------------------------------------------------------
-
-_ORDER_SLOTS = {
-    1: [(1, 0), (0, 1)],
-    2: [(2, 0), (1, 1), (0, 2)],
-    3: [(3, 0), (2, 1), (1, 2), (0, 3)],
-    4: [(2, 2)],
-}
-
-
-@dataclass
-class DerivativeBundle:
-    """Raw mixed partials of the world function and of its symmetric and
-    antisymmetric parts, up to the requested order."""
-
-    x: np.ndarray
-    xp: np.ndarray
-    max_order: int
-    tensors: dict  # part -> {(nx, npr): ndarray}
-    symmetry_defects: dict
-
-    def get(self, part: str, nx: int, npr: int) -> np.ndarray:
-        return self.tensors[part][(nx, npr)]
-
-
-def fd_derivatives(w: WorldFunction, x, xp, max_order: int = 3) -> DerivativeBundle:
-    """Central-difference derivative bundle at (x, xp), orders 1..max_order.
-
-    The symmetry defect report compares first derivatives against the
-    argument-swapped evaluation: the symmetric part must agree, the
-    antisymmetric part must negate.
-    """
-    if not 1 <= max_order <= 4:
-        raise ValueError("max_order must be in 1..4")
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    orders = [slot for o in range(1, max_order + 1) for slot in _ORDER_SLOTS[o]]
-    tensors = fd.part_tensors(w, x, xp, orders)
-    rev = fd.part_tensors(w, xp, x, [(0, 1)])
-    defects = {
-        "sym_swap": float(np.max(np.abs(tensors["sym"][(1, 0)] - rev["sym"][(0, 1)]))),
-        "asym_swap": float(np.max(np.abs(tensors["asym"][(1, 0)] + rev["asym"][(0, 1)]))),
-    }
-    return DerivativeBundle(x, xp, max_order, tensors, defects)
-
-
-# ---------------------------------------------------------------------------
 # Fundamental metrics and Christoffel symbols
 # ---------------------------------------------------------------------------
 

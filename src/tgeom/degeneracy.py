@@ -30,7 +30,7 @@ from .errors import (
     SingularMetricError,
 )
 from .products import Multivector, gram, product_matrix
-from .worlds import WorldFunction
+from .worlds import WorldFunction, parts
 
 #: Pass thresholds: algebraic identities at 1e-8, the eikonal limit at 1e-4.
 IDENTITY_THRESHOLD = 1e-8
@@ -167,14 +167,16 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
         raise ValueError("need at least one probe point")
     report = DegeneracyReport(world=w.kind)
 
-    # I: symmetry of the world function over probe pairs.  I and III make
-    # one world call per probe row: a pair array would grow with its square
+    # I: symmetry of the world function over probe pairs.  I and III call
+    # the world per probe row (I in both orders): a pair array would grow
+    # with its square
     asym = 0.0
     scale_sig = 1.0
     for i in range(len(pts) - 1):
         later = pts[i + 1:]
-        asym = max([asym, *np.abs(w.asym(pts[i], later)).tolist()])
-        scale_sig = max([scale_sig, *np.abs(w(pts[i], later)).tolist()])
+        fwd = w(pts[i], later)
+        asym = max([asym, *np.abs(parts(fwd, w(later, pts[i]))[1]).tolist()])
+        scale_sig = max([scale_sig, *np.abs(fwd).tolist()])
     report.add("I_symmetry", asym / scale_sig, IDENTITY_THRESHOLD)
 
     # II: basis has nonzero squared length; basis+probe tuples have zero

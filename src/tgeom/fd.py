@@ -38,7 +38,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .worlds import check_kind
+from .worlds import check_kind, parts
 
 _EPS = np.finfo(float).eps
 
@@ -217,10 +217,10 @@ def _stencil_plan(dim: int, orders: tuple, coincident: bool) -> _Plan:
 
 
 class _Parts:
-    """A world function and its two parts as three stacked value rows, formed
-    pointwise exactly as w.sym / w.asym form them.  partial_tensors calls
-    at_coincidence instead when xp = x: w(Q, P) is then read from the plan's
-    own rows, so one world call serves all three."""
+    """A world function and its two parts (worlds.parts) as three stacked
+    value rows.  partial_tensors calls at_coincidence instead when xp = x:
+    w(Q, P) is then read from the plan's own rows, so one world call serves
+    all three."""
 
     def __init__(self, w):
         self.w = w
@@ -235,7 +235,7 @@ class _Parts:
 
     @staticmethod
     def _rows(fwd, rev):
-        return np.stack([fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev)])
+        return np.stack([fwd, *parts(fwd, rev)])
 
 
 def partial_tensor(fn, x, xp, nx: int, npr: int):

@@ -202,9 +202,9 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     the state (x, v) at a fixed tolerance of 1e-10; the points are its dense
     output on the uniform grid of 2 max(4, steps) intervals over tau_span.
     For the future/past kinds the world must be fine-antisymmetric
-    (vanishing coincidence gradient at x0).  The per-sample diagnostic is
-    the relative drift of the metric square of the velocity at the start of
-    the integrator step that contains the sample.  A fixed budget of
+    (vanishing coincidence gradient at x0).  The per-sample residual is
+    the embedded error estimate, relative to 1 + |state|, of the accepted
+    step that contains the sample: below the tolerance.  A fixed budget of
     attempted steps bounds the work; running out of it raises SolverError.
     """
     connection = _CONNECTION[check_kind(kind)]
@@ -230,7 +230,6 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
                 "future/past geodesic form needs a fine-antisymmetric world "
                 f"(coincidence gradient norm {rough:.3e})"
             )
-    g0 = float(v0 @ cc.g @ v0)
 
     n = 2 * max(4, int(steps))
     params = np.linspace(t0, t1, n + 1)
@@ -238,7 +237,6 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     residuals = np.empty(n + 1)
     sample = 0
     t, h = t0, (t1 - t0) / n
-    drift = 0.0  # at the start of the current step
     error_norm = 0.0
     attempts = 0
     rejected = False
@@ -255,7 +253,7 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
         for s, a in enumerate(_DP_A, 1):
             stages[s], _ = rhs(y + h * (a @ stages[:s]))
         y_new = y + h * (_DP_B @ stages[:6])
-        stages[6], cc = rhs(y_new)
+        stages[6], _ = rhs(y_new)
         scale = _ODE_TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
         error_norm = float(np.sqrt(np.mean((h * (_DP_E @ stages) / scale) ** 2)))
         if not error_norm < 1.0:
@@ -268,15 +266,13 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
         while sample <= n and (last or params[sample] < t_new):
             theta = (params[sample] - t) / h
             points[sample] = y[:d] + h * (coef[:d] @ (theta ** np.arange(1, 5)))
-            residuals[sample] = drift
+            residuals[sample] = error_norm * _ODE_TOL
             sample += 1
         factor = _MAX_FACTOR if error_norm == 0.0 else min(_MAX_FACTOR, _SAFETY * error_norm ** -0.2)
         h *= min(1.0, factor) if rejected else factor
         rejected = False
         t, y = t_new, y_new
         stages[0] = stages[6]
-        v = y[d:]
-        drift = abs(float(v @ cc.g @ v) - g0) / (1.0 + abs(g0))
     return Trajectory(params=params, points=points, kind=kind, residuals=residuals,
                       warnings=[], converged=np.ones(n + 1, dtype=bool))
 

@@ -20,7 +20,7 @@ from .errors import (
     DimensionMismatchError,
     OrderMismatchError,
 )
-from .worlds import WorldFunction, check_kind
+from .worlds import WorldFunction, check_kind, parts
 
 #: Relative tolerance for the boolean forms of the residual predicates.
 PREDICATE_RTOL = 1e-9
@@ -77,14 +77,8 @@ def vector_product_parts(w: WorldFunction, p0, p1, q0, q1) -> tuple[float, float
     """(symmetric, antisymmetric) parts of the vector product under exchange
     of the two vectors; they sum to vector_product."""
     _check_common_dim(w, p0, p1, q0, q1)
-
-    def parts(a, b):
-        return w.split(a, b)
-
-    g01, a01 = parts(p0, q1)
-    g11, a11 = parts(p1, q1)
-    g00, a00 = parts(p0, q0)
-    g10, a10 = parts(p1, q0)
+    (g01, a01), (g11, a11), (g00, a00), (g10, a10) = (
+        parts(w(a, b), w(b, a)) for a, b in ((p0, q1), (p1, q1), (p0, q0), (p1, q0)))
     return float(g01 - g11 - g00 + g10), float(a01 - a11 - a00 + a10)
 
 
@@ -151,14 +145,6 @@ def gram(w: WorldFunction, p: Multivector) -> float:
     w_ik = w(rest[:, None, :], rest[None, :, :]).reshape(n, n)
     m = w_i0[:, None] + w_0k[None, :] - w_ik
     return _det(m)
-
-
-def squared_length(w: WorldFunction, p: Multivector) -> tuple[float, bool]:
-    """(value, timelike) where value is the Gram determinant of p and
-    timelike reports value >= 0.  For order 1 the value is exactly the
-    symmetrized pair separation (one length per vector, not two)."""
-    value = gram(w, p)
-    return value, bool(value >= 0.0)
 
 
 def _real_length(value: float, what: str) -> float:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .newton import newton
 from .products import Multivector, gram
-from .worlds import WorldFunction, check_kind
+from .worlds import WorldFunction, check_kind, parts
 
 #: alpha coefficient of the factorization per kind
 _ALPHA_Q = {"f": 1.0, "p": 1.0, "n": -1.0}
@@ -102,11 +102,10 @@ def _first_order(w: WorldFunction, kind: str, p0, p1, p2):
 def _pair_values(w: WorldFunction, p0, p1, p2):
     """Symmetric separations and the triangle antisymmetry of a point triple."""
     w01, w10, w02, w20, w12, w21 = _triple_worlds(w, p0, p1, p2)
-    g02 = float(0.5 * (w02 + w20))
-    g10 = float(0.5 * (w10 + w01))
-    g12 = float(0.5 * (w12 + w21))
-    eta_f = float(0.5 * (w10 - w01) + 0.5 * (w02 - w20) + 0.5 * (w21 - w12))
-    return g02, g10, g12, eta_f
+    g10, a10 = parts(w10, w01)
+    g02, a02 = parts(w02, w20)
+    g21, a21 = parts(w21, w12)
+    return float(g02), float(g10), float(g21), float(a10 + a02 + a21)
 
 
 def _eta_q(kind: str, g10: float, g02: float, eta_f: float) -> float:
@@ -366,8 +365,7 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     Returns a list of (tau, [radii]) pairs.
     """
     check_kind(kind)
-    if w.kind not in ("case1", "case2", "constant_a", "euclidean", "cubic_a"):
-        raise GeometryError("sampler needs a world built from a WorldSpec")
+    g = _metric_of(w)
     y = np.asarray(y, dtype=float)
     origin = np.zeros(w.dim)
     with np.errstate(all="ignore"):
@@ -375,8 +373,7 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     if not 0.0 < y2 < np.inf:  # NaN at a pole of the world function fails too
         raise GeometryError(f"y must be timelike (positive finite squared separation, got {y2!r})")
     ynorm = float(np.sqrt(y2))
-    if w.spec is not None and w.spec.b is not None:
-        g = _metric_of(w)
+    if w.spec.b is not None:
         b = np.asarray(w.spec.b, dtype=float)
         y_cov = g @ y / ynorm
         kappa = float(b @ y) / ynorm

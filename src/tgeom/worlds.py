@@ -22,7 +22,7 @@ WorldFunction instances are immutable; evaluation is pure and thread-safe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
 
@@ -91,7 +91,6 @@ class WorldSpec:
     alpha: Optional[float] = None  # antisymmetry intensity
     beta: Optional[float] = None  # screening constant
     a3: Optional[np.ndarray] = None  # rank-3 fully symmetric array
-    metric_is_diagonal: bool = field(default=False, compare=False)
 
     def validate(self):
         if self.kind not in WORLD_KINDS:
@@ -145,7 +144,6 @@ class WorldSpec:
         if metric_doc is None:
             raise InvalidWorldSpecError("world spec missing 'metric'")
         metric = _numeric("metric", metric_doc)
-        diagonal = False
         if metric.ndim == 1:
             if metric.shape != (dim,):
                 raise InvalidWorldSpecError("diagonal metric must have length dim")
@@ -155,7 +153,6 @@ class WorldSpec:
                     "use a full matrix for a general constant metric"
                 )
             metric = np.diag(metric)
-            diagonal = True
         elif metric.ndim != 2:
             raise InvalidWorldSpecError("metric must be a vector or a matrix")
         a3 = _numeric("a3", doc.get("a3"))
@@ -171,7 +168,6 @@ class WorldSpec:
             alpha=doc.get("alpha"),
             beta=doc.get("beta"),
             a3=a3,
-            metric_is_diagonal=diagonal,
         )
         spec.validate()
         return spec
@@ -186,10 +182,8 @@ class WorldSpec:
 
     def to_dict(self) -> dict:
         g = np.asarray(self.metric, dtype=float)
-        if self.metric_is_diagonal or (
-            np.allclose(g, np.diag(np.diag(g)))
-            and np.all(np.isin(np.diag(g), (1.0, -1.0)))
-        ):
+        # the diagonal form only for what from_dict reads back bit for bit
+        if np.array_equal(g, np.diag(np.diag(g))) and np.all(np.isin(np.diag(g), (1.0, -1.0))):
             metric_doc = [float(v) for v in np.diag(g)]
         else:
             metric_doc = [[float(v) for v in row] for row in g]
@@ -208,11 +202,20 @@ class WorldSpec:
         return json.dumps(self.to_dict())
 
 
+def parts(fwd, rev):
+    """(symmetric, antisymmetric) parts of a world function from its values
+    in the two argument orders, fwd = w(x, xp) and rev = w(xp, x):
+    (1/2 (fwd + rev), 1/2 (fwd - rev)).  Every part in the package is
+    formed here, so all of them agree bit for bit."""
+    return 0.5 * (fwd + rev), 0.5 * (fwd - rev)
+
+
 class WorldFunction:
     """Immutable evaluator for a world function on a d-dimensional chart.
 
     ``w(x, xp)`` evaluates the world function; ``w.sym``/``w.asym`` give the
-    symmetric and antisymmetric parts, with w = sym + asym exactly.
+    symmetric and antisymmetric parts (``parts``), which sum to w up to
+    rounding.
     """
 
     def __init__(self, evaluator: Callable, dim: int, spec: Optional[WorldSpec] = None,
@@ -233,7 +236,11 @@ class WorldFunction:
 
     def sym(self, x, xp):
         """Symmetric part: the average of the two evaluation orders."""
-        return 0.5 * (self(x, xp) + self(xp, x))
+        return parts(self(x, xp), self(xp, x))[0]
+
+    def asym(self, x, xp):
+        """Antisymmetric part: half the difference of the two orders."""
+        return parts(self(x, xp), self(xp, x))[1]
 
     def of_kind(self, kind: str, x, xp):
         """The kind's two-point function k(x, xp): the world function read
@@ -244,36 +251,6 @@ class WorldFunction:
         if kind == "p":
             return self(xp, x)
         return self.sym(x, xp)
-
-    def asym(self, x, xp):
-        """Antisymmetric part: half the difference of the two orders."""
-        return 0.5 * (self(x, xp) - self(xp, x))
-
-    def split(self, x, xp):
-        """Decompose w(x, xp) into (sym, asym).
-
-        asym is defined as the forward value minus sym, so the recombination
-        sym + asym reproduces w(x, xp) to one rounding.
-        """
-        fwd = self(x, xp)
-        rev = self(xp, x)
-        sym = 0.5 * (fwd + rev)
-        return sym, fwd - sym
-
-    def distance(self, x, xp):
-        """Metric accessor: (sqrt(2w), True) when 2w >= 0, else (2w, False).
-
-        Never produces a complex number; a negative squared separation is
-        reported as the signed square with a flag.
-        """
-        two_w = 2.0 * self(x, xp)
-        if np.ndim(two_w) == 0:
-            if two_w >= 0.0:
-                return float(np.sqrt(two_w)), True
-            return float(two_w), False
-        flag = two_w >= 0.0
-        out = np.where(flag, np.sqrt(np.abs(two_w)), two_w)
-        return out, flag
 
     def __repr__(self):
         return f"WorldFunction(kind={self.kind!r}, dim={self.dim})"

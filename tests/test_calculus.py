@@ -7,7 +7,6 @@ from tgeom import (
     coincidence_coefficients,
     curvature_bundle,
     f_tensor,
-    fd_derivatives,
     flat_curvature_defect,
     fundamental_metric,
     parallel_transport,
@@ -30,26 +29,42 @@ XP0 = np.array([0.5, 0.2, -0.1, 0.1])
 
 
 # ---------------------------------------------------------------------------
-# derivative bundles
+# part tensors
 # ---------------------------------------------------------------------------
 
+FIRST = [(1, 0), (0, 1)]
+SECOND = FIRST + [(2, 0), (1, 1), (0, 2)]
+THIRD = SECOND + [(3, 0), (2, 1), (1, 2), (0, 3)]
+
+
+def swap_defects(w, x, xp, tensors):
+    """First derivatives against the argument-swapped evaluation: the
+    symmetric part must agree, the antisymmetric part must negate."""
+    rev = fd.part_tensors(w, xp, x, [(0, 1)])
+    return {
+        "sym_swap": float(np.max(np.abs(tensors["sym"][(1, 0)] - rev["sym"][(0, 1)]))),
+        "asym_swap": float(np.max(np.abs(tensors["asym"][(1, 0)] + rev["asym"][(0, 1)]))),
+    }
+
+
 def test_mixed_second_is_minus_metric(minkowski):
-    bundle = fd_derivatives(minkowski, X0, XP0, max_order=2)
-    assert np.max(np.abs(bundle.get("full", 1, 1) + MINK)) < 1e-8
-    assert bundle.symmetry_defects["sym_swap"] < 1e-12
-    assert bundle.symmetry_defects["asym_swap"] < 1e-12
+    tensors = fd.part_tensors(minkowski, X0, XP0, SECOND)
+    assert np.max(np.abs(tensors["full"][(1, 1)] + MINK)) < 1e-8
+    defects = swap_defects(minkowski, X0, XP0, tensors)
+    assert defects["sym_swap"] < 1e-12
+    assert defects["asym_swap"] < 1e-12
 
 
 def test_first_derivative_at_coincidence(case1):
-    bundle = fd_derivatives(case1, X0, X0, max_order=1)
-    assert np.max(np.abs(bundle.get("full", 1, 0) - np.array([1, 0, 0, 0]))) < 1e-10
-    assert np.max(np.abs(bundle.get("full", 0, 1) + np.array([1, 0, 0, 0]))) < 1e-10
+    tensors = fd.part_tensors(case1, X0, X0, FIRST)
+    assert np.max(np.abs(tensors["full"][(1, 0)] - np.array([1, 0, 0, 0]))) < 1e-10
+    assert np.max(np.abs(tensors["full"][(0, 1)] + np.array([1, 0, 0, 0]))) < 1e-10
 
 
 def test_third_derivative_of_cubic_part(cubic):
     a3 = np.asarray(cubic.spec.a3)
-    bundle = fd_derivatives(cubic, X0, X0, max_order=3)
-    assert np.max(np.abs(bundle.get("asym", 3, 0) - a3)) < 1e-6
+    tensors = fd.part_tensors(cubic, X0, X0, THIRD)
+    assert np.max(np.abs(tensors["asym"][(3, 0)] - a3)) < 1e-6
 
 
 def field_derivative(field, x):
@@ -106,8 +121,8 @@ def test_coincidence_coefficients_world_points(cubic):
 
 def test_symmetry_defects_exact(all_worlds):
     for name, w in all_worlds.items():
-        bundle = fd_derivatives(w, X0, XP0, max_order=1)
-        assert bundle.symmetry_defects == {"sym_swap": 0.0, "asym_swap": 0.0}, name
+        defects = swap_defects(w, X0, XP0, fd.part_tensors(w, X0, XP0, FIRST))
+        assert defects == {"sym_swap": 0.0, "asym_swap": 0.0}, name
 
 
 def test_eikonal_identity_euclidean():

@@ -149,6 +149,15 @@ def test_newton_plans_keep_their_size(orders, points):
     assert len(plan.cls) == points
 
 
+def test_parts_match_world_accessors(all_worlds):
+    # one rule (worlds.parts) forms the two parts everywhere: the stencil
+    # engine's anchor value and w.sym / w.asym agree bit for bit
+    for name, w in all_worlds.items():
+        t = fd.part_tensors(w, X0, XP0, [(0, 0)])
+        assert t["sym"][(0, 0)] == w.sym(X0, XP0), name
+        assert t["asym"][(0, 0)] == w.asym(X0, XP0), name
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("anchor", ["coincident", "separated"])
 def test_non_finite_world_value_raises(cubic, bad, anchor):

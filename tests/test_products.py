@@ -16,9 +16,9 @@ from tgeom import (
     multivector_product,
     parallelism_residual,
     product_matrix,
-    squared_length,
     vector_product,
     vector_product_parts,
+    world_from_callable,
 )
 from conftest import world
 
@@ -55,6 +55,20 @@ def test_vector_product_parts_sum(case1):
         pts = rng.normal(size=(4, 4))
         sym, asym = vector_product_parts(case1, *pts)
         assert rel_close(sym + asym, vector_product(case1, *pts), 1e-12)
+
+
+def test_vector_product_parts_world_calls(case1):
+    # one forward and one reversed call per point pair: 8 calls
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return case1(a, b)
+
+    pts = np.random.default_rng(1).normal(size=(4, 4))
+    sym, asym = vector_product_parts(world_from_callable(counted, 4), *pts)
+    assert len(calls) == 8
+    assert (sym, asym) == vector_product_parts(case1, *pts)
 
 
 def test_parts_antisym_consistency(case1):
@@ -158,13 +172,15 @@ def test_sign_flip_under_transposition(all_worlds):
 
 
 def test_squared_length(euclid2, const_a2, minkowski):
-    assert squared_length(euclid2, mv((0, 0), (3, 4))) == (25.0, True)
+    # the squared length of a vector is the Gram determinant of its two
+    # points; timelike when it is nonnegative
+    value = gram(euclid2, mv((0, 0), (3, 4)))
+    assert value == 25.0 and value >= 0.0
     # one length per vector: only the symmetric part enters
-    value, timelike = squared_length(const_a2, mv((0, 0), (1, 0)))
-    assert value == pytest.approx(1.0, abs=1e-15) and timelike
-    value, timelike = squared_length(
-        minkowski, mv((0, 0, 0, 0), (0, 1, 0, 0)))
-    assert value == -1.0 and not timelike
+    value = gram(const_a2, mv((0, 0), (1, 0)))
+    assert value == pytest.approx(1.0, abs=1e-15) and value >= 0.0
+    value = gram(minkowski, mv((0, 0, 0, 0), (0, 1, 0, 0)))
+    assert value == -1.0 and not value >= 0.0
 
 
 def test_order_mismatch_raises(euclid2):

@@ -33,6 +33,7 @@ from tgeom import (
     segment_residual,
     sphere_residual,
     tube_residual,
+    world_from_callable,
 )
 from conftest import random_a3, world
 
@@ -304,6 +305,22 @@ def test_sampler_validates_inputs(case1):
     w_misaligned = world("case1", b=[1, 0.5, 0, 0], alpha=0.2)
     with pytest.raises(GeometryError, match="aligned"):
         sample_axisymmetric_tube(w_misaligned, np.array([1.0, 0, 0, 0]), "n", [0.5])
+
+
+@pytest.mark.parametrize("label", ["case1", "custom"])
+def test_sampler_needs_a_world_spec(case1, label):
+    # a callable world has no spec to read the metric and covector from,
+    # whatever its label says; it is refused before any world call
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return case1(a, b)
+
+    w = world_from_callable(counted, 4, label=label)
+    with pytest.raises(GeometryError, match="WorldSpec"):
+        sample_axisymmetric_tube(w, np.array([1.0, 0, 0, 0]), "n", [0.5])
+    assert calls == []
 
 
 @pytest.mark.parametrize("tau, reason", [(1e20, "round-off"), (1e100, "round-off"),

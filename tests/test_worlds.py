@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tgeom import InvalidWorldSpecError, WorldSpec, make_world
+from tgeom import InvalidWorldSpecError, WorldSpec, fd, make_world
 from conftest import world
 
 
@@ -18,7 +18,7 @@ def test_constant_a_forward_backward(const_a2):
 
 
 def test_constant_a_split(const_a2):
-    sym, asym = const_a2.split((1, 0), (0, 0))
+    sym, asym = const_a2.sym((1, 0), (0, 0)), const_a2.asym((1, 0), (0, 0))
     assert sym == pytest.approx(0.5, abs=1e-15)
     assert asym == pytest.approx(0.3, abs=1e-15)
     assert sym + asym == const_a2((1, 0), (0, 0))
@@ -42,11 +42,11 @@ def test_split_is_exact_decomposition(all_worlds):
     for w in all_worlds.values():
         for _ in range(50):
             x, xp = rng.normal(size=(2, w.dim))
-            sym, asym = w.split(x, xp)
+            sym, asym = w.sym(x, xp), w.asym(x, xp)
             fwd = w(x, xp)
-            # recombination exact to one rounding
+            # recombination exact to a few roundings
             assert abs((sym + asym) - fwd) <= 4 * np.finfo(float).eps * max(1.0, abs(fwd))
-            sym_r, asym_r = w.split(xp, x)
+            sym_r, asym_r = w.sym(xp, x), w.asym(xp, x)
             scale = max(1.0, abs(sym))
             assert abs(sym_r - sym) <= 1e-13 * scale
             assert abs(asym_r + asym) <= 1e-13 * scale
@@ -72,13 +72,6 @@ def test_alpha_zero_reduces_to_constant_anisotropy(const_a4, minkowski):
             assert w0(x, xp) == pytest.approx(minkowski(x, xp), rel=1e-15, abs=1e-15)
 
 
-def test_distance_accessor(minkowski):
-    val, timelike = minkowski.distance((1, 0, 0, 0), (0, 0, 0, 0))
-    assert timelike and val == 1.0
-    val, timelike = minkowski.distance((0, 1, 0, 0), (0, 0, 0, 0))
-    assert not timelike and val == -1.0  # signed square, never complex
-
-
 def test_broadcast_evaluation(case1):
     rng = np.random.default_rng(4)
     xs = rng.normal(size=(7, 4))
@@ -95,6 +88,21 @@ def test_json_round_trip(case2):
     rng = np.random.default_rng(5)
     x, xp = rng.normal(size=(2, 4))
     assert w2(x, xp) == case2(x, xp)
+
+
+def test_json_round_trip_keeps_off_diagonal_metric():
+    # a metric within allclose of a signature diagonal is still a full matrix
+    spec = WorldSpec.from_dict({"kind": "euclidean", "dim": 2,
+                                "metric": [[1.0, 1e-9], [1e-9, -1.0]]})
+    doc = spec.to_dict()
+    assert doc["metric"] == [[1.0, 1e-9], [1e-9, -1.0]]
+    again = make_world(WorldSpec.from_json(json.dumps(doc)))
+    value = again((1, 1), (0, 0))
+    assert value == make_world(spec)((1, 1), (0, 0))
+    assert value == pytest.approx(1e-9, rel=1e-6)  # the diagonal alone gives 0.0
+    # a signature diagonal keeps its short form
+    diag = WorldSpec.from_dict({"kind": "euclidean", "dim": 2, "metric": [1, -1]})
+    assert diag.to_dict()["metric"] == [1.0, -1.0]
 
 
 def test_full_matrix_metric():
@@ -162,12 +170,11 @@ def test_dimension_mismatch(euclid2):
 
 def test_stencil_pole_raises(case2):
     # finite differencing across the screening pole must fail loudly
-    from tgeom import fd_derivatives
     x = np.zeros(4)
     xp = np.array([0.0, 1.0, 0.0, 0.0])  # separation exactly on the pole
     with pytest.raises(FloatingPointError):
         with np.errstate(all="ignore"):
-            fd_derivatives(case2, x, xp, max_order=2)
+            fd.part_tensors(case2, x, xp, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
 
 
 def test_evaluation_is_pointwise(all_worlds):
