@@ -16,7 +16,7 @@ from tgeom import (
     curvature_bundle,
     flat_curvature_defect,
     make_world,
-    parallel_transport,
+    transport_matrix,
 )
 
 
@@ -52,8 +52,8 @@ def main():
     print("=== parallel transport ===")
     v = np.array([1.0, 0.5, -0.2, 0.1])
     for space in ("tilde_xprime", "g_xprime"):
-        out = parallel_transport(w, space, x, xp, v)
-        back = parallel_transport(w, space, x, x, v)
+        out = transport_matrix(w, space, x, xp) @ v
+        back = transport_matrix(w, space, x, x) @ v
         print(f"{space:13s}: carried covector {np.round(out, 6)}; "
               f"coincidence defect {np.abs(back - v).max():.1e}")
     print()

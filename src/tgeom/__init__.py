@@ -58,7 +58,6 @@ from .calculus import (
     f_tensor,
     flat_curvature_defect,
     fundamental_metric,
-    parallel_transport,
     riemann_from_gamma,
     transport_matrix,
 )

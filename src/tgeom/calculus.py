@@ -262,11 +262,6 @@ def transport_matrix(w: WorldFunction, space: str, x, xp) -> np.ndarray:
     raise ValueError(f"unknown transport space {space!r}; expected one of {TRANSPORT_SPACES}")
 
 
-def parallel_transport(w: WorldFunction, space: str, x, xp, covec) -> np.ndarray:
-    covec = np.asarray(covec, dtype=float)
-    return transport_matrix(w, space, x, xp) @ covec
-
-
 # ---------------------------------------------------------------------------
 # Curvature machinery
 # ---------------------------------------------------------------------------
@@ -280,14 +275,15 @@ def _f_from(t: dict) -> np.ndarray:
     return t[(2, 2)] - np.einsum("sjk,sm,ilm->ilkj", t[(1, 2)], v, t[(2, 1)])
 
 
-def f_tensor(w: WorldFunction, x, xp, part: str = "full") -> np.ndarray:
-    """Two-point curvature-like tensor F[i, l, k, j] (primed pair last).
+def f_tensor(w: WorldFunction, x, xp) -> np.ndarray:
+    """Two-point curvature-like tensor F[i, l, k, j] (primed pair last) of
+    the full world function.
 
     F = w_{,il k'j'} - w_{,s j'k'} V[s, m] w_{,il m'}; identically zero for
     flat symmetric worlds in rectilinear charts.
     """
-    return _f_from(_tensors(w, np.asarray(x, float), np.asarray(xp, float),
-                            _F_ORDERS, part))
+    return _f_from(fd.partial_tensors(w, np.asarray(x, float), np.asarray(xp, float),
+                                      _F_ORDERS))
 
 
 def riemann_from_gamma(gamma: np.ndarray, gamma_derivs: np.ndarray) -> np.ndarray:
@@ -316,10 +312,9 @@ def riemann_from_gamma(gamma: np.ndarray, gamma_derivs: np.ndarray) -> np.ndarra
 class CurvatureBundle:
     """Fourth-order curvature objects at a point (feature-gated)."""
 
-    f_tilde_twopoint: np.ndarray   # F of the full world function at (x, xp)
-    f_tilde_coincident: np.ndarray
-    f_coincident: np.ndarray       # F of the symmetric part at coincidence
-    riemann: np.ndarray            # from gamma
+    f_tilde_coincident: np.ndarray  # F of the full world function at coincidence
+    f_coincident: np.ndarray        # F of the symmetric part at coincidence
+    riemann: np.ndarray             # from gamma
     riemann_tilde_f: np.ndarray
     riemann_tilde_p: np.ndarray
     defects: dict
@@ -377,7 +372,7 @@ def _connection_derivatives(cc: CoincidenceCoefficients, t: dict):
 _CURVATURE_ORDERS = [(1, 0), (2, 0), (0, 2), (3, 0), (4, 0), (3, 1), (1, 3)]
 
 
-def curvature_bundle(w: WorldFunction, x, xp=None) -> CurvatureBundle:
+def curvature_bundle(w: WorldFunction, x) -> CurvatureBundle:
     """Assemble coincidence curvature tensors and their consistency defects.
 
     Every field comes from direct coincidence stencils, with no nested
@@ -388,8 +383,7 @@ def curvature_bundle(w: WorldFunction, x, xp=None) -> CurvatureBundle:
     their derivatives follow from the chain rule along the diagonal,
     d/dx^m t_(a,b)(x, x) = t_(a+1,b) + t_(a,b+1) with m joining the unprimed
     or the primed group, and the product rule through g_inv, g_tilde_inv
-    and the future/past mixing matrices.  F of the full world at (x, xp)
-    takes one more world call when xp is given.
+    and the future/past mixing matrices.
 
     Defects reported (all should be small for the shipped worlds):
       pair_symmetry       in-group index symmetry of the coincident tensor
@@ -402,7 +396,6 @@ def curvature_bundle(w: WorldFunction, x, xp=None) -> CurvatureBundle:
     x = np.asarray(x, dtype=float)
     t = fd.part_tensors(w, x, x, _F_ORDERS + _CURVATURE_ORDERS)
     f_tilde_co, f_co = _f_from(t["full"]), _f_from(t["sym"])
-    f_two = f_tilde_co if xp is None else f_tensor(w, x, xp, part="full")
 
     cc = _coefficients_from(x, t)
     d_gamma, d_gamma_f, d_gamma_p = _connection_derivatives(cc, t)
@@ -438,7 +431,6 @@ def curvature_bundle(w: WorldFunction, x, xp=None) -> CurvatureBundle:
         )) / scale),
     }
     return CurvatureBundle(
-        f_tilde_twopoint=f_two,
         f_tilde_coincident=f_tilde_co,
         f_coincident=f_co,
         riemann=r,

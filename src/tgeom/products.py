@@ -55,28 +55,18 @@ class Multivector:
         return Multivector(pts)
 
 
-def _check_common_dim(w: WorldFunction, *points):
-    for p in points:
-        if np.asarray(p).shape[-1] != w.dim:
-            raise DimensionMismatchError(
-                f"point dimension {np.asarray(p).shape[-1]} != world dimension {w.dim}"
-            )
-
-
 def vector_product(w: WorldFunction, p0, p1, q0, q1) -> float:
     """Scalar product of the vectors p0->p1 and q0->q1.
 
     Antisymmetric under swapping p0<->p1 and under q0<->q1.  A constant
     antisymmetric component of the world cancels in the four-term sum.
     """
-    _check_common_dim(w, p0, p1, q0, q1)
     return float(w(p0, q1) - w(p1, q1) - w(p0, q0) + w(p1, q0))
 
 
 def vector_product_parts(w: WorldFunction, p0, p1, q0, q1) -> tuple[float, float]:
     """(symmetric, antisymmetric) parts of the vector product under exchange
     of the two vectors; they sum to vector_product."""
-    _check_common_dim(w, p0, p1, q0, q1)
     (g01, a01), (g11, a11), (g00, a00), (g10, a10) = (
         parts(w(a, b), w(b, a)) for a, b in ((p0, q1), (p1, q1), (p0, q0), (p1, q0)))
     return float(g01 - g11 - g00 + g10), float(a01 - a11 - a00 + a10)
@@ -86,8 +76,8 @@ def product_matrix(w: WorldFunction, p: Multivector, q: Multivector) -> np.ndarr
     """n x n matrix M_ik of vector products (p0->p_i . q0->q_k)."""
     if p.order != q.order:
         raise OrderMismatchError(f"orders differ: {p.order} != {q.order}")
-    if p.dim != q.dim or p.dim != w.dim:
-        raise DimensionMismatchError("multivector/world dimension mismatch")
+    if p.dim != q.dim:
+        raise DimensionMismatchError("multivector dimensions differ")
     p0, q0 = p.points[0], q.points[0]
     pi = p.points[1:]  # (n, d)
     qk = q.points[1:]
@@ -135,8 +125,6 @@ def gram(w: WorldFunction, p: Multivector) -> float:
     invariant under every permutation of the n+1 points.  For points in a
     flat symmetric world, sqrt(gram)/n! is the simplex volume.
     """
-    if p.dim != w.dim:
-        raise DimensionMismatchError("multivector/world dimension mismatch")
     p0 = p.points[0]
     rest = p.points[1:]
     n = p.order

@@ -9,6 +9,7 @@ from tgeom import (
     eta_case1_closed,
     eta_triangle,
     euclideaness_check,
+    gram,
     world_from_callable,
 )
 from tgeom.degeneracy import FlatBasis, diagnostic_probes
@@ -78,10 +79,10 @@ def test_flat_basis_coordinates_batch_matches_rows(case1):
 
 
 def test_euclideaness_world_call_budget(case1):
-    # probe rows, never pairs, per world call: at most 3,100 calls (5,842
-    # with a call per pair) over 35,497 points, condition I reading each row
-    # once forward and once reversed, and the same report as on the
-    # uncounted world
+    # probe rows, never pairs, per world call: 2,902 calls (5,842 with a
+    # call per pair) over 34,425 points, conditions I and III sharing one
+    # forward row per probe and II bordering the flat basis, which takes 5
+    # calls to build; the report is the one of the uncounted world
     sizes = []
 
     def counted(a, b):
@@ -91,10 +92,41 @@ def test_euclideaness_world_call_budget(case1):
     w = world_from_callable(counted, 4, label="case1")
     probes = diagnostic_probes(4, 24, seed=0)
     report = euclideaness_check(w, 4, staggered_basis(4), probes, seed=0)
-    assert len(sizes) <= 3100
-    assert sum(sizes) == 35497
+    assert (len(sizes), sum(sizes)) == (2902, 34425)
     want = euclideaness_check(case1, 4, staggered_basis(4), probes, seed=0)
     assert report.to_json() == want.to_json()
+    sizes.clear()
+    FlatBasis.build(w, Multivector(staggered_basis(4)))
+    assert len(sizes) == 5
+
+
+def condition_two_by_gram(w, n, basis_points, probes):
+    """Condition II by its definition: a Gram determinant for the basis and
+    one for each basis+probe tuple, scaled by twice the symmetric part."""
+    basis = Multivector(np.asarray(basis_points, dtype=float))
+    f_n = gram(w, basis)
+    p0 = basis.points[0]
+    scale = max((np.abs(w.sym(p0, basis.points[1:])) * 2.0).tolist())
+    nondegenerate = 1.0 if abs(f_n) <= 1e-12 * scale**n else 0.0
+    worst = 0.0
+    for q, two_sym in zip(probes, np.abs(2.0 * w.sym(p0, probes)).tolist()):
+        f_n1 = gram(w, Multivector(np.vstack([basis.points, q[None, :]])))
+        worst = max(worst, abs(f_n1) / max(abs(f_n) * (two_sym + scale), 1e-300))
+    return nondegenerate, worst
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+@pytest.mark.parametrize("n", [3, 4])
+def test_condition_two_matches_per_probe_gram(all_worlds, n, seed):
+    # the bordered flat-basis Gram matrix gives the definition's values
+    # bit for bit, on a full basis and on one of fewer points than dimensions
+    basis = staggered_basis(4)[:n + 1]
+    probes = diagnostic_probes(4, 24, seed=seed)
+    for name, w in all_worlds.items():
+        report = euclideaness_check(w, n, basis, probes)
+        nondegenerate, dimension = condition_two_by_gram(w, n, basis, probes)
+        assert report["II_basis_nondegenerate"].residual.hex() == nondegenerate.hex(), name
+        assert report["II_dimension"].residual.hex() == dimension.hex(), name
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")

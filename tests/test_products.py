@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from tgeom import (
     ComplexLengthError,
+    DimensionMismatchError,
     Multivector,
     OrderMismatchError,
     collinearity_residual,
+    eta_triangle,
     gram,
     is_collinear,
     is_parallel,
@@ -187,6 +189,22 @@ def test_order_mismatch_raises(euclid2):
     with pytest.raises(OrderMismatchError):
         multivector_product(euclid2, mv((0, 0), (1, 0)),
                             mv((0, 0), (1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda w, a, b: vector_product(w, a, a, b, a),
+    lambda w, a, b: vector_product_parts(w, a, a, b, a),
+    lambda w, a, b: product_matrix(w, mv(b, b), mv(b, b)),
+    lambda w, a, b: product_matrix(w, mv(a, a), mv(b, b)),
+    lambda w, a, b: gram(w, mv(b, b)),
+    lambda w, a, b: eta_triangle(w, a, a, b),
+], ids=["vector_product", "vector_product_parts", "product_matrix",
+        "product_matrix_operands", "gram", "eta_triangle"])
+def test_wrong_dimension_point_raises(euclid2, call):
+    # the world call rejects a point of the wrong dimension; product_matrix
+    # also rejects operands of different dimensions before any call
+    with pytest.raises(DimensionMismatchError):
+        call(euclid2, (0.0, 1.0), (0.0, 1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
