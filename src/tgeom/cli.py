@@ -235,23 +235,11 @@ def _cmd_check(args):
     return 0
 
 
-def _arrays_to_lists(doc):
-    if isinstance(doc, np.ndarray):
-        return doc.tolist()
-    if isinstance(doc, dict):
-        return {k: _arrays_to_lists(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_arrays_to_lists(v) for v in doc]
-    if isinstance(doc, (np.floating, np.integer)):
-        return doc.item()
-    return doc
-
-
 def _cmd_coefficients(args):
     w = _load_world(args.world)
     at = _parse_point(args.at, w.dim, "--at")
     cc = calculus.coincidence_coefficients(w, at)
-    doc = _arrays_to_lists({
+    doc = {
         "world": w.kind,
         "at": at,
         "a": cc.a,
@@ -267,8 +255,8 @@ def _cmd_coefficients(args):
         "gamma_tilde_p": cc.gamma_tilde_p,
         "a3": cc.a3,
         "g3": cc.g3,
-    })
-    _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
+    }
+    _atomic_write(args.out, json.dumps(doc, indent=2, default=lambda a: a.tolist()) + "\n")
     return 0
 
 
@@ -276,7 +264,7 @@ def _cmd_curvature(args):
     w = _load_world(args.world)
     at = _parse_point(args.at, w.dim, "--at")
     bundle = calculus.curvature_bundle(w, at)
-    doc = _arrays_to_lists({
+    doc = {
         "world": w.kind,
         "at": at,
         "dim": w.dim,
@@ -287,8 +275,8 @@ def _cmd_curvature(args):
         "riemann": bundle.riemann.ravel(),
         "riemann_tilde_f": bundle.riemann_tilde_f.ravel(),
         "riemann_tilde_p": bundle.riemann_tilde_p.ravel(),
-    })
-    _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
+    }
+    _atomic_write(args.out, json.dumps(doc, indent=2, default=lambda a: a.tolist()) + "\n")
     return 0
 
 

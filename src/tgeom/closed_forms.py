@@ -56,10 +56,9 @@ def case1_waist(g: float) -> Optional[tuple]:
     if disc < 0.0:
         return None
     root = np.sqrt(disc)
-    if root >= 1.0:
-        return None  # not reachable for g > 0; kept for clarity
+    # both forms avoid 1 - root, which cancels to 0 for g below about 1e-8
     r1 = 3.0 * g / (2.0 * (root + 1.0))
-    r2 = 3.0 * g / (2.0 * (1.0 - root))
+    r2 = (1.0 + root) / (2.0 * g)
     return float(r1), float(r2)
 
 

@@ -150,6 +150,12 @@ class FlatBasis:
         points = np.asarray(points, dtype=float)[..., None, :]
         return self.back + w(pts[0], points) - w(pts[1:], points)
 
+    def jacobian(self, w: WorldFunction, point) -> np.ndarray:
+        """d x_i / dq at q = point, as (n, d): one stencil of the coordinate
+        map, a value row per coordinate, stepped as at the pair (p0, point)."""
+        return fd.partial_tensor(lambda _, q: np.moveaxis(self.coordinates(w, q), -1, 0),
+                                 self.anchor.points[0], point, 0, 1)
+
 
 def diagnostic_probes(dim: int, count: int = 24, seed: int = 13) -> np.ndarray:
     """Deterministic probe points staggered along the first coordinate with
@@ -223,7 +229,8 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
     report.add("II_dimension", worst, IDENTITY_THRESHOLD)
     report.add("III_reconstruction", worst_recon, IDENTITY_THRESHOLD)
 
-    # IV: sampled solvability of the coordinate equations
+    # IV: sampled solvability of the coordinate equations, by undamped
+    # Newton on one stencil of the coordinate map per iteration
     rate = _coordinate_solve_rate(w, fb, coords, seed)
     report.add("IV_solvability", 1.0 - rate, 0.0)
 
@@ -242,8 +249,9 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
 
 
 def _coordinate_solve_rate(w, fb, coords, seed):
-    """Fraction of coordinate targets reachable by Newton on the coordinate
-    equations; targets are drawn inside the sampled coordinate range."""
+    """Fraction of coordinate targets reachable by undamped Newton on the
+    coordinate equations; targets are drawn inside the sampled coordinate
+    range."""
     if w.dim != fb.anchor.order:
         # coordinate count differs from chart dimension: the square Newton
         # system is not defined, count as unsolvable
@@ -253,7 +261,6 @@ def _coordinate_solve_rate(w, fb, coords, seed):
     rng = np.random.default_rng(seed)
     targets = lo + (hi - lo) * rng.random((_IV_TARGETS, fb.anchor.order))
     p0 = fb.anchor.points[0]
-    basis_rest = fb.anchor.points[1:]
     successes = 0
     scale = 1.0 + float(np.max(np.abs(fb.g)))
     for target in targets:
@@ -267,11 +274,7 @@ def _coordinate_solve_rate(w, fb, coords, seed):
                 if np.linalg.norm(r) <= 1e-9 * scale:
                     ok = True
                     break
-                jac = np.empty((fb.anchor.order, w.dim))
-                grad0 = fd.partial_tensor(w, p0, x, 0, 1)
-                for i, pb in enumerate(basis_rest):
-                    jac[i] = grad0 - fd.partial_tensor(w, pb, x, 0, 1)
-                step = np.linalg.solve(jac, -r)
+                step = np.linalg.solve(fb.jacobian(w, x), -r)
                 x = x + step
         except (GeometryError, FloatingPointError, np.linalg.LinAlgError):
             ok = False

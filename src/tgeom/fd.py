@@ -20,12 +20,13 @@ Step sizes balance truncation against rounding per total derivative order:
 with s = 1 + max-norm of the anchor points; no caller sets a step of its
 own.  Each request is served by a stencil plan, built once per (dim,
 orders, coincidence): the unique stencil points of all requested tensors,
-as integer offset rows per step class, with gather indices back to each
-entry's stencil.  One world-function call over the unique points then
-serves every tensor.  part_tensors serves the world function and both its
-parts from that one call at coincidence (xp = x), where every swapped pair
-(Q, P) is itself a stencil point, and from two calls elsewhere;
-kind_tensor serves the two-point function k(a, b) of a tube or line kind.
+as integer offset rows per step class in no particular order, with gather
+indices back to each entry's stencil.  One world-function call over the
+unique points then serves every tensor.  part_tensors serves the world
+function and both its parts from that one call at coincidence (xp = x),
+where every swapped pair (Q, P) is itself a stencil point, and from two
+calls elsewhere; kind_tensor serves the two-point function k(a, b) of a
+tube or line kind.
 Reading one value for several entries assumes pointwise evaluation
 (worlds.world_from_callable).
 """
@@ -131,35 +132,20 @@ def _tensor_entries(dim: int, nx: int, npr: int):
     return entries
 
 
-def _distinct_rows(rows):
-    """Distinct rows of an integer array, numbered in order of first
-    appearance: (index of each one's first appearance, number of every row)."""
-    order = np.lexsort(rows.T)  # stable: each run of equal rows starts at its first
-    ordered = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    first_of_run = order[starts]
-    is_first = np.zeros(len(rows), dtype=bool)
-    is_first[first_of_run] = True
-    number = np.cumsum(is_first) - 1
-    row_of = np.empty(len(rows), dtype=np.intp)
-    row_of[order] = number[first_of_run][np.cumsum(starts) - 1]
-    return np.flatnonzero(is_first), row_of
-
-
 @dataclass(frozen=True)
 class _Plan:
     """The unique stencil points of one tensor request and how to read them.
 
     Unique row r is the point pair (x + step * offs_x[r], xp + step * offs_xp[r])
     with the step of class cls[r], step_size(class_orders[cls[r]], x, xp):
-    orders 1 and 3 share a step.  The zero-offset row, the anchor pair
-    at any step, is listed once, in class 0, as row anchor; its points are
+    orders 1 and 3 share a step.  The rows come in no particular order
+    (np.unique sorts them).  The zero-offset row, the anchor pair at any
+    step, is listed once, in class 0, as row anchor; its points are
     (x, xp) themselves, so a -0.0 coordinate keeps its sign.  Order (0, 0)
-    reads that row.  values[gather] lists the row values
-    entry by entry, as the stencils of the requested tensors list their
-    points.  In a coincident plan swap[r] is the row of the swapped pair
-    (Q, P), which at xp = x is a stencil point of the same step.
+    reads that row.  values[gather] lists the row values entry by entry, as
+    the stencils of the requested tensors list their points.  In a
+    coincident plan swap[r] is the row of the swapped pair (Q, P), which at
+    xp = x is a stencil point of the same step.
     """
 
     cls: np.ndarray               # (n,) int8
@@ -200,8 +186,8 @@ def _stencil_plan(dim: int, orders: tuple, coincident: bool) -> _Plan:
     if coincident:
         swapped = [0, *range(1 + dim, 1 + 2 * dim), *range(1, 1 + dim)]
         rows = np.concatenate([rows, rows[:, swapped]])
-    first, row_of = _distinct_rows(rows)
-    unique = rows[first]
+    unique, first, row_of = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    row_of = row_of.reshape(-1)  # some numpy 2.0.x releases keep a column axis
     zero = np.flatnonzero(~np.any(unique[:, 1:], axis=1))
     swap = None
     if coincident:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fd
 from .calculus import coincidence_coefficients
-from .errors import GeometryError, SolverError
+from .errors import GeometryError, SingularMetricError, SolverError
 from .newton import newton
 from .worlds import WorldFunction, check_kind, world_from_callable
 
@@ -149,8 +149,14 @@ def initial_velocity(w: WorldFunction, kind: str, x_start, x_end) -> np.ndarray:
     x_start = np.asarray(x_start, dtype=float)
     x_end = np.asarray(x_end, dtype=float)
     # the kind's Jacobian at coincidence is that system's matrix
-    return np.linalg.solve(fd.kind_tensor(w, kind, x_start, x_start, 1, 1).T,
-                           fd.kind_tensor(w, kind, x_end, x_start, 0, 1))
+    try:
+        v0 = np.linalg.solve(fd.kind_tensor(w, kind, x_start, x_start, 1, 1).T,
+                             fd.kind_tensor(w, kind, x_end, x_start, 0, 1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError("initial-velocity system is singular") from exc
+    if not np.all(np.isfinite(v0)):
+        raise SingularMetricError("initial-velocity system has no finite solution")
+    return v0
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's quartic

@@ -27,7 +27,7 @@ from .errors import (
     SolverError,
 )
 from .newton import newton
-from .products import Multivector, gram
+from .products import Multivector, _real_length, gram
 from .worlds import WorldFunction, check_kind, parts
 
 #: alpha coefficient of the factorization per kind
@@ -119,12 +119,6 @@ def _eta_q(kind: str, g10: float, g02: float, eta_f: float) -> float:
     return eta_f**2 / (np.sqrt(4.0 * prod + eta_f**2) + 2.0 * np.sqrt(prod))
 
 
-def _sqrt_checked(value: float, what: str) -> float:
-    if value < 0.0:
-        raise ComplexLengthError(f"negative radicand in {what} (spacelike/complex branch)")
-    return float(np.sqrt(value))
-
-
 def first_order_factors(w: WorldFunction, kind: str, p0, p1, p2):
     """The four first-degree factors of the first-order tube residual and
     the triangle antisymmetry eta of the kind.
@@ -136,10 +130,10 @@ def first_order_factors(w: WorldFunction, kind: str, p0, p1, p2):
     g02, g10, g12, eta_f = _pair_values(w, p0, p1, p2)
     eta = _eta_q(kind, g10, g02, eta_f)
     alpha = _ALPHA_Q[kind]
-    r02 = _sqrt_checked(g02, "separation p0-p2")
-    r10 = _sqrt_checked(g10, "separation p1-p0")
-    ra = _sqrt_checked(g12 - eta, "kind radicand")
-    rb = _sqrt_checked(g12 - alpha * eta, "kind radicand")
+    r02 = _real_length(g02, "separation p0-p2")
+    r10 = _real_length(g10, "separation p1-p0")
+    ra = _real_length(g12 - eta, "kind radicand")
+    rb = _real_length(g12 - alpha * eta, "kind radicand")
     f0 = r02 + r10 + ra
     f1 = r02 - r10 + rb
     f2 = r02 + r10 - ra
@@ -161,9 +155,9 @@ def segment_residual(w: WorldFunction, kind: str, p0, p1, p2) -> float:
     g02, g10, g12, eta_f = _pair_values(w, p0, p1, p2)
     eta = _eta_q(kind, g10, g02, eta_f)
     return (
-        _sqrt_checked(g02, "separation p0-p2")
-        - _sqrt_checked(g10, "separation p1-p0")
-        + _sqrt_checked(g12 - _ALPHA_Q[kind] * eta, "kind radicand")
+        _real_length(g02, "separation p0-p2")
+        - _real_length(g10, "separation p1-p0")
+        + _real_length(g12 - _ALPHA_Q[kind] * eta, "kind radicand")
     )
 
 
@@ -173,7 +167,7 @@ def sphere_residual(w: WorldFunction, p0, p1, point) -> float:
     so asymmetry of the world never enters."""
     a = float(w(p0, point) + w(point, p0))
     b = float(w(p0, p1) + w(p1, p0))
-    return _sqrt_checked(a, "center separation") - _sqrt_checked(b, "radius separation")
+    return _real_length(a, "center separation") - _real_length(b, "radius separation")
 
 
 def section_filter(w: WorldFunction, spec: TubeSpec, on_point, candidates,
@@ -465,8 +459,8 @@ def chain_parallel_residual(w: WorldFunction, kind: str, pa, pb, pc) -> float:
     the segment pair (pa->pb, pb->pc), with the product order set by kind."""
     check_kind(kind)
     wab, wba, wac, wca, wbc, wcb = _triple_worlds(w, pa, pb, pc)
-    lab = _sqrt_checked(float(wab + wba), "segment length")
-    lbc = _sqrt_checked(float(wbc + wcb), "segment length")
+    lab = _real_length(float(wab + wba), "segment length")
+    lbc = _real_length(float(wbc + wcb), "segment length")
     uv = float(wac - wbc - wab)  # (ab . bc)
     vu = float(wca - wcb - wba)  # (bc . ab)
     if kind == "f":

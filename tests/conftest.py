@@ -91,7 +91,9 @@ def warp_map(x):
         [x[..., 0] * x[..., 1], x[..., 1] * x[..., 2], x[..., 0] * x[..., 2]],
         axis=-1,
     )
-    return x + quad @ _WARP.T
+    # an elementwise sum, not quad @ _WARP.T, whose rounding depends on the
+    # batch shape: world_from_callable worlds must evaluate pointwise
+    return x + sum(quad[..., k, None] * _WARP[:, k] for k in range(3))
 
 
 @pytest.fixture(scope="session")

@@ -369,6 +369,25 @@ def test_exit_code_stencil_overflow(tmp_path, world_file, argv):
     assert err["error"] == "solver"
 
 
+@pytest.mark.parametrize("doc,start,end", [
+    ({**CASE1, "alpha": 1e200}, "0,0,0,0", "0.1,0.1,0.1,0.1"),
+    ({"kind": "cubic_a", "dim": 1, "metric": [1], "a3": [1e308]}, "0", "0.1"),
+], ids=["case1-huge-alpha", "cubic-huge-a3"])
+def test_exit_code_singular_initial_velocity(tmp_path, world_file, doc, start, end):
+    # the ODE's initial-velocity system is singular: a geometry error, one
+    # JSON line and no warning on stderr, no CSV
+    out = tmp_path / "x.csv"
+    proc = run_module(["gradient-line", "--world", world_file(doc), "--from", start,
+                       "--to", end, "--steps", "3", "--method", "ode", "--out", str(out)])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "geometry" and "initial-velocity" in err["detail"]
+    assert not out.exists()
+
+
 _AT_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["inf", "-inf", "nan", "1e300", "-1e308", "1.7976931348623157e308",

@@ -38,6 +38,16 @@ def test_waist_small_g_asymptotics():
     assert r2 * 0.01 == pytest.approx(1.0, abs=2e-3)
 
 
+@pytest.mark.parametrize("g", [1e-5, 1e-8, 1e-9, 1e-300])
+def test_waist_tiny_g_keeps_both_radii(g):
+    # 1 - sqrt(1 - 3 g^2) cancels to nothing here: the waist still exists,
+    # with inner 3g/4 and outer 1/g - 3g/4 to the next order in g
+    r1, r2 = case1_waist(g)
+    assert r1 == pytest.approx(0.75 * g, rel=1e-9)
+    assert r2 == pytest.approx(1.0 / g - 0.75 * g, rel=1e-14)
+    assert r2 == case1_radii(0.5, g)[-1]
+
+
 def test_radii_at_crossings():
     # the two profile sheets cross at the skeleton parameters, where the
     # inner radius vanishes; the outer sheet stays at 1/g there

@@ -9,6 +9,7 @@ from tgeom import (
     eta_case1_closed,
     eta_triangle,
     euclideaness_check,
+    fd,
     gram,
     world_from_callable,
 )
@@ -79,10 +80,11 @@ def test_flat_basis_coordinates_batch_matches_rows(case1):
 
 
 def test_euclideaness_world_call_budget(case1):
-    # probe rows, never pairs, per world call: 2,902 calls (5,842 with a
-    # call per pair) over 34,425 points, conditions I and III sharing one
-    # forward row per probe and II bordering the flat basis, which takes 5
-    # calls to build; the report is the one of the uncounted world
+    # probe rows, never pairs, per world call: 1,738 calls over 34,425
+    # points, conditions I and III sharing one forward row per probe, II
+    # bordering the flat basis, which takes 5 calls to build, and each IV
+    # Newton iteration making 4 (the coordinates and one Jacobian stencil
+    # of them, 2 each); the report is the one of the uncounted world
     sizes = []
 
     def counted(a, b):
@@ -92,12 +94,27 @@ def test_euclideaness_world_call_budget(case1):
     w = world_from_callable(counted, 4, label="case1")
     probes = diagnostic_probes(4, 24, seed=0)
     report = euclideaness_check(w, 4, staggered_basis(4), probes, seed=0)
-    assert (len(sizes), sum(sizes)) == (2902, 34425)
+    assert (len(sizes), sum(sizes)) == (1738, 34425)
     want = euclideaness_check(case1, 4, staggered_basis(4), probes, seed=0)
     assert report.to_json() == want.to_json()
     sizes.clear()
     FlatBasis.build(w, Multivector(staggered_basis(4)))
     assert len(sizes) == 5
+
+
+def test_coordinate_jacobian_matches_gradient_differences(all_worlds):
+    # condition IV's Jacobian is one stencil of the coordinate map; by their
+    # definition its rows are grad w(p0, q) - grad w(p_i, q), each stencil
+    # stepped at its own pair.  The steps differ, so the two agree to FD
+    # error, measured at most 1.2e-11 of the largest entry on these probes
+    basis = staggered_basis(4)
+    for name, w in all_worlds.items():
+        fb = FlatBasis.build(w, Multivector(basis))
+        for q in diagnostic_probes(4, 24, seed=0):
+            want = np.stack([fd.partial_tensor(w, basis[0], q, 0, 1)
+                             - fd.partial_tensor(w, p, q, 0, 1) for p in basis[1:]])
+            jac = fb.jacobian(w, q)
+            assert np.max(np.abs(jac - want)) <= 1e-10 * np.max(np.abs(want)), name
 
 
 def condition_two_by_gram(w, n, basis_points, probes):

@@ -3,6 +3,7 @@ import pytest
 
 from tgeom import (
     GeometryError,
+    SingularMetricError,
     SolverError,
     Trajectory,
     curve_deviation,
@@ -146,6 +147,17 @@ def test_ode_matches_dop853(kind, scale, steps):
                               rtol=1e-12, atol=1e-12, t_eval=traj.params)
     assert ref.success
     assert np.max(np.abs(traj.points - ref.y[:4].T)) < 1e-9
+
+
+@pytest.mark.parametrize("w, end, detail", [
+    (world("case1", b=[1, 0, 0, 0], alpha=1e200), [0.1] * 4, "is singular"),
+    (world_from_callable(  # a tiny mixed term against a huge end-point gradient
+        lambda a, b: (1e-10 * a[..., 0] + 1e300 * np.maximum(a[..., 0] - 0.25, 0.0)) * b[..., 0],
+        1, label="overflow"), [0.5], "no finite solution"),
+], ids=["singular", "overflow"])
+def test_initial_velocity_unsolvable_is_singular_metric(w, end, detail):
+    with pytest.raises(SingularMetricError, match=detail):
+        initial_velocity(w, "f", np.zeros(w.dim), end)
 
 
 def test_ode_step_budget_exhausted(small_cubic, monkeypatch):

@@ -189,6 +189,22 @@ def test_evaluation_is_pointwise(all_worlds):
         assert np.array_equal(batch[::7], [w(a, b) for a, b in zip(p[::7], q[::7])]), name
 
 
+@pytest.mark.parametrize("name", ["euclid2", "euclid3", "minkowski", "const_a2", "const_a4",
+                                  "case1", "case2", "cubic", "warped_chart"])
+def test_pair_value_is_batch_invariant(request, name):
+    # world_from_callable's contract, which the stencil plans' point order
+    # relies on: a pair gives the same bits alone and inside a flat, a
+    # reshaped and a broadcast batch
+    w = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    p, q = 0.3 * rng.normal(size=(2, 64, w.dim))
+    alone = np.array([w(a, b) for a, b in zip(p, q)])
+    assert np.array_equal(w(p, q), alone)
+    grid = w(p.reshape(4, 16, w.dim), q.reshape(4, 16, w.dim))
+    assert np.array_equal(grid.ravel(), alone)
+    assert np.array_equal(w(p[:, None], q[None]).diagonal(), alone)  # all 64 x 64 pairs
+
+
 def test_cubic_term_matches_einsum(cubic):
     a3 = np.asarray(cubic.spec.a3)
     rng = np.random.default_rng(3)
