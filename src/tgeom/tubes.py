@@ -33,6 +33,8 @@ from .worlds import WorldFunction, check_kind, parts
 #: alpha coefficient of the factorization per kind
 _ALPHA_Q = {"f": 1.0, "p": 1.0, "n": -1.0}
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class TubeSpec:
@@ -88,15 +90,33 @@ def _triple_worlds(w: WorldFunction, p0, p1, p2):
     return w(p0, p1), w(p1, p0), w(p0, p2), w(p2, p0), w(p1, p2), w(p2, p1)
 
 
-def _first_order(w: WorldFunction, kind: str, p0, p1, p2):
-    """First-order tube residual of the kind and the magnitude of the terms
-    it cancels, broadcast over leading axes."""
-    check_kind(kind)
-    w01, w10, w02, w20, w12, w21 = _triple_worlds(w, p0, p1, p2)
+def _first_order(kind: str, w01, w10, w02, w20, w12, w21):
+    """First-order tube residual of the kind from the six ordered world
+    values of a triple, broadcast over leading axes."""
     u2, v2 = w01 + w10, w02 + w20
     uv, vu = w10 + w02 - w12, w20 + w01 - w21
     cross = uv * vu if kind == "n" else uv * uv if kind == "f" else vu * vu
-    return u2 * v2 - cross, np.abs(u2 * v2) + np.abs(uv * vu)
+    return u2 * v2 - cross
+
+
+def _first_order_roundoff(kind: str, w01, w10, w02, w20, w12, w21):
+    """Round-off bound of _first_order in units of eps.  It follows the
+    cancellation of the world values inside each factor (w02 against w20,
+    w12 against w21), not only that of the final products.  A bound that
+    overflows is infinite, which leaves the residual without a sign."""
+    u2, v2 = w01 + w10, w02 + w20
+    uv, vu = w10 + w02 - w12, w20 + w01 - w21
+    a01, a10, a02, a20 = np.abs(w01), np.abs(w10), np.abs(w02), np.abs(w20)
+    a_uv, a_vu = a10 + a02 + np.abs(w12), a20 + a01 + np.abs(w21)
+    x, ax, y, ay = ((uv, a_uv, vu, a_vu) if kind == "n" else
+                    (uv, a_uv, uv, a_uv) if kind == "f" else (vu, a_vu, vu, a_vu))
+
+    def product(x, ax, y, ay):
+        # the last term keeps the bound when x or y is itself lost to round-off
+        return ax * np.abs(y) + np.abs(x) * ay + _EPS * ax * ay
+
+    with np.errstate(over="ignore"):
+        return product(u2, a01 + a10, v2, a02 + a20) + product(x, ax, y, ay)
 
 
 def _pair_values(w: WorldFunction, p0, p1, p2):
@@ -144,7 +164,8 @@ def first_order_factors(w: WorldFunction, kind: str, p0, p1, p2):
 def first_order_residual(w: WorldFunction, kind: str, p0, p1, p2) -> float:
     """Direct first-order tube residual of the given kind (no square roots,
     valid on every branch)."""
-    return float(_first_order(w, kind, p0, p1, p2)[0])
+    check_kind(kind)
+    return float(_first_order(kind, *_triple_worlds(w, p0, p1, p2)))
 
 
 def segment_residual(w: WorldFunction, kind: str, p0, p1, p2) -> float:
@@ -235,11 +256,63 @@ def reduced_asymmetry(w: WorldFunction, y) -> float:
 #: taus whose probe grids share one world call; bounds the sampler's memory
 _TAU_BLOCK = 64
 
-#: probe radii per tau (r = 0 and a geometric grid out to rmax) that bracket roots
-_PROBES = 256
+#: probe radii per tau (r = 0 and a geometric grid out to rmax) on the
+#: polynomial worlds; root pairs between two probes are found by the
+#: extremum search
+_PROBES = 32
 
-#: iteration cap of the bracket solver (the usual brentq default)
+#: probe radii per tau on case2: its residual has a double-pole spike about
+#: 1% wide at xi^2 = -1/beta, with a root pair on either side, which no
+#: extremum of the probe values announces
+_POLE_PROBES = 256
+
+#: iteration cap of the bracket solver and the extremum search (the usual
+#: brentq default)
 _BRENT_MAXITER = 100
+
+#: a residual within _ROUNDOFF eps of its round-off bound (floored at 1) has
+#: no sign
+_ROUNDOFF = 16.0
+
+#: roots closer than _FOLD_TOL (1 + r) are one fold root, and an extremum
+#: search ends once its interval is that short
+_FOLD_TOL = 1e-8
+
+#: a root is reported only where the residual is signed _RESOLUTION (1 + r)
+#: on both sides of it
+_RESOLUTION = 1e-6
+
+_GOLDEN = (3.0 - 5.0**0.5) / 2
+
+
+def _side_by_side(f, searches):
+    """Run vectorized searches side by side, with one call of f per round.
+
+    Each search is (generator, rows): the generator yields (index, x) for
+    the points it needs next and is sent f(rows[index], x); its return value
+    is its result.  A search appended to the list while they run joins them
+    in the next round.  Returns the results in the order of the searches.
+    """
+    results, asks = [], {}
+
+    def advance(k, reply):
+        try:
+            asks[k] = searches[k][0].send(reply)
+        except StopIteration as stop:
+            results[k] = stop.value
+            asks.pop(k, None)
+
+    while True:
+        while len(results) < len(searches):
+            results.append(None)
+            advance(len(results) - 1, None)
+        if not asks:
+            return results
+        keys = list(asks)
+        vals = f(np.concatenate([searches[k][1][asks[k][0]] for k in keys]),
+                 np.concatenate([asks[k][1] for k in keys]))
+        for k, reply in zip(keys, np.split(vals, np.cumsum([len(asks[k][0]) for k in keys])[:-1])):
+            advance(k, reply)
 
 
 def _brent(f, xa, xb, fa, fb, xtol, rtol):
@@ -250,6 +323,11 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
     evaluates the functions of brackets `index` at x; fa and fb are the end
     values, of strictly opposite signs.  Returns the roots and f there.
     """
+    return _side_by_side(f, [(_brent_steps(xa, xb, fa, fb, xtol, rtol), np.arange(len(xa)))])[0]
+
+
+def _brent_steps(xa, xb, fa, fb, xtol, rtol):
+    """_brent as a search for _side_by_side."""
     n = len(xa)
     root, froot, index = np.empty(n), np.empty(n), np.arange(n)
     xtol = np.broadcast_to(np.asarray(xtol, dtype=float), (n,))
@@ -265,12 +343,13 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
         delta = (xtol + rtol * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         done = (fcur == 0) | (np.abs(sbis) < delta)
-        root[index[done]], froot[index[done]] = xcur[done], fcur[done]
-        if done.all():
+        if done.any():
+            root[index[done]], froot[index[done]] = xcur[done], fcur[done]
+            index, xtol, delta, sbis, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+                v[~done] for v in (index, xtol, delta, sbis, xpre, xcur, xblk,
+                                   fpre, fcur, fblk, spre, scur))
+        if not len(index):
             return root, froot
-        index, xtol, delta, sbis, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
-            v[~done] for v in (index, xtol, delta, sbis, xpre, xcur, xblk,
-                               fpre, fcur, fblk, spre, scur))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
             stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
@@ -280,7 +359,7 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
         spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = f(index, xcur)
+        fcur = yield index, xcur
         if np.any(np.isnan(fcur)):
             raise SolverError("NaN residual inside a root bracket",
                               {"brackets": n, "iteration": iteration})
@@ -288,56 +367,188 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
                       {"brackets": n, "iteration": _BRENT_MAXITER})
 
 
-def _block_profiles(residual, y2: float, taus: np.ndarray, rmaxs: np.ndarray):
-    """(tau, [radii]) for a block of taus; residual(tau, r) broadcasts."""
+def _brent_min_steps(sign, a, x, b, fa, fx, fb, crossed):
+    """Brent's minimiser (Brent 1973, ch. 5) of sign f on many intervals at
+    once, as a search for _side_by_side.
+
+    Each interval starts from a < x < b with 0 < sign f(x) < sign f(a),
+    sign f(b), so the parabola through the three takes the first step.  It
+    stops at the first point x where sign f is negative, and then calls
+    crossed(index, a, x, b, fa, fx, fb) for it in that round, with a and b
+    the nearest points either side where sign f is positive.  Otherwise it
+    stops at its minimum x, once the interval is shorter than
+    _FOLD_TOL (1 + x) around it or a parabolic step changes f(x) by less
+    than _FOLD_TOL of itself (the steps left would only locate the minimum,
+    not lower it).  Returns x and f(x) of every interval.
+    """
+    n = len(x)
+    out, index = np.empty((2, n)), np.arange(n)
+    a, x, b = (np.array(z, dtype=float) for z in (a, x, b))
+    fa, fx, fb = (sign * np.asarray(z, dtype=float) for z in (fa, fx, fb))
+    low = fa < fb
+    w, fw = np.where(low, a, b), np.where(low, fa, fb)
+    v, fv = np.where(low, b, a), np.where(low, fb, fa)
+    d = e = b - a
+    flat = np.zeros(n, dtype=bool)
+    for iteration in range(_BRENT_MAXITER):
+        mid = (a + b) / 2
+        tol = _FOLD_TOL / 4 * (1.0 + np.abs(x))
+        done = (fx < 0) | flat | (np.abs(x - mid) <= 2 * tol - (b - a) / 2)
+        if done.any():
+            out[:, index[done]] = x[done], sign[done] * fx[done]
+            hit = fx < 0
+            if hit.any():
+                s = sign[hit]
+                crossed(index[hit], a[hit], x[hit], b[hit], s * fa[hit], s * fx[hit], s * fb[hit])
+            index, sign, a, x, b, w, v, fa, fx, fb, fw, fv, d, e, mid, tol = (
+                z[~done] for z in (index, sign, a, x, b, w, v, fa, fx, fb, fw, fv, d, e, mid, tol))
+            flat = flat[~done]
+        if not len(index):
+            return out
+        # parabola through x, w and v, taken when it falls inside (a, b) and
+        # moves less than half the step before last; else a golden section
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2 * (q - r)
+        p, q = np.where(q > 0, -p, p), np.abs(q)
+        parab = ((np.abs(e) > tol) & (np.abs(p) < np.abs(q * e / 2))
+                 & (p > q * (a - x)) & (p < q * (b - x)))
+        golden = np.where(x < mid, b, a) - x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e, d = np.where(parab, d, golden), np.where(parab, p / q, _GOLDEN * golden)
+        edge = parab & ((x + d - a < 2 * tol) | (b - x - d < 2 * tol))
+        d = np.where(edge, np.where(x < mid, tol, -tol), d)
+        u = x + np.where(np.abs(d) >= tol, d, np.where(d > 0, tol, -tol))
+        fu = sign * (yield index, u)
+        if np.any(np.isnan(fu)):
+            raise SolverError("NaN residual inside an extremum search",
+                              {"intervals": n, "iteration": iteration})
+        flat = parab & (np.abs(fu - fx) <= _FOLD_TOL * np.abs(fx))
+        better, below = fu <= fx, u < x
+        end, fend = np.where(better, x, u), np.where(better, fx, fu)
+        a, fa = np.where(better != below, end, a), np.where(better != below, fend, fa)
+        b, fb = np.where(better == below, end, b), np.where(better == below, fend, fb)
+        shift = better | (fu <= fw) | (w == x)
+        to_v = ~shift & ((fu <= fv) | (v == x) | (v == w))
+        v, fv = (np.where(shift, w, np.where(to_v, u, v)),
+                 np.where(shift, fw, np.where(to_v, fu, fv)))
+        w, fw = np.where(shift, end, w), np.where(shift, fend, fw)
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+    raise SolverError(f"extremum search did not converge in {_BRENT_MAXITER} iterations",
+                      {"intervals": n, "iteration": _BRENT_MAXITER})
+
+
+def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.ndarray,
+                    probes: int):
+    """(tau, [radii]) for a block of taus; worlds(tau, r) broadcasts and
+    returns the six world values of the skeleton and the probe point."""
+
+    def residual(tau, r):
+        return _first_order(kind, *worlds(tau, r))
+
+    def signed_residual(tau, r):
+        """The residual, and True where it is not lost to round-off."""
+        values = worlds(tau, r)
+        res = _first_order(kind, *values)
+        bound = _ROUNDOFF * _EPS * np.maximum(_first_order_roundoff(kind, *values), 1.0)
+        return res, np.abs(res) > bound
+
     grid = np.concatenate([np.zeros((len(taus), 1)),
-                           np.geomspace(1e-6, rmaxs, _PROBES - 1, axis=-1)], axis=1)
+                           np.geomspace(1e-6, rmaxs, probes - 1, axis=-1)], axis=1)
     with np.errstate(all="ignore"):  # overflow far out is reported below
-        vals, mags = residual(taus[:, None], grid)
-    finite = np.all(np.isfinite(vals) & np.isfinite(mags), axis=1)
+        vals, signed = signed_residual(taus[:, None], grid)
+    finite = np.all(np.isfinite(vals), axis=1)
     if not finite.all():
         raise GeometryError(f"tube residual is not finite at tau {float(taus[~finite][0])!r}")
-    # a residual within round-off of the cancelling terms it is assembled
-    # from has no sign: r = 0 is then a root, an interior zero is one only
-    # beside a signed probe, and two unsigned probes bracket nothing
-    signed = np.abs(vals) > 64.0 * np.finfo(float).eps * np.maximum(mags, 1.0)
-    lost = ~np.any(signed, axis=1)
+    # a residual within round-off of the terms it is assembled from has no
+    # sign: r = 0 is then a root.  A tau is lost when its last probe, at
+    # rmax, has none: nothing bounds what lies beyond the last signed probe
+    lost = ~signed[:, -1]
     if lost.any():
         raise GeometryError(f"tube residual is lost to round-off at tau {float(taus[lost][0])!r}")
-    lo, hi, f_lo, f_hi = grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]
-    roots = [[] if s else [0.0] for s in signed[:, 0]]
-    for i, k in zip(*np.nonzero((vals[:, 1:-1] == 0.0) & (signed[:, :-2] | signed[:, 2:]))):
-        roots[i].append(float(grid[i, k + 1]))
-    rows, cols = np.nonzero((f_lo * f_hi < 0.0) & (signed[:, :-1] | signed[:, 1:]))
-    if len(rows):
-        a, b, tau = lo[rows, cols], hi[rows, cols], taus[rows]
-        r, fr = _brent(lambda index, x: residual(tau[index], x)[0], a, b,
-                       f_lo[rows, cols], f_hi[rows, cols], 1e-12 * (1.0 + b), 1e-15)
-        # one Newton step on a central-difference slope, kept when it stays
-        # in the bracket and does not increase the residual
-        dr = 1e-7 * (1.0 + r)
-        f_up, f_down = residual(tau, np.stack([r + dr, r - dr]))[0]
-        slope = (f_up - f_down) / (2.0 * dr)
+    # consecutive signed probes of opposite signs bracket a root, whatever
+    # unsigned probes lie between them
+    srow, scol = np.nonzero(signed)
+    adjacent = srow[1:] == srow[:-1]
+    rows, i, j = srow[:-1][adjacent], scol[:-1][adjacent], scol[1:][adjacent]
+    flip = vals[rows, i] * vals[rows, j] < 0
+    band = ~flip & (j > i + 1)
+    a, b = grid[rows[flip], i[flip]], grid[rows[flip], j[flip]]
+    f_a, f_b = vals[rows[flip], i[flip]], vals[rows[flip], j[flip]]
+    # a root pair may hide around a signed probe whose |residual| is below
+    # both its neighbours of its sign, or among unsigned probes between two
+    # signed ones of the same sign: minimise the signed residual over each
+    # such interval, side by side with the brackets, for a crossing (two
+    # brackets more), a fold (a minimum within round-off) or nothing
+    mid = vals[:, 1:-1]
+    ext, k = np.nonzero(signed[:, 1:-1] & (mid * vals[:, :-2] > 0) & (mid * vals[:, 2:] > 0)
+                        & (np.abs(mid) < np.abs(vals[:, :-2]))
+                        & (np.abs(mid) < np.abs(vals[:, 2:])))
+    ends = (np.concatenate([k, i[band]]), np.concatenate([k + 1, i[band] + 1]),
+            np.concatenate([k + 2, j[band]]))
+    ext = np.concatenate([ext, rows[band]])
+    sign = np.sign(vals[ext, ends[0]])
+    rows = rows[flip]
+    brackets = [(a, b, rows)]
+    searches = [(_brent_steps(a, b, f_a, f_b, 1e-12 * (1.0 + b), 1e-15), rows)]
+
+    def crossed(index, lo, x, hi, f_lo, f_x, f_hi):
+        # two brackets each, solved side by side from the next round on
+        c_a, c_b, c_rows = np.concatenate([lo, x]), np.concatenate([x, hi]), np.tile(ext[index], 2)
+        brackets.append((c_a, c_b, c_rows))
+        searches.append((_brent_steps(c_a, c_b, np.concatenate([f_lo, f_x]),
+                                      np.concatenate([f_x, f_hi]), 1e-12 * (1.0 + c_b), 1e-15),
+                         c_rows))
+
+    searches.append((_brent_min_steps(sign, *(grid[ext, c] for c in ends),
+                                      *(vals[ext, c] for c in ends), crossed), ext))
+    solved = _side_by_side(lambda tau_rows, z: residual(taus[tau_rows], z), searches)
+    (x, f_x), solved = solved[1], solved[:1] + solved[2:]
+    a, b, rows = (np.concatenate(z) for z in zip(*brackets))
+    r, fr = (np.concatenate(z) for z in zip(*solved))
+    signed_ends = np.arange(len(r)) < len(brackets[0][0])
+    # A root is resolved when the residual is signed _RESOLUTION (1 + r)
+    # either side of it, or when its bracket has two signed ends; else it
+    # lies in a round-off band that may hold no root, one or a pair.  A
+    # minimum within round-off is a fold root, which must be resolved too.
+    # The side values of a bracket's root also give one Newton step on their
+    # slope, kept when it stays in the bracket and does not raise the residual.
+    cross = sign * f_x < 0
+    x, x_rows = x[~cross], ext[~cross]
+    at, at_rows, fold = np.concatenate([r, x]), np.concatenate([rows, x_rows]), np.empty(0, bool)
+    if len(at):
+        n, dr = len(at), _RESOLUTION * (1.0 + at)
+        f_at, s_at = signed_residual(taus[np.concatenate([at_rows, at_rows, x_rows])],
+                                     np.concatenate([at + dr, at - dr, x]))
+        fold, side = ~s_at[2 * n:], s_at[:n] & s_at[n:2 * n]
+        lost = ~side & np.concatenate([~signed_ends, fold])
+        if lost.any():
+            raise GeometryError("tube root is lost to round-off at tau "
+                                f"{float(taus[at_rows[lost][0]])!r}")
+    if len(r):
+        tau = taus[rows]
+        slope = (f_at[:len(r)] - f_at[n:n + len(r)]) / (2.0 * dr[:len(r)])
         with np.errstate(divide="ignore", invalid="ignore"):
             polished = r - fr / slope
         trial = np.flatnonzero((slope != 0.0) & (a <= polished) & (polished <= b))
         if len(trial):
-            f_pol = residual(tau[trial], polished[trial])[0]
+            f_pol = residual(tau[trial], polished[trial])
             keep = np.abs(f_pol) <= np.abs(fr[trial])
             r[trial[keep]], fr[trial[keep]] = polished[trial[keep]], f_pol[keep]
         bound = 1e-10 * (y2 * (1.0 + tau * tau + r * r)) ** 2
         if np.any(np.abs(fr) > bound):
-            k = int(np.argmax(np.abs(fr) / bound))
+            j = int(np.argmax(np.abs(fr) / bound))
             raise SolverError("tube root polish failed to meet tolerance", {
-                "tau": float(tau[k]), "radius": float(r[k]),
-                "residual": float(fr[k]), "bound": float(bound[k])})
-        for i, root in zip(rows, r.tolist()):
-            roots[i].append(root)
+                "tau": float(tau[j]), "radius": float(r[j]),
+                "residual": float(fr[j]), "bound": float(bound[j])})
+    roots = [[] if s else [0.0] for s in signed[:, 0]]
+    for i, root in zip(np.concatenate([rows, x_rows[fold]]).tolist(),
+                       np.concatenate([r, x[fold]]).tolist()):
+        roots[i].append(root)
     out = []
-    for tau, found in zip(taus.tolist(), roots):
+    for tau, radii in zip(taus.tolist(), roots):
         merged = []
-        for r in sorted(found):
-            if merged and abs(r - merged[-1]) < 1e-8 * (1.0 + r):
+        for r in sorted(radii):
+            if merged and abs(r - merged[-1]) < _FOLD_TOL * (1.0 + r):
                 continue  # fold: tangential root, multiplicity 2, reported once
             merged.append(r)
         out.append((tau, merged))
@@ -349,12 +560,22 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
 
     For each tau, finds all r >= 0 such that the point tau*y + r*|y|*e_perp
     lies on the tube of the given kind, with e_perp the deterministic unit
-    normal to y.  Roots are bracketed on a geometric grid out to rmax, solved
-    by Brent's method to 1e-12 and polished with one Newton step; roots
-    closer than 1e-8 are merged (tangential root at a fold).  rmax is per
-    tau, max(10 (1 + 1/g), 3 + 2 sqrt(3) |tau|) for reduced asymmetry g, so
-    no tau's profile depends on the other taus.  Taus are sampled in blocks
-    of _TAU_BLOCK, which bounds memory however long the grid is.
+    normal to y.  The residual is probed on a geometric grid out to rmax:
+    _PROBES radii on the polynomial worlds, _POLE_PROBES on case2, whose
+    pole spike hides root pairs from anything coarser.  Sign changes
+    between probes bracket roots.  A root pair between two probes shows as
+    a minimum of |residual| at a probe, or as a run of probes within
+    round-off between two of one sign; Brent's minimiser searches each such
+    interval for a crossing (two more brackets) or a minimum within
+    round-off (a fold root).  Brackets are solved by Brent's method to 1e-12
+    and polished with one Newton step; roots closer than 1e-8 are merged
+    (tangential root at a fold).  A root whose neighbourhood, 1e-6 (1 + r)
+    either side, is lost to round-off of the world values the residual is
+    built from raises GeometryError naming the tau, unless its bracket has
+    two signed ends.  rmax is per tau, max(10 (1 + 1/g), 3 + 2 sqrt(3)
+    |tau|) for reduced asymmetry g, so no tau's profile depends on the
+    other taus.  Taus are sampled in blocks of _TAU_BLOCK, which bounds
+    memory however long the grid is.
 
     Returns a list of (tau, [radii]) pairs.
     """
@@ -363,7 +584,8 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     y = np.asarray(y, dtype=float)
     origin = np.zeros(w.dim)
     with np.errstate(all="ignore"):
-        y2 = 2.0 * float(w.sym(origin, y))
+        w01, w10 = w(origin, y), w(y, origin)  # the skeleton's own pair, fixed
+        y2 = float(w01 + w10)
     if not 0.0 < y2 < np.inf:  # NaN at a pole of the world function fails too
         raise GeometryError(f"y must be timelike (positive finite squared separation, got {y2!r})")
     ynorm = float(np.sqrt(y2))
@@ -379,13 +601,20 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     base = 10.0 * (1.0 + 1.0 / max(reduced_asymmetry(w, y), 1e-2))
     rmaxs = np.maximum(base, 3.0 + 2.0 * np.sqrt(3.0) * np.abs(taus))
 
-    def residual(tau, r):
-        return _first_order(w, kind, origin, y, tau[..., None] * y + r[..., None] * ynorm * e_perp)
+    probes = _POLE_PROBES if w.spec.kind == "case2" else _PROBES
+    skeleton = np.stack([origin, y])
+
+    def worlds(tau, r):
+        # one world call each way between the skeleton and the probe points
+        p = tau[..., None] * y + r[..., None] * ynorm * e_perp
+        ends = skeleton.reshape((2,) + (1,) * (p.ndim - 1) + (w.dim,))
+        (w02, w12), (w20, w21) = w(ends, p), w(p, ends)
+        return w01, w10, w02, w20, w12, w21
 
     out = []
     for start in range(0, len(taus), _TAU_BLOCK):
         block = slice(start, start + _TAU_BLOCK)
-        out.extend(_block_profiles(residual, y2, taus[block], rmaxs[block]))
+        out.extend(_block_profiles(worlds, kind, y2, taus[block], rmaxs[block], probes))
     return out
 
 

@@ -390,6 +390,159 @@ def test_sampler_whole_grid_equals_per_tau_calls():
         assert radii == one_radii
 
 
+def _closed_form_merged(tau, g):
+    """case1_radii with the sampler's fold rule: roots closer than
+    tubes._FOLD_TOL (1 + r) are one root."""
+    merged = []
+    for r in case1_radii(tau, g):
+        if not (merged and abs(r - merged[-1]) < tubes._FOLD_TOL * (1.0 + r)):
+            merged.append(r)
+    return merged
+
+
+def _assert_case1_profile(g, taus, merge=False):
+    w = world("case1", b=[1, 0, 0, 0], alpha=g)
+    for tau, radii in sample_axisymmetric_tube(w, np.array([1.0, 0, 0, 0]), "n", taus):
+        want = _closed_form_merged(tau, g) if merge else case1_radii(tau, g)
+        assert len(radii) == len(want), (g, tau, radii, want)
+        for got, ref in zip(radii, want):
+            assert abs(got - ref) <= 1e-6 * max(abs(ref), 1e-3), (g, tau, radii, want)
+
+
+@pytest.mark.parametrize("ratio", [1.001, 1.01, 1.03, 1.05])
+def test_sampler_finds_hidden_pairs(ratio):
+    # a closed-form pair r2 / r1 = ratio lies inside one probe interval, with
+    # no sign change at the probes; the extremum search between them finds it
+    g = 0.65
+    disc = ((ratio - 1.0) / (ratio + 1.0)) ** 2
+    tau = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * (disc - 1.0) / (12.0 * g * g)))
+    assert len(case1_radii(tau, g)) == 2
+    _assert_case1_profile(g, [tau])
+
+
+@pytest.mark.parametrize("g", [3.0**-0.5, 0.5773502])
+def test_sampler_finds_near_fold_pairs(g):
+    # at the waist of a tube about to close, the pair is 1.8e-8 apart at
+    # g = 1/sqrt(3) (one fold root) and 8.5e-4 apart at g = 0.5773502
+    assert len(case1_radii(0.5, g)) == 2
+    _assert_case1_profile(g, [0.5], merge=True)
+
+
+def test_sampler_large_tau_pairs():
+    # the pair is 1/g = 10 apart at r ~ 1.73 tau, inside one probe interval
+    _assert_case1_profile(0.1, [1e4, 1e5, 1e6, 1e7, 1e8])
+
+
+@pytest.mark.parametrize("tau", [10.0**e for e in range(3, 17)])
+def test_sampler_large_tau_matches_or_raises(tau):
+    # far out the world values cancel to round-off in the symmetric parts
+    # the residual is built from: either the closed form or an error
+    # naming the tau, never a wrong profile
+    w = world("case1", b=[1, 0, 0, 0], alpha=0.1)
+    try:
+        [(_, radii)] = sample_axisymmetric_tube(w, np.array([1.0, 0, 0, 0]), "n", [tau])
+    except GeometryError as exc:
+        assert f"round-off at tau {tau!r}" in str(exc)
+        return
+    want = case1_radii(tau, 0.1)
+    assert len(radii) == len(want)
+    for got, ref in zip(radii, want):
+        assert abs(got - ref) <= 1e-6 * ref
+
+
+_DENSE_TAUS = np.linspace(-3.0, 4.0, 61)
+
+
+@pytest.mark.parametrize("family,strength",
+                         [("case1", g) for g in (0.02, 0.1, 0.3, 0.57, 0.65, 2.0)]
+                         + [("cubic_a", scale) for scale in (0.03, 0.3, 1.0)])
+def test_sampler_matches_a_dense_probe_grid(monkeypatch, family, strength):
+    # 32 probes and the extremum search find what 4096 probes find
+    if family == "case1":
+        w = world("case1", b=[1, 0, 0, 0], alpha=strength)
+    else:
+        w = world("cubic_a", a3=random_a3(scale=strength, seed=7).ravel().tolist())
+    y = np.array([1.0, 0, 0, 0])
+    for kind in "nfp":
+        got = sample_axisymmetric_tube(w, y, kind, _DENSE_TAUS)
+        with monkeypatch.context() as patch:
+            patch.setattr(tubes, "_PROBES", 4096)
+            want = sample_axisymmetric_tube(w, y, kind, _DENSE_TAUS)
+        for (tau, radii), (_, ref) in zip(got, want):
+            assert len(radii) == len(ref), (kind, tau, radii, ref)
+            for a, b in zip(radii, ref):
+                assert abs(a - b) <= 1e-6 * max(abs(b), 1e-3), (kind, tau, radii, ref)
+
+
+#: root counts of the 256-probe sampler without the extremum search, on
+#: case2 at the taus linspace(-1, 2, 13)
+_CASE2_COUNTS = {
+    (0.2, 1.0): {"n": [3, 5, 5, 3, 3, 5, 3, 5, 3, 3, 5, 5, 3],
+                 "f": [1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 2, 2, 0],
+                 "p": [0, 0, 0, 0, 1, 0, 0, 0, 1, 3, 3, 3, 3]},
+    (0.18, 0.9): {"n": [3, 5, 3, 5, 3, 5, 3, 5, 3, 5, 3, 5, 3],
+                  "f": [1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 2, 2],
+                  "p": [0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 3, 3]},
+    (0.22, 1.1): {"n": [5, 3, 5, 3, 3, 3, 3, 3, 3, 3, 5, 3, 5],
+                  "f": [1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 0, 2, 2],
+                  "p": [0, 0, 0, 0, 1, 0, 0, 0, 1, 3, 3, 3, 3]},
+}
+
+
+@pytest.mark.parametrize("alpha,beta", list(_CASE2_COUNTS))
+def test_sampler_case2_keeps_its_roots(alpha, beta):
+    # the root pairs either side of case2's pole spike: the extremum search
+    # adds some, and every root zeroes the residual
+    w = world("case2", b=[1, 0, 0, 0], alpha=alpha, beta=beta)
+    y = np.array([1.0, 0, 0, 0])
+    e_perp = tubes.spacelike_unit_normal(w, y)
+    for kind, before in _CASE2_COUNTS[(alpha, beta)].items():
+        profile = sample_axisymmetric_tube(w, y, kind, np.linspace(-1.0, 2.0, 13))
+        assert all(len(radii) >= n for (_, radii), n in zip(profile, before)), kind
+        for tau, radii in profile:
+            for r in radii:
+                res = first_order_residual(w, kind, np.zeros(4), y, tau * y + r * e_perp)
+                assert abs(res) <= 1e-10 * (1.0 + tau * tau + r * r) ** 2
+
+
+def test_sampler_evaluates_the_skeleton_pair_once():
+    # w(origin, y) and w(y, origin) are fixed for a call; every other world
+    # call carries probe points
+    w = world("case1", b=[1, 0, 0, 0], alpha=0.3)
+    single = []
+    evaluate = w._eval
+
+    def counted(x, xp):
+        single.append(np.ndim(x) == np.ndim(xp) == 1)
+        return evaluate(x, xp)
+
+    w._eval = counted
+    sample_axisymmetric_tube(w, np.array([1.0, 0, 0, 0]), "f", np.linspace(-1.0, 2.0, 7))
+    assert sum(single) == 2 and len(single) > 2
+
+
+def test_extremum_search_outcomes():
+    # a minimum above zero, one below it (a crossing between two positive
+    # points, reported in the round it is found) and one at zero, each
+    # searched from three points around it
+    funcs = [lambda x: (x - 0.3) ** 2 + 0.5, lambda x: (x - 0.3) ** 2 - 0.01,
+             lambda x: (x - 0.3) ** 2]
+    a, x, b = np.zeros(3), np.full(3, 0.2), np.ones(3)
+
+    def f(index, z):
+        return np.array([funcs[i](v) for i, v in zip(index, z)])
+
+    every, crossings = np.arange(3), []
+    [(x, f_x)] = tubes._side_by_side(f, [(tubes._brent_min_steps(
+        np.ones(3), a, x, b, f(every, a), f(every, x), f(every, b),
+        lambda *crossing: crossings.append(crossing)), every)])
+    assert x[0] == pytest.approx(0.3, abs=1e-6) and f_x[0] == pytest.approx(0.5, rel=1e-12)
+    [(index, lo, at, hi, f_lo, f_at, f_hi)] = crossings
+    assert list(index) == [1] and f_x[1] == f_at[0] < 0 < min(f_lo[0], f_hi[0])
+    assert lo[0] < at[0] == x[1] < hi[0]
+    assert x[2] == pytest.approx(0.3, abs=1e-7) and 0.0 <= f_x[2] <= 1e-14
+
+
 def _scalar_brackets():
     """(f, a, b, xtol) brackets: cos x - x, a cubic and a sampler bracket."""
     cubic = lambda x: x**3 - 2.0 * x - 5.0  # noqa: E731
