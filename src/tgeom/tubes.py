@@ -90,33 +90,32 @@ def _triple_worlds(w: WorldFunction, p0, p1, p2):
     return w(p0, p1), w(p1, p0), w(p0, p2), w(p2, p0), w(p1, p2), w(p2, p1)
 
 
-def _first_order(kind: str, w01, w10, w02, w20, w12, w21):
+def _first_order(kind: str, w01, w10, w02, w20, w12, w21, roundoff=False):
     """First-order tube residual of the kind from the six ordered world
-    values of a triple, broadcast over leading axes."""
+    values of a triple, broadcast over leading axes.
+
+    With roundoff, also its round-off bound in units of eps.  The bound
+    follows the cancellation of the world values inside each factor (w02
+    against w20, w12 against w21), not only that of the final products.  A
+    bound that overflows is infinite, which leaves the residual without a
+    sign.
+    """
     u2, v2 = w01 + w10, w02 + w20
     uv, vu = w10 + w02 - w12, w20 + w01 - w21
-    cross = uv * vu if kind == "n" else uv * uv if kind == "f" else vu * vu
-    return u2 * v2 - cross
-
-
-def _first_order_roundoff(kind: str, w01, w10, w02, w20, w12, w21):
-    """Round-off bound of _first_order in units of eps.  It follows the
-    cancellation of the world values inside each factor (w02 against w20,
-    w12 against w21), not only that of the final products.  A bound that
-    overflows is infinite, which leaves the residual without a sign."""
-    u2, v2 = w01 + w10, w02 + w20
-    uv, vu = w10 + w02 - w12, w20 + w01 - w21
+    x, y = (uv, vu) if kind == "n" else (uv, uv) if kind == "f" else (vu, vu)
+    residual = u2 * v2 - x * y
+    if not roundoff:
+        return residual
     a01, a10, a02, a20 = np.abs(w01), np.abs(w10), np.abs(w02), np.abs(w20)
     a_uv, a_vu = a10 + a02 + np.abs(w12), a20 + a01 + np.abs(w21)
-    x, ax, y, ay = ((uv, a_uv, vu, a_vu) if kind == "n" else
-                    (uv, a_uv, uv, a_uv) if kind == "f" else (vu, a_vu, vu, a_vu))
+    ax, ay = (a_uv, a_vu) if kind == "n" else (a_uv, a_uv) if kind == "f" else (a_vu, a_vu)
 
-    def product(x, ax, y, ay):
+    def bound(x, ax, y, ay):
         # the last term keeps the bound when x or y is itself lost to round-off
         return ax * np.abs(y) + np.abs(x) * ay + _EPS * ax * ay
 
     with np.errstate(over="ignore"):
-        return product(u2, a01 + a10, v2, a02 + a20) + product(x, ax, y, ay)
+        return residual, bound(u2, a01 + a10, v2, a02 + a20) + bound(x, ax, y, ay)
 
 
 def _pair_values(w: WorldFunction, p0, p1, p2):
@@ -285,36 +284,6 @@ _RESOLUTION = 1e-6
 _GOLDEN = (3.0 - 5.0**0.5) / 2
 
 
-def _side_by_side(f, searches):
-    """Run vectorized searches side by side, with one call of f per round.
-
-    Each search is (generator, rows): the generator yields (index, x) for
-    the points it needs next and is sent f(rows[index], x); its return value
-    is its result.  A search appended to the list while they run joins them
-    in the next round.  Returns the results in the order of the searches.
-    """
-    results, asks = [], {}
-
-    def advance(k, reply):
-        try:
-            asks[k] = searches[k][0].send(reply)
-        except StopIteration as stop:
-            results[k] = stop.value
-            asks.pop(k, None)
-
-    while True:
-        while len(results) < len(searches):
-            results.append(None)
-            advance(len(results) - 1, None)
-        if not asks:
-            return results
-        keys = list(asks)
-        vals = f(np.concatenate([searches[k][1][asks[k][0]] for k in keys]),
-                 np.concatenate([asks[k][1] for k in keys]))
-        for k, reply in zip(keys, np.split(vals, np.cumsum([len(asks[k][0]) for k in keys])[:-1])):
-            advance(k, reply)
-
-
 def _brent(f, xa, xb, fa, fb, xtol, rtol):
     """Brent's method (Brent 1973, ch. 4) on many independent brackets at once.
 
@@ -323,11 +292,6 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
     evaluates the functions of brackets `index` at x; fa and fb are the end
     values, of strictly opposite signs.  Returns the roots and f there.
     """
-    return _side_by_side(f, [(_brent_steps(xa, xb, fa, fb, xtol, rtol), np.arange(len(xa)))])[0]
-
-
-def _brent_steps(xa, xb, fa, fb, xtol, rtol):
-    """_brent as a search for _side_by_side."""
     n = len(xa)
     root, froot, index = np.empty(n), np.empty(n), np.arange(n)
     xtol = np.broadcast_to(np.asarray(xtol, dtype=float), (n,))
@@ -343,13 +307,12 @@ def _brent_steps(xa, xb, fa, fb, xtol, rtol):
         delta = (xtol + rtol * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         done = (fcur == 0) | (np.abs(sbis) < delta)
-        if done.any():
-            root[index[done]], froot[index[done]] = xcur[done], fcur[done]
-            index, xtol, delta, sbis, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
-                v[~done] for v in (index, xtol, delta, sbis, xpre, xcur, xblk,
-                                   fpre, fcur, fblk, spre, scur))
-        if not len(index):
+        root[index[done]], froot[index[done]] = xcur[done], fcur[done]
+        if done.all():
             return root, froot
+        index, xtol, delta, sbis, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+            v[~done] for v in (index, xtol, delta, sbis, xpre, xcur, xblk,
+                               fpre, fcur, fblk, spre, scur))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
             stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
@@ -359,7 +322,7 @@ def _brent_steps(xa, xb, fa, fb, xtol, rtol):
         spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = yield index, xcur
+        fcur = f(index, xcur)
         if np.any(np.isnan(fcur)):
             raise SolverError("NaN residual inside a root bracket",
                               {"brackets": n, "iteration": iteration})
@@ -367,44 +330,36 @@ def _brent_steps(xa, xb, fa, fb, xtol, rtol):
                       {"brackets": n, "iteration": _BRENT_MAXITER})
 
 
-def _brent_min_steps(sign, a, x, b, fa, fx, fb, crossed):
+def _brent_min(f, sign, a, x, b, fa, fx, fb):
     """Brent's minimiser (Brent 1973, ch. 5) of sign f on many intervals at
-    once, as a search for _side_by_side.
+    once, laid out like _brent.
 
     Each interval starts from a < x < b with 0 < sign f(x) < sign f(a),
     sign f(b), so the parabola through the three takes the first step.  It
-    stops at the first point x where sign f is negative, and then calls
-    crossed(index, a, x, b, fa, fx, fb) for it in that round, with a and b
-    the nearest points either side where sign f is positive.  Otherwise it
-    stops at its minimum x, once the interval is shorter than
-    _FOLD_TOL (1 + x) around it or a parabolic step changes f(x) by less
-    than _FOLD_TOL of itself (the steps left would only locate the minimum,
-    not lower it).  Returns x and f(x) of every interval.
+    stops at the first point x where sign f is negative, with a and b the
+    nearest points either side where sign f is positive: a root lies on
+    either side of x.  Otherwise it stops at its minimum x once the interval
+    is shorter than _FOLD_TOL (1 + x) around it.  f(index, x) is as for
+    _brent.  Returns a, x, b, f(a), f(x), f(b) of every interval at its stop.
     """
     n = len(x)
-    out, index = np.empty((2, n)), np.arange(n)
+    out, index = np.empty((6, n)), np.arange(n)
     a, x, b = (np.array(z, dtype=float) for z in (a, x, b))
     fa, fx, fb = (sign * np.asarray(z, dtype=float) for z in (fa, fx, fb))
     low = fa < fb
     w, fw = np.where(low, a, b), np.where(low, fa, fb)
     v, fv = np.where(low, b, a), np.where(low, fb, fa)
     d = e = b - a
-    flat = np.zeros(n, dtype=bool)
     for iteration in range(_BRENT_MAXITER):
         mid = (a + b) / 2
         tol = _FOLD_TOL / 4 * (1.0 + np.abs(x))
-        done = (fx < 0) | flat | (np.abs(x - mid) <= 2 * tol - (b - a) / 2)
-        if done.any():
-            out[:, index[done]] = x[done], sign[done] * fx[done]
-            hit = fx < 0
-            if hit.any():
-                s = sign[hit]
-                crossed(index[hit], a[hit], x[hit], b[hit], s * fa[hit], s * fx[hit], s * fb[hit])
-            index, sign, a, x, b, w, v, fa, fx, fb, fw, fv, d, e, mid, tol = (
-                z[~done] for z in (index, sign, a, x, b, w, v, fa, fx, fb, fw, fv, d, e, mid, tol))
-            flat = flat[~done]
-        if not len(index):
+        done = (fx < 0) | (np.abs(x - mid) <= 2 * tol - (b - a) / 2)
+        s = sign[done]
+        out[:, index[done]] = a[done], x[done], b[done], s * fa[done], s * fx[done], s * fb[done]
+        if done.all():
             return out
+        index, sign, a, x, b, w, v, fa, fx, fb, fw, fv, d, e, mid, tol = (
+            z[~done] for z in (index, sign, a, x, b, w, v, fa, fx, fb, fw, fv, d, e, mid, tol))
         # parabola through x, w and v, taken when it falls inside (a, b) and
         # moves less than half the step before last; else a golden section
         r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
@@ -418,11 +373,10 @@ def _brent_min_steps(sign, a, x, b, fa, fx, fb, crossed):
         edge = parab & ((x + d - a < 2 * tol) | (b - x - d < 2 * tol))
         d = np.where(edge, np.where(x < mid, tol, -tol), d)
         u = x + np.where(np.abs(d) >= tol, d, np.where(d > 0, tol, -tol))
-        fu = sign * (yield index, u)
+        fu = sign * f(index, u)
         if np.any(np.isnan(fu)):
             raise SolverError("NaN residual inside an extremum search",
                               {"intervals": n, "iteration": iteration})
-        flat = parab & (np.abs(fu - fx) <= _FOLD_TOL * np.abs(fx))
         better, below = fu <= fx, u < x
         end, fend = np.where(better, x, u), np.where(better, fx, fu)
         a, fa = np.where(better != below, end, a), np.where(better != below, fend, fa)
@@ -442,29 +396,33 @@ def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.nd
     """(tau, [radii]) for a block of taus; worlds(tau, r) broadcasts and
     returns the six world values of the skeleton and the probe point."""
 
-    def residual(tau, r):
-        return _first_order(kind, *worlds(tau, r))
-
     def signed_residual(tau, r):
         """The residual, and True where it is not lost to round-off."""
-        values = worlds(tau, r)
-        res = _first_order(kind, *values)
-        bound = _ROUNDOFF * _EPS * np.maximum(_first_order_roundoff(kind, *values), 1.0)
-        return res, np.abs(res) > bound
+        res, bound = _first_order(kind, *worlds(tau, r), roundoff=True)
+        return res, np.abs(res) > _ROUNDOFF * _EPS * np.maximum(bound, 1.0)
+
+    def residual(rows, r):
+        return _first_order(kind, *worlds(taus[rows], r))
 
     grid = np.concatenate([np.zeros((len(taus), 1)),
-                           np.geomspace(1e-6, rmaxs, probes - 1, axis=-1)], axis=1)
+                           np.geomspace(_RESOLUTION, rmaxs, probes - 1, axis=-1)], axis=1)
     with np.errstate(all="ignore"):  # overflow far out is reported below
         vals, signed = signed_residual(taus[:, None], grid)
     finite = np.all(np.isfinite(vals), axis=1)
     if not finite.all():
         raise GeometryError(f"tube residual is not finite at tau {float(taus[~finite][0])!r}")
-    # a residual within round-off of the terms it is assembled from has no
-    # sign: r = 0 is then a root.  A tau is lost when its last probe, at
-    # rmax, has none: nothing bounds what lies beyond the last signed probe
+    # a residual within round-off of the world values it is built from has
+    # no sign.  A tau is lost when its last probe, at rmax, has none: nothing
+    # bounds what lies beyond the last signed probe
     lost = ~signed[:, -1]
     if lost.any():
         raise GeometryError(f"tube residual is lost to round-off at tau {float(taus[lost][0])!r}")
+    # r = 0 without a sign is a root when the probe at _RESOLUTION has one
+    # (the rule for a fold below, on the axis); when it has none, the run of
+    # unsigned probes from the axis out may hold no root, one or a pair
+    lost = ~signed[:, 0] & ~signed[:, 1]
+    if lost.any():
+        raise GeometryError(f"tube root is lost to round-off at tau {float(taus[lost][0])!r}")
     # consecutive signed probes of opposite signs bracket a root, whatever
     # unsigned probes lie between them
     srow, scol = np.nonzero(signed)
@@ -472,13 +430,11 @@ def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.nd
     rows, i, j = srow[:-1][adjacent], scol[:-1][adjacent], scol[1:][adjacent]
     flip = vals[rows, i] * vals[rows, j] < 0
     band = ~flip & (j > i + 1)
-    a, b = grid[rows[flip], i[flip]], grid[rows[flip], j[flip]]
-    f_a, f_b = vals[rows[flip], i[flip]], vals[rows[flip], j[flip]]
     # a root pair may hide around a signed probe whose |residual| is below
     # both its neighbours of its sign, or among unsigned probes between two
     # signed ones of the same sign: minimise the signed residual over each
-    # such interval, side by side with the brackets, for a crossing (two
-    # brackets more), a fold (a minimum within round-off) or nothing
+    # such interval for a crossing (two brackets more), a fold (a minimum
+    # within round-off) or nothing
     mid = vals[:, 1:-1]
     ext, k = np.nonzero(signed[:, 1:-1] & (mid * vals[:, :-2] > 0) & (mid * vals[:, 2:] > 0)
                         & (np.abs(mid) < np.abs(vals[:, :-2]))
@@ -487,33 +443,28 @@ def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.nd
             np.concatenate([k + 2, j[band]]))
     ext = np.concatenate([ext, rows[band]])
     sign = np.sign(vals[ext, ends[0]])
-    rows = rows[flip]
-    brackets = [(a, b, rows)]
-    searches = [(_brent_steps(a, b, f_a, f_b, 1e-12 * (1.0 + b), 1e-15), rows)]
-
-    def crossed(index, lo, x, hi, f_lo, f_x, f_hi):
-        # two brackets each, solved side by side from the next round on
-        c_a, c_b, c_rows = np.concatenate([lo, x]), np.concatenate([x, hi]), np.tile(ext[index], 2)
-        brackets.append((c_a, c_b, c_rows))
-        searches.append((_brent_steps(c_a, c_b, np.concatenate([f_lo, f_x]),
-                                      np.concatenate([f_x, f_hi]), 1e-12 * (1.0 + c_b), 1e-15),
-                         c_rows))
-
-    searches.append((_brent_min_steps(sign, *(grid[ext, c] for c in ends),
-                                      *(vals[ext, c] for c in ends), crossed), ext))
-    solved = _side_by_side(lambda tau_rows, z: residual(taus[tau_rows], z), searches)
-    (x, f_x), solved = solved[1], solved[:1] + solved[2:]
-    a, b, rows = (np.concatenate(z) for z in zip(*brackets))
-    r, fr = (np.concatenate(z) for z in zip(*solved))
-    signed_ends = np.arange(len(r)) < len(brackets[0][0])
+    m_a, m_x, m_b, mf_a, mf_x, mf_b = _brent_min(lambda index, z: residual(ext[index], z), sign,
+                                                 *(grid[ext, c] for c in ends),
+                                                 *(vals[ext, c] for c in ends))
+    cross = sign * mf_x < 0
+    rows, i, j = rows[flip], i[flip], j[flip]
+    a = np.concatenate([grid[rows, i], m_a[cross], m_x[cross]])
+    b = np.concatenate([grid[rows, j], m_x[cross], m_b[cross]])
+    f_a = np.concatenate([vals[rows, i], mf_a[cross], mf_x[cross]])
+    f_b = np.concatenate([vals[rows, j], mf_x[cross], mf_b[cross]])
+    signed_ends = np.arange(len(a)) < len(rows)
+    rows = np.concatenate([rows, ext[cross], ext[cross]])
+    r, fr = np.empty((2, 0))
+    if len(rows):
+        r, fr = _brent(lambda index, z: residual(rows[index], z), a, b, f_a, f_b,
+                       1e-12 * (1.0 + b), 1e-15)
     # A root is resolved when the residual is signed _RESOLUTION (1 + r)
     # either side of it, or when its bracket has two signed ends; else it
     # lies in a round-off band that may hold no root, one or a pair.  A
     # minimum within round-off is a fold root, which must be resolved too.
     # The side values of a bracket's root also give one Newton step on their
-    # slope, kept when it stays in the bracket and does not raise the residual.
-    cross = sign * f_x < 0
-    x, x_rows = x[~cross], ext[~cross]
+    # slope, kept when it stays in the bracket and lowers the residual.
+    x, x_rows = m_x[~cross], ext[~cross]
     at, at_rows, fold = np.concatenate([r, x]), np.concatenate([rows, x_rows]), np.empty(0, bool)
     if len(at):
         n, dr = len(at), _RESOLUTION * (1.0 + at)
@@ -525,29 +476,29 @@ def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.nd
             raise GeometryError("tube root is lost to round-off at tau "
                                 f"{float(taus[at_rows[lost][0]])!r}")
     if len(r):
-        tau = taus[rows]
         slope = (f_at[:len(r)] - f_at[n:n + len(r)]) / (2.0 * dr[:len(r)])
         with np.errstate(divide="ignore", invalid="ignore"):
             polished = r - fr / slope
         trial = np.flatnonzero((slope != 0.0) & (a <= polished) & (polished <= b))
         if len(trial):
-            f_pol = residual(tau[trial], polished[trial])
-            keep = np.abs(f_pol) <= np.abs(fr[trial])
+            f_pol = residual(rows[trial], polished[trial])
+            keep = np.abs(f_pol) < np.abs(fr[trial])
             r[trial[keep]], fr[trial[keep]] = polished[trial[keep]], f_pol[keep]
+        tau = taus[rows]
         bound = 1e-10 * (y2 * (1.0 + tau * tau + r * r)) ** 2
         if np.any(np.abs(fr) > bound):
-            j = int(np.argmax(np.abs(fr) / bound))
+            k = int(np.argmax(np.abs(fr) / bound))
             raise SolverError("tube root polish failed to meet tolerance", {
-                "tau": float(tau[j]), "radius": float(r[j]),
-                "residual": float(fr[j]), "bound": float(bound[j])})
+                "tau": float(tau[k]), "radius": float(r[k]),
+                "residual": float(fr[k]), "bound": float(bound[k])})
     roots = [[] if s else [0.0] for s in signed[:, 0]]
     for i, root in zip(np.concatenate([rows, x_rows[fold]]).tolist(),
                        np.concatenate([r, x[fold]]).tolist()):
         roots[i].append(root)
     out = []
-    for tau, radii in zip(taus.tolist(), roots):
+    for tau, found in zip(taus.tolist(), roots):
         merged = []
-        for r in sorted(radii):
+        for r in sorted(found):
             if merged and abs(r - merged[-1]) < _FOLD_TOL * (1.0 + r):
                 continue  # fold: tangential root, multiplicity 2, reported once
             merged.append(r)
@@ -572,9 +523,11 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     (tangential root at a fold).  A root whose neighbourhood, 1e-6 (1 + r)
     either side, is lost to round-off of the world values the residual is
     built from raises GeometryError naming the tau, unless its bracket has
-    two signed ends.  rmax is per tau, max(10 (1 + 1/g), 3 + 2 sqrt(3)
-    |tau|) for reduced asymmetry g, so no tau's profile depends on the
-    other taus.  Taus are sampled in blocks of _TAU_BLOCK, which bounds
+    two signed ends.  So does r = 0 within round-off when the probe at 1e-6
+    is too (the axis of a flat world from |tau| ~ 5 on, a double root whose
+    round-off band widens like |tau|^1.5).  rmax is per tau,
+    max(10 (1 + 1/g), 3 + 2 sqrt(3) |tau|) for reduced asymmetry g, so no
+    tau's profile depends on the other taus.  Taus are sampled in blocks of _TAU_BLOCK, which bounds
     memory however long the grid is.
 
     Returns a list of (tau, [radii]) pairs.

@@ -450,6 +450,31 @@ def test_sampler_large_tau_matches_or_raises(tau):
         assert abs(got - ref) <= 1e-6 * ref
 
 
+def test_sampler_unsigned_axis_run_is_not_a_root():
+    # on case2 at tau 1e4 every probe below r = 0.19 is within round-off; the
+    # root at r = 0.0666666687 (50-digit arithmetic) lies among them, and
+    # r = 0 is no root: either that root or an error naming the tau
+    w = world("case2", b=[1, 0, 0, 0], alpha=0.1, beta=0.5)
+    try:
+        [(_, radii)] = sample_axisymmetric_tube(w, np.array([1.0, 0, 0, 0]), "n", [1e4])
+    except GeometryError as exc:
+        assert "round-off at tau 10000.0" in str(exc)
+    else:
+        assert len(radii) == 1 and abs(radii[0] - 0.0666666687) <= 1e-6
+
+
+def test_sampler_flat_axis_root():
+    # a flat world's tube is its axis, a double root at r = 0: reported while
+    # the probe at tubes._RESOLUTION is signed, an error once the round-off
+    # band around the axis is wider
+    w = world("euclidean")
+    y = np.array([1.0, 0, 0, 0])
+    assert sample_axisymmetric_tube(w, y, "n", [-1.0, 0.5, 3.0]) == [
+        (-1.0, [0.0]), (0.5, [0.0]), (3.0, [0.0])]
+    with pytest.raises(GeometryError, match=r"round-off at tau 100\.0"):
+        sample_axisymmetric_tube(w, y, "n", [100.0])
+
+
 _DENSE_TAUS = np.linspace(-3.0, 4.0, 61)
 
 
@@ -523,8 +548,7 @@ def test_sampler_evaluates_the_skeleton_pair_once():
 
 def test_extremum_search_outcomes():
     # a minimum above zero, one below it (a crossing between two positive
-    # points, reported in the round it is found) and one at zero, each
-    # searched from three points around it
+    # points) and one at zero, each searched from three points around it
     funcs = [lambda x: (x - 0.3) ** 2 + 0.5, lambda x: (x - 0.3) ** 2 - 0.01,
              lambda x: (x - 0.3) ** 2]
     a, x, b = np.zeros(3), np.full(3, 0.2), np.ones(3)
@@ -532,15 +556,13 @@ def test_extremum_search_outcomes():
     def f(index, z):
         return np.array([funcs[i](v) for i, v in zip(index, z)])
 
-    every, crossings = np.arange(3), []
-    [(x, f_x)] = tubes._side_by_side(f, [(tubes._brent_min_steps(
-        np.ones(3), a, x, b, f(every, a), f(every, x), f(every, b),
-        lambda *crossing: crossings.append(crossing)), every)])
+    every = np.arange(3)
+    lo, x, hi, f_lo, f_x, f_hi = tubes._brent_min(f, np.ones(3), a, x, b, f(every, a),
+                                                   f(every, x), f(every, b))
     assert x[0] == pytest.approx(0.3, abs=1e-6) and f_x[0] == pytest.approx(0.5, rel=1e-12)
-    [(index, lo, at, hi, f_lo, f_at, f_hi)] = crossings
-    assert list(index) == [1] and f_x[1] == f_at[0] < 0 < min(f_lo[0], f_hi[0])
-    assert lo[0] < at[0] == x[1] < hi[0]
+    assert f_x[1] < 0 < min(f_lo[1], f_hi[1]) and lo[1] < x[1] < hi[1]
     assert x[2] == pytest.approx(0.3, abs=1e-7) and 0.0 <= f_x[2] <= 1e-14
+    assert np.array_equal(f(every, lo), f_lo) and np.array_equal(f(every, hi), f_hi)
 
 
 def _scalar_brackets():
