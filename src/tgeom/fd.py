@@ -12,6 +12,13 @@ second-order rules.  An entry with k distinct first-derivative axes then
 costs 2^k points instead of 4^k: at d=4 the coincidence coefficients read
 1,057 unique points and the curvature bundle 2,993.
 
+A request with second_order=True takes the 2-point rule at every order.  The
+damped Newton solves (tgeom.newton) ask for it for their order-2 Jacobians:
+a Jacobian only steers the step, and the residual, still on the 4-point
+rule, fixes the root.  At d=4 a (1, 1) tensor then reads 64 points instead
+of 256 and a (0, 2) tensor 33 instead of 105.  Order 2's step is already
+the second-order balance, so no step changes.
+
 Step sizes balance truncation against rounding per total derivative order:
 
     order 1: eps^(1/5) * s     order 2: eps^(1/4) * s
@@ -19,14 +26,14 @@ Step sizes balance truncation against rounding per total derivative order:
 
 with s = 1 + max-norm of the anchor points; no caller sets a step of its
 own.  Each request is served by a stencil plan, built once per (dim,
-orders, coincidence): the unique stencil points of all requested tensors,
-as integer offset rows per step class in no particular order, with gather
-indices back to each entry's stencil.  One world-function call over the
-unique points then serves every tensor.  part_tensors serves the world
-function and both its parts from that one call at coincidence (xp = x),
-where every swapped pair (Q, P) is itself a stencil point, and from two
-calls elsewhere; kind_tensor serves the two-point function k(a, b) of a
-tube or line kind.
+orders, coincidence, second_order): the unique stencil points of all
+requested tensors, as integer offset rows per step class in no particular
+order, with gather indices back to each entry's stencil.  One
+world-function call over the unique points then serves every tensor.
+part_tensors serves the world function and both its parts from that one
+call at coincidence (xp = x), where every swapped pair (Q, P) is itself a
+stencil point, and from two calls elsewhere; kind_tensor serves the
+two-point function k(a, b) of a tube or line kind.
 Reading one value for several entries assumes pointwise evaluation
 (worlds.world_from_callable).
 """
@@ -57,7 +64,8 @@ _STEP_COEF = {
 
 # 1-D central rules keyed by multiplicity: (offsets, unit weights); the true
 # weight is unit_weight / h^multiplicity.  _RULES[1] serves orders 1 and 2,
-# _SECOND_ORDER_FIRST a multiplicity-1 axis of an order-3 or order-4 entry.
+# _SECOND_ORDER_FIRST a multiplicity-1 axis of an order-3 or order-4 entry
+# and of every entry of a second_order request.
 _SECOND_ORDER_FIRST = (np.array([-1.0, 1.0]), np.array([-0.5, 0.5]))
 _RULES = {
     1: (np.array([-2.0, -1.0, 1.0, 2.0]),
@@ -84,20 +92,21 @@ def _axis_groups(combo):
     return groups
 
 
-def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple):
+def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple, second_order: bool = False):
     """Unit-step product stencil for one tensor entry.
 
     Returns (offs_x, offs_xp, unit_weights) where the displacement of stencil
     point k is h * offs[k] and its weight is unit_weights[k] / h^order.  At
-    total order 3 or 4 a multiplicity-1 axis takes the 2-point rule.
+    total order 3 or 4, or when second_order is set, a multiplicity-1 axis
+    takes the 2-point rule.
     """
     offs_x = np.zeros((1, dim))
     offs_xp = np.zeros((1, dim))
     wts = np.ones(1)
-    second_order = len(combo_x) + len(combo_xp) >= 3
+    two_point = second_order or len(combo_x) + len(combo_xp) >= 3
 
     def expand(offs_x, offs_xp, wts, axis, mult, primed):
-        nodes, unit = _SECOND_ORDER_FIRST if mult == 1 and second_order else _RULES[mult]
+        nodes, unit = _SECOND_ORDER_FIRST if mult == 1 and two_point else _RULES[mult]
         k = len(nodes)
         m = offs_x.shape[0]
         ox = np.repeat(offs_x, k, axis=0)
@@ -117,13 +126,13 @@ def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple):
     return offs_x.astype(np.int8), offs_xp.astype(np.int8), wts
 
 
-def _tensor_entries(dim: int, nx: int, npr: int):
+def _tensor_entries(dim: int, nx: int, npr: int, second_order: bool = False):
     """All unique entries of a (nx, npr) tensor with their stencils and the
     index permutations each entry scatters to."""
     entries = []
     for cx in combinations_with_replacement(range(dim), nx):
         for cp in combinations_with_replacement(range(dim), npr):
-            offs_x, offs_xp, wts = _entry_stencil(dim, cx, cp)
+            offs_x, offs_xp, wts = _entry_stencil(dim, cx, cp, second_order)
             targets = set()
             for px in permutations(cx):
                 for pp in permutations(cp):
@@ -162,7 +171,8 @@ class _Plan:
 
 
 @lru_cache(maxsize=None)
-def _stencil_plan(dim: int, orders: tuple, coincident: bool) -> _Plan:
+def _stencil_plan(dim: int, orders: tuple, coincident: bool,
+                  second_order: bool = False) -> _Plan:
     classes, tensors, blocks = {}, [], []  # classes: step coefficient -> (class, order)
     cursor = 0
     for nx, npr in orders:
@@ -173,7 +183,7 @@ def _stencil_plan(dim: int, orders: tuple, coincident: bool) -> _Plan:
             continue
         cls, _ = classes.setdefault(_STEP_COEF[nx + npr], (len(classes), nx + npr))
         entries = []
-        for offs_x, offs_xp, wts, targets in _tensor_entries(dim, nx, npr):
+        for offs_x, offs_xp, wts, targets in _tensor_entries(dim, nx, npr, second_order):
             k = len(wts)
             blocks.append(np.column_stack([np.full(k, cls, dtype=np.int8), offs_x, offs_xp]))
             entries.append((slice(cursor, cursor + k), wts, targets))
@@ -224,25 +234,28 @@ class _Parts:
         return np.stack([fwd, *parts(fwd, rev)])
 
 
-def partial_tensor(fn, x, xp, nx: int, npr: int):
+def partial_tensor(fn, x, xp, nx: int, npr: int, *, second_order: bool = False):
     """Mixed partial tensor of a two-point scalar fn(x, xp).
 
     fn must broadcast over leading axes.  Result shape is (d,)*(nx+npr) with
     the nx unprimed indices first.  Entries related by permutations inside
     the unprimed (or primed) group are computed once and mirrored.
     """
-    return partial_tensors(fn, x, xp, [(nx, npr)])[(nx, npr)]
+    return partial_tensors(fn, x, xp, [(nx, npr)], second_order=second_order)[(nx, npr)]
 
 
-def partial_tensors(fn, x, xp, orders):
+def partial_tensors(fn, x, xp, orders, *, second_order: bool = False):
     """Batch form: orders is a list of (nx, npr); one fn call evaluates the
     unique stencil points of every requested tensor.  fn may return value
-    rows stacked on a leading axis; each row then gets its own tensor."""
+    rows stacked on a leading axis; each row then gets its own tensor.
+    second_order=True puts the 2-point rule on every first-derivative axis
+    (module docstring)."""
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     d = x.shape[-1]
     coincident = isinstance(fn, _Parts) and np.array_equal(x, xp)
-    plan = _stencil_plan(d, tuple((nx, npr) for nx, npr in orders), coincident)
+    plan = _stencil_plan(d, tuple((nx, npr) for nx, npr in orders), coincident,
+                         second_order)
 
     # stencils far out in the chart overflow: raise below rather than warn
     with np.errstate(all="ignore"):
@@ -288,24 +301,25 @@ def partial_tensors(fn, x, xp, orders):
     return out
 
 
-def part_tensors(w, x, xp, orders):
+def part_tensors(w, x, xp, orders, *, second_order: bool = False):
     """partial_tensors of w and of its parts, keyed "full", "sym", "asym".
 
     One stencil serves all three: one world call over its unique points at
     coincidence (xp = x), two elsewhere, w(P, Q) and w(Q, P).
     """
-    stacked = partial_tensors(_Parts(w), x, xp, orders)
+    stacked = partial_tensors(_Parts(w), x, xp, orders, second_order=second_order)
     return {part: {key: t[i] for key, t in stacked.items()}
             for i, part in enumerate(("full", "sym", "asym"))}
 
 
-def kind_tensor(w, kind: str, a, b, na: int, nb: int):
+def kind_tensor(w, kind: str, a, b, na: int, nb: int, *, second_order: bool = False):
     """Partial tensor, na a-indices then nb b-indices, of the kind's k(a, b)
     (WorldFunction.of_kind).  The past kind differentiates w itself at
     (b, a), then moves the b-axes last: a swapped-argument lambda would sum
     each stencil in transposed order and round differently."""
     if check_kind(kind) == "n":
-        return part_tensors(w, a, b, [(na, nb)])["sym"][(na, nb)]
+        return part_tensors(w, a, b, [(na, nb)], second_order=second_order)["sym"][(na, nb)]
     if kind == "f":
-        return partial_tensor(w, a, b, na, nb)
-    return np.moveaxis(partial_tensor(w, b, a, nb, na), range(nb), range(na, na + nb))
+        return partial_tensor(w, a, b, na, nb, second_order=second_order)
+    return np.moveaxis(partial_tensor(w, b, a, nb, na, second_order=second_order),
+                       range(nb), range(na, na + nb))

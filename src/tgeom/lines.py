@@ -98,7 +98,8 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
         target = tau * rhs_covector
         try:
             x, record = newton(lambda x: lhs(x) - target,
-                               lambda x: fd.kind_tensor(w, kind, x, x_start, 1, 1).T,
+                               lambda x: fd.kind_tensor(w, kind, x, x_start, 1, 1,
+                                                        second_order=True).T,
                                start, 1e-12 * scale)
         except SolverError as exc:
             raise SolverError("singular Jacobian on gradient line",

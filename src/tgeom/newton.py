@@ -1,4 +1,12 @@
-"""The damped Newton iteration of the chain, gradient-line and seed solves."""
+"""The damped Newton iteration of the chain, gradient-line and seed solves.
+
+A Jacobian only sets the search direction; the residual decides when the
+root is found.  A Jacobian with relative error delta keeps the contraction
+near delta per step (Dennis & Schnabel, Numerical Methods for Unconstrained
+Optimization and Nonlinear Equations, 1983, sec. 5.4), so the gradient-line
+and chain solves take their Jacobians from the 2-point stencils of
+fd (second_order=True) and their residuals from the 4-point ones.
+"""
 
 from typing import NamedTuple
 

@@ -662,6 +662,7 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     to the kind's gradient line as mu shrinks.
     """
     d = w.dim
+    last = {}  # the residual's last vertex and its constraint gradient
 
     def objective_grad(p):
         return fd.kind_tensor(w, kind, p_prev, p, 0, 1)
@@ -671,17 +672,20 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
 
     def residual(z):
         p, lam = z[:d], z[d]
+        og, cg = objective_grad(p), constraint_grad(p)
+        last.update(p=p.copy(), cg=cg)
         r = np.empty(d + 1)
-        r[:d] = objective_grad(p) - lam * constraint_grad(p)
+        r[:d] = og - lam * cg
         r[d] = kind_length_sq(w, kind, p_mid, p) - mu * mu
         return r
 
     def jacobian(z):
+        # newton asks for the Jacobian at the point of its last residual
         p, lam = z[:d], z[d]
         jac = np.zeros((d + 1, d + 1))
-        jac[:d, :d] = (fd.kind_tensor(w, kind, p_prev, p, 0, 2)
-                       - lam * fd.kind_tensor(w, kind, p_mid, p, 0, 2))
-        cg = constraint_grad(p)
+        jac[:d, :d] = (fd.kind_tensor(w, kind, p_prev, p, 0, 2, second_order=True)
+                       - lam * fd.kind_tensor(w, kind, p_mid, p, 0, 2, second_order=True))
+        cg = last["cg"] if np.array_equal(last.get("p"), p) else constraint_grad(p)
         jac[:d, d] = -cg
         jac[d, :d] = 2.0 * cg
         return jac

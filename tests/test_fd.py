@@ -28,7 +28,7 @@ ORDER_SETS = {
 PARTS = ("full", "sym", "asym")
 
 
-def naive_part_tensors(w, x, xp, orders):
+def naive_part_tensors(w, x, xp, orders, second_order=False):
     """part_tensors entry by entry: two world calls per entry stencil."""
     out = {part: {} for part in PARTS}
     for nx, npr in orders:
@@ -40,7 +40,8 @@ def naive_part_tensors(w, x, xp, orders):
             continue
         step = fd.step_size(order, x, xp)
         tensors = np.zeros((3,) + (x.shape[-1],) * order)
-        for offs_x, offs_xp, unit, targets in fd._tensor_entries(x.shape[-1], nx, npr):
+        for offs_x, offs_xp, unit, targets in fd._tensor_entries(x.shape[-1], nx, npr,
+                                                                 second_order):
             p, q = x + step * offs_x, xp + step * offs_xp
             fwd, rev = w(p, q), w(q, p)
             wts = unit / step**order
@@ -67,6 +68,24 @@ def test_plan_matches_naive_entries(all_worlds, orders, anchor):
                 assert np.array_equal(got[part][key], want[part][key]), (name, part, key)
         for key in orders:
             assert np.array_equal(plain[key], want["full"][key]), (name, key)
+
+
+# the Newton Jacobians: 2-point rule on every first-derivative axis, at the
+# order-2 step; one (1, 1) tensor reads 64 points and one (0, 2) tensor 33
+@pytest.mark.parametrize("anchor", ANCHORS)
+@pytest.mark.parametrize("key,points", [((1, 1), 64), ((0, 2), 33)], ids=["11", "02"])
+def test_second_order_plan_matches_naive_entries(all_worlds, key, points, anchor):
+    x, xp = ANCHORS[anchor]
+    for offs_x, offs_xp, _, _ in fd._tensor_entries(4, *key, True):
+        assert np.max(np.abs(np.concatenate([offs_x, offs_xp]))) == 1  # no 4-point rule
+    assert len(fd._stencil_plan(4, (key,), False, True).cls) == points
+    for name, w in all_worlds.items():
+        got = fd.part_tensors(w, x, xp, [key], second_order=True)
+        want = naive_part_tensors(w, x, xp, [key], second_order=True)
+        plain = fd.partial_tensors(w, x, xp, [key], second_order=True)
+        for part in PARTS:
+            assert np.array_equal(got[part][key], want[part][key]), (name, part)
+        assert np.array_equal(plain[key], want["full"][key]), name
 
 
 def _recording(w, dim):

@@ -53,6 +53,19 @@ BUDGETS = {
 }
 
 
+# The Newton Jacobians (second_order=True: the 2-point rule on every
+# first-derivative axis): worst relative error of the (1, 1) and the (0, 2)
+# tensor, as (budget, measured).  Against the 4-point tensors they differ by
+# at most 3.8e-10, 8.2e-10, 1.8e-9, 7.3e-8 and 4.0e-10, family by family.
+JACOBIAN_BUDGETS = {
+    "euclidean": ((1e-9, 2.2e-10), (1e-9, 2.3e-10)),
+    "constant_a": ((2e-9, 4.7e-10), (5e-9, 1.9e-9)),
+    "case1": ((5e-9, 1.1e-9), (1e-8, 3.5e-9)),
+    "case2": ((2e-7, 7.4e-8), (1e-7, 2.3e-8)),
+    "cubic_a": ((1e-9, 2.9e-10), (1e-9, 2.2e-10)),
+}
+
+
 def _closed_form(family, xi):
     """W(xi) of a family, with the conftest parameters and Minkowski metric."""
     params = FAMILIES[family]
@@ -115,3 +128,14 @@ def test_fd_error_within_budget(family):
     worst = worst_errors(family)
     for order, (err, budget) in enumerate(zip(worst, (b[0] for b in BUDGETS[family])), start=1):
         assert err <= budget, (family, order, err)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_jacobian_stencils_within_budget(family):
+    w = world(family, **FAMILIES[family])
+    for key, (budget, _) in zip([(1, 1), (0, 2)], JACOBIAN_BUDGETS[family]):
+        for x, xp in ANCHORS:
+            got = fd.partial_tensor(w, x, xp, *key, second_order=True)
+            want = exact_tensor(family, x, xp, *key)
+            err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+            assert err <= budget, (family, key, err)

@@ -107,6 +107,22 @@ def test_ode_world_call_budget(small_cubic):
     assert len(calls) <= 30
 
 
+def test_implicit_world_point_budget(cubic):
+    # 13 Newton solves of 36 iterations in all: a 16-point (0, 1) stencil
+    # per residual and a 64-point (1, 1) Jacobian per iteration, on the
+    # 2-point rule (256 points on the 4-point rule, 10,048 in all), plus
+    # the target covector and the coincidence gradient
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+        return cubic(a, b)
+
+    traj = gradient_line_implicit(world_from_callable(counted, 4), "f", XA, XB, GRID)
+    assert traj.converged.all()
+    assert (len(sizes), sum(sizes)) == (87, 3136)
+
+
 @pytest.mark.parametrize("steps", [2, 5, 8])
 def test_ode_output_grid(small_cubic, steps):
     v0 = initial_velocity(small_cubic, "f", XA, XB)

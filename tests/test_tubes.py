@@ -653,6 +653,26 @@ def test_chain_kinds_coincide_symmetric(minkowski):
         assert np.max(np.abs(chains[k].vertices - chains["n"].vertices)) < 1e-9
 
 
+def test_chain_world_point_budget(cubic):
+    # 4 steps, each a step solve and a probe solve: a residual reads two
+    # 16-point gradients and one length, a Jacobian two 33-point (0, 2)
+    # stencils on the 2-point rule (105 points each on the 4-point rule)
+    # and the constraint gradient of its residual (5,612 points in 180
+    # calls with both recomputed)
+    v = np.array([1.0, 0.25, -0.15, 0.1])
+    v = v / np.sqrt(v @ MINK @ v)
+    p1 = advance_seed(cubic, "f", np.zeros(4), v, 0.1)
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+        return cubic(a, b)
+
+    chain = build_broken_tube(world_from_callable(counted, 4), "f", np.zeros(4), p1, 0.1, 4)
+    assert np.max(chain.length_residuals) < 1e-10
+    assert (len(sizes), sum(sizes)) == (160, 2412)
+
+
 def test_chain_seed_validation(minkowski):
     with pytest.raises(GeometryError, match="does not match"):
         build_broken_tube(minkowski, "f", np.zeros(4),
