@@ -35,6 +35,7 @@ from .errors import (
     GeometryError,
     SingularMetricError,
 )
+from .newton import newton
 from .products import Multivector, _det, product_matrix
 from .products import gram  # noqa: F401 (perfbench/instrument.py patches degeneracy.gram)
 from .worlds import WorldFunction, parts
@@ -229,8 +230,8 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
     report.add("II_dimension", worst, IDENTITY_THRESHOLD)
     report.add("III_reconstruction", worst_recon, IDENTITY_THRESHOLD)
 
-    # IV: sampled solvability of the coordinate equations, by undamped
-    # Newton on one stencil of the coordinate map per iteration
+    # IV: sampled solvability of the coordinate equations, by the damped
+    # Newton of tgeom.newton on one stencil of the coordinate map per step
     rate = _coordinate_solve_rate(w, fb, coords, seed)
     report.add("IV_solvability", 1.0 - rate, 0.0)
 
@@ -249,9 +250,10 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
 
 
 def _coordinate_solve_rate(w, fb, coords, seed):
-    """Fraction of coordinate targets reachable by undamped Newton on the
-    coordinate equations; targets are drawn inside the sampled coordinate
-    range."""
+    """Fraction of coordinate targets reached by damped Newton on the
+    coordinate equations from a random start near p0; targets are drawn
+    inside the sampled coordinate range.  A solve that stalls, leaves the
+    chart or meets a singular Jacobian counts as a failure."""
     if w.dim != fb.anchor.order:
         # coordinate count differs from chart dimension: the square Newton
         # system is not defined, count as unsolvable
@@ -262,23 +264,15 @@ def _coordinate_solve_rate(w, fb, coords, seed):
     targets = lo + (hi - lo) * rng.random((_IV_TARGETS, fb.anchor.order))
     p0 = fb.anchor.points[0]
     successes = 0
-    scale = 1.0 + float(np.max(np.abs(fb.g)))
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(fb.g))))
     for target in targets:
-        x = p0 + rng.normal(scale=0.1, size=w.dim)
-        ok = False
+        x0 = p0 + rng.normal(scale=0.1, size=w.dim)
         try:
-            for _ in range(50):
-                if not np.all(np.isfinite(x)):
-                    break
-                r = fb.coordinates(w, x) - target
-                if np.linalg.norm(r) <= 1e-9 * scale:
-                    ok = True
-                    break
-                step = np.linalg.solve(fb.jacobian(w, x), -r)
-                x = x + step
-        except (GeometryError, FloatingPointError, np.linalg.LinAlgError):
-            ok = False
-        successes += ok
+            _, record = newton(lambda x: fb.coordinates(w, x) - target,
+                               lambda x: fb.jacobian(w, x), x0, tol)
+        except (GeometryError, FloatingPointError):  # SolverError included
+            continue
+        successes += record.residual_norm <= tol
     return successes / _IV_TARGETS
 
 

@@ -119,20 +119,13 @@ def multivector_product(w: WorldFunction, p: Multivector, q: Multivector) -> flo
 
 
 def gram(w: WorldFunction, p: Multivector) -> float:
-    """Squared-length determinant of a point tuple.
+    """Squared-length determinant of a point tuple: the scalar product of p
+    with itself.
 
-    Uses the origin-based symmetric entry combination, so the value is
-    invariant under every permutation of the n+1 points.  For points in a
-    flat symmetric world, sqrt(gram)/n! is the simplex volume.
+    The value is invariant under every permutation of the n+1 points.  For
+    points in a flat symmetric world, sqrt(gram)/n! is the simplex volume.
     """
-    p0 = p.points[0]
-    rest = p.points[1:]
-    n = p.order
-    w_i0 = w(rest, np.broadcast_to(p0, rest.shape))
-    w_0k = w(np.broadcast_to(p0, rest.shape), rest)
-    w_ik = w(rest[:, None, :], rest[None, :, :]).reshape(n, n)
-    m = w_i0[:, None] + w_0k[None, :] - w_ik
-    return _det(m)
+    return multivector_product(w, p, p)
 
 
 def _real_length(value: float, what: str) -> float:

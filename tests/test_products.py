@@ -160,6 +160,17 @@ def test_gram_permutation_invariance(all_worlds):
                 assert rel_close(val, base, 1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_is_self_product(all_worlds, n):
+    # the squared length is the multivector product of a tuple with itself,
+    # bit for bit
+    rng = np.random.default_rng(n)
+    for name, w in all_worlds.items():
+        for _ in range(10):
+            p = Multivector(rng.normal(size=(n + 1, w.dim)))
+            assert gram(w, p).hex() == multivector_product(w, p, p).hex(), name
+
+
 def test_sign_flip_under_transposition(all_worlds):
     rng = np.random.default_rng(8)
     for w in all_worlds.values():
