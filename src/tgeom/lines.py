@@ -4,7 +4,9 @@ function (or of its symmetric part) stays proportional to a fixed covector.
 Two independent constructions are provided and cross-validated:
 
 * an implicit solver that tracks the defining proportionality pointwise in
-  the line parameter (Newton continuation along the parameter grid), and
+  the line parameter: predictor-corrector continuation along the parameter
+  grid, whose predictor extrapolates the secant through the last two solved
+  samples and whose corrector is the damped Newton iteration, and
 * a geodesic-type ODE integrator driven by the coincidence Christoffel
   symbols (future: gamma + force, past: gamma - force, neutral: gamma):
   one adaptive Dormand-Prince 5(4) pass whose dense output is sampled on a
@@ -47,6 +49,8 @@ class Trajectory:
     def __post_init__(self):
         if len(self.params) != len(self.points):
             raise ValueError("params and points must have equal length")
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("params must be finite")
         if np.any(np.diff(self.params) <= 0):
             raise ValueError("params must be strictly increasing")
 
@@ -62,8 +66,15 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
                            tau_grid: Sequence[float]) -> Trajectory:
     """Solve the implicit gradient-line system on the parameter grid.
 
-    The curve runs from x_start (parameter 0) to x_end (parameter 1).  Each
-    grid value is Newton-solved warm-started from the previous solution.
+    The curve runs from x_start (parameter 0) to x_end (parameter 1); the
+    grid must be finite and strictly increasing.  Each grid value is solved
+    by predictor-corrector continuation (Allgower & Georg, Numerical
+    Continuation Methods, 1990, ch. 2): the predictor is the chord point
+    x_start + tau (x_end - x_start) until two samples have converged, then
+    the secant through the last two converged samples, extrapolated to tau;
+    the corrector is the damped Newton iteration.  A secant start that does
+    not converge is retried once from the chord point.  On a straight line
+    the secant is exact, so its samples take no Newton step.
     For rough-antisymmetric worlds the future/past equations degenerate as
     the parameter approaches zero; samples below ROUGH_SMALL_TAU then carry
     a structured warning instead of a silently wrong point.
@@ -71,6 +82,8 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
     x_start = np.asarray(x_start, dtype=float)
     x_end = np.asarray(x_end, dtype=float)
     tau_grid = np.asarray(list(tau_grid), dtype=float)
+    if not (np.all(np.isfinite(tau_grid)) and np.all(np.diff(tau_grid) > 0)):
+        raise ValueError("tau_grid must be finite and strictly increasing")
 
     def lhs(x):  # gradient of the kind's k(x, x_start) in its x_start slot
         return fd.kind_tensor(w, kind, x, x_start, 0, 1)
@@ -78,10 +91,10 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
     rhs_covector = lhs(x_end)
 
     warnings = []
-    rough = float(np.linalg.norm(coincidence_gradient(w, x_start)))
-    if kind in ("f", "p") and rough > 1e-10:
+    if kind in ("f", "p"):  # the neutral equation has no coincidence-gradient term
+        rough = float(np.linalg.norm(coincidence_gradient(w, x_start)))
         bad = tau_grid[np.abs(tau_grid) < ROUGH_SMALL_TAU]
-        if bad.size:
+        if rough > 1e-10 and bad.size:
             warnings.append({
                 "code": "rough_antisymmetry_small_parameter",
                 "message": (
@@ -107,17 +120,22 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
         return x, record, record.residual_norm <= 1e-9 * scale
 
     points, residuals, converged = [], [], []
-    last_good = None
+    anchors = []  # (tau, x) of the last two converged samples
     for tau in tau_grid:
         chord_start = x_start + tau * (x_end - x_start)
-        x, record, ok = solve_one(tau, last_good if last_good is not None
-                                  else chord_start)
-        retried = not ok and last_good is not None
+        secant = len(anchors) == 2
+        if secant:
+            (t1, x1), (t2, x2) = anchors
+            start = x2 + (tau - t2) / (t2 - t1) * (x2 - x1)
+        else:
+            start = chord_start
+        x, record, ok = solve_one(tau, start)
+        retried = not ok and secant
         if retried:
-            # the warm start can inherit a bad branch; retry from the chord
-            x2, record2, ok2 = solve_one(tau, chord_start)
-            if ok2 or record2.residual_norm < record.residual_norm:
-                x, record, ok = x2, record2, ok2
+            # the secant can overshoot onto a bad branch; retry from the chord
+            x_c, record_c, ok_c = solve_one(tau, chord_start)
+            if ok_c or record_c.residual_norm < record.residual_norm:
+                x, record, ok = x_c, record_c, ok_c
         norm = record.residual_norm
         if not ok and not warnings:
             raise SolverError(
@@ -128,7 +146,7 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
         residuals.append(norm / scale)
         converged.append(ok)
         if ok:
-            last_good = x
+            anchors = anchors[-1:] + [(tau, x)]
     return Trajectory(params=tau_grid, points=np.asarray(points), kind=kind,
                       residuals=np.asarray(residuals), warnings=warnings,
                       converged=np.asarray(converged))

@@ -659,21 +659,22 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     Stationarity of the kind's end-to-end objective on the level set of the
     new segment's kind length, solved for (next vertex, multiplier).  The
     kind length (not the symmetrized one) is what makes the chain converge
-    to the kind's gradient line as mu shrinks.
+    to the kind's gradient line as mu shrinks.  The residual, the Jacobian
+    and the step's start share one memo of the objective and constraint
+    gradients at the last vertex asked for.
     """
     d = w.dim
-    last = {}  # the residual's last vertex and its constraint gradient
+    memo = {}  # the last vertex and its objective and constraint gradients
 
-    def objective_grad(p):
-        return fd.kind_tensor(w, kind, p_prev, p, 0, 1)
-
-    def constraint_grad(p):
-        return fd.kind_tensor(w, kind, p_mid, p, 0, 1)
+    def gradients(p):
+        if not np.array_equal(memo.get("p"), p):
+            memo.update(p=p.copy(), grads=(fd.kind_tensor(w, kind, p_prev, p, 0, 1),
+                                           fd.kind_tensor(w, kind, p_mid, p, 0, 1)))
+        return memo["grads"]
 
     def residual(z):
         p, lam = z[:d], z[d]
-        og, cg = objective_grad(p), constraint_grad(p)
-        last.update(p=p.copy(), cg=cg)
+        og, cg = gradients(p)
         r = np.empty(d + 1)
         r[:d] = og - lam * cg
         r[d] = kind_length_sq(w, kind, p_mid, p) - mu * mu
@@ -685,12 +686,12 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
         jac = np.zeros((d + 1, d + 1))
         jac[:d, :d] = (fd.kind_tensor(w, kind, p_prev, p, 0, 2, second_order=True)
                        - lam * fd.kind_tensor(w, kind, p_mid, p, 0, 2, second_order=True))
-        cg = last["cg"] if np.array_equal(last.get("p"), p) else constraint_grad(p)
+        cg = gradients(p)[1]
         jac[:d, d] = -cg
         jac[d, :d] = 2.0 * cg
         return jac
 
-    return residual, jacobian, objective_grad, constraint_grad
+    return residual, jacobian, gradients
 
 
 def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
@@ -717,7 +718,7 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     scale = 1.0 + mu * mu
     for index in range(steps):
         prev_p, mid = verts[-2], verts[-1]
-        residual, jacobian, obj_grad, con_grad = _step_system(w, kind, prev_p, mid, mu)
+        residual, jacobian, gradients = _step_system(w, kind, prev_p, mid, mu)
 
         def solve(z0):
             try:
@@ -734,8 +735,7 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
             return z
 
         guess = 2.0 * mid - prev_p
-        og = obj_grad(guess)
-        cg = con_grad(guess)
+        og, cg = gradients(guess)  # the first residual reuses them
         denom = float(cg @ cg)
         lam0 = float(og @ cg) / denom if denom > 0 else 1.0
         z0 = np.concatenate([guess, [lam0]])

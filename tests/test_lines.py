@@ -16,6 +16,7 @@ from tgeom import (
 )
 from tgeom import lines
 from tgeom.calculus import coincidence_coefficients
+from tgeom.newton import newton
 from conftest import random_a3, world
 
 MINK = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -108,10 +109,10 @@ def test_ode_world_call_budget(small_cubic):
 
 
 def test_implicit_world_point_budget(cubic):
-    # 13 Newton solves of 36 iterations in all: a 16-point (0, 1) stencil
-    # per residual and a 64-point (1, 1) Jacobian per iteration, on the
-    # 2-point rule (256 points on the 4-point rule, 10,048 in all), plus
-    # the target covector and the coincidence gradient
+    # 13 Newton solves of 24 iterations in all, none at tau = 0 and two at
+    # each later sample: a 16-point (0, 1) stencil per residual and a
+    # 64-point (1, 1) Jacobian per iteration, on the 2-point rule, plus the
+    # target covector and the coincidence gradient
     sizes = []
 
     def counted(a, b):
@@ -120,7 +121,65 @@ def test_implicit_world_point_budget(cubic):
 
     traj = gradient_line_implicit(world_from_callable(counted, 4), "f", XA, XB, GRID)
     assert traj.converged.all()
-    assert (len(sizes), sum(sizes)) == (87, 3136)
+    assert (len(sizes), sum(sizes)) == (63, 2176)
+
+
+@pytest.mark.parametrize("kind, budget", [("f", (15, 256)), ("p", (15, 256)), ("n", (27, 448))])
+def test_implicit_straight_line_takes_no_newton_step(minkowski, monkeypatch, kind, budget):
+    # the chord start and the secant through two samples of a straight,
+    # affinely parametrized line both lie on it: each sample costs one
+    # residual and no Newton step (the neutral kind reads no coincidence
+    # gradient)
+    iterations = []
+    sizes = []
+
+    def spy(*args):
+        x, record = newton(*args)
+        iterations.append(record.iterations)
+        return x, record
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+        return minkowski(a, b)
+
+    monkeypatch.setattr(lines, "newton", spy)
+    traj = gradient_line_implicit(world_from_callable(counted, 4), kind, XA, XB, GRID)
+    assert np.max(np.abs(traj.points - chord(GRID))) < 1e-12
+    assert len(iterations) == len(GRID) and not any(iterations[2:])
+    assert (len(sizes), sum(sizes)) == budget
+
+
+# shares seven of the uniform grid's values and adds four of its own
+NONUNIFORM = np.union1d(GRID[[0, 1, 3, 6, 7, 11, 12]], [0.02, 0.2, 0.55, 0.9])
+
+
+@pytest.mark.parametrize("kind", ["f", "p", "n"])
+@pytest.mark.parametrize("family", ["cubic", "case2"])
+def test_implicit_predictor_independence(request, family, kind):
+    # the predictor only moves Newton's start: samples at shared parameters
+    # agree within the acceptance tolerance however the grid is spaced
+    w = request.getfixturevalue(family)
+    uniform = gradient_line_implicit(w, kind, XA, XB, GRID)
+    spaced = gradient_line_implicit(w, kind, XA, XB, NONUNIFORM)
+    assert uniform.converged.all() and spaced.converged.all()
+    shared, iu, isp = np.intersect1d(GRID, NONUNIFORM, return_indices=True)
+    assert len(shared) == 7
+    assert np.max(np.abs(uniform.points[iu] - spaced.points[isp])) < 1e-9
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [0.0, 0.5, 0.5, 1.0],
+                                  [0.0, 0.6, 0.4, 1.0]],
+                         ids=["nan", "inf", "repeated", "decreasing"])
+def test_implicit_rejects_bad_grid_before_world_calls(cubic, grid):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return cubic(a, b)
+
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        gradient_line_implicit(world_from_callable(counted, 4), "f", XA, XB, grid)
+    assert calls == []
 
 
 @pytest.mark.parametrize("steps", [2, 5, 8])
@@ -227,6 +286,9 @@ def test_reparam_rejects_sign_change(small_cubic):
 
 
 def test_trajectory_validation():
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(params=np.array([0.0, np.nan]), points=np.zeros((2, 2)),
+                   kind="f", residuals=np.zeros(2))
     with pytest.raises(ValueError, match="strictly increasing"):
         Trajectory(params=np.array([0.0, 0.0, 1.0]),
                    points=np.zeros((3, 2)), kind="f",

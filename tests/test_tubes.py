@@ -658,7 +658,8 @@ def test_chain_world_point_budget(cubic):
     # 16-point gradients and one length, a Jacobian two 33-point (0, 2)
     # stencils on the 2-point rule (105 points each on the 4-point rule)
     # and the constraint gradient of its residual (5,612 points in 180
-    # calls with both recomputed)
+    # calls with both recomputed); the step solve's first residual reuses
+    # the gradients that set its start multiplier
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     p1 = advance_seed(cubic, "f", np.zeros(4), v, 0.1)
@@ -670,7 +671,7 @@ def test_chain_world_point_budget(cubic):
 
     chain = build_broken_tube(world_from_callable(counted, 4), "f", np.zeros(4), p1, 0.1, 4)
     assert np.max(chain.length_residuals) < 1e-10
-    assert (len(sizes), sum(sizes)) == (160, 2412)
+    assert (len(sizes), sum(sizes)) == (152, 2284)
 
 
 def test_chain_seed_validation(minkowski):
