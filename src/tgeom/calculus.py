@@ -123,14 +123,12 @@ def flat_curvature_defect(w: WorldFunction, x, xp, part: str = "full") -> np.nda
     of the full world (part "full") or of its symmetric part ("sym").
 
     Vanishes identically for every world function (the two-point connection
-    is flat); the returned array [s, i, l, m] measures the numerical defect.
-    One stencil pass of the chosen part serves the symbol and its derivative.
+    is flat); the returned riemann_from_gamma array measures the numerical
+    defect.  One stencil pass of the chosen part serves the symbol and its
+    derivative.
     """
-    gam, dgam = _symbol_and_derivative(_tensors(w, np.asarray(x, float), np.asarray(xp, float),
-                                                [(1, 1), (2, 1), (3, 1)], part))
-    return (dgam.transpose(0, 1, 2, 3) - dgam.transpose(0, 1, 3, 2)
-            + np.einsum("jil,sjm->silm", gam, gam)
-            - np.einsum("jim,sjl->silm", gam, gam))
+    return riemann_from_gamma(*_symbol_and_derivative(
+        _tensors(w, np.asarray(x, float), np.asarray(xp, float), [(1, 1), (2, 1), (3, 1)], part)))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,10 @@ def _write_csv(path: str, header, rows):
     _atomic_write(path, "\n".join(out) + "\n")
 
 
+def _write_json(path: str, doc: dict):
+    _atomic_write(path, json.dumps(doc, indent=2, default=lambda a: a.tolist()) + "\n")
+
+
 def _load_world(path: str) -> WorldFunction:
     try:
         with open(path, "r") as handle:
@@ -231,7 +235,7 @@ def _cmd_check(args):
                                               seed=args.seed)
         report = degeneracy.euclideaness_check(w, w.dim, basis, probes,
                                                seed=args.seed)
-    _atomic_write(args.out, report.to_json() + "\n")
+    _write_json(args.out, report.to_dict())
     return 0
 
 
@@ -256,7 +260,7 @@ def _cmd_coefficients(args):
         "a3": cc.a3,
         "g3": cc.g3,
     }
-    _atomic_write(args.out, json.dumps(doc, indent=2, default=lambda a: a.tolist()) + "\n")
+    _write_json(args.out, doc)
     return 0
 
 
@@ -276,7 +280,7 @@ def _cmd_curvature(args):
         "riemann_tilde_f": bundle.riemann_tilde_f.ravel(),
         "riemann_tilde_p": bundle.riemann_tilde_p.ravel(),
     }
-    _atomic_write(args.out, json.dumps(doc, indent=2, default=lambda a: a.tolist()) + "\n")
+    _write_json(args.out, doc)
     return 0
 
 

@@ -77,7 +77,10 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
     the secant is exact, so its samples take no Newton step.
     For rough-antisymmetric worlds the future/past equations degenerate as
     the parameter approaches zero; samples below ROUGH_SMALL_TAU then carry
-    a structured warning instead of a silently wrong point.
+    a structured warning instead of a silently wrong point.  A sample whose
+    solve misses the tolerance then comes back unconverged rather than
+    raising, and the warning's "unconverged" list names every such sample,
+    at any parameter.
     """
     x_start = np.asarray(x_start, dtype=float)
     x_end = np.asarray(x_end, dtype=float)
@@ -147,9 +150,12 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
         converged.append(ok)
         if ok:
             anchors = anchors[-1:] + [(tau, x)]
+    converged = np.asarray(converged)
+    if not converged.all():  # only a warned line gets here: name every such sample
+        warnings[0]["unconverged"] = tau_grid[~converged].tolist()
     return Trajectory(params=tau_grid, points=np.asarray(points), kind=kind,
                       residuals=np.asarray(residuals), warnings=warnings,
-                      converged=np.asarray(converged))
+                      converged=converged)
 
 
 #: the coincidence connection each kind's geodesic form integrates

@@ -78,18 +78,10 @@ def product_matrix(w: WorldFunction, p: Multivector, q: Multivector) -> np.ndarr
         raise OrderMismatchError(f"orders differ: {p.order} != {q.order}")
     if p.dim != q.dim:
         raise DimensionMismatchError("multivector dimensions differ")
-    p0, q0 = p.points[0], q.points[0]
-    pi = p.points[1:]  # (n, d)
-    qk = q.points[1:]
+    # one call over the (n+1) x (n+1) grid W[a, b] = w(p_a, q_b); then
     # M_ik = w(p0, q_k) + w(p_i, q0) - w(p0, q0) - w(p_i, q_k)
-    w_p0_qk = w(np.broadcast_to(p0, qk.shape), qk)  # (n,)
-    w_pi_q0 = w(pi, np.broadcast_to(q0, pi.shape))  # (n,)
-    w_p0_q0 = w(p0, q0)  # scalar
-    n = p.order
-    w_pi_qk = w(pi[:, None, :], qk[None, :, :]).reshape(n, n)
-    return (
-        w_p0_qk[None, :] + w_pi_q0[:, None] - w_p0_q0 - w_pi_qk
-    )
+    grid = w(p.points[:, None, :], q.points[None, :, :])
+    return grid[None, 0, 1:] + grid[1:, 0, None] - grid[0, 0] - grid[1:, 1:]
 
 
 def _det(m: np.ndarray) -> float:

@@ -3,17 +3,16 @@
 A world function is half the squared distance between two chart points,
 w(x, x') = rho^2/2, vanishing on the diagonal but not necessarily symmetric
 in its arguments.  Everything else in this package is computed from pointwise
-evaluations of one of the closed-form families constructed here:
+evaluations of one closed form, with xi = x - x' and xi^2 = g_ik xi^i xi^k:
 
-    euclidean    w = 1/2 g_ik xi^i xi^k                      (xi = x - x')
-    constant_a   w = b_i xi^i + 1/2 g_ik xi^i xi^k
-    case1        w = b.xi (1 + alpha xi^2) + 1/2 g xi xi
-    case2        w = b.xi (1 + alpha / (1 + beta xi^2)) + 1/2 g xi xi
-    cubic_a      w = 1/2 g xi xi + 1/6 a_ikl xi^i xi^k xi^l
+    w = b.xi (1 + alpha h(xi^2)) + 1/2 xi^2 + 1/6 a_ikl xi^i xi^k xi^l
 
 with constant metric g (diagonal signature or full symmetric matrix),
-xi^2 = g_ik xi^i xi^k.  The families are restricted to closed forms so that
-every downstream computation has an analytic oracle.
+h(s) = s, or h(s) = 1 / (1 + beta s) when a screening constant beta is
+given.  Each family keeps the terms whose parameters it takes: euclidean
+none, constant_a b, case1 b and alpha, case2 b, alpha and beta, cubic_a
+a3.  The families are restricted to closed forms so that every downstream
+computation has an analytic oracle.
 
 All evaluators broadcast over leading axes: x and xp may have shape (..., d).
 WorldFunction instances are immutable; evaluation is pure and thread-safe.
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -266,73 +264,50 @@ def _freeze(a):
     return a
 
 
+def _cubic_sum(a3, terms, xi):
+    """a_ikl xi^i xi^k xi^l summed term by term in (i, k, l) order, as
+    np.einsum sums it; the loop over contiguous coordinate columns is several
+    times faster on large batches, where einsum's per-point cost dominates,
+    and slower on small ones.  terms lists (a_ikl, i, k, l) in that order."""
+    if xi.size < _CUBIC_LOOP_MIN_POINTS * xi.shape[-1]:
+        return np.einsum("ikl,...i,...k,...l", a3, xi, xi, xi)
+    cols = np.moveaxis(xi, -1, 0).copy()
+    acc = np.zeros(xi.shape[:-1])
+    term = np.empty(xi.shape[:-1])
+    for a, i, k, l in terms:
+        np.multiply(a, cols[i], out=term)
+        term *= cols[k]
+        term *= cols[l]
+        acc += term
+    return acc
+
+
 def make_world(spec: WorldSpec) -> WorldFunction:
-    """Build the evaluator for a validated WorldSpec."""
+    """Build the evaluator for a validated WorldSpec: the closed form of the
+    module docstring without the terms whose parameters the spec lacks."""
     spec.validate()
     g = _freeze(spec.metric)
+    b = None if spec.b is None else _freeze(spec.b)
+    a3 = None if spec.a3 is None else _freeze(spec.a3)
+    terms = None if a3 is None else [(float(a), *ikl) for ikl, a in np.ndenumerate(a3)]
+    alpha = None if spec.alpha is None else float(spec.alpha)
+    beta = None if spec.beta is None else float(spec.beta)
 
-    def quad(x, xp):
+    def evaluator(x, xp):
         xi = x - xp
-        return 0.5 * np.einsum("...i,ij,...j", xi, g, xi)
+        xi2 = np.einsum("...i,ij,...j", xi, g, xi)
+        value = 0.5 * xi2
+        if b is not None:
+            bxi = np.einsum("...i,i", xi, b)
+            if alpha is not None:
+                h = xi2 if beta is None else 1.0 / (1.0 + beta * xi2)
+                bxi = bxi * (1.0 + alpha * h)
+            value = bxi + value
+        if a3 is not None:
+            value = value + _cubic_sum(a3, terms, xi) / 6.0
+        return value
 
-    kind = spec.kind
-    if kind == "euclidean":
-        evaluator = quad
-    elif kind == "constant_a":
-        b = _freeze(spec.b)
-
-        def evaluator(x, xp):
-            xi = x - xp
-            return np.einsum("...i,i", xi, b) + quad(x, xp)
-
-    elif kind == "case1":
-        b = _freeze(spec.b)
-        alpha = float(spec.alpha)
-
-        def evaluator(x, xp):
-            xi = x - xp
-            xi2 = np.einsum("...i,ij,...j", xi, g, xi)
-            return np.einsum("...i,i", xi, b) * (1.0 + alpha * xi2) + 0.5 * xi2
-
-    elif kind == "case2":
-        b = _freeze(spec.b)
-        alpha = float(spec.alpha)
-        beta = float(spec.beta)
-
-        def evaluator(x, xp):
-            xi = x - xp
-            xi2 = np.einsum("...i,ij,...j", xi, g, xi)
-            f = 1.0 / (1.0 + beta * xi2)
-            return np.einsum("...i,i", xi, b) * (1.0 + alpha * f) + 0.5 * xi2
-
-    else:  # cubic_a
-        a3 = _freeze(spec.a3)
-        coef = a3.tolist()
-        terms = [(coef[i][k][l], i, k, l) for i, k, l in product(range(spec.dim), repeat=3)]
-
-        def cubic_sum(xi):
-            # a_ikl xi^i xi^k xi^l summed term by term in (i, k, l) order, as
-            # np.einsum sums it; the loop over contiguous coordinate columns
-            # is several times faster on large batches, where einsum's
-            # per-point cost dominates, and slower on small ones
-            if xi.size < _CUBIC_LOOP_MIN_POINTS * xi.shape[-1]:
-                return np.einsum("ikl,...i,...k,...l", a3, xi, xi, xi)
-            cols = np.moveaxis(xi, -1, 0).copy()
-            acc = np.zeros(xi.shape[:-1])
-            term = np.empty(xi.shape[:-1])
-            for a, i, k, l in terms:
-                np.multiply(a, cols[i], out=term)
-                term *= cols[k]
-                term *= cols[l]
-                acc += term
-            return acc
-
-        def evaluator(x, xp):
-            xi = x - xp
-            cubic = cubic_sum(xi) / 6.0
-            return quad(x, xp) + cubic
-
-    return WorldFunction(evaluator, spec.dim, spec=spec, label=kind)
+    return WorldFunction(evaluator, spec.dim, spec=spec, label=spec.kind)
 
 
 def world_from_callable(fn: Callable, dim: int, label: str = "custom") -> WorldFunction:

@@ -472,7 +472,8 @@ def test_tube_section_huge_tau_is_geometry_error(tmp_path, world_file, tau):
 
 
 def test_gradient_line_warning_stream(tmp_path, world_file, capsys):
-    # rough-antisymmetric world: small parameters carry a structured warning
+    # rough-antisymmetric world: small parameters carry a structured warning,
+    # which also names the unconverged sample at 0.05, past the warned range
     out = tmp_path / "traj.csv"
     code = run(["gradient-line", "--world", world_file(CASE1), "--kind", "f",
                 "--from", "0,0,0,0", "--to", "1,0,0,0", "--steps", "21",
@@ -481,6 +482,7 @@ def test_gradient_line_warning_stream(tmp_path, world_file, capsys):
     err = json.loads(capsys.readouterr().err)
     jsonschema.validate(err, schema("error.json"))
     assert err["warnings"][0]["code"] == "rough_antisymmetry_small_parameter"
+    assert err["warnings"][0]["unconverged"] == [0.0, 0.05]
 
 
 def test_bad_point_dimension(tmp_path, world_file, capsys):

@@ -80,9 +80,10 @@ def test_flat_basis_coordinates_batch_matches_rows(case1):
 
 
 def test_euclideaness_world_call_budget(case1):
-    # probe rows, never pairs, per world call: 1,670 calls over 29,380
+    # probe rows, never pairs, per world call: 1,667 calls over 29,380
     # points, conditions I and III sharing one forward row per probe, II
-    # bordering the flat basis, which takes 5 calls to build, and IV's
+    # bordering the flat basis, which takes 2 calls to build (the product
+    # matrix's point grid and the reversed basis row), and IV's
     # damped Newton making 2 per Jacobian stencil of the coordinates and 2
     # per residual, trial steps included; the report is the one of the
     # uncounted world
@@ -95,12 +96,12 @@ def test_euclideaness_world_call_budget(case1):
     w = world_from_callable(counted, 4, label="case1")
     probes = diagnostic_probes(4, 24, seed=0)
     report = euclideaness_check(w, 4, staggered_basis(4), probes, seed=0)
-    assert (len(sizes), sum(sizes)) == (1670, 29380)
+    assert (len(sizes), sum(sizes)) == (1667, 29380)
     want = euclideaness_check(case1, 4, staggered_basis(4), probes, seed=0)
     assert report.to_json() == want.to_json()
     sizes.clear()
     FlatBasis.build(w, Multivector(staggered_basis(4)))
-    assert len(sizes) == 5
+    assert len(sizes) == 2
 
 
 def test_condition_four_rate_ignores_last_bit_jacobian_changes(case2, monkeypatch):

@@ -263,6 +263,40 @@ def test_rough_antisymmetry_guard(case1):
     assert traj.converged[-1]
 
 
+def test_rough_antisymmetry_warning_names_every_unconverged_sample(case1, case2):
+    # the warned range holds only tau = 0, but the past-kind solves also miss
+    # the tolerance further along the line (relative residuals 0.36 down to
+    # 0.024): the warning names each of them, and the line still comes back
+    traj = gradient_line_implicit(case1, "p", XA, XB, GRID)
+    (warning,) = traj.warnings
+    assert "affected samples: [0.0]" in warning["message"]
+    assert warning["unconverged"] == GRID[~traj.converged].tolist()
+    assert traj.converged.tolist() == [False] * 12 + [True]
+    # a warned line whose samples all converge carries no such list
+    traj = gradient_line_implicit(case2, "p", XA, XB, GRID)
+    assert traj.converged.all() and "unconverged" not in traj.warnings[0]
+
+
+def test_implicit_chord_retry_rescues_secant_start(monkeypatch):
+    # on a strongly cubic world one secant start misses the tolerance and the
+    # retry from the chord point converges: five samples take six Newton
+    # solves, and without the retry the line would raise
+    w = world("cubic_a", a3=random_a3(scale=1.0, seed=2).ravel().tolist())
+    solves = []
+
+    def spy(*args):
+        x, record = newton(*args)
+        solves.append(record.residual_norm)
+        return x, record
+
+    monkeypatch.setattr(lines, "newton", spy)
+    traj = gradient_line_implicit(w, "f", XA, np.array([1.0, 0.4, -0.2, 0.1]),
+                                  np.linspace(0.0, 1.0, 5))
+    assert len(solves) == 6
+    assert traj.converged.all() and traj.warnings == []
+    assert np.max(traj.residuals) <= 1e-9
+
+
 def test_reparam_invariance_scaling(minkowski):
     dev = reparam_invariance_check(minkowski, ("scale", 2.0), "f", XA, XB, GRID)
     assert dev < 1e-10

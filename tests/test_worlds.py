@@ -214,3 +214,76 @@ def test_cubic_term_matches_einsum(cubic):
         want = (0.5 * np.einsum("...i,ij,...j", xi, np.diag([1.0, -1, -1, -1]), xi)
                 + np.einsum("ikl,...i,...k,...l", a3, xi, xi, xi) / 6.0)
         assert np.array_equal(cubic(p, q), want), n
+
+
+def _reference_evaluator(spec):
+    """The five per-family closures the evaluator was once written as: the
+    reference the single closed form of make_world must match bit for bit."""
+    g = np.array(spec.metric, dtype=float)
+
+    def quad(x, xp):
+        xi = x - xp
+        return 0.5 * np.einsum("...i,ij,...j", xi, g, xi)
+
+    def constant_a(x, xp):
+        xi = x - xp
+        return np.einsum("...i,i", xi, b) + quad(x, xp)
+
+    def case1(x, xp):
+        xi = x - xp
+        xi2 = np.einsum("...i,ij,...j", xi, g, xi)
+        return np.einsum("...i,i", xi, b) * (1.0 + alpha * xi2) + 0.5 * xi2
+
+    def case2(x, xp):
+        xi = x - xp
+        xi2 = np.einsum("...i,ij,...j", xi, g, xi)
+        f = 1.0 / (1.0 + beta * xi2)
+        return np.einsum("...i,i", xi, b) * (1.0 + alpha * f) + 0.5 * xi2
+
+    def cubic_sum(xi):
+        if xi.size < 512 * xi.shape[-1]:
+            return np.einsum("ikl,...i,...k,...l", a3, xi, xi, xi)
+        cols = np.moveaxis(xi, -1, 0).copy()
+        acc = np.zeros(xi.shape[:-1])
+        term = np.empty(xi.shape[:-1])
+        for i, k, l in np.ndindex(a3.shape):
+            np.multiply(a3[i, k, l], cols[i], out=term)
+            term *= cols[k]
+            term *= cols[l]
+            acc += term
+        return acc
+
+    def cubic_a(x, xp):
+        xi = x - xp
+        cubic = cubic_sum(xi) / 6.0
+        return quad(x, xp) + cubic
+
+    b = None if spec.b is None else np.array(spec.b, dtype=float)
+    a3 = None if spec.a3 is None else np.array(spec.a3, dtype=float)
+    alpha = None if spec.alpha is None else float(spec.alpha)
+    beta = None if spec.beta is None else float(spec.beta)
+    return {"euclidean": quad, "constant_a": constant_a, "case1": case1,
+            "case2": case2, "cubic_a": cubic_a}[spec.kind]
+
+
+@pytest.mark.parametrize("size", [1, 7, 600, 3000])
+def test_closed_form_matches_per_family_reference(all_worlds, size):
+    # bits and signs of zero equal to the per-family reference, on both sides
+    # of cubic_a's 512-point switch and for a full-matrix metric, including
+    # coincident pairs and zero separations of either sign
+    full = world("case2", metric=[[1.0, 0.2, 0.0, 0.1], [0.2, -1.0, 0.0, 0.0],
+                                  [0.0, 0.0, -1.0, 0.3], [0.1, 0.0, 0.3, -1.0]],
+                 b=[1.0, 0.0, -0.5, 0.0], alpha=0.3, beta=0.7)
+    rng = np.random.default_rng(size)
+    x = rng.normal(size=(size, 4)) * rng.choice([1e-6, 1.0, 40.0], size=(size, 1))
+    xp = rng.normal(size=(size, 4))
+    xp[::3] = x[::3]                       # coincident pairs: xi = +0
+    x[1::5], xp[1::5] = -0.0, 0.0          # xi = -0
+    x[2::5], xp[2::5] = (0.0, 1e-200, 0.0, -1e-210), 0.0  # xi^2 underflows
+    for name, w in [*all_worlds.items(), ("full_metric", full)]:
+        got = w(x, xp)
+        want = _reference_evaluator(w.spec)(x, xp)
+        assert np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        one = w(x[0], xp[0])
+        assert one == want[0] and np.signbit(one) == np.signbit(want[0]), name
