@@ -146,10 +146,10 @@ class FlatBasis:
     def coordinates(self, w: WorldFunction, points) -> np.ndarray:
         """Covariant coordinates of points (..., d) as (..., n): scalar
         products of the basis vectors with the anchor-to-point vectors.
-        w is the world the basis was built on."""
-        pts = self.anchor.points
-        points = np.asarray(points, dtype=float)[..., None, :]
-        return self.back + w(pts[0], points) - w(pts[1:], points)
+        w is the world the basis was built on; one call evaluates w(p_i, q)
+        for every anchor point."""
+        v = w(self.anchor.points, np.asarray(points, dtype=float)[..., None, :])
+        return self.back + v[..., :1] - v[..., 1:]
 
     def jacobian(self, w: WorldFunction, point) -> np.ndarray:
         """d x_i / dq at q = point, as (n, d): one stencil of the coordinate

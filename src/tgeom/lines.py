@@ -230,9 +230,12 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     connection by adaptive Dormand-Prince 5(4).
 
     One pass controls the step with the pair's embedded error estimate on
-    the state (x, v) at a fixed tolerance of 1e-10; the points are its dense
-    output on the uniform grid of 2 max(4, steps) intervals over tau_span.
-    For the future/past kinds the world must be fine-antisymmetric
+    the state (x, v) at a fixed tolerance of 1e-10.  Its first trial step
+    spans the whole of tau_span, and the controller shrinks it when the
+    estimate rejects it, so the accepted steps do not depend on steps.  The
+    points are the pass's dense output on the uniform grid of
+    2 max(4, steps) intervals over tau_span.  tau_span, its length, x0 and
+    v0 must be finite.  For the future/past kinds the world must be fine-antisymmetric
     (vanishing coincidence gradient at x0).  The per-sample residual is
     the embedded error estimate, relative to 1 + |state|, of the accepted
     step that contains the sample: below the tolerance.  A fixed budget of
@@ -242,6 +245,10 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     t0, t1 = (float(t) for t in tau_span)
+    # the first trial step is the span's length, so that must be finite too
+    if not (np.isfinite([t0, t1, t1 - t0]).all() and np.isfinite(x0).all()
+            and np.isfinite(v0).all()):
+        raise ValueError("tau_span, its length, x0 and v0 must be finite")
     if not t1 > t0:
         raise ValueError("tau_span must be increasing")
     d = len(x0)
@@ -267,7 +274,7 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     points = np.empty((n + 1, d))
     residuals = np.empty(n + 1)
     sample = 0
-    t, h = t0, (t1 - t0) / n
+    t, h = t0, t1 - t0
     error_norm = 0.0
     attempts = 0
     rejected = False

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import tgeom
 from tgeom import case1_radii
 from tgeom.cli import run
+from conftest import random_a3
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs", "schema")
 
@@ -334,10 +335,13 @@ def test_exit_code_solver_detail(tmp_path, world_file, capsys):
 
 
 def test_exit_code_ode_step_budget(tmp_path, world_file, capsys, monkeypatch):
-    # a gradient-line integrator that runs out of steps says where and how
-    monkeypatch.setattr(tgeom.lines, "_ODE_MAX_STEPS", 1)
+    # a gradient-line integrator that runs out of steps says where and how:
+    # on this curved world the whole-span first trial is rejected, and the
+    # budget runs out after the first accepted step
+    monkeypatch.setattr(tgeom.lines, "_ODE_MAX_STEPS", 2)
+    curved = dict(CUBIC, a3=random_a3(scale=0.03, seed=5).ravel().tolist())
     out = tmp_path / "traj.csv"
-    code = run(["gradient-line", "--world", world_file(CUBIC), "--kind", "f",
+    code = run(["gradient-line", "--world", world_file(curved), "--kind", "f",
                 "--from", "0,0,0,0", "--to", "1,0.3,-0.2,0.1", "--steps", "8",
                 "--method", "ode", "--out", str(out)])
     assert code == 2
@@ -347,7 +351,7 @@ def test_exit_code_ode_step_budget(tmp_path, world_file, capsys, monkeypatch):
     jsonschema.validate(err, schema("error.json"))
     assert err["error"] == "solver"
     assert set(err["extra"]) == {"parameter", "step", "error_norm", "steps"}
-    assert err["extra"]["steps"] == 1
+    assert err["extra"]["steps"] == 2 and 0 < err["extra"]["parameter"] < 1
     assert not out.exists()
 
 

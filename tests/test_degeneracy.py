@@ -80,11 +80,11 @@ def test_flat_basis_coordinates_batch_matches_rows(case1):
 
 
 def test_euclideaness_world_call_budget(case1):
-    # probe rows, never pairs, per world call: 1,667 calls over 29,380
+    # probe rows, never pairs, per world call: 860 calls over 29,380
     # points, conditions I and III sharing one forward row per probe, II
     # bordering the flat basis, which takes 2 calls to build (the product
     # matrix's point grid and the reversed basis row), and IV's
-    # damped Newton making 2 per Jacobian stencil of the coordinates and 2
+    # damped Newton making 1 per Jacobian stencil of the coordinates and 1
     # per residual, trial steps included; the report is the one of the
     # uncounted world
     sizes = []
@@ -96,7 +96,7 @@ def test_euclideaness_world_call_budget(case1):
     w = world_from_callable(counted, 4, label="case1")
     probes = diagnostic_probes(4, 24, seed=0)
     report = euclideaness_check(w, 4, staggered_basis(4), probes, seed=0)
-    assert (len(sizes), sum(sizes)) == (1667, 29380)
+    assert (len(sizes), sum(sizes)) == (860, 29380)
     want = euclideaness_check(case1, 4, staggered_basis(4), probes, seed=0)
     assert report.to_json() == want.to_json()
     sizes.clear()

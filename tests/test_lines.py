@@ -96,16 +96,47 @@ def test_neutral_ode_ignores_force(cubic, minkowski):
 
 def test_ode_world_call_budget(small_cubic):
     # one Dormand-Prince pass: one coincidence pass (one world call) for the
-    # first stage and six per attempted step
-    calls = []
+    # first stage and six per attempted step; on this nearly straight line
+    # the whole-span first trial step is accepted
+    sizes = []
 
     def counted(a, b):
-        calls.append(1)
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
         return small_cubic(a, b)
 
     v0 = initial_velocity(small_cubic, "f", XA, XB)
     gradient_line_ode(world_from_callable(counted, 4), "f", XA, v0, (0, 1), steps=8)
-    assert len(calls) <= 30
+    assert (len(sizes), sum(sizes)) == (7, 7399)
+
+
+@pytest.mark.parametrize("scale", [4e-4, 0.1])
+@pytest.mark.parametrize("kind", ["f", "p", "n"])
+def test_ode_path_ignores_output_grid(kind, scale):
+    # the first trial step spans the line, so the accepted steps, and the
+    # dense output at the parameters the grids share, do not depend on steps
+    w = world("cubic_a", a3=random_a3(scale=scale, seed=5).ravel().tolist())
+    v0 = initial_velocity(w, kind, XA, XB)
+    coarse, mid, fine = (gradient_line_ode(w, kind, XA, v0, (0, 1), steps=s) for s in (4, 8, 16))
+    assert np.array_equal(coarse.points, mid.points[::2])
+    assert np.array_equal(mid.points, fine.points[::2])
+    assert np.array_equal(coarse.params, fine.params[::4])
+
+
+@pytest.mark.parametrize("tau_span, x0, v0", [
+    ((0.0, np.inf), XA, XB), ((np.nan, 1.0), XA, XB),
+    ((-1e308, 1e308), XA, XB), ((0.0, 1.0), [0.0, np.nan, 0.0, 0.0], XB),
+    ((0.0, 1.0), XA, [np.inf, 0.0, 0.0, 0.0]),
+], ids=["inf-span", "nan-span", "overflowing-length", "nan-x0", "inf-v0"])
+def test_ode_rejects_non_finite_input_before_world_calls(cubic, tau_span, x0, v0):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return cubic(a, b)
+
+    with pytest.raises(ValueError, match="must be finite"):
+        gradient_line_ode(world_from_callable(counted, 4), "n", x0, v0, tau_span)
+    assert calls == []
 
 
 def test_implicit_world_point_budget(cubic):
@@ -235,14 +266,17 @@ def test_initial_velocity_unsolvable_is_singular_metric(w, end, detail):
         initial_velocity(w, "f", np.zeros(w.dim), end)
 
 
-def test_ode_step_budget_exhausted(small_cubic, monkeypatch):
-    monkeypatch.setattr(lines, "_ODE_MAX_STEPS", 1)
-    v0 = initial_velocity(small_cubic, "f", XA, XB)
+def test_ode_step_budget_exhausted(monkeypatch):
+    # the whole-span first trial is rejected on this curved world, and the
+    # budget runs out after the first accepted step, inside the span
+    monkeypatch.setattr(lines, "_ODE_MAX_STEPS", 2)
+    w = world("cubic_a", a3=random_a3(scale=0.03, seed=5).ravel().tolist())
+    v0 = initial_velocity(w, "f", XA, XB)
     with pytest.raises(SolverError) as info:
-        gradient_line_ode(small_cubic, "f", XA, v0, (0, 1), steps=8)
+        gradient_line_ode(w, "f", XA, v0, (0, 1), steps=8)
     detail = info.value.detail
     assert set(detail) == {"parameter", "step", "error_norm", "steps"}
-    assert detail["steps"] == 1 and 0 < detail["parameter"] < 1
+    assert detail["steps"] == 2 and 0 < detail["parameter"] < 1
     assert detail["step"] > 0 and 0 <= detail["error_norm"] < 1
 
 
