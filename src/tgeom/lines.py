@@ -222,6 +222,9 @@ _ODE_TOL = 1e-10
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
 # attempted steps, accepted and rejected, before the integrator gives up
 _ODE_MAX_STEPS = 500
+# consecutive trial steps from one parameter whose stages meet a singular
+# coincidence metric before the integrator gives up
+_ODE_MAX_SINGULAR = 4
 
 
 def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
@@ -238,8 +241,11 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     v0 must be finite.  For the future/past kinds the world must be fine-antisymmetric
     (vanishing coincidence gradient at x0).  The per-sample residual is
     the embedded error estimate, relative to 1 + |state|, of the accepted
-    step that contains the sample: below the tolerance.  A fixed budget of
-    attempted steps bounds the work; running out of it raises SolverError.
+    step that contains the sample: below the tolerance.  A trial step whose
+    stages meet a singular coincidence metric is rejected and shrunk; a few
+    such rejections in a row from one parameter raise SolverError with the
+    cause "singular metric".  A fixed budget of attempted steps bounds the
+    work; running out of it raises SolverError.
     """
     connection = _CONNECTION[check_kind(kind)]
     x0 = np.asarray(x0, dtype=float)
@@ -276,7 +282,7 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     sample = 0
     t, h = t0, t1 - t0
     error_norm = 0.0
-    attempts = 0
+    attempts = singular = 0
     rejected = False
     while sample <= n:
         if attempts == _ODE_MAX_STEPS:
@@ -288,10 +294,24 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
         last = t + h >= t1
         if last:
             h = t1 - t
-        for s, a in enumerate(_DP_A, 1):
-            stages[s], _ = rhs(y + h * (a @ stages[:s]))
-        y_new = y + h * (_DP_B @ stages[:6])
-        stages[6], _ = rhs(y_new)
+        try:
+            for s, a in enumerate(_DP_A, 1):
+                stages[s], _ = rhs(y + h * (a @ stages[:s]))
+            y_new = y + h * (_DP_B @ stages[:6])
+            stages[6], _ = rhs(y_new)
+        except SingularMetricError as exc:
+            # a stage left the region where the connection exists: the trial
+            # step is rejected, as one whose error estimate is too large
+            singular += 1
+            if singular == _ODE_MAX_SINGULAR:
+                raise SolverError(
+                    f"geodesic integrator meets a singular metric at parameter {t}",
+                    {"parameter": t, "step": h, "cause": "singular metric"},
+                ) from exc
+            h *= _MIN_FACTOR
+            rejected = True
+            continue
+        singular = 0
         scale = _ODE_TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
         error_norm = float(np.sqrt(np.mean((h * (_DP_E @ stages) / scale) ** 2)))
         if not error_norm < 1.0:

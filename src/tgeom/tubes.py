@@ -13,6 +13,7 @@ fd.kind_tensor); a chain step holds 2 k(mid, next) at mu^2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -283,6 +284,11 @@ _RESOLUTION = 1e-6
 
 _GOLDEN = (3.0 - 5.0**0.5) / 2
 
+#: degree in r of the first-order residual along a section on the families
+#: without poles, whose world values are polynomials in r; without the a3
+#: term it is even in r, as b is aligned with y
+_SECTION_DEGREE = {"euclidean": 4, "constant_a": 4, "case1": 4, "cubic_a": 6}
+
 
 def _brent(f, xa, xb, fa, fb, xtol, rtol):
     """Brent's method (Brent 1973, ch. 4) on many independent brackets at once.
@@ -391,23 +397,28 @@ def _brent_min(f, sign, a, x, b, fa, fx, fb):
                       {"intervals": n, "iteration": _BRENT_MAXITER})
 
 
-def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.ndarray,
-                    probes: int):
-    """(tau, [radii]) for a block of taus; worlds(tau, r) broadcasts and
-    returns the six world values of the skeleton and the probe point."""
+def _grid_brackets(signed_residual, residual, taus, rmaxs, probes, block_rows):
+    """Roots on the axis, brackets and fold minima of the taus of a block's
+    rows from a probe grid.
 
-    def signed_residual(tau, r):
-        """The residual, and True where it is not lost to round-off."""
-        res, bound = _first_order(kind, *worlds(tau, r), roundoff=True)
-        return res, np.abs(res) > _ROUNDOFF * _EPS * np.maximum(bound, 1.0)
+    r = 0 and a geometric grid of probes - 1 radii out to rmax; sign changes
+    between signed probes bracket roots, and Brent's minimiser searches the
+    intervals where a root pair may hide between probes.  signed_residual(tau,
+    r) is the residual, whether it has a sign and its round-off floor;
+    residual(rows, r) the residual at the block's rows.  Returns, with rows of the block, the rows
+    with a root at r = 0, the brackets (rows, a, b, f(a), f(b)), which of
+    them have two signed ends, and the minima within round-off (r, rows):
+    the inputs of _settle.
+    """
+    taus, rmaxs = taus[block_rows], rmaxs[block_rows]
 
-    def residual(rows, r):
-        return _first_order(kind, *worlds(taus[rows], r))
+    def residual_at(rows, r):
+        return residual(block_rows[rows], r)
 
     grid = np.concatenate([np.zeros((len(taus), 1)),
                            np.geomspace(_RESOLUTION, rmaxs, probes - 1, axis=-1)], axis=1)
     with np.errstate(all="ignore"):  # overflow far out is reported below
-        vals, signed = signed_residual(taus[:, None], grid)
+        vals, signed, _ = signed_residual(taus[:, None], grid)
     finite = np.all(np.isfinite(vals), axis=1)
     if not finite.all():
         raise GeometryError(f"tube residual is not finite at tau {float(taus[~finite][0])!r}")
@@ -443,7 +454,7 @@ def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.nd
             np.concatenate([k + 2, j[band]]))
     ext = np.concatenate([ext, rows[band]])
     sign = np.sign(vals[ext, ends[0]])
-    m_a, m_x, m_b, mf_a, mf_x, mf_b = _brent_min(lambda index, z: residual(ext[index], z), sign,
+    m_a, m_x, m_b, mf_a, mf_x, mf_b = _brent_min(lambda index, z: residual_at(ext[index], z), sign,
                                                  *(grid[ext, c] for c in ends),
                                                  *(vals[ext, c] for c in ends))
     cross = sign * mf_x < 0
@@ -454,22 +465,188 @@ def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.nd
     f_b = np.concatenate([vals[rows, j], mf_x[cross], mf_b[cross]])
     signed_ends = np.arange(len(a)) < len(rows)
     rows = np.concatenate([rows, ext[cross], ext[cross]])
+    return (block_rows[~signed[:, 0]], block_rows[rows], a, b, f_a, f_b, signed_ends,
+            m_x[~cross], block_rows[ext[~cross]])
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev_nodes(count: int):
+    """The count Chebyshev points of the second kind on [-1, 1], ascending,
+    and the matrix that takes values there to Chebyshev coefficients."""
+    n = count - 1
+    k = np.arange(count)
+    nodes = np.sin(np.pi * (2 * k - n) / (2 * n))  # -cos(pi k / n), symmetric to the bit
+    to_coef = np.cos(np.outer(k, np.pi * (n - k) / n)) * (2.0 / n)
+    to_coef[:, [0, n]] /= 2
+    to_coef[[0, n], :] /= 2
+    return nodes, to_coef
+
+
+def _chebyshev_value(coef, x):
+    """sum_j coef[:, j] T_j(x) by Clenshaw's recurrence, row by row; x has
+    one row per row of coef."""
+    b1 = b2 = np.zeros_like(x)
+    for c in coef[:, :0:-1].T:
+        b1, b2 = c[:, None] + 2 * x * b1 - b2, b1
+    return coef[:, :1] + x * b1 - b2
+
+
+def _chebyshev_derivative(coef):
+    """Chebyshev coefficients of the derivative of each row's series."""
+    rows, count = coef.shape
+    deriv = np.zeros((rows, count + 1))
+    for j in range(count - 1, 0, -1):
+        deriv[:, j - 1] = deriv[:, j + 1] + 2 * j * coef[:, j]
+    deriv[:, 0] /= 2
+    return deriv[:, :count]
+
+
+def _colleague_roots(coef):
+    """All roots of each row's Chebyshev series, padded with NaN: the
+    eigenvalues of its colleague matrix (Good 1961; Boyd, SIAM Review 55,
+    2013), with the series cut after its last nonzero coefficient."""
+    rows, count = coef.shape
+    nonzero = coef != 0
+    degree = np.where(nonzero.any(axis=1), count - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    roots = np.full((rows, count - 1), np.nan, dtype=complex)
+    for m in range(1, count):
+        at = np.flatnonzero(degree == m)
+        if not len(at):
+            continue
+        # x T_0 = T_1 and x T_j = (T_(j-1) + T_(j+1)) / 2, with T_m taken
+        # from the series: x times (T_0 .. T_(m-1)) is mat times them
+        c = coef[at]
+        mat = np.zeros((len(at), m, m))
+        if m > 1:
+            mat[:, 0, 1] = 1.0
+            j = np.arange(1, m - 1)
+            mat[:, j, j - 1] = mat[:, j, j + 1] = 0.5
+            mat[:, m - 1, m - 2] = 0.5
+        mat[:, m - 1, :] -= c[:, :m] / ((1.0 if m == 1 else 2.0) * c[:, m:m + 1])
+        roots[at, :m] = np.linalg.eigvals(mat)
+    return roots
+
+
+def _proxy_brackets(signed_residual, residual, taus, rmaxs, degree: int, even: bool):
+    """Brackets of a block of taus from a Chebyshev proxy of the residual,
+    which is a polynomial in r of the given degree along a section (even in
+    r when even is set).
+
+    The residual at degree + 3 Chebyshev points on [0, rmax] gives the
+    proxy; its top two coefficients must vanish to round-off of the node
+    values.  The colleague matrix gives its roots, each with the radius by
+    which round-off of the node values can move it; overlapping radii make
+    one cluster.  A lone real root inside (_RESOLUTION, rmax) takes Newton
+    steps on the true residual with the proxy's slope until it is within a
+    quarter of its bracket, _RESOLUTION (1 + r) either side.  On an even residual, the
+    pair of roots about r = 0 is the axis root when the residual there has
+    no sign.  Returns what _grid_brackets returns for the taus it settles
+    (every bracket with two signed ends, no minima), and the rows of the
+    rest, for the grid: a fit that fails, a bracket without two signed ends
+    of opposite signs, or any cluster or root the proxy cannot settle (one
+    that touches the axis or rmax, a near-double or near-real pair).
+    """
+    nodes, to_coef = _chebyshev_nodes(degree + 3)
+    half = rmaxs[:, None] / 2
+    with np.errstate(all="ignore"):  # overflow far out goes to the grid
+        vals, signed, floor = signed_residual(taus[:, None], half * (1.0 + nodes))
+        noise = np.max(floor, axis=1)
+        # summed node by node, not by a matmul whose rounding may follow the
+        # block's size: a tau's profile does not depend on its block
+        coef = sum(vals[:, k, None] * to_coef[:, k] for k in range(len(nodes)))
+    fallback = ~(np.all(np.isfinite(vals), axis=1) & np.isfinite(noise) & signed[:, -1])
+    # node values off by at most noise give coefficients off by at most 2
+    # noise: the top two must be within that, and the trailing ones whose
+    # magnitudes sum to no more are cut, which moves the proxy by 2 noise
+    fallback |= np.any(np.abs(coef[:, -2:]) > 2 * noise[:, None], axis=1)
+    tail = np.cumsum(np.abs(coef[:, ::-1]), axis=1)[:, ::-1]
+    coef[fallback[:, None] | (tail <= 2 * noise[:, None])] = 0.0
+    x = _colleague_roots(coef)
+    deriv = _chebyshev_derivative(coef)
+    # the proxy is within 5 noise of the true residual on [0, rmax] (the
+    # Lebesgue constant, below 3 for at most 9 nodes, and the cut tail), and
+    # a root within the spread of 8 noise over the proxy's slope
+    with np.errstate(all="ignore"):
+        spread = half * 8 * noise[:, None] / np.abs(_chebyshev_value(deriv, x))
+    r, rx = half * (1.0 + x.real), half * np.abs(x + 1.0)
+    near = np.abs(x[:, :, None] - x[:, None, :]) * half[:, :, None] <= (
+        spread[:, :, None] + spread[:, None, :])
+    for _ in range(x.shape[1]):  # overlapping spreads make one cluster
+        near = near | np.any(near[:, :, :, None] & near[:, None, :, :], axis=2)
+    size = np.sum(near, axis=2)
+    # a root whose spread reaches [0, rmax] on the real line may be real; so
+    # may every root of its cluster
+    reach = ((np.abs(x.imag) * half <= spread) & (r + spread >= 0.0)
+             & (r - spread <= rmaxs[:, None]))
+    counted = np.any(near & reach[:, None, :], axis=2)
+    simple = counted & (size == 1) & (r - spread > _RESOLUTION) & (r + spread < rmaxs[:, None])
+    # on an even residual a cluster of two about r = 0 is the root pair +-r0
+    # of the square: one root of the section, on the axis within the spread
+    axis_pair = np.any(near & (rx <= spread)[:, None, :], axis=2) & (size == 2) & even
+    axis = ~signed[:, 0]
+    fallback |= np.any(counted & ~simple & ~axis_pair, axis=1)
+    fallback |= axis != np.any(axis_pair, axis=1)
+
+    # Newton on the true residual with the proxy's slope, while a root may
+    # be further from the true one than a quarter of its bracket: its spread
+    # at first, then its last step
+    rows, col = np.nonzero(simple & ~fallback[:, None])
+    root, dx, move = r[rows, col], half[rows, 0], spread[rows, col]
+    deriv = deriv[rows] / dx[:, None]  # d/dr
+    for _ in range(4):
+        active = np.flatnonzero(move > _RESOLUTION / 4 * (1.0 + root))
+        if not len(active):
+            break
+        with np.errstate(all="ignore"):
+            move[active] = residual(rows[active], root[active]) / _chebyshev_value(
+                deriv[active], (root[active] / dx[active] - 1.0)[:, None])[:, 0]
+        root[active] -= move[active]
+        move[active] = np.abs(move[active])
+    dr = _RESOLUTION * (1.0 + root)
+    a, b = root - dr, root + dr
+    with np.errstate(all="ignore"):
+        f_ab, s_ab, _ = signed_residual(taus[np.concatenate([rows, rows])],
+                                        np.concatenate([a, b]))
+    f_a, f_b = f_ab[:len(rows)], f_ab[len(rows):]
+    bad = (~np.isfinite(root) | (a <= 0.0) | ~(b < rmaxs[rows])
+           | ~(s_ab[:len(rows)] & s_ab[len(rows):]) | ~(f_a * f_b < 0))
+    # the brackets of one tau must be disjoint: two starts that settle on
+    # one root leave the other root unfound
+    order = np.lexsort((a, rows))
+    overlap = (rows[order][1:] == rows[order][:-1]) & (a[order][1:] <= b[order][:-1])
+    bad[order[1:][overlap]] = bad[order[:-1][overlap]] = True
+    fallback[rows[bad]] = True
+    keep = ~fallback[rows]
+    return ((np.flatnonzero(axis & ~fallback), rows[keep], a[keep], b[keep], f_a[keep],
+             f_b[keep], np.ones(np.count_nonzero(keep), bool), np.empty(0), np.empty(0, int)),
+            np.flatnonzero(fallback))
+
+
+def _settle(signed_residual, residual, taus, y2, rows, a, b, f_a, f_b, signed_ends, x,
+            x_rows):
+    """The roots of a block of taus from its brackets (rows, a, b, f(a),
+    f(b)) and its minima within round-off (x, x_rows), which are fold roots:
+    (rows, radii).
+
+    Each bracket is solved by Brent's method to 1e-12 (1 + b) and polished
+    by one Newton step; every root must meet |residual| <= 1e-10 (y2 (1 +
+    tau^2 + r^2))^2.  A root is resolved when the residual is signed
+    _RESOLUTION (1 + r) either side of it, or when its bracket has two
+    signed ends; else it lies in a round-off band that may hold no root,
+    one or a pair.  A minimum within round-off is a fold root, which must be
+    resolved too.  Raises GeometryError naming the tau of a root that is not.
+    """
     r, fr = np.empty((2, 0))
     if len(rows):
         r, fr = _brent(lambda index, z: residual(rows[index], z), a, b, f_a, f_b,
                        1e-12 * (1.0 + b), 1e-15)
-    # A root is resolved when the residual is signed _RESOLUTION (1 + r)
-    # either side of it, or when its bracket has two signed ends; else it
-    # lies in a round-off band that may hold no root, one or a pair.  A
-    # minimum within round-off is a fold root, which must be resolved too.
     # The side values of a bracket's root also give one Newton step on their
     # slope, kept when it stays in the bracket and lowers the residual.
-    x, x_rows = m_x[~cross], ext[~cross]
     at, at_rows, fold = np.concatenate([r, x]), np.concatenate([rows, x_rows]), np.empty(0, bool)
     if len(at):
         n, dr = len(at), _RESOLUTION * (1.0 + at)
-        f_at, s_at = signed_residual(taus[np.concatenate([at_rows, at_rows, x_rows])],
-                                     np.concatenate([at + dr, at - dr, x]))
+        f_at, s_at, _ = signed_residual(taus[np.concatenate([at_rows, at_rows, x_rows])],
+                                        np.concatenate([at + dr, at - dr, x]))
         fold, side = ~s_at[2 * n:], s_at[:n] & s_at[n:2 * n]
         lost = ~side & np.concatenate([~signed_ends, fold])
         if lost.any():
@@ -491,14 +668,42 @@ def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.nd
             raise SolverError("tube root polish failed to meet tolerance", {
                 "tau": float(tau[k]), "radius": float(r[k]),
                 "residual": float(fr[k]), "bound": float(bound[k])})
-    roots = [[] if s else [0.0] for s in signed[:, 0]]
-    for i, root in zip(np.concatenate([rows, x_rows[fold]]).tolist(),
-                       np.concatenate([r, x[fold]]).tolist()):
+    return np.concatenate([rows, x_rows[fold]]), np.concatenate([r, x[fold]])
+
+
+def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.ndarray,
+                    probes: int, degree, even: bool):
+    """(tau, [radii]) for a block of taus; worlds(tau, r) broadcasts and
+    returns the six world values of the skeleton and the probe point.  With
+    a degree, the Chebyshev proxy takes every tau it can settle and the
+    probe grid the rest; without one, the grid takes them all."""
+
+    def signed_residual(tau, r):
+        """The residual, True where it is not lost to round-off, and the
+        round-off floor below which it has no sign."""
+        res, bound = _first_order(kind, *worlds(tau, r), roundoff=True)
+        floor = _ROUNDOFF * _EPS * np.maximum(bound, 1.0)
+        return res, np.abs(res) > floor, floor
+
+    def residual(rows, r):
+        return _first_order(kind, *worlds(taus[rows], r))
+
+    found, grid = [], np.arange(len(taus))
+    if degree is not None:
+        settled, grid = _proxy_brackets(signed_residual, residual, taus, rmaxs, degree, even)
+        found.append(settled)
+    if len(grid):
+        found.append(_grid_brackets(signed_residual, residual, taus, rmaxs, probes, grid))
+    axis, *found = (np.concatenate(parts) for parts in zip(*found))
+    rows, radii = _settle(signed_residual, residual, taus, y2, *found)
+    roots = [[] for _ in range(len(taus))]
+    for i, root in zip(np.concatenate([axis, rows]).tolist(),
+                       np.concatenate([np.zeros(len(axis)), radii]).tolist()):
         roots[i].append(root)
     out = []
-    for tau, found in zip(taus.tolist(), roots):
+    for tau, radii in zip(taus.tolist(), roots):
         merged = []
-        for r in sorted(found):
+        for r in sorted(radii):
             if merged and abs(r - merged[-1]) < _FOLD_TOL * (1.0 + r):
                 continue  # fold: tangential root, multiplicity 2, reported once
             merged.append(r)
@@ -511,24 +716,42 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
 
     For each tau, finds all r >= 0 such that the point tau*y + r*|y|*e_perp
     lies on the tube of the given kind, with e_perp the deterministic unit
-    normal to y.  The residual is probed on a geometric grid out to rmax:
-    _PROBES radii on the polynomial worlds, _POLE_PROBES on case2, whose
-    pole spike hides root pairs from anything coarser.  Sign changes
-    between probes bracket roots.  A root pair between two probes shows as
-    a minimum of |residual| at a probe, or as a run of probes within
-    round-off between two of one sign; Brent's minimiser searches each such
-    interval for a crossing (two more brackets) or a minimum within
-    round-off (a fold root).  Brackets are solved by Brent's method to 1e-12
-    and polished with one Newton step; roots closer than 1e-8 are merged
+    normal to y.  rmax is per tau, max(10 (1 + 1/g), 3 + 2 sqrt(3) |tau|)
+    for reduced asymmetry g, so no tau's profile depends on the other taus.
+
+    On the families without poles the residual along a section is a
+    polynomial in r (_SECTION_DEGREE), and a Chebyshev proxy finds the
+    roots first (Boyd, SIAM Review 55, 2013; Trefethen, Approximation
+    Theory and Approximation Practice, ch. 18).  The residual at degree + 3
+    Chebyshev points on [0, rmax] must fit a polynomial of that degree to
+    round-off; the colleague matrix gives its roots.  Each lone real root
+    takes Newton steps on the true residual and is bracketed at 1e-6 (1 +
+    r) either side.  On the families without an a3 term, whose residual is
+    even in r, the proxy's root pair about r = 0 is the axis root when the
+    residual there is within round-off (the axis of a flat world, at every
+    tau).  A tau goes to the probe grid when its fit fails, when a bracket
+    lacks two signed ends of opposite signs, or when a root or a cluster
+    of roots lies where round-off of the node values leaves it unsettled:
+    near-double roots and folds, roots near the axis or near rmax.
+
+    The probe grid takes those taus and every tau on case2: the residual
+    at r = 0 and on a geometric grid out to rmax, _PROBES radii on the
+    polynomial worlds and _POLE_PROBES on case2, whose pole spike hides
+    root pairs from anything coarser.  Sign changes between probes bracket
+    roots.  A root pair between two probes shows as a minimum of
+    |residual| at a probe, or as a run of probes within round-off between
+    two of one sign; Brent's minimiser searches each such interval for a
+    crossing (two more brackets) or a minimum within round-off (a fold
+    root).  r = 0 within round-off is a root when the probe at 1e-6 is not.
+
+    Brackets of either kind are solved by Brent's method to 1e-12 and
+    polished with one Newton step; roots closer than 1e-8 are merged
     (tangential root at a fold).  A root whose neighbourhood, 1e-6 (1 + r)
     either side, is lost to round-off of the world values the residual is
     built from raises GeometryError naming the tau, unless its bracket has
-    two signed ends.  So does r = 0 within round-off when the probe at 1e-6
-    is too (the axis of a flat world from |tau| ~ 5 on, a double root whose
-    round-off band widens like |tau|^1.5).  rmax is per tau,
-    max(10 (1 + 1/g), 3 + 2 sqrt(3) |tau|) for reduced asymmetry g, so no
-    tau's profile depends on the other taus.  Taus are sampled in blocks of _TAU_BLOCK, which bounds
-    memory however long the grid is.
+    two signed ends; so does, on the grid, r = 0 within round-off when the
+    probe at 1e-6 is too.  Taus are sampled in blocks of _TAU_BLOCK, which
+    bounds memory however long the grid is.
 
     Returns a list of (tau, [radii]) pairs.
     """
@@ -555,6 +778,7 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     rmaxs = np.maximum(base, 3.0 + 2.0 * np.sqrt(3.0) * np.abs(taus))
 
     probes = _POLE_PROBES if w.spec.kind == "case2" else _PROBES
+    degree = _SECTION_DEGREE.get(w.spec.kind)
     skeleton = np.stack([origin, y])
 
     def worlds(tau, r):
@@ -567,7 +791,8 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     out = []
     for start in range(0, len(taus), _TAU_BLOCK):
         block = slice(start, start + _TAU_BLOCK)
-        out.extend(_block_profiles(worlds, kind, y2, taus[block], rmaxs[block], probes))
+        out.extend(_block_profiles(worlds, kind, y2, taus[block], rmaxs[block], probes,
+                                   degree, w.spec.a3 is None))
     return out
 
 

@@ -280,6 +280,35 @@ def test_ode_step_budget_exhausted(monkeypatch):
     assert detail["step"] > 0 and 0 <= detail["error_norm"] < 1
 
 
+def _singular_reproducer():
+    # the whole-span first trial of this kind-f line lands where the
+    # coincidence metric of this curved world is singular
+    w = world("cubic_a", a3=random_a3(scale=0.3, seed=0).ravel().tolist())
+    return w, initial_velocity(w, "f", XA, XB)
+
+
+def test_ode_singular_stage_rejects_the_step(monkeypatch):
+    # the failed stage rejects the trial step instead of escaping; the line
+    # then goes on until this small budget runs out inside the span
+    monkeypatch.setattr(lines, "_ODE_MAX_STEPS", 6)
+    w, v0 = _singular_reproducer()
+    with pytest.raises(SolverError) as info:
+        gradient_line_ode(w, "f", XA, v0, (0, 100))
+    detail = info.value.detail
+    assert set(detail) == {"parameter", "step", "error_norm", "steps"}
+    assert detail["steps"] == 6 and 0 < detail["parameter"] < 100
+
+
+def test_ode_singular_stages_in_a_row_raise_with_a_cause(monkeypatch):
+    # once the allowed run of singular stages from one parameter is spent,
+    # the error names the parameter, the step and the cause
+    monkeypatch.setattr(lines, "_ODE_MAX_SINGULAR", 1)
+    w, v0 = _singular_reproducer()
+    with pytest.raises(SolverError, match="singular metric at parameter 0.0") as info:
+        gradient_line_ode(w, "f", XA, v0, (0, 100))
+    assert info.value.detail == {"parameter": 0.0, "step": 100.0, "cause": "singular metric"}
+
+
 def test_ode_rejects_rough_antisymmetry(case1):
     with pytest.raises(GeometryError, match="fine-antisymmetric"):
         gradient_line_ode(case1, "f", XA, XB - XA, (0, 1))

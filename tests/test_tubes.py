@@ -464,15 +464,15 @@ def test_sampler_unsigned_axis_run_is_not_a_root():
 
 
 def test_sampler_flat_axis_root():
-    # a flat world's tube is its axis, a double root at r = 0: reported while
-    # the probe at tubes._RESOLUTION is signed, an error once the round-off
-    # band around the axis is wider
-    w = world("euclidean")
+    # a flat world's tube is its axis, a double root at r = 0.  The proxy
+    # sees the residual's root pair +-r about the axis as one root of the
+    # section there, however wide the round-off band around the axis grows
+    # with |tau|
     y = np.array([1.0, 0, 0, 0])
-    assert sample_axisymmetric_tube(w, y, "n", [-1.0, 0.5, 3.0]) == [
-        (-1.0, [0.0]), (0.5, [0.0]), (3.0, [0.0])]
-    with pytest.raises(GeometryError, match=r"round-off at tau 100\.0"):
-        sample_axisymmetric_tube(w, y, "n", [100.0])
+    taus = [-5.0, -1.0, 0.5, 3.0, 5.5, 100.0, 1e4, 1e8]
+    for w in (world("euclidean"), world("constant_a", b=[0.3, 0, 0, 0])):
+        for kind in "nfp":
+            assert sample_axisymmetric_tube(w, y, kind, taus) == [(tau, [0.0]) for tau in taus]
 
 
 _DENSE_TAUS = np.linspace(-3.0, 4.0, 61)
@@ -482,7 +482,8 @@ _DENSE_TAUS = np.linspace(-3.0, 4.0, 61)
                          [("case1", g) for g in (0.02, 0.1, 0.3, 0.57, 0.65, 2.0)]
                          + [("cubic_a", scale) for scale in (0.03, 0.3, 1.0)])
 def test_sampler_matches_a_dense_probe_grid(monkeypatch, family, strength):
-    # 32 probes and the extremum search find what 4096 probes find
+    # the proxy, with 32 probes and the extremum search behind it, finds what
+    # the probe grid alone finds with 4096 probes
     if family == "case1":
         w = world("case1", b=[1, 0, 0, 0], alpha=strength)
     else:
@@ -491,12 +492,92 @@ def test_sampler_matches_a_dense_probe_grid(monkeypatch, family, strength):
     for kind in "nfp":
         got = sample_axisymmetric_tube(w, y, kind, _DENSE_TAUS)
         with monkeypatch.context() as patch:
+            patch.setattr(tubes, "_SECTION_DEGREE", {})  # every tau to the grid
             patch.setattr(tubes, "_PROBES", 4096)
             want = sample_axisymmetric_tube(w, y, kind, _DENSE_TAUS)
         for (tau, radii), (_, ref) in zip(got, want):
             assert len(radii) == len(ref), (kind, tau, radii, ref)
             for a, b in zip(radii, ref):
                 assert abs(a - b) <= 1e-6 * max(abs(b), 1e-3), (kind, tau, radii, ref)
+
+
+def test_colleague_roots_of_chebyshev_series():
+    # rows of one series each: three real roots, a complex pair, one root,
+    # and a constant without any; a row's roots fill from the left
+    nodes, to_coef = tubes._chebyshev_nodes(7)
+    polys = [lambda x: (x - 0.3) * (x + 0.5) * (x - 0.9), lambda x: x * x + 0.25,
+             lambda x: 2.0 * x - 1.0, lambda x: 3.0 + 0.0 * x]
+    coef = np.array([to_coef @ f(nodes) for f in polys])
+    coef[np.abs(coef) < 1e-14] = 0.0  # round-off of the exact zeros
+    roots = tubes._colleague_roots(coef)
+    assert roots.shape == (4, 6)
+    assert np.allclose(np.sort(roots[0, :3].real), [-0.5, 0.3, 0.9], atol=1e-14)
+    assert np.allclose(np.sort_complex(roots[1, :2]), [-0.5j, 0.5j], atol=1e-14)
+    assert np.allclose(roots[2, :1], [0.5], atol=1e-15)
+    assert np.isnan(roots[0, 3:]).all() and np.isnan(roots[3]).all()
+    # the derivative's series, evaluated by Clenshaw, is the derivative
+    x = np.linspace(-1.0, 1.0, 5)[None, :]
+    slope = tubes._chebyshev_value(tubes._chebyshev_derivative(coef[:1]), x)
+    assert np.allclose(slope, 3 * x**2 - 1.4 * x - 0.33, atol=1e-14)
+
+
+def test_sampler_proxy_finds_a_cubic_pair_between_probes():
+    # on this strongly cubic world the 32-probe grid sees one root pair of
+    # the two at these taus (ratios 1.1 to 1.3, no probe extremum between);
+    # the proxy finds both, where a dense signed scan changes sign
+    w = world("cubic_a", a3=random_a3(scale=1.0, seed=548).ravel().tolist())
+    y = np.array([1.0, 0, 0, 0])
+    e_perp = tubes.spacelike_unit_normal(w, y)
+    for tau, radii in sample_axisymmetric_tube(w, y, "n", [-200.0, -100.0]):
+        rs = np.linspace(0.0, 1010.0, 200001)  # rmax at these taus
+        res, bound = tubes._first_order("n", *tubes._triple_worlds(
+            w, np.zeros(4), y, tau * y + rs[:, None] * e_perp), roundoff=True)
+        signed = np.abs(res) > tubes._ROUNDOFF * tubes._EPS * np.maximum(bound, 1.0)
+        sign, at = np.sign(res[signed]), rs[signed]
+        changes = at[np.flatnonzero(sign[1:] != sign[:-1])]
+        assert len(radii) == len(changes) == 4
+        assert np.allclose(radii, changes, rtol=0.0, atol=2 * (rs[1] - rs[0]))
+
+
+def _no_grid(*args):
+    raise AssertionError("the probe grid was entered")
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.57, 0.66])
+def test_sampler_proxy_alone_on_case1_sections(monkeypatch, alpha):
+    # the benchmark's case1 worlds (weak, mid, near the fold, with a hole)
+    # on its tau range: the proxy settles every section, and its radii are
+    # the closed form's
+    monkeypatch.setattr(tubes, "_grid_brackets", _no_grid)
+    w = world("case1", b=[1, 0, 0, 0], alpha=alpha)
+    y = np.array([1.0, 0, 0, 0])
+    taus = np.linspace(-0.95, 1.95, 6)
+    for kind in "nfp":
+        profile = sample_axisymmetric_tube(w, y, kind, taus)
+        if kind == "n":
+            for tau, radii in profile:
+                want = case1_radii(tau, alpha)
+                assert len(radii) == len(want)
+                assert all(abs(a - b) <= 1e-10 * max(b, 1e-3) for a, b in zip(radii, want))
+
+
+def test_sampler_cubic_near_axis_roots_through_the_grid(monkeypatch):
+    # roots below 1e-4 on this weak cubic world are beyond the proxy's
+    # resolution near the axis: those taus go to the probe grid, which finds
+    # them
+    w = world("cubic_a", a3=random_a3(scale=0.05, seed=7).ravel().tolist())
+    y = np.array([1.0, 0, 0, 0])
+    taus = [-1.0, 0.5, 2.0]
+    profile = sample_axisymmetric_tube(w, y, "n", taus)
+    assert all(0.0 < radii[0] < 1e-4 for _, radii in profile)
+    e_perp = tubes.spacelike_unit_normal(w, y)
+    for tau, radii in profile:
+        for r in radii:
+            res = first_order_residual(w, "n", np.zeros(4), y, tau * y + r * e_perp)
+            assert abs(res) <= 1e-10 * (1.0 + tau * tau + r * r) ** 2
+    monkeypatch.setattr(tubes, "_grid_brackets", _no_grid)
+    with pytest.raises(AssertionError, match="probe grid"):
+        sample_axisymmetric_tube(w, y, "n", taus)
 
 
 #: root counts of the 256-probe sampler without the extremum search, on
