@@ -227,8 +227,11 @@ def _cmd_check(args):
     else:
         if args.seed < 0:
             raise _InputError("--seed must be nonnegative")
+        if args.probes < 1:
+            raise _InputError("--probes must be positive")
         # staggered-time basis and probes stay clear of chart poles of the
-        # screened family while exercising every condition
+        # screened family while exercising every condition; 1-3 probes are
+        # raised to 4
         basis = 0.5 * np.vstack([np.zeros(w.dim), np.eye(w.dim)])
         basis[:, 0] += 0.1 * np.arange(w.dim + 1)
         probes = degeneracy.diagnostic_probes(w.dim, max(4, args.probes),

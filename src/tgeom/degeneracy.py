@@ -152,10 +152,12 @@ class FlatBasis:
         return self.back + v[..., :1] - v[..., 1:]
 
     def jacobian(self, w: WorldFunction, point) -> np.ndarray:
-        """d x_i / dq at q = point, as (n, d): one stencil of the coordinate
-        map, a value row per coordinate, stepped as at the pair (p0, point)."""
+        """d x_i / dq at q = point, as (n, d): one 2-point stencil of the
+        coordinate map, a value row per coordinate, stepped as at the pair
+        (p0, point).  It only steers condition IV's Newton, whose residual
+        is the coordinate map itself (tgeom.newton)."""
         return fd.partial_tensor(lambda _, q: np.moveaxis(self.coordinates(w, q), -1, 0),
-                                 self.anchor.points[0], point, 0, 1)
+                                 self.anchor.points[0], point, 0, 1, second_order=True)
 
 
 def diagnostic_probes(dim: int, count: int = 24, seed: int = 13) -> np.ndarray:
@@ -231,7 +233,8 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
     report.add("III_reconstruction", worst_recon, IDENTITY_THRESHOLD)
 
     # IV: sampled solvability of the coordinate equations, by the damped
-    # Newton of tgeom.newton on one stencil of the coordinate map per step
+    # Newton of tgeom.newton on one 2-point stencil of the coordinate map
+    # per step
     rate = _coordinate_solve_rate(w, fb, coords, seed)
     report.add("IV_solvability", 1.0 - rate, 0.0)
 

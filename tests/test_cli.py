@@ -146,7 +146,7 @@ def test_check_euclideaness_report(tmp_path, world_file):
 
 
 def test_check_euclideaness_probes(tmp_path, world_file):
-    # --probes N runs the check on N diagnostic probes, at least 4
+    # --probes N runs the check on N diagnostic probes; 1 to 3 run 4
     path = world_file(CASE1)
     reports = {}
     for count in (2, 4, 6):
@@ -436,8 +436,10 @@ _SECTION = ["tube-section", "--world", "CASE1", "--y", "1,0,0,0", "--tau-steps",
     _SECTION + ["--tau-min", "nan", "--tau-max", "1"],
     _SECTION + ["--tau-min", "0", "--tau-max", "inf"],
     ["check", "euclideaness", "--world", "CASE1", "--seed", "-1"],
+    ["check", "euclideaness", "--world", "CASE1", "--probes", "0"],
+    ["check", "euclideaness", "--world", "CASE1", "--probes", "-3"],
 ], ids=["steps-0", "steps-negative", "mu-nan", "mu-inf", "mu-0",
-        "tau-min-nan", "tau-max-inf", "seed-negative"])
+        "tau-min-nan", "tau-max-inf", "seed-negative", "probes-0", "probes-negative"])
 def test_numeric_arguments_meet_error_contract(tmp_path, world_file, argv):
     # an out-of-range number is an input error: one JSON line, no warning
     files = {"EUCL": world_file(EUCL, "eucl.json"), "CASE1": world_file(CASE1, "case1.json")}

@@ -13,7 +13,9 @@ from tgeom import (
     gram,
     world_from_callable,
 )
+from tgeom import degeneracy
 from tgeom.degeneracy import FlatBasis, diagnostic_probes
+from tgeom.newton import MAX_HALVINGS, newton
 from conftest import world
 
 
@@ -80,13 +82,13 @@ def test_flat_basis_coordinates_batch_matches_rows(case1):
 
 
 def test_euclideaness_world_call_budget(case1):
-    # probe rows, never pairs, per world call: 860 calls over 29,380
+    # probe rows, never pairs, per world call: 860 calls over 16,460
     # points, conditions I and III sharing one forward row per probe, II
     # bordering the flat basis, which takes 2 calls to build (the product
     # matrix's point grid and the reversed basis row), and IV's
-    # damped Newton making 1 per Jacobian stencil of the coordinates and 1
-    # per residual, trial steps included; the report is the one of the
-    # uncounted world
+    # damped Newton making 1 per 2-point Jacobian stencil of the coordinates
+    # (40 points) and 1 per residual, trial steps included; the report is
+    # the one of the uncounted world
     sizes = []
 
     def counted(a, b):
@@ -96,7 +98,7 @@ def test_euclideaness_world_call_budget(case1):
     w = world_from_callable(counted, 4, label="case1")
     probes = diagnostic_probes(4, 24, seed=0)
     report = euclideaness_check(w, 4, staggered_basis(4), probes, seed=0)
-    assert (len(sizes), sum(sizes)) == (860, 29380)
+    assert (len(sizes), sum(sizes)) == (860, 16460)
     want = euclideaness_check(case1, 4, staggered_basis(4), probes, seed=0)
     assert report.to_json() == want.to_json()
     sizes.clear()
@@ -129,19 +131,64 @@ def test_condition_four_rate_ignores_last_bit_jacobian_changes(case2, monkeypatc
         assert rate() == want
 
 
+def test_condition_four_solves_share_one_halving_budget(case2, monkeypatch):
+    # from these starts full Newton steps wander near case2's pole, where no
+    # step length lowers the residual for long: each solve stops once it has
+    # halved MAX_HALVINGS times in all, and the whole check costs 1,502
+    # calls over 21,395 points (with a budget per step, one solve alone
+    # halved 854 times and the check cost 7,738 calls over 85,515 points)
+    records = []
+
+    def recorded(*args):
+        z, record = newton(*args)
+        records.append(record)
+        return z, record
+
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+        return case2(a, b)
+
+    monkeypatch.setattr(degeneracy, "newton", recorded)
+    w = world_from_callable(counted, 4, label="case2")
+    probes = diagnostic_probes(4, 4, seed=517)
+    report = euclideaness_check(w, 4, staggered_basis(4), probes, seed=517)
+    assert len(records) == 64
+    assert max(r.backtracks for r in records) == MAX_HALVINGS
+    assert all(r.stalled for r in records if r.backtracks == MAX_HALVINGS)
+    assert (len(sizes), sum(sizes)) == (1502, 21395)
+    want = euclideaness_check(case2, 4, staggered_basis(4), probes, seed=517)
+    assert report.to_json() == want.to_json()
+
+
+# Condition IV's Jacobian, a 2-point stencil of the coordinate map that only
+# steers Newton: worst error relative to the largest exact entry over the
+# probes below, as (budget, measured) per family
+COORDINATE_JACOBIAN_BUDGETS = {
+    "euclidean": (2e-12, 6.8e-13),
+    "constant_a": (3e-12, 8.9e-13),
+    "case1": (3e-12, 7.7e-13),
+    "case2": (6e-6, 2.3e-6),
+    "cubic_a": (3e-12, 1.1e-12),
+}
+
+
 def test_coordinate_jacobian_matches_gradient_differences(all_worlds):
-    # condition IV's Jacobian is one stencil of the coordinate map; by their
-    # definition its rows are grad w(p0, q) - grad w(p_i, q), each stencil
-    # stepped at its own pair.  The steps differ, so the two agree to FD
-    # error, measured at most 1.2e-11 of the largest entry on these probes
+    # by their definition the rows of d x_i / dq are the exact gradients
+    # d/dq [w(p0, q) - w(p_i, q)], differentiated by sympy
+    pytest.importorskip("sympy")
+    from test_fd_exact import exact_tensor
+
     basis = staggered_basis(4)
     for name, w in all_worlds.items():
+        budget, _ = COORDINATE_JACOBIAN_BUDGETS[name]
         fb = FlatBasis.build(w, Multivector(basis))
         for q in diagnostic_probes(4, 24, seed=0):
-            want = np.stack([fd.partial_tensor(w, basis[0], q, 0, 1)
-                             - fd.partial_tensor(w, p, q, 0, 1) for p in basis[1:]])
+            want = np.stack([exact_tensor(name, basis[0], q, 0, 1)
+                             - exact_tensor(name, p, q, 0, 1) for p in basis[1:]])
             jac = fb.jacobian(w, q)
-            assert np.max(np.abs(jac - want)) <= 1e-10 * np.max(np.abs(want)), name
+            assert np.max(np.abs(jac - want)) <= budget * np.max(np.abs(want)), name
 
 
 def condition_two_by_gram(w, n, basis_points, probes):

@@ -39,6 +39,19 @@ def test_stall_when_no_halving_helps():
     assert z.tolist() == [0.0]
 
 
+def test_halving_budget_is_per_solve():
+    # a Jacobian 2**30 / 1.5 times too small: each step is rejected 29
+    # times, then the step of length 2**-29 maps z to -z / 3.  The first
+    # step spends 29 of the solve's MAX_HALVINGS halvings and the second
+    # the rest, so the solve stalls at -1/3; a budget of 40 per step would
+    # shrink z threefold for many steps
+    z, record = newton(lambda z: z, lambda z: np.array([[1.5 * 2.0 ** -30]]), [1.0], 1e-12)
+    assert record.stalled
+    assert (record.iterations, record.backtracks) == (2, MAX_HALVINGS)
+    assert z[0] == pytest.approx(-1.0 / 3.0, rel=1e-12)
+    assert record.residual_norm == abs(z[0])
+
+
 def test_nan_residual_stalls():
     _, record = newton(lambda z: np.full(1, np.nan), lambda z: np.eye(1), [0.0], 1e-12)
     assert record.stalled and np.isnan(record.residual_norm)
