@@ -158,7 +158,6 @@ class CoincidenceCoefficients:
     gamma_tilde_p: np.ndarray
     a3: np.ndarray           # third-order antisymmetry coefficients
     g3: np.ndarray           # third-order symmetric expansion coefficients
-    a_grad: np.ndarray = field(default=None)   # a_{i,k}
     a_hess: np.ndarray = field(default=None)   # a_{i,kl}
     g_grad: np.ndarray = field(default=None)   # g_{ik,l}
 
@@ -204,7 +203,6 @@ def _coefficients_from(x: np.ndarray, t: dict) -> CoincidenceCoefficients:
 
     # one-point field derivatives via the two-slot chain rule
     g_grad = gpart[(3, 0)] + gpart[(2, 1)]                   # g_{ik,l}
-    a_grad = apart[(2, 0)] + apart[(1, 1)]                   # a_{i,k}
     a_hess = _a_hess(apart[(3, 0)], apart[(2, 1)], apart[(1, 2)])
 
     gamma = 0.5 * np.einsum("si,ksl->ikl", g_inv, _lowered(g_grad))
@@ -218,7 +216,7 @@ def _coefficients_from(x: np.ndarray, t: dict) -> CoincidenceCoefficients:
         x=x, a=a, g=g, g_inv=g_inv, g_tilde=g_tilde, g_tilde_inv=g_tilde_inv,
         sigma_f=sigma_f, sigma_p=sigma_p, gamma=gamma, beta=beta,
         gamma_tilde_f=gamma_tilde_f, gamma_tilde_p=gamma_tilde_p,
-        a3=a3, g3=g3, a_grad=a_grad, a_hess=a_hess, g_grad=g_grad,
+        a3=a3, g3=g3, a_hess=a_hess, g_grad=g_grad,
     )
 
 

@@ -20,7 +20,7 @@ from .errors import (
     DimensionMismatchError,
     OrderMismatchError,
 )
-from .worlds import WorldFunction, check_kind, parts
+from .worlds import WorldFunction, check_kind, kind_pair, parts
 
 #: Relative tolerance for the boolean forms of the residual predicates.
 PREDICATE_RTOL = 1e-9
@@ -145,11 +145,8 @@ def collinearity_residual(w: WorldFunction, kind: str, p: Multivector,
         raise OrderMismatchError(f"orders differ: {p.order} != {q.order}")
     lp2 = gram(w, p)
     lq2 = gram(w, q)
-    if kind == "n":
-        return multivector_product(w, p, q) * multivector_product(w, q, p) - lp2 * lq2
-    if kind == "f":
-        return multivector_product(w, p, q) ** 2 - lp2 * lq2
-    return multivector_product(w, q, p) ** 2 - lp2 * lq2
+    x, y = kind_pair(kind, multivector_product(w, p, q), multivector_product(w, q, p))
+    return x * y - lp2 * lq2
 
 
 def parallelism_residual(w: WorldFunction, kind: str, sense: str,

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .newton import newton
 from .products import Multivector, _real_length, gram
-from .worlds import WorldFunction, check_kind, parts
+from .worlds import WorldFunction, check_kind, kind_pair, parts
 
 #: alpha coefficient of the factorization per kind
 _ALPHA_Q = {"f": 1.0, "p": 1.0, "n": -1.0}
@@ -103,13 +103,12 @@ def _first_order(kind: str, w01, w10, w02, w20, w12, w21, roundoff=False):
     """
     u2, v2 = w01 + w10, w02 + w20
     uv, vu = w10 + w02 - w12, w20 + w01 - w21
-    x, y = (uv, vu) if kind == "n" else (uv, uv) if kind == "f" else (vu, vu)
+    x, y = kind_pair(kind, uv, vu)
     residual = u2 * v2 - x * y
     if not roundoff:
         return residual
     a01, a10, a02, a20 = np.abs(w01), np.abs(w10), np.abs(w02), np.abs(w20)
-    a_uv, a_vu = a10 + a02 + np.abs(w12), a20 + a01 + np.abs(w21)
-    ax, ay = (a_uv, a_vu) if kind == "n" else (a_uv, a_uv) if kind == "f" else (a_vu, a_vu)
+    ax, ay = kind_pair(kind, a10 + a02 + np.abs(w12), a20 + a01 + np.abs(w21))
 
     def bound(x, ax, y, ay):
         # the last term keeps the bound when x or y is itself lost to round-off
@@ -256,15 +255,11 @@ def reduced_asymmetry(w: WorldFunction, y) -> float:
 #: taus whose probe grids share one world call; bounds the sampler's memory
 _TAU_BLOCK = 64
 
-#: probe radii per tau (r = 0 and a geometric grid out to rmax) on the
-#: polynomial worlds; root pairs between two probes are found by the
-#: extremum search
-_PROBES = 32
-
-#: probe radii per tau on case2: its residual has a double-pole spike about
-#: 1% wide at xi^2 = -1/beta, with a root pair on either side, which no
-#: extremum of the probe values announces
-_POLE_PROBES = 256
+#: probe radii per tau of the grid (r = 0 and a geometric grid out to rmax):
+#: enough for the root pairs either side of a screened world's double-pole
+#: spike, about 1% wide at xi^2 = -1/beta, and for those a coarser grid
+#: loses between two probes with no probe extremum on a strongly cubic world
+_PROBES = 256
 
 #: iteration cap of the bracket solver and the extremum search (the usual
 #: brentq default)
@@ -283,11 +278,6 @@ _FOLD_TOL = 1e-8
 _RESOLUTION = 1e-6
 
 _GOLDEN = (3.0 - 5.0**0.5) / 2
-
-#: degree in r of the first-order residual along a section on the families
-#: without poles, whose world values are polynomials in r; without the a3
-#: term it is even in r, as b is aligned with y
-_SECTION_DEGREE = {"euclidean": 4, "constant_a": 4, "case1": 4, "cubic_a": 6}
 
 
 def _brent(f, xa, xb, fa, fb, xtol, rtol):
@@ -397,11 +387,11 @@ def _brent_min(f, sign, a, x, b, fa, fx, fb):
                       {"intervals": n, "iteration": _BRENT_MAXITER})
 
 
-def _grid_brackets(signed_residual, residual, taus, rmaxs, probes, block_rows):
+def _grid_brackets(signed_residual, residual, taus, rmaxs, block_rows):
     """Roots on the axis, brackets and fold minima of the taus of a block's
     rows from a probe grid.
 
-    r = 0 and a geometric grid of probes - 1 radii out to rmax; sign changes
+    r = 0 and a geometric grid of _PROBES - 1 radii out to rmax; sign changes
     between signed probes bracket roots, and Brent's minimiser searches the
     intervals where a root pair may hide between probes.  signed_residual(tau,
     r) is the residual, whether it has a sign and its round-off floor;
@@ -416,7 +406,7 @@ def _grid_brackets(signed_residual, residual, taus, rmaxs, probes, block_rows):
         return residual(block_rows[rows], r)
 
     grid = np.concatenate([np.zeros((len(taus), 1)),
-                           np.geomspace(_RESOLUTION, rmaxs, probes - 1, axis=-1)], axis=1)
+                           np.geomspace(_RESOLUTION, rmaxs, _PROBES - 1, axis=-1)], axis=1)
     with np.errstate(all="ignore"):  # overflow far out is reported below
         vals, signed, _ = signed_residual(taus[:, None], grid)
     finite = np.all(np.isfinite(vals), axis=1)
@@ -658,7 +648,8 @@ def _settle(signed_residual, residual, taus, y2, rows, a, b, f_a, f_b, signed_en
             polished = r - fr / slope
         trial = np.flatnonzero((slope != 0.0) & (a <= polished) & (polished <= b))
         if len(trial):
-            f_pol = residual(rows[trial], polished[trial])
+            with np.errstate(all="ignore"):  # a step onto a pole is not kept
+                f_pol = residual(rows[trial], polished[trial])
             keep = np.abs(f_pol) < np.abs(fr[trial])
             r[trial[keep]], fr[trial[keep]] = polished[trial[keep]], f_pol[keep]
         tau = taus[rows]
@@ -672,7 +663,7 @@ def _settle(signed_residual, residual, taus, y2, rows, a, b, f_a, f_b, signed_en
 
 
 def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.ndarray,
-                    probes: int, degree, even: bool):
+                    degree, even: bool):
     """(tau, [radii]) for a block of taus; worlds(tau, r) broadcasts and
     returns the six world values of the skeleton and the probe point.  With
     a degree, the Chebyshev proxy takes every tau it can settle and the
@@ -693,7 +684,7 @@ def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.nd
         settled, grid = _proxy_brackets(signed_residual, residual, taus, rmaxs, degree, even)
         found.append(settled)
     if len(grid):
-        found.append(_grid_brackets(signed_residual, residual, taus, rmaxs, probes, grid))
+        found.append(_grid_brackets(signed_residual, residual, taus, rmaxs, grid))
     axis, *found = (np.concatenate(parts) for parts in zip(*found))
     rows, radii = _settle(signed_residual, residual, taus, y2, *found)
     roots = [[] for _ in range(len(taus))]
@@ -719,30 +710,32 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     normal to y.  rmax is per tau, max(10 (1 + 1/g), 3 + 2 sqrt(3) |tau|)
     for reduced asymmetry g, so no tau's profile depends on the other taus.
 
-    On the families without poles the residual along a section is a
-    polynomial in r (_SECTION_DEGREE), and a Chebyshev proxy finds the
-    roots first (Boyd, SIAM Review 55, 2013; Trefethen, Approximation
-    Theory and Approximation Practice, ch. 18).  The residual at degree + 3
-    Chebyshev points on [0, rmax] must fit a polynomial of that degree to
-    round-off; the colleague matrix gives its roots.  Each lone real root
-    takes Newton steps on the true residual and is bracketed at 1e-6 (1 +
-    r) either side.  On the families without an a3 term, whose residual is
-    even in r, the proxy's root pair about r = 0 is the axis root when the
-    residual there is within round-off (the axis of a flat world, at every
-    tau).  A tau goes to the probe grid when its fit fails, when a bracket
-    lacks two signed ends of opposite signs, or when a root or a cluster
-    of roots lies where round-off of the node values leaves it unsettled:
-    near-double roots and folds, roots near the axis or near rmax.
+    On a world without a screening beta the residual along a section is a
+    polynomial in r, of degree 6 with an a3 term and 4 without, and a
+    Chebyshev proxy finds the roots first (Boyd, SIAM Review 55, 2013;
+    Trefethen, Approximation Theory and Approximation Practice, ch. 18).
+    The residual at degree + 3 Chebyshev points on [0, rmax] must fit a
+    polynomial of that degree to round-off; the colleague matrix gives its
+    roots.  Each lone real root takes Newton steps on the true residual and
+    is bracketed at 1e-6 (1 + r) either side.  Without an a3 term the
+    residual is even in r, and the proxy's root pair about r = 0 is the axis
+    root when the residual there is within round-off (the axis of a flat
+    world, at every tau).  A tau goes to the probe grid when its fit fails,
+    when a bracket lacks two signed ends of opposite signs, or when a root
+    or a cluster of roots lies where round-off of the node values leaves it
+    unsettled: near-double roots and folds, roots near the axis or near
+    rmax.
 
-    The probe grid takes those taus and every tau on case2: the residual
-    at r = 0 and on a geometric grid out to rmax, _PROBES radii on the
-    polynomial worlds and _POLE_PROBES on case2, whose pole spike hides
-    root pairs from anything coarser.  Sign changes between probes bracket
-    roots.  A root pair between two probes shows as a minimum of
-    |residual| at a probe, or as a run of probes within round-off between
-    two of one sign; Brent's minimiser searches each such interval for a
-    crossing (two more brackets) or a minimum within round-off (a fold
-    root).  r = 0 within round-off is a root when the probe at 1e-6 is not.
+    The probe grid takes those taus and every tau on a screened world,
+    whose residual has poles: the residual at r = 0 and at _PROBES - 1
+    radii on a geometric grid out to rmax, dense enough for the root pairs
+    that flank a pole spike or lie between two probes of a strongly cubic
+    world.  Sign changes between probes bracket roots.  A root pair between
+    two probes shows as a minimum of |residual| at a probe, or as a run of
+    probes within round-off between two of one sign; Brent's minimiser
+    searches each such interval for a crossing (two more brackets) or a
+    minimum within round-off (a fold root).  r = 0 within round-off is a
+    root when the probe at 1e-6 is not.
 
     Brackets of either kind are solved by Brent's method to 1e-12 and
     polished with one Newton step; roots closer than 1e-8 are merged
@@ -777,8 +770,10 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     base = 10.0 * (1.0 + 1.0 / max(reduced_asymmetry(w, y), 1e-2))
     rmaxs = np.maximum(base, 3.0 + 2.0 * np.sqrt(3.0) * np.abs(taus))
 
-    probes = _POLE_PROBES if w.spec.kind == "case2" else _PROBES
-    degree = _SECTION_DEGREE.get(w.spec.kind)
+    # the residual's degree in r along a section, and none where beta
+    # brings poles; without a3 it is even in r, as b is aligned with y
+    even = w.spec.a3 is None
+    degree = None if w.spec.beta is not None else 4 if even else 6
     skeleton = np.stack([origin, y])
 
     def worlds(tau, r):
@@ -791,8 +786,7 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     out = []
     for start in range(0, len(taus), _TAU_BLOCK):
         block = slice(start, start + _TAU_BLOCK)
-        out.extend(_block_profiles(worlds, kind, y2, taus[block], rmaxs[block], probes,
-                                   degree, w.spec.a3 is None))
+        out.extend(_block_profiles(worlds, kind, y2, taus[block], rmaxs[block], degree, even))
     return out
 
 
@@ -840,7 +834,11 @@ def _timelike_length_sq(w: WorldFunction, kind: str, pa, pb, what: str) -> float
 
 def advance_seed(w: WorldFunction, kind: str, p0, direction, mu: float) -> np.ndarray:
     """Point at kind-length mu from p0 along the given direction (1-D Newton
-    on the scaling); convenience for building chain seeds."""
+    on the scaling); convenience for building chain seeds.  The Newton
+    target is |L - mu^2| <= 1e-14 mu^2 for the squared length L.  A solve
+    that stalls short of it, as round-off of L can make it away from the
+    origin, is taken at 1e-8 mu^2, which implies build_broken_tube's seed
+    check."""
     p0 = np.asarray(p0, dtype=float)
     direction = np.asarray(direction, dtype=float)
     base = _timelike_length_sq(w, kind, p0, p0 + direction, "direction")
@@ -853,29 +851,28 @@ def advance_seed(w: WorldFunction, kind: str, p0, direction, mu: float) -> np.nd
         dt = 1e-7 * (1.0 + abs(z[0]))
         return np.array([[(length_sq(z[0] + dt) - length_sq(z[0] - dt)) / (2.0 * dt)]])
 
-    tol = 1e-14 * mu * mu
     z, record = newton(lambda z: np.array([length_sq(z[0]) - mu * mu]), slope,
-                       [mu / np.sqrt(base)], tol)
-    if not record.residual_norm <= tol:
+                       [mu / np.sqrt(base)], 1e-14 * mu * mu)
+    if not record.residual_norm <= 1e-8 * mu * mu:
         raise SolverError("seed scaling did not converge", record._asdict())
     return p0 + z[0] * direction
 
 
-def chain_parallel_residual(w: WorldFunction, kind: str, pa, pb, pc) -> float:
+def chain_parallel_residual(w: WorldFunction, kind: str, pa, pb, pc):
     """Adjacent-segment parallelism defect |ab||bc| - (scalar product) for
-    the segment pair (pa->pb, pb->pc), with the product order set by kind."""
+    the segment pair (pa->pb, pb->pc), with the product order set by kind;
+    the neutral kind takes the root of the two products.  Broadcasts over
+    leading axes, and is a float for one segment pair."""
     check_kind(kind)
     wab, wba, wac, wca, wbc, wcb = _triple_worlds(w, pa, pb, pc)
-    lab = _real_length(float(wab + wba), "segment length")
-    lbc = _real_length(float(wbc + wcb), "segment length")
-    uv = float(wac - wbc - wab)  # (ab . bc)
-    vu = float(wca - wcb - wba)  # (bc . ab)
-    if kind == "f":
-        return lab * lbc - uv
-    if kind == "p":
-        return lab * lbc - vu
-    prod = uv * vu
-    return lab * lbc - np.sqrt(max(prod, 0.0))
+    sq = np.stack(np.broadcast_arrays(wab + wba, wbc + wcb))
+    if np.any(sq < 0.0):
+        raise ComplexLengthError(f"segment length has negative squared length "
+                                 f"{float(sq[sq < 0.0][0])}; real length undefined")
+    x, y = kind_pair(kind, wac - wbc - wab, wca - wcb - wba)  # (ab . bc), (bc . ab)
+    prod = np.sqrt(np.maximum(x * y, 0.0)) if kind == "n" else x
+    res = np.sqrt(sq[0]) * np.sqrt(sq[1]) - prod
+    return float(res) if res.ndim == 0 else res
 
 
 def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
@@ -951,12 +948,11 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
             except SolverError as exc:
                 raise SolverError("singular Jacobian in chain continuation",
                                   {"step": index, **exc.detail}) from exc
-            detail = {"step": index, **record._asdict()}
-            if record.stalled:
-                raise SolverError("chain continuation stalled (damping exhausted)", detail)
             if not record.residual_norm <= 1e-10 * scale:
-                raise SolverError("chain continuation did not converge "
-                                  f"(|r| = {record.residual_norm:.3e})", detail)
+                message = ("stalled (damping exhausted)" if record.stalled
+                           else f"did not converge (|r| = {record.residual_norm:.3e})")
+                raise SolverError(f"chain continuation {message}",
+                                  {"step": index, **record._asdict()})
             return z
 
         guess = 2.0 * mid - prev_p
@@ -986,10 +982,7 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         verts.append(new_p)
 
     verts = np.asarray(verts)
-    par = np.array([
-        chain_parallel_residual(w, kind, verts[i], verts[i + 1], verts[i + 2])
-        for i in range(len(verts) - 2)
-    ])
+    par = chain_parallel_residual(w, kind, verts[:-2], verts[1:-1], verts[2:])
     with np.errstate(all="ignore"):  # kind_length_sq of every segment
         lens_sq = 2.0 * w.of_kind(kind, verts[:-1], verts[1:])
     lens = np.abs(np.sqrt(lens_sq) - mu) / mu

@@ -50,6 +50,13 @@ def check_kind(kind: str) -> str:
     return kind
 
 
+def kind_pair(kind: str, pq, qp):
+    """The two products a first-order residual of the kind multiplies, from
+    the products pq = (p.q) and qp = (q.p): both for 'n', pq twice for 'f',
+    qp twice for 'p'."""
+    return (pq, qp) if kind == "n" else (pq, pq) if kind == "f" else (qp, qp)
+
+
 def _numeric(name, value):
     """value (None passes) as a float array; a non-numeric (bool, string,
     null, ragged) or non-finite entry is a spec error, not a traceback."""

@@ -5,7 +5,7 @@ import pytest
 
 import tgeom
 from tgeom import KINDS, Multivector, TubeSpec, fd, lines, products, tubes
-from tgeom.worlds import check_kind
+from tgeom.worlds import check_kind, kind_pair
 
 ORIGIN = np.zeros(4)
 Y = np.array([1.0, 0.0, 0.0, 0.0])
@@ -18,6 +18,13 @@ def test_one_kinds_tuple():
     assert tgeom.KINDS is KINDS
     for kind in KINDS:
         assert check_kind(kind) == kind
+
+
+def test_kind_pair_picks_the_products():
+    # the products (p.q), (q.p) a first-order residual of each kind multiplies
+    assert kind_pair("n", "pq", "qp") == ("pq", "qp")
+    assert kind_pair("f", "pq", "qp") == ("pq", "pq")
+    assert kind_pair("p", "pq", "qp") == ("qp", "qp")
 
 
 def test_of_kind_reads_the_world_function(all_worlds):

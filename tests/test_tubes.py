@@ -61,6 +61,21 @@ def test_line_tube(euclid3):
     assert tube_residual(euclid3, spec, np.array([1.0, 0, 0])) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_plane_tube_holds_the_skeleton_plane(euclid3):
+    # a three-point skeleton spans a plane: its points extend the skeleton
+    # to a flat simplex, and points off it do not
+    skel = np.array([[0.0, 0, 0], [1, 0, 0], [0.3, 2, 0]])
+    spec = TubeSpec(Multivector(skel))
+    tol = membership_tolerance(euclid3, skel)
+    rng = np.random.default_rng(4)
+    for a, b in rng.normal(size=(10, 2)) * 3.0:
+        assert abs(tube_residual(euclid3, spec, np.array([a, b, 0.0]))) <= tol
+        off = np.array([a, b, 0.5])
+        assert abs(tube_residual(euclid3, spec, off)) > tol
+    for point in skel:
+        assert abs(tube_residual(euclid3, spec, point)) <= tol
+
+
 def test_degenerate_skeleton_rejected(euclid3):
     spec = TubeSpec(Multivector(np.array([[0, 0, 0], [0, 0, 0]], float)))
     with pytest.raises(DegenerateSkeletonError):
@@ -478,12 +493,23 @@ def test_sampler_flat_axis_root():
 _DENSE_TAUS = np.linspace(-3.0, 4.0, 61)
 
 
+def _grid_only(patch):
+    # the proxy settles no tau, so the probe grid takes every one
+    proxy = tubes._proxy_brackets
+
+    def settles_none(signed_residual, residual, taus, rmaxs, degree, even):
+        settled, _ = proxy(signed_residual, residual, taus[:0], rmaxs[:0], degree, even)
+        return settled, np.arange(len(taus))
+
+    patch.setattr(tubes, "_proxy_brackets", settles_none)
+
+
 @pytest.mark.parametrize("family,strength",
                          [("case1", g) for g in (0.02, 0.1, 0.3, 0.57, 0.65, 2.0)]
                          + [("cubic_a", scale) for scale in (0.03, 0.3, 1.0)])
 def test_sampler_matches_a_dense_probe_grid(monkeypatch, family, strength):
-    # the proxy, with 32 probes and the extremum search behind it, finds what
-    # the probe grid alone finds with 4096 probes
+    # the proxy, with the probe grid and the extremum search behind it, finds
+    # what the probe grid alone finds with 4096 probes
     if family == "case1":
         w = world("case1", b=[1, 0, 0, 0], alpha=strength)
     else:
@@ -492,7 +518,7 @@ def test_sampler_matches_a_dense_probe_grid(monkeypatch, family, strength):
     for kind in "nfp":
         got = sample_axisymmetric_tube(w, y, kind, _DENSE_TAUS)
         with monkeypatch.context() as patch:
-            patch.setattr(tubes, "_SECTION_DEGREE", {})  # every tau to the grid
+            _grid_only(patch)
             patch.setattr(tubes, "_PROBES", 4096)
             want = sample_axisymmetric_tube(w, y, kind, _DENSE_TAUS)
         for (tau, radii), (_, ref) in zip(got, want):
@@ -522,9 +548,9 @@ def test_colleague_roots_of_chebyshev_series():
 
 
 def test_sampler_proxy_finds_a_cubic_pair_between_probes():
-    # on this strongly cubic world the 32-probe grid sees one root pair of
-    # the two at these taus (ratios 1.1 to 1.3, no probe extremum between);
-    # the proxy finds both, where a dense signed scan changes sign
+    # on this strongly cubic world two root pairs lie at these taus, the
+    # roots of a pair 1.1 to 1.3x apart; the proxy finds both, where a dense
+    # signed scan changes sign
     w = world("cubic_a", a3=random_a3(scale=1.0, seed=548).ravel().tolist())
     y = np.array([1.0, 0, 0, 0])
     e_perp = tubes.spacelike_unit_normal(w, y)
@@ -537,6 +563,35 @@ def test_sampler_proxy_finds_a_cubic_pair_between_probes():
         changes = at[np.flatnonzero(sign[1:] != sign[:-1])]
         assert len(radii) == len(changes) == 4
         assert np.allclose(radii, changes, rtol=0.0, atol=2 * (rs[1] - rs[0]))
+
+
+def test_sampler_grid_alone_finds_the_cubic_pairs(monkeypatch):
+    # the same world over a sweep of taus: the grid alone, as a tau that
+    # falls back to it sees it, finds both root pairs, as the proxy does
+    w = world("cubic_a", a3=random_a3(scale=1.0, seed=548).ravel().tolist())
+    y = np.array([1.0, 0, 0, 0])
+    taus = np.arange(-400.0, -85.0, 10.0)
+    want = sample_axisymmetric_tube(w, y, "n", taus)
+    _grid_only(monkeypatch)
+    for (tau, radii), (_, ref) in zip(sample_axisymmetric_tube(w, y, "n", taus), want):
+        assert len(radii) == len(ref) == 4, (tau, radii, ref)
+        assert np.allclose(radii, ref, rtol=1e-9, atol=0.0), (tau, radii, ref)
+
+
+def test_sampler_polish_onto_a_pole_is_quiet():
+    # on this screened world a root's Newton polish steps onto the pole: the
+    # step is rejected, and no numpy warning escapes
+    w = world("case2", b=[1, 0, 0, 0], alpha=2.0, beta=1.0)
+    y = np.array([1.0, 0, 0, 0])
+    e_perp = tubes.spacelike_unit_normal(w, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = sample_axisymmetric_tube(w, y, "n", [0.0, 1.0])
+    assert [len(radii) for _, radii in profile] == [3, 3]
+    for tau, radii in profile:
+        for r in radii:
+            res = first_order_residual(w, "n", np.zeros(4), y, tau * y + r * e_perp)
+            assert abs(res) <= 1e-10 * (1.0 + tau * tau + r * r) ** 2
 
 
 def _no_grid(*args):
@@ -740,7 +795,8 @@ def test_chain_world_point_budget(cubic):
     # stencils on the 2-point rule (105 points each on the 4-point rule)
     # and the constraint gradient of its residual (5,612 points in 180
     # calls with both recomputed); the step solve's first residual reuses
-    # the gradients that set its start multiplier
+    # the gradients that set its start multiplier, and the parallelism of
+    # every vertex triple takes six calls in all
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     p1 = advance_seed(cubic, "f", np.zeros(4), v, 0.1)
@@ -752,7 +808,42 @@ def test_chain_world_point_budget(cubic):
 
     chain = build_broken_tube(world_from_callable(counted, 4), "f", np.zeros(4), p1, 0.1, 4)
     assert np.max(chain.length_residuals) < 1e-10
-    assert (len(sizes), sum(sizes)) == (152, 2284)
+    assert (len(sizes), sum(sizes)) == (134, 2284)
+
+
+@pytest.mark.parametrize("shift", [10.0, 1e3, 1e5])
+def test_seed_and_chain_far_from_the_origin(minkowski, shift):
+    # the round-off of a length grows with the coordinates beyond the seed's
+    # and the step's targets: a solve that stalls within its acceptance is
+    # taken, from a seed built there or one moved there from the origin
+    cub = world("cubic_a", a3=random_a3(scale=0.05, seed=3).ravel().tolist())
+    v = np.array([1.0, 0.25, -0.15, 0.1])
+    v = v / np.sqrt(v @ MINK @ v)
+    p0 = shift * np.array([1.0, -0.5, 0.25, 0.1])
+    for w in (minkowski, cub):
+        seeds = [(p0, advance_seed(w, "f", p0, v, 0.1)),
+                 (p0, p0 + advance_seed(w, "f", np.zeros(4), v, 0.1))]
+        for a, b in seeds:
+            chain = build_broken_tube(w, "f", a, b, 0.1, 6)
+            assert np.max(chain.length_residuals) <= 1e-10
+
+
+def test_multiplicity_flag_fires_on_nearby_extrema():
+    # a quartic spacelike term puts two more stationary points of the step
+    # 0.04 mu either side of the straight continuation, between it and the
+    # probe's shifted seed: the probe solve settles on one and flags the step
+    def quartic(c):
+        def evaluate(x, xp):
+            xi = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
+            return 0.5 * (xi[..., 0] ** 2 - xi[..., 1] ** 2) + 0.25 * c * xi[..., 1] ** 4
+        return world_from_callable(evaluate, 2)
+
+    mu = 0.1
+    p0, p1 = np.zeros(2), np.array([mu, 0.0])
+    for c, flagged in ((0.0, False), (1e3, False), ((0.04 * mu) ** -2, True)):
+        chain = build_broken_tube(quartic(c), "f", p0, p1, mu, 3)
+        assert np.allclose(chain.vertices[:, 1], 0.0)  # the straight continuation
+        assert chain.multiplicity_flags == [flagged] * 3, c
 
 
 def test_chain_seed_validation(minkowski):
