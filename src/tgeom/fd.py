@@ -36,6 +36,14 @@ stencil point, and from two calls elsewhere; kind_tensor serves the
 two-point function k(a, b) of a tube or line kind.
 Reading one value for several entries assumes pointwise evaluation
 (worlds.world_from_callable).
+
+One contraction path serves every order, rule and number of value rows:
+the plan groups a tensor's entries by stencil length k, each group is one
+batched (1, k) @ (k, 1) product over the entries' stencil values, and one
+index map mirrors the entries into the tensor.  The stencil values are
+made C-contiguous first: a contiguous product is the BLAS dot that a
+per-entry np.dot calls, so each entry rounds as np.dot would, while a
+strided operand falls to numpy's own loop, which sums in another order.
 """
 
 from __future__ import annotations
@@ -84,14 +92,6 @@ def step_size(total_order: int, x, xp) -> float:
     return _STEP_COEF[total_order] * s
 
 
-def _axis_groups(combo):
-    """(axis, multiplicity) pairs for a sorted index combination."""
-    groups = []
-    for axis in sorted(set(combo)):
-        groups.append((axis, combo.count(axis)))
-    return groups
-
-
 def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple, second_order: bool = False):
     """Unit-step product stencil for one tensor entry.
 
@@ -100,30 +100,18 @@ def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple, second_order: bool
     total order 3 or 4, or when second_order is set, a multiplicity-1 axis
     takes the 2-point rule.
     """
-    offs_x = np.zeros((1, dim))
-    offs_xp = np.zeros((1, dim))
-    wts = np.ones(1)
     two_point = second_order or len(combo_x) + len(combo_xp) >= 3
-
-    def expand(offs_x, offs_xp, wts, axis, mult, primed):
-        nodes, unit = _SECOND_ORDER_FIRST if mult == 1 and two_point else _RULES[mult]
-        k = len(nodes)
-        m = offs_x.shape[0]
-        ox = np.repeat(offs_x, k, axis=0)
-        op = np.repeat(offs_xp, k, axis=0)
-        tiled = np.tile(nodes, m)
-        if primed:
-            op[:, axis] += tiled
-        else:
-            ox[:, axis] += tiled
-        return ox, op, np.repeat(wts, k) * np.tile(unit, m)
-
-    for axis, mult in _axis_groups(combo_x):
-        offs_x, offs_xp, wts = expand(offs_x, offs_xp, wts, axis, mult, False)
-    for axis, mult in _axis_groups(combo_xp):
-        offs_x, offs_xp, wts = expand(offs_x, offs_xp, wts, axis, mult, True)
-    # offsets are integers in [-2, 2]
-    return offs_x.astype(np.int8), offs_xp.astype(np.int8), wts
+    offs, wts = np.zeros((1, 2 * dim)), np.ones(1)
+    for shift, combo in ((0, combo_x), (dim, combo_xp)):
+        for axis in sorted(set(combo)):
+            mult = combo.count(axis)
+            nodes, unit = _SECOND_ORDER_FIRST if mult == 1 and two_point else _RULES[mult]
+            m = len(wts)
+            offs = np.repeat(offs, len(nodes), axis=0)
+            offs[:, shift + axis] += np.tile(nodes, m)
+            wts = np.repeat(wts, len(nodes)) * np.tile(unit, m)
+    offs = offs.astype(np.int8)  # integers in [-2, 2]
+    return offs[:, :dim], offs[:, dim:], wts
 
 
 def _tensor_entries(dim: int, nx: int, npr: int, second_order: bool = False):
@@ -133,10 +121,7 @@ def _tensor_entries(dim: int, nx: int, npr: int, second_order: bool = False):
     for cx in combinations_with_replacement(range(dim), nx):
         for cp in combinations_with_replacement(range(dim), npr):
             offs_x, offs_xp, wts = _entry_stencil(dim, cx, cp, second_order)
-            targets = set()
-            for px in permutations(cx):
-                for pp in permutations(cp):
-                    targets.add(px + pp)
+            targets = {px + pp for px in permutations(cx) for pp in permutations(cp)}
             entries.append((offs_x, offs_xp, wts, tuple(targets)))
     return entries
 
@@ -151,22 +136,22 @@ class _Plan:
     (np.unique sorts them).  The zero-offset row, the anchor pair at any
     step, is listed once, in class 0, as row anchor; its points are
     (x, xp) themselves, so a -0.0 coordinate keeps its sign.  Order (0, 0)
-    reads that row.  values[gather] lists the row values entry by entry, as
-    the stencils of the requested tensors list their points.  In a
-    coincident plan swap[r] is the row of the swapped pair (Q, P), which at
-    xp = x is a stencil point of the same step.
+    reads that row.  In a coincident plan swap[r] is the row of the swapped
+    pair (Q, P), which at xp = x is a stencil point of the same step.
     """
 
     cls: np.ndarray               # (n,) int8
     offs_x: np.ndarray            # (n, d) int8
     offs_xp: np.ndarray           # (n, d) int8
-    gather: np.ndarray            # (m,) int32, m = stencil points of all entries
+    gather: np.ndarray            # (m,) int32: the row of each stencil point, entry by entry
     swap: np.ndarray | None       # (n,) int32, coincident plans only
     anchor: int | None            # the zero-offset row, if any
     class_orders: tuple           # per step class, a total order that takes its step
-    # per requested order: (order, class, entries), entries being
-    # (slice of the gathered values, unit weights, targets); for (0, 0)
-    # the position of the anchor pair's value in the gathered values
+    # per requested order: (order, class, groups, place).  The entries of a
+    # tensor are grouped by stencil length k, shortest first; a group is
+    # (rows, unit weights), both (entries, k), rows being slices of gather.
+    # place (d,)*order maps each tensor index to its entry's column in the
+    # groups' concatenated values.  (0, 0) has no groups and place None.
     tensors: tuple
 
 
@@ -178,17 +163,21 @@ def _stencil_plan(dim: int, orders: tuple, coincident: bool,
     for nx, npr in orders:
         if nx == 0 and npr == 0:
             blocks.append(np.zeros((1, 1 + 2 * dim), dtype=np.int8))
-            tensors.append(((nx, npr), 0, cursor))
+            tensors.append(((nx, npr), 0, (), None))
             cursor += 1
             continue
         cls, _ = classes.setdefault(_STEP_COEF[nx + npr], (len(classes), nx + npr))
-        entries = []
-        for offs_x, offs_xp, wts, targets in _tensor_entries(dim, nx, npr, second_order):
-            k = len(wts)
-            blocks.append(np.column_stack([np.full(k, cls, dtype=np.int8), offs_x, offs_xp]))
-            entries.append((slice(cursor, cursor + k), wts, targets))
-            cursor += k
-        tensors.append(((nx, npr), cls, tuple(entries)))
+        entries = sorted(_tensor_entries(dim, nx, npr, second_order), key=lambda e: len(e[2]))
+        units, place = {}, np.empty((dim,) * (nx + npr), dtype=np.intp)
+        for column, (offs_x, offs_xp, wts, targets) in enumerate(entries):
+            blocks.append(np.column_stack([np.full(len(wts), cls, dtype=np.int8), offs_x, offs_xp]))
+            units.setdefault(len(wts), []).append(wts)
+            place[tuple(np.transpose(targets))] = column
+        groups = []
+        for unit in map(np.array, units.values()):
+            groups.append((slice(cursor, cursor + unit.size), unit))
+            cursor += unit.size
+        tensors.append(((nx, npr), cls, groups, place))
 
     rows = np.concatenate(blocks) if blocks else np.zeros((0, 1 + 2 * dim), dtype=np.int8)
     # zero offsets give the anchor pair itself whatever the step: one class
@@ -204,12 +193,14 @@ def _stencil_plan(dim: int, orders: tuple, coincident: bool,
         # listed row j < cursor is stencil point j; row cursor + j its swap
         partner = np.concatenate([np.arange(cursor, 2 * cursor), np.arange(cursor)])
         swap = row_of[partner[first]].astype(np.int32)
+    gather = row_of[:cursor].astype(np.int32)
     return _Plan(cls=unique[:, 0].copy(), offs_x=unique[:, 1:1 + dim].copy(),
-                 offs_xp=unique[:, 1 + dim:].copy(),
-                 gather=row_of[:cursor].astype(np.int32), swap=swap,
+                 offs_xp=unique[:, 1 + dim:].copy(), gather=gather, swap=swap,
                  anchor=int(zero[0]) if zero.size else None,
                  class_orders=tuple(order for _, order in classes.values()),
-                 tensors=tuple(tensors))
+                 tensors=tuple((order, cls, tuple((gather[sl].reshape(unit.shape), unit)
+                                                  for sl, unit in groups), place)
+                               for order, cls, groups, place in tensors))
 
 
 class _Parts:
@@ -260,10 +251,8 @@ def partial_tensors(fn, x, xp, orders, *, second_order: bool = False):
     # stencils far out in the chart overflow: raise below rather than warn
     with np.errstate(all="ignore"):
         # the anchor row alone still reads a class step
-        class_step = np.zeros(max(len(plan.class_orders), 1))
-        for cls, order in enumerate(plan.class_orders):
-            class_step[cls] = step_size(order, x, xp)
-        for (nx, npr), cls, _ in plan.tensors:
+        class_step = np.array([step_size(order, x, xp) for order in plan.class_orders] or [0.0])
+        for (nx, npr), cls, _, _ in plan.tensors:
             total = nx + npr
             if total and not np.isfinite(class_step[cls]**total):
                 raise FloatingPointError(f"stencil step overflows at derivative order {total}")
@@ -278,26 +267,21 @@ def partial_tensors(fn, x, xp, orders, *, second_order: bool = False):
                                 dtype=float)
             if not np.all(np.isfinite(values)):
                 raise FloatingPointError("non-finite world-function value in stencil")
-            # take keeps each value row contiguous: np.dot sums a strided
-            # row in another order, and the entries must round as before
-            values = values.take(plan.gather, axis=-1)
         else:
             values = np.empty(0)
-    rows = np.atleast_2d(values)
 
     out = {}
-    for (nx, npr), cls, entries in plan.tensors:
-        if nx == npr == 0:
-            out[(nx, npr)] = np.array(values[..., entries])
+    for (nx, npr), cls, groups, place in plan.tensors:
+        if place is None:
+            out[(nx, npr)] = np.array(values[..., plan.anchor])
             continue
         scale = class_step[cls]**(nx + npr)
-        tensor = np.zeros((len(rows),) + (d,) * (nx + npr))
-        for sl, unit, targets in entries:
-            wts = unit / scale
-            val = [np.dot(row[sl], wts) for row in rows]
-            for idx in targets:
-                tensor[(slice(None),) + idx] = val
-        out[(nx, npr)] = tensor if values.ndim == 2 else tensor[0]
+        # one (1, k) @ (k, 1) product per entry and value row; on contiguous
+        # stencil values it is np.dot's BLAS dot, which a strided operand
+        # would swap for a loop summing in another order
+        vals = [(np.ascontiguousarray(values[..., rows])[..., None, :]
+                 @ (unit / scale)[..., None])[..., 0, 0] for rows, unit in groups]
+        out[(nx, npr)] = np.concatenate(vals, axis=-1)[..., place]
     return out
 
 

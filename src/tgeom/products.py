@@ -140,13 +140,17 @@ def collinearity_residual(w: WorldFunction, kind: str, p: Multivector,
     In a symmetric world the three kinds coincide; for asymmetric worlds the
     'f' residual of (p, q) equals the 'p' residual of (q, p).
     """
+    return _collinearity(w, kind, p, q)[0]
+
+
+def _collinearity(w, kind, p, q):
+    """collinearity_residual with the two squared lengths it reads."""
     check_kind(kind)
     if p.order != q.order:
         raise OrderMismatchError(f"orders differ: {p.order} != {q.order}")
-    lp2 = gram(w, p)
-    lq2 = gram(w, q)
+    lp2, lq2 = gram(w, p), gram(w, q)
     x, y = kind_pair(kind, multivector_product(w, p, q), multivector_product(w, q, p))
-    return x * y - lp2 * lq2
+    return x * y - lp2 * lq2, lp2, lq2
 
 
 def parallelism_residual(w: WorldFunction, kind: str, sense: str,
@@ -157,33 +161,39 @@ def parallelism_residual(w: WorldFunction, kind: str, sense: str,
     |p||q|, sense 'antiparallel' adds it.  Requires both squared lengths to
     be nonnegative (real lengths); raises ComplexLengthError otherwise.
     """
+    return _parallelism(w, kind, sense, p, q)[0]
+
+
+def _parallelism(w, kind, sense, p, q):
+    """parallelism_residual with the two squared lengths it reads."""
     if check_kind(kind) == "n":
         raise ValueError("parallelism has no neutral kind: use 'f' or 'p'")
     if p.order != q.order:
         raise OrderMismatchError(f"orders differ: {p.order} != {q.order}")
-    lp = _real_length(gram(w, p), "first multivector")
-    lq = _real_length(gram(w, q), "second multivector")
+    lp2, lq2 = gram(w, p), gram(w, q)
+    lp = _real_length(lp2, "first multivector")
+    lq = _real_length(lq2, "second multivector")
     prod = multivector_product(w, p, q) if kind == "f" else multivector_product(w, q, p)
     if sense == "parallel":
-        return prod - lp * lq
+        return prod - lp * lq, lp2, lq2
     if sense == "antiparallel":
-        return prod + lp * lq
+        return prod + lp * lq, lp2, lq2
     raise ValueError(f"unknown sense {sense!r}")
 
 
-def _predicate_scale(lp2: float, lq2: float) -> float:
+def _holds(res: float, lp2: float, lq2: float) -> bool:
+    """|res| within PREDICATE_RTOL of the product of the two squared
+    lengths, or of 1 when either vanishes."""
     scale = abs(lp2 * lq2)
-    return scale if scale > 0.0 else 1.0
+    return abs(res) <= PREDICATE_RTOL * (scale if scale > 0.0 else 1.0)
 
 
 def is_collinear(w: WorldFunction, kind: str, p: Multivector, q: Multivector) -> bool:
     """Boolean form of collinearity_residual with relative tolerance scaled
     by the product of the two squared lengths (or 1 when either vanishes)."""
-    res = collinearity_residual(w, kind, p, q)
-    return abs(res) <= PREDICATE_RTOL * _predicate_scale(gram(w, p), gram(w, q))
+    return _holds(*_collinearity(w, kind, p, q))
 
 
 def is_parallel(w: WorldFunction, kind: str, sense: str, p: Multivector,
                 q: Multivector) -> bool:
-    res = parallelism_residual(w, kind, sense, p, q)
-    return abs(res) <= PREDICATE_RTOL * _predicate_scale(gram(w, p), gram(w, q))
+    return _holds(*_parallelism(w, kind, sense, p, q))

@@ -220,6 +220,83 @@ def test_exit_code_bad_spec_values(tmp_path, world_file, capsys, doc, command):
     assert err["error"] == "world-spec"
 
 
+@pytest.mark.parametrize("doc,detail", [
+    ({"kind": "euclidean", "dim": 2, "metric": [[1, 0, 0], [0, 1, 0]]}, "d x d matrix"),
+    ({"kind": "euclidean", "dim": 2, "metric": [[1, 0.5], [0, 1]]}, "symmetric"),
+    ({"kind": "constant_a", "dim": 2, "metric": [1, 1], "b": [1, 0, 0]}, "length dim"),
+    ({"kind": "cubic_a", "dim": 2, "metric": [1, 1], "a3": [[0, 0], [0, 0]]}, "(d, d, d)"),
+    ([1, 2], "JSON object"),
+    ({"dim": 2, "metric": [1, 1]}, "missing key 'kind'"),
+    ({"kind": "euclidean", "dim": 2}, "missing 'metric'"),
+    ({"kind": "euclidean", "dim": 2, "metric": [[[1]]]}, "vector or a matrix"),
+    ({"kind": "constant_a", "dim": 2, "metric": [1, 1], "b": [1, [0, 1]]}, "b must be numeric"),
+], ids=["metric-2x3", "metric-nonsymmetric", "b-length", "a3-2d", "list", "no-kind",
+        "no-metric", "metric-3d", "b-ragged"])
+def test_exit_code_bad_spec_shapes(tmp_path, world_file, capsys, doc, detail):
+    # a malformed spec document is one world-spec error line, exit 1
+    bad = world_file(doc, "bad.json")
+    assert run(["check", "degeneration", "--world", bad,
+                "--out", str(tmp_path / "x.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "world-spec" and detail in err["detail"]
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["tube-section", "--world", "EUCL", "--y", "1,0,0,0", "--tau-min", "0",
+      "--tau-max", "1", "--tau-steps", "0"], "--tau-steps"),
+    (["gradient-line", "--world", "EUCL", "--from", "0,0,0,0", "--to", "1,0,0,0",
+      "--steps", "1"], "--steps"),
+    (["coefficients", "--world", "EUCL", "--at", "0,a,0,0"], "--at"),
+], ids=["tau-steps-0", "steps-1", "at-not-a-number"])
+def test_exit_code_bad_arguments(tmp_path, world_file, capsys, argv, detail):
+    out = tmp_path / "x.out"
+    argv = [world_file(EUCL) if a == "EUCL" else a for a in argv]
+    assert run(argv + ["--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "input" and detail in err["detail"]
+    assert not out.exists()
+
+
+def test_tube_section_empty_profile(tmp_path, world_file):
+    # at alpha 0.66 the tube has a hole about its center for these taus (no
+    # closed-form radius): each row keeps its tau, leaves both radii empty
+    # and counts 0
+    assert all(case1_radii(tau, 0.66) == [] for tau in (0.4, 0.5, 0.6))
+    world = world_file(dict(CASE1, alpha=0.66))
+    out = tmp_path / "sec.csv"
+    assert run(["tube-section", "--world", world, "--y", "1,0,0,0", "--kind", "n",
+                "--tau-min", "0.4", "--tau-max", "0.6", "--tau-steps", "3",
+                "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "tau,r_inner,r_outer,n_roots"
+    assert [line.split(",")[1:] for line in lines[1:]] == [["", "", "0"]] * 3
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.4, 0.5, 0.6]
+
+
+def test_module_entry_point(tmp_path, world_file):
+    # python -m tgeom: exit 0 and a silent stderr on a good command, exit 1
+    # and one JSON error line on a bad spec
+    out = tmp_path / "coeffs.json"
+    proc = run_module(["coefficients", "--world", world_file(EUCL), "--at", "0,0,0,0",
+                       "--out", str(out)])
+    assert proc.returncode == 0 and proc.stderr == ""
+    jsonschema.validate(json.loads(out.read_text()), schema("coefficients.json"))
+    bad = world_file({"kind": "euclidean", "dim": 2}, "bad.json")
+    proc = run_module(["coefficients", "--world", bad, "--at", "0,0", "--out", str(out)])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "world-spec"
+
+
 def test_exit_code_unwritable_out(tmp_path, world_file, capsys):
     out = tmp_path / "missing" / "dir" / "x.json"
     assert run(["coefficients", "--world", world_file(CASE1), "--at", "0,0,0,0",

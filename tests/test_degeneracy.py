@@ -191,6 +191,26 @@ def test_coordinate_jacobian_matches_gradient_differences(all_worlds):
             assert np.max(np.abs(jac - want)) <= budget * np.max(np.abs(want)), name
 
 
+def test_coordinate_jacobian_matches_per_entry_dots(all_worlds):
+    # four coordinate rows through one stencil give, bit for bit, one np.dot
+    # per entry and row over that entry's own contiguous stencil values; a
+    # returned Jacobian is the caller's to change
+    basis = staggered_basis(4)
+    for name, w in all_worlds.items():
+        fb = FlatBasis.build(w, Multivector(basis))
+        for q in diagnostic_probes(4, 6, seed=0):
+            step = fd.step_size(1, basis[0], q)
+            want = np.zeros((4, 4))
+            for _, offs_q, unit, targets in fd._tensor_entries(4, 0, 1, True):
+                rows = fb.coordinates(w, q + step * offs_q).T
+                for i, row in enumerate(rows):
+                    want[(i,) + targets[0]] = np.dot(np.ascontiguousarray(row), unit / step)
+            jac = fb.jacobian(w, q)
+            assert np.array_equal(jac, want), name
+            jac[...] = np.nan
+            assert np.array_equal(fb.jacobian(w, q), want), name
+
+
 def condition_two_by_gram(w, n, basis_points, probes):
     """Condition II by its definition: a Gram determinant for the basis and
     one for each basis+probe tuple, scaled by twice the symmetric part."""

@@ -295,6 +295,35 @@ def test_complex_length_error(minkowski):
         parallelism_residual(minkowski, "f", "parallel", spacelike, spacelike)
 
 
+def test_predicates_read_each_gram_once(case1):
+    # one world call per Gram and per cross product: 4 for collinearity, 3
+    # for parallelism; the verdict is the residual against the Grams' scale
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return case1(a, b)
+
+    w = world_from_callable(counted, 4)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        p, q = _timelike_vector(rng, case1), _timelike_vector(rng, case1)
+        scale = abs(gram(case1, p) * gram(case1, q))
+        for kind in "nfp":
+            calls.clear()
+            got = is_collinear(w, kind, p, q)
+            assert len(calls) == 4
+            assert got == (abs(collinearity_residual(case1, kind, p, q)) <= 1e-9 * scale)
+        for kind, sense in itertools.product("fp", ("parallel", "antiparallel")):
+            calls.clear()
+            got = is_parallel(w, kind, sense, p, q)
+            assert len(calls) == 3
+            assert got == (abs(parallelism_residual(case1, kind, sense, p, q)) <= 1e-9 * scale)
+    spacelike = mv((0, 0, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(ComplexLengthError):
+        is_parallel(case1, "f", "parallel", spacelike, spacelike)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis property tests
 # ---------------------------------------------------------------------------
