@@ -832,15 +832,27 @@ def _timelike_length_sq(w: WorldFunction, kind: str, pa, pb, what: str) -> float
     return sq
 
 
+def _check_chain_inputs(mu, **points):
+    """Raise ValueError, before any world call, unless mu is positive and
+    finite and every named point is finite."""
+    if not 0.0 < mu < np.inf:  # NaN fails too
+        raise ValueError(f"mu must be positive and finite (got {mu!r})")
+    for name, p in points.items():
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"{name} must be finite")
+
+
 def advance_seed(w: WorldFunction, kind: str, p0, direction, mu: float) -> np.ndarray:
     """Point at kind-length mu from p0 along the given direction (1-D Newton
     on the scaling); convenience for building chain seeds.  The Newton
     target is |L - mu^2| <= 1e-14 mu^2 for the squared length L.  A solve
     that stalls short of it, as round-off of L can make it away from the
     origin, is taken at 1e-8 mu^2, which implies build_broken_tube's seed
-    check."""
+    check.  Raises ValueError unless mu is positive and finite and p0 and
+    direction are finite."""
     p0 = np.asarray(p0, dtype=float)
     direction = np.asarray(direction, dtype=float)
+    _check_chain_inputs(mu, p0=p0, direction=direction)
     base = _timelike_length_sq(w, kind, p0, p0 + direction, "direction")
 
     def length_sq(t):
@@ -883,10 +895,12 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     kind length (not the symmetrized one) is what makes the chain converge
     to the kind's gradient line as mu shrinks.  The residual, the Jacobian
     and the step's start share one memo of the objective and constraint
-    gradients at the last vertex asked for.
+    gradients at the last vertex asked for, and the Jacobian keeps its
+    value at the last point asked for.
     """
     d = w.dim
     memo = {}  # the last vertex and its objective and constraint gradients
+    jac_memo = {}  # the last (vertex, multiplier) and its Jacobian
 
     def gradients(p):
         if not np.array_equal(memo.get("p"), p):
@@ -904,6 +918,8 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
 
     def jacobian(z):
         # newton asks for the Jacobian at the point of its last residual
+        if np.array_equal(jac_memo.get("z"), z):
+            return jac_memo["jac"]
         p, lam = z[:d], z[d]
         jac = np.zeros((d + 1, d + 1))
         jac[:d, :d] = (fd.kind_tensor(w, kind, p_prev, p, 0, 2, second_order=True)
@@ -911,9 +927,33 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
         cg = gradients(p)[1]
         jac[:d, d] = -cg
         jac[d, :d] = 2.0 * cg
+        jac_memo.update(z=z.copy(), jac=jac)
         return jac
 
     return residual, jacobian, gradients
+
+
+def _isolated(jacobian, z1, z_a) -> bool:
+    """True when a Jacobian test shows that the step system has no root
+    other than z1 within the probe's reach: 1/||J(z1)^-1||_F > ||J(z_a) -
+    J(z1)||_F, with z_a the probe's start.
+
+    A second root z2 makes the Jacobian averaged from z1 to z2 singular, so
+    sigma_min(J(z1)) <= max ||J - J(z1)|| over that segment (Dennis &
+    Schnabel, Numerical Methods for Unconstrained Optimization and Nonlinear
+    Equations, 1983, ch. 5).  1/||J^-1||_F <= sigma_min and ||.||_2 <=
+    ||.||_F keep the test conservative on both sides.  On a world whose
+    step system is quadratic, J is affine and the right side is its exact
+    change along the probe's offset; elsewhere it is an estimate.  The
+    Jacobian at z_a is evaluated last, so a probe solve that follows starts
+    from it and from its gradients.  A singular J(z1) proves nothing."""
+    j1 = jacobian(z1)
+    change = jacobian(z_a) - j1
+    try:
+        inverse = np.linalg.inv(j1)
+    except np.linalg.LinAlgError:
+        return False
+    return 1.0 / np.linalg.norm(inverse) > np.linalg.norm(change)
 
 
 def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
@@ -922,13 +962,22 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
 
     Each new vertex extremizes the kind's end-to-end separation from the
     vertex two places back, holding the new segment length at mu; the
-    Newton seed is the straight continuation.  A second solve from a
-    transversally perturbed seed flags non-unique extrema.
+    Newton seed is the straight continuation.
+
+    multiplicity_flags[i] is True when step i's extremum may not be unique:
+    a second Newton solve, from the straight continuation shifted 0.05 mu
+    transversally to the last segment, settles more than 1e-6 mu from the
+    step's root.  That probe solve runs only when the Jacobian test of
+    _isolated cannot show the root isolated within the shift; a step the
+    test clears, or one with no transverse direction, is flagged False.
+    Raises ValueError unless mu is positive and finite and p0 and p1 are
+    finite.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
+    _check_chain_inputs(mu, p0=p0, p1=p1)
     seed_sq = _timelike_length_sq(w, kind, p0, p1, "seed segment")
     if abs(np.sqrt(seed_sq) - mu) > 1e-8 * mu:
         raise GeometryError(
@@ -963,7 +1012,8 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         z = solve(z0)
         new_p = z[:d]
 
-        # multiplicity probe: restart from a transversally shifted seed
+        # multiplicity probe: restart from a transversally shifted seed,
+        # unless the Jacobian test shows the root isolated
         chord = mid - prev_p
         probe_dir = np.zeros(d)
         probe_dir[int(np.argmin(np.abs(chord)))] = 1.0
@@ -972,12 +1022,13 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         flagged = False
         if nrm > 1e-12:
             z_alt0 = np.concatenate([guess + 0.05 * mu * probe_dir / nrm, [lam0]])
-            try:
-                z_alt = solve(z_alt0)
-                if np.linalg.norm(z_alt[:d] - new_p) > 1e-6 * mu:
-                    flagged = True
-            except SolverError:
-                pass
+            if not _isolated(jacobian, z, z_alt0):
+                try:
+                    z_alt = solve(z_alt0)
+                    if np.linalg.norm(z_alt[:d] - new_p) > 1e-6 * mu:
+                        flagged = True
+                except SolverError:
+                    pass
         flags.append(flagged)
         verts.append(new_p)
 

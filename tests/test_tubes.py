@@ -16,6 +16,7 @@ from tgeom import (
     DimensionMismatchError,
     GeometryError,
     Multivector,
+    SolverError,
     TubeSpec,
     advance_seed,
     build_broken_tube,
@@ -790,13 +791,15 @@ def test_chain_kinds_coincide_symmetric(minkowski):
 
 
 def test_chain_world_point_budget(cubic):
-    # 4 steps, each a step solve and a probe solve: a residual reads two
-    # 16-point gradients and one length, a Jacobian two 33-point (0, 2)
-    # stencils on the 2-point rule (105 points each on the 4-point rule)
-    # and the constraint gradient of its residual (5,612 points in 180
-    # calls with both recomputed); the step solve's first residual reuses
-    # the gradients that set its start multiplier, and the parallelism of
-    # every vertex triple takes six calls in all
+    # 4 steps, each a step solve and the Jacobian test that clears its
+    # probe: a residual reads two 16-point gradients and one length, a
+    # Jacobian two 33-point (0, 2) stencils on the 2-point rule and the
+    # gradients of its point.  The start multiplier takes the guess's
+    # gradients (32 points), which the solve's first residual reuses; the
+    # solve takes 2 iterations (199 points).  The test reads the Jacobian at
+    # the root, whose gradients the last residual left (66 points), and at
+    # the probe's start (98); no probe solve runs.  The seed check takes one
+    # point, and the lengths and parallelism of the chain nine calls (39)
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     p1 = advance_seed(cubic, "f", np.zeros(4), v, 0.1)
@@ -808,7 +811,7 @@ def test_chain_world_point_budget(cubic):
 
     chain = build_broken_tube(world_from_callable(counted, 4), "f", np.zeros(4), p1, 0.1, 4)
     assert np.max(chain.length_residuals) < 1e-10
-    assert (len(sizes), sum(sizes)) == (134, 2284)
+    assert (len(sizes), sum(sizes)) == (86, 1620)
 
 
 @pytest.mark.parametrize("shift", [10.0, 1e3, 1e5])
@@ -828,28 +831,151 @@ def test_seed_and_chain_far_from_the_origin(minkowski, shift):
             assert np.max(chain.length_residuals) <= 1e-10
 
 
-def test_multiplicity_flag_fires_on_nearby_extrema():
-    # a quartic spacelike term puts two more stationary points of the step
-    # 0.04 mu either side of the straight continuation, between it and the
-    # probe's shifted seed: the probe solve settles on one and flags the step
-    def quartic(c):
-        def evaluate(x, xp):
-            xi = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-            return 0.5 * (xi[..., 0] ** 2 - xi[..., 1] ** 2) + 0.25 * c * xi[..., 1] ** 4
-        return world_from_callable(evaluate, 2)
+def quartic_world(c, sizes=None):
+    # a quartic spacelike term c xi_1^4 / 4 puts two more stationary points
+    # of a step along e0 at xi_1 = +-1/sqrt(c) from the straight continuation;
+    # sizes, if given, collects the points of each world call
+    def evaluate(x, xp):
+        if sizes is not None:
+            sizes.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(xp)[:-1]))))
+        xi = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
+        return 0.5 * (xi[..., 0] ** 2 - xi[..., 1] ** 2) + 0.25 * c * xi[..., 1] ** 4
+    return world_from_callable(evaluate, 2)
 
+
+def test_multiplicity_flag_fires_on_nearby_extrema():
+    # stationary points 0.04 mu either side of the straight continuation lie
+    # between it and the probe's shifted seed: the probe solve settles on
+    # one and flags the step
     mu = 0.1
     p0, p1 = np.zeros(2), np.array([mu, 0.0])
     for c, flagged in ((0.0, False), (1e3, False), ((0.04 * mu) ** -2, True)):
-        chain = build_broken_tube(quartic(c), "f", p0, p1, mu, 3)
+        chain = build_broken_tube(quartic_world(c), "f", p0, p1, mu, 3)
         assert np.allclose(chain.vertices[:, 1], 0.0)  # the straight continuation
         assert chain.multiplicity_flags == [flagged] * 3, c
+
+
+def _chain_or_error(w, kind, p0, p1, mu, steps):
+    try:
+        return build_broken_tube(w, kind, p0, p1, mu, steps)
+    except SolverError as exc:
+        return str(exc)
+
+
+def _assert_same_chain(chain, ref):
+    if isinstance(ref, str):  # a stalled step, on both sides
+        assert chain == ref
+        return
+    assert chain.multiplicity_flags == ref.multiplicity_flags
+    for name in ("vertices", "length_residuals", "sym_length_residuals",
+                 "parallel_residuals"):
+        assert np.array_equal(getattr(chain, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("offset", [0.005, 0.02, 0.04, 0.1, 0.15, 0.5, 1.0, 2.0])
+def test_quartic_flags_match_the_always_probe_reference(monkeypatch, offset):
+    # extra stationary points offset mu either side of each step's root: up
+    # to 0.1 mu the Jacobian test must leave the probe solve to run, and it
+    # flags the step; from 0.15 mu on no probe settles on them
+    mu = 0.1
+    p0, p1 = np.zeros(2), np.array([mu, 0.0])
+    sizes, ref_sizes, solves = [], [], []
+    solve = tubes.newton
+
+    def newton(*args):
+        solves.append(1)
+        return solve(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tubes, "newton", newton)
+        chain = build_broken_tube(quartic_world((offset * mu) ** -2, sizes), "f", p0, p1, mu, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(tubes, "_isolated", lambda *args: False)  # probe every step
+        ref = build_broken_tube(quartic_world((offset * mu) ** -2, ref_sizes), "f", p0, p1,
+                                mu, 3)
+    _assert_same_chain(chain, ref)
+    assert chain.multiplicity_flags == [offset <= 0.1] * 3
+    if offset <= 0.1:
+        assert len(solves) == 6  # each step's solve and its probe's
+        # the probe starts from the test's Jacobian and gradients, so the
+        # test adds only the Jacobian at the root: two 9-point stencils
+        assert (len(sizes) - len(ref_sizes), sum(sizes) - sum(ref_sizes)) == (6, 54)
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cubic_flags_match_the_always_probe_reference(monkeypatch, scale, seed):
+    # the same flags, vertices and residuals with the Jacobian test as with
+    # a probe solve at every step; a chain that stalls fails the same way
+    # on both sides
+    cub = world("cubic_a", a3=random_a3(scale=scale, seed=seed).ravel().tolist())
+    v = np.array([1.0, 0.25, -0.15, 0.1])
+    v = v / np.sqrt(v @ MINK @ v)
+    p0 = np.zeros(4)
+    for mu in (0.1, 0.3):
+        for kind in "fpn":
+            p1 = advance_seed(cub, kind, p0, v, mu)
+            chain = _chain_or_error(cub, kind, p0, p1, mu, 4)
+            with monkeypatch.context() as patch:
+                patch.setattr(tubes, "_isolated", lambda *args: False)  # probe every step
+                ref = _chain_or_error(cub, kind, p0, p1, mu, 4)
+            _assert_same_chain(chain, ref)
+
+
+def test_neutral_chain_world_point_budget_on_minkowski(minkowski):
+    # the straight guess solves each step (no Newton iteration), so the
+    # Jacobian test is most of a step's cost: a kind-n tensor differences
+    # the symmetrized world both ways, so the start multiplier's gradients
+    # take 64 points and the step's residual its 2-point length, and the
+    # test 328 (the Jacobian at the root, 132, and at the probe's start,
+    # with its gradients, 196); the seed check takes 2 points, the lengths
+    # and parallelism of the chain 44.  Probing every step would take 180
+    # calls and 2,950 points.
+    v = np.array([1.0, 0.25, -0.15, 0.1])
+    v = v / np.sqrt(v @ MINK @ v)
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+        return minkowski(a, b)
+
+    chain = build_broken_tube(world_from_callable(counted, 4), "n", np.zeros(4), 0.1 * v,
+                              0.1, 4)
+    assert np.max(chain.length_residuals) < 1e-10
+    assert chain.multiplicity_flags == [False] * 4
+    assert (len(sizes), sum(sizes)) == (84, 1622)
 
 
 def test_chain_seed_validation(minkowski):
     with pytest.raises(GeometryError, match="does not match"):
         build_broken_tube(minkowski, "f", np.zeros(4),
                           np.array([1.0, 0, 0, 0]), 0.5, steps=1)
+
+
+@pytest.mark.parametrize("mu,coordinate", [(-0.1, 0.0), (0.0, 0.0), (np.nan, 0.0),
+                                            (np.inf, 0.0), (-np.inf, 0.0),
+                                            (0.1, np.nan), (0.1, np.inf)])
+def test_chain_entry_points_reject_meaningless_input(minkowski, mu, coordinate):
+    # rejected before any world call: no point behind p0 for a negative mu,
+    # no p0 itself for mu = 0, no non-finite-coordinate error and no numpy
+    # warning for a non-finite mu or point
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return minkowski(a, b)
+
+    w = world_from_callable(counted, 4)
+    point = np.array([0.1, coordinate, 0.0, 0.0])
+    match = "mu must be positive and finite" if not 0.0 < mu < np.inf else "must be finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in ((np.zeros(4), point), (point, np.zeros(4))):
+            with pytest.raises(ValueError, match=match):
+                advance_seed(w, "f", *args, mu)
+            with pytest.raises(ValueError, match=match):
+                build_broken_tube(w, "f", *args, mu, 2)
+    assert calls == []
 
 
 def test_chain_parallel_residual_scales_cubically():
