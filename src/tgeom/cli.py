@@ -80,6 +80,19 @@ def _load_world(path: str) -> WorldFunction:
     return make_world(WorldSpec.from_json(text))
 
 
+def _count(text: str) -> int:
+    """An integer count argument.  numpy indexes an array with an intp, so a
+    count beyond it cannot size one; a smaller count that memory cannot hold
+    ends in MemoryError, which run reports as an input error too."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count: {text!r}") from None
+    if value > np.iinfo(np.intp).max:
+        raise argparse.ArgumentTypeError(f"count {text} exceeds what an array can index")
+    return value
+
+
 def _parse_point(text: str, dim: int, what: str) -> np.ndarray:
     try:
         values = [float(v) for v in text.split(",")]
@@ -107,7 +120,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=KINDS, default="n")
     p.add_argument("--tau-min", type=float, required=True)
     p.add_argument("--tau-max", type=float, required=True)
-    p.add_argument("--tau-steps", type=int, required=True)
+    p.add_argument("--tau-steps", type=_count, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gradient-line", help="gradient line -> CSV")
@@ -115,7 +128,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=KINDS, default="f")
     p.add_argument("--from", dest="from_", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--steps", type=int, default=32)
+    p.add_argument("--steps", type=_count, default=32)
     p.add_argument("--method", choices=("implicit", "ode"), default="implicit")
     p.add_argument("--out", required=True)
 
@@ -123,7 +136,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--world", required=True)
     p.add_argument("--kind", choices=KINDS, default="f")
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--seed-from", dest="seed_from", required=True)
     p.add_argument("--seed-to", dest="seed_to", required=True)
     p.add_argument("--out", required=True)
@@ -133,7 +146,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--world", required=True)
     p.add_argument("--at", default=None,
                    help="anchor point for degeneration (default origin)")
-    p.add_argument("--probes", type=int, default=24)
+    p.add_argument("--probes", type=_count, default=24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -307,6 +320,10 @@ def run(argv) -> int:
         return 1
     except InvalidWorldSpecError as exc:
         sys.stderr.write(json.dumps({"error": "world-spec", "detail": str(exc)}) + "\n")
+        return 1
+    except MemoryError as exc:  # a count too large for memory
+        detail = f"arguments ask for more memory than is available: {exc}"
+        sys.stderr.write(json.dumps({"error": "input", "detail": detail}) + "\n")
         return 1
     except OSError as exc:  # an unwritable --out; an unreadable --world is an _InputError
         detail = f"cannot write output: {exc.strerror or exc}"

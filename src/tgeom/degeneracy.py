@@ -19,6 +19,9 @@ Tube degeneration (collapse of first-order tubes to curves) requires the
 antisymmetric part's gradient to cancel its own coincidence value and the
 symmetric part to satisfy the eikonal identity; both are probed at small
 finite separations.
+
+A report evaluates a condition only while its verdict can still change the
+summary, and names each check it skipped in its notes.
 """
 
 from __future__ import annotations
@@ -176,7 +179,8 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
 
     Conditions I-III are residual checks at IDENTITY_THRESHOLD; condition IV
     reports 1 - (Newton solve success rate) over sampled coordinate targets,
-    a sampled proxy for continuum solvability, passing only at rate one.
+    a sampled proxy for continuum solvability, passing only at rate one.  IV
+    runs only where I-III pass; elsewhere a note names it as skipped.
     The eigenvalue signs of the basis matrix classify a passing world as
     proper ('euclidean') or mixed-signature ('pseudo_euclidean').
     """
@@ -234,9 +238,11 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
 
     # IV: sampled solvability of the coordinate equations, by the damped
     # Newton of tgeom.newton on one 2-point stencil of the coordinate map
-    # per step
-    rate = _coordinate_solve_rate(w, fb, coords, seed)
-    report.add("IV_solvability", 1.0 - rate, 0.0)
+    # per step; a world failing I-III is not Euclidean whatever IV says
+    if all(c.verdict for c in report.checks):
+        report.add("IV_solvability", 1.0 - _coordinate_solve_rate(w, fb, coords, seed), 0.0)
+    else:
+        report.notes.append("IV_solvability skipped: a condition of I-III fails")
 
     eigs = np.linalg.eigvalsh(0.5 * (fb.g + fb.g.T))
     signature = "euclidean" if np.all(eigs > 0) or np.all(eigs < 0) else "pseudo_euclidean"
@@ -300,12 +306,12 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
         directed tubes contracted along the displacement.
 
     Verdict per tube kind: 'degenerate' when its residuals pass, else
-    'nondegenerate'.
+    'nondegenerate'.  The directed-tube checks run only where the neutral
+    tube degenerates; elsewhere a note names them as skipped.
     """
     x = np.asarray(x, dtype=float)
     d = w.dim
-    dirs = [np.eye(d)[i] for i in range(d)]
-    dirs.append(np.ones(d) / np.sqrt(d))
+    dirs = [*np.eye(d), np.ones(d) / np.sqrt(d)]
     rng = np.random.default_rng(7)
     for _ in range(2):
         v = rng.normal(size=d)
@@ -325,16 +331,13 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
     sigma_f = co["full"][(2, 0)]
     sigma_p = co["full"][(0, 2)]
 
-    grad_cancel = 0.0
-    eikonal = 0.0
-    fut = 0.0
-    past = 0.0
+    outers = []
+    grad_cancel = eikonal = 0.0
     for e in dirs:
         defects = []
-        # the outer separation also carries the directed-tube Hessian
-        outer = fd.part_tensors(w, x + step * e, x, [(0, 0), (0, 1), (0, 2)])
+        outers.append(fd.part_tensors(w, x + step * e, x, [(0, 0), (0, 1)]))
         inner = fd.part_tensors(w, x + step / 10.0 * e, x, [(0, 0), (0, 1)])
-        for dlt, t in ((step, outer), (step / 10.0, inner)):
+        for dlt, t in ((step, outers[-1]), (step / 10.0, inner)):
             a_grad = t["asym"][(0, 1)]
             grad_cancel = max(
                 grad_cancel,
@@ -343,18 +346,26 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
             g_grad = t["sym"][(0, 1)]
             two_g = 2.0 * float(t["sym"][(0, 0)])
             if two_g != 0.0:
-                defects.append(
-                    (float(g_grad @ g_inv @ g_grad) - two_g) / two_g
-                )
+                defects.append((float(g_grad @ g_inv @ g_grad) - two_g) / two_g)
         if len(defects) == 2:
             # Richardson step toward zero separation assuming quadratic decay
             extrap = (100.0 * defects[1] - defects[0]) / 99.0
             eikonal = max(eikonal, abs(extrap))
+    report.add("neutral_gradient_cancel", grad_cancel, IDENTITY_THRESHOLD)
+    report.add("eikonal", eikonal, EIKONAL_THRESHOLD)
+    report.summary = dict.fromkeys(("neutral", "future", "past"), "nondegenerate")
+    if not all(c.verdict for c in report.checks):
+        report.notes.append("future_tube and past_tube skipped: the neutral "
+                            "tube is nondegenerate")
+        return report
 
-        # directed-tube second-order conditions at the outer separation
+    # directed-tube second-order conditions at the outer separation, read
+    # only where the neutral tube degenerates, the one place they can
+    fut = past = 0.0
+    for e, outer in zip(dirs, outers):
         two_g = 2.0 * float(outer["sym"][(0, 0)])
         g_grad = outer["sym"][(0, 1)]
-        a_hess = outer["asym"][(0, 2)]
+        a_hess = fd.part_tensors(w, x + step * e, x, [(0, 2)])["asym"][(0, 2)]
         with np.errstate(over="ignore"):  # an anchor far out in the chart
             norm = abs(two_g) * (1.0 + np.linalg.norm(g_grad))
         if norm == np.inf:
@@ -365,21 +376,10 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
                     - float(g_grad @ e) ** 2)
         fut = max(fut, abs(fut_val) / max(norm, 1e-300))
         past = max(past, abs(past_val) / max(norm, 1e-300))
-
-    report.add("neutral_gradient_cancel", grad_cancel, IDENTITY_THRESHOLD)
-    report.add("eikonal", eikonal, EIKONAL_THRESHOLD)
-    report.add("future_tube", fut, IDENTITY_THRESHOLD)
-    report.add("past_tube", past, IDENTITY_THRESHOLD)
-
-    neutral_ok = (report["neutral_gradient_cancel"].verdict
-                  and report["eikonal"].verdict)
-    report.summary = {
-        "neutral": "degenerate" if neutral_ok else "nondegenerate",
-        "future": "degenerate" if (neutral_ok and report["future_tube"].verdict)
-        else "nondegenerate",
-        "past": "degenerate" if (neutral_ok and report["past_tube"].verdict)
-        else "nondegenerate",
-    }
+    report.summary["neutral"] = "degenerate"
+    for kind, residual in (("future", fut), ("past", past)):
+        if report.add(f"{kind}_tube", residual, IDENTITY_THRESHOLD).verdict:
+            report.summary[kind] = "degenerate"
     report.notes.append(
         "second-order directed-tube conditions evaluated at finite "
         "separation with coincidence brackets taken at the anchor point; "

@@ -895,18 +895,25 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     kind length (not the symmetrized one) is what makes the chain converge
     to the kind's gradient line as mu shrinks.  The residual, the Jacobian
     and the step's start share one memo of the objective and constraint
-    gradients at the last vertex asked for, and the Jacobian keeps its
-    value at the last point asked for.
+    gradients at the last vertex asked for, each computed when first asked
+    for there: the Jacobian's border reads the constraint gradient alone.
+    The Jacobian keeps its value at the last point asked for.
     """
     d = w.dim
-    memo = {}  # the last vertex and its objective and constraint gradients
+    ends = {"objective": p_prev, "constraint": p_mid}
+    memo = {}  # the last vertex and the gradients asked for there
     jac_memo = {}  # the last (vertex, multiplier) and its Jacobian
 
-    def gradients(p):
+    def gradient(p, which):
         if not np.array_equal(memo.get("p"), p):
-            memo.update(p=p.copy(), grads=(fd.kind_tensor(w, kind, p_prev, p, 0, 1),
-                                           fd.kind_tensor(w, kind, p_mid, p, 0, 1)))
-        return memo["grads"]
+            memo.clear()
+            memo["p"] = p.copy()
+        if which not in memo:
+            memo[which] = fd.kind_tensor(w, kind, ends[which], p, 0, 1)
+        return memo[which]
+
+    def gradients(p):
+        return gradient(p, "objective"), gradient(p, "constraint")
 
     def residual(z):
         p, lam = z[:d], z[d]
@@ -924,7 +931,7 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
         jac = np.zeros((d + 1, d + 1))
         jac[:d, :d] = (fd.kind_tensor(w, kind, p_prev, p, 0, 2, second_order=True)
                        - lam * fd.kind_tensor(w, kind, p_mid, p, 0, 2, second_order=True))
-        cg = gradients(p)[1]
+        cg = gradient(p, "constraint")
         jac[:d, d] = -cg
         jac[d, :d] = 2.0 * cg
         jac_memo.update(z=z.copy(), jac=jac)
@@ -946,7 +953,7 @@ def _isolated(jacobian, z1, z_a) -> bool:
     step system is quadratic, J is affine and the right side is its exact
     change along the probe's offset; elsewhere it is an estimate.  The
     Jacobian at z_a is evaluated last, so a probe solve that follows starts
-    from it and from its gradients.  A singular J(z1) proves nothing."""
+    from it and from its constraint gradient.  A singular J(z1) proves nothing."""
     j1 = jacobian(z1)
     change = jacobian(z_a) - j1
     try:

@@ -502,6 +502,7 @@ def test_fuzz_at_meets_error_contract(tmp_path_factory, command, doc, at):
 _BROKEN = ["broken-tube", "--world", "EUCL", "--seed-from", "0,0,0,0",
            "--seed-to", "0.5,0,0,0"]
 _SECTION = ["tube-section", "--world", "CASE1", "--y", "1,0,0,0", "--tau-steps", "3"]
+_GRADIENT = ["gradient-line", "--world", "CASE1", "--from", "0,0,0,0", "--to", "1,0.3,-0.2,0.1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -515,10 +516,21 @@ _SECTION = ["tube-section", "--world", "CASE1", "--y", "1,0,0,0", "--tau-steps",
     ["check", "euclideaness", "--world", "CASE1", "--seed", "-1"],
     ["check", "euclideaness", "--world", "CASE1", "--probes", "0"],
     ["check", "euclideaness", "--world", "CASE1", "--probes", "-3"],
+    _SECTION[:-1] + [str(10**15), "--tau-min", "0", "--tau-max", "1"],
+    _SECTION[:-1] + [str(10**20), "--tau-min", "0", "--tau-max", "1"],
+    _GRADIENT + ["--steps", str(10**15)],
+    _GRADIENT + ["--steps", str(10**20)],
+    ["check", "euclideaness", "--world", "CASE1", "--probes", str(10**15)],
+    ["check", "euclideaness", "--world", "CASE1", "--probes", str(10**20)],
 ], ids=["steps-0", "steps-negative", "mu-nan", "mu-inf", "mu-0",
-        "tau-min-nan", "tau-max-inf", "seed-negative", "probes-0", "probes-negative"])
+        "tau-min-nan", "tau-max-inf", "seed-negative", "probes-0", "probes-negative",
+        "tau-steps-1e15", "tau-steps-1e20", "line-steps-1e15", "line-steps-1e20",
+        "probes-1e15", "probes-1e20"])
 def test_numeric_arguments_meet_error_contract(tmp_path, world_file, argv):
-    # an out-of-range number is an input error: one JSON line, no warning
+    # an out-of-range number is an input error: one JSON line, no warning.
+    # A count numpy cannot index is rejected as it is parsed; the 10**15
+    # counts ask for more than a 47-bit address space, so their first array
+    # fails at once, allocating nothing, and is reported as an input error
     files = {"EUCL": world_file(EUCL, "eucl.json"), "CASE1": world_file(CASE1, "case1.json")}
     argv = [files.get(arg, arg) for arg in argv]
     stderr = io.StringIO()

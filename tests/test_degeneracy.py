@@ -82,13 +82,12 @@ def test_flat_basis_coordinates_batch_matches_rows(case1):
 
 
 def test_euclideaness_world_call_budget(case1):
-    # probe rows, never pairs, per world call: 860 calls over 16,460
-    # points, conditions I and III sharing one forward row per probe, II
+    # probe rows, never pairs, per world call: 54 calls over 1,125 points,
+    # conditions I and III sharing one forward row per probe and II
     # bordering the flat basis, which takes 2 calls to build (the product
-    # matrix's point grid and the reversed basis row), and IV's
-    # damped Newton making 1 per 2-point Jacobian stencil of the coordinates
-    # (40 points) and 1 per residual, trial steps included; the report is
-    # the one of the uncounted world
+    # matrix's point grid and the reversed basis row).  case1 fails
+    # condition I, so condition IV's 64 Newton solves never run; the report
+    # is the one of the uncounted world
     sizes = []
 
     def counted(a, b):
@@ -98,7 +97,7 @@ def test_euclideaness_world_call_budget(case1):
     w = world_from_callable(counted, 4, label="case1")
     probes = diagnostic_probes(4, 24, seed=0)
     report = euclideaness_check(w, 4, staggered_basis(4), probes, seed=0)
-    assert (len(sizes), sum(sizes)) == (860, 16460)
+    assert (len(sizes), sum(sizes)) == (54, 1125)
     want = euclideaness_check(case1, 4, staggered_basis(4), probes, seed=0)
     assert report.to_json() == want.to_json()
     sizes.clear()
@@ -106,18 +105,22 @@ def test_euclideaness_world_call_budget(case1):
     assert len(sizes) == 2
 
 
+def case2_solve_rate(case2, w):
+    """Condition IV's solve-success rate on case2, called directly: case2
+    fails condition I, so its reports skip IV.  The flat basis and the
+    probe coordinates are built on case2, the Newton solves run on w."""
+    fb = FlatBasis.build(case2, Multivector(staggered_basis(4)))
+    coords = fb.coordinates(case2, diagnostic_probes(4, 4, seed=517))
+    return degeneracy._coordinate_solve_rate(w, fb, coords, 517)
+
+
 def test_condition_four_rate_ignores_last_bit_jacobian_changes(case2, monkeypatch):
     # a solve-success rate must measure the coordinate equations, not where
     # round-off sends the iterates: relative changes of 4 eps in every
-    # Jacobian entry leave IV_solvability where it was.  From these starts
-    # full Newton steps reach case2's pole (xi^2 = -1/beta), where the
+    # Jacobian entry leave the rate where it was.  From these starts full
+    # Newton steps reach case2's pole (xi^2 = -1/beta), where the
     # Jacobian's finite differences are noise
-    def rate():
-        report = euclideaness_check(case2, 4, staggered_basis(4),
-                                    diagnostic_probes(4, 4, seed=517), seed=517)
-        return report["IV_solvability"].residual
-
-    want = rate()
+    want = case2_solve_rate(case2, case2)
     jacobian = FlatBasis.jacobian
     rng = np.random.default_rng(517)
 
@@ -128,15 +131,15 @@ def test_condition_four_rate_ignores_last_bit_jacobian_changes(case2, monkeypatc
 
     monkeypatch.setattr(FlatBasis, "jacobian", perturbed)
     for _ in range(5):
-        assert rate() == want
+        assert case2_solve_rate(case2, case2) == want
 
 
 def test_condition_four_solves_share_one_halving_budget(case2, monkeypatch):
     # from these starts full Newton steps wander near case2's pole, where no
     # step length lowers the residual for long: each solve stops once it has
-    # halved MAX_HALVINGS times in all, and the whole check costs 1,502
-    # calls over 21,395 points (with a budget per step, one solve alone
-    # halved 854 times and the check cost 7,738 calls over 85,515 points)
+    # halved MAX_HALVINGS times in all, and the 64 solves cost 1,488 calls
+    # over 21,300 points (with a budget per step, one solve alone halved 854
+    # times and the solves cost 7,724 calls over 85,420 points)
     records = []
 
     def recorded(*args):
@@ -151,15 +154,12 @@ def test_condition_four_solves_share_one_halving_budget(case2, monkeypatch):
         return case2(a, b)
 
     monkeypatch.setattr(degeneracy, "newton", recorded)
-    w = world_from_callable(counted, 4, label="case2")
-    probes = diagnostic_probes(4, 4, seed=517)
-    report = euclideaness_check(w, 4, staggered_basis(4), probes, seed=517)
+    rate = case2_solve_rate(case2, world_from_callable(counted, 4, label="case2"))
     assert len(records) == 64
     assert max(r.backtracks for r in records) == MAX_HALVINGS
     assert all(r.stalled for r in records if r.backtracks == MAX_HALVINGS)
-    assert (len(sizes), sum(sizes)) == (1502, 21395)
-    want = euclideaness_check(case2, 4, staggered_basis(4), probes, seed=517)
-    assert report.to_json() == want.to_json()
+    assert (len(sizes), sum(sizes)) == (1488, 21300)
+    assert rate == case2_solve_rate(case2, case2)
 
 
 # Condition IV's Jacobian, a 2-point stencil of the coordinate map that only
@@ -300,6 +300,66 @@ def test_degeneration_report_structure(minkowski):
     doc = report.to_dict()
     assert doc["world"] == "euclidean"
     assert all(c["verdict"] == "pass" for c in doc["checks"])
+
+
+def test_degeneration_world_call_budget(all_worlds):
+    # the coincidence tensors take one call over 241 points; each of the 7
+    # directions requests (0, 0) and (0, 1) at two separations, 17 points in
+    # two calls (w(P, Q) and w(Q, P)) each, 476 points in 28 calls in all.
+    # Only a degenerate neutral tube adds each direction's (0, 2) Hessian at
+    # the outer separation, 105 points in two calls, whose anchor pair the
+    # outer request also read; the report is the one of the uncounted world
+    x = np.array([0.2, -0.1, 0.3, 0.05])
+    for name, plain in all_worlds.items():
+        sizes = []
+
+        def counted(a, b, plain=plain):
+            sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+            return plain(a, b)
+
+        report = degeneration_check(world_from_callable(counted, 4, label=plain.kind), x)
+        want = (43, 2187) if report.summary["neutral"] == "degenerate" else (29, 717)
+        assert (len(sizes), sum(sizes)) == want, name
+        assert report.to_json() == degeneration_check(plain, x).to_json(), name
+
+
+def test_reports_stop_at_the_verdict(all_worlds):
+    # a report evaluates a condition only while its verdict can still change
+    # the summary, names each check it skipped in its notes, and keeps the
+    # all-conditions rule of its summary
+    x = np.array([0.2, -0.1, 0.3, 0.05])
+    probes = diagnostic_probes(4)
+    skipped = {"euclideaness": set(), "degeneration": set()}
+    for name, w in all_worlds.items():
+        report = euclideaness_check(w, 4, staggered_basis(4), probes)
+        names = [c.name for c in report.checks]
+        flat = all(c.verdict for c in report.checks[:4])
+        assert names[:4] == ["I_symmetry", "II_basis_nondegenerate", "II_dimension",
+                             "III_reconstruction"], name
+        assert names[4:] == (["IV_solvability"] if flat else []), name
+        assert ("IV_solvability" in " ".join(report.notes)) != flat, name
+        passed = all(c.verdict for c in report.checks)
+        assert report.summary["conditions_passed"] == passed, name
+        assert report.summary["classification"] == (
+            report.summary["signature"] if passed else "not_euclidean"), name
+        skipped["euclideaness"].add(not flat)
+
+        report = degeneration_check(w, x)
+        names = [c.name for c in report.checks]
+        neutral = report["neutral_gradient_cancel"].verdict and report["eikonal"].verdict
+        assert names[:2] == ["neutral_gradient_cancel", "eikonal"], name
+        assert names[2:] == (["future_tube", "past_tube"] if neutral else []), name
+        notes = " ".join(report.notes)
+        assert ("future_tube" in notes and "past_tube" in notes) != neutral, name
+        verdict = {True: "degenerate", False: "nondegenerate"}
+        assert report.summary == {
+            "neutral": verdict[neutral],
+            **{kind: verdict[neutral and report[f"{kind}_tube"].verdict]
+               for kind in ("future", "past")},
+        }, name
+        skipped["degeneration"].add(not neutral)
+    # both outcomes of each gate are exercised
+    assert skipped == {"euclideaness": {True, False}, "degeneration": {True, False}}
 
 
 def test_eikonal_residual_small_flat(const_a4):

@@ -794,12 +794,13 @@ def test_chain_world_point_budget(cubic):
     # 4 steps, each a step solve and the Jacobian test that clears its
     # probe: a residual reads two 16-point gradients and one length, a
     # Jacobian two 33-point (0, 2) stencils on the 2-point rule and the
-    # gradients of its point.  The start multiplier takes the guess's
-    # gradients (32 points), which the solve's first residual reuses; the
-    # solve takes 2 iterations (199 points).  The test reads the Jacobian at
-    # the root, whose gradients the last residual left (66 points), and at
-    # the probe's start (98); no probe solve runs.  The seed check takes one
-    # point, and the lengths and parallelism of the chain nine calls (39)
+    # constraint gradient of its point.  The start multiplier takes the
+    # guess's gradients (32 points), which the solve's first residual
+    # reuses; the solve takes 2 iterations (199 points).  The test reads the
+    # Jacobian at the root, whose gradients the last residual left (66
+    # points), and at the probe's start (82); no probe solve runs.  The seed
+    # check takes one point, and the lengths and parallelism of the chain
+    # nine calls (39)
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     p1 = advance_seed(cubic, "f", np.zeros(4), v, 0.1)
@@ -811,7 +812,7 @@ def test_chain_world_point_budget(cubic):
 
     chain = build_broken_tube(world_from_callable(counted, 4), "f", np.zeros(4), p1, 0.1, 4)
     assert np.max(chain.length_residuals) < 1e-10
-    assert (len(sizes), sum(sizes)) == (86, 1620)
+    assert (len(sizes), sum(sizes)) == (82, 1556)
 
 
 @pytest.mark.parametrize("shift", [10.0, 1e3, 1e5])
@@ -927,10 +928,10 @@ def test_neutral_chain_world_point_budget_on_minkowski(minkowski):
     # Jacobian test is most of a step's cost: a kind-n tensor differences
     # the symmetrized world both ways, so the start multiplier's gradients
     # take 64 points and the step's residual its 2-point length, and the
-    # test 328 (the Jacobian at the root, 132, and at the probe's start,
-    # with its gradients, 196); the seed check takes 2 points, the lengths
-    # and parallelism of the chain 44.  Probing every step would take 180
-    # calls and 2,950 points.
+    # test 296 (the Jacobian at the root, 132, and at the probe's start,
+    # with its constraint gradient, 164); the seed check takes 2 points,
+    # the lengths and parallelism of the chain 44.  Probing every step
+    # would take 180 calls and 2,950 points.
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     sizes = []
@@ -943,7 +944,7 @@ def test_neutral_chain_world_point_budget_on_minkowski(minkowski):
                               0.1, 4)
     assert np.max(chain.length_residuals) < 1e-10
     assert chain.multiplicity_flags == [False] * 4
-    assert (len(sizes), sum(sizes)) == (84, 1622)
+    assert (len(sizes), sum(sizes)) == (76, 1494)
 
 
 def test_chain_seed_validation(minkowski):
