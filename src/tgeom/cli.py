@@ -80,17 +80,14 @@ def _load_world(path: str) -> WorldFunction:
     return make_world(WorldSpec.from_json(text))
 
 
-def _count(text: str) -> int:
-    """An integer count argument.  numpy indexes an array with an intp, so a
-    count beyond it cannot size one; a smaller count that memory cannot hold
-    ends in MemoryError, which run reports as an input error too."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid count: {text!r}") from None
-    if value > np.iinfo(np.intp).max:
-        raise argparse.ArgumentTypeError(f"count {text} exceeds what an array can index")
-    return value
+def _check_size(option: str, count: int, rows: int, width: int):
+    """Raise _InputError when the (rows, width) float array that a count
+    sizes has more bytes than numpy can address.  A smaller array that
+    memory cannot hold ends in MemoryError, which run reports as an input
+    error too."""
+    if rows * width * 8 > np.iinfo(np.intp).max:
+        raise _InputError(f"{option} {count} asks for an array of more bytes "
+                          "than numpy can address")
 
 
 def _parse_point(text: str, dim: int, what: str) -> np.ndarray:
@@ -120,7 +117,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=KINDS, default="n")
     p.add_argument("--tau-min", type=float, required=True)
     p.add_argument("--tau-max", type=float, required=True)
-    p.add_argument("--tau-steps", type=_count, required=True)
+    p.add_argument("--tau-steps", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gradient-line", help="gradient line -> CSV")
@@ -128,7 +125,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=KINDS, default="f")
     p.add_argument("--from", dest="from_", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--steps", type=_count, default=32)
+    p.add_argument("--steps", type=int, default=32)
     p.add_argument("--method", choices=("implicit", "ode"), default="implicit")
     p.add_argument("--out", required=True)
 
@@ -136,7 +133,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--world", required=True)
     p.add_argument("--kind", choices=KINDS, default="f")
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--steps", type=_count, required=True)
+    p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed-from", dest="seed_from", required=True)
     p.add_argument("--seed-to", dest="seed_to", required=True)
     p.add_argument("--out", required=True)
@@ -146,7 +143,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--world", required=True)
     p.add_argument("--at", default=None,
                    help="anchor point for degeneration (default origin)")
-    p.add_argument("--probes", type=_count, default=24)
+    p.add_argument("--probes", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -167,6 +164,7 @@ def _cmd_tube_section(args):
     y = _parse_point(args.y, w.dim, "--y")
     if args.tau_steps < 1:
         raise _InputError("--tau-steps must be positive")
+    _check_size("--tau-steps", args.tau_steps, args.tau_steps, 1)
     if not np.isfinite([args.tau_min, args.tau_max]).all():
         raise _InputError("--tau-min and --tau-max must be finite")
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
@@ -189,6 +187,8 @@ def _cmd_gradient_line(args):
     x_end = _parse_point(args.to, w.dim, "--to")
     if args.steps < 2:
         raise _InputError("--steps must be at least 2")
+    samples = args.steps if args.method == "implicit" else 2 * max(4, args.steps) + 1
+    _check_size("--steps", args.steps, samples, w.dim)
     if args.method == "implicit":
         grid = np.linspace(0.0, 1.0, args.steps)
         traj = lines.gradient_line_implicit(w, args.kind, x_start, x_end, grid)
@@ -212,6 +212,7 @@ def _cmd_broken_tube(args):
     p1 = _parse_point(args.seed_to, w.dim, "--seed-to")
     if args.steps < 1:
         raise _InputError("--steps must be positive")
+    _check_size("--steps", args.steps, args.steps + 2, w.dim)
     if not 0.0 < args.mu < np.inf:
         raise _InputError("--mu must be positive and finite")
     chain = tubes.build_broken_tube(w, args.kind, p0, p1, args.mu, args.steps)
@@ -242,6 +243,7 @@ def _cmd_check(args):
             raise _InputError("--seed must be nonnegative")
         if args.probes < 1:
             raise _InputError("--probes must be positive")
+        _check_size("--probes", args.probes, max(4, args.probes), w.dim)
         # staggered-time basis and probes stay clear of chart poles of the
         # screened family while exercising every condition; 1-3 probes are
         # raised to 4

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from . import fd
 from .errors import (
@@ -472,25 +473,6 @@ def _chebyshev_nodes(count: int):
     return nodes, to_coef
 
 
-def _chebyshev_value(coef, x):
-    """sum_j coef[:, j] T_j(x) by Clenshaw's recurrence, row by row; x has
-    one row per row of coef."""
-    b1 = b2 = np.zeros_like(x)
-    for c in coef[:, :0:-1].T:
-        b1, b2 = c[:, None] + 2 * x * b1 - b2, b1
-    return coef[:, :1] + x * b1 - b2
-
-
-def _chebyshev_derivative(coef):
-    """Chebyshev coefficients of the derivative of each row's series."""
-    rows, count = coef.shape
-    deriv = np.zeros((rows, count + 1))
-    for j in range(count - 1, 0, -1):
-        deriv[:, j - 1] = deriv[:, j + 1] + 2 * j * coef[:, j]
-    deriv[:, 0] /= 2
-    return deriv[:, :count]
-
-
 def _colleague_roots(coef):
     """All roots of each row's Chebyshev series, padded with NaN: the
     eigenvalues of its colleague matrix (Good 1961; Boyd, SIAM Review 55,
@@ -517,7 +499,7 @@ def _colleague_roots(coef):
     return roots
 
 
-def _proxy_brackets(signed_residual, residual, taus, rmaxs, degree: int, even: bool):
+def _proxy_brackets(signed_residual, taus, rmaxs, degree: int, even: bool):
     """Brackets of a block of taus from a Chebyshev proxy of the residual,
     which is a polynomial in r of the given degree along a section (even in
     r when even is set).
@@ -526,11 +508,11 @@ def _proxy_brackets(signed_residual, residual, taus, rmaxs, degree: int, even: b
     proxy; its top two coefficients must vanish to round-off of the node
     values.  The colleague matrix gives its roots, each with the radius by
     which round-off of the node values can move it; overlapping radii make
-    one cluster.  A lone real root inside (_RESOLUTION, rmax) takes Newton
-    steps on the true residual with the proxy's slope until it is within a
-    quarter of its bracket, _RESOLUTION (1 + r) either side.  On an even residual, the
-    pair of roots about r = 0 is the axis root when the residual there has
-    no sign.  Returns what _grid_brackets returns for the taus it settles
+    one cluster.  A lone real root inside (_RESOLUTION, rmax) is bracketed
+    by its radius, and at least _RESOLUTION (1 + r), either side; _settle
+    refines it as it refines a grid bracket.  On an even residual, the pair
+    of roots about r = 0 is the axis root when the residual there has no
+    sign.  Returns what _grid_brackets returns for the taus it settles
     (every bracket with two signed ends, no minima), and the rows of the
     rest, for the grid: a fit that fails, a bracket without two signed ends
     of opposite signs, or any cluster or root the proxy cannot settle (one
@@ -552,12 +534,12 @@ def _proxy_brackets(signed_residual, residual, taus, rmaxs, degree: int, even: b
     tail = np.cumsum(np.abs(coef[:, ::-1]), axis=1)[:, ::-1]
     coef[fallback[:, None] | (tail <= 2 * noise[:, None])] = 0.0
     x = _colleague_roots(coef)
-    deriv = _chebyshev_derivative(coef)
     # the proxy is within 5 noise of the true residual on [0, rmax] (the
     # Lebesgue constant, below 3 for at most 9 nodes, and the cut tail), and
     # a root within the spread of 8 noise over the proxy's slope
     with np.errstate(all="ignore"):
-        spread = half * 8 * noise[:, None] / np.abs(_chebyshev_value(deriv, x))
+        slope = chebval(x, chebder(coef, axis=1).T[:, :, None], tensor=False)
+        spread = half * 8 * noise[:, None] / np.abs(slope)
     r, rx = half * (1.0 + x.real), half * np.abs(x + 1.0)
     near = np.abs(x[:, :, None] - x[:, None, :]) * half[:, :, None] <= (
         spread[:, :, None] + spread[:, None, :])
@@ -577,31 +559,20 @@ def _proxy_brackets(signed_residual, residual, taus, rmaxs, degree: int, even: b
     fallback |= np.any(counted & ~simple & ~axis_pair, axis=1)
     fallback |= axis != np.any(axis_pair, axis=1)
 
-    # Newton on the true residual with the proxy's slope, while a root may
-    # be further from the true one than a quarter of its bracket: its spread
-    # at first, then its last step
+    # each lone root is bracketed by its spread, and at least the width
+    # _settle resolves; _settle refines it like any grid bracket
     rows, col = np.nonzero(simple & ~fallback[:, None])
-    root, dx, move = r[rows, col], half[rows, 0], spread[rows, col]
-    deriv = deriv[rows] / dx[:, None]  # d/dr
-    for _ in range(4):
-        active = np.flatnonzero(move > _RESOLUTION / 4 * (1.0 + root))
-        if not len(active):
-            break
-        with np.errstate(all="ignore"):
-            move[active] = residual(rows[active], root[active]) / _chebyshev_value(
-                deriv[active], (root[active] / dx[active] - 1.0)[:, None])[:, 0]
-        root[active] -= move[active]
-        move[active] = np.abs(move[active])
-    dr = _RESOLUTION * (1.0 + root)
+    root = r[rows, col]
+    dr = np.maximum(spread[rows, col], _RESOLUTION * (1.0 + root))
     a, b = root - dr, root + dr
     with np.errstate(all="ignore"):
         f_ab, s_ab, _ = signed_residual(taus[np.concatenate([rows, rows])],
                                         np.concatenate([a, b]))
     f_a, f_b = f_ab[:len(rows)], f_ab[len(rows):]
-    bad = (~np.isfinite(root) | (a <= 0.0) | ~(b < rmaxs[rows])
+    bad = ((a <= 0.0) | ~(b < rmaxs[rows])
            | ~(s_ab[:len(rows)] & s_ab[len(rows):]) | ~(f_a * f_b < 0))
-    # the brackets of one tau must be disjoint: two starts that settle on
-    # one root leave the other root unfound
+    # the brackets of one tau must be disjoint: two that overlap may both
+    # settle on one root and leave the other unfound
     order = np.lexsort((a, rows))
     overlap = (rows[order][1:] == rows[order][:-1]) & (a[order][1:] <= b[order][:-1])
     bad[order[1:][overlap]] = bad[order[:-1][overlap]] = True
@@ -681,7 +652,7 @@ def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.nd
 
     found, grid = [], np.arange(len(taus))
     if degree is not None:
-        settled, grid = _proxy_brackets(signed_residual, residual, taus, rmaxs, degree, even)
+        settled, grid = _proxy_brackets(signed_residual, taus, rmaxs, degree, even)
         found.append(settled)
     if len(grid):
         found.append(_grid_brackets(signed_residual, residual, taus, rmaxs, grid))
@@ -716,11 +687,12 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     Trefethen, Approximation Theory and Approximation Practice, ch. 18).
     The residual at degree + 3 Chebyshev points on [0, rmax] must fit a
     polynomial of that degree to round-off; the colleague matrix gives its
-    roots.  Each lone real root takes Newton steps on the true residual and
-    is bracketed at 1e-6 (1 + r) either side.  Without an a3 term the
-    residual is even in r, and the proxy's root pair about r = 0 is the axis
-    root when the residual there is within round-off (the axis of a flat
-    world, at every tau).  A tau goes to the probe grid when its fit fails,
+    roots, each with the spread by which round-off of the node values can
+    move it.  Each lone real root is bracketed by its spread, and at least
+    1e-6 (1 + r), either side.  Without an a3 term the residual is even in
+    r, and the proxy's root pair about r = 0 is the axis root when the
+    residual there is within round-off (the axis of a flat world, at every
+    tau).  A tau goes to the probe grid when its fit fails,
     when a bracket lacks two signed ends of opposite signs, or when a root
     or a cluster of roots lies where round-off of the node values leaves it
     unsettled: near-double roots and folds, roots near the axis or near
@@ -991,11 +963,14 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
             f"seed segment kind length {np.sqrt(seed_sq)!r} does not match mu={mu!r}"
         )
     d = w.dim
-    verts = [p0, p1]
+    # every vertex row up front, so a chain that memory cannot hold fails
+    # before its first step
+    verts = np.empty((steps + 2, d))
+    verts[0], verts[1] = p0, p1
     flags = []
     scale = 1.0 + mu * mu
     for index in range(steps):
-        prev_p, mid = verts[-2], verts[-1]
+        prev_p, mid = verts[index], verts[index + 1]
         residual, jacobian, gradients = _step_system(w, kind, prev_p, mid, mu)
 
         def solve(z0):
@@ -1037,9 +1012,8 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
                 except SolverError:
                     pass
         flags.append(flagged)
-        verts.append(new_p)
+        verts[index + 2] = new_p
 
-    verts = np.asarray(verts)
     par = chain_parallel_residual(w, kind, verts[:-2], verts[1:-1], verts[2:])
     with np.errstate(all="ignore"):  # kind_length_sq of every segment
         lens_sq = 2.0 * w.of_kind(kind, verts[:-1], verts[1:])

@@ -432,6 +432,121 @@ def test_exit_code_ode_step_budget(tmp_path, world_file, capsys, monkeypatch):
     assert not out.exists()
 
 
+_NEWTON_KEYS = {"residual_norm", "iterations", "backtracks", "stalled"}
+_CURVED = dict(CUBIC, a3=random_a3(scale=0.3, seed=5).ravel().tolist())
+
+
+def _solver_failure(argv):
+    # exit 2 with one schema-valid solver error line on stderr
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run(argv)
+    lines = stderr.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1, (code, lines)
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "solver"
+    return err
+
+
+def test_exit_code_gradient_line_singular_jacobian(tmp_path, monkeypatch):
+    # w(p, q) = q0 - p0 has no second derivative, so the gradient line's
+    # Jacobian is zero; its first sample's start is no root
+    time_world = tgeom.world_from_callable(lambda p, q: q[..., 0] - p[..., 0], 4)
+    monkeypatch.setattr(tgeom.cli, "_load_world", lambda path: time_world)
+    err = _solver_failure(["gradient-line", "--world", "time", "--kind", "f",
+                           "--from", "0,0,0,0", "--to", "1,0,0,0", "--steps", "4",
+                           "--out", str(tmp_path / "x.csv")])
+    assert err["detail"] == "singular Jacobian on gradient line"
+    assert set(err["extra"]) == _NEWTON_KEYS | {"parameter"}
+    assert err["extra"]["parameter"] == 0.0 and err["extra"]["iterations"] == 0
+    assert err["extra"]["stalled"] is False
+
+
+def _curved_chain(tmp_path, world_file):
+    # broken-tube argv for a 3-step kind-f chain on _CURVED from a seed of
+    # kind length 0.1
+    v = np.array([1.0, 0.25, -0.15, 0.1])
+    p1 = tgeom.advance_seed(tgeom.make_world(tgeom.WorldSpec.from_dict(_CURVED)), "f",
+                            np.zeros(4), v, 0.1)
+    return ["broken-tube", "--world", world_file(_CURVED), "--kind", "f", "--mu", "0.1",
+            "--steps", "3", "--seed-from", "0,0,0,0",
+            "--seed-to", ",".join(repr(float(c)) for c in p1), "--out", str(tmp_path / "x.csv")]
+
+
+def test_exit_code_chain_singular_jacobian(tmp_path, world_file, monkeypatch):
+    # a step system whose Jacobian is singular where the step starts
+    step_system = tgeom.tubes._step_system
+
+    def singular(*args):
+        residual, jacobian, gradients = step_system(*args)
+        return residual, lambda z: np.zeros((len(z), len(z))), gradients
+
+    monkeypatch.setattr(tgeom.tubes, "_step_system", singular)
+    err = _solver_failure(_curved_chain(tmp_path, world_file))
+    assert err["detail"] == "singular Jacobian in chain continuation"
+    assert set(err["extra"]) == _NEWTON_KEYS | {"step"}
+    assert err["extra"]["step"] == 0 and err["extra"]["iterations"] == 0
+    assert err["extra"]["stalled"] is False
+
+
+def test_exit_code_gradient_line_budget(tmp_path, world_file, monkeypatch):
+    # the first two samples converge; from the third on Newton may take no
+    # step, so the secant start fails, and so does its retry from the chord
+    newton_module = sys.modules["tgeom.newton"]
+    solve, calls = tgeom.lines.newton, []
+
+    def third_without_steps(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            monkeypatch.setattr(newton_module, "MAX_STEPS", 0)
+        return solve(*args)
+
+    monkeypatch.setattr(tgeom.lines, "newton", third_without_steps)
+    err = _solver_failure(["gradient-line", "--world", world_file(_CURVED), "--kind", "f",
+                           "--from", "0,0,0,0", "--to", "1,0.3,-0.2,0.1", "--steps", "8",
+                           "--out", str(tmp_path / "x.csv")])
+    norm = err["extra"]["residual_norm"]
+    assert err["detail"] == f"gradient line solve failed at parameter {2 / 7} (|r| = {norm:.3e})"
+    assert set(err["extra"]) == _NEWTON_KEYS | {"parameter", "chord_retry"}
+    assert err["extra"]["parameter"] == 2 / 7 and err["extra"]["chord_retry"] is True
+    assert err["extra"]["iterations"] == 0 and norm > 0.0
+    assert len(calls) == 4  # the secant start and the chord retry
+
+
+def test_exit_code_chain_budget(tmp_path, world_file, monkeypatch):
+    # a chain step that Newton may not move from its straight start
+    argv = _curved_chain(tmp_path, world_file)
+    monkeypatch.setattr(sys.modules["tgeom.newton"], "MAX_STEPS", 0)
+    err = _solver_failure(argv)
+    norm = err["extra"]["residual_norm"]
+    assert err["detail"] == f"chain continuation did not converge (|r| = {norm:.3e})"
+    assert set(err["extra"]) == _NEWTON_KEYS | {"step"}
+    assert err["extra"]["step"] == 0 and err["extra"]["iterations"] == 0
+    assert err["extra"]["stalled"] is False and norm > 1e-10 * (1.0 + 0.1**2)
+
+
+def test_exit_code_tube_polish(tmp_path, world_file, monkeypatch):
+    # a bracket solver that stops at each bracket's midpoint leaves roots
+    # that one polishing Newton step cannot bring within tolerance
+    def midpoints(f, xa, xb, fa, fb, xtol, rtol):
+        x = (np.asarray(xa) + np.asarray(xb)) / 2
+        return x, f(np.arange(len(x)), x)
+
+    monkeypatch.setattr(tgeom.tubes, "_brent", midpoints)
+    case2 = {"kind": "case2", "dim": 4, "metric": [1, -1, -1, -1],
+             "b": [1, 0, 0, 0], "alpha": 0.2, "beta": 1.0}
+    err = _solver_failure(["tube-section", "--world", world_file(case2), "--y", "1,0,0,0",
+                           "--tau-min", "0.5", "--tau-max", "0.5", "--tau-steps", "1",
+                           "--out", str(tmp_path / "x.csv")])
+    assert err["detail"] == "tube root polish failed to meet tolerance"
+    extra = err["extra"]
+    assert set(extra) == {"tau", "radius", "residual", "bound"}
+    assert extra["tau"] == 0.5 and extra["radius"] > 0.0
+    assert abs(extra["residual"]) > extra["bound"] > 0.0
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["coefficients", "--at", "1e300,0,0,0"],
     ["check", "degeneration", "--at", "1e300,0,0,0"],
@@ -522,15 +637,26 @@ _GRADIENT = ["gradient-line", "--world", "CASE1", "--from", "0,0,0,0", "--to", "
     _GRADIENT + ["--steps", str(10**20)],
     ["check", "euclideaness", "--world", "CASE1", "--probes", str(10**15)],
     ["check", "euclideaness", "--world", "CASE1", "--probes", str(10**20)],
+    _BROKEN + ["--mu", "0.5", "--steps", str(10**15)],
+    ["check", "euclideaness", "--world", "CASE1", "--probes", str(2**58)],
+    _GRADIENT + ["--steps", str(2**62)],
+    _GRADIENT + ["--method", "ode", "--steps", str(2**62)],
+    _SECTION[:-1] + [str(2**61), "--tau-min", "0", "--tau-max", "1"],
+    _GRADIENT + ["--steps", str(2**61)],
+    _BROKEN + ["--mu", "0.5", "--steps", str(2**61)],
+    ["check", "euclideaness", "--world", "CASE1", "--probes", str(2**61)],
 ], ids=["steps-0", "steps-negative", "mu-nan", "mu-inf", "mu-0",
         "tau-min-nan", "tau-max-inf", "seed-negative", "probes-0", "probes-negative",
         "tau-steps-1e15", "tau-steps-1e20", "line-steps-1e15", "line-steps-1e20",
-        "probes-1e15", "probes-1e20"])
+        "probes-1e15", "probes-1e20", "chain-steps-1e15", "probes-2e58",
+        "line-steps-2e62", "ode-steps-2e62", "tau-steps-2e61", "line-steps-2e61",
+        "chain-steps-2e61", "probes-2e61"])
 def test_numeric_arguments_meet_error_contract(tmp_path, world_file, argv):
     # an out-of-range number is an input error: one JSON line, no warning.
-    # A count numpy cannot index is rejected as it is parsed; the 10**15
-    # counts ask for more than a 47-bit address space, so their first array
-    # fails at once, allocating nothing, and is reported as an input error
+    # A count whose array has more bytes than numpy can address is rejected
+    # once the world's dimension is known; the 10**15 counts ask for more
+    # than a 47-bit address space, so their first array fails at once,
+    # allocating nothing, and is reported as an input error
     files = {"EUCL": world_file(EUCL, "eucl.json"), "CASE1": world_file(CASE1, "case1.json")}
     argv = [files.get(arg, arg) for arg in argv]
     stderr = io.StringIO()
