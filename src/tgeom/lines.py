@@ -238,7 +238,10 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     estimate rejects it, so the accepted steps do not depend on steps.  The
     points are the pass's dense output on the uniform grid of
     2 max(4, steps) intervals over tau_span.  tau_span, its length, x0 and
-    v0 must be finite.  For the future/past kinds the world must be fine-antisymmetric
+    v0 must be finite, and a steps whose (2 max(4, steps) + 1, d) sample
+    array has more bytes than np.iinfo(np.intp).max raises ValueError; both
+    are checked, and the sample arrays allocated, before the first world
+    call.  For the future/past kinds the world must be fine-antisymmetric
     (vanishing coincidence gradient at x0).  The per-sample residual is
     the embedded error estimate, relative to 1 + |state|, of the accepted
     step that contains the sample: below the tolerance.  A trial step whose
@@ -258,6 +261,13 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     if not t1 > t0:
         raise ValueError("tau_span must be increasing")
     d = len(x0)
+    n = 2 * max(4, int(steps))
+    if (n + 1) * d * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"steps {steps} asks for an array of more bytes "
+                         "than numpy can address")
+    params = np.linspace(t0, t1, n + 1)
+    points = np.empty((n + 1, d))
+    residuals = np.empty(n + 1)
 
     def rhs(y):  # d(x, v)/dtau and the coefficients at x
         cc = coincidence_coefficients(w, y[:d])
@@ -275,10 +285,6 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
                 f"(coincidence gradient norm {rough:.3e})"
             )
 
-    n = 2 * max(4, int(steps))
-    params = np.linspace(t0, t1, n + 1)
-    points = np.empty((n + 1, d))
-    residuals = np.empty(n + 1)
     sample = 0
     t, h = t0, t1 - t0
     error_norm = 0.0

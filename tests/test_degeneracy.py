@@ -303,12 +303,13 @@ def test_degeneration_report_structure(minkowski):
 
 
 def test_degeneration_world_call_budget(all_worlds):
-    # the coincidence tensors take one call over 241 points; each of the 7
-    # directions requests (0, 0) and (0, 1) at two separations, 17 points in
-    # two calls (w(P, Q) and w(Q, P)) each, 476 points in 28 calls in all.
-    # Only a degenerate neutral tube adds each direction's (0, 2) Hessian at
-    # the outer separation, 105 points in two calls, whose anchor pair the
-    # outer request also read; the report is the one of the uncounted world
+    # every request takes the 2-point rule: the coincidence tensors take one
+    # call over 81 points; each of the 7 directions requests (0, 0) and
+    # (0, 1) at two separations, 9 points in each of two calls (w(P, Q) and
+    # w(Q, P)), 252 points in 28 calls in all.  Only a degenerate neutral
+    # tube adds each direction's (0, 2) Hessian at the outer separation, 33
+    # points in each of two calls, whose anchor pair the outer request also
+    # read; the report is the one of the uncounted world
     x = np.array([0.2, -0.1, 0.3, 0.05])
     for name, plain in all_worlds.items():
         sizes = []
@@ -318,9 +319,51 @@ def test_degeneration_world_call_budget(all_worlds):
             return plain(a, b)
 
         report = degeneration_check(world_from_callable(counted, 4, label=plain.kind), x)
-        want = (43, 2187) if report.summary["neutral"] == "degenerate" else (29, 717)
+        want = (43, 795) if report.summary["neutral"] == "degenerate" else (29, 333)
         assert (len(sizes), sum(sizes)) == want, name
         assert report.to_json() == degeneration_check(plain, x).to_json(), name
+
+
+# The check on 2-point stencils against itself on the 4-point rule: the
+# largest |2-point - 4-point| change of a residual the reference passes, as
+# (budget, measured), and of one it fails, relative to the reference
+PASSING_RESIDUAL_BUDGETS = {
+    "neutral_gradient_cancel": (2e-12, 6.7e-13),
+    "eikonal": (2e-13, 7.6e-14),
+    "future_tube": (5e-12, 2.0e-12),
+    "past_tube": (5e-12, 1.9e-12),
+}
+FAILING_RESIDUAL_BUDGET = (1e-4, 3.7e-5)  # neutral_gradient_cancel, the only one
+
+
+@pytest.mark.parametrize("at", [[0.2, -0.1, 0.3, 0.05], [0, 0, 0, 0], [2, 1, -1, 0.5]])
+def test_degeneration_matches_four_point_reference(all_worlds, at, monkeypatch):
+    plain = fd.part_tensors
+
+    def four_point(w, x, xp, orders, *, second_order=False):
+        return plain(w, x, xp, orders)
+
+    at = np.array(at, dtype=float)
+    for name, w in all_worlds.items():
+        got = degeneration_check(w, at)
+        with monkeypatch.context() as m:
+            m.setattr(fd, "part_tensors", four_point)
+            want = degeneration_check(w, at)
+        assert got.summary == want.summary, name
+        assert [c.name for c in got.checks] == [c.name for c in want.checks], name
+        assert got.notes == want.notes, name
+        for g, r in zip(got.checks, want.checks):
+            change = abs(g.residual - r.residual)
+            if r.verdict:
+                assert change <= PASSING_RESIDUAL_BUDGETS[g.name][0], (name, g.name, change)
+            else:
+                assert change <= FAILING_RESIDUAL_BUDGET[0] * r.residual, (name, g.name, change)
+        # a degenerate world's residuals are rounding: below 1e-10 wherever
+        # the reference's are (constant_a at (2, 1, -1, 0.5) reads 4.79e-10
+        # on either rule, the round-off of its linear antisymmetric part's Hessian)
+        if got.summary["neutral"] == "degenerate":
+            for g, r in zip(got.checks, want.checks):
+                assert g.residual < 1e-10 or r.residual >= 1e-10, (name, g.name)
 
 
 def test_reports_stop_at_the_verdict(all_worlds):

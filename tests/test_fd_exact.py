@@ -66,6 +66,29 @@ JACOBIAN_BUDGETS = {
 }
 
 
+# The degeneration check (tgeom.degeneracy.degeneration_check) reads its
+# tensors with second_order=True: the value and gradient at the separated
+# anchor, and the (1, 0) gradient and (2, 0) and (0, 2) Hessians at
+# coincidence, as (budget, measured) for (0, 0), (0, 1), (1, 0), (2, 0) and
+# (0, 2).  The gradients lose the fourth-order rule's accuracy only where
+# the antisymmetric part has a third derivative (case1, case2, cubic_a),
+# and there the check adds a_co to a_grad, whose truncation errors cancel
+# to the order of the separation.  The Hessians differ from the 4-point
+# ones by at most 2.3e-13.
+DEGENERATION_BUDGETS = {
+    "euclidean": ((1e-15, 0.0), (2e-14, 7.5e-15), (1e-14, 1.3e-20),
+                  (1e-12, 2.8e-13), (1e-12, 2.8e-13)),
+    "constant_a": ((1e-15, 0.0), (2e-14, 5.9e-15), (1e-14, 2.9e-15),
+                   (1e-12, 2.8e-13), (1e-12, 2.8e-13)),
+    "case1": ((1e-15, 5.6e-17), (5e-7, 2.5e-7), (5e-7, 1.9e-7),
+              (2e-12, 6.6e-13), (5e-12, 1.0e-12)),
+    "case2": ((1e-15, 5.6e-17), (1e-6, 2.8e-7), (5e-7, 1.5e-7),
+              (5e-12, 1.1e-12), (2e-12, 5.7e-13)),
+    "cubic_a": ((1e-15, 1.4e-17), (5e-8, 1.4e-8), (5e-8, 1.1e-8),
+                (1e-12, 2.8e-13), (1e-12, 2.8e-13)),
+}
+
+
 def _closed_form(family, xi):
     """W(xi) of a family, with the conftest parameters and Minkowski metric."""
     params = FAMILIES[family]
@@ -90,7 +113,8 @@ def _derivatives(family, order):
     """d^order W / dxi^..., one lambdified function per sorted index tuple."""
     xi = sympy.symbols("xi0:4")
     w = _closed_form(family, xi)
-    return {combo: sympy.lambdify(xi, sympy.diff(w, *(xi[i] for i in combo)), "numpy")
+    return {combo: sympy.lambdify(xi, sympy.diff(w, *(xi[i] for i in combo)) if combo else w,
+                                  "numpy")
             for combo in combinations_with_replacement(range(4), order)}
 
 
@@ -138,4 +162,16 @@ def test_jacobian_stencils_within_budget(family):
             got = fd.partial_tensor(w, x, xp, *key, second_order=True)
             want = exact_tensor(family, x, xp, *key)
             err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+            assert err <= budget, (family, key, err)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_degeneration_stencils_within_budget(family):
+    w = world(family, **FAMILIES[family])
+    budgets = iter(DEGENERATION_BUDGETS[family])
+    for (x, xp), keys in (((X0, XP0), [(0, 0), (0, 1)]), ((X0, X0), [(1, 0), (2, 0), (0, 2)])):
+        got = fd.partial_tensors(w, x, xp, keys, second_order=True)
+        for key, (budget, _) in zip(keys, budgets):
+            want = exact_tensor(family, x, xp, *key)
+            err = np.max(np.abs(got[key] - want)) / max(1.0, np.max(np.abs(want)))
             assert err <= budget, (family, key, err)

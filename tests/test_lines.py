@@ -139,6 +139,21 @@ def test_ode_rejects_non_finite_input_before_world_calls(cubic, tau_span, x0, v0
     assert calls == []
 
 
+@pytest.mark.parametrize("steps", [2**57, 2**62])
+def test_ode_rejects_unaddressable_grid_before_world_calls(cubic, steps):
+    # 2 steps + 1 rows of 4 floats: 2**57 is the least steps whose sample
+    # array has more bytes than np.intp can count, as cli._check_size rules
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return cubic(a, b)
+
+    with pytest.raises(ValueError, match="more bytes than numpy can address"):
+        gradient_line_ode(world_from_callable(counted, 4), "n", XA, XB, (0, 1), steps=steps)
+    assert calls == []
+
+
 def test_implicit_world_point_budget(cubic):
     # 13 Newton solves of 24 iterations in all, none at tau = 0 and two at
     # each later sample: a 16-point (0, 1) stencil per residual and a
