@@ -67,14 +67,19 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
     """Solve the implicit gradient-line system on the parameter grid.
 
     The curve runs from x_start (parameter 0) to x_end (parameter 1); the
-    grid must be finite and strictly increasing.  Each grid value is solved
-    by predictor-corrector continuation (Allgower & Georg, Numerical
+    grid must be nonempty, finite and strictly increasing, which is checked
+    before any world call.  Each grid value is solved by
+    predictor-corrector continuation (Allgower & Georg, Numerical
     Continuation Methods, 1990, ch. 2): the predictor is the chord point
     x_start + tau (x_end - x_start) until two samples have converged, then
     the secant through the last two converged samples, extrapolated to tau;
-    the corrector is the damped Newton iteration.  A secant start that does
-    not converge is retried once from the chord point.  On a straight line
-    the secant is exact, so its samples take no Newton step.
+    the corrector is the damped Newton iteration with Broyden-updated
+    Jacobians (tgeom.newton, broyden=True): each solve, the chord retry's
+    included, takes a 2-point stencil Jacobian at its first step and again
+    only where a step on an updated one fails to cut the residual norm
+    tenfold (newton.BROYDEN_CONTRACTION).  A secant start that does not
+    converge is retried once from the chord point.  On a straight line the
+    secant is exact, so its samples take no Newton step.
     For rough-antisymmetric worlds the future/past equations degenerate as
     the parameter approaches zero; samples below ROUGH_SMALL_TAU then carry
     a structured warning instead of a silently wrong point.  A sample whose
@@ -85,8 +90,9 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
     x_start = np.asarray(x_start, dtype=float)
     x_end = np.asarray(x_end, dtype=float)
     tau_grid = np.asarray(list(tau_grid), dtype=float)
-    if not (np.all(np.isfinite(tau_grid)) and np.all(np.diff(tau_grid) > 0)):
-        raise ValueError("tau_grid must be finite and strictly increasing")
+    if not (tau_grid.size and np.all(np.isfinite(tau_grid))
+            and np.all(np.diff(tau_grid) > 0)):
+        raise ValueError("tau_grid must be nonempty, finite and strictly increasing")
 
     def lhs(x):  # gradient of the kind's k(x, x_start) in its x_start slot
         return fd.kind_tensor(w, kind, x, x_start, 0, 1)
@@ -116,7 +122,7 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
             x, record = newton(lambda x: lhs(x) - target,
                                lambda x: fd.kind_tensor(w, kind, x, x_start, 1, 1,
                                                         second_order=True).T,
-                               start, 1e-12 * scale)
+                               start, 1e-12 * scale, broyden=True)
         except SolverError as exc:
             raise SolverError("singular Jacobian on gradient line",
                               {"parameter": float(tau), **exc.detail}) from exc

@@ -432,7 +432,7 @@ def test_exit_code_ode_step_budget(tmp_path, world_file, capsys, monkeypatch):
     assert not out.exists()
 
 
-_NEWTON_KEYS = {"residual_norm", "iterations", "backtracks", "stalled"}
+_NEWTON_KEYS = {"residual_norm", "iterations", "jacobians", "backtracks", "stalled"}
 _CURVED = dict(CUBIC, a3=random_a3(scale=0.3, seed=5).ravel().tolist())
 
 
@@ -496,11 +496,11 @@ def test_exit_code_gradient_line_budget(tmp_path, world_file, monkeypatch):
     newton_module = sys.modules["tgeom.newton"]
     solve, calls = tgeom.lines.newton, []
 
-    def third_without_steps(*args):
+    def third_without_steps(*args, **kwargs):
         calls.append(args)
         if len(calls) == 3:
             monkeypatch.setattr(newton_module, "MAX_STEPS", 0)
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(tgeom.lines, "newton", third_without_steps)
     err = _solver_failure(["gradient-line", "--world", world_file(_CURVED), "--kind", "f",

@@ -156,9 +156,10 @@ def test_ode_rejects_unaddressable_grid_before_world_calls(cubic, steps):
 
 def test_implicit_world_point_budget(cubic):
     # 13 Newton solves of 24 iterations in all, none at tau = 0 and two at
-    # each later sample: a 16-point (0, 1) stencil per residual and a
-    # 64-point (1, 1) Jacobian per iteration, on the 2-point rule, plus the
-    # target covector and the coincidence gradient
+    # each later sample: a 16-point (0, 1) stencil per residual, and a
+    # 64-point (1, 1) Jacobian on the 2-point rule for the first iteration
+    # of each solve only, the second stepping on its Broyden update; plus
+    # the target covector and the coincidence gradient
     sizes = []
 
     def counted(a, b):
@@ -167,7 +168,7 @@ def test_implicit_world_point_budget(cubic):
 
     traj = gradient_line_implicit(world_from_callable(counted, 4), "f", XA, XB, GRID)
     assert traj.converged.all()
-    assert (len(sizes), sum(sizes)) == (63, 2176)
+    assert (len(sizes), sum(sizes)) == (51, 1408)
 
 
 @pytest.mark.parametrize("kind, budget", [("f", (15, 256)), ("p", (15, 256)), ("n", (27, 448))])
@@ -179,8 +180,8 @@ def test_implicit_straight_line_takes_no_newton_step(minkowski, monkeypatch, kin
     iterations = []
     sizes = []
 
-    def spy(*args):
-        x, record = newton(*args)
+    def spy(*args, **kwargs):
+        x, record = newton(*args, **kwargs)
         iterations.append(record.iterations)
         return x, record
 
@@ -214,8 +215,8 @@ def test_implicit_predictor_independence(request, family, kind):
 
 
 @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [0.0, 0.5, 0.5, 1.0],
-                                  [0.0, 0.6, 0.4, 1.0]],
-                         ids=["nan", "inf", "repeated", "decreasing"])
+                                  [0.0, 0.6, 0.4, 1.0], []],
+                         ids=["nan", "inf", "repeated", "decreasing", "empty"])
 def test_implicit_rejects_bad_grid_before_world_calls(cubic, grid):
     calls = []
 
@@ -355,6 +356,30 @@ def test_rough_antisymmetry_warning_names_every_unconverged_sample(case1, case2)
     assert traj.converged.all() and "unconverged" not in traj.warnings[0]
 
 
+# the worst measured relative distance between a converged sample and the
+# same sample solved with a stencil Jacobian at every step is 2.3e-12, on
+# case2 kind f towards XB
+_BROYDEN_BUDGET = 1e-11
+
+
+@pytest.mark.parametrize("kind", ["f", "p", "n"])
+@pytest.mark.parametrize("family", ["euclidean", "constant_a", "case1", "case2", "cubic_a"])
+def test_implicit_broyden_matches_stencil_jacobians(all_worlds, monkeypatch, family, kind):
+    # the reference solves with broyden=False; the Broyden updates may move
+    # where a solve stops within its tolerance, but no flag or warning
+    w = all_worlds[family]
+    for x_end in (XB, np.array([0.8, -0.2, 0.4, 0.1]), np.array([1.5, 0.5, 0.2, -0.3])):
+        traj = gradient_line_implicit(w, kind, XA, x_end, GRID)
+        with monkeypatch.context() as patch:
+            patch.setattr(lines, "newton", lambda *args, broyden: newton(*args))
+            ref = gradient_line_implicit(w, kind, XA, x_end, GRID)
+        assert traj.converged.tolist() == ref.converged.tolist()
+        assert traj.warnings == ref.warnings
+        ok = ref.converged
+        dev = np.linalg.norm(traj.points[ok] - ref.points[ok], axis=1)
+        assert np.all(dev <= _BROYDEN_BUDGET * (1.0 + np.linalg.norm(ref.points[ok], axis=1)))
+
+
 def test_implicit_chord_retry_rescues_secant_start(monkeypatch):
     # on a strongly cubic world one secant start misses the tolerance and the
     # retry from the chord point converges: five samples take six Newton
@@ -362,8 +387,8 @@ def test_implicit_chord_retry_rescues_secant_start(monkeypatch):
     w = world("cubic_a", a3=random_a3(scale=1.0, seed=2).ravel().tolist())
     solves = []
 
-    def spy(*args):
-        x, record = newton(*args)
+    def spy(*args, **kwargs):
+        x, record = newton(*args, **kwargs)
         solves.append(record.residual_norm)
         return x, record
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tgeom import SolverError
-from tgeom.newton import MAX_HALVINGS, MAX_STEPS, newton
+from tgeom.newton import BROYDEN_CONTRACTION, MAX_HALVINGS, MAX_STEPS, newton
 
 
 def test_converges_to_known_root():
@@ -68,4 +68,93 @@ def test_singular_jacobian_raises_with_detail():
     with pytest.raises(SolverError) as info:
         newton(lambda z: z - 1.0, lambda z: np.zeros((2, 2)), [0.0, 0.0], 1e-12)
     assert info.value.detail == {"residual_norm": float(np.sqrt(2.0)), "iterations": 0,
-                                 "backtracks": 0, "stalled": False}
+                                 "jacobians": 0, "backtracks": 0, "stalled": False}
+
+
+def _circle_diagonal(calls):
+    def residual(z):
+        return np.array([z[0] ** 2 + z[1] ** 2 - 4.0, z[0] - z[1]])
+
+    def jacobian(z):
+        calls.append(z.copy())
+        return np.array([[2.0 * z[0], 2.0 * z[1]], [1.0, -1.0]])
+
+    return residual, jacobian
+
+
+def test_broyden_takes_fewer_jacobians_than_steps():
+    # the same root as test_converges_to_known_root: the Jacobian runs once
+    # per step without broyden, and fewer times than that with it
+    calls = []
+    _, plain = newton(*_circle_diagonal(calls), [1.0, 0.5], 1e-13)
+    assert len(calls) == plain.jacobians == plain.iterations
+    calls = []
+    z, record = newton(*_circle_diagonal(calls), [1.0, 0.5], 1e-13, broyden=True)
+    assert np.allclose(z, np.sqrt(2.0), rtol=0, atol=1e-13)
+    assert record.residual_norm <= 1e-13 and not record.stalled
+    assert len(calls) == record.jacobians < plain.jacobians
+    assert record.jacobians < record.iterations < MAX_STEPS
+    assert record.backtracks == 0
+
+
+def _cubic(c, points, calls):
+    # z^3 + c z - 1, logging the points of its residuals and, for each
+    # Jacobian, how many residuals came before it
+    def residual(z):
+        points.append(z.copy())
+        return z ** 3 + c * z - 1.0
+
+    def jacobian(z):
+        calls.append(len(points))
+        return np.array([[3.0 * z[0] ** 2 + c]])
+
+    return residual, jacobian
+
+
+def test_broyden_failed_update_takes_one_fresh_jacobian():
+    # from -0.8 with c = 0.5: a stencil step, then a step on the update that
+    # cuts |r| from 1.0 to 0.081; the next update's step raises it to 0.088,
+    # so the solve takes one stencil Jacobian where it stands, with no
+    # halving, and converges on its updates
+    points, calls = [], []
+    residual, jacobian = _cubic(0.5, points, calls)
+    z, record = newton(residual, jacobian, [-0.8], 1e-13, broyden=True)
+    assert record.residual_norm <= 1e-13 and not record.stalled
+    assert (record.jacobians, record.backtracks) == (2, 0)
+    assert record.iterations > 4
+    assert calls == [1, 4]  # at the start, then at points[2]
+    norms = [abs(float(p[0] ** 3 + 0.5 * p[0] - 1.0)) for p in points]
+    assert norms[2] < 0.1 * norms[1] and norms[3] > norms[2]
+
+
+def test_broyden_step_short_of_the_contraction_is_dropped():
+    # from -1 with c = 1, steps on the update lower |r| but by less than
+    # BROYDEN_CONTRACTION; each is dropped, uncounted as a halving, for a
+    # stencil Jacobian at the point it left
+    points, calls = [], []
+    residual, jacobian = _cubic(1.0, points, calls)
+    z, record = newton(residual, jacobian, [-1.0], 1e-13, broyden=True)
+    assert record.residual_norm <= 1e-13 and not record.stalled
+    assert record.backtracks == 0 and 2 < record.jacobians == len(calls) < record.iterations
+    norms = [abs(float(p[0] ** 3 + p[0] - 1.0)) for p in points]
+    for k in calls[1:]:  # points[k - 2] is where it stood, points[k - 1] the dropped trial
+        assert BROYDEN_CONTRACTION * norms[k - 2] <= norms[k - 1] < norms[k - 2]
+
+
+def test_broyden_singular_update_takes_a_fresh_jacobian():
+    # an affine residual with root (0, 1) and a wrong Jacobian at the start:
+    # the accepted first step makes the update [[0.75, 1.25], [0.375,
+    # 0.625]], exactly singular, so the solve takes a stencil Jacobian where
+    # it stands rather than raise, and that one is exact
+    A = np.array([[-0.5, 0.0], [-1.25, -1.0]])
+    calls = []
+
+    def jacobian(z):
+        calls.append(z.copy())
+        return A if z.any() else np.array([[1.0, 1.0], [0.0, 1.0]])
+
+    z, record = newton(lambda z: np.array([0.0, 1.0]) + A @ z, jacobian, [0.0, 0.0], 1e-13,
+                       broyden=True)
+    assert z.tolist() == [0.0, 1.0] and record.residual_norm == 0.0
+    assert [c.tolist() for c in calls] == [[0.0, 0.0], [1.0, -1.0]]
+    assert (record.iterations, record.jacobians, record.backtracks) == (2, 2, 0)

@@ -1030,7 +1030,8 @@ def test_seed_scaling_budget(monkeypatch):
     with pytest.raises(SolverError, match="^seed scaling did not converge$") as info:
         advance_seed(w, "f", np.zeros(4), np.array([1.0, 0.25, -0.15, 0.1]), 0.1)
     detail = info.value.detail
-    assert set(detail) == {"residual_norm", "iterations", "backtracks", "stalled"}
+    assert set(detail) == {"residual_norm", "iterations", "jacobians", "backtracks",
+                           "stalled"}
     assert detail["iterations"] == 0 and detail["residual_norm"] > 1e-8 * 0.1**2
 
 
