@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -34,13 +35,16 @@ from .worlds import KINDS, WorldFunction, WorldSpec, make_world
 _FMT = "%.17g"
 
 
-class _InputError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that begins with "-" and a digit or ".digit", such as
+        # -0.5,0,0,0 or -1e-3, is a value, where argparse alone takes only
+        # plain negative numbers; so no option may begin that way
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse defaults to exit code 2
-        raise _InputError(message)
+        raise ValueError(message)
 
 
 def _fmt(value) -> str:
@@ -73,32 +77,22 @@ def _write_json(path: str, doc: dict):
 
 def _load_world(path: str) -> WorldFunction:
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:  # JSON is UTF-8
             text = handle.read()
     except OSError as exc:
-        raise _InputError(f"cannot read world spec: {exc}") from exc
+        raise ValueError(f"cannot read world spec: {exc}") from exc
     return make_world(WorldSpec.from_json(text))
-
-
-def _check_size(option: str, count: int, rows: int, width: int):
-    """Raise _InputError when the (rows, width) float array that a count
-    sizes has more bytes than numpy can address.  A smaller array that
-    memory cannot hold ends in MemoryError, which run reports as an input
-    error too."""
-    if rows * width * 8 > np.iinfo(np.intp).max:
-        raise _InputError(f"{option} {count} asks for an array of more bytes "
-                          "than numpy can address")
 
 
 def _parse_point(text: str, dim: int, what: str) -> np.ndarray:
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise _InputError(f"{what} must be comma-separated numbers") from exc
+        raise ValueError(f"{what} must be comma-separated numbers") from exc
     if len(values) != dim:
-        raise _InputError(f"{what} must have {dim} coordinates")
+        raise ValueError(f"{what} must have {dim} coordinates")
     if not np.all(np.isfinite(values)):
-        raise _InputError(f"{what} must have finite coordinates")
+        raise ValueError(f"{what} must have finite coordinates")
     return np.asarray(values)
 
 
@@ -163,10 +157,9 @@ def _cmd_tube_section(args):
     w = _load_world(args.world)
     y = _parse_point(args.y, w.dim, "--y")
     if args.tau_steps < 1:
-        raise _InputError("--tau-steps must be positive")
-    _check_size("--tau-steps", args.tau_steps, args.tau_steps, 1)
+        raise ValueError("--tau-steps must be positive")
     if not np.isfinite([args.tau_min, args.tau_max]).all():
-        raise _InputError("--tau-min and --tau-max must be finite")
+        raise ValueError("--tau-min and --tau-max must be finite")
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
     results = tubes.sample_axisymmetric_tube(w, y, args.kind, taus)
 
@@ -186,9 +179,7 @@ def _cmd_gradient_line(args):
     x_start = _parse_point(args.from_, w.dim, "--from")
     x_end = _parse_point(args.to, w.dim, "--to")
     if args.steps < 2:
-        raise _InputError("--steps must be at least 2")
-    samples = args.steps if args.method == "implicit" else 2 * max(4, args.steps) + 1
-    _check_size("--steps", args.steps, samples, w.dim)
+        raise ValueError("--steps must be at least 2")
     if args.method == "implicit":
         grid = np.linspace(0.0, 1.0, args.steps)
         traj = lines.gradient_line_implicit(w, args.kind, x_start, x_end, grid)
@@ -210,11 +201,6 @@ def _cmd_broken_tube(args):
     w = _load_world(args.world)
     p0 = _parse_point(args.seed_from, w.dim, "--seed-from")
     p1 = _parse_point(args.seed_to, w.dim, "--seed-to")
-    if args.steps < 1:
-        raise _InputError("--steps must be positive")
-    _check_size("--steps", args.steps, args.steps + 2, w.dim)
-    if not 0.0 < args.mu < np.inf:
-        raise _InputError("--mu must be positive and finite")
     chain = tubes.build_broken_tube(w, args.kind, p0, p1, args.mu, args.steps)
     header = (["index"] + [f"x{i}" for i in range(w.dim)]
               + ["length_residual", "sym_length_residual",
@@ -239,11 +225,8 @@ def _cmd_check(args):
               else _parse_point(args.at, w.dim, "--at"))
         report = degeneracy.degeneration_check(w, at)
     else:
-        if args.seed < 0:
-            raise _InputError("--seed must be nonnegative")
         if args.probes < 1:
-            raise _InputError("--probes must be positive")
-        _check_size("--probes", args.probes, max(4, args.probes), w.dim)
+            raise ValueError("--probes must be positive")
         # staggered-time basis and probes stay clear of chart poles of the
         # screened family while exercising every condition; 1-3 probes are
         # raised to 4
@@ -317,17 +300,10 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _InputError as exc:
-        sys.stderr.write(json.dumps({"error": "input", "detail": str(exc)}) + "\n")
-        return 1
     except InvalidWorldSpecError as exc:
         sys.stderr.write(json.dumps({"error": "world-spec", "detail": str(exc)}) + "\n")
         return 1
-    except MemoryError as exc:  # a count too large for memory
-        detail = f"arguments ask for more memory than is available: {exc}"
-        sys.stderr.write(json.dumps({"error": "input", "detail": detail}) + "\n")
-        return 1
-    except OSError as exc:  # an unwritable --out; an unreadable --world is an _InputError
+    except OSError as exc:  # an unwritable --out; an unreadable --world is a ValueError
         detail = f"cannot write output: {exc.strerror or exc}"
         sys.stderr.write(json.dumps({"error": "input", "detail": detail}) + "\n")
         return 1
@@ -336,11 +312,19 @@ def run(argv) -> int:
             "error": "solver", "detail": str(exc), "extra": exc.detail,
         }) + "\n")
         return 2
-    except FloatingPointError as exc:  # a finite-difference stencil overflowed
+    # a finite-difference stencil overflowed, or a linear solve failed
+    # (LinAlgError is a ValueError, but no argument check)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(json.dumps({"error": "solver", "detail": str(exc)}) + "\n")
         return 2
     except GeometryError as exc:
         sys.stderr.write(json.dumps({"error": "geometry", "detail": str(exc)}) + "\n")
+        return 1
+    # an argument that the parser, the CLI or the library rejects (every
+    # ValueError the library raises is an argument check), or one that asks
+    # numpy for an array it cannot address (ValueError) or memory cannot hold
+    except (ValueError, MemoryError) as exc:
+        sys.stderr.write(json.dumps({"error": "input", "detail": str(exc)}) + "\n")
         return 1
 
 

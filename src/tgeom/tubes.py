@@ -716,11 +716,16 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     built from raises GeometryError naming the tau, unless its bracket has
     two signed ends; so does, on the grid, r = 0 within round-off when the
     probe at 1e-6 is too.  Taus are sampled in blocks of _TAU_BLOCK, which
-    bounds memory however long the grid is.
+    bounds memory however long the grid is.  A tau whose rmax overflows
+    raises GeometryError; one that is not finite raises ValueError before
+    any world call.
 
     Returns a list of (tau, [radii]) pairs.
     """
     check_kind(kind)
+    taus = np.asarray(tau_grid, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("tau_grid must be finite")
     g = _metric_of(w)
     y = np.asarray(y, dtype=float)
     origin = np.zeros(w.dim)
@@ -738,9 +743,12 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
             raise GeometryError("anisotropy covector must be aligned with y")
     e_perp = spacelike_unit_normal(w, y)
 
-    taus = np.asarray(tau_grid, dtype=float).reshape(-1)
     base = 10.0 * (1.0 + 1.0 / max(reduced_asymmetry(w, y), 1e-2))
-    rmaxs = np.maximum(base, 3.0 + 2.0 * np.sqrt(3.0) * np.abs(taus))
+    with np.errstate(over="ignore"):
+        rmaxs = np.maximum(base, 3.0 + 2.0 * np.sqrt(3.0) * np.abs(taus))
+    finite = np.isfinite(rmaxs)
+    if not finite.all():
+        raise GeometryError(f"tube search radius rmax overflows at tau {float(taus[~finite][0])!r}")
 
     # the residual's degree in r along a section, and none where beta
     # brings poles; without a3 it is even in r, as b is aligned with y

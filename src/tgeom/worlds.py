@@ -181,7 +181,7 @@ class WorldSpec:
     def from_json(cls, text: str) -> "WorldSpec":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
             raise InvalidWorldSpecError(f"malformed JSON: {exc}") from exc
         return cls.from_dict(doc)
 

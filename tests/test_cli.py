@@ -653,10 +653,9 @@ _GRADIENT = ["gradient-line", "--world", "CASE1", "--from", "0,0,0,0", "--to", "
         "chain-steps-2e61", "probes-2e61"])
 def test_numeric_arguments_meet_error_contract(tmp_path, world_file, argv):
     # an out-of-range number is an input error: one JSON line, no warning.
-    # A count whose array has more bytes than numpy can address is rejected
-    # once the world's dimension is known; the 10**15 counts ask for more
-    # than a 47-bit address space, so their first array fails at once,
-    # allocating nothing, and is reported as an input error
+    # numpy rejects a count whose array has more bytes than it can address;
+    # the 10**15 counts ask for more than a 47-bit address space, so their
+    # first array fails at once, allocating nothing
     files = {"EUCL": world_file(EUCL, "eucl.json"), "CASE1": world_file(CASE1, "case1.json")}
     argv = [files.get(arg, arg) for arg in argv]
     stderr = io.StringIO()
@@ -672,7 +671,7 @@ def test_numeric_arguments_meet_error_contract(tmp_path, world_file, argv):
     assert err["error"] == "input"
 
 
-@pytest.mark.parametrize("tau", ["1e20", "1e100", "1e300"])
+@pytest.mark.parametrize("tau", ["1e20", "1e100", "1e300", "1e308", "-1e308"])
 def test_tube_section_huge_tau_is_geometry_error(tmp_path, world_file, tau):
     # the residual is round-off or overflows on every probe: one JSON line
     # naming the tau, no warning, and no CSV of spurious roots
@@ -690,6 +689,83 @@ def test_tube_section_huge_tau_is_geometry_error(tmp_path, world_file, tau):
     jsonschema.validate(err, schema("error.json"))
     assert err["error"] == "geometry" and f"tau {float(tau)!r}" in err["detail"]
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("content,error", [(b"\xff\xfe{}", "input"),
+                                           (b"[" * 200_000, "world-spec")],
+                         ids=["not-utf8", "nested-too-deeply"])
+def test_unreadable_world_file_is_one_error_line(tmp_path, capsys, content, error):
+    # a world file that is not UTF-8, or whose JSON nests deeper than the
+    # parser can follow, is one JSON error line, not a traceback
+    world = tmp_path / "world.json"
+    world.write_bytes(content)
+    assert run(["check", "degeneration", "--world", str(world),
+                "--out", str(tmp_path / "x.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == error
+
+
+def test_library_value_error_is_an_input_line(tmp_path, world_file, capsys, monkeypatch):
+    # the library's argument checks reach stderr as input errors, whatever
+    # the command
+    def reject(*args, **kwargs):
+        raise ValueError("rejected by the library")
+
+    monkeypatch.setattr("tgeom.cli.tubes.build_broken_tube", reject)
+    assert run(["broken-tube", "--world", world_file(EUCL), "--mu", "0.5", "--steps", "2",
+                "--seed-from", "0,0,0,0", "--seed-to", "0.5,0,0,0",
+                "--out", str(tmp_path / "x.csv")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "input", "detail": "rejected by the library"}]
+
+
+def test_linear_algebra_error_is_a_solver_line(tmp_path, world_file, capsys, monkeypatch):
+    # a LinAlgError is a ValueError to Python, but a failed solve, not an
+    # argument check
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("tgeom.cli.calculus.coincidence_coefficients", singular)
+    assert run(["coefficients", "--world", world_file(EUCL), "--at", "0,0,0,0",
+                "--out", str(tmp_path / "x.json")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "solver", "detail": "Singular matrix"}]
+
+
+@pytest.mark.parametrize("argv,option,value", [
+    (["tube-section", "--world", "CASE1", "--tau-min", "0", "--tau-max", "0.5",
+      "--tau-steps", "2"], "--y", "-1,0,0,0"),
+    (["tube-section", "--world", "CASE1", "--y", "1,0,0,0", "--tau-max", "0.5",
+      "--tau-steps", "2"], "--tau-min", "-1e-3"),
+    (["gradient-line", "--world", "EUCL", "--to", "0.5,0.1,0,0", "--steps", "3"],
+     "--from", "-0.5,0,0,0"),
+    (["gradient-line", "--world", "EUCL", "--from", "0,0,0,0", "--steps", "3"],
+     "--to", "-.5,-0.1,0,0"),
+    (["broken-tube", "--world", "EUCL", "--mu", "0.5", "--steps", "2",
+      "--seed-to", "0,0,0,0"], "--seed-from", "-0.5,0,0,0"),
+    (["broken-tube", "--world", "EUCL", "--mu", "0.5", "--steps", "2",
+      "--seed-from", "0,0,0,0"], "--seed-to", "-0.5,0,0,0"),
+    (["check", "degeneration", "--world", "EUCL"], "--at", "-0.5,0.25,0,0"),
+    (["coefficients", "--world", "CASE1"], "--at", "-0.5,0,0,0"),
+    (["curvature", "--world", "EUCL"], "--at", "-0.5,0,0,0"),
+], ids=["y", "tau-min", "from", "to", "seed-from", "seed-to", "check-at",
+        "coefficients-at", "curvature-at"])
+def test_values_may_begin_with_minus(tmp_path, world_file, argv, option, value):
+    # a value that begins with "-" and a digit is a value, not an option:
+    # the same bytes as the --option=value spelling
+    files = {"EUCL": world_file(EUCL, "eucl.json"), "CASE1": world_file(CASE1, "case1.json")}
+    argv = [files.get(arg, arg) for arg in argv]
+    written = []
+    for spelling in ([option, value], [f"{option}={value}"]):
+        out = tmp_path / f"{len(written)}.out"
+        assert run(argv + spelling + ["--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_gradient_line_warning_stream(tmp_path, world_file, capsys):

@@ -142,7 +142,8 @@ def test_ode_rejects_non_finite_input_before_world_calls(cubic, tau_span, x0, v0
 @pytest.mark.parametrize("steps", [2**57, 2**62])
 def test_ode_rejects_unaddressable_grid_before_world_calls(cubic, steps):
     # 2 steps + 1 rows of 4 floats: 2**57 is the least steps whose sample
-    # array has more bytes than np.intp can count, as cli._check_size rules
+    # array has more bytes than np.intp can count.  The integrator checks
+    # that itself, with its own message, before any world call
     calls = []
 
     def counted(a, b):

@@ -340,16 +340,42 @@ def test_sampler_needs_a_world_spec(case1, label):
 
 
 @pytest.mark.parametrize("tau, reason", [(1e20, "round-off"), (1e100, "round-off"),
-                                         (1e300, "not finite")])
+                                         (1e300, "not finite"), (1e308, "rmax overflows"),
+                                         (-1e308, "rmax overflows")])
 def test_sampler_huge_tau_is_geometry_error(tau, reason):
     # far out the residual cancels to round-off on every probe, or
-    # overflows: an error naming the tau, not roots at the probe radii
+    # overflows, or the search radius does: an error naming the tau, not
+    # roots at the probe radii
     w = world("case1", b=[1, 0, 0, 0], alpha=0.1)
     for kind in ("n", "f", "p"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match=re.escape(f"{reason} at tau {tau!r}")):
                 sample_axisymmetric_tube(w, np.array([1.0, 0, 0, 0]), kind, [0.5, tau])
+
+
+@pytest.mark.parametrize("doc", [dict(kind="case1", b=[1, 0, 0, 0], alpha=0.1),
+                                 dict(kind="case2", b=[1, 0, 0, 0], alpha=0.2, beta=1.0)],
+                         ids=["case1", "case2"])
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_sampler_rejects_non_finite_tau_before_world_calls(doc, tau):
+    # the sampler owns its tau contract: a ValueError that says so, not a
+    # non-finite-coordinate error, a numpy warning or a world call
+    w = world(**doc)
+    calls = []
+    evaluate = w._eval
+
+    def counted(x, xp):
+        calls.append(1)
+        return evaluate(x, xp)
+
+    w._eval = counted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid in ([tau], [0.5, tau]):
+            with pytest.raises(ValueError, match="tau_grid must be finite"):
+                sample_axisymmetric_tube(w, np.array([1.0, 0, 0, 0]), "n", grid)
+    assert calls == []
 
 
 def test_sampler_directed_kinds_run(case1):
