@@ -10,14 +10,15 @@ order 3 and 4 it takes the 2-point central rule, since their steps balance a
 second-order truncation anyway.  Higher multiplicities use the standard
 second-order rules.  An entry with k distinct first-derivative axes then
 costs 2^k points instead of 4^k: at d=4 the coincidence coefficients read
-1,057 unique points and the curvature bundle 2,993.
+1,057 unique points and the curvature bundle 2,993, or 961 and 2,081 on a
+polynomial world, whose orders 2 to 4 share one step (below).
 
 A request with second_order=True takes the 2-point rule at every order.  The
 damped Newton solves (tgeom.newton) ask for it for their order-2 Jacobians:
 a Jacobian only steers the step, and the residual, still on the 4-point
 rule, fixes the root.  At d=4 a (1, 1) tensor then reads 64 points instead
-of 256 and a (0, 2) tensor 33 instead of 105.  Order 2's step is already
-the second-order balance, so no step changes.  The tube-degeneration check
+of 256 and a (0, 2) tensor 33 instead of 105.  Its steps are those of the
+plain request.  The tube-degeneration check
 (tgeom.degeneracy.degeneration_check) asks for it in every request, of
 orders 0 to 2, and reads 333 points instead of 717 (795 instead of 2,187
 where the neutral tube degenerates).  Order 1 keeps its step, so there the
@@ -30,10 +31,22 @@ Step sizes balance truncation against rounding per total derivative order:
     order 3: eps^(1/5) * s     order 4: eps^(1/6) * s
 
 with s = 1 + max-norm of the anchor points; no caller sets a step of its
-own.  Each request is served by a stencil plan, built once per (dim,
-orders, coincidence, second_order): the unique stencil points of all
-requested tensors, as integer offset rows per step class in no particular
-order, with gather indices back to each entry's stencil.  One
+own.  A world whose spec has no screening beta (euclidean, constant_a,
+case1, cubic_a) is a cubic polynomial in xi = x - xp.  On it the leading
+error of every rule of an entry of total order 2 to 4 is a derivative of
+order 4 or more (Fornberg, Math. Comp. 51, 1988), which vanishes, so only
+rounding bounds the step, and orders 2 to 4 share one:
+
+    max(balance, 0.1 / scale) * s,   scale = max(1, max|a3|, |alpha| max|b|)
+
+read from the world's spec (worlds.WorldFunction.polynomial_scale), so that
+a world with extreme coefficients keeps the balance.  Order 1 keeps the
+balance on every world: its 2-point rule is not exact on a cubic.  case2
+and worlds without a spec (worlds.world_from_callable) keep the balance at
+every order.  Each request is served by a stencil plan, built once per
+(dim, orders, coincidence, second_order, step classes): the unique stencil
+points of all requested tensors, as integer offset rows per step class in
+no particular order, with gather indices back to each entry's stencil.  One
 world-function call over the unique points then serves every tensor.
 part_tensors serves the world function and both its parts from that one
 call at coincidence (xp = x), where every swapped pair (Q, P) is itself a
@@ -67,13 +80,28 @@ _EPS = np.finfo(float).eps
 # order n solves h^2 ~ eps/h^n, i.e. h ~ eps^(1/(n+2)).  Order 1 uses the
 # fourth-order rule, whose optimum sits near eps^(1/5).  Every rule of an
 # order-3 or order-4 stencil is second order (_entry_stencil), so their
-# steps are the second-order balance itself.
-_STEP_COEF = {
-    1: _EPS ** (1.0 / 5.0),
-    2: _EPS ** (1.0 / 4.0),
-    3: _EPS ** (1.0 / 5.0),
-    4: _EPS ** (1.0 / 6.0),
-}
+# steps are the second-order balance itself.  Per total order 1 to 4.
+_STEP_COEFS = (_EPS ** (1.0 / 5.0), _EPS ** (1.0 / 4.0), _EPS ** (1.0 / 5.0), _EPS ** (1.0 / 6.0))
+
+# On a polynomial world (WorldFunction.polynomial_scale) every rule of a
+# tensor of total order 2 to 4 is exact, so only rounding bounds its step:
+# _POLY_STEP / scale, and never less than the balance above.  Against exact
+# derivatives at anchors near the origin, 1e-2 leaves 1e-13 to 1e-9 relative
+# error at these orders and 0.1 about 1e-15 to 1e-12; far out in the chart
+# (|x| ~ 1e4) order 2's rounding grows with steps beyond 0.1.
+_POLY_STEP = 0.1
+
+
+def _step_coefs(fn) -> tuple:
+    """The step coefficient of each total order 1 to 4 for fn: the
+    polynomial step at orders 2 to 4 where fn is a world (or its _Parts)
+    with a polynomial_scale, the balance of _STEP_COEFS elsewhere."""
+    scale = getattr(fn.w if isinstance(fn, _Parts) else fn, "polynomial_scale", None)
+    if scale is None:
+        return _STEP_COEFS
+    poly = _POLY_STEP / scale
+    return (_STEP_COEFS[0], *(max(coef, poly) for coef in _STEP_COEFS[1:]))
+
 
 # 1-D central rules keyed by multiplicity: (offsets, unit weights); the true
 # weight is unit_weight / h^multiplicity.  _RULES[1] serves orders 1 and 2,
@@ -92,9 +120,13 @@ _RULES = {
 }
 
 
-def step_size(total_order: int, x, xp) -> float:
-    s = 1.0 + max(np.max(np.abs(x)), np.max(np.abs(xp)))
-    return _STEP_COEF[total_order] * s
+def _anchor_scale(x, xp) -> float:
+    return 1.0 + max(np.max(np.abs(x)), np.max(np.abs(xp)))
+
+
+def step_size(fn, total_order: int, x, xp) -> float:
+    """The step of fn's tensors of total_order at the anchor pair (x, xp)."""
+    return _step_coefs(fn)[total_order - 1] * _anchor_scale(x, xp)
 
 
 def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple, second_order: bool = False):
@@ -136,8 +168,9 @@ class _Plan:
     """The unique stencil points of one tensor request and how to read them.
 
     Unique row r is the point pair (x + step * offs_x[r], xp + step * offs_xp[r])
-    with the step of class cls[r], step_size(class_orders[cls[r]], x, xp):
-    orders 1 and 3 share a step.  The rows come in no particular order
+    with the step of class cls[r], that of total order class_orders[cls[r]]
+    (step_size): orders with one step share a class, 1 and 3 under the
+    balance, 2 to 4 on a polynomial world.  The rows come in no particular order
     (np.unique sorts them).  The zero-offset row, the anchor pair at any
     step, is listed once, in class 0, as row anchor; its points are
     (x, xp) themselves, so a -0.0 coordinate keeps its sign.  Order (0, 0)
@@ -160,10 +193,16 @@ class _Plan:
     tensors: tuple
 
 
+# per total order 1 to 4, the first order of _STEP_COEFS with its step
+_SHARED_STEPS = tuple(map(_STEP_COEFS.index, _STEP_COEFS))
+
+
 @lru_cache(maxsize=None)
 def _stencil_plan(dim: int, orders: tuple, coincident: bool,
-                  second_order: bool = False) -> _Plan:
-    classes, tensors, blocks = {}, [], []  # classes: step coefficient -> (class, order)
+                  second_order: bool = False, shared: tuple = _SHARED_STEPS) -> _Plan:
+    """shared: per total order 1 to 4, an index equal between two orders
+    exactly where their steps are (_step_coefs), one step class each."""
+    classes, tensors, blocks = {}, [], []  # classes: shared index -> (class, order)
     cursor = 0
     for nx, npr in orders:
         if nx == 0 and npr == 0:
@@ -171,7 +210,7 @@ def _stencil_plan(dim: int, orders: tuple, coincident: bool,
             tensors.append(((nx, npr), 0, (), None))
             cursor += 1
             continue
-        cls, _ = classes.setdefault(_STEP_COEF[nx + npr], (len(classes), nx + npr))
+        cls, _ = classes.setdefault(shared[nx + npr - 1], (len(classes), nx + npr))
         entries = sorted(_tensor_entries(dim, nx, npr, second_order), key=lambda e: len(e[2]))
         units, place = {}, np.empty((dim,) * (nx + npr), dtype=np.intp)
         for column, (offs_x, offs_xp, wts, targets) in enumerate(entries):
@@ -250,13 +289,15 @@ def partial_tensors(fn, x, xp, orders, *, second_order: bool = False):
     xp = np.asarray(xp, dtype=float)
     d = x.shape[-1]
     coincident = isinstance(fn, _Parts) and np.array_equal(x, xp)
+    coefs = _step_coefs(fn)
     plan = _stencil_plan(d, tuple((nx, npr) for nx, npr in orders), coincident,
-                         second_order)
+                         second_order, tuple(map(coefs.index, coefs)))
 
     # stencils far out in the chart overflow: raise below rather than warn
     with np.errstate(all="ignore"):
         # the anchor row alone still reads a class step
-        class_step = np.array([step_size(order, x, xp) for order in plan.class_orders] or [0.0])
+        s = _anchor_scale(x, xp)
+        class_step = np.array([coefs[order - 1] * s for order in plan.class_orders] or [0.0])
         for (nx, npr), cls, _, _ in plan.tensors:
             total = nx + npr
             if total and not np.isfinite(class_step[cls]**total):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -233,6 +234,22 @@ class WorldFunction:
     @property
     def kind(self) -> str:
         return self.spec.kind if self.spec is not None else self.label
+
+    @cached_property
+    def polynomial_scale(self) -> Optional[float]:
+        """max(1, max|a3|, |alpha| max|b|) where the spec's closed form is a
+        polynomial in xi, a shipped family without the screening beta; None
+        for case2 and for a world without a spec, whose smoothness is not
+        known.  fd steps derivative orders 2 to 4 by it."""
+        spec = self.spec
+        if spec is None or spec.beta is not None:
+            return None
+        scale = 1.0
+        if spec.a3 is not None:
+            scale = max(scale, float(np.max(np.abs(spec.a3))))
+        if spec.alpha is not None:
+            scale = max(scale, abs(float(spec.alpha)) * float(np.max(np.abs(spec.b))))
+        return scale
 
     def __call__(self, x, xp):
         x = _as_point(x, self.dim)

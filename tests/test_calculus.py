@@ -11,6 +11,7 @@ from tgeom import (
     fundamental_metric,
     riemann_from_gamma,
     transport_matrix,
+    WorldFunction,
     world_from_callable,
 )
 from tgeom.calculus import (
@@ -89,12 +90,13 @@ PART_ORDERS = [(nx, npr) for nx in range(3) for npr in range(3)]
 
 @pytest.mark.parametrize("anchor", ["coincidence", "separated"])
 def test_part_tensors_match_per_part_passes(all_worlds, anchor):
-    # one two-call pass reproduces the separate w / w.sym / w.asym passes
+    # one two-call pass reproduces the separate w / w.sym / w.asym passes;
+    # each part is wrapped with w's spec so that its steps are w's
     xp = X0 if anchor == "coincidence" else XP0
     for name, w in all_worlds.items():
         parts = fd.part_tensors(w, X0, xp, PART_ORDERS)
         for part, fn in (("full", w), ("sym", w.sym), ("asym", w.asym)):
-            want = fd.partial_tensors(fn, X0, xp, PART_ORDERS)
+            want = fd.partial_tensors(WorldFunction(fn, w.dim, spec=w.spec), X0, xp, PART_ORDERS)
             for key in PART_ORDERS:
                 assert np.array_equal(parts[part][key], want[key]), (name, part, key)
 

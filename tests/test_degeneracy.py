@@ -11,6 +11,7 @@ from tgeom import (
     euclideaness_check,
     fd,
     gram,
+    WorldFunction,
     world_from_callable,
 )
 from tgeom import degeneracy
@@ -199,7 +200,7 @@ def test_coordinate_jacobian_matches_per_entry_dots(all_worlds):
     for name, w in all_worlds.items():
         fb = FlatBasis.build(w, Multivector(basis))
         for q in diagnostic_probes(4, 6, seed=0):
-            step = fd.step_size(1, basis[0], q)
+            step = fd.step_size(fb.coordinates, 1, basis[0], q)
             want = np.zeros((4, 4))
             for _, offs_q, unit, targets in fd._tensor_entries(4, 0, 1, True):
                 rows = fb.coordinates(w, q + step * offs_q).T
@@ -309,7 +310,8 @@ def test_degeneration_world_call_budget(all_worlds):
     # w(Q, P)), 252 points in 28 calls in all.  Only a degenerate neutral
     # tube adds each direction's (0, 2) Hessian at the outer separation, 33
     # points in each of two calls, whose anchor pair the outer request also
-    # read; the report is the one of the uncounted world
+    # read.  The counting world carries the plain world's spec, so it takes
+    # the same steps, and the report is the one of the uncounted world
     x = np.array([0.2, -0.1, 0.3, 0.05])
     for name, plain in all_worlds.items():
         sizes = []
@@ -318,7 +320,7 @@ def test_degeneration_world_call_budget(all_worlds):
             sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
             return plain(a, b)
 
-        report = degeneration_check(world_from_callable(counted, 4, label=plain.kind), x)
+        report = degeneration_check(WorldFunction(counted, 4, spec=plain.spec, label=plain.kind), x)
         want = (43, 795) if report.summary["neutral"] == "degenerate" else (29, 333)
         assert (len(sizes), sum(sizes)) == want, name
         assert report.to_json() == degeneration_check(plain, x).to_json(), name
@@ -330,8 +332,8 @@ def test_degeneration_world_call_budget(all_worlds):
 PASSING_RESIDUAL_BUDGETS = {
     "neutral_gradient_cancel": (2e-12, 6.7e-13),
     "eikonal": (2e-13, 7.6e-14),
-    "future_tube": (5e-12, 2.0e-12),
-    "past_tube": (5e-12, 1.9e-12),
+    "future_tube": (1e-13, 3.0e-14),
+    "past_tube": (1e-13, 3.0e-14),
 }
 FAILING_RESIDUAL_BUDGET = (1e-4, 3.7e-5)  # neutral_gradient_cancel, the only one
 
@@ -359,11 +361,25 @@ def test_degeneration_matches_four_point_reference(all_worlds, at, monkeypatch):
             else:
                 assert change <= FAILING_RESIDUAL_BUDGET[0] * r.residual, (name, g.name, change)
         # a degenerate world's residuals are rounding: below 1e-10 wherever
-        # the reference's are (constant_a at (2, 1, -1, 0.5) reads 4.79e-10
-        # on either rule, the round-off of its linear antisymmetric part's Hessian)
+        # the reference's are (test_directed_tube_residuals_are_rounding
+        # pins constant_a's directed tubes, whose Hessians take the
+        # polynomial worlds' step, below 1e-12)
         if got.summary["neutral"] == "degenerate":
             for g, r in zip(got.checks, want.checks):
                 assert g.residual < 1e-10 or r.residual >= 1e-10, (name, g.name)
+
+
+@pytest.mark.parametrize("at", [[2, 1, -1, 0.5], [0.5, 0.25, -0.25, 0.125], [8, 4, -4, 2]])
+def test_directed_tube_residuals_are_rounding(at):
+    # constant_a's antisymmetric part is linear, so its directed-tube
+    # residuals are round-off alone.  At the order-2 step of a world without
+    # a known smoothness they read up to 5.1e-10 (4.78e-10 at (2, 1, -1,
+    # 0.5)); at the polynomial step 8.2e-14 at most.
+    w = world("constant_a", b=[0.3, 0, 0, 0])
+    report = degeneration_check(w, np.array(at, dtype=float))
+    assert report.summary == dict.fromkeys(("neutral", "future", "past"), "degenerate")
+    for kind in ("future", "past"):
+        assert report[f"{kind}_tube"].residual < 1e-12, kind
 
 
 def test_reports_stop_at_the_verdict(all_worlds):

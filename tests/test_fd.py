@@ -10,8 +10,10 @@ the numbers.
 import numpy as np
 import pytest
 
-from tgeom import fd, world_from_callable
+from tgeom import WorldFunction, fd, world_from_callable
 from tgeom.calculus import _COEFFICIENT_ORDERS, _CURVATURE_ORDERS, _F_ORDERS
+
+from conftest import world
 
 X0 = np.array([0.2, -0.1, 0.3, 0.05])
 XP0 = np.array([0.5, 0.2, -0.1, 0.1])
@@ -29,7 +31,8 @@ PARTS = ("full", "sym", "asym")
 
 
 def naive_part_tensors(w, x, xp, orders, second_order=False):
-    """part_tensors entry by entry: two world calls per entry stencil."""
+    """part_tensors entry by entry: two world calls per entry stencil, at
+    w's own steps (fd.step_size)."""
     out = {part: {} for part in PARTS}
     for nx, npr in orders:
         order = nx + npr
@@ -38,7 +41,7 @@ def naive_part_tensors(w, x, xp, orders, second_order=False):
             for part, value in zip(PARTS, (fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev))):
                 out[part][(nx, npr)] = np.asarray(value, dtype=float)[()]
             continue
-        step = fd.step_size(order, x, xp)
+        step = fd.step_size(w, order, x, xp)
         tensors = np.zeros((3,) + (x.shape[-1],) * order)
         for offs_x, offs_xp, unit, targets in fd._tensor_entries(x.shape[-1], nx, npr,
                                                                  second_order):
@@ -193,3 +196,78 @@ def test_non_finite_world_value_raises(cubic, bad, anchor):
                 lambda: fd.partial_tensors(w, X0, xp, [(2, 0)])):
         with pytest.raises(FloatingPointError, match="non-finite"):
             run()
+
+
+# Step classes.  A world whose spec has no screening beta is a polynomial in
+# xi, on which every rule of an order-2 to order-4 tensor is exact: those
+# orders share one step.  case2 and callable worlds keep the per-order
+# balance of truncation against rounding.
+EPS = np.finfo(float).eps
+BALANCE = {1: EPS ** (1 / 5), 2: EPS ** (1 / 4), 3: EPS ** (1 / 5), 4: EPS ** (1 / 6)}
+COINCIDENCE_REQUESTS = {"coefficients": (_COEFFICIENT_ORDERS, 961, 1057),
+                        "curvature": (_F_ORDERS + _CURVATURE_ORDERS, 2081, 2993)}
+
+
+def _counting(w):
+    """w's evaluator counting its points, and the list of per-call counts."""
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+        return w(a, b)
+
+    return counted, sizes
+
+
+@pytest.mark.parametrize("request_name", COINCIDENCE_REQUESTS)
+def test_polynomial_worlds_share_one_step(all_worlds, request_name):
+    # a counting world that carries the spec, as the benchmark builds it,
+    # takes the plain world's steps: one class for orders 2 to 4
+    orders, points, _ = COINCIDENCE_REQUESTS[request_name]
+    s = 1.0 + np.max(np.abs(X0))
+    for name, w in all_worlds.items():
+        if name == "case2":
+            continue
+        assert fd.step_size(w, 1, X0, X0) == BALANCE[1] * s, name
+        steps = {fd.step_size(w, n, X0, X0) for n in (2, 3, 4)}
+        assert len(steps) == 1 and steps.pop() > BALANCE[4] * s, name
+        counted, sizes = _counting(w)
+        got = fd.part_tensors(WorldFunction(counted, 4, spec=w.spec, label=w.kind), X0, X0, orders)
+        want = fd.part_tensors(w, X0, X0, orders)
+        assert sizes == [points], name
+        for part in PARTS:
+            for key in orders:
+                assert np.array_equal(got[part][key], want[part][key]), (name, part, key)
+
+
+@pytest.mark.parametrize("request_name", COINCIDENCE_REQUESTS)
+def test_screened_and_callable_worlds_keep_the_balance(all_worlds, request_name):
+    # case2 and every world without a spec take the per-order balance, and
+    # the coincidence requests their 1,057 and 2,993 points
+    orders, _, points = COINCIDENCE_REQUESTS[request_name]
+    s = 1.0 + np.max(np.abs(X0))
+    for name, w in all_worlds.items():
+        counted, sizes = _counting(w)
+        for kept in ((world_from_callable(counted, 4, label=w.kind),)
+                     + ((WorldFunction(counted, 4, spec=w.spec),) if name == "case2" else ())):
+            sizes.clear()
+            for n in (1, 2, 3, 4):
+                assert fd.step_size(kept, n, X0, X0) == BALANCE[n] * s, (name, n)
+            got = fd.part_tensors(kept, X0, X0, orders)
+            assert sizes == [points], name
+            want = naive_part_tensors(kept, X0, X0, orders)
+            for part in PARTS:
+                for key in orders:
+                    assert np.array_equal(got[part][key], want[part][key]), (name, part, key)
+
+
+@pytest.mark.parametrize("doc", [{"kind": "cubic_a", "a3": [1e308]},
+                                 {"kind": "case1", "b": [1.0], "alpha": 1e200}],
+                         ids=["huge-a3", "huge-alpha"])
+def test_polynomial_step_shrinks_with_the_coefficients(doc):
+    # the shared step shrinks with max(1, max|a3|, |alpha| max|b|), and
+    # never below the balance: extreme worlds keep the balance's steps
+    w = world(dim=1, metric=[1], **doc)
+    x = np.array([0.1])
+    for n in (1, 2, 3, 4):
+        assert fd.step_size(w, n, x, x) == BALANCE[n] * 1.1

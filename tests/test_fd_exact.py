@@ -39,30 +39,32 @@ FAMILIES = {
 # with the 4-point first-derivative rule on every multiplicity-1 axis of
 # the order-3 and order-4 stencils).  Orders 1 and 2 keep that rule, so
 # their two figures are one; the order-4 worst case is the separated anchor.
+# On the four polynomial families (all but case2) orders 2 to 4 take one
+# step bounded by rounding alone (fd._POLY_STEP), and read round-off.
 BUDGETS = {
-    "euclidean": ((5e-14, 1.1e-14, 1.1e-14), (2e-9, 5.2e-10, 5.2e-10),
-                  (3e-8, 9.9e-9, 1.5e-8), (1e-6, 2.9e-7, 2.9e-7)),
-    "constant_a": ((1e-13, 2.1e-14, 2.1e-14), (5e-9, 1.8e-9, 1.8e-9),
-                   (1e-7, 3.7e-8, 4.1e-8), (2e-6, 7.8e-7, 7.8e-7)),
-    "case1": ((1e-13, 3.7e-14, 3.7e-14), (1e-8, 3.5e-9, 3.5e-9),
-              (2e-7, 8.0e-8, 1.0e-7), (5e-6, 2.6e-6, 2.6e-6)),
+    "euclidean": ((5e-14, 1.1e-14, 1.1e-14), (5e-15, 1.8e-15, 1.8e-15),
+                  (5e-14, 1.6e-14, 2.8e-14), (5e-13, 2.0e-13, 2.0e-13)),
+    "constant_a": ((1e-13, 2.1e-14, 2.1e-14), (1e-14, 2.4e-15, 2.4e-15),
+                   (2e-13, 4.1e-14, 4.6e-14), (2e-12, 5.4e-13, 5.4e-13)),
+    "case1": ((1e-13, 3.7e-14, 3.7e-14), (2e-14, 4.9e-15, 4.9e-15),
+              (1e-13, 2.2e-14, 3.5e-14), (2e-12, 6.5e-13, 6.5e-13)),
     "case2": ((1e-11, 3.9e-12, 3.9e-12), (5e-8, 1.8e-8, 1.8e-8),
               (5e-5, 1.8e-5, 1.8e-5), (1e-3, 4.7e-4, 2.8e-4)),
-    "cubic_a": ((5e-14, 1.3e-14, 1.3e-14), (2e-9, 5.6e-10, 5.6e-10),
-                (5e-8, 1.5e-8, 1.8e-8), (1e-6, 4.2e-7, 4.2e-7)),
+    "cubic_a": ((5e-14, 1.3e-14, 1.3e-14), (5e-15, 1.2e-15, 1.2e-15),
+                (1e-13, 2.1e-14, 2.3e-14), (5e-13, 1.9e-13, 1.9e-13)),
 }
 
 
 # The Newton Jacobians (second_order=True: the 2-point rule on every
 # first-derivative axis): worst relative error of the (1, 1) and the (0, 2)
 # tensor, as (budget, measured).  Against the 4-point tensors they differ by
-# at most 3.8e-10, 8.2e-10, 1.8e-9, 7.3e-8 and 4.0e-10, family by family.
+# at most 1.3e-15, 7.4e-16, 2.4e-15, 7.3e-8 and 6.5e-16, family by family.
 JACOBIAN_BUDGETS = {
-    "euclidean": ((1e-9, 2.2e-10), (1e-9, 2.3e-10)),
-    "constant_a": ((2e-9, 4.7e-10), (5e-9, 1.9e-9)),
-    "case1": ((5e-9, 1.1e-9), (1e-8, 3.5e-9)),
+    "euclidean": ((2e-15, 4.4e-16), (5e-15, 8.9e-16)),
+    "constant_a": ((5e-15, 8.9e-16), (5e-15, 1.4e-15)),
+    "case1": ((1e-14, 2.1e-15), (2e-14, 6.6e-15)),
     "case2": ((2e-7, 7.4e-8), (1e-7, 2.3e-8)),
-    "cubic_a": ((1e-9, 2.9e-10), (1e-9, 2.2e-10)),
+    "cubic_a": ((2e-15, 5.4e-16), (5e-15, 1.1e-15)),
 }
 
 
@@ -74,18 +76,18 @@ JACOBIAN_BUDGETS = {
 # the antisymmetric part has a third derivative (case1, case2, cubic_a),
 # and there the check adds a_co to a_grad, whose truncation errors cancel
 # to the order of the separation.  The Hessians differ from the 4-point
-# ones by at most 2.3e-13.
+# ones by at most 1.1e-13 (case2; 7.4e-17 on the polynomial families).
 DEGENERATION_BUDGETS = {
     "euclidean": ((1e-15, 0.0), (2e-14, 7.5e-15), (1e-14, 1.3e-20),
-                  (1e-12, 2.8e-13), (1e-12, 2.8e-13)),
+                  (1e-17, 2.1e-18), (1e-17, 2.1e-18)),
     "constant_a": ((1e-15, 0.0), (2e-14, 5.9e-15), (1e-14, 2.9e-15),
-                   (1e-12, 2.8e-13), (1e-12, 2.8e-13)),
+                   (1e-15, 2.2e-16), (2e-16, 4.6e-17)),
     "case1": ((1e-15, 5.6e-17), (5e-7, 2.5e-7), (5e-7, 1.9e-7),
-              (2e-12, 6.6e-13), (5e-12, 1.0e-12)),
+              (2e-15, 6.7e-16), (5e-15, 8.9e-16)),
     "case2": ((1e-15, 5.6e-17), (1e-6, 2.8e-7), (5e-7, 1.5e-7),
               (5e-12, 1.1e-12), (2e-12, 5.7e-13)),
     "cubic_a": ((1e-15, 1.4e-17), (5e-8, 1.4e-8), (5e-8, 1.1e-8),
-                (1e-12, 2.8e-13), (1e-12, 2.8e-13)),
+                (1e-16, 2.1e-17), (5e-17, 1.7e-17)),
 }
 
 
