@@ -2,28 +2,28 @@
 
 Computes tensors d^nx/dx^... d^np/dxp^... of a two-point scalar on a
 d-dimensional chart.  Stencils are tensor products of 1-D central rules, one
-rule per distinct axis with the axis multiplicity selecting the rule.  In
-tensors of total order 1 and 2 a first-derivative axis takes the 4-point
-fourth-order rule (exact through quartic polynomials, which covers every
-shipped world family except the screened rational one); in tensors of total
-order 3 and 4 it takes the 2-point central rule, since their steps balance a
-second-order truncation anyway.  Higher multiplicities use the standard
-second-order rules.  An entry with k distinct first-derivative axes then
-costs 2^k points instead of 4^k: at d=4 the coincidence coefficients read
-1,057 unique points and the curvature bundle 2,993, or 961 and 2,081 on a
-polynomial world, whose orders 2 to 4 share one step (below).
+rule per distinct axis with the axis multiplicity selecting the rule.  A
+first-derivative axis takes the 2-point central rule in tensors of total
+order 3 and 4, whose steps balance a second-order truncation anyway, and of
+order 2 on a polynomial world (below), where that truncation, a derivative
+of order 4, vanishes; elsewhere it takes the 4-point fourth-order rule.
+Higher multiplicities use the standard second-order rules.  An entry with k
+distinct first-derivative axes then costs 2^k points instead of 4^k: at d=4
+the coincidence coefficients read 1,057 unique points and the curvature
+bundle 2,993, or 625 and 1,969 on a polynomial world.
 
 A request with second_order=True takes the 2-point rule at every order.  The
 damped Newton solves (tgeom.newton) ask for it for their order-2 Jacobians:
 a Jacobian only steers the step, and the residual, still on the 4-point
 rule, fixes the root.  At d=4 a (1, 1) tensor then reads 64 points instead
-of 256 and a (0, 2) tensor 33 instead of 105.  Its steps are those of the
-plain request.  The tube-degeneration check
-(tgeom.degeneracy.degeneration_check) asks for it in every request, of
-orders 0 to 2, and reads 333 points instead of 717 (795 instead of 2,187
-where the neutral tube degenerates).  Order 1 keeps its step, so there the
-2-point truncation is about 1e-7 relative wherever the function has a
-third derivative; the check's verdicts absorb it (degeneracy).
+of 256 and a (0, 2) tensor 33 instead of 105, as every request does on a
+polynomial world.  Its steps are those of the plain request.  The
+tube-degeneration check (tgeom.degeneracy.degeneration_check) asks for it in
+every request, of orders 0 to 2, and reads 333 points instead of 717 (795
+instead of 2,187 where the neutral tube degenerates).  Order 1 keeps its
+step, so there the 2-point truncation is about 1e-7 relative wherever the
+function has a third derivative; the check's verdicts absorb it
+(degeneracy).
 
 Step sizes balance truncation against rounding per total derivative order:
 
@@ -41,19 +41,18 @@ rounding bounds the step, and orders 2 to 4 share one:
 
 read from the world's spec (worlds.WorldFunction.polynomial_scale), so that
 a world with extreme coefficients keeps the balance.  Order 1 keeps the
-balance on every world: its 2-point rule is not exact on a cubic.  case2
-and worlds without a spec (worlds.world_from_callable) keep the balance at
-every order.  Each request is served by a stencil plan, built once per
-(dim, orders, coincidence, second_order, step classes): the unique stencil
-points of all requested tensors, as integer offset rows per step class in
-no particular order, with gather indices back to each entry's stencil.  One
-world-function call over the unique points then serves every tensor.
-part_tensors serves the world function and both its parts from that one
-call at coincidence (xp = x), where every swapped pair (Q, P) is itself a
-stencil point, and from two calls elsewhere; kind_tensor serves the
-two-point function k(a, b) of a tube or line kind.
-Reading one value for several entries assumes pointwise evaluation
-(worlds.world_from_callable).
+balance and the 4-point rule on every world: its 2-point rule is not exact
+on a cubic.  case2 and worlds without a spec (worlds.world_from_callable)
+keep the balance at every order.  Each request is served by a stencil plan,
+built once per (dim, orders, coincidence, rule, step classes): the unique
+stencil points of all requested tensors, as integer offset rows per step
+class in no particular order, with gather indices back to each entry's
+stencil.  One world-function call over the unique points then serves every
+tensor.  part_tensors serves the world function and both its parts from that
+one call at coincidence (xp = x), where every swapped pair (Q, P) is itself
+a stencil point, and from two calls elsewhere; kind_tensor serves the
+two-point function k(a, b) of a tube or line kind.  Reading one value for
+several entries assumes pointwise evaluation (worlds.world_from_callable).
 
 One contraction path serves every order, rule and number of value rows:
 the plan groups a tensor's entries by stencil length k, each group is one
@@ -92,21 +91,21 @@ _STEP_COEFS = (_EPS ** (1.0 / 5.0), _EPS ** (1.0 / 4.0), _EPS ** (1.0 / 5.0), _E
 _POLY_STEP = 0.1
 
 
-def _step_coefs(fn) -> tuple:
-    """The step coefficient of each total order 1 to 4 for fn: the
-    polynomial step at orders 2 to 4 where fn is a world (or its _Parts)
-    with a polynomial_scale, the balance of _STEP_COEFS elsewhere."""
+def _world_class(fn) -> tuple:
+    """(two_point_from, step coefficient per total order 1 to 4) for fn: 2
+    and the polynomial step at orders 2 to 4 where fn is a world (or its
+    _Parts) with a polynomial_scale, 3 and _STEP_COEFS' balance elsewhere."""
     scale = getattr(fn.w if isinstance(fn, _Parts) else fn, "polynomial_scale", None)
     if scale is None:
-        return _STEP_COEFS
+        return 3, _STEP_COEFS
     poly = _POLY_STEP / scale
-    return (_STEP_COEFS[0], *(max(coef, poly) for coef in _STEP_COEFS[1:]))
+    return 2, (_STEP_COEFS[0], *(max(coef, poly) for coef in _STEP_COEFS[1:]))
 
 
 # 1-D central rules keyed by multiplicity: (offsets, unit weights); the true
-# weight is unit_weight / h^multiplicity.  _RULES[1] serves orders 1 and 2,
-# _SECOND_ORDER_FIRST a multiplicity-1 axis of an order-3 or order-4 entry
-# and of every entry of a second_order request.
+# weight is unit_weight / h^multiplicity.  _SECOND_ORDER_FIRST serves a
+# multiplicity-1 axis of an entry of total order two_point_from or more
+# (_entry_stencil), _RULES[1] one of a lower order.
 _SECOND_ORDER_FIRST = (np.array([-1.0, 1.0]), np.array([-0.5, 0.5]))
 _RULES = {
     1: (np.array([-2.0, -1.0, 1.0, 2.0]),
@@ -126,18 +125,19 @@ def _anchor_scale(x, xp) -> float:
 
 def step_size(fn, total_order: int, x, xp) -> float:
     """The step of fn's tensors of total_order at the anchor pair (x, xp)."""
-    return _step_coefs(fn)[total_order - 1] * _anchor_scale(x, xp)
+    return _world_class(fn)[1][total_order - 1] * _anchor_scale(x, xp)
 
 
-def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple, second_order: bool = False):
+def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple, two_point_from: int = 3):
     """Unit-step product stencil for one tensor entry.
 
     Returns (offs_x, offs_xp, unit_weights) where the displacement of stencil
     point k is h * offs[k] and its weight is unit_weights[k] / h^order.  At
-    total order 3 or 4, or when second_order is set, a multiplicity-1 axis
-    takes the 2-point rule.
+    total order two_point_from or more (partial_tensors picks it: 1 for a
+    second_order request, else _world_class) a multiplicity-1 axis takes
+    the 2-point rule.
     """
-    two_point = second_order or len(combo_x) + len(combo_xp) >= 3
+    two_point = len(combo_x) + len(combo_xp) >= two_point_from
     offs, wts = np.zeros((1, 2 * dim)), np.ones(1)
     for shift, combo in ((0, combo_x), (dim, combo_xp)):
         for axis in sorted(set(combo)):
@@ -151,13 +151,13 @@ def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple, second_order: bool
     return offs[:, :dim], offs[:, dim:], wts
 
 
-def _tensor_entries(dim: int, nx: int, npr: int, second_order: bool = False):
+def _tensor_entries(dim: int, nx: int, npr: int, two_point_from: int = 3):
     """All unique entries of a (nx, npr) tensor with their stencils and the
     index permutations each entry scatters to."""
     entries = []
     for cx in combinations_with_replacement(range(dim), nx):
         for cp in combinations_with_replacement(range(dim), npr):
-            offs_x, offs_xp, wts = _entry_stencil(dim, cx, cp, second_order)
+            offs_x, offs_xp, wts = _entry_stencil(dim, cx, cp, two_point_from)
             targets = {px + pp for px in permutations(cx) for pp in permutations(cp)}
             entries.append((offs_x, offs_xp, wts, tuple(targets)))
     return entries
@@ -199,9 +199,9 @@ _SHARED_STEPS = tuple(map(_STEP_COEFS.index, _STEP_COEFS))
 
 @lru_cache(maxsize=None)
 def _stencil_plan(dim: int, orders: tuple, coincident: bool,
-                  second_order: bool = False, shared: tuple = _SHARED_STEPS) -> _Plan:
-    """shared: per total order 1 to 4, an index equal between two orders
-    exactly where their steps are (_step_coefs), one step class each."""
+                  two_point_from: int = 3, shared: tuple = _SHARED_STEPS) -> _Plan:
+    """two_point_from as in _entry_stencil.  shared: an index per total order
+    1 to 4, equal where two orders share a step (_world_class), one class each."""
     classes, tensors, blocks = {}, [], []  # classes: shared index -> (class, order)
     cursor = 0
     for nx, npr in orders:
@@ -211,7 +211,7 @@ def _stencil_plan(dim: int, orders: tuple, coincident: bool,
             cursor += 1
             continue
         cls, _ = classes.setdefault(shared[nx + npr - 1], (len(classes), nx + npr))
-        entries = sorted(_tensor_entries(dim, nx, npr, second_order), key=lambda e: len(e[2]))
+        entries = sorted(_tensor_entries(dim, nx, npr, two_point_from), key=lambda e: len(e[2]))
         units, place = {}, np.empty((dim,) * (nx + npr), dtype=np.intp)
         for column, (offs_x, offs_xp, wts, targets) in enumerate(entries):
             blocks.append(np.column_stack([np.full(len(wts), cls, dtype=np.int8), offs_x, offs_xp]))
@@ -289,9 +289,9 @@ def partial_tensors(fn, x, xp, orders, *, second_order: bool = False):
     xp = np.asarray(xp, dtype=float)
     d = x.shape[-1]
     coincident = isinstance(fn, _Parts) and np.array_equal(x, xp)
-    coefs = _step_coefs(fn)
+    two_point_from, coefs = _world_class(fn)
     plan = _stencil_plan(d, tuple((nx, npr) for nx, npr in orders), coincident,
-                         second_order, tuple(map(coefs.index, coefs)))
+                         1 if second_order else two_point_from, tuple(map(coefs.index, coefs)))
 
     # stencils far out in the chart overflow: raise below rather than warn
     with np.errstate(all="ignore"):

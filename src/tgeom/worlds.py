@@ -240,7 +240,7 @@ class WorldFunction:
         """max(1, max|a3|, |alpha| max|b|) where the spec's closed form is a
         polynomial in xi, a shipped family without the screening beta; None
         for case2 and for a world without a spec, whose smoothness is not
-        known.  fd steps derivative orders 2 to 4 by it."""
+        known.  fd sets the steps and rules of orders 2 to 4 by it."""
         spec = self.spec
         if spec is None or spec.beta is not None:
             return None

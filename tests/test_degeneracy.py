@@ -202,7 +202,7 @@ def test_coordinate_jacobian_matches_per_entry_dots(all_worlds):
         for q in diagnostic_probes(4, 6, seed=0):
             step = fd.step_size(fb.coordinates, 1, basis[0], q)
             want = np.zeros((4, 4))
-            for _, offs_q, unit, targets in fd._tensor_entries(4, 0, 1, True):
+            for _, offs_q, unit, targets in fd._tensor_entries(4, 0, 1, 1):
                 rows = fb.coordinates(w, q + step * offs_q).T
                 for i, row in enumerate(rows):
                     want[(i,) + targets[0]] = np.dot(np.ascontiguousarray(row), unit / step)

@@ -32,7 +32,11 @@ PARTS = ("full", "sym", "asym")
 
 def naive_part_tensors(w, x, xp, orders, second_order=False):
     """part_tensors entry by entry: two world calls per entry stencil, at
-    w's own steps (fd.step_size)."""
+    w's own steps (fd.step_size) and on w's own rule: the 2-point rule on
+    the first-derivative axes of every order in a second_order request,
+    from order 2 on a polynomial world and from order 3 elsewhere."""
+    polynomial = getattr(w, "polynomial_scale", None) is not None
+    two_point_from = 1 if second_order else 2 if polynomial else 3
     out = {part: {} for part in PARTS}
     for nx, npr in orders:
         order = nx + npr
@@ -44,7 +48,7 @@ def naive_part_tensors(w, x, xp, orders, second_order=False):
         step = fd.step_size(w, order, x, xp)
         tensors = np.zeros((3,) + (x.shape[-1],) * order)
         for offs_x, offs_xp, unit, targets in fd._tensor_entries(x.shape[-1], nx, npr,
-                                                                 second_order):
+                                                                 two_point_from):
             p, q = x + step * offs_x, xp + step * offs_xp
             fwd, rev = w(p, q), w(q, p)
             wts = unit / step**order
@@ -79,9 +83,9 @@ def test_plan_matches_naive_entries(all_worlds, orders, anchor):
 @pytest.mark.parametrize("key,points", [((1, 1), 64), ((0, 2), 33)], ids=["11", "02"])
 def test_second_order_plan_matches_naive_entries(all_worlds, key, points, anchor):
     x, xp = ANCHORS[anchor]
-    for offs_x, offs_xp, _, _ in fd._tensor_entries(4, *key, True):
+    for offs_x, offs_xp, _, _ in fd._tensor_entries(4, *key, 1):
         assert np.max(np.abs(np.concatenate([offs_x, offs_xp]))) == 1  # no 4-point rule
-    assert len(fd._stencil_plan(4, (key,), False, True).cls) == points
+    assert len(fd._stencil_plan(4, (key,), False, 1).cls) == points
     for name, w in all_worlds.items():
         got = fd.part_tensors(w, x, xp, [key], second_order=True)
         want = naive_part_tensors(w, x, xp, [key], second_order=True)
@@ -198,14 +202,17 @@ def test_non_finite_world_value_raises(cubic, bad, anchor):
             run()
 
 
-# Step classes.  A world whose spec has no screening beta is a polynomial in
-# xi, on which every rule of an order-2 to order-4 tensor is exact: those
-# orders share one step.  case2 and callable worlds keep the per-order
-# balance of truncation against rounding.
+# Step and rule classes.  A world whose spec has no screening beta is a
+# polynomial in xi, on which every rule of an order-2 to order-4 tensor is
+# exact, the 2-point rule on a first-derivative axis included: those orders
+# share one step and take that rule.  case2 and callable worlds keep the
+# per-order balance of truncation against rounding, and the 4-point rule at
+# order 2.
 EPS = np.finfo(float).eps
 BALANCE = {1: EPS ** (1 / 5), 2: EPS ** (1 / 4), 3: EPS ** (1 / 5), 4: EPS ** (1 / 6)}
-COINCIDENCE_REQUESTS = {"coefficients": (_COEFFICIENT_ORDERS, 961, 1057),
-                        "curvature": (_F_ORDERS + _CURVATURE_ORDERS, 2081, 2993)}
+COINCIDENCE_REQUESTS = {"coefficients": (_COEFFICIENT_ORDERS, 625, 1057),
+                        "curvature": (_F_ORDERS + _CURVATURE_ORDERS, 1969, 2993)}
+ORDERS_2_TO_4 = [(nx, n - nx) for n in (2, 3, 4) for nx in range(n + 1)]
 
 
 def _counting(w):
@@ -217,6 +224,22 @@ def _counting(w):
         return w(a, b)
 
     return counted, sizes
+
+
+def _points(w, x, xp, orders):
+    """The world points that partial_tensors reads for orders on w, through
+    a counting world with w's spec."""
+    counted, sizes = _counting(w)
+    fd.partial_tensors(WorldFunction(counted, w.dim, spec=w.spec, label=w.kind), x, xp, orders)
+    return sum(sizes)
+
+
+def _assert_plain_is_second_order(w, x, xp, name, orders=ORDERS_2_TO_4):
+    """A plain request of orders gives the bits of a second_order one."""
+    plain = fd.partial_tensors(w, x, xp, orders)
+    second = fd.partial_tensors(w, x, xp, orders, second_order=True)
+    for key in orders:
+        assert np.array_equal(plain[key], second[key]), (name, key)
 
 
 @pytest.mark.parametrize("request_name", COINCIDENCE_REQUESTS)
@@ -261,6 +284,29 @@ def test_screened_and_callable_worlds_keep_the_balance(all_worlds, request_name)
                     assert np.array_equal(got[part][key], want[part][key]), (name, part, key)
 
 
+@pytest.mark.parametrize("anchor", ["coincident", "separated"])
+def test_polynomial_worlds_take_the_two_point_rule_from_order_2(all_worlds, anchor):
+    # plain and second_order requests agree bit for bit from order 2 on, and
+    # a (1, 1) tensor reads 64 points, not 256; order 1 keeps the 4-point
+    # rule, and case2 and callable worlds keep it at order 2
+    x, xp = ANCHORS[anchor]
+    for name, w in all_worlds.items():
+        if name == "case2":
+            assert _points(w, x, XP0, [(1, 1)]) == 256
+            continue
+        _assert_plain_is_second_order(w, x, xp, name)
+        got = fd.part_tensors(w, x, xp, ORDERS_2_TO_4)
+        want = fd.part_tensors(w, x, xp, ORDERS_2_TO_4, second_order=True)
+        for part in PARTS:
+            for key in ORDERS_2_TO_4:
+                assert np.array_equal(got[part][key], want[part][key]), (name, part, key)
+        assert _points(w, x, XP0, [(1, 1)]) == 64, name
+        assert _points(w, x, XP0, [(1, 0)]) == 16, name
+        counted, sizes = _counting(w)
+        fd.partial_tensors(world_from_callable(counted, 4), x, XP0, [(1, 1)])
+        assert sizes == [256], name
+
+
 @pytest.mark.parametrize("doc", [{"kind": "cubic_a", "a3": [1e308]},
                                  {"kind": "case1", "b": [1.0], "alpha": 1e200}],
                          ids=["huge-a3", "huge-alpha"])
@@ -271,3 +317,9 @@ def test_polynomial_step_shrinks_with_the_coefficients(doc):
     x = np.array([0.1])
     for n in (1, 2, 3, 4):
         assert fd.step_size(w, n, x, x) == BALANCE[n] * 1.1
+    # the rule follows the class, not the step: still 2 points per axis
+    # from order 2 on, and 4 at order 1 (orders 2 and 3 compared: order 4's
+    # weights overflow against values near 1e300)
+    assert _points(w, x, x, [(1, 1)]) == 4 and _points(w, x, x, [(1, 0)]) == 4
+    _assert_plain_is_second_order(w, x, x, doc["kind"],
+                                  [key for key in ORDERS_2_TO_4 if sum(key) < 4])
