@@ -48,7 +48,7 @@ def main():
     basis[:, 0] += 0.1 * np.arange(5)
     probes = diagnostic_probes(4)
     for name, w in worlds.items():
-        rep = euclideaness_check(w, 4, basis, probes)
+        rep = euclideaness_check(w, basis, probes)
         failing = [c.name for c in rep.checks if not c.verdict]
         print(f"{name:22s} -> {rep.summary['classification']:17s}"
               + (f" (failing: {', '.join(failing)})" if failing else ""))

@@ -41,9 +41,12 @@ def _tensors(w: WorldFunction, x, xp, orders, part: str) -> dict:
 
 
 def _inv(m: np.ndarray, what: str) -> np.ndarray:
+    """inv(m) for a finite m whose 2-norm condition number is at most 1e12;
+    SingularMetricError otherwise.  A singular m has an infinite condition
+    number, and a NaN one fails the test too."""
     if not np.all(np.isfinite(m)):
         raise SingularMetricError(f"{what} has non-finite entries")
-    if abs(np.linalg.det(m)) < 1e-300 or np.linalg.cond(m) > 1e12:
+    if not np.linalg.cond(m) <= 1e12:
         raise SingularMetricError(f"{what} is numerically singular")
     return np.linalg.inv(m)
 
@@ -63,10 +66,6 @@ class FundamentalMetric:
     contra: np.ndarray
     g_cov: np.ndarray
     g_contra: np.ndarray
-
-
-def _mixed_second(w, x, xp, part):
-    return _tensors(w, x, xp, [(1, 1)], part)[(1, 1)]
 
 
 def fundamental_metric(w: WorldFunction, x, xp) -> FundamentalMetric:
@@ -248,13 +247,11 @@ def transport_matrix(w: WorldFunction, space: str, x, xp) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     part = "full" if space.startswith("tilde") else "sym"
-    s = _mixed_second(w, x, xp, part)
+    s = _tensors(w, x, xp, [(1, 1)], part)[(1, 1)]
     if space in ("tilde_xprime", "g_xprime"):
-        anchor = _mixed_second(w, xp, xp, part)
-        return s @ _inv(anchor, "anchor fundamental metric")
+        return s @ _inv(_tensors(w, xp, xp, [(1, 1)], part)[(1, 1)], "anchor fundamental metric")
     if space in ("tilde_x", "g_x"):
-        anchor = _mixed_second(w, x, x, part)
-        return s.T @ _inv(anchor, "anchor fundamental metric")
+        return s.T @ _inv(_tensors(w, x, x, [(1, 1)], part)[(1, 1)], "anchor fundamental metric")
     raise ValueError(f"unknown transport space {space!r}; expected one of {TRANSPORT_SPACES}")
 
 

@@ -234,8 +234,7 @@ def _cmd_check(args):
         basis[:, 0] += 0.1 * np.arange(w.dim + 1)
         probes = degeneracy.diagnostic_probes(w.dim, max(4, args.probes),
                                               seed=args.seed)
-        report = degeneracy.euclideaness_check(w, w.dim, basis, probes,
-                                               seed=args.seed)
+        report = degeneracy.euclideaness_check(w, basis, probes, seed=args.seed)
     _write_json(args.out, report.to_dict())
     return 0
 

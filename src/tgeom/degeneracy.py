@@ -32,12 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fd
-from .errors import (
-    DegenerateSkeletonError,
-    DimensionMismatchError,
-    GeometryError,
-    SingularMetricError,
-)
+from .errors import DegenerateSkeletonError, GeometryError, SingularMetricError
 from .newton import newton
 from .products import Multivector, _det, product_matrix
 from .products import gram  # noqa: F401 (perfbench/instrument.py patches degeneracy.gram)
@@ -173,10 +168,12 @@ def diagnostic_probes(dim: int, count: int = 24, seed: int = 13) -> np.ndarray:
     return probes
 
 
-def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
+def euclideaness_check(w: WorldFunction, basis_points, probes,
                        seed: int = 0) -> DegeneracyReport:
     """Run the four flat-space conditions against a basis and probe set.
 
+    The basis of n + 1 points tests for an n-dimensional flat space; n
+    need not be the chart's dimension (condition IV then reads 1).
     Conditions I-III are residual checks at IDENTITY_THRESHOLD; condition IV
     reports 1 - (Newton solve success rate) over sampled coordinate targets,
     a sampled proxy for continuum solvability, passing only at rate one.  IV
@@ -185,8 +182,7 @@ def euclideaness_check(w: WorldFunction, n: int, basis_points, probes,
     proper ('euclidean') or mixed-signature ('pseudo_euclidean').
     """
     basis = Multivector(np.asarray(basis_points, dtype=float))
-    if basis.order != n:
-        raise DimensionMismatchError(f"basis must contain {n + 1} points")
+    n = basis.order
     pts = np.asarray(probes, dtype=float)
     if len(pts) == 0:
         raise ValueError("need at least one probe point")

@@ -325,9 +325,12 @@ def partial_tensors(fn, x, xp, orders, *, second_order: bool = False):
         # one (1, k) @ (k, 1) product per entry and value row; on contiguous
         # stencil values it is np.dot's BLAS dot, which a strided operand
         # would swap for a loop summing in another order
-        vals = [(np.ascontiguousarray(values[..., rows])[..., None, :]
-                 @ (unit / scale)[..., None])[..., 0, 0] for rows, unit in groups]
+        with np.errstate(all="ignore"):  # an overflowing sum raises below
+            vals = [(np.ascontiguousarray(values[..., rows])[..., None, :]
+                     @ (unit / scale)[..., None])[..., 0, 0] for rows, unit in groups]
         out[(nx, npr)] = np.concatenate(vals, axis=-1)[..., place]
+        if not np.all(np.isfinite(out[(nx, npr)])):
+            raise FloatingPointError(f"stencil tensor overflows at derivative order {nx + npr}")
     return out
 
 

@@ -19,7 +19,7 @@ normalized chord length first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -407,32 +407,16 @@ def path_deviation(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _map_from_descriptor(descriptor) -> tuple[Callable, Callable]:
-    """Shipped monotone maps of the world-function value: ('scale', c) and
-    ('quadratic', eps), plus 'identity'."""
-    if descriptor == "identity":
-        return (lambda s: s), (lambda s: np.ones_like(np.asarray(s, float)))
-    name, param = descriptor
-    if name == "scale":
-        c = float(param)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return (lambda s: c * s), (lambda s: c * np.ones_like(np.asarray(s, float)))
-    if name == "quadratic":
-        eps = float(param)
-        return (lambda s: s + eps * s * s), (lambda s: 1.0 + 2.0 * eps * s)
-    raise ValueError(f"unknown map descriptor {descriptor!r}")
-
-
-def reparam_invariance_check(w: WorldFunction, descriptor, kind: str, x_start,
+def reparam_invariance_check(w: WorldFunction, transform, kind: str, x_start,
                              x_end, tau_grid: Sequence[float]) -> float:
     """Max chord-aligned deviation between the gradient line of the world
-    and that of the monotonically transformed world.
+    and that of the monotonically transformed world f(w).
 
-    The transform must have positive derivative over the world-function
-    values encountered; this is validated on the solved samples.
+    transform is the pair (f, f_prime) of vectorized callables.  f_prime
+    must be positive over the world-function values encountered; this is
+    validated on the solved samples.
     """
-    f_map, f_prime = _map_from_descriptor(descriptor)
+    f_map, f_prime = transform
     wt = world_from_callable(lambda a, b: f_map(w(a, b)), w.dim,
                              label=f"{w.kind}|transformed")
     base = gradient_line_implicit(w, kind, x_start, x_end, tau_grid)

@@ -753,7 +753,7 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     # the residual's degree in r along a section, and none where beta
     # brings poles; without a3 it is even in r, as b is aligned with y
     even = w.spec.a3 is None
-    degree = None if w.spec.beta is not None else 4 if even else 6
+    degree = None if w.polynomial_scale is None else 4 if even else 6
     skeleton = np.stack([origin, y])
 
     def worlds(tau, r):
@@ -796,11 +796,13 @@ class BrokenTube:
     multiplicity_flags: list = field(default_factory=list)
 
 
-def kind_length_sq(w: WorldFunction, kind: str, pa, pb) -> float:
+def kind_length_sq(w: WorldFunction, kind: str, pa, pb):
     """Squared segment length of the kind, 2 k(pa, pb).  NaN or infinite,
-    without a warning, at a pole of the world function."""
+    without a warning, at a pole of the world function.  Broadcasts over
+    leading axes, and is a float for one segment."""
     with np.errstate(all="ignore"):
-        return 2.0 * float(w.of_kind(kind, pa, pb))
+        sq = 2.0 * np.asarray(w.of_kind(kind, pa, pb), dtype=float)
+    return float(sq) if sq.ndim == 0 else sq
 
 
 def _timelike_length_sq(w: WorldFunction, kind: str, pa, pb, what: str) -> float:
@@ -816,7 +818,7 @@ def _check_chain_inputs(mu, **points):
     """Raise ValueError, before any world call, unless mu is positive and
     finite and every named point is finite."""
     if not 0.0 < mu < np.inf:  # NaN fails too
-        raise ValueError(f"mu must be positive and finite (got {mu!r})")
+        raise ValueError(f"mu must be positive and finite (got {float(mu)!r})")
     for name, p in points.items():
         if not np.all(np.isfinite(p)):
             raise ValueError(f"{name} must be finite")
@@ -874,50 +876,41 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     new segment's kind length, solved for (next vertex, multiplier).  The
     kind length (not the symmetrized one) is what makes the chain converge
     to the kind's gradient line as mu shrinks.  The residual, the Jacobian
-    and the step's start share one memo of the objective and constraint
-    gradients at the last vertex asked for, each computed when first asked
-    for there: the Jacobian's border reads the constraint gradient alone.
-    The Jacobian keeps its value at the last point asked for.
+    and the step's start share one memo, keyed by the last vertex asked
+    for, of the objective and constraint gradients (order 1) and their
+    2-point Hessians (order 2), each computed when first asked for there:
+    the Jacobian's border reads the constraint gradient alone.
     """
     d = w.dim
     ends = {"objective": p_prev, "constraint": p_mid}
-    memo = {}  # the last vertex and the gradients asked for there
-    jac_memo = {}  # the last (vertex, multiplier) and its Jacobian
+    memo = {}  # the last vertex and the tensors asked for there
 
-    def gradient(p, which):
+    def tensor(p, which, order):
         if not np.array_equal(memo.get("p"), p):
             memo.clear()
             memo["p"] = p.copy()
-        if which not in memo:
-            memo[which] = fd.kind_tensor(w, kind, ends[which], p, 0, 1)
-        return memo[which]
-
-    def gradients(p):
-        return gradient(p, "objective"), gradient(p, "constraint")
+        if (which, order) not in memo:
+            memo[which, order] = fd.kind_tensor(w, kind, ends[which], p, 0, order,
+                                                second_order=order == 2)
+        return memo[which, order]
 
     def residual(z):
         p, lam = z[:d], z[d]
-        og, cg = gradients(p)
         r = np.empty(d + 1)
-        r[:d] = og - lam * cg
+        r[:d] = tensor(p, "objective", 1) - lam * tensor(p, "constraint", 1)
         r[d] = kind_length_sq(w, kind, p_mid, p) - mu * mu
         return r
 
     def jacobian(z):
-        # newton asks for the Jacobian at the point of its last residual
-        if np.array_equal(jac_memo.get("z"), z):
-            return jac_memo["jac"]
         p, lam = z[:d], z[d]
         jac = np.zeros((d + 1, d + 1))
-        jac[:d, :d] = (fd.kind_tensor(w, kind, p_prev, p, 0, 2, second_order=True)
-                       - lam * fd.kind_tensor(w, kind, p_mid, p, 0, 2, second_order=True))
-        cg = gradient(p, "constraint")
+        jac[:d, :d] = tensor(p, "objective", 2) - lam * tensor(p, "constraint", 2)
+        cg = tensor(p, "constraint", 1)
         jac[:d, d] = -cg
         jac[d, :d] = 2.0 * cg
-        jac_memo.update(z=z.copy(), jac=jac)
         return jac
 
-    return residual, jacobian, gradients
+    return residual, jacobian, tensor
 
 
 def _isolated(jacobian, z1, z_a) -> bool:
@@ -965,10 +958,10 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     _check_chain_inputs(mu, p0=p0, p1=p1)
-    seed_sq = _timelike_length_sq(w, kind, p0, p1, "seed segment")
-    if abs(np.sqrt(seed_sq) - mu) > 1e-8 * mu:
+    seed_len = float(np.sqrt(_timelike_length_sq(w, kind, p0, p1, "seed segment")))
+    if abs(seed_len - mu) > 1e-8 * mu:
         raise GeometryError(
-            f"seed segment kind length {np.sqrt(seed_sq)!r} does not match mu={mu!r}"
+            f"seed segment kind length {seed_len!r} does not match mu={float(mu)!r}"
         )
     d = w.dim
     # every vertex row up front, so a chain that memory cannot hold fails
@@ -979,7 +972,7 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     scale = 1.0 + mu * mu
     for index in range(steps):
         prev_p, mid = verts[index], verts[index + 1]
-        residual, jacobian, gradients = _step_system(w, kind, prev_p, mid, mu)
+        residual, jacobian, tensor = _step_system(w, kind, prev_p, mid, mu)
 
         def solve(z0):
             try:
@@ -995,7 +988,8 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
             return z
 
         guess = 2.0 * mid - prev_p
-        og, cg = gradients(guess)  # the first residual reuses them
+        # the first residual reuses both gradients
+        og, cg = tensor(guess, "objective", 1), tensor(guess, "constraint", 1)
         denom = float(cg @ cg)
         lam0 = float(og @ cg) / denom if denom > 0 else 1.0
         z0 = np.concatenate([guess, [lam0]])
@@ -1023,10 +1017,8 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         verts[index + 2] = new_p
 
     par = chain_parallel_residual(w, kind, verts[:-2], verts[1:-1], verts[2:])
-    with np.errstate(all="ignore"):  # kind_length_sq of every segment
-        lens_sq = 2.0 * w.of_kind(kind, verts[:-1], verts[1:])
-    lens = np.abs(np.sqrt(lens_sq) - mu) / mu
-    sym_lens = np.abs(np.sqrt(2.0 * w.sym(verts[:-1], verts[1:])) - mu) / mu
+    lens, sym_lens = (np.abs(np.sqrt(kind_length_sq(w, k, verts[:-1], verts[1:])) - mu) / mu
+                      for k in (kind, "n"))
     return BrokenTube(vertices=verts, mu=float(mu), kind=kind,
                       parallel_residuals=par, length_residuals=lens,
                       sym_length_residuals=sym_lens,

@@ -204,9 +204,6 @@ class WorldSpec:
             doc["a3"] = [float(v) for v in np.asarray(self.a3).ravel()]
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def parts(fwd, rev):
     """(symmetric, antisymmetric) parts of a world function from its values

@@ -147,7 +147,7 @@ def test_criterion_06_euclideaness_suite():
     for n in (2, 3, 4):
         w = world("euclidean", dim=n, metric=[1] * n)
         basis = np.vstack([np.zeros(n), np.eye(n)])
-        rep = euclideaness_check(w, n, basis, diagnostic_probes(n))
+        rep = euclideaness_check(w, basis, diagnostic_probes(n))
         for name in ("I_symmetry", "II_dimension", "III_reconstruction"):
             worst = max(worst, rep[name].residual)
         assert rep.summary["classification"] == "euclidean"
@@ -163,7 +163,7 @@ def test_criterion_06_euclideaness_suite():
         "cubic_a": world("cubic_a", a3=random_a3(seed=0).ravel().tolist()),
     }
     detected = all(
-        not euclideaness_check(w, 4, basis, probes)["I_symmetry"].verdict
+        not euclideaness_check(w, basis, probes)["I_symmetry"].verdict
         for w in asym_worlds.values()
     )
     ok = flat_ok and detected
@@ -319,8 +319,8 @@ def test_criterion_09_gradient_line_cross_validation():
     kinds = max(float(np.max(np.abs(trajs[k].points - trajs["f"].points)))
                 for k in "pn")
 
-    reparam = reparam_invariance_check(small, ("quadratic", 0.01), "f",
-                                       xa, xb, grid)
+    quadratic = (lambda s: s + 0.01 * s * s), (lambda s: 1.0 + 0.02 * s)
+    reparam = reparam_invariance_check(small, quadratic, "f", xa, xb, grid)
     ok = cross <= 1e-6 and kinds <= 1e-9 and reparam <= 1e-6
     report(9, ok, f"implicit vs integrated {cross:.2e} (1e-6); symmetric "
                   f"kinds coincide {kinds:.2e} (1e-9); reparametrization "

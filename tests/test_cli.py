@@ -158,7 +158,7 @@ def test_check_euclideaness_probes(tmp_path, world_file):
     basis = 0.5 * np.vstack([np.zeros(4), np.eye(4)])
     basis[:, 0] += 0.1 * np.arange(5)
     probes = tgeom.degeneracy.diagnostic_probes(4, 6, seed=3)
-    want = tgeom.euclideaness_check(w, 4, basis, probes, seed=3)
+    want = tgeom.euclideaness_check(w, basis, probes, seed=3)
     assert reports[6] == want.to_json() + "\n"
     assert reports[2] == reports[4]
     assert reports[4] != reports[6]
@@ -582,6 +582,40 @@ def test_exit_code_singular_initial_velocity(tmp_path, world_file, doc, start, e
     jsonschema.validate(err, schema("error.json"))
     assert err["error"] == "geometry" and "initial-velocity" in err["detail"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["coefficients"], ["curvature"], ["check", "degeneration"]],
+                         ids=["coefficients", "curvature", "check-degeneration"])
+@pytest.mark.parametrize("doc", [{**CUBIC, "a3": [1e308] * 64}, {**CASE1, "alpha": 1e200}],
+                         ids=["cubic-huge-a3", "case1-huge-alpha"])
+def test_extreme_coefficients_meet_error_contract(tmp_path, world_file, command, doc):
+    # coefficients near the float range: an input or solver error, one JSON
+    # line on stderr and no numpy warning, from every coincidence command
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = run(command + ["--world", world_file(doc), "--at", "0.1,0,0,0",
+                              "--out", str(tmp_path / "x.json")])
+    assert code in (1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1
+    jsonschema.validate(json.loads(lines[0]), schema("error.json"))
+
+
+def test_seed_mismatch_detail_reads_plain_floats(tmp_path, world_file, capsys):
+    # the seed's kind length is about 0.09992, not mu: the detail prints
+    # both as plain floats, not as numpy scalar reprs
+    code = run(["broken-tube", "--world", world_file({**CUBIC, "a3": [0.05] * 64}),
+                "--kind", "f", "--mu", "0.1", "--steps", "1", "--seed-from", "0,0,0,0",
+                "--seed-to", "0.1,0,0,0", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    jsonschema.validate(err, schema("error.json"))
+    assert err["error"] == "geometry"
+    assert "np.float64" not in err["detail"]
+    assert err["detail"].startswith("seed segment kind length 0.0999")
+    assert err["detail"].endswith("does not match mu=0.1")
 
 
 _AT_VALUES = st.one_of(

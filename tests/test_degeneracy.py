@@ -3,6 +3,7 @@ import pytest
 
 from tgeom import (
     DegenerateSkeletonError,
+    GeometryError,
     Multivector,
     SingularMetricError,
     degeneration_check,
@@ -43,7 +44,7 @@ def staggered_basis(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_euclidean_world_passes_all_conditions(n):
     w = world("euclidean", dim=n, metric=[1] * n)
-    report = euclideaness_check(w, n, orthonormal_basis(n), probes_for(n))
+    report = euclideaness_check(w, orthonormal_basis(n), probes_for(n))
     for check in report.checks:
         assert check.verdict, check.name
         if check.name != "IV_solvability":
@@ -53,7 +54,7 @@ def test_euclidean_world_passes_all_conditions(n):
 
 
 def test_minkowski_is_pseudo_euclidean(minkowski):
-    report = euclideaness_check(minkowski, 4, orthonormal_basis(4), probes_for(4))
+    report = euclideaness_check(minkowski, orthonormal_basis(4), probes_for(4))
     assert report.summary["conditions_passed"]
     assert report.summary["classification"] == "pseudo_euclidean"
     assert sorted(report.summary["eigenvalue_signs"]) == [-1, -1, -1, 1]
@@ -65,7 +66,7 @@ def test_asymmetric_worlds_fail_condition_one(all_worlds):
     basis[:, 0] += 0.1 * np.arange(5)
     probes = diagnostic_probes(4)
     for name in ("constant_a", "case1", "case2", "cubic_a"):
-        report = euclideaness_check(all_worlds[name], 4, basis, probes)
+        report = euclideaness_check(all_worlds[name], basis, probes)
         assert not report["I_symmetry"].verdict, name
         assert report.summary["classification"] == "not_euclidean", name
 
@@ -97,9 +98,9 @@ def test_euclideaness_world_call_budget(case1):
 
     w = world_from_callable(counted, 4, label="case1")
     probes = diagnostic_probes(4, 24, seed=0)
-    report = euclideaness_check(w, 4, staggered_basis(4), probes, seed=0)
+    report = euclideaness_check(w, staggered_basis(4), probes, seed=0)
     assert (len(sizes), sum(sizes)) == (54, 1125)
-    want = euclideaness_check(case1, 4, staggered_basis(4), probes, seed=0)
+    want = euclideaness_check(case1, staggered_basis(4), probes, seed=0)
     assert report.to_json() == want.to_json()
     sizes.clear()
     FlatBasis.build(w, Multivector(staggered_basis(4)))
@@ -235,7 +236,7 @@ def test_condition_two_matches_per_probe_gram(all_worlds, n, seed):
     basis = staggered_basis(4)[:n + 1]
     probes = diagnostic_probes(4, 24, seed=seed)
     for name, w in all_worlds.items():
-        report = euclideaness_check(w, n, basis, probes)
+        report = euclideaness_check(w, basis, probes)
         nondegenerate, dimension = condition_two_by_gram(w, n, basis, probes)
         assert report["II_basis_nondegenerate"].residual.hex() == nondegenerate.hex(), name
         assert report["II_dimension"].residual.hex() == dimension.hex(), name
@@ -246,7 +247,7 @@ def test_condition_two_matches_per_probe_gram(all_worlds, n, seed):
 def test_screened_pole_reported(case2):
     # the unit spacelike basis separation sits exactly on the screening pole
     with pytest.raises(SingularMetricError, match="pole"):
-        euclideaness_check(case2, 4, orthonormal_basis(4), probes_for(4))
+        euclideaness_check(case2, orthonormal_basis(4), probes_for(4))
 
 
 def test_wrong_dimension_fails_condition_two():
@@ -254,7 +255,7 @@ def test_wrong_dimension_fails_condition_two():
     # must reject the n=2 hypothesis
     w = world("euclidean", dim=3, metric=[1, 1, 1])
     basis = np.vstack([np.zeros(3), np.eye(3)[:2]])
-    report = euclideaness_check(w, 2, basis, probes_for(3))
+    report = euclideaness_check(w, basis, probes_for(3))
     assert not report["II_dimension"].verdict
     assert report.summary["classification"] == "not_euclidean"
 
@@ -263,15 +264,48 @@ def test_degenerate_basis_rejected(euclid3):
     basis = np.vstack([np.zeros(3), np.eye(3)])
     basis[2] = basis[1]  # repeated basis point
     with pytest.raises(DegenerateSkeletonError):
-        euclideaness_check(euclid3, 3, basis, probes_for(3))
+        euclideaness_check(euclid3, basis, probes_for(3))
 
 
 def test_general_position_basis(euclid3):
     # conditions do not depend on the basis being orthonormal
     rng = np.random.default_rng(3)
     basis = rng.normal(size=(4, 3))
-    report = euclideaness_check(euclid3, 3, basis, probes_for(3))
+    report = euclideaness_check(euclid3, basis, probes_for(3))
     assert report.summary["classification"] == "euclidean"
+
+
+def test_condition_four_counts_a_solve_that_leaves_the_chart():
+    # a flat plane whose chart ends at radius 1.2: the targets in the
+    # corners of the coordinate box of probes on the unit circle lie
+    # outside, so the solves toward them raise GeometryError, each counted
+    # as a failure and none escaping the report
+    def evaluate(x, xp):
+        if np.any(np.linalg.norm(x, axis=-1) > 1.2) or np.any(np.linalg.norm(xp, axis=-1) > 1.2):
+            raise GeometryError("outside the chart")
+        xi = x - xp
+        return 0.5 * np.einsum("...i,...i", xi, xi)
+
+    angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    probes = np.column_stack([np.cos(angles), np.sin(angles)])
+    report = euclideaness_check(world_from_callable(evaluate, 2), orthonormal_basis(2), probes)
+    assert all(c.verdict for c in report.checks[:4])
+    assert 0.0 < report["IV_solvability"].residual < 1.0
+    assert report.summary["classification"] == "not_euclidean"
+
+
+def test_condition_four_fails_a_basis_smaller_than_the_chart():
+    # a flat plane in a 3-dimensional chart, blind to x2: the 2-dimensional
+    # basis passes I-III, but 2 coordinates cannot fix 3 chart coordinates
+    def evaluate(x, xp):
+        xi = (x - xp)[..., :2]
+        return 0.5 * np.einsum("...i,...i", xi, xi)
+
+    basis = np.vstack([np.zeros(3), np.eye(3)[:2]])
+    report = euclideaness_check(world_from_callable(evaluate, 3), basis, probes_for(3))
+    assert all(c.verdict for c in report.checks[:4])
+    assert report["IV_solvability"].residual == 1.0
+    assert report.summary["classification"] == "not_euclidean"
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +424,7 @@ def test_reports_stop_at_the_verdict(all_worlds):
     probes = diagnostic_probes(4)
     skipped = {"euclideaness": set(), "degeneration": set()}
     for name, w in all_worlds.items():
-        report = euclideaness_check(w, 4, staggered_basis(4), probes)
+        report = euclideaness_check(w, staggered_basis(4), probes)
         names = [c.name for c in report.checks]
         flat = all(c.verdict for c in report.checks[:4])
         assert names[:4] == ["I_symmetry", "II_basis_nondegenerate", "II_dimension",

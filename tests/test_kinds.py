@@ -71,7 +71,7 @@ def _taking_a_kind(case1, cubic):
         "initial_velocity": lambda k: lines.initial_velocity(cubic, k, ORIGIN, B),
         "gradient_line_ode": lambda k: lines.gradient_line_ode(cubic, k, ORIGIN, Y, (0.0, 1.0)),
         "reparam_invariance_check": lambda k: lines.reparam_invariance_check(
-            cubic, ("scale", 2.0), k, ORIGIN, B, [0.5, 1.0]),
+            cubic, (lambda s: 2.0 * s, lambda s: np.full_like(s, 2.0)), k, ORIGIN, B, [0.5, 1.0]),
         "collinearity_residual": lambda k: products.collinearity_residual(cubic, k, skel, q),
         "is_collinear": lambda k: products.is_collinear(cubic, k, skel, q),
         "parallelism_residual": lambda k: products.parallelism_residual(cubic, k, "parallel",

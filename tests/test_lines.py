@@ -139,6 +139,19 @@ def test_ode_rejects_non_finite_input_before_world_calls(cubic, tau_span, x0, v0
     assert calls == []
 
 
+@pytest.mark.parametrize("tau_span", [(1.0, 0.0), (0.5, 0.5)], ids=["reversed", "empty"])
+def test_ode_rejects_a_span_that_does_not_increase(cubic, tau_span):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return cubic(a, b)
+
+    with pytest.raises(ValueError, match="tau_span must be increasing"):
+        gradient_line_ode(world_from_callable(counted, 4), "n", XA, XB, tau_span)
+    assert calls == []
+
+
 @pytest.mark.parametrize("steps", [2**57, 2**62])
 def test_ode_rejects_unaddressable_grid_before_world_calls(cubic, steps):
     # 2 steps + 1 rows of 4 floats: 2**57 is the least steps whose sample
@@ -402,25 +415,27 @@ def test_implicit_chord_retry_rescues_secant_start(monkeypatch):
 
 
 def test_reparam_invariance_scaling(minkowski):
-    dev = reparam_invariance_check(minkowski, ("scale", 2.0), "f", XA, XB, GRID)
+    scale = (lambda s: 2.0 * s), (lambda s: np.full_like(s, 2.0))
+    dev = reparam_invariance_check(minkowski, scale, "f", XA, XB, GRID)
     assert dev < 1e-10
 
 
 def test_reparam_invariance_quadratic(small_cubic):
-    dev = reparam_invariance_check(small_cubic, ("quadratic", 0.01), "f",
-                                   XA, XB, GRID)
+    quadratic = (lambda s: s + 0.01 * s * s), (lambda s: 1.0 + 0.02 * s)
+    dev = reparam_invariance_check(small_cubic, quadratic, "f", XA, XB, GRID)
     assert dev < 1e-6
 
 
 def test_reparam_identity(minkowski):
-    assert reparam_invariance_check(minkowski, "identity", "n", XA, XB, GRID) == 0.0
+    assert reparam_invariance_check(minkowski, (lambda s: s, np.ones_like), "n",
+                                    XA, XB, GRID) == 0.0
 
 
 def test_reparam_rejects_sign_change(small_cubic):
     # derivative 1 + 2 eps s changes sign over the encountered values
+    quadratic = (lambda s: s - 2.0 * s * s), (lambda s: 1.0 - 4.0 * s)
     with pytest.raises(GeometryError, match="sign"):
-        reparam_invariance_check(small_cubic, ("quadratic", -2.0), "f",
-                                 XA, XB, GRID)
+        reparam_invariance_check(small_cubic, quadratic, "f", XA, XB, GRID)
 
 
 def test_trajectory_validation():

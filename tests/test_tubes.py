@@ -925,6 +925,37 @@ def test_quartic_flags_match_the_always_probe_reference(monkeypatch, offset):
         assert (len(sizes) - len(ref_sizes), sum(sizes) - sum(ref_sizes)) == (6, 54)
 
 
+def test_singular_jacobian_proves_no_isolation():
+    # J(z1) has no inverse, so the test cannot clear the step
+    assert not tubes._isolated(lambda z: np.diag([z[0], 1.0]), np.zeros(2), np.ones(2))
+
+
+def test_failed_probe_solve_leaves_the_step_unflagged(monkeypatch):
+    # the probe solves that would settle on the nearby extrema and flag
+    # every step raise SolverError instead: no second root is shown, so no
+    # step is flagged, and the chain keeps its vertices
+    mu = 0.1
+    p0, p1 = np.zeros(2), np.array([mu, 0.0])
+    w = quartic_world((0.04 * mu) ** -2)
+    ref = build_broken_tube(w, "f", p0, p1, mu, 3)
+    solve, solves = tubes.newton, []
+
+    def newton(*args):
+        solves.append(1)
+        if len(solves) % 2 == 0:  # the probe solve after each step's solve
+            raise SolverError("singular Jacobian", {})
+        return solve(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tubes, "newton", newton)
+        patch.setattr(tubes, "_isolated", lambda *args: False)  # probe every step
+        chain = build_broken_tube(w, "f", p0, p1, mu, 3)
+    assert len(solves) == 6
+    assert ref.multiplicity_flags == [True] * 3
+    assert chain.multiplicity_flags == [False] * 3
+    assert np.array_equal(chain.vertices, ref.vertices)
+
+
 @pytest.mark.parametrize("scale", [0.3, 1.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cubic_flags_match_the_always_probe_reference(monkeypatch, scale, seed):
