@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 input error, 2 solver failure; failures carry a
 JSON error detail on stderr.  CSV output uses '.' decimals, ',' separators
 and 17 significant digits (round-trip safe), always with a header row, and
 is written atomically (temp file + rename).  Repeated runs with identical
-configuration produce byte-identical files.
+configuration produce byte-identical files.  Each subcommand imports
+only the modules it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import tempfile
 
 import numpy as np
 
-from . import calculus, degeneracy, lines, tubes
 from .errors import GeometryError, InvalidWorldSpecError, SolverError
 from .worlds import KINDS, WorldFunction, WorldSpec, make_world
 
@@ -154,6 +154,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_tube_section(args):
+    from . import tubes
+
     w = _load_world(args.world)
     y = _parse_point(args.y, w.dim, "--y")
     if args.tau_steps < 1:
@@ -175,6 +177,8 @@ def _cmd_tube_section(args):
 
 
 def _cmd_gradient_line(args):
+    from . import lines
+
     w = _load_world(args.world)
     x_start = _parse_point(args.from_, w.dim, "--from")
     x_end = _parse_point(args.to, w.dim, "--to")
@@ -198,6 +202,8 @@ def _cmd_gradient_line(args):
 
 
 def _cmd_broken_tube(args):
+    from . import tubes
+
     w = _load_world(args.world)
     p0 = _parse_point(args.seed_from, w.dim, "--seed-from")
     p1 = _parse_point(args.seed_to, w.dim, "--seed-to")
@@ -219,6 +225,8 @@ def _cmd_broken_tube(args):
 
 
 def _cmd_check(args):
+    from . import degeneracy
+
     w = _load_world(args.world)
     if args.what == "degeneration":
         at = (np.zeros(w.dim) if args.at is None
@@ -240,6 +248,8 @@ def _cmd_check(args):
 
 
 def _cmd_coefficients(args):
+    from . import calculus
+
     w = _load_world(args.world)
     at = _parse_point(args.at, w.dim, "--at")
     cc = calculus.coincidence_coefficients(w, at)
@@ -265,6 +275,8 @@ def _cmd_coefficients(args):
 
 
 def _cmd_curvature(args):
+    from . import calculus
+
     w = _load_world(args.world)
     at = _parse_point(args.at, w.dim, "--at")
     bundle = calculus.curvature_bundle(w, at)

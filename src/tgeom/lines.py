@@ -423,9 +423,10 @@ def reparam_invariance_check(w: WorldFunction, transform, kind: str, x_start,
 
     values = np.concatenate([w(base.points, x_start), w(x_start, base.points)])
     derivs = f_prime(values)
-    if np.any(derivs <= 0.0):
+    if not np.all(derivs > 0.0):
         raise GeometryError(
-            "transform derivative changes sign over the encountered values"
+            "transform derivative is not positive over the encountered values "
+            "(it changes sign or is NaN)"
         )
     transformed = gradient_line_implicit(wt, kind, x_start, x_end, tau_grid)
     return curve_deviation(base.points, transformed.points)

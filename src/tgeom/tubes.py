@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
 
 from . import fd
 from .errors import (
@@ -518,6 +517,9 @@ def _proxy_brackets(signed_residual, taus, rmaxs, degree: int, even: bool):
     of opposite signs, or any cluster or root the proxy cannot settle (one
     that touches the axis or rmax, a near-double or near-real pair).
     """
+    # numpy.polynomial loads only for worlds that reach the proxy
+    from numpy.polynomial.chebyshev import chebder, chebval
+
     nodes, to_coef = _chebyshev_nodes(degree + 3)
     half = rmaxs[:, None] / 2
     with np.errstate(all="ignore"):  # overflow far out goes to the grid

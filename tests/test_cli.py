@@ -748,7 +748,7 @@ def test_library_value_error_is_an_input_line(tmp_path, world_file, capsys, monk
     def reject(*args, **kwargs):
         raise ValueError("rejected by the library")
 
-    monkeypatch.setattr("tgeom.cli.tubes.build_broken_tube", reject)
+    monkeypatch.setattr("tgeom.tubes.build_broken_tube", reject)
     assert run(["broken-tube", "--world", world_file(EUCL), "--mu", "0.5", "--steps", "2",
                 "--seed-from", "0,0,0,0", "--seed-to", "0.5,0,0,0",
                 "--out", str(tmp_path / "x.csv")]) == 1
@@ -763,7 +763,7 @@ def test_linear_algebra_error_is_a_solver_line(tmp_path, world_file, capsys, mon
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr("tgeom.cli.calculus.coincidence_coefficients", singular)
+    monkeypatch.setattr("tgeom.calculus.coincidence_coefficients", singular)
     assert run(["coefficients", "--world", world_file(EUCL), "--at", "0,0,0,0",
                 "--out", str(tmp_path / "x.json")]) == 2
     lines = capsys.readouterr().err.splitlines()

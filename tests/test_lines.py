@@ -438,6 +438,13 @@ def test_reparam_rejects_sign_change(small_cubic):
         reparam_invariance_check(small_cubic, quadratic, "f", XA, XB, GRID)
 
 
+def test_reparam_rejects_nan_derivative(minkowski):
+    # NaN compares false both ways, so it must not pass as positive
+    nan_prime = (lambda s: s), (lambda s: np.full_like(s, np.nan))
+    with pytest.raises(GeometryError, match="NaN"):
+        reparam_invariance_check(minkowski, nan_prime, "f", XA, XB, GRID)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError, match="finite"):
         Trajectory(params=np.array([0.0, np.nan]), points=np.zeros((2, 2)),

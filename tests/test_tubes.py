@@ -778,7 +778,8 @@ def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(tgeom.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    code = "import sys, tgeom; sys.exit('scipy' in sys.modules)"
+    # every public name, since a bare import loads no submodule
+    code = "import sys\nfrom tgeom import *\nsys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
