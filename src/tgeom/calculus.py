@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fd
-from .errors import SingularMetricError
-from .worlds import WorldFunction
+from .worlds import WorldFunction, _inv
 
 #: Feature gate for fourth-order objects (curvature bundle); tolerances on
 #: those checks are relaxed because FD noise grows with derivative order.
@@ -38,17 +37,6 @@ def _tensors(w: WorldFunction, x, xp, orders, part: str) -> dict:
     if part in ("sym", "asym"):
         return fd.part_tensors(w, x, xp, orders)[part]
     raise ValueError(f"unknown world-function part {part!r}")
-
-
-def _inv(m: np.ndarray, what: str) -> np.ndarray:
-    """inv(m) for a finite m whose 2-norm condition number is at most 1e12;
-    SingularMetricError otherwise.  A singular m has an infinite condition
-    number, and a NaN one fails the test too."""
-    if not np.all(np.isfinite(m)):
-        raise SingularMetricError(f"{what} has non-finite entries")
-    if not np.linalg.cond(m) <= 1e12:
-        raise SingularMetricError(f"{what} is numerically singular")
-    return np.linalg.inv(m)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ is checked here only as a sampled solve-success rate.
 Conditions II and III read one Gram matrix: the basis matrix
 g_ik = (P0Pi . P0Pk) is evaluated once (FlatBasis), and the coordinates
 x_i(q) = (P0Pi . P0q) of a probe q are the border of the Gram matrix of the
-basis extended by q.  Conditions I and III share one forward row of world
-values per probe.
+basis extended by q.  Conditions I and III read each probe pair once in
+each order.
 
 Tube degeneration (collapse of first-order tubes to curves) requires the
 antisymmetric part's gradient to cancel its own coincidence value and the
@@ -36,7 +36,7 @@ from .errors import DegenerateSkeletonError, GeometryError, SingularMetricError
 from .newton import newton
 from .products import Multivector, _det, product_matrix
 from .products import gram  # noqa: F401 (perfbench/instrument.py patches degeneracy.gram)
-from .worlds import WorldFunction, parts
+from .worlds import WorldFunction, _inv, parts
 
 #: Pass thresholds: algebraic identities at 1e-8, the eikonal limit at 1e-4.
 IDENTITY_THRESHOLD = 1e-8
@@ -115,23 +115,17 @@ class FlatBasis:
 
     anchor: Multivector
     g: np.ndarray       # basis scalar products
+    det: float          # det g
     g_inv: np.ndarray
     back: np.ndarray    # w(p_i, p_0) for the basis points p_1..p_n
 
     @classmethod
     def build(cls, w: WorldFunction, anchor: Multivector) -> "FlatBasis":
         g = product_matrix(w, anchor, anchor)
-        f_n = _det(g)
-        if not np.isfinite(f_n):
-            raise SingularMetricError(
-                "world function is not finite on the basis (pole in the chart?)"
-            )
+        f_n = _finite(_det(g), "basis")
         if f_n == 0.0:
             raise DegenerateSkeletonError("basis has vanishing squared length")
-        if not np.all(np.isfinite(g)):
-            raise SingularMetricError(
-                "world function is not finite on the basis (pole in the chart?)"
-            )
+        _finite(g, "basis")
         try:
             g_inv = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
@@ -139,15 +133,20 @@ class FlatBasis:
         if np.max(np.abs(g_inv @ g - np.eye(g.shape[0]))) > 1e-9:
             raise SingularMetricError("basis matrix badly conditioned")
         back = w(anchor.points[1:], anchor.points[0])
-        return cls(anchor=anchor, g=g, g_inv=g_inv, back=back)
+        return cls(anchor=anchor, g=g, det=f_n, g_inv=g_inv, back=back)
 
     def coordinates(self, w: WorldFunction, points) -> np.ndarray:
         """Covariant coordinates of points (..., d) as (..., n): scalar
         products of the basis vectors with the anchor-to-point vectors.
         w is the world the basis was built on; one call evaluates w(p_i, q)
         for every anchor point."""
+        return self._coordinates(w, points)[0]
+
+    def _coordinates(self, w: WorldFunction, points):
+        """(coordinates, v): the coordinates of points and the world values
+        v[..., i] = w(p_i, q) they are read from, (..., n + 1)."""
         v = w(self.anchor.points, np.asarray(points, dtype=float)[..., None, :])
-        return self.back + v[..., :1] - v[..., 1:]
+        return self.back + v[..., :1] - v[..., 1:], v
 
     def jacobian(self, w: WorldFunction, point) -> np.ndarray:
         """d x_i / dq at q = point, as (n, d): one 2-point stencil of the
@@ -188,43 +187,43 @@ def euclideaness_check(w: WorldFunction, basis_points, probes,
         raise ValueError("need at least one probe point")
     report = DegeneracyReport(world=w.kind)
     p0 = basis.points[0]
-    to_p0 = w(pts, p0)  # the probes are checked before the basis
+    # w(q, p_k), k = 0..n: the probes are checked before the basis
+    to_basis = _finite(w(pts[:, None, :], basis.points), "probes")
     fb = FlatBasis.build(w, basis)
-    coords = fb.coordinates(w, pts)
+    coords, from_basis = fb._coordinates(w, pts)  # from_basis[:, k] = w(p_k, q)
+    _finite(from_basis, "probes")
 
-    # I and III read one forward row w(q_i, others) per probe, never a pair
-    # array, which would grow with the square of the probe count: I its
-    # later part against one reversed call, III all of it
+    # I and III read a forward row w(q_i, q_k) and a reverse row w(q_k, q_i)
+    # over the later probes k > i, never a pair array, which would grow with
+    # the square of the probe count; both orders share one reconstruction
     asym = 0.0
     scale_sig = 1.0
     worst_recon = 0.0
-    for i, q in enumerate(pts):
-        others = np.delete(np.arange(len(pts)), i)  # no diagonal pair
-        row = w(q, pts[others])
-        fwd = row[i:]
-        if len(fwd):
-            asym = max([asym, *np.abs(parts(fwd, w(pts[i + 1:], q))[1]).tolist()])
-            scale_sig = max([scale_sig, *np.abs(fwd).tolist()])
-        for k, truth in zip(others, row.tolist()):
+    for i, q in enumerate(pts[:-1]):
+        later = pts[i + 1:]
+        fwd = _finite(w(q, later), "probes")
+        rev = _finite(w(later, q), "probes")
+        asym = max([asym, *np.abs(parts(fwd, rev)[1]).tolist()])
+        scale_sig = max([scale_sig, *np.abs(fwd).tolist()])
+        for k, *truths in zip(range(i + 1, len(pts)), fwd.tolist(), rev.tolist()):
             dx = coords[i] - coords[k]
             recon = 0.5 * float(dx @ fb.g_inv @ dx)
-            worst_recon = max(worst_recon, abs(recon - truth) / (1.0 + abs(truth)))
+            worst_recon = max(worst_recon, *(abs(recon - t) / (1.0 + abs(t)) for t in truths))
     report.add("I_symmetry", asym / scale_sig, IDENTITY_THRESHOLD)
 
     # II: basis has nonzero squared length; basis+probe tuples have zero.
     # The Gram matrix of basis+q borders fb.g with q's coordinates (column),
     # w(q, p0) + w(p0, p_k) - w(q, p_k) (row) and w(q, p0) + w(p0, q)
     # (corner, where w(q, q) = 0 drops out)
-    f_n = _det(fb.g)
+    f_n = fb.det
     scale = max(np.abs(np.diag(fb.g)).tolist())  # the largest |2 sym(p0, p_k)|
     report.add("II_basis_nondegenerate",
                1.0 if abs(f_n) <= 1e-12 * scale**n else 0.0, 0.5)
     extended = np.empty((len(pts), n + 1, n + 1))
     extended[:, :n, :n] = fb.g
     extended[:, :n, n] = coords
-    extended[:, n, :n] = (to_p0[:, None] + w(p0, basis.points[1:])
-                          - w(pts[:, None, :], basis.points[1:]))
-    extended[:, n, n] = to_p0 + w(p0, pts)
+    extended[:, n, :n] = to_basis[:, :1] + w(p0, basis.points[1:]) - to_basis[:, 1:]
+    extended[:, n, n] = to_basis[:, 0] + from_basis[:, 0]
     worst = 0.0
     for m, two_sym in zip(extended, np.abs(extended[:, n, n]).tolist()):
         denom = abs(f_n) * (two_sym + scale)
@@ -252,6 +251,13 @@ def euclideaness_check(w: WorldFunction, basis_points, probes,
         ),
     }
     return report
+
+
+def _finite(values, where: str):
+    """values, when all are finite; SingularMetricError naming where otherwise."""
+    if np.all(np.isfinite(values)):
+        return values
+    raise SingularMetricError(f"world function is not finite on the {where} (pole in the chart?)")
 
 
 def _coordinate_solve_rate(w, fb, coords, seed):
@@ -331,10 +337,7 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
 
     co = fd.part_tensors(w, x, x, [(2, 0), (1, 0), (0, 2)], second_order=True)
     cc_g = co["sym"][(2, 0)]  # coincidence metric
-    try:
-        g_inv = np.linalg.inv(cc_g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetricError("coincidence metric singular") from exc
+    g_inv = _inv(cc_g, "coincidence metric")
     a_co = co["asym"][(1, 0)]
     sigma_f = co["full"][(2, 0)]
     sigma_p = co["full"][(0, 2)]

@@ -219,9 +219,9 @@ def section_filter(w: WorldFunction, spec: TubeSpec, on_point, candidates,
 
 
 def _metric_of(w: WorldFunction) -> np.ndarray:
-    if w.spec is None or w.spec.metric is None:
+    if w.spec is None:
         raise GeometryError("sampler needs a world built from a WorldSpec")
-    return np.asarray(w.spec.metric, dtype=float)
+    return w.spec.metric
 
 
 def spacelike_unit_normal(w: WorldFunction, y) -> np.ndarray:
@@ -248,8 +248,7 @@ def reduced_asymmetry(w: WorldFunction, y) -> float:
     alpha |b.y| (equals alpha |y| for a unit anisotropy covector)."""
     if w.spec is None or w.spec.b is None or w.spec.alpha is None:
         return 0.0
-    b = np.asarray(w.spec.b, dtype=float)
-    return abs(float(w.spec.alpha)) * abs(float(b @ np.asarray(y, dtype=float)))
+    return abs(w.spec.alpha) * abs(float(w.spec.b @ np.asarray(y, dtype=float)))
 
 
 #: taus whose probe grids share one world call; bounds the sampler's memory
@@ -737,8 +736,8 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     if not 0.0 < y2 < np.inf:  # NaN at a pole of the world function fails too
         raise GeometryError(f"y must be timelike (positive finite squared separation, got {y2!r})")
     ynorm = float(np.sqrt(y2))
-    if w.spec.b is not None:
-        b = np.asarray(w.spec.b, dtype=float)
+    b = w.spec.b
+    if b is not None:
         y_cov = g @ y / ynorm
         kappa = float(b @ y) / ynorm
         if np.max(np.abs(b - kappa * y_cov)) > 1e-10 * (1.0 + np.max(np.abs(b))):

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidWorldSpecError
+from .errors import DimensionMismatchError, InvalidWorldSpecError, SingularMetricError
 
 WORLD_KINDS = ("euclidean", "constant_a", "case1", "case2", "cubic_a")
 
@@ -59,8 +59,8 @@ def kind_pair(kind: str, pq, qp):
 
 
 def _numeric(name, value):
-    """value (None passes) as a float array; a non-numeric (bool, string,
-    null, ragged) or non-finite entry is a spec error, not a traceback."""
+    """value (None passes) as its own read-only float array; a non-numeric
+    (bool, string, null, ragged) or non-finite entry is a spec error."""
     if value is None:
         return None
     try:
@@ -72,7 +72,26 @@ def _numeric(name, value):
     arr = raw.astype(float)
     if not np.all(np.isfinite(arr)):
         raise InvalidWorldSpecError(f"{name} must be finite")
+    arr.flags.writeable = False
     return arr
+
+
+def _inv(m: np.ndarray, what: str, error=SingularMetricError) -> np.ndarray:
+    """inv(m) for a finite m with a finite inverse and a 2-norm condition
+    number at most 1e12 (a NaN one fails); error otherwise.  Every metric's rule."""
+    if not np.all(np.isfinite(m)):
+        raise error(f"{what} has non-finite entries")
+    if np.linalg.cond(m) <= 1e12:
+        inv = np.linalg.inv(m)
+        if np.all(np.isfinite(inv)):
+            return inv
+    raise error(f"{what} is numerically singular")
+
+
+def _symmetric(a: np.ndarray, perm) -> bool:
+    """a == a permuted by perm to within 1e-12; an overflowing difference fails."""
+    with np.errstate(over="ignore"):
+        return np.allclose(a, np.transpose(a, perm), rtol=0, atol=1e-12)
 
 
 def _as_point(x, dim):
@@ -88,32 +107,35 @@ def _as_point(x, dim):
 
 @dataclass(frozen=True)
 class WorldSpec:
-    """Parameters selecting one world from the built-in families."""
+    """Parameters selecting one world from the built-in families, checked when built."""
 
     kind: str
     dim: int
-    metric: np.ndarray  # (d, d) symmetric, non-singular
+    metric: np.ndarray  # (d, d) symmetric, condition number at most 1e12
     b: Optional[np.ndarray] = None  # anisotropy covector
     alpha: Optional[float] = None  # antisymmetry intensity
     beta: Optional[float] = None  # screening constant
     a3: Optional[np.ndarray] = None  # rank-3 fully symmetric array
 
-    def validate(self):
+    def __post_init__(self):
+        # the fields become read-only float arrays and floats, as Multivector sets its points
         if self.kind not in WORLD_KINDS:
             raise InvalidWorldSpecError(f"unknown world kind {self.kind!r}")
         if type(self.dim) is not int or self.dim < 1:  # bool is an int subclass
             raise InvalidWorldSpecError("dim must be a positive integer")
         for name in ("metric", "b", "alpha", "beta", "a3"):
             value = _numeric(name, getattr(self, name))
-            if name in ("alpha", "beta") and value is not None and value.ndim:
-                raise InvalidWorldSpecError(f"{name} must be a number")
-        g = np.asarray(self.metric, dtype=float)
-        if g.shape != (self.dim, self.dim):
+            if name in ("alpha", "beta") and value is not None:
+                if value.ndim:
+                    raise InvalidWorldSpecError(f"{name} must be a number")
+                value = float(value)
+            object.__setattr__(self, name, value)
+        g = self.metric
+        if np.shape(g) != (self.dim, self.dim):
             raise InvalidWorldSpecError("metric must be a d x d matrix")
-        if not np.allclose(g, g.T, rtol=0, atol=1e-12):
+        if not _symmetric(g, (1, 0)):
             raise InvalidWorldSpecError("metric must be symmetric")
-        if abs(np.linalg.det(g)) < 1e-12:
-            raise InvalidWorldSpecError("metric is singular")
+        _inv(g, "metric", InvalidWorldSpecError)
         for name in _REQUIRED[self.kind]:
             if getattr(self, name) is None:
                 raise InvalidWorldSpecError(f"kind {self.kind!r} requires {name!r}")
@@ -123,14 +145,13 @@ class WorldSpec:
                 raise InvalidWorldSpecError(
                     f"kind {self.kind!r} does not take parameter {name!r}"
                 )
-        if self.b is not None and np.asarray(self.b).shape != (self.dim,):
+        if self.b is not None and self.b.shape != (self.dim,):
             raise InvalidWorldSpecError("b must be a covector of length dim")
         if self.a3 is not None:
-            a3 = np.asarray(self.a3, dtype=float)
-            if a3.shape != (self.dim,) * 3:
+            if self.a3.shape != (self.dim,) * 3:
                 raise InvalidWorldSpecError("a3 must have shape (d, d, d)")
             for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-                if not np.allclose(a3, np.transpose(a3, perm), rtol=0, atol=1e-12):
+                if not _symmetric(self.a3, perm):
                     raise InvalidWorldSpecError("a3 must be fully symmetric")
 
     # -- JSON wire format (the single config format consumed by the CLI) --
@@ -166,17 +187,15 @@ class WorldSpec:
             if a3.size != dim**3:
                 raise InvalidWorldSpecError("flattened a3 must have length dim^3")
             a3 = a3.reshape((dim,) * 3)
-        spec = cls(
+        return cls(
             kind=kind,
             dim=dim,
             metric=metric,
-            b=_numeric("b", doc.get("b")),
+            b=doc.get("b"),
             alpha=doc.get("alpha"),
             beta=doc.get("beta"),
             a3=a3,
         )
-        spec.validate()
-        return spec
 
     @classmethod
     def from_json(cls, text: str) -> "WorldSpec":
@@ -187,21 +206,21 @@ class WorldSpec:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        g = np.asarray(self.metric, dtype=float)
+        g = self.metric
         # the diagonal form only for what from_dict reads back bit for bit
         if np.array_equal(g, np.diag(np.diag(g))) and np.all(np.isin(np.diag(g), (1.0, -1.0))):
-            metric_doc = [float(v) for v in np.diag(g)]
+            metric_doc = np.diag(g).tolist()
         else:
-            metric_doc = [[float(v) for v in row] for row in g]
+            metric_doc = g.tolist()
         doc = {"kind": self.kind, "dim": self.dim, "metric": metric_doc}
         if self.b is not None:
-            doc["b"] = [float(v) for v in self.b]
+            doc["b"] = self.b.tolist()
         if self.alpha is not None:
-            doc["alpha"] = float(self.alpha)
+            doc["alpha"] = self.alpha
         if self.beta is not None:
-            doc["beta"] = float(self.beta)
+            doc["beta"] = self.beta
         if self.a3 is not None:
-            doc["a3"] = [float(v) for v in np.asarray(self.a3).ravel()]
+            doc["a3"] = self.a3.ravel().tolist()
         return doc
 
 
@@ -245,7 +264,7 @@ class WorldFunction:
         if spec.a3 is not None:
             scale = max(scale, float(np.max(np.abs(spec.a3))))
         if spec.alpha is not None:
-            scale = max(scale, abs(float(spec.alpha)) * float(np.max(np.abs(spec.b))))
+            scale = max(scale, abs(spec.alpha) * float(np.max(np.abs(spec.b))))
         return scale
 
     def __call__(self, x, xp):
@@ -279,12 +298,6 @@ class WorldFunction:
 _CUBIC_LOOP_MIN_POINTS = 512
 
 
-def _freeze(a):
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 def _cubic_sum(a3, terms, xi):
     """a_ikl xi^i xi^k xi^l summed term by term in (i, k, l) order, as
     np.einsum sums it; the loop over contiguous coordinate columns is several
@@ -304,15 +317,10 @@ def _cubic_sum(a3, terms, xi):
 
 
 def make_world(spec: WorldSpec) -> WorldFunction:
-    """Build the evaluator for a validated WorldSpec: the closed form of the
-    module docstring without the terms whose parameters the spec lacks."""
-    spec.validate()
-    g = _freeze(spec.metric)
-    b = None if spec.b is None else _freeze(spec.b)
-    a3 = None if spec.a3 is None else _freeze(spec.a3)
+    """Build the evaluator for a WorldSpec: the closed form of the module
+    docstring without the terms whose parameters the spec lacks."""
+    g, b, alpha, beta, a3 = spec.metric, spec.b, spec.alpha, spec.beta, spec.a3
     terms = None if a3 is None else [(float(a), *ikl) for ikl, a in np.ndenumerate(a3)]
-    alpha = None if spec.alpha is None else float(spec.alpha)
-    beta = None if spec.beta is None else float(spec.beta)
 
     def evaluator(x, xp):
         xi = x - xp

@@ -325,6 +325,30 @@ def run_module(argv):
                           env=env, capture_output=True, text=True)
 
 
+def test_huge_metric_runs_without_warning(tmp_path, world_file, monkeypatch):
+    # det overflows at 1e200 entries; the condition number is 1
+    big = world_file({"kind": "euclidean", "dim": 4,
+                      "metric": (1e200 * np.diag([1.0, -1.0, -1.0, -1.0])).tolist()})
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    proc = run_module(["coefficients", "--world", big, "--at", "0.1,0,0,0",
+                       "--out", str(tmp_path / "c.json")])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [["coefficients", "--at", "0.1,0"],
+                                  ["curvature", "--at", "0.1,0"],
+                                  ["check", "degeneration"]])
+def test_ill_conditioned_metric_is_a_world_spec_error(tmp_path, world_file, monkeypatch,
+                                                      argv):
+    # determinant 1, condition number 1e400: every subcommand rejects it at load
+    ill = world_file({"kind": "euclidean", "dim": 2, "metric": [[1e200, 0], [0, 1e-200]]})
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    proc = run_module([*argv, "--world", ill, "--out", str(tmp_path / "out")])
+    assert proc.returncode == 1
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+        {"error": "world-spec", "detail": "metric is numerically singular"}]
+
+
 def test_exit_code_generator_on_pole(tmp_path, world_file):
     # y on the pole xi^2 = -1/beta of a case2 world: the separation is NaN,
     # not a positive number, and stderr carries the JSON error alone

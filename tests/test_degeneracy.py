@@ -18,6 +18,7 @@ from tgeom import (
 from tgeom import degeneracy
 from tgeom.degeneracy import FlatBasis, diagnostic_probes
 from tgeom.newton import MAX_HALVINGS, newton
+from tgeom.products import _det
 from conftest import world
 
 
@@ -84,10 +85,11 @@ def test_flat_basis_coordinates_batch_matches_rows(case1):
 
 
 def test_euclideaness_world_call_budget(case1):
-    # probe rows, never pairs, per world call: 54 calls over 1,125 points,
-    # conditions I and III sharing one forward row per probe and II
-    # bordering the flat basis, which takes 2 calls to build (the product
-    # matrix's point grid and the reversed basis row).  case1 fails
+    # probe rows, never pairs, per world call: 51 calls over 825 points,
+    # conditions I and III sharing one forward and one reverse row per
+    # probe over the later probes, and II bordering the flat basis, which
+    # takes 2 calls to build (the product matrix's point grid and the
+    # reversed basis row).  case1 fails
     # condition I, so condition IV's 64 Newton solves never run; the report
     # is the one of the uncounted world
     sizes = []
@@ -99,12 +101,67 @@ def test_euclideaness_world_call_budget(case1):
     w = world_from_callable(counted, 4, label="case1")
     probes = diagnostic_probes(4, 24, seed=0)
     report = euclideaness_check(w, staggered_basis(4), probes, seed=0)
-    assert (len(sizes), sum(sizes)) == (54, 1125)
+    assert (len(sizes), sum(sizes)) == (51, 825)
     want = euclideaness_check(case1, staggered_basis(4), probes, seed=0)
     assert report.to_json() == want.to_json()
     sizes.clear()
     FlatBasis.build(w, Multivector(staggered_basis(4)))
     assert len(sizes) == 2
+
+
+def test_nan_probe_value_is_an_error(minkowski):
+    # one probe pair value is NaN; a running max would drop it and pass the
+    # world as pseudo-Euclidean
+    probes = diagnostic_probes(4, 24, seed=0)
+
+    def holed(a, b):
+        hit = np.all(a == probes[5], axis=-1) & np.all(b == probes[9], axis=-1)
+        return np.where(hit, np.nan, minkowski(a, b))
+
+    w = world_from_callable(holed, 4, label="holed")
+    with pytest.raises(SingularMetricError, match="not finite on the probes"):
+        euclideaness_check(w, staggered_basis(4), probes)
+
+
+@pytest.mark.parametrize("name", ["case1", "euclidean"])
+def test_conditions_match_every_ordered_pair(all_worlds, name):
+    # I, II and III recomputed pair by pair, one world call per value: the
+    # check reads each pair once in each order, and gives these bit for bit
+    w = all_worlds[name]
+    basis = staggered_basis(4)
+    probes = diagnostic_probes(4, 24, seed=0)
+    report = euclideaness_check(w, basis, probes, seed=0)
+    fb = FlatBasis.build(w, Multivector(basis))
+    n, p0 = 4, basis[0]
+
+    def val(a, b):
+        return float(w(a, b))
+
+    coords = np.array([[(val(p, p0) + val(p0, q)) - val(p, q) for p in basis[1:]]
+                       for q in probes])
+    pairs = [(i, k) for i in range(len(probes)) for k in range(len(probes)) if i != k]
+    scale = max([1.0] + [abs(val(probes[i], probes[k])) for i, k in pairs if i < k])
+    asym = max(abs(0.5 * (val(probes[i], probes[k]) - val(probes[k], probes[i])))
+               for i, k in pairs)
+    recon = 0.0
+    for i, k in pairs:
+        dx = coords[i] - coords[k]
+        truth = val(probes[i], probes[k])
+        recon = max(recon, abs(0.5 * float(dx @ fb.g_inv @ dx) - truth) / (1.0 + abs(truth)))
+    f_n = _det(fb.g)
+    g_scale = max(np.abs(np.diag(fb.g)).tolist())
+    dimension = 0.0
+    for q, x in zip(probes, coords):
+        m = np.empty((n + 1, n + 1))
+        m[:n, :n] = fb.g
+        m[:n, n] = x
+        m[n, :n] = [(val(q, p0) + val(p0, p)) - val(q, p) for p in basis[1:]]
+        m[n, n] = val(q, p0) + val(p0, q)
+        denom = abs(f_n) * (abs(m[n, n]) + g_scale)
+        dimension = max(dimension, abs(_det(m)) / max(denom, 1e-300))
+    assert report["I_symmetry"].residual == asym / scale
+    assert report["II_dimension"].residual == dimension
+    assert report["III_reconstruction"].residual == recon
 
 
 def case2_solve_rate(case2, w):

@@ -142,7 +142,7 @@ def test_validate_rejects_bad_values(field, value, message):
     params = {"kind": "case1", "dim": 2, "metric": np.eye(2),
               "b": np.array([1.0, 0.0]), "alpha": 0.1, field: value}
     with pytest.raises(InvalidWorldSpecError, match=message):
-        WorldSpec(**params).validate()
+        WorldSpec(**params)
 
 
 def test_asymmetric_a3_rejected():
@@ -153,6 +153,53 @@ def test_asymmetric_a3_rejected():
             {"kind": "cubic_a", "dim": 2, "metric": [1, 1],
              "a3": a3.ravel().tolist()}
         )
+
+
+# the one conditioning rule of every metric: finite, and a 2-norm condition
+# number at most 1e12, whatever the scale of the entries
+@pytest.mark.parametrize("metric", [
+    [[1e308, 0.0], [0.0, -1e308]],
+    (1e200 * np.diag([1.0, -1.0, -1.0, -1.0])).tolist(),
+    [[1e-7, 0.0], [0.0, -1e-7]],  # determinant 1e-14, condition number 1
+])
+def test_metric_rule_ignores_scale(metric):
+    spec = WorldSpec.from_dict({"kind": "euclidean", "dim": len(metric), "metric": metric})
+    assert np.array_equal(spec.metric, metric)
+    make_world(spec)
+
+
+@pytest.mark.parametrize("diagonal", [
+    [1e200, 1e-200],  # determinant 1, condition number 1e400
+    [1e-310, -1e-310],  # condition number 1, but the inverse overflows
+])
+def test_ill_conditioned_metric_rejected_at_construction(diagonal):
+    with pytest.raises(InvalidWorldSpecError, match="metric is numerically singular"):
+        WorldSpec(kind="euclidean", dim=2, metric=np.diag(diagonal))
+
+
+def test_overflowing_asymmetry_rejected_without_warning():
+    with pytest.raises(InvalidWorldSpecError, match="metric must be symmetric"):
+        WorldSpec(kind="euclidean", dim=2, metric=[[0.0, 1e308], [-1e308, 0.0]])
+
+
+def test_invalid_spec_raises_at_construction():
+    with pytest.raises(InvalidWorldSpecError, match="requires 'alpha'"):
+        WorldSpec(kind="case1", dim=2, metric=np.eye(2), b=[1.0, 0.0])
+    with pytest.raises(InvalidWorldSpecError, match="covector of length dim"):
+        WorldSpec(kind="constant_a", dim=2, metric=np.eye(2), b=[1.0, 0.0, 0.0])
+
+
+def test_spec_fields_are_read_only_floats():
+    metric = np.diag([1, -1])
+    spec = WorldSpec(kind="case2", dim=2, metric=metric, b=[1, 0], alpha=1, beta=2)
+    assert type(spec.alpha) is float and type(spec.beta) is float
+    cubic = WorldSpec(kind="cubic_a", dim=2, metric=metric, a3=np.zeros((2, 2, 2), int))
+    for arr in (spec.metric, spec.b, cubic.a3):
+        assert arr.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5.0
+    metric[0, 0] = 5  # the spec holds its own copy
+    assert spec.metric[0, 0] == 1.0
 
 
 def test_malformed_json():
