@@ -232,15 +232,15 @@ def transport_matrix(w: WorldFunction, space: str, x, xp) -> np.ndarray:
     tilde_x / g_x carry a covector given at x to xp (anchor x).  At x = xp
     every transport reduces to the identity.
     """
+    if space not in TRANSPORT_SPACES:
+        raise ValueError(f"unknown transport space {space!r}; expected one of {TRANSPORT_SPACES}")
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     part = "full" if space.startswith("tilde") else "sym"
     s = _tensors(w, x, xp, [(1, 1)], part)[(1, 1)]
-    if space in ("tilde_xprime", "g_xprime"):
-        return s @ _inv(_tensors(w, xp, xp, [(1, 1)], part)[(1, 1)], "anchor fundamental metric")
-    if space in ("tilde_x", "g_x"):
-        return s.T @ _inv(_tensors(w, x, x, [(1, 1)], part)[(1, 1)], "anchor fundamental metric")
-    raise ValueError(f"unknown transport space {space!r}; expected one of {TRANSPORT_SPACES}")
+    anchor, s = (xp, s) if space.endswith("xprime") else (x, s.T)
+    metric = _tensors(w, anchor, anchor, [(1, 1)], part)[(1, 1)]
+    return s @ _inv(metric, "anchor fundamental metric")
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def curvature_bundle(w: WorldFunction, x) -> CurvatureBundle:
     Every field comes from direct coincidence stencils, with no nested
     differencing: one fd.part_tensors pass at xp = x over the orders of F
     and the remaining orders up to four, one world call over 2,993 unique
-    points at d=4.  The connections gamma,
+    points at d=4, 1,969 on a polynomial world.  The connections gamma,
     gamma_tilde_f and gamma_tilde_p are exactly coincidence_coefficients';
     their derivatives follow from the chain rule along the diagonal,
     d/dx^m t_(a,b)(x, x) = t_(a+1,b) + t_(a,b+1) with m joining the unprimed

@@ -103,60 +103,57 @@ def _build_parser() -> _Parser:
                         help="accepted and validated but ignored: grid "
                              "sampling is vectorized; kept so existing "
                              "command lines keep working")
+    files = _Parser(add_help=False)
+    files.add_argument("--world", required=True)
+    files.add_argument("--out", required=True)
+
+    def command(subparsers, name, handler, help):
+        p = subparsers.add_parser(name, help=help, parents=[files])
+        p.set_defaults(run=handler)
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tube-section", help="radial tube profile -> CSV")
-    p.add_argument("--world", required=True)
+    p = command(sub, "tube-section", _cmd_tube_section, "radial tube profile -> CSV")
     p.add_argument("--y", required=True, help="generating point, comma-separated")
     p.add_argument("--kind", choices=KINDS, default="n")
     p.add_argument("--tau-min", type=float, required=True)
     p.add_argument("--tau-max", type=float, required=True)
     p.add_argument("--tau-steps", type=int, required=True)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("gradient-line", help="gradient line -> CSV")
-    p.add_argument("--world", required=True)
+    p = command(sub, "gradient-line", _cmd_gradient_line, "gradient line -> CSV")
     p.add_argument("--kind", choices=KINDS, default="f")
     p.add_argument("--from", dest="from_", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--steps", type=int, default=32)
     p.add_argument("--method", choices=("implicit", "ode"), default="implicit")
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("broken-tube", help="equal-length chain -> CSV")
-    p.add_argument("--world", required=True)
+    p = command(sub, "broken-tube", _cmd_broken_tube, "equal-length chain -> CSV")
     p.add_argument("--kind", choices=KINDS, default="f")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed-from", dest="seed_from", required=True)
     p.add_argument("--seed-to", dest="seed_to", required=True)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("check", help="diagnostic report -> JSON")
-    p.add_argument("what", choices=("euclideaness", "degeneration"))
-    p.add_argument("--world", required=True)
-    p.add_argument("--at", default=None,
-                   help="anchor point for degeneration (default origin)")
+    reports = sub.add_parser("check", help="diagnostic report -> JSON").add_subparsers(
+        dest="what", required=True)
+    p = command(reports, "euclideaness", _cmd_euclideaness, "flat-space conditions -> JSON")
     p.add_argument("--probes", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p = command(reports, "degeneration", _cmd_degeneration, "tube degeneration -> JSON")
+    p.add_argument("--at", default=None, help="anchor point (default origin)")
 
-    p = sub.add_parser("coefficients", help="coincidence fields -> JSON")
-    p.add_argument("--world", required=True)
+    p = command(sub, "coefficients", _cmd_coefficients, "coincidence fields -> JSON")
     p.add_argument("--at", required=True)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("curvature", help="curvature bundle -> JSON")
-    p.add_argument("--world", required=True)
+    p = command(sub, "curvature", _cmd_curvature, "curvature bundle -> JSON")
     p.add_argument("--at", required=True)
-    p.add_argument("--out", required=True)
     return parser
 
 
-def _cmd_tube_section(args):
+def _cmd_tube_section(args, w):
     from . import tubes
 
-    w = _load_world(args.world)
     y = _parse_point(args.y, w.dim, "--y")
     if args.tau_steps < 1:
         raise ValueError("--tau-steps must be positive")
@@ -173,13 +170,11 @@ def _cmd_tube_section(args):
             rows.append([_fmt(tau), _fmt(radii[0]), _fmt(radii[-1]),
                          str(len(radii))])
     _write_csv(args.out, ["tau", "r_inner", "r_outer", "n_roots"], rows)
-    return 0
 
 
-def _cmd_gradient_line(args):
+def _cmd_gradient_line(args, w):
     from . import lines
 
-    w = _load_world(args.world)
     x_start = _parse_point(args.from_, w.dim, "--from")
     x_end = _parse_point(args.to, w.dim, "--to")
     if args.steps < 2:
@@ -198,13 +193,11 @@ def _cmd_gradient_line(args):
     _write_csv(args.out, header, rows)
     if traj.warnings:
         sys.stderr.write(json.dumps({"warnings": traj.warnings}) + "\n")
-    return 0
 
 
-def _cmd_broken_tube(args):
+def _cmd_broken_tube(args, w):
     from . import tubes
 
-    w = _load_world(args.world)
     p0 = _parse_point(args.seed_from, w.dim, "--seed-from")
     p1 = _parse_point(args.seed_to, w.dim, "--seed-to")
     chain = tubes.build_broken_tube(w, args.kind, p0, p1, args.mu, args.steps)
@@ -221,36 +214,33 @@ def _cmd_broken_tube(args):
         row.append(str(int(chain.multiplicity_flags[i - 2])) if i >= 2 else "")
         rows.append(row)
     _write_csv(args.out, header, rows)
-    return 0
 
 
-def _cmd_check(args):
+def _cmd_euclideaness(args, w):
     from . import degeneracy
 
-    w = _load_world(args.world)
-    if args.what == "degeneration":
-        at = (np.zeros(w.dim) if args.at is None
-              else _parse_point(args.at, w.dim, "--at"))
-        report = degeneracy.degeneration_check(w, at)
-    else:
-        if args.probes < 1:
-            raise ValueError("--probes must be positive")
-        # staggered-time basis and probes stay clear of chart poles of the
-        # screened family while exercising every condition; 1-3 probes are
-        # raised to 4
-        basis = 0.5 * np.vstack([np.zeros(w.dim), np.eye(w.dim)])
-        basis[:, 0] += 0.1 * np.arange(w.dim + 1)
-        probes = degeneracy.diagnostic_probes(w.dim, max(4, args.probes),
-                                              seed=args.seed)
-        report = degeneracy.euclideaness_check(w, basis, probes, seed=args.seed)
-    _write_json(args.out, report.to_dict())
-    return 0
+    if args.probes < 1:
+        raise ValueError("--probes must be positive")
+    # staggered-time basis and probes stay clear of chart poles of the
+    # screened family while exercising every condition; 1-3 probes are
+    # raised to 4
+    basis = 0.5 * np.vstack([np.zeros(w.dim), np.eye(w.dim)])
+    basis[:, 0] += 0.1 * np.arange(w.dim + 1)
+    probes = degeneracy.diagnostic_probes(w.dim, max(4, args.probes), seed=args.seed)
+    _write_json(args.out, degeneracy.euclideaness_check(w, basis, probes,
+                                                        seed=args.seed).to_dict())
 
 
-def _cmd_coefficients(args):
+def _cmd_degeneration(args, w):
+    from . import degeneracy
+
+    at = np.zeros(w.dim) if args.at is None else _parse_point(args.at, w.dim, "--at")
+    _write_json(args.out, degeneracy.degeneration_check(w, at).to_dict())
+
+
+def _cmd_coefficients(args, w):
     from . import calculus
 
-    w = _load_world(args.world)
     at = _parse_point(args.at, w.dim, "--at")
     cc = calculus.coincidence_coefficients(w, at)
     doc = {
@@ -271,13 +261,11 @@ def _cmd_coefficients(args):
         "g3": cc.g3,
     }
     _write_json(args.out, doc)
-    return 0
 
 
-def _cmd_curvature(args):
+def _cmd_curvature(args, w):
     from . import calculus
 
-    w = _load_world(args.world)
     at = _parse_point(args.at, w.dim, "--at")
     bundle = calculus.curvature_bundle(w, at)
     doc = {
@@ -293,24 +281,14 @@ def _cmd_curvature(args):
         "riemann_tilde_p": bundle.riemann_tilde_p.ravel(),
     }
     _write_json(args.out, doc)
-    return 0
-
-
-_COMMANDS = {
-    "tube-section": _cmd_tube_section,
-    "gradient-line": _cmd_gradient_line,
-    "broken-tube": _cmd_broken_tube,
-    "check": _cmd_check,
-    "coefficients": _cmd_coefficients,
-    "curvature": _cmd_curvature,
-}
 
 
 def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args.run(args, _load_world(args.world))
+        return 0
     except InvalidWorldSpecError as exc:
         sys.stderr.write(json.dumps({"error": "world-spec", "detail": str(exc)}) + "\n")
         return 1

@@ -26,7 +26,6 @@ summary, and names each check it skipped in its notes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,9 +99,6 @@ class DegeneracyReport:
             "notes": self.notes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 @dataclass
 class FlatBasis:
@@ -115,17 +111,22 @@ class FlatBasis:
 
     anchor: Multivector
     g: np.ndarray       # basis scalar products
-    det: float          # det g
+    unit: float         # the largest power of two not above max |g_ik|
+    unit_det: float     # det(g / unit): exact in g's scale, free of under- and overflow
     g_inv: np.ndarray
     back: np.ndarray    # w(p_i, p_0) for the basis points p_1..p_n
 
     @classmethod
     def build(cls, w: WorldFunction, anchor: Multivector) -> "FlatBasis":
-        g = product_matrix(w, anchor, anchor)
-        f_n = _finite(_det(g), "basis")
-        if f_n == 0.0:
+        g = _finite(product_matrix(w, anchor, anchor), "basis")
+        # max |g_ik|, not max |g_ii|: a null basis has a zero diagonal.
+        # Division by a power of two is exact, so a world scaled by one reads
+        # the same matrices in its unit; an all-zero g reads unit 0.5 and
+        # determinant 0
+        unit = float(np.ldexp(1.0, np.frexp(np.max(np.abs(g)))[1] - 1))
+        unit_det = _det(g / unit)
+        if unit_det == 0.0:
             raise DegenerateSkeletonError("basis has vanishing squared length")
-        _finite(g, "basis")
         try:
             g_inv = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
@@ -133,7 +134,7 @@ class FlatBasis:
         if np.max(np.abs(g_inv @ g - np.eye(g.shape[0]))) > 1e-9:
             raise SingularMetricError("basis matrix badly conditioned")
         back = w(anchor.points[1:], anchor.points[0])
-        return cls(anchor=anchor, g=g, det=f_n, g_inv=g_inv, back=back)
+        return cls(anchor=anchor, g=g, unit=unit, unit_det=unit_det, g_inv=g_inv, back=back)
 
     def coordinates(self, w: WorldFunction, points) -> np.ndarray:
         """Covariant coordinates of points (..., d) as (..., n): scalar
@@ -179,6 +180,13 @@ def euclideaness_check(w: WorldFunction, basis_points, probes,
     runs only where I-III pass; elsewhere a note names it as skipped.
     The eigenvalue signs of the basis matrix classify a passing world as
     proper ('euclidean') or mixed-signature ('pseudo_euclidean').
+
+    Every residual is read in the basis unit (FlatBasis.unit), which stands
+    where an absolute 1 would: I divides by the larger of the unit and the
+    largest |w|, III by the unit plus |w|, II by |det| of the basis Gram
+    matrix times the unit plus |2 sym(p0, q)|, and IV's Newton tolerance is
+    2e-9 units.  A world scaled by a power of two reads the same residuals,
+    so a tiny or huge world gets the verdict of its unit-scale copy.
     """
     basis = Multivector(np.asarray(basis_points, dtype=float))
     n = basis.order
@@ -197,7 +205,7 @@ def euclideaness_check(w: WorldFunction, basis_points, probes,
     # over the later probes k > i, never a pair array, which would grow with
     # the square of the probe count; both orders share one reconstruction
     asym = 0.0
-    scale_sig = 1.0
+    scale_sig = fb.unit
     worst_recon = 0.0
     for i, q in enumerate(pts[:-1]):
         later = pts[i + 1:]
@@ -208,26 +216,24 @@ def euclideaness_check(w: WorldFunction, basis_points, probes,
         for k, *truths in zip(range(i + 1, len(pts)), fwd.tolist(), rev.tolist()):
             dx = coords[i] - coords[k]
             recon = 0.5 * float(dx @ fb.g_inv @ dx)
-            worst_recon = max(worst_recon, *(abs(recon - t) / (1.0 + abs(t)) for t in truths))
+            worst_recon = max(worst_recon, *(abs(recon - t) / (fb.unit + abs(t)) for t in truths))
     report.add("I_symmetry", asym / scale_sig, IDENTITY_THRESHOLD)
 
     # II: basis has nonzero squared length; basis+probe tuples have zero.
     # The Gram matrix of basis+q borders fb.g with q's coordinates (column),
     # w(q, p0) + w(p0, p_k) - w(q, p_k) (row) and w(q, p0) + w(p0, q)
-    # (corner, where w(q, q) = 0 drops out)
-    f_n = fb.det
-    scale = max(np.abs(np.diag(fb.g)).tolist())  # the largest |2 sym(p0, p_k)|
-    report.add("II_basis_nondegenerate",
-               1.0 if abs(f_n) <= 1e-12 * scale**n else 0.0, 0.5)
+    # (corner, where w(q, q) = 0 drops out); both Gram matrices are read in
+    # the basis unit, so neither determinant under- or overflows
+    report.add("II_basis_nondegenerate", 1.0 if abs(fb.unit_det) <= 1e-12 else 0.0, 0.5)
     extended = np.empty((len(pts), n + 1, n + 1))
     extended[:, :n, :n] = fb.g
     extended[:, :n, n] = coords
     extended[:, n, :n] = to_basis[:, :1] + w(p0, basis.points[1:]) - to_basis[:, 1:]
     extended[:, n, n] = to_basis[:, 0] + from_basis[:, 0]
+    extended /= fb.unit
     worst = 0.0
     for m, two_sym in zip(extended, np.abs(extended[:, n, n]).tolist()):
-        denom = abs(f_n) * (two_sym + scale)
-        worst = max(worst, abs(_det(m)) / max(denom, 1e-300))
+        worst = max(worst, abs(_det(m)) / max(abs(fb.unit_det) * (two_sym + 1.0), 1e-300))
     report.add("II_dimension", worst, IDENTITY_THRESHOLD)
     report.add("III_reconstruction", worst_recon, IDENTITY_THRESHOLD)
 
@@ -275,12 +281,12 @@ def _coordinate_solve_rate(w, fb, coords, seed):
     targets = lo + (hi - lo) * rng.random((_IV_TARGETS, fb.anchor.order))
     p0 = fb.anchor.points[0]
     successes = 0
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(fb.g))))
+    tol = 2e-9  # in the basis unit, as the residuals and Jacobians below
     for target in targets:
         x0 = p0 + rng.normal(scale=0.1, size=w.dim)
         try:
-            _, record = newton(lambda x: fb.coordinates(w, x) - target,
-                               lambda x: fb.jacobian(w, x), x0, tol)
+            _, record = newton(lambda x: (fb.coordinates(w, x) - target) / fb.unit,
+                               lambda x: fb.jacobian(w, x) / fb.unit, x0, tol)
         except (GeometryError, FloatingPointError):  # SolverError included
             continue
         successes += record.residual_norm <= tol

@@ -118,15 +118,6 @@ def _first_order(kind: str, w01, w10, w02, w20, w12, w21, roundoff=False):
         return residual, bound(u2, a01 + a10, v2, a02 + a20) + bound(x, ax, y, ay)
 
 
-def _pair_values(w: WorldFunction, p0, p1, p2):
-    """Symmetric separations and the triangle antisymmetry of a point triple."""
-    w01, w10, w02, w20, w12, w21 = _triple_worlds(w, p0, p1, p2)
-    g10, a10 = parts(w10, w01)
-    g02, a02 = parts(w02, w20)
-    g21, a21 = parts(w21, w12)
-    return float(g02), float(g10), float(g21), float(a10 + a02 + a21)
-
-
 def _eta_q(kind: str, g10: float, g02: float, eta_f: float) -> float:
     if kind == "f":
         return eta_f
@@ -138,6 +129,19 @@ def _eta_q(kind: str, g10: float, g02: float, eta_f: float) -> float:
     return eta_f**2 / (np.sqrt(4.0 * prod + eta_f**2) + 2.0 * np.sqrt(prod))
 
 
+def _factor_terms(w: WorldFunction, kind: str, p0, p1, p2):
+    """(|p0p2|, |p1p0|, g12, eta) of a point triple: the two real basic
+    separations, the symmetric part g12 and the triangle antisymmetry eta of
+    the kind, from one read of the triple."""
+    check_kind(kind)
+    w01, w10, w02, w20, w12, w21 = _triple_worlds(w, p0, p1, p2)
+    (g10, a10), (g02, a02), (g12, a21) = parts(w10, w01), parts(w02, w20), parts(w21, w12)
+    g02, g10 = float(g02), float(g10)
+    eta = _eta_q(kind, g10, g02, float(a10 + a02 + a21))
+    return (_real_length(g02, "separation p0-p2"), _real_length(g10, "separation p1-p0"),
+            float(g12), eta)
+
+
 def first_order_factors(w: WorldFunction, kind: str, p0, p1, p2):
     """The four first-degree factors of the first-order tube residual and
     the triangle antisymmetry eta of the kind.
@@ -145,14 +149,9 @@ def first_order_factors(w: WorldFunction, kind: str, p0, p1, p2):
     minus the product of the four factors equals the direct Gram residual of
     the kind.  Raises ComplexLengthError on any negative radicand.
     """
-    check_kind(kind)
-    g02, g10, g12, eta_f = _pair_values(w, p0, p1, p2)
-    eta = _eta_q(kind, g10, g02, eta_f)
-    alpha = _ALPHA_Q[kind]
-    r02 = _real_length(g02, "separation p0-p2")
-    r10 = _real_length(g10, "separation p1-p0")
+    r02, r10, g12, eta = _factor_terms(w, kind, p0, p1, p2)
     ra = _real_length(g12 - eta, "kind radicand")
-    rb = _real_length(g12 - alpha * eta, "kind radicand")
+    rb = _real_length(g12 - _ALPHA_Q[kind] * eta, "kind radicand")
     f0 = r02 + r10 + ra
     f1 = r02 - r10 + rb
     f2 = r02 + r10 - ra
@@ -171,14 +170,8 @@ def segment_residual(w: WorldFunction, kind: str, p0, p1, p2) -> float:
     """Residual of the tube segment between the two basic points: the factor
     sqrt(g02) - sqrt(g10) + sqrt(g12 - alpha_q eta_q); zero iff p2 lies on
     the segment."""
-    check_kind(kind)
-    g02, g10, g12, eta_f = _pair_values(w, p0, p1, p2)
-    eta = _eta_q(kind, g10, g02, eta_f)
-    return (
-        _real_length(g02, "separation p0-p2")
-        - _real_length(g10, "separation p1-p0")
-        + _real_length(g12 - _ALPHA_Q[kind] * eta, "kind radicand")
-    )
+    r02, r10, g12, eta = _factor_terms(w, kind, p0, p1, p2)
+    return r02 - r10 + _real_length(g12 - _ALPHA_Q[kind] * eta, "kind radicand")
 
 
 def sphere_residual(w: WorldFunction, p0, p1, point) -> float:

@@ -105,9 +105,11 @@ def _as_point(x, dim):
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorldSpec:
-    """Parameters selecting one world from the built-in families, checked when built."""
+    """Parameters selecting one world from the built-in families, checked when built.
+
+    Specs compare and hash by identity; compare to_dict() for value equality."""
 
     kind: str
     dim: int

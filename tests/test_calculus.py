@@ -328,6 +328,13 @@ def test_metric_reconstruction_two_routes(cubic):
     assert np.max(np.abs(m1 - m2)) < 1e-10
 
 
+def test_transport_space_checked_before_any_world_call(minkowski):
+    w, calls = _counted(minkowski, 4)
+    with pytest.raises(ValueError, match="unknown transport space"):
+        transport_matrix(w, "h_x", X0, XP0)
+    assert calls == []
+
+
 def test_transport_singular_metric_raises(minkowski):
     with pytest.raises(SingularMetricError):
         # degenerate direction collapse: zero-metric world via callable

@@ -159,9 +159,42 @@ def test_check_euclideaness_probes(tmp_path, world_file):
     basis[:, 0] += 0.1 * np.arange(5)
     probes = tgeom.degeneracy.diagnostic_probes(4, 6, seed=3)
     want = tgeom.euclideaness_check(w, basis, probes, seed=3)
-    assert reports[6] == want.to_json() + "\n"
+    assert reports[6] == json.dumps(want.to_dict(), indent=2) + "\n"
     assert reports[2] == reports[4]
     assert reports[4] != reports[6]
+
+
+def _scaled(doc, s):
+    # a diagonal metric list must read +1/-1, so the scaled metric is a matrix
+    metric = np.asarray(doc["metric"], dtype=float)
+    metric = metric if metric.ndim == 2 else np.diag(metric)
+    return dict(doc, metric=(metric * s).tolist(),
+                **({"a3": (np.asarray(doc["a3"]) * s).tolist()} if "a3" in doc else {}))
+
+
+_FLAT_2D = {"kind": "euclidean", "dim": 2, "metric": [[1, 0], [0, -1]]}
+_NONFLAT = dict(CUBIC, a3=random_a3(scale=0.3, seed=0).ravel().tolist())
+
+
+@pytest.mark.parametrize("doc, s, want", [
+    (_FLAT_2D, 1e-200, "pseudo_euclidean"),
+    (_FLAT_2D, 1e-300, "pseudo_euclidean"),
+    (EUCL, 1e200, "pseudo_euclidean"),
+    (_NONFLAT, 1e-70, "not_euclidean"),
+    (_NONFLAT, 1e-100, "not_euclidean"),
+], ids=["flat-1e-200", "flat-1e-300", "flat-4d-1e200", "nonflat-1e-70", "nonflat-1e-100"])
+def test_check_euclideaness_at_any_scale(tmp_path, world_file, doc, s, want):
+    # every residual is read in the basis unit: a basis Gram determinant of
+    # 1e-401 or 1e800 neither underflows nor overflows, and a non-flat world
+    # scaled small still fails where absolute floors of 1 would pass it
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["check", "euclideaness", "--world", world_file(_scaled(doc, s)),
+                    "--probes", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, schema("degeneracy_report.json"))
+    assert doc["summary"]["classification"] == want
 
 
 def test_coefficients_report(tmp_path, world_file):
@@ -703,14 +736,17 @@ _GRADIENT = ["gradient-line", "--world", "CASE1", "--from", "0,0,0,0", "--to", "
     _GRADIENT + ["--steps", str(2**61)],
     _BROKEN + ["--mu", "0.5", "--steps", str(2**61)],
     ["check", "euclideaness", "--world", "CASE1", "--probes", str(2**61)],
+    ["check", "degeneration", "--world", "CASE1", "--probes", "3"],
+    ["check", "euclideaness", "--world", "CASE1", "--at", "0,0,0,0"],
 ], ids=["steps-0", "steps-negative", "mu-nan", "mu-inf", "mu-0",
         "tau-min-nan", "tau-max-inf", "seed-negative", "probes-0", "probes-negative",
         "tau-steps-1e15", "tau-steps-1e20", "line-steps-1e15", "line-steps-1e20",
         "probes-1e15", "probes-1e20", "chain-steps-1e15", "probes-2e58",
         "line-steps-2e62", "ode-steps-2e62", "tau-steps-2e61", "line-steps-2e61",
-        "chain-steps-2e61", "probes-2e61"])
+        "chain-steps-2e61", "probes-2e61", "degeneration-probes", "euclideaness-at"])
 def test_numeric_arguments_meet_error_contract(tmp_path, world_file, argv):
-    # an out-of-range number is an input error: one JSON line, no warning.
+    # an out-of-range number, or an option of the other check report, is an
+    # input error: one JSON line, no warning.
     # numpy rejects a count whose array has more bytes than it can address;
     # the 10**15 counts ask for more than a 47-bit address space, so their
     # first array fails at once, allocating nothing

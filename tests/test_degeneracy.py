@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,13 @@ from tgeom import (
     eta_triangle,
     euclideaness_check,
     fd,
-    gram,
     WorldFunction,
     world_from_callable,
 )
 from tgeom import degeneracy
 from tgeom.degeneracy import FlatBasis, diagnostic_probes
 from tgeom.newton import MAX_HALVINGS, newton
-from tgeom.products import _det
+from tgeom.products import _det, product_matrix
 from conftest import world
 
 
@@ -103,10 +104,24 @@ def test_euclideaness_world_call_budget(case1):
     report = euclideaness_check(w, staggered_basis(4), probes, seed=0)
     assert (len(sizes), sum(sizes)) == (51, 825)
     want = euclideaness_check(case1, staggered_basis(4), probes, seed=0)
-    assert report.to_json() == want.to_json()
+    assert report.to_dict() == want.to_dict()
     sizes.clear()
     FlatBasis.build(w, Multivector(staggered_basis(4)))
     assert len(sizes) == 2
+
+
+@pytest.mark.parametrize("power", [-1000, 1000])
+def test_report_is_free_of_the_world_scale(all_worlds, power):
+    # residuals are read in the basis unit, a power of two, so a world
+    # scaled by 2**power, 1e-301 or 1e301, reads every digit of the report
+    # of the world itself, condition IV's solves included
+    basis, probes = staggered_basis(4), diagnostic_probes(4, 24, seed=0)
+    for name, w in all_worlds.items():
+        scaled = world_from_callable(lambda a, b, w=w: 2.0 ** power * w(a, b), 4, label=w.kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = euclideaness_check(scaled, basis, probes, seed=0)
+        assert report.to_dict() == euclideaness_check(w, basis, probes, seed=0).to_dict(), name
 
 
 def test_nan_probe_value_is_an_error(minkowski):
@@ -140,16 +155,15 @@ def test_conditions_match_every_ordered_pair(all_worlds, name):
     coords = np.array([[(val(p, p0) + val(p0, q)) - val(p, q) for p in basis[1:]]
                        for q in probes])
     pairs = [(i, k) for i in range(len(probes)) for k in range(len(probes)) if i != k]
-    scale = max([1.0] + [abs(val(probes[i], probes[k])) for i, k in pairs if i < k])
+    scale = max([fb.unit] + [abs(val(probes[i], probes[k])) for i, k in pairs if i < k])
     asym = max(abs(0.5 * (val(probes[i], probes[k]) - val(probes[k], probes[i])))
                for i, k in pairs)
     recon = 0.0
     for i, k in pairs:
         dx = coords[i] - coords[k]
         truth = val(probes[i], probes[k])
-        recon = max(recon, abs(0.5 * float(dx @ fb.g_inv @ dx) - truth) / (1.0 + abs(truth)))
-    f_n = _det(fb.g)
-    g_scale = max(np.abs(np.diag(fb.g)).tolist())
+        recon = max(recon, abs(0.5 * float(dx @ fb.g_inv @ dx) - truth) / (fb.unit + abs(truth)))
+    f_n = _det(fb.g / fb.unit)
     dimension = 0.0
     for q, x in zip(probes, coords):
         m = np.empty((n + 1, n + 1))
@@ -157,7 +171,8 @@ def test_conditions_match_every_ordered_pair(all_worlds, name):
         m[:n, n] = x
         m[n, :n] = [(val(q, p0) + val(p0, p)) - val(q, p) for p in basis[1:]]
         m[n, n] = val(q, p0) + val(p0, q)
-        denom = abs(f_n) * (abs(m[n, n]) + g_scale)
+        m /= fb.unit
+        denom = abs(f_n) * (abs(m[n, n]) + 1.0)
         dimension = max(dimension, abs(_det(m)) / max(denom, 1e-300))
     assert report["I_symmetry"].residual == asym / scale
     assert report["II_dimension"].residual == dimension
@@ -196,8 +211,8 @@ def test_condition_four_rate_ignores_last_bit_jacobian_changes(case2, monkeypatc
 def test_condition_four_solves_share_one_halving_budget(case2, monkeypatch):
     # from these starts full Newton steps wander near case2's pole, where no
     # step length lowers the residual for long: each solve stops once it has
-    # halved MAX_HALVINGS times in all, and the 64 solves cost 1,488 calls
-    # over 21,300 points (with a budget per step, one solve alone halved 854
+    # halved MAX_HALVINGS times in all, and the 64 solves cost 1,496 calls
+    # over 21,480 points (with a budget per step, one solve alone halved 854
     # times and the solves cost 7,724 calls over 85,420 points)
     records = []
 
@@ -217,7 +232,7 @@ def test_condition_four_solves_share_one_halving_budget(case2, monkeypatch):
     assert len(records) == 64
     assert max(r.backtracks for r in records) == MAX_HALVINGS
     assert all(r.stalled for r in records if r.backtracks == MAX_HALVINGS)
-    assert (len(sizes), sum(sizes)) == (1488, 21300)
+    assert (len(sizes), sum(sizes)) == (1496, 21480)
     assert rate == case2_solve_rate(case2, case2)
 
 
@@ -270,18 +285,21 @@ def test_coordinate_jacobian_matches_per_entry_dots(all_worlds):
             assert np.array_equal(fb.jacobian(w, q), want), name
 
 
-def condition_two_by_gram(w, n, basis_points, probes):
+def condition_two_by_gram(w, basis_points, probes):
     """Condition II by its definition: a Gram determinant for the basis and
-    one for each basis+probe tuple, scaled by twice the symmetric part."""
+    one for each basis+probe tuple, in the basis unit (the largest power of
+    two not above max |g_ik|), scaled by twice the symmetric part."""
     basis = Multivector(np.asarray(basis_points, dtype=float))
-    f_n = gram(w, basis)
+    g = product_matrix(w, basis, basis)
+    unit = 2.0 ** np.floor(np.log2(np.max(np.abs(g))))
+    f_n = _det(g / unit)
     p0 = basis.points[0]
-    scale = max((np.abs(w.sym(p0, basis.points[1:])) * 2.0).tolist())
-    nondegenerate = 1.0 if abs(f_n) <= 1e-12 * scale**n else 0.0
+    nondegenerate = 1.0 if abs(f_n) <= 1e-12 else 0.0
     worst = 0.0
     for q, two_sym in zip(probes, np.abs(2.0 * w.sym(p0, probes)).tolist()):
-        f_n1 = gram(w, Multivector(np.vstack([basis.points, q[None, :]])))
-        worst = max(worst, abs(f_n1) / max(abs(f_n) * (two_sym + scale), 1e-300))
+        extended = Multivector(np.vstack([basis.points, q[None, :]]))
+        f_n1 = _det(product_matrix(w, extended, extended) / unit)
+        worst = max(worst, abs(f_n1) / max(abs(f_n) * (two_sym / unit + 1.0), 1e-300))
     return nondegenerate, worst
 
 
@@ -294,7 +312,7 @@ def test_condition_two_matches_per_probe_gram(all_worlds, n, seed):
     probes = diagnostic_probes(4, 24, seed=seed)
     for name, w in all_worlds.items():
         report = euclideaness_check(w, basis, probes)
-        nondegenerate, dimension = condition_two_by_gram(w, n, basis, probes)
+        nondegenerate, dimension = condition_two_by_gram(w, basis, probes)
         assert report["II_basis_nondegenerate"].residual.hex() == nondegenerate.hex(), name
         assert report["II_dimension"].residual.hex() == dimension.hex(), name
 
@@ -322,6 +340,17 @@ def test_degenerate_basis_rejected(euclid3):
     basis[2] = basis[1]  # repeated basis point
     with pytest.raises(DegenerateSkeletonError):
         euclideaness_check(euclid3, basis, probes_for(3))
+
+
+def test_all_zero_basis_rejected_without_warning():
+    # the basis is judged by det(g / unit): an all-zero g reads unit 0.5, so
+    # it is degenerate and never divided by zero
+    zero = world_from_callable(lambda a, b: np.zeros(np.broadcast_shapes(
+        np.shape(a)[:-1], np.shape(b)[:-1])), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateSkeletonError, match="vanishing squared length"):
+            FlatBasis.build(zero, Multivector(np.vstack([np.zeros(2), np.eye(2)])))
 
 
 def test_general_position_basis(euclid3):
@@ -414,7 +443,7 @@ def test_degeneration_world_call_budget(all_worlds):
         report = degeneration_check(WorldFunction(counted, 4, spec=plain.spec, label=plain.kind), x)
         want = (43, 795) if report.summary["neutral"] == "degenerate" else (29, 333)
         assert (len(sizes), sum(sizes)) == want, name
-        assert report.to_json() == degeneration_check(plain, x).to_json(), name
+        assert report.to_dict() == degeneration_check(plain, x).to_dict(), name
 
 
 # The check on 2-point stencils against itself on the 4-point rule: the

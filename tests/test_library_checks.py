@@ -9,15 +9,22 @@ import pytest
 from tgeom import (
     ComplexLengthError,
     DegeneracyReport,
+    SingularMetricError,
     DimensionMismatchError,
     GeometryError,
     Multivector,
     OrderMismatchError,
     TubeSpec,
     WorldSpec,
+    case1_waist,
+    case2_asymptotic_radius,
     chain_parallel_residual,
     collinearity_residual,
+    curve_deviation,
+    eta_case1_closed,
     euclideaness_check,
+    fd,
+    first_order_factors,
     flat_curvature_defect,
     make_world,
     parallelism_residual,
@@ -25,6 +32,7 @@ from tgeom import (
     tube_residual,
 )
 from tgeom.cli import run
+from tgeom.degeneracy import FlatBasis
 from tgeom.tubes import spacelike_unit_normal
 from conftest import random_a3, world
 
@@ -33,6 +41,8 @@ T1 = np.array([1.0, 0.0, 0.0, 0.0])
 X1 = np.array([0.0, 1.0, 0.0, 0.0])
 SEGMENT = Multivector(np.stack([ORIGIN, T1]))  # timelike in the Minkowski world
 TRIANGLE = Multivector(np.stack([ORIGIN, T1, 0.5 * T1 + 0.1 * X1]))
+# a 3-d basis whose last point is the previous one moved 1e-7 along a new axis
+NEAR_BASIS = Multivector(np.vstack([np.zeros(3), np.eye(3)[:2], [0.0, 1.0, 1e-7]]))
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -58,13 +68,34 @@ TRIANGLE = Multivector(np.stack([ORIGIN, T1, 0.5 * T1 + 0.1 * X1]))
      GeometryError, "no coordinate axis"),
     (lambda w: chain_parallel_residual(w, "n", ORIGIN, X1, 2.0 * X1),
      ComplexLengthError, "negative squared length"),
+    (lambda w: FlatBasis.build(world("euclidean", dim=3, metric=[1, 1, 1]), NEAR_BASIS),
+     SingularMetricError, "badly conditioned"),
+    (lambda w: first_order_factors(world("case1", b=[1, 0, 0, 0], alpha=0.2), "n",
+                                   ORIGIN, T1, 2.0 * X1),
+     ComplexLengthError, "nonnegative separation product"),
+    (lambda w: case1_waist(0.0), ValueError, "g must be positive"),
+    (lambda w: case2_asymptotic_radius(0.2, -1.0, 1.0),
+     ZeroDivisionError, "screening denominator vanishes"),
 ], ids=["curvature-part", "transport-space", "no-probes", "report-name",
         "one-point", "non-finite-point", "collinearity-orders", "parallelism-orders",
         "parallelism-sense", "tube-probe-dimension", "normal-to-null", "normal-in-1d",
-        "spacelike-chain"])
+        "spacelike-chain", "badly-conditioned-basis", "neutral-eta-radicand",
+        "waist-at-zero-g", "screening-pole"])
 def test_library_check_raises(minkowski, call, error, message):
     with pytest.raises(error, match=message):
         call(minkowski)
+
+
+@pytest.mark.parametrize("call,want", [
+    # a zero-length polyline resamples to its first point
+    (lambda w: curve_deviation(np.zeros((3, 4)), np.zeros((5, 4))), 0.0),
+    # the default metric is Minkowski: b.xi xi^2 over the edges is -1 + 0 + 0
+    (lambda w: eta_case1_closed(ORIGIN, T1, X1, 0.2, T1), -0.2),
+    (repr, "WorldFunction(kind='euclidean', dim=4)"),
+    (lambda w: fd.partial_tensors(w, ORIGIN, ORIGIN, []), {}),
+], ids=["constant-curve", "eta-default-metric", "world-repr", "no-orders"])
+def test_library_edge_value(minkowski, call, want):
+    assert call(minkowski) == want
 
 
 def test_cubic_spec_round_trips():

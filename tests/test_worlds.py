@@ -202,6 +202,17 @@ def test_spec_fields_are_read_only_floats():
     assert spec.metric[0, 0] == 1.0
 
 
+def test_spec_equality_is_identity():
+    # specs hold arrays, so == and hash go by identity; to_dict() compares values
+    doc = {"kind": "constant_a", "dim": 2, "metric": [1, -1], "b": [0.3, 0.0]}
+    spec, twin = WorldSpec.from_dict(doc), WorldSpec.from_dict(doc)
+    assert hash(spec) == hash(spec)
+    assert spec in {spec} and twin not in {spec}
+    assert spec == spec
+    assert spec != twin
+    assert spec.to_dict() == twin.to_dict()
+
+
 def test_malformed_json():
     with pytest.raises(InvalidWorldSpecError, match="malformed"):
         WorldSpec.from_json("{not json")
