@@ -18,7 +18,7 @@ all shipped world families are smooth there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,8 +145,8 @@ class CoincidenceCoefficients:
     gamma_tilde_p: np.ndarray
     a3: np.ndarray           # third-order antisymmetry coefficients
     g3: np.ndarray           # third-order symmetric expansion coefficients
-    a_hess: np.ndarray = field(default=None)   # a_{i,kl}
-    g_grad: np.ndarray = field(default=None)   # g_{ik,l}
+    a_hess: np.ndarray       # a_{i,kl}
+    g_grad: np.ndarray       # g_{ik,l}
 
 
 _COEFFICIENT_ORDERS = [(1, 0), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2)]
@@ -385,6 +385,7 @@ def curvature_bundle(w: WorldFunction, x) -> CurvatureBundle:
     r_p = riemann_from_gamma(cc.gamma_tilde_p, d_gamma_p)
 
     scale = 1.0 + float(np.max(np.abs(f_co)) + np.max(np.abs(f_tilde_co)))
+    alternated = f_tilde_co - f_tilde_co.transpose(0, 2, 1, 3)
     defects = {
         "pair_symmetry": float(max(
             np.max(np.abs(f_tilde_co - f_tilde_co.transpose(1, 0, 2, 3))),
@@ -402,14 +403,10 @@ def curvature_bundle(w: WorldFunction, x) -> CurvatureBundle:
         # alternated coincident F vs the curvature of gamma_tilde_f:
         # f[i,l,k,j] - f[i,k,l,j] = gtilde[p,j] r_f[p,i,k,l]
         "tilde_relation_f": float(np.max(np.abs(
-            f_tilde_co - f_tilde_co.transpose(0, 2, 1, 3)
-            - np.einsum("pj,pikl->ilkj", cc.g_tilde, r_f)
-        )) / scale),
+            alternated - np.einsum("pj,pikl->ilkj", cc.g_tilde, r_f))) / scale),
         # f[i,l,k,j] - f[i,k,l,j] = gtilde[l,p] r_p[p,k,i,j]
         "tilde_relation_p": float(np.max(np.abs(
-            f_tilde_co - f_tilde_co.transpose(0, 2, 1, 3)
-            - np.einsum("lp,pkij->ilkj", cc.g_tilde, r_p)
-        )) / scale),
+            alternated - np.einsum("lp,pkij->ilkj", cc.g_tilde, r_p))) / scale),
     }
     return CurvatureBundle(
         f_tilde_coincident=f_tilde_co,

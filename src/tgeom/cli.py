@@ -157,9 +157,8 @@ def _cmd_tube_section(args, w):
     y = _parse_point(args.y, w.dim, "--y")
     if args.tau_steps < 1:
         raise ValueError("--tau-steps must be positive")
-    if not np.isfinite([args.tau_min, args.tau_max]).all():
-        raise ValueError("--tau-min and --tau-max must be finite")
-    taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
+    with np.errstate(all="ignore"):  # the sampler rejects a grid that is not finite
+        taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
     results = tubes.sample_axisymmetric_tube(w, y, args.kind, taus)
 
     rows = []
@@ -243,23 +242,10 @@ def _cmd_coefficients(args, w):
 
     at = _parse_point(args.at, w.dim, "--at")
     cc = calculus.coincidence_coefficients(w, at)
-    doc = {
-        "world": w.kind,
-        "at": at,
-        "a": cc.a,
-        "g": cc.g,
-        "g_inv": cc.g_inv,
-        "g_tilde": cc.g_tilde,
-        "g_tilde_inv": cc.g_tilde_inv,
-        "sigma_f": cc.sigma_f,
-        "sigma_p": cc.sigma_p,
-        "gamma": cc.gamma,
-        "beta": cc.beta,
-        "gamma_tilde_f": cc.gamma_tilde_f,
-        "gamma_tilde_p": cc.gamma_tilde_p,
-        "a3": cc.a3,
-        "g3": cc.g3,
-    }
+    doc = {"world": w.kind, "at": at}
+    doc.update((name, getattr(cc, name)) for name in (
+        "a", "g", "g_inv", "g_tilde", "g_tilde_inv", "sigma_f", "sigma_p", "gamma", "beta",
+        "gamma_tilde_f", "gamma_tilde_p", "a3", "g3"))
     _write_json(args.out, doc)
 
 

@@ -35,6 +35,14 @@ from .worlds import WorldFunction, check_kind, world_from_callable
 ROUGH_SMALL_TAU = 0.05
 
 
+def _roughness(kind: str, gradient) -> float:
+    """The norm of the coincidence gradient, gradient(), above which (1e-10)
+    a future/past equation is rough-antisymmetric, or 0.0 below it; the
+    neutral equation has no such term and reads none."""
+    norm = float(np.linalg.norm(gradient())) if kind in ("f", "p") else 0.0
+    return norm if norm > 1e-10 else 0.0
+
+
 @dataclass
 class Trajectory:
     """Sampled parameterized curve with per-sample solver diagnostics."""
@@ -99,20 +107,19 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
 
     rhs_covector = lhs(x_end)
 
-    warnings = []
-    if kind in ("f", "p"):  # the neutral equation has no coincidence-gradient term
-        rough = float(np.linalg.norm(coincidence_gradient(w, x_start)))
-        bad = tau_grid[np.abs(tau_grid) < ROUGH_SMALL_TAU]
-        if rough > 1e-10 and bad.size:
-            warnings.append({
-                "code": "rough_antisymmetry_small_parameter",
-                "message": (
-                    "the defining equation degenerates for small parameters "
-                    "when the coincidence gradient does not vanish; affected "
-                    f"samples: {bad.tolist()}"
-                ),
-                "gradient_norm": rough,
-            })
+    gradient_norm = _roughness(kind, lambda: coincidence_gradient(w, x_start))
+    bad = tau_grid[np.abs(tau_grid) < ROUGH_SMALL_TAU]
+    # a rough line is warned, and returns its unconverged samples rather than raising
+    rough = bool(gradient_norm and bad.size)
+    warnings = [{
+        "code": "rough_antisymmetry_small_parameter",
+        "message": (
+            "the defining equation degenerates for small parameters "
+            "when the coincidence gradient does not vanish; affected "
+            f"samples: {bad.tolist()}"
+        ),
+        "gradient_norm": gradient_norm,
+    }] if rough else []
 
     scale = 1.0 + float(np.linalg.norm(rhs_covector))
 
@@ -146,7 +153,7 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
             if ok_c or record_c.residual_norm < record.residual_norm:
                 x, record, ok = x_c, record_c, ok_c
         norm = record.residual_norm
-        if not ok and not warnings:
+        if not ok and not rough:
             raise SolverError(
                 f"gradient line solve failed at parameter {tau} (|r| = {norm:.3e})",
                 {"parameter": float(tau), "chord_retry": retried, **record._asdict()},
@@ -157,7 +164,7 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
         if ok:
             anchors = anchors[-1:] + [(tau, x)]
     converged = np.asarray(converged)
-    if not converged.all():  # only a warned line gets here: name every such sample
+    if not converged.all():  # only a rough line gets here: name every such sample
         warnings[0]["unconverged"] = tau_grid[~converged].tolist()
     return Trajectory(params=tau_grid, points=np.asarray(points), kind=kind,
                       residuals=np.asarray(residuals), warnings=warnings,
@@ -283,13 +290,12 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     y = np.concatenate([x0, v0])
     stages = np.empty((7, 2 * d))
     stages[0], cc = rhs(y)
-    if kind in ("f", "p"):
-        rough = float(np.linalg.norm(cc.a))
-        if rough > 1e-10:
-            raise GeometryError(
-                "future/past geodesic form needs a fine-antisymmetric world "
-                f"(coincidence gradient norm {rough:.3e})"
-            )
+    rough = _roughness(kind, lambda: cc.a)
+    if rough:
+        raise GeometryError(
+            "future/past geodesic form needs a fine-antisymmetric world "
+            f"(coincidence gradient norm {rough:.3e})"
+        )
 
     sample = 0
     t, h = t0, t1 - t0

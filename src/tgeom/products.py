@@ -120,12 +120,15 @@ def gram(w: WorldFunction, p: Multivector) -> float:
     return multivector_product(w, p, p)
 
 
-def _real_length(value: float, what: str) -> float:
-    if value < 0.0:
-        raise ComplexLengthError(
-            f"{what} has negative squared length {value}; real length undefined"
-        )
-    return float(np.sqrt(value))
+def _real_length(value, what: str):
+    """sqrt of a squared length that must be nonnegative.  Broadcasts, and
+    is a float for one value; ComplexLengthError names the first negative."""
+    value = np.asarray(value, dtype=float)
+    if np.any(value < 0.0):
+        raise ComplexLengthError(f"{what} has negative squared length "
+                                 f"{float(value[value < 0.0][0])}; real length undefined")
+    root = np.sqrt(value)
+    return float(root) if root.ndim == 0 else root
 
 
 def collinearity_residual(w: WorldFunction, kind: str, p: Multivector,

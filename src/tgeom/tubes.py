@@ -14,7 +14,7 @@ fd.kind_tensor); a chain step holds 2 k(mid, next) at mu^2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -276,17 +276,20 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
     """Brent's method (Brent 1973, ch. 4) on many independent brackets at once.
 
     Follows the standard brentq routine step for step, so every bracket ends
-    on the root brentq returns for it, to the last bit.  f(index, x)
-    evaluates the functions of brackets `index` at x; fa and fb are the end
-    values, of strictly opposite signs.  Returns the roots and f there.
+    on the root brentq returns for it, to the last bit; but values are read
+    in a power of two of each bracket's ends, so that the interpolation's
+    products of three values cannot overflow.  f(index, x) evaluates the
+    functions of brackets `index` at x; fa and fb are the end values, of
+    strictly opposite signs.  Returns the roots and f there.
     """
     n = len(xa)
     root, froot, index = np.empty(n), np.empty(n), np.arange(n)
     xtol = np.broadcast_to(np.asarray(xtol, dtype=float), (n,))
-    xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in (xa, xb, fa, fb))
+    unit = np.ldexp(1.0, np.frexp(np.maximum(np.abs(fa), np.abs(fb)))[1])
+    xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in (xa, xb, fa / unit, fb / unit))
     xblk, fblk, spre, scur = np.zeros((4, n))
     for iteration in range(_BRENT_MAXITER):
-        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        flip = np.sign(fpre) * np.sign(fcur) < 0
         xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
         spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
         swap = np.abs(fblk) < np.abs(fcur)
@@ -295,7 +298,7 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
         delta = (xtol + rtol * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         done = (fcur == 0) | (np.abs(sbis) < delta)
-        root[index[done]], froot[index[done]] = xcur[done], fcur[done]
+        root[index[done]], froot[index[done]] = xcur[done], fcur[done] * unit[index[done]]
         if done.all():
             return root, froot
         index, xtol, delta, sbis, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
@@ -310,7 +313,7 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
         spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = f(index, xcur)
+        fcur = f(index, xcur) / unit[index]
         if np.any(np.isnan(fcur)):
             raise SolverError("NaN residual inside a root bracket",
                               {"brackets": n, "iteration": iteration})
@@ -393,10 +396,6 @@ def _grid_brackets(signed_residual, residual, taus, rmaxs, block_rows):
     the inputs of _settle.
     """
     taus, rmaxs = taus[block_rows], rmaxs[block_rows]
-
-    def residual_at(rows, r):
-        return residual(block_rows[rows], r)
-
     grid = np.concatenate([np.zeros((len(taus), 1)),
                            np.geomspace(_RESOLUTION, rmaxs, _PROBES - 1, axis=-1)], axis=1)
     with np.errstate(all="ignore"):  # overflow far out is reported below
@@ -421,24 +420,26 @@ def _grid_brackets(signed_residual, residual, taus, rmaxs, block_rows):
     srow, scol = np.nonzero(signed)
     adjacent = srow[1:] == srow[:-1]
     rows, i, j = srow[:-1][adjacent], scol[:-1][adjacent], scol[1:][adjacent]
-    flip = vals[rows, i] * vals[rows, j] < 0
+    # signs are compared, not the values multiplied: a product may overflow
+    sgn = np.sign(vals)
+    flip = sgn[rows, i] * sgn[rows, j] < 0
     band = ~flip & (j > i + 1)
     # a root pair may hide around a signed probe whose |residual| is below
     # both its neighbours of its sign, or among unsigned probes between two
     # signed ones of the same sign: minimise the signed residual over each
     # such interval for a crossing (two brackets more), a fold (a minimum
     # within round-off) or nothing
-    mid = vals[:, 1:-1]
-    ext, k = np.nonzero(signed[:, 1:-1] & (mid * vals[:, :-2] > 0) & (mid * vals[:, 2:] > 0)
+    mid, smid = vals[:, 1:-1], sgn[:, 1:-1]
+    ext, k = np.nonzero(signed[:, 1:-1] & (smid * sgn[:, :-2] > 0) & (smid * sgn[:, 2:] > 0)
                         & (np.abs(mid) < np.abs(vals[:, :-2]))
                         & (np.abs(mid) < np.abs(vals[:, 2:])))
     ends = (np.concatenate([k, i[band]]), np.concatenate([k + 1, i[band] + 1]),
             np.concatenate([k + 2, j[band]]))
     ext = np.concatenate([ext, rows[band]])
-    sign = np.sign(vals[ext, ends[0]])
-    m_a, m_x, m_b, mf_a, mf_x, mf_b = _brent_min(lambda index, z: residual_at(ext[index], z), sign,
-                                                 *(grid[ext, c] for c in ends),
-                                                 *(vals[ext, c] for c in ends))
+    sign = sgn[ext, ends[0]]
+    m_a, m_x, m_b, mf_a, mf_x, mf_b = _brent_min(
+        lambda index, z: residual(block_rows[ext[index]], z), sign,
+        *(grid[ext, c] for c in ends), *(vals[ext, c] for c in ends))
     cross = sign * mf_x < 0
     rows, i, j = rows[flip], i[flip], j[flip]
     a = np.concatenate([grid[rows, i], m_a[cross], m_x[cross]])
@@ -564,7 +565,7 @@ def _proxy_brackets(signed_residual, taus, rmaxs, degree: int, even: bool):
                                         np.concatenate([a, b]))
     f_a, f_b = f_ab[:len(rows)], f_ab[len(rows):]
     bad = ((a <= 0.0) | ~(b < rmaxs[rows])
-           | ~(s_ab[:len(rows)] & s_ab[len(rows):]) | ~(f_a * f_b < 0))
+           | ~(s_ab[:len(rows)] & s_ab[len(rows):]) | ~(np.sign(f_a) * np.sign(f_b) < 0))
     # the brackets of one tau must be disjoint: two that overlap may both
     # settle on one root and leave the other unfound
     order = np.lexsort((a, rows))
@@ -786,8 +787,8 @@ class BrokenTube:
     kind: str
     parallel_residuals: np.ndarray
     length_residuals: np.ndarray
-    sym_length_residuals: np.ndarray = None
-    multiplicity_flags: list = field(default_factory=list)
+    sym_length_residuals: np.ndarray
+    multiplicity_flags: list
 
 
 def kind_length_sq(w: WorldFunction, kind: str, pa, pb):
@@ -853,13 +854,10 @@ def chain_parallel_residual(w: WorldFunction, kind: str, pa, pb, pc):
     leading axes, and is a float for one segment pair."""
     check_kind(kind)
     wab, wba, wac, wca, wbc, wcb = _triple_worlds(w, pa, pb, pc)
-    sq = np.stack(np.broadcast_arrays(wab + wba, wbc + wcb))
-    if np.any(sq < 0.0):
-        raise ComplexLengthError(f"segment length has negative squared length "
-                                 f"{float(sq[sq < 0.0][0])}; real length undefined")
+    lab, lbc = (_real_length(sq, "segment length") for sq in (wab + wba, wbc + wcb))
     x, y = kind_pair(kind, wac - wbc - wab, wca - wcb - wba)  # (ab . bc), (bc . ab)
     prod = np.sqrt(np.maximum(x * y, 0.0)) if kind == "n" else x
-    res = np.sqrt(sq[0]) * np.sqrt(sq[1]) - prod
+    res = lab * lbc - prod
     return float(res) if res.ndim == 0 else res
 
 

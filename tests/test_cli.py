@@ -719,6 +719,7 @@ _GRADIENT = ["gradient-line", "--world", "CASE1", "--from", "0,0,0,0", "--to", "
     _BROKEN + ["--mu", "0", "--steps", "2"],
     _SECTION + ["--tau-min", "nan", "--tau-max", "1"],
     _SECTION + ["--tau-min", "0", "--tau-max", "inf"],
+    _SECTION + ["--tau-min", "-1e308", "--tau-max", "1e308"],
     ["check", "euclideaness", "--world", "CASE1", "--seed", "-1"],
     ["check", "euclideaness", "--world", "CASE1", "--probes", "0"],
     ["check", "euclideaness", "--world", "CASE1", "--probes", "-3"],
@@ -739,7 +740,8 @@ _GRADIENT = ["gradient-line", "--world", "CASE1", "--from", "0,0,0,0", "--to", "
     ["check", "degeneration", "--world", "CASE1", "--probes", "3"],
     ["check", "euclideaness", "--world", "CASE1", "--at", "0,0,0,0"],
 ], ids=["steps-0", "steps-negative", "mu-nan", "mu-inf", "mu-0",
-        "tau-min-nan", "tau-max-inf", "seed-negative", "probes-0", "probes-negative",
+        "tau-min-nan", "tau-max-inf", "tau-span-overflow", "seed-negative", "probes-0",
+        "probes-negative",
         "tau-steps-1e15", "tau-steps-1e20", "line-steps-1e15", "line-steps-1e20",
         "probes-1e15", "probes-1e20", "chain-steps-1e15", "probes-2e58",
         "line-steps-2e62", "ode-steps-2e62", "tau-steps-2e61", "line-steps-2e61",

@@ -689,6 +689,36 @@ def test_sampler_case2_keeps_its_roots(alpha, beta):
                 assert abs(res) <= 1e-10 * (1.0 + tau * tau + r * r) ** 2
 
 
+def test_sampler_is_free_of_the_world_scale():
+    # metric and b scaled by 2**332, with alpha (case1) or beta (case2)
+    # scaled by its inverse, scale the world function exactly; the residual,
+    # second degree in it, then reaches about 1e200 and its products
+    # overflow.  With RuntimeWarnings as errors, case1's profiles equal the
+    # unit-scale ones bit for bit.  Case2's keep their root counts: its
+    # reduced asymmetry alpha |b.y| grows with the scale, and so its rmax
+    # and probe grid change
+    s = 2.0 ** 332
+    y = np.array([1.0, 0, 0, 0])
+    taus = np.linspace(-1.0, 2.0, 13)
+
+    def scaled(kind, scale, **params):
+        return world(kind, metric=(scale * MINK).tolist(), b=[scale, 0, 0, 0], **params)
+
+    worlds = [("case1", scaled("case1", 1.0, alpha=0.2), scaled("case1", s, alpha=0.2 / s)),
+              ("case2", scaled("case2", 1.0, alpha=0.2, beta=1.0),
+               scaled("case2", s, alpha=0.2, beta=1.0 / s))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for family, unit, big in worlds:
+            for kind in "nfp":
+                want = sample_axisymmetric_tube(unit, y, kind, taus)
+                got = sample_axisymmetric_tube(big, y, kind, taus)
+                if family == "case1":
+                    assert got == want, kind
+                else:
+                    assert [len(r) for _, r in got] == [len(r) for _, r in want], kind
+
+
 def test_sampler_evaluates_the_skeleton_pair_once():
     # w(origin, y) and w(y, origin) are fixed for a call; every other world
     # call carries probe points
