@@ -876,6 +876,7 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     d = w.dim
     ends = {"objective": p_prev, "constraint": p_mid}
     memo = {}  # the last vertex and the tensors asked for there
+    last = []  # the last Jacobian assembled
 
     def tensor(p, which, order):
         if not np.array_equal(memo.get("p"), p):
@@ -900,32 +901,36 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
         cg = tensor(p, "constraint", 1)
         jac[:d, d] = -cg
         jac[d, :d] = 2.0 * cg
+        last[:] = [jac]
         return jac
 
-    return residual, jacobian, tensor
+    # the fourth builder returns the Jacobian last assembled, or J(z) before any
+    return residual, jacobian, tensor, lambda z: last[0] if last else jacobian(z)
 
 
-def _isolated(jacobian, z1, z_a) -> bool:
-    """True when a Jacobian test shows that the step system has no root
-    other than z1 within the probe's reach: 1/||J(z1)^-1||_F > ||J(z_a) -
-    J(z1)||_F, with z_a the probe's start.
+#: the chord step's miss that clears a step, as a fraction of the probe's offset
+_CHORD_CONTRACTION = 0.1
 
-    A second root z2 makes the Jacobian averaged from z1 to z2 singular, so
-    sigma_min(J(z1)) <= max ||J - J(z1)|| over that segment (Dennis &
-    Schnabel, Numerical Methods for Unconstrained Optimization and Nonlinear
-    Equations, 1983, ch. 5).  1/||J^-1||_F <= sigma_min and ||.||_2 <=
-    ||.||_F keep the test conservative on both sides.  On a world whose
-    step system is quadratic, J is affine and the right side is its exact
-    change along the probe's offset; elsewhere it is an estimate.  The
-    Jacobian at z_a is evaluated last, so a probe solve that follows starts
-    from it and from its constraint gradient.  A singular J(z1) proves nothing."""
-    j1 = jacobian(z1)
-    change = jacobian(z_a) - j1
+
+def _isolated(residual, m, z1, z_a) -> bool:
+    """True when a chord step shows that the step system has no root other
+    than z1 within the probe's reach: with z_a the probe's start and m a
+    Jacobian taken near z1, the vertex part of z_a - m^-1 F(z_a) lies
+    within _CHORD_CONTRACTION |z_a - z1| of z1's (vertex parts both).
+
+    The chord step lands at z1 + m^-1 (m - Jbar)(z_a - z1), with Jbar the
+    Jacobian averaged from z1 to z_a (Dennis & Schnabel, Numerical Methods
+    for Unconstrained Optimization and Nonlinear Equations, 1983, ch. 5).
+    On a world whose step system is quadratic and with m = J(z1), a second
+    root at z1 + t (z_a - z1), 0 < t <= 1, puts it |z_a - z1| / t from z1,
+    so the test fails; elsewhere it is an estimate.  A singular m never
+    clears."""
     try:
-        inverse = np.linalg.inv(j1)
+        step = np.linalg.solve(m, -residual(z_a))
     except np.linalg.LinAlgError:
         return False
-    return 1.0 / np.linalg.norm(inverse) > np.linalg.norm(change)
+    miss = np.linalg.norm(z_a[:-1] + step[:-1] - z1[:-1])
+    return miss <= _CHORD_CONTRACTION * np.linalg.norm(z_a[:-1] - z1[:-1])
 
 
 def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
@@ -939,9 +944,11 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     multiplicity_flags[i] is True when step i's extremum may not be unique:
     a second Newton solve, from the straight continuation shifted 0.05 mu
     transversally to the last segment, settles more than 1e-6 mu from the
-    step's root.  That probe solve runs only when the Jacobian test of
-    _isolated cannot show the root isolated within the shift; a step the
-    test clears, or one with no transverse direction, is flagged False.
+    step's root.  That probe solve runs only when the chord-step test of
+    _isolated, with the Jacobian the step's solve last assembled (or, where
+    the guess solved the step, the probe's first), cannot show the root
+    isolated; a step the test clears, or with no transverse direction, is
+    flagged False.
     Raises ValueError unless mu is positive and finite and p0 and p1 are
     finite.
     """
@@ -964,7 +971,7 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     scale = 1.0 + mu * mu
     for index in range(steps):
         prev_p, mid = verts[index], verts[index + 1]
-        residual, jacobian, tensor = _step_system(w, kind, prev_p, mid, mu)
+        residual, jacobian, tensor, chord_jacobian = _step_system(w, kind, prev_p, mid, mu)
 
         def solve(z0):
             try:
@@ -989,7 +996,7 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         new_p = z[:d]
 
         # multiplicity probe: restart from a transversally shifted seed,
-        # unless the Jacobian test shows the root isolated
+        # unless a chord step from there shows the root isolated
         chord = mid - prev_p
         probe_dir = np.zeros(d)
         probe_dir[int(np.argmin(np.abs(chord)))] = 1.0
@@ -998,7 +1005,7 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         flagged = False
         if nrm > 1e-12:
             z_alt0 = np.concatenate([guess + 0.05 * mu * probe_dir / nrm, [lam0]])
-            if not _isolated(jacobian, z, z_alt0):
+            if not _isolated(residual, chord_jacobian(z_alt0), z, z_alt0):
                 try:
                     z_alt = solve(z_alt0)
                     if np.linalg.norm(z_alt[:d] - new_p) > 1e-6 * mu:

@@ -89,9 +89,10 @@ def _inv(m: np.ndarray, what: str, error=SingularMetricError) -> np.ndarray:
 
 
 def _symmetric(a: np.ndarray, perm) -> bool:
-    """a == a permuted by perm to within 1e-12; an overflowing difference fails."""
+    """a == a permuted by perm to within 1e-12 max |a|, whatever the world's
+    unit (an all-zero a passes); an overflowing difference fails."""
     with np.errstate(over="ignore"):
-        return np.allclose(a, np.transpose(a, perm), rtol=0, atol=1e-12)
+        return np.allclose(a, np.transpose(a, perm), rtol=0, atol=1e-12 * np.max(np.abs(a)))
 
 
 def _as_point(x, dim):

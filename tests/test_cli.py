@@ -536,8 +536,8 @@ def test_exit_code_chain_singular_jacobian(tmp_path, world_file, monkeypatch):
     step_system = tgeom.tubes._step_system
 
     def singular(*args):
-        residual, jacobian, gradients = step_system(*args)
-        return residual, lambda z: np.zeros((len(z), len(z))), gradients
+        residual, jacobian, *rest = step_system(*args)
+        return residual, lambda z: np.zeros((len(z), len(z))), *rest
 
     monkeypatch.setattr(tgeom.tubes, "_step_system", singular)
     err = _solver_failure(_curved_chain(tmp_path, world_file))

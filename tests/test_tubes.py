@@ -844,16 +844,15 @@ def test_chain_kinds_coincide_symmetric(minkowski):
 
 
 def test_chain_world_point_budget(cubic):
-    # 4 steps, each a step solve and the Jacobian test that clears its
+    # 4 steps, each a step solve and the chord-step test that clears its
     # probe: a residual reads two 16-point gradients and one length, a
     # Jacobian two 33-point (0, 2) stencils on the 2-point rule and the
     # constraint gradient of its point.  The start multiplier takes the
     # guess's gradients (32 points), which the solve's first residual
-    # reuses; the solve takes 2 iterations (199 points).  The test reads the
-    # Jacobian at the root, whose gradients the last residual left (66
-    # points), and at the probe's start (82); no probe solve runs.  The seed
-    # check takes one point, and the lengths and parallelism of the chain
-    # nine calls (39)
+    # reuses; the solve takes 2 iterations (199 points).  The test takes
+    # the solve's last Jacobian and the residual at the probe's start (3
+    # calls, 33 points); no probe solve runs.  The seed check takes one
+    # point, and the lengths and parallelism of the chain nine calls (39)
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     p1 = advance_seed(cubic, "f", np.zeros(4), v, 0.1)
@@ -865,7 +864,7 @@ def test_chain_world_point_budget(cubic):
 
     chain = build_broken_tube(world_from_callable(counted, 4), "f", np.zeros(4), p1, 0.1, 4)
     assert np.max(chain.length_residuals) < 1e-10
-    assert (len(sizes), sum(sizes)) == (82, 1556)
+    assert (len(sizes), sum(sizes)) == (74, 1096)
 
 
 @pytest.mark.parametrize("shift", [10.0, 1e3, 1e5])
@@ -912,8 +911,8 @@ def test_multiplicity_flag_fires_on_nearby_extrema():
 def _chain_or_error(w, kind, p0, p1, mu, steps):
     try:
         return build_broken_tube(w, kind, p0, p1, mu, steps)
-    except SolverError as exc:
-        return str(exc)
+    except GeometryError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _assert_same_chain(chain, ref):
@@ -929,8 +928,8 @@ def _assert_same_chain(chain, ref):
 @pytest.mark.parametrize("offset", [0.005, 0.02, 0.04, 0.1, 0.15, 0.5, 1.0, 2.0])
 def test_quartic_flags_match_the_always_probe_reference(monkeypatch, offset):
     # extra stationary points offset mu either side of each step's root: up
-    # to 0.1 mu the Jacobian test must leave the probe solve to run, and it
-    # flags the step; from 0.15 mu on no probe settles on them
+    # to 0.1 mu the chord-step test must leave the probe solve to run, and
+    # it flags the step; from 0.15 mu on no probe settles on them
     mu = 0.1
     p0, p1 = np.zeros(2), np.array([mu, 0.0])
     sizes, ref_sizes, solves = [], [], []
@@ -951,14 +950,18 @@ def test_quartic_flags_match_the_always_probe_reference(monkeypatch, offset):
     assert chain.multiplicity_flags == [offset <= 0.1] * 3
     if offset <= 0.1:
         assert len(solves) == 6  # each step's solve and its probe's
-        # the probe starts from the test's Jacobian and gradients, so the
-        # test adds only the Jacobian at the root: two 9-point stencils
-        assert (len(sizes) - len(ref_sizes), sum(sizes) - sum(ref_sizes)) == (6, 54)
+        # the straight continuation solves each step, so the test reads the
+        # residual and the Jacobian at the probe's start, and the probe
+        # solve reuses all of it but the residual's 1-point length
+        assert (len(sizes) - len(ref_sizes), sum(sizes) - sum(ref_sizes)) == (3, 3)
 
 
 def test_singular_jacobian_proves_no_isolation():
-    # J(z1) has no inverse, so the test cannot clear the step
-    assert not tubes._isolated(lambda z: np.diag([z[0], 1.0]), np.zeros(2), np.ones(2))
+    # the chord step of a singular Jacobian is not defined, so the test
+    # cannot clear the step, even where the residual is zero
+    for m in (np.zeros((2, 2)), np.diag([0.0, 1.0])):
+        assert not tubes._isolated(lambda z: np.zeros(2), m, np.zeros(2), np.ones(2))
+    assert tubes._isolated(lambda z: z, np.eye(2), np.zeros(2), np.ones(2))
 
 
 def test_failed_probe_solve_leaves_the_step_unflagged(monkeypatch):
@@ -987,35 +990,48 @@ def test_failed_probe_solve_leaves_the_step_unflagged(monkeypatch):
     assert np.array_equal(chain.vertices, ref.vertices)
 
 
-@pytest.mark.parametrize("scale", [0.3, 1.0])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cubic_flags_match_the_always_probe_reference(monkeypatch, scale, seed):
-    # the same flags, vertices and residuals with the Jacobian test as with
-    # a probe solve at every step; a chain that stalls fails the same way
-    # on both sides
-    cub = world("cubic_a", a3=random_a3(scale=scale, seed=seed).ravel().tolist())
+def _assert_flags_match_the_always_probe_reference(monkeypatch, w):
+    # the same flags, vertices and residuals with the chord-step test as
+    # with a probe solve at every step; a chain that stalls, or that ends
+    # with a complex segment length, fails the same way on both sides
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     p0 = np.zeros(4)
-    for mu in (0.1, 0.3):
+    for mu in (0.03, 0.1, 0.3):
         for kind in "fpn":
-            p1 = advance_seed(cub, kind, p0, v, mu)
-            chain = _chain_or_error(cub, kind, p0, p1, mu, 4)
+            # past-pointing where the kind reads v as spacelike (kind f on
+            # case1 and case2)
+            u = v if kind_length_sq(w, kind, p0, v) > 0 else -v
+            p1 = advance_seed(w, kind, p0, u, mu)
+            chain = _chain_or_error(w, kind, p0, p1, mu, 4)
             with monkeypatch.context() as patch:
                 patch.setattr(tubes, "_isolated", lambda *args: False)  # probe every step
-                ref = _chain_or_error(cub, kind, p0, p1, mu, 4)
+                ref = _chain_or_error(w, kind, p0, p1, mu, 4)
             _assert_same_chain(chain, ref)
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cubic_flags_match_the_always_probe_reference(monkeypatch, scale, seed):
+    cub = world("cubic_a", a3=random_a3(scale=scale, seed=seed).ravel().tolist())
+    _assert_flags_match_the_always_probe_reference(monkeypatch, cub)
+
+
+@pytest.mark.parametrize("family", ["case1", "case2", "constant_a", "euclidean"])
+def test_family_flags_match_the_always_probe_reference(monkeypatch, all_worlds, family):
+    _assert_flags_match_the_always_probe_reference(monkeypatch, all_worlds[family])
 
 
 def test_neutral_chain_world_point_budget_on_minkowski(minkowski):
     # the straight guess solves each step (no Newton iteration), so the
-    # Jacobian test is most of a step's cost: a kind-n tensor differences
-    # the symmetrized world both ways, so the start multiplier's gradients
-    # take 64 points and the step's residual its 2-point length, and the
-    # test 296 (the Jacobian at the root, 132, and at the probe's start,
-    # with its constraint gradient, 164); the seed check takes 2 points,
-    # the lengths and parallelism of the chain 44.  Probing every step
-    # would take 180 calls and 2,950 points.
+    # chord-step test takes the Jacobian at the probe's start and is most
+    # of a step's cost: a kind-n tensor differences the symmetrized world
+    # both ways, so the start multiplier's gradients take 64 points and the
+    # step's residual its 2-point length, and the test 198 (the Jacobian
+    # with its constraint gradient, 164, and the residual's objective
+    # gradient and length, 34); the seed check takes 2 points, the lengths
+    # and parallelism of the chain 44.  Probing every step would take 180
+    # calls and 2,950 points.
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     sizes = []
@@ -1028,7 +1044,7 @@ def test_neutral_chain_world_point_budget_on_minkowski(minkowski):
                               0.1, 4)
     assert np.max(chain.length_residuals) < 1e-10
     assert chain.multiplicity_flags == [False] * 4
-    assert (len(sizes), sum(sizes)) == (76, 1494)
+    assert (len(sizes), sum(sizes)) == (76, 1102)
 
 
 def test_chain_seed_validation(minkowski):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tgeom import InvalidWorldSpecError, WorldSpec, fd, make_world
-from conftest import world
+from conftest import random_a3, world
 
 
 def test_euclidean_spot_values(euclid2, euclid3):
@@ -153,6 +153,41 @@ def test_asymmetric_a3_rejected():
             {"kind": "cubic_a", "dim": 2, "metric": [1, 1],
              "a3": a3.ravel().tolist()}
         )
+
+
+def _cubic_doc(metric, a3):
+    return {"kind": "cubic_a", "dim": len(metric), "metric": metric,
+            "a3": np.asarray(a3).ravel().tolist()}
+
+
+def test_symmetry_rule_reads_the_tensor_unit():
+    # scaling the metric and a3 by 4**10 scales every world value by exactly
+    # 4**10; a3's symmetrization round-off scales with it
+    a3 = random_a3(scale=0.3, seed=1)
+    metric = np.diag([1.0, -1.0, -1.0, -1.0])
+    scale = 4.0**10
+    w = make_world(WorldSpec.from_dict(_cubic_doc(metric.tolist(), a3)))
+    big = make_world(WorldSpec.from_dict(_cubic_doc((scale * metric).tolist(), scale * a3)))
+    x, xp = np.array([0.3, 0.1, -0.2, 0.05]), np.array([-0.1, 0.2, 0.1, 0.0])
+    assert big(x, xp) == scale * w(x, xp)
+
+
+def test_lone_small_a3_entry_rejected():
+    a3 = np.zeros((2, 2, 2))
+    a3[0, 0, 1] = 1e-13  # without its symmetric partners
+    with pytest.raises(InvalidWorldSpecError, match="fully symmetric"):
+        WorldSpec.from_dict(_cubic_doc([1, 1], a3))
+
+
+def test_small_asymmetric_metric_rejected():
+    unit = 2.0**-1000
+    with pytest.raises(InvalidWorldSpecError, match="metric must be symmetric"):
+        WorldSpec(kind="euclidean", dim=2, metric=[[unit, unit / 2], [0.0, -unit]])
+
+
+def test_zero_a3_is_symmetric():
+    w = make_world(WorldSpec.from_dict(_cubic_doc([1, -1], np.zeros((2, 2, 2)))))
+    assert w([1.0, 0.0], [0.0, 0.0]) == 0.5
 
 
 # the one conditioning rule of every metric: finite, and a 2-norm condition
