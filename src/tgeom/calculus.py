@@ -366,7 +366,7 @@ def curvature_bundle(w: WorldFunction, x) -> CurvatureBundle:
     or the primed group, and the product rule through g_inv, g_tilde_inv
     and the future/past mixing matrices.
 
-    Defects reported (all should be small for the shipped worlds):
+    Defects, relative to w.unit + max |F| of both parts (small for the shipped worlds):
       pair_symmetry       in-group index symmetry of the coincident tensor
       block_swap          swap of the unprimed and primed pairs
       mixed_relation      metric-contracted relation between the curvature
@@ -384,7 +384,7 @@ def curvature_bundle(w: WorldFunction, x) -> CurvatureBundle:
     r_f = riemann_from_gamma(cc.gamma_tilde_f, d_gamma_f)
     r_p = riemann_from_gamma(cc.gamma_tilde_p, d_gamma_p)
 
-    scale = 1.0 + float(np.max(np.abs(f_co)) + np.max(np.abs(f_tilde_co)))
+    scale = w.unit + float(np.max(np.abs(f_co)) + np.max(np.abs(f_tilde_co)))
     alternated = f_tilde_co - f_tilde_co.transpose(0, 2, 1, 3)
     defects = {
         "pair_symmetry": float(max(

@@ -35,7 +35,7 @@ from .errors import DegenerateSkeletonError, GeometryError, SingularMetricError
 from .newton import newton
 from .products import Multivector, _det, product_matrix
 from .products import gram  # noqa: F401 (perfbench/instrument.py patches degeneracy.gram)
-from .worlds import WorldFunction, _inv, parts
+from .worlds import WorldFunction, _inv, parts, unit_of
 
 #: Pass thresholds: algebraic identities at 1e-8, the eikonal limit at 1e-4.
 IDENTITY_THRESHOLD = 1e-8
@@ -119,11 +119,8 @@ class FlatBasis:
     @classmethod
     def build(cls, w: WorldFunction, anchor: Multivector) -> "FlatBasis":
         g = _finite(product_matrix(w, anchor, anchor), "basis")
-        # max |g_ik|, not max |g_ii|: a null basis has a zero diagonal.
-        # Division by a power of two is exact, so a world scaled by one reads
-        # the same matrices in its unit; an all-zero g reads unit 0.5 and
-        # determinant 0
-        unit = float(np.ldexp(1.0, np.frexp(np.max(np.abs(g)))[1] - 1))
+        # max |g_ik|, not max |g_ii|: a null basis has a zero diagonal; all-zero g: det 0
+        unit = float(unit_of(np.max(np.abs(g))))
         unit_det = _det(g / unit)
         if unit_det == 0.0:
             raise DegenerateSkeletonError("basis has vanishing squared length")
@@ -327,7 +324,8 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
     shipped nondegenerate families read at least 2.6e-4.  The eikonal's
     1e-4 is a thousand times the truncation.  On the five families a
     passing residual stays within 5e-12 of the 4-point rule's and a failing
-    one within 1e-4 of it, relative (tests/test_degeneracy.py).
+    one within 1e-4 of it, relative (tests/test_degeneracy.py).  The scales
+    of the residuals take w.unit where an absolute 1 would stand.
     """
     x = np.asarray(x, dtype=float)
     d = w.dim
@@ -360,7 +358,7 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
             a_grad = t["asym"][(0, 1)]
             grad_cancel = max(
                 grad_cancel,
-                abs(float((a_grad + a_co) @ e)) / (dlt * (1.0 + np.linalg.norm(a_co))),
+                abs(float((a_grad + a_co) @ e)) / (dlt * (w.unit + np.linalg.norm(a_co))),
             )
             g_grad = t["sym"][(0, 1)]
             two_g = 2.0 * float(t["sym"][(0, 0)])
@@ -387,7 +385,7 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
         a_hess = fd.part_tensors(w, x + step * e, x, [(0, 2)],
                                  second_order=True)["asym"][(0, 2)]
         with np.errstate(over="ignore"):  # an anchor far out in the chart
-            norm = abs(two_g) * (1.0 + np.linalg.norm(g_grad))
+            norm = abs(two_g) * (w.unit + np.linalg.norm(g_grad))
         if norm == np.inf:
             raise FloatingPointError("tube-condition scale overflows at this anchor")
         fut_val = (two_g * float(e @ (a_hess - sigma_p) @ e)

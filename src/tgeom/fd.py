@@ -37,10 +37,10 @@ error of every rule of an entry of total order 2 to 4 is a derivative of
 order 4 or more (Fornberg, Math. Comp. 51, 1988), which vanishes, so only
 rounding bounds the step, and orders 2 to 4 share one:
 
-    max(balance, 0.1 / scale) * s,   scale = max(1, max|a3|, |alpha| max|b|)
+    max(balance, 0.1 / scale) * s,   scale = max(1, max|a3| / unit, |alpha| max|b|)
 
-read from the world's spec (worlds.WorldFunction.polynomial_scale), so that
-a world with extreme coefficients keeps the balance.  Order 1 keeps the
+read from the world's spec, a3 in its unit (worlds.WorldFunction.polynomial_scale),
+so that a world with extreme coefficients keeps the balance.  Order 1 keeps the
 balance and the 4-point rule on every world: its 2-point rule is not exact
 on a cubic.  case2 and worlds without a spec (worlds.world_from_callable)
 keep the balance at every order.  Each request is served by a stencil plan,

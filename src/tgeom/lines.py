@@ -35,11 +35,11 @@ from .worlds import WorldFunction, check_kind, world_from_callable
 ROUGH_SMALL_TAU = 0.05
 
 
-def _roughness(kind: str, gradient) -> float:
-    """The norm of the coincidence gradient, gradient(), above which (1e-10)
-    a future/past equation is rough-antisymmetric, or 0.0 below it; the
-    neutral equation has no such term and reads none."""
-    norm = float(np.linalg.norm(gradient())) if kind in ("f", "p") else 0.0
+def _roughness(w: WorldFunction, kind: str, gradient) -> float:
+    """The norm of the coincidence gradient, gradient(), in w.unit, above
+    which (1e-10) a future/past equation is rough-antisymmetric, or 0.0
+    below it; the neutral equation has no such term and reads none."""
+    norm = float(np.linalg.norm(gradient())) / w.unit if kind in ("f", "p") else 0.0
     return norm if norm > 1e-10 else 0.0
 
 
@@ -102,12 +102,12 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
             and np.all(np.diff(tau_grid) > 0)):
         raise ValueError("tau_grid must be nonempty, finite and strictly increasing")
 
-    def lhs(x):  # gradient of the kind's k(x, x_start) in its x_start slot
-        return fd.kind_tensor(w, kind, x, x_start, 0, 1)
+    def lhs(x):  # gradient of the kind's k(x, x_start) in its x_start slot, in w.unit
+        return fd.kind_tensor(w, kind, x, x_start, 0, 1) / w.unit
 
     rhs_covector = lhs(x_end)
 
-    gradient_norm = _roughness(kind, lambda: coincidence_gradient(w, x_start))
+    gradient_norm = _roughness(w, kind, lambda: coincidence_gradient(w, x_start))
     bad = tau_grid[np.abs(tau_grid) < ROUGH_SMALL_TAU]
     # a rough line is warned, and returns its unconverged samples rather than raising
     rough = bool(gradient_norm and bad.size)
@@ -128,7 +128,7 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
         try:
             x, record = newton(lambda x: lhs(x) - target,
                                lambda x: fd.kind_tensor(w, kind, x, x_start, 1, 1,
-                                                        second_order=True).T,
+                                                        second_order=True).T / w.unit,
                                start, 1e-12 * scale, broyden=True)
         except SolverError as exc:
             raise SolverError("singular Jacobian on gradient line",
@@ -290,7 +290,7 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     y = np.concatenate([x0, v0])
     stages = np.empty((7, 2 * d))
     stages[0], cc = rhs(y)
-    rough = _roughness(kind, lambda: cc.a)
+    rough = _roughness(w, kind, lambda: cc.a)
     if rough:
         raise GeometryError(
             "future/past geodesic form needs a fine-antisymmetric world "

@@ -184,19 +184,19 @@ def _parallelism(w, kind, sense, p, q):
     raise ValueError(f"unknown sense {sense!r}")
 
 
-def _holds(res: float, lp2: float, lq2: float) -> bool:
+def _holds(res: float, lp2: float, lq2: float, unit: float) -> bool:
     """|res| within PREDICATE_RTOL of the product of the two squared
-    lengths, or of 1 when either vanishes."""
+    lengths, or, when either vanishes, of unit (w.unit to res's degree)."""
     scale = abs(lp2 * lq2)
-    return abs(res) <= PREDICATE_RTOL * (scale if scale > 0.0 else 1.0)
+    return abs(res) <= PREDICATE_RTOL * (scale if scale > 0.0 else unit)
 
 
 def is_collinear(w: WorldFunction, kind: str, p: Multivector, q: Multivector) -> bool:
     """Boolean form of collinearity_residual with relative tolerance scaled
-    by the product of the two squared lengths (or 1 when either vanishes)."""
-    return _holds(*_collinearity(w, kind, p, q))
+    by the product of the two squared lengths (_holds)."""
+    return _holds(*_collinearity(w, kind, p, q), w.unit ** (2 * p.order))
 
 
 def is_parallel(w: WorldFunction, kind: str, sense: str, p: Multivector,
                 q: Multivector) -> bool:
-    return _holds(*_parallelism(w, kind, sense, p, q))
+    return _holds(*_parallelism(w, kind, sense, p, q), w.unit ** p.order)

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .newton import newton
 from .products import Multivector, _real_length, gram
-from .worlds import WorldFunction, check_kind, kind_pair, parts
+from .worlds import WorldFunction, check_kind, kind_pair, parts, unit_of
 
 #: alpha coefficient of the factorization per kind
 _ALPHA_Q = {"f": 1.0, "p": 1.0, "n": -1.0}
@@ -49,10 +49,10 @@ class TubeSpec:
 
 
 def _separation_scale(w: WorldFunction, points) -> float:
-    """max(1, |2 sym(pi, pk)|) over the distinct pairs of the points."""
+    """max(w.unit, |2 sym(pi, pk)|) over the distinct pairs of the points."""
     pts = np.asarray(points, dtype=float)
     i, k = np.triu_indices(len(pts), 1)
-    return max([1.0, *np.abs(2.0 * w.sym(pts[i], pts[k])).tolist()])
+    return max([w.unit, *np.abs(2.0 * w.sym(pts[i], pts[k])).tolist()])
 
 
 def membership_tolerance(w: WorldFunction, points: np.ndarray) -> float:
@@ -220,7 +220,7 @@ def _metric_of(w: WorldFunction) -> np.ndarray:
 def spacelike_unit_normal(w: WorldFunction, y) -> np.ndarray:
     """Deterministic unit vector orthogonal to y in the world metric:
     Gram-Schmidt against y starting from the first coordinate axis that is
-    not parallel to y.  Normalized to |g(e, e)| = 1."""
+    not parallel to y, with |g(e, e)| above 1e-12 w.unit, normalized to 1."""
     g = _metric_of(w)
     y = np.asarray(y, dtype=float)
     y2 = float(y @ g @ y)
@@ -231,17 +231,9 @@ def spacelike_unit_normal(w: WorldFunction, y) -> np.ndarray:
         e[axis] = 1.0
         v = e - (float(e @ g @ y) / y2) * y
         norm2 = float(v @ g @ v)
-        if np.max(np.abs(v)) > 1e-8 and abs(norm2) > 1e-12:
+        if np.max(np.abs(v)) > 1e-8 and abs(norm2) > 1e-12 * w.unit:
             return v / np.sqrt(abs(norm2))
     raise GeometryError("no coordinate axis is independent of y")
-
-
-def reduced_asymmetry(w: WorldFunction, y) -> float:
-    """Dimensionless asymmetry strength of the reduced tube profile,
-    alpha |b.y| (equals alpha |y| for a unit anisotropy covector)."""
-    if w.spec is None or w.spec.b is None or w.spec.alpha is None:
-        return 0.0
-    return abs(w.spec.alpha) * abs(float(w.spec.b @ np.asarray(y, dtype=float)))
 
 
 #: taus whose probe grids share one world call; bounds the sampler's memory
@@ -257,8 +249,7 @@ _PROBES = 256
 #: brentq default)
 _BRENT_MAXITER = 100
 
-#: a residual within _ROUNDOFF eps of its round-off bound (floored at 1) has
-#: no sign
+#: a residual within _ROUNDOFF eps of its round-off bound (floored at 1 unit) has no sign
 _ROUNDOFF = 16.0
 
 #: roots closer than _FOLD_TOL (1 + r) are one fold root, and an extremum
@@ -277,7 +268,7 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
 
     Follows the standard brentq routine step for step, so every bracket ends
     on the root brentq returns for it, to the last bit; but values are read
-    in a power of two of each bracket's ends, so that the interpolation's
+    in each bracket's unit (unit_of its ends), so that the interpolation's
     products of three values cannot overflow.  f(index, x) evaluates the
     functions of brackets `index` at x; fa and fb are the end values, of
     strictly opposite signs.  Returns the roots and f there.
@@ -285,7 +276,7 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
     n = len(xa)
     root, froot, index = np.empty(n), np.empty(n), np.arange(n)
     xtol = np.broadcast_to(np.asarray(xtol, dtype=float), (n,))
-    unit = np.ldexp(1.0, np.frexp(np.maximum(np.abs(fa), np.abs(fb)))[1])
+    unit = unit_of(np.maximum(np.abs(fa), np.abs(fb)))
     xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in (xa, xb, fa / unit, fb / unit))
     xblk, fblk, spre, scur = np.zeros((4, n))
     for iteration in range(_BRENT_MAXITER):
@@ -674,7 +665,9 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     For each tau, finds all r >= 0 such that the point tau*y + r*|y|*e_perp
     lies on the tube of the given kind, with e_perp the deterministic unit
     normal to y.  rmax is per tau, max(10 (1 + 1/g), 3 + 2 sqrt(3) |tau|)
-    for reduced asymmetry g, so no tau's profile depends on the other taus.
+    for reduced asymmetry g = alpha |b.y|, so no tau's profile depends on
+    the other taus.  World values are read in w.unit, b.y on case2 too,
+    whose alpha has no unit.
 
     On a world without a screening beta the residual along a section is a
     polynomial in r, of degree 6 with an a3 term and 4 without, and a
@@ -724,21 +717,24 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     g = _metric_of(w)
     y = np.asarray(y, dtype=float)
     origin = np.zeros(w.dim)
+    unit = w.unit
     with np.errstate(all="ignore"):
-        w01, w10 = w(origin, y), w(y, origin)  # the skeleton's own pair, fixed
+        w01, w10 = w(origin, y) / unit, w(y, origin) / unit  # the skeleton's own pair, fixed
         y2 = float(w01 + w10)
     if not 0.0 < y2 < np.inf:  # NaN at a pole of the world function fails too
         raise GeometryError(f"y must be timelike (positive finite squared separation, got {y2!r})")
-    ynorm = float(np.sqrt(y2))
-    b = w.spec.b
+    ynorm = float(np.sqrt(y2 * unit))
+    b, alpha = w.spec.b, w.spec.alpha
     if b is not None:
         y_cov = g @ y / ynorm
         kappa = float(b @ y) / ynorm
-        if np.max(np.abs(b - kappa * y_cov)) > 1e-10 * (1.0 + np.max(np.abs(b))):
+        if np.max(np.abs(b - kappa * y_cov)) > 1e-10 * (unit + np.max(np.abs(b))):
             raise GeometryError("anisotropy covector must be aligned with y")
     e_perp = spacelike_unit_normal(w, y)
 
-    base = 10.0 * (1.0 + 1.0 / max(reduced_asymmetry(w, y), 1e-2))
+    reduced = 0.0 if alpha is None else abs(alpha) * abs(float(b @ y)) / (
+        1.0 if w.spec.beta is None else unit)
+    base = 10.0 * (1.0 + 1.0 / max(reduced, 1e-2))
     with np.errstate(over="ignore"):
         rmaxs = np.maximum(base, 3.0 + 2.0 * np.sqrt(3.0) * np.abs(taus))
     finite = np.isfinite(rmaxs)
@@ -755,7 +751,7 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
         # one world call each way between the skeleton and the probe points
         p = tau[..., None] * y + r[..., None] * ynorm * e_perp
         ends = skeleton.reshape((2,) + (1,) * (p.ndim - 1) + (w.dim,))
-        (w02, w12), (w20, w21) = w(ends, p), w(p, ends)
+        (w02, w12), (w20, w21) = w(ends, p) / unit, w(p, ends) / unit
         return w01, w10, w02, w20, w12, w21
 
     out = []
@@ -825,8 +821,9 @@ def advance_seed(w: WorldFunction, kind: str, p0, direction, mu: float) -> np.nd
     target is |L - mu^2| <= 1e-14 mu^2 for the squared length L.  A solve
     that stalls short of it, as round-off of L can make it away from the
     origin, is taken at 1e-8 mu^2, which implies build_broken_tube's seed
-    check.  Raises ValueError unless mu is positive and finite and p0 and
-    direction are finite."""
+    check.  A solve that ends at t <= 0, against the direction, raises
+    SolverError with t and the squared length.  Raises ValueError unless
+    mu is positive and finite and p0 and direction are finite."""
     p0 = np.asarray(p0, dtype=float)
     direction = np.asarray(direction, dtype=float)
     _check_chain_inputs(mu, p0=p0, direction=direction)
@@ -844,6 +841,9 @@ def advance_seed(w: WorldFunction, kind: str, p0, direction, mu: float) -> np.nd
                        [mu / np.sqrt(base)], 1e-14 * mu * mu)
     if not record.residual_norm <= 1e-8 * mu * mu:
         raise SolverError("seed scaling did not converge", record._asdict())
+    if not z[0] > 0.0:
+        raise SolverError("seed scaling ends against the direction",
+                          {"t": float(z[0]), "length_sq": length_sq(z[0])})
     return p0 + z[0] * direction
 
 
@@ -871,9 +871,10 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     and the step's start share one memo, keyed by the last vertex asked
     for, of the objective and constraint gradients (order 1) and their
     2-point Hessians (order 2), each computed when first asked for there:
-    the Jacobian's border reads the constraint gradient alone.
+    the Jacobian's border reads the constraint gradient alone.  All read
+    the world in w.unit.
     """
-    d = w.dim
+    d, unit = w.dim, w.unit
     ends = {"objective": p_prev, "constraint": p_mid}
     memo = {}  # the last vertex and the tensors asked for there
     last = []  # the last Jacobian assembled
@@ -884,14 +885,14 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
             memo["p"] = p.copy()
         if (which, order) not in memo:
             memo[which, order] = fd.kind_tensor(w, kind, ends[which], p, 0, order,
-                                                second_order=order == 2)
+                                                second_order=order == 2) / unit
         return memo[which, order]
 
     def residual(z):
         p, lam = z[:d], z[d]
         r = np.empty(d + 1)
         r[:d] = tensor(p, "objective", 1) - lam * tensor(p, "constraint", 1)
-        r[d] = kind_length_sq(w, kind, p_mid, p) - mu * mu
+        r[d] = (kind_length_sq(w, kind, p_mid, p) - mu * mu) / unit
         return r
 
     def jacobian(z):
@@ -944,13 +945,12 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     multiplicity_flags[i] is True when step i's extremum may not be unique:
     a second Newton solve, from the straight continuation shifted 0.05 mu
     transversally to the last segment, settles more than 1e-6 mu from the
-    step's root.  That probe solve runs only when the chord-step test of
-    _isolated, with the Jacobian the step's solve last assembled (or, where
-    the guess solved the step, the probe's first), cannot show the root
-    isolated; a step the test clears, or with no transverse direction, is
-    flagged False.
-    Raises ValueError unless mu is positive and finite and p0 and p1 are
-    finite.
+    step's root, mu in coordinates (mu / sqrt(w.unit)).  That probe solve
+    runs only when the chord-step test of _isolated, with the Jacobian the
+    step's solve last assembled (or, where the guess solved the step, the
+    probe's first), cannot show the root isolated; a step the test clears,
+    or with no transverse direction, is flagged False.  Raises ValueError
+    unless mu is positive and finite and p0 and p1 are finite.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -968,7 +968,8 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     verts = np.empty((steps + 2, d))
     verts[0], verts[1] = p0, p1
     flags = []
-    scale = 1.0 + mu * mu
+    scale = 1.0 + mu * mu / w.unit
+    reach = mu / np.sqrt(w.unit)
     for index in range(steps):
         prev_p, mid = verts[index], verts[index + 1]
         residual, jacobian, tensor, chord_jacobian = _step_system(w, kind, prev_p, mid, mu)
@@ -1004,11 +1005,11 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         nrm = np.linalg.norm(probe_dir)
         flagged = False
         if nrm > 1e-12:
-            z_alt0 = np.concatenate([guess + 0.05 * mu * probe_dir / nrm, [lam0]])
+            z_alt0 = np.concatenate([guess + 0.05 * reach * probe_dir / nrm, [lam0]])
             if not _isolated(residual, chord_jacobian(z_alt0), z, z_alt0):
                 try:
                     z_alt = solve(z_alt0)
-                    if np.linalg.norm(z_alt[:d] - new_p) > 1e-6 * mu:
+                    if np.linalg.norm(z_alt[:d] - new_p) > 1e-6 * reach:
                         flagged = True
                 except SolverError:
                     pass

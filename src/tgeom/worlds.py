@@ -95,6 +95,12 @@ def _symmetric(a: np.ndarray, perm) -> bool:
         return np.allclose(a, np.transpose(a, perm), rtol=0, atol=1e-12 * np.max(np.abs(a)))
 
 
+def unit_of(values):
+    """The largest power of two not above |values|, elementwise (0.5 at 0).
+    Dividing by it is exact, so a world scaled by a power of two reads alike."""
+    return np.ldexp(1.0, np.frexp(values)[1] - 1)
+
+
 def _as_point(x, dim):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != dim:
@@ -255,17 +261,22 @@ class WorldFunction:
         return self.spec.kind if self.spec is not None else self.label
 
     @cached_property
+    def unit(self) -> float:
+        """Solvers read world values in unit_of(max |g_ik|) of the metric, 1.0 without a spec."""
+        return 1.0 if self.spec is None else float(unit_of(np.max(np.abs(self.spec.metric))))
+
+    @cached_property
     def polynomial_scale(self) -> Optional[float]:
-        """max(1, max|a3|, |alpha| max|b|) where the spec's closed form is a
-        polynomial in xi, a shipped family without the screening beta; None
-        for case2 and for a world without a spec, whose smoothness is not
-        known.  fd sets the steps and rules of orders 2 to 4 by it."""
+        """max(1, max|a3| / unit, |alpha| max|b|) where the spec's closed form
+        is a polynomial in xi, a shipped family without the screening beta;
+        None for case2 and for a world without a spec, whose smoothness is
+        not known.  fd sets the steps and rules of orders 2 to 4 by it."""
         spec = self.spec
         if spec is None or spec.beta is not None:
             return None
         scale = 1.0
         if spec.a3 is not None:
-            scale = max(scale, float(np.max(np.abs(spec.a3))))
+            scale = max(scale, float(np.max(np.abs(spec.a3))) / self.unit)
         if spec.alpha is not None:
             scale = max(scale, abs(spec.alpha) * float(np.max(np.abs(spec.b))))
         return scale

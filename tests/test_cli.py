@@ -165,11 +165,19 @@ def test_check_euclideaness_probes(tmp_path, world_file):
 
 
 def _scaled(doc, s):
-    # a diagonal metric list must read +1/-1, so the scaled metric is a matrix
+    # the world function times s, to rounding where s is not a power of four:
+    # metric, b and a3 times s, case1's alpha and case2's beta over s.  A
+    # diagonal metric list must read +1/-1, so the scaled metric is a matrix
     metric = np.asarray(doc["metric"], dtype=float)
     metric = metric if metric.ndim == 2 else np.diag(metric)
-    return dict(doc, metric=(metric * s).tolist(),
-                **({"a3": (np.asarray(doc["a3"]) * s).tolist()} if "a3" in doc else {}))
+    out = dict(doc, metric=(metric * s).tolist())
+    for key in ("b", "a3"):
+        if key in doc:
+            out[key] = (np.asarray(doc[key]) * s).tolist()
+    inverse = "alpha" if doc["kind"] == "case1" else "beta"
+    if inverse in doc:
+        out[inverse] = doc[inverse] / s
+    return out
 
 
 _FLAT_2D = {"kind": "euclidean", "dim": 2, "metric": [[1, 0], [0, -1]]}
@@ -310,6 +318,30 @@ def test_tube_section_empty_profile(tmp_path, world_file):
     assert lines[0] == "tau,r_inner,r_outer,n_roots"
     assert [line.split(",")[1:] for line in lines[1:]] == [["", "", "0"]] * 3
     assert [float(line.split(",")[0]) for line in lines[1:]] == [0.4, 0.5, 0.6]
+
+
+@pytest.mark.parametrize("doc,scale", [(dict(CASE1, alpha=0.2), 1e-7),
+                                       (dict(CASE1, alpha=0.2), 1e-8), (EUCL, 1e-13),
+                                       (EUCL, 1e-20), (dict(CASE1, alpha=0.2), 1e-100)],
+                         ids=["case1-1e-7", "case1-1e-8", "euclidean-1e-13",
+                              "euclidean-1e-20", "case1-1e-100"])
+def test_tube_section_on_small_worlds(tmp_path, world_file, capsys, doc, scale):
+    # a small world's tube residuals are read in its unit, not against the
+    # round-off floors of a unit-scale world: it has the unit world's root
+    # counts, with an empty stderr and no numpy warning
+    def counts(s):
+        out = tmp_path / "sec.csv"
+        code = run(["tube-section", "--world", world_file(_scaled(doc, s)), "--y", "1,0,0,0",
+                    "--tau-min", "-1", "--tau-max", "2", "--tau-steps", "13", "--out", str(out)])
+        return code, [line.split(",")[-1] for line in out.read_text().splitlines()[1:]]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = counts(1.0)
+        capsys.readouterr()
+        got = counts(scale)
+    assert capsys.readouterr().err == ""
+    assert got == want and got[0] == 0 and len(got[1]) == 13
 
 
 def test_module_entry_point(tmp_path, world_file):
