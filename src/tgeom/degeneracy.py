@@ -124,12 +124,7 @@ class FlatBasis:
         unit_det = _det(g / unit)
         if unit_det == 0.0:
             raise DegenerateSkeletonError("basis has vanishing squared length")
-        try:
-            g_inv = np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetricError("basis scalar-product matrix singular") from exc
-        if np.max(np.abs(g_inv @ g - np.eye(g.shape[0]))) > 1e-9:
-            raise SingularMetricError("basis matrix badly conditioned")
+        g_inv = _inv(g, "basis scalar-product matrix")
         back = w(anchor.points[1:], anchor.points[0])
         return cls(anchor=anchor, g=g, unit=unit, unit_det=unit_det, g_inv=g_inv, back=back)
 

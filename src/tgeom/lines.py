@@ -35,11 +35,11 @@ from .worlds import WorldFunction, check_kind, world_from_callable
 ROUGH_SMALL_TAU = 0.05
 
 
-def _roughness(w: WorldFunction, kind: str, gradient) -> float:
-    """The norm of the coincidence gradient, gradient(), in w.unit, above
+def _roughness(kind: str, gradient) -> float:
+    """The norm of gradient(), the coincidence gradient in w.unit, above
     which (1e-10) a future/past equation is rough-antisymmetric, or 0.0
     below it; the neutral equation has no such term and reads none."""
-    norm = float(np.linalg.norm(gradient())) / w.unit if kind in ("f", "p") else 0.0
+    norm = float(np.linalg.norm(gradient())) if kind in ("f", "p") else 0.0
     return norm if norm > 1e-10 else 0.0
 
 
@@ -61,13 +61,6 @@ class Trajectory:
             raise ValueError("params must be finite")
         if np.any(np.diff(self.params) <= 0):
             raise ValueError("params must be strictly increasing")
-
-
-def coincidence_gradient(w: WorldFunction, x) -> np.ndarray:
-    """Coincidence limit of the antisymmetric part's gradient (the rough
-    antisymmetry field)."""
-    x = np.asarray(x, dtype=float)
-    return fd.part_tensors(w, x, x, [(1, 0)])["asym"][(1, 0)]
 
 
 def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
@@ -107,7 +100,8 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
 
     rhs_covector = lhs(x_end)
 
-    gradient_norm = _roughness(w, kind, lambda: coincidence_gradient(w, x_start))
+    # a future/past line's left side at its start is -a or a: its norm is |a|
+    gradient_norm = _roughness(kind, lambda: lhs(x_start))
     bad = tau_grid[np.abs(tau_grid) < ROUGH_SMALL_TAU]
     # a rough line is warned, and returns its unconverged samples rather than raising
     rough = bool(gradient_norm and bad.size)
@@ -290,7 +284,7 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     y = np.concatenate([x0, v0])
     stages = np.empty((7, 2 * d))
     stages[0], cc = rhs(y)
-    rough = _roughness(w, kind, lambda: cc.a)
+    rough = _roughness(kind, lambda: cc.a / w.unit)
     if rough:
         raise GeometryError(
             "future/past geodesic form needs a fine-antisymmetric world "

@@ -34,7 +34,11 @@ class Multivector:
     points: np.ndarray  # (n+1, d)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        try:
+            pts = np.asarray(self.points, dtype=float)
+        except ValueError as exc:  # points of different dimensions, say
+            raise DimensionMismatchError("multivector points must form an (n+1, d) "
+                                         "array of numbers") from exc
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise OrderMismatchError("a multivector needs at least two points")
         if not np.all(np.isfinite(pts)):
@@ -56,20 +60,20 @@ class Multivector:
 
 
 def vector_product(w: WorldFunction, p0, p1, q0, q1) -> float:
-    """Scalar product of the vectors p0->p1 and q0->q1.
+    """Scalar product of the vectors p0->p1 and q0->q1: the order-1 product
+    matrix, read in one world call.
 
     Antisymmetric under swapping p0<->p1 and under q0<->q1.  A constant
     antisymmetric component of the world cancels in the four-term sum.
     """
-    return float(w(p0, q1) - w(p1, q1) - w(p0, q0) + w(p1, q0))
+    return float(product_matrix(w, Multivector([p0, p1]), Multivector([q0, q1]))[0, 0])
 
 
 def vector_product_parts(w: WorldFunction, p0, p1, q0, q1) -> tuple[float, float]:
     """(symmetric, antisymmetric) parts of the vector product under exchange
-    of the two vectors; they sum to vector_product."""
-    (g01, a01), (g11, a11), (g00, a00), (g10, a10) = (
-        parts(w(a, b), w(b, a)) for a, b in ((p0, q1), (p1, q1), (p0, q0), (p1, q0)))
-    return float(g01 - g11 - g00 + g10), float(a01 - a11 - a00 + a10)
+    of the two vectors, parts(P.Q, Q.P), in two world calls; they sum to
+    vector_product up to rounding."""
+    return parts(vector_product(w, p0, p1, q0, q1), vector_product(w, q0, q1, p0, p1))
 
 
 def product_matrix(w: WorldFunction, p: Multivector, q: Multivector) -> np.ndarray:
@@ -168,7 +172,7 @@ def parallelism_residual(w: WorldFunction, kind: str, sense: str,
 
 
 def _parallelism(w, kind, sense, p, q):
-    """parallelism_residual with the two squared lengths it reads."""
+    """parallelism_residual with the two lengths it reads."""
     if check_kind(kind) == "n":
         raise ValueError("parallelism has no neutral kind: use 'f' or 'p'")
     if p.order != q.order:
@@ -178,25 +182,25 @@ def _parallelism(w, kind, sense, p, q):
     lq = _real_length(lq2, "second multivector")
     prod = multivector_product(w, p, q) if kind == "f" else multivector_product(w, q, p)
     if sense == "parallel":
-        return prod - lp * lq, lp2, lq2
+        return prod - lp * lq, lp, lq
     if sense == "antiparallel":
-        return prod + lp * lq, lp2, lq2
+        return prod + lp * lq, lp, lq
     raise ValueError(f"unknown sense {sense!r}")
 
 
-def _holds(res: float, lp2: float, lq2: float, unit: float) -> bool:
-    """|res| within PREDICATE_RTOL of the product of the two squared
-    lengths, or, when either vanishes, of unit (w.unit to res's degree)."""
-    scale = abs(lp2 * lq2)
+def _holds(res: float, a: float, b: float, unit: float) -> bool:
+    """|res| within PREDICATE_RTOL of |a b|, a product of res's degree in
+    world values, or, when it vanishes, of unit (w.unit to that degree)."""
+    scale = abs(a * b)
     return abs(res) <= PREDICATE_RTOL * (scale if scale > 0.0 else unit)
 
 
 def is_collinear(w: WorldFunction, kind: str, p: Multivector, q: Multivector) -> bool:
-    """Boolean form of collinearity_residual with relative tolerance scaled
-    by the product of the two squared lengths (_holds)."""
+    """collinearity_residual against the two squared lengths (_holds)."""
     return _holds(*_collinearity(w, kind, p, q), w.unit ** (2 * p.order))
 
 
 def is_parallel(w: WorldFunction, kind: str, sense: str, p: Multivector,
                 q: Multivector) -> bool:
+    """parallelism_residual against the two lengths (_holds)."""
     return _holds(*_parallelism(w, kind, sense, p, q), w.unit ** p.order)

@@ -707,6 +707,22 @@ def test_seed_mismatch_detail_reads_plain_floats(tmp_path, world_file, capsys):
     assert err["detail"].endswith("does not match mu=0.1")
 
 
+def _assert_error_contract(argv):
+    """Run argv in process: it must exit 0/1/2 with no traceback and no
+    numpy warning (which a standalone run would print to stderr), every
+    stderr line must be the documented JSON, and stderr is empty exactly on
+    success."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    for line in stderr.getvalue().splitlines():
+        jsonschema.validate(json.loads(line), schema("error.json"))
+    assert (code == 0) == (stderr.getvalue() == "")
+
+
 _AT_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["inf", "-inf", "nan", "1e300", "-1e308", "1.7976931348623157e308",
@@ -720,21 +736,70 @@ _AT_VALUES = st.one_of(
                                           "b": [1, 0, 0, 0], "alpha": 0.2, "beta": 1.0}]),
        at=st.lists(_AT_VALUES, min_size=4, max_size=4))
 def test_fuzz_at_meets_error_contract(tmp_path_factory, command, doc, at):
-    # any --at ends in exit 0/1/2 with stderr that is the documented JSON
-    # and no numpy warning (which a standalone run would print to stderr)
+    # any --at meets the error contract
     tmp = tmp_path_factory.mktemp("fuzz")
     world = tmp / "world.json"
     world.write_text(json.dumps(doc))
-    stderr = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("always")
-        code = run(command + ["--world", str(world), "--at", ",".join(at),
-                              "--out", str(tmp / "x.json")])
-    assert code in (0, 1, 2)
-    assert not caught, [str(w.message) for w in caught]
-    for line in stderr.getvalue().splitlines():
-        jsonschema.validate(json.loads(line), schema("error.json"))
-    assert (code == 0) == (stderr.getvalue() == "")
+    _assert_error_contract(command + ["--world", str(world), "--at", ",".join(at),
+                                      "--out", str(tmp / "x.json")])
+
+
+_FAMILIES = [EUCL, CASE1, CUBIC,
+             {"kind": "constant_a", "dim": 4, "metric": [1, -1, -1, -1], "b": [0.3, 0.1, 0, 0]},
+             {"kind": "case2", "dim": 4, "metric": [1, -1, -1, -1],
+              "b": [1, 0, 0, 0], "alpha": 0.2, "beta": 1.0}]
+_SPEC_KEYS = ["kind", "dim", "metric", "b", "alpha", "beta", "a3"]
+# wrong types (bools, strings, nulls), NaN, inf and extreme numbers
+_SPEC_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), 1e308, -1e308, 1e-320, 0.0, 1.0, -1.0, 2**63]))
+# shapes: flat, nested and ragged arrays, and objects
+_SPEC_VALUES = st.one_of(
+    _SPEC_SCALARS,
+    st.lists(_SPEC_SCALARS, max_size=6),
+    st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=5), max_size=5),
+    st.lists(st.sampled_from([1.0, -1.0, 0.5]), min_size=60, max_size=68),
+    st.recursive(_SPEC_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.sampled_from(_SPEC_KEYS), inner,
+                                                     max_size=2)), max_leaves=12))
+
+
+def _with_entry(doc, key, index, value):
+    """doc with one entry of its array key (its flattened index, modulo the
+    size) set to value, or key added as value where doc lacks it."""
+    doc = json.loads(json.dumps(doc))
+    if key not in doc:
+        return {**doc, key: value}
+    flat = np.asarray(doc[key], dtype=float).ravel().tolist()
+    flat[index % len(flat)] = value
+    doc[key] = np.reshape(np.asarray(flat, dtype=object), np.shape(doc[key])).tolist()
+    return doc
+
+
+_FAMILY = st.sampled_from(_FAMILIES)
+# a family document with keys set to such values (a family key it lacks is
+# a forbidden one) and keys removed; one with a single bad array entry; or
+# a document that is no object
+_SPEC_DOCS = st.one_of(
+    st.builds(lambda doc, changed, removed: {**{k: v for k, v in doc.items() if k not in removed},
+                                             **changed},
+              _FAMILY, st.dictionaries(st.sampled_from(_SPEC_KEYS), _SPEC_VALUES, max_size=3),
+              st.sets(st.sampled_from(_SPEC_KEYS), max_size=2)),
+    st.builds(_with_entry, _FAMILY, st.sampled_from(["metric", "b", "a3"]),
+              st.integers(0, 63), _SPEC_SCALARS),
+    st.sampled_from([[], [EUCL], "euclidean", 4, None, True]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=_SPEC_DOCS)
+def test_fuzz_world_spec_meets_error_contract(tmp_path_factory, doc):
+    # any world-spec document meets the error contract
+    tmp = tmp_path_factory.mktemp("spec")
+    world = tmp / "world.json"
+    world.write_text(json.dumps(doc))  # NaN and inf as the NaN and Infinity tokens
+    _assert_error_contract(["coefficients", "--world", str(world), "--at", "0.1,0,0,0",
+                            "--out", str(tmp / "c.json")])
 
 
 _BROKEN = ["broken-tube", "--world", "EUCL", "--seed-from", "0,0,0,0",

@@ -69,7 +69,7 @@ NEAR_BASIS = Multivector(np.vstack([np.zeros(3), np.eye(3)[:2], [0.0, 1.0, 1e-7]
     (lambda w: chain_parallel_residual(w, "n", ORIGIN, X1, 2.0 * X1),
      ComplexLengthError, "negative squared length"),
     (lambda w: FlatBasis.build(world("euclidean", dim=3, metric=[1, 1, 1]), NEAR_BASIS),
-     SingularMetricError, "badly conditioned"),
+     SingularMetricError, "numerically singular"),
     (lambda w: first_order_factors(world("case1", b=[1, 0, 0, 0], alpha=0.2), "n",
                                    ORIGIN, T1, 2.0 * X1),
      ComplexLengthError, "nonnegative separation product"),

@@ -60,17 +60,20 @@ def test_vector_product_parts_sum(case1):
 
 
 def test_vector_product_parts_world_calls(case1):
-    # one forward and one reversed call per point pair: 8 calls
-    calls = []
+    # one product matrix per argument order, P.Q and Q.P: 2 calls of 4 points
+    sizes = []
 
     def counted(a, b):
-        calls.append(1)
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
         return case1(a, b)
 
     pts = np.random.default_rng(1).normal(size=(4, 4))
     sym, asym = vector_product_parts(world_from_callable(counted, 4), *pts)
-    assert len(calls) == 8
+    assert sizes == [4, 4]
     assert (sym, asym) == vector_product_parts(case1, *pts)
+    sizes.clear()
+    assert vector_product(world_from_callable(counted, 4), *pts) == vector_product(case1, *pts)
+    assert sizes == [4]
 
 
 def test_parts_antisym_consistency(case1):
@@ -209,11 +212,13 @@ def test_order_mismatch_raises(euclid2):
     lambda w, a, b: product_matrix(w, mv(a, a), mv(b, b)),
     lambda w, a, b: gram(w, mv(b, b)),
     lambda w, a, b: eta_triangle(w, a, a, b),
+    lambda w, a, b: Multivector([a, b]),
 ], ids=["vector_product", "vector_product_parts", "product_matrix",
-        "product_matrix_operands", "gram", "eta_triangle"])
+        "product_matrix_operands", "gram", "eta_triangle", "multivector"])
 def test_wrong_dimension_point_raises(euclid2, call):
     # the world call rejects a point of the wrong dimension; product_matrix
-    # also rejects operands of different dimensions before any call
+    # also rejects operands of different dimensions before any call, and
+    # Multivector rejects points of different dimensions
     with pytest.raises(DimensionMismatchError):
         call(euclid2, (0.0, 1.0), (0.0, 1.0, 2.0))
 
@@ -297,7 +302,9 @@ def test_complex_length_error(minkowski):
 
 def test_predicates_read_each_gram_once(case1):
     # one world call per Gram and per cross product: 4 for collinearity, 3
-    # for parallelism; the verdict is the residual against the Grams' scale
+    # for parallelism; the verdict is the residual against a scale of its
+    # own degree, the product of the two squared lengths for collinearity
+    # and of the two lengths for parallelism
     calls = []
 
     def counted(a, b):
@@ -309,6 +316,7 @@ def test_predicates_read_each_gram_once(case1):
     for _ in range(20):
         p, q = _timelike_vector(rng, case1), _timelike_vector(rng, case1)
         scale = abs(gram(case1, p) * gram(case1, q))
+        lengths = np.sqrt(gram(case1, p)) * np.sqrt(gram(case1, q))
         for kind in "nfp":
             calls.clear()
             got = is_collinear(w, kind, p, q)
@@ -318,7 +326,7 @@ def test_predicates_read_each_gram_once(case1):
             calls.clear()
             got = is_parallel(w, kind, sense, p, q)
             assert len(calls) == 3
-            assert got == (abs(parallelism_residual(case1, kind, sense, p, q)) <= 1e-9 * scale)
+            assert got == (abs(parallelism_residual(case1, kind, sense, p, q)) <= 1e-9 * lengths)
     spacelike = mv((0, 0, 0, 0), (0, 1, 0, 0))
     with pytest.raises(ComplexLengthError):
         is_parallel(case1, "f", "parallel", spacelike, spacelike)

@@ -799,6 +799,40 @@ def test_brent_failures_carry_detail():
     assert info.value.detail == {"brackets": 2, "iteration": 0}
 
 
+def test_brent_iteration_cap_carries_detail():
+    # a sign step at 0.3 with no tolerance: the bracket shrinks to two
+    # neighbouring floats, then every step rounds back onto its end
+    def step(index, x):
+        return np.where(x < 0.3, -1.0, 1.0)
+
+    with pytest.raises(tgeom.SolverError, match="did not converge in 100") as info:
+        tubes._brent(step, np.zeros(2), np.ones(2), -np.ones(2), np.ones(2), 0.0, 0.0)
+    assert info.value.detail == {"brackets": 2, "iteration": tubes._BRENT_MAXITER}
+
+
+def test_extremum_search_failures_carry_detail():
+    a, x, b = np.zeros(2), np.full(2, 0.2), np.ones(2)
+    ends, inside = np.full(2, 2.0), np.ones(2)
+
+    # a residual that turns NaN inside the interval, on the first step
+    def nan_inside(index, z):
+        return np.full(len(index), np.nan)
+
+    with pytest.raises(tgeom.SolverError, match="NaN residual inside an extremum") as info:
+        tubes._brent_min(nan_inside, np.ones(2), a, x, b, ends, inside, ends)
+    assert info.value.detail == {"intervals": 2, "iteration": 0}
+
+    # a flat plateau 1e30 wide: golden sections shrink it by 0.62 a step,
+    # far too slowly to reach the search's tolerance in 100 steps
+    def plateau(index, z):
+        return np.where(np.abs(z) < 1e30, 1.0, 2.0)
+
+    a, x, b = np.full(2, -1e30), np.array([0.0, 5e29]), np.full(2, 1e30)
+    with pytest.raises(tgeom.SolverError, match="did not converge in 100") as info:
+        tubes._brent_min(plateau, np.ones(2), a, x, b, ends, inside, ends)
+    assert info.value.detail == {"intervals": 2, "iteration": tubes._BRENT_MAXITER}
+
+
 def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(tgeom.__file__)))
     path = os.environ.get("PYTHONPATH")

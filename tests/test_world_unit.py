@@ -86,6 +86,8 @@ def _outputs(w, k):
                     ("null", [[0.3, 0, 0, 0], [0.8, 0.5, 0, 0]])):
         q = products.Multivector(np.array(q, dtype=float))
         out["collinear", name] = [products.is_collinear(w, kind, p, q) for kind in "nfp"]
+        out["parallel", name] = [_attempt(lambda: products.is_parallel(w, kind, sense, p, q))
+                                 for kind in "fp" for sense in ("parallel", "antiparallel")]
     x = np.array([0.1, 0.05, -0.02, 0.0])
     bundle = calculus.curvature_bundle(w, x)
     out["curvature"] = (bundle.defects, (bundle.f_tilde_coincident / 4.0 ** k).tolist(),
@@ -118,6 +120,19 @@ def test_results_are_free_of_the_world_unit(family):
                     (k, name)
             for name in CONNECTIONS:
                 assert np.array_equal(getattr(got_cc, name), getattr(want_cc, name)), (k, name)
+
+
+@pytest.mark.parametrize("k", [-10, 0, 10])
+def test_parallel_verdict_is_free_of_the_world_unit(k):
+    # a residual of one degree in world values against lengths of that
+    # degree: 2.5e-9 in the unit against 1e-9 |p| |q| = 2e-9 fails at every
+    # scale
+    w = world("euclidean", metric=(4.0 ** k * MINK).tolist())
+    p = products.Multivector(np.array([ORIGIN, [1.0, 0, 0, 0]]))
+    q = products.Multivector(np.array([ORIGIN, [2.0, 1e-4, 0, 0]]))
+    assert products.parallelism_residual(w, "f", "parallel", p, q) / 4.0 ** k \
+        == pytest.approx(2.5e-9, rel=1e-6)
+    assert products.is_parallel(w, "f", "parallel", p, q) is False
 
 
 def test_unit_is_the_power_of_two_below_the_metric():

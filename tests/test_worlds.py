@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from tgeom import InvalidWorldSpecError, WorldSpec, fd, make_world
+from tgeom import InvalidWorldSpecError, SingularMetricError, WorldSpec, fd, make_world
+from tgeom.worlds import _inv
 from conftest import random_a3, world
 
 
@@ -210,6 +211,17 @@ def test_metric_rule_ignores_scale(metric):
 def test_ill_conditioned_metric_rejected_at_construction(diagonal):
     with pytest.raises(InvalidWorldSpecError, match="metric is numerically singular"):
         WorldSpec(kind="euclidean", dim=2, metric=np.diag(diagonal))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_conditioning_rule_rejects_non_finite_entries(entry):
+    # every caller checks its values first, so only a direct call reaches this
+    m = np.eye(3)
+    m[1, 2] = entry
+    with pytest.raises(SingularMetricError, match="^basis has non-finite entries$"):
+        _inv(m, "basis")
+    with pytest.raises(InvalidWorldSpecError, match="^metric has non-finite entries$"):
+        _inv(m, "metric", InvalidWorldSpecError)
 
 
 def test_overflowing_asymmetry_rejected_without_warning():
