@@ -292,6 +292,22 @@ def eta_triangle(w: WorldFunction, x, xp, y) -> float:
     return float(w.asym(x, xp) + w.asym(xp, y) + w.asym(y, x))
 
 
+def _directional_second_difference(w: WorldFunction, p, x, e, at_x) -> float:
+    """e . H . e of the antisymmetric part's Hessian in its second point at
+    (p, x), as (f(h) + f(-h) - 2 f(0)) / h^2 of f(t) = asym(p, x + t e):
+    two world calls of 2 points, one per argument order, with at_x = f(0)
+    already read and h the step of the (0, 2) tensor there
+    (fd.step_size)."""
+    h = fd.step_size(w, 2, p, x)
+    q = x + np.array([h, -h])[:, None] * e
+    with np.errstate(all="ignore"):  # a non-finite value raises below
+        f = w.asym(p, q)
+        value = (float(f[0] + f[1]) - 2.0 * float(at_x)) / (h * h)
+    if not np.isfinite(value):
+        raise FloatingPointError("non-finite world-function value in stencil")
+    return value
+
+
 def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
     """First-order tube degeneration diagnostics at a point, probed along
     the coordinate axes, their diagonal and two fixed random directions at
@@ -309,18 +325,21 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
     'nondegenerate'.  The directed-tube checks run only where the neutral
     tube degenerates; elsewhere a note names them as skipped.
 
-    Every tensor is read on 2-point stencils (fd, second_order=True): at
-    d = 4, 333 world points in 29 calls, or 795 in 43 where the neutral
-    tube degenerates.  The rule's truncation, about 1e-7 relative at the
-    first-order step, stays clear of the thresholds: neutral_gradient_cancel
-    passes only on an antisymmetric part linear to within 1e-8, on which
-    the rule is exact; elsewhere the truncation of the separated and the
-    coincidence gradients cancels to the order of the separation, and the
-    shipped nondegenerate families read at least 2.6e-4.  The eikonal's
-    1e-4 is a thousand times the truncation.  On the five families a
-    passing residual stays within 5e-12 of the 4-point rule's and a failing
-    one within 1e-4 of it, relative (tests/test_degeneracy.py).  The scales
-    of the residuals take w.unit where an absolute 1 would stand.
+    Every tensor is read on 2-point stencils (fd, second_order=True), and
+    the directed-tube conditions, which read only e . H . e of the
+    antisymmetric part's (0, 2) Hessian, take it from one second
+    difference along e: at d = 4, 333 world points in 29 calls, or 361 in
+    43 where the neutral tube degenerates.  The rule's truncation, about
+    1e-7 relative at the first-order step, stays clear of the thresholds:
+    neutral_gradient_cancel passes only on an antisymmetric part linear to
+    within 1e-8, on which the rule is exact; elsewhere the truncation of
+    the separated and the coincidence gradients cancels to the order of
+    the separation, and the shipped nondegenerate families read at least
+    2.6e-4.  The eikonal's 1e-4 is a thousand times the truncation.  On
+    the five families a passing residual stays within 5e-12 of the 4-point
+    rule's and a failing one within 1e-4 of it, relative
+    (tests/test_degeneracy.py).  The scales of the residuals take w.unit
+    where an absolute 1 would stand.
     """
     x = np.asarray(x, dtype=float)
     d = w.dim
@@ -377,16 +396,13 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
     for e, outer in zip(dirs, outers):
         two_g = 2.0 * float(outer["sym"][(0, 0)])
         g_grad = outer["sym"][(0, 1)]
-        a_hess = fd.part_tensors(w, x + step * e, x, [(0, 2)],
-                                 second_order=True)["asym"][(0, 2)]
         with np.errstate(over="ignore"):  # an anchor far out in the chart
             norm = abs(two_g) * (w.unit + np.linalg.norm(g_grad))
         if norm == np.inf:
             raise FloatingPointError("tube-condition scale overflows at this anchor")
-        fut_val = (two_g * float(e @ (a_hess - sigma_p) @ e)
-                   + float(g_grad @ e) ** 2)
-        past_val = (two_g * float(e @ (a_hess + sigma_f) @ e)
-                    - float(g_grad @ e) ** 2)
+        a_ee = _directional_second_difference(w, x + step * e, x, e, outer["asym"][(0, 0)])
+        fut_val = two_g * (a_ee - float(e @ sigma_p @ e)) + float(g_grad @ e) ** 2
+        past_val = two_g * (a_ee + float(e @ sigma_f @ e)) - float(g_grad @ e) ** 2
         fut = max(fut, abs(fut_val) / max(norm, 1e-300))
         past = max(past, abs(past_val) / max(norm, 1e-300))
     report.summary["neutral"] = "degenerate"

@@ -19,11 +19,12 @@ rule, fixes the root.  At d=4 a (1, 1) tensor then reads 64 points instead
 of 256 and a (0, 2) tensor 33 instead of 105, as every request does on a
 polynomial world.  Its steps are those of the plain request.  The
 tube-degeneration check (tgeom.degeneracy.degeneration_check) asks for it in
-every request, of orders 0 to 2, and reads 333 points instead of 717 (795
-instead of 2,187 where the neutral tube degenerates).  Order 1 keeps its
-step, so there the 2-point truncation is about 1e-7 relative wherever the
-function has a third derivative; the check's verdicts absorb it
-(degeneracy).
+every request, of orders 0 and 1 at separation and 1 and 2 at coincidence,
+and reads 333 points instead of 717 (361 where the neutral tube
+degenerates, whose directed-tube conditions read a directional second
+difference rather than a tensor).  Order 1 keeps its step, so there the
+2-point truncation is about 1e-7 relative wherever the function has a
+third derivative; the check's verdicts absorb it (degeneracy).
 
 Step sizes balance truncation against rounding per total derivative order:
 

@@ -19,8 +19,19 @@ dropped, unhalved, for a fresh stencil Jacobian at the same point.  Where
 a solve wanders far from its start, that keeps it on the path of the
 stencil-Jacobian solve; steps that only lowered the norm let such solves
 on rough worlds settle on another root.  Only the implicit gradient-line
-solves set broyden; the chain steps keep a stencil Jacobian at every
-step, which their length digits need.
+solves set broyden.
+
+A solve without broyden keeps a stencil Jacobian for one more step, the
+chord (Shamanskii) step, where that step is its last: when an accepted
+step from a fresh stencil Jacobian takes the norm from n_old to n_new with
+n_new (n_new / n_old) <= tol, the contraction it showed predicts that the
+next step from the same Jacobian reaches tol (Dennis & Schnabel, 1983,
+sec. 5.4 and ch. 6; Kelley, Iterative Methods for Linear and Nonlinear
+Equations, 1995, sec. 5.4).  That step is held to BROYDEN_CONTRACTION as
+an updated one is, and is dropped for a fresh Jacobian when it misses.
+The chain steps, advance_seed and condition IV solve this way; refresh
+lets a solve bring the parts of a kept Jacobian that cost no stencil,
+such as the chain's constraint border, to the current point.
 
 MAX_HALVINGS bounds the halvings of a whole solve, not of one step: a solve
 that wanders where no step length helps for long, as near a pole, stops
@@ -35,16 +46,17 @@ from .errors import SolverError
 
 MAX_STEPS = 60
 MAX_HALVINGS = 40
-# a full step from an updated Jacobian is kept only when it cuts the
-# residual norm by this factor (module docstring)
+# a full step from an updated or a kept Jacobian is accepted only when it
+# cuts the residual norm by this factor (module docstring)
 BROYDEN_CONTRACTION = 0.1
 
 
 class NewtonRecord(NamedTuple):
     """Final residual norm, Newton steps computed, stencil Jacobians taken
-    (equal to the steps without broyden), trial steps rejected (each halves
-    the step), and whether the solve stopped because its budget of
-    MAX_HALVINGS halvings ran out before a step lowered the norm."""
+    (fewer than the steps where a step reuses one), trial steps rejected
+    (each halves the step), and whether the solve stopped because its
+    budget of MAX_HALVINGS halvings ran out before a step lowered the
+    norm."""
 
     residual_norm: float
     iterations: int
@@ -53,7 +65,7 @@ class NewtonRecord(NamedTuple):
     stalled: bool
 
 
-def newton(residual, jacobian, z0, tol, *, broyden=False):
+def newton(residual, jacobian, z0, tol, refresh=None, *, broyden=False):
     """Full Newton steps from z0, each halved until the residual norm falls.
 
     Stops at norm <= tol, after MAX_STEPS steps, or when the solve's
@@ -61,22 +73,28 @@ def newton(residual, jacobian, z0, tol, *, broyden=False):
     step lowers the norm.  With broyden, the first step and each step after
     a failed update call jacobian; the others use the Broyden update
     J + (y - J s) s^T / (s^T s) of the last Jacobian by the accepted step s
-    and its change y in the residual.  A step from an updated Jacobian that
-    does not cut the norm by BROYDEN_CONTRACTION counts as a step but not as
-    a halving, and is taken again from a fresh Jacobian, as is one whose
-    updated Jacobian is singular.  Returns (z, NewtonRecord); callers judge
-    success.  A singular stencil Jacobian raises SolverError with the
-    record as its detail.
+    and its change y in the residual.  Without it, each step calls
+    jacobian, except that an accepted step from a fresh Jacobian taking the
+    norm from n_old to n_new keeps that Jacobian for the next step when
+    n_new (n_new / n_old) <= tol; refresh(J, z), if given, then returns the
+    kept J brought to z.  A step from an updated or kept Jacobian that does
+    not cut the norm by BROYDEN_CONTRACTION counts as a step but not as a
+    halving, and is taken again from a fresh Jacobian, as is one whose
+    updated or kept Jacobian is singular.  Returns (z, NewtonRecord);
+    callers judge success.  A singular stencil Jacobian raises SolverError
+    with the record as its detail.
     """
     z = np.array(z0, dtype=float)
     r = residual(z)
     norm = float(np.linalg.norm(r))
     iterations = jacobians = backtracks = 0
-    J = None  # the updated Jacobian, when broyden holds one
+    J = None  # a Jacobian kept for the next step: a Broyden update or a chord reuse
     while not norm <= tol and iterations < MAX_STEPS:  # a NaN norm steps until it stalls
         fresh = J is None
         if fresh:
             J = jacobian(z)
+        elif refresh is not None:
+            J = refresh(J, z)
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -96,7 +114,7 @@ def newton(residual, jacobian, z0, tol, *, broyden=False):
                 if broyden:
                     s = z_trial - z
                     J = J + np.outer(r_trial - r - J @ s, s / (s @ s))
-                else:
+                elif not (fresh and n_trial * (n_trial / norm) <= tol):
                     J = None
                 z, r, norm = z_trial, r_trial, n_trial
                 break

@@ -871,8 +871,11 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     and the step's start share one memo, keyed by the last vertex asked
     for, of the objective and constraint gradients (order 1) and their
     2-point Hessians (order 2), each computed when first asked for there:
-    the Jacobian's border reads the constraint gradient alone.  All read
-    the world in w.unit.
+    the Jacobian's border reads the constraint gradient alone.  The border
+    builder puts that border, at z's vertex, on a Jacobian: a Jacobian that
+    Newton keeps for a chord step (tgeom.newton) takes it at the step's
+    start, whose gradient the residual already read, so its length row
+    stays exact to first order.  All read the world in w.unit.
     """
     d, unit = w.dim, w.unit
     ends = {"objective": p_prev, "constraint": p_mid}
@@ -895,18 +898,21 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
         r[d] = (kind_length_sq(w, kind, p_mid, p) - mu * mu) / unit
         return r
 
-    def jacobian(z):
-        p, lam = z[:d], z[d]
-        jac = np.zeros((d + 1, d + 1))
-        jac[:d, :d] = tensor(p, "objective", 2) - lam * tensor(p, "constraint", 2)
-        cg = tensor(p, "constraint", 1)
+    def border(jac, z):
+        cg = tensor(z[:d], "constraint", 1)
         jac[:d, d] = -cg
         jac[d, :d] = 2.0 * cg
         last[:] = [jac]
         return jac
 
-    # the fourth builder returns the Jacobian last assembled, or J(z) before any
-    return residual, jacobian, tensor, lambda z: last[0] if last else jacobian(z)
+    def jacobian(z):
+        p, lam = z[:d], z[d]
+        jac = np.zeros((d + 1, d + 1))
+        jac[:d, :d] = tensor(p, "objective", 2) - lam * tensor(p, "constraint", 2)
+        return border(jac, z)
+
+    # the fifth builder returns the Jacobian last assembled, or J(z) before any
+    return residual, jacobian, border, tensor, lambda z: last[0] if last else jacobian(z)
 
 
 #: the chord step's miss that clears a step, as a fraction of the probe's offset
@@ -950,7 +956,9 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     step's solve last assembled (or, where the guess solved the step, the
     probe's first), cannot show the root isolated; a step the test clears,
     or with no transverse direction, is flagged False.  Raises ValueError
-    unless mu is positive and finite and p0 and p1 are finite.
+    unless mu is positive and finite and p0 and p1 are finite, and
+    GeometryError naming the first segment whose symmetrized squared length
+    is not positive, which the parallelism residuals cannot read.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -972,11 +980,12 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     reach = mu / np.sqrt(w.unit)
     for index in range(steps):
         prev_p, mid = verts[index], verts[index + 1]
-        residual, jacobian, tensor, chord_jacobian = _step_system(w, kind, prev_p, mid, mu)
+        residual, jacobian, border, tensor, chord_jacobian = _step_system(
+            w, kind, prev_p, mid, mu)
 
         def solve(z0):
             try:
-                z, record = newton(residual, jacobian, z0, 1e-12 * scale)
+                z, record = newton(residual, jacobian, z0, 1e-12 * scale, border)
             except SolverError as exc:
                 raise SolverError("singular Jacobian in chain continuation",
                                   {"step": index, **exc.detail}) from exc
@@ -1016,9 +1025,18 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         flags.append(flagged)
         verts[index + 2] = new_p
 
+    # the parallelism residuals read the symmetrized lengths, which a chain
+    # of kind f or p can turn spacelike while its kind lengths hold mu
+    sym_sq = kind_length_sq(w, "n", verts[:-1], verts[1:])
+    spacelike = np.flatnonzero(~(sym_sq > 0.0))
+    if spacelike.size:
+        i = int(spacelike[0])
+        raise GeometryError(f"chain segment {i} (vertex {i} to {i + 1}) is not timelike: "
+                            f"symmetrized squared length {float(sym_sq[i])!r}; "
+                            f"parallelism residual undefined")
     par = chain_parallel_residual(w, kind, verts[:-2], verts[1:-1], verts[2:])
-    lens, sym_lens = (np.abs(np.sqrt(kind_length_sq(w, k, verts[:-1], verts[1:])) - mu) / mu
-                      for k in (kind, "n"))
+    lens, sym_lens = (np.abs(np.sqrt(sq) - mu) / mu
+                      for sq in (kind_length_sq(w, kind, verts[:-1], verts[1:]), sym_sq))
     return BrokenTube(vertices=verts, mu=float(mu), kind=kind,
                       parallel_residuals=par, length_residuals=lens,
                       sym_length_residuals=sym_lens,

@@ -211,9 +211,11 @@ def test_condition_four_rate_ignores_last_bit_jacobian_changes(case2, monkeypatc
 def test_condition_four_solves_share_one_halving_budget(case2, monkeypatch):
     # from these starts full Newton steps wander near case2's pole, where no
     # step length lowers the residual for long: each solve stops once it has
-    # halved MAX_HALVINGS times in all, and the 64 solves cost 1,496 calls
-    # over 21,480 points (with a budget per step, one solve alone halved 854
-    # times and the solves cost 7,724 calls over 85,420 points)
+    # halved MAX_HALVINGS times in all, and the 64 solves cost 1,469 calls
+    # over 20,330 points (with a budget per step, one solve alone halved 854
+    # times and the solves cost 7,724 calls over 85,420 points; with a
+    # stencil Jacobian at every step, the chord step of tgeom.newton never
+    # taken, 1,496 calls over 21,480 points)
     records = []
 
     def recorded(*args):
@@ -232,7 +234,7 @@ def test_condition_four_solves_share_one_halving_budget(case2, monkeypatch):
     assert len(records) == 64
     assert max(r.backtracks for r in records) == MAX_HALVINGS
     assert all(r.stalled for r in records if r.backtracks == MAX_HALVINGS)
-    assert (len(sizes), sum(sizes)) == (1496, 21480)
+    assert (len(sizes), sum(sizes)) == (1469, 20330)
     assert rate == case2_solve_rate(case2, case2)
 
 
@@ -428,9 +430,10 @@ def test_degeneration_world_call_budget(all_worlds):
     # call over 81 points; each of the 7 directions requests (0, 0) and
     # (0, 1) at two separations, 9 points in each of two calls (w(P, Q) and
     # w(Q, P)), 252 points in 28 calls in all.  Only a degenerate neutral
-    # tube adds each direction's (0, 2) Hessian at the outer separation, 33
-    # points in each of two calls, whose anchor pair the outer request also
-    # read.  The counting world carries the plain world's spec, so it takes
+    # tube adds each direction's second difference at the outer separation,
+    # 2 points in each of two calls, whose middle value the outer request
+    # read (a full (0, 2) Hessian there took 33 points in each call, 795 in
+    # all).  The counting world carries the plain world's spec, so it takes
     # the same steps, and the report is the one of the uncounted world
     x = np.array([0.2, -0.1, 0.3, 0.05])
     for name, plain in all_worlds.items():
@@ -441,7 +444,7 @@ def test_degeneration_world_call_budget(all_worlds):
             return plain(a, b)
 
         report = degeneration_check(WorldFunction(counted, 4, spec=plain.spec, label=plain.kind), x)
-        want = (43, 795) if report.summary["neutral"] == "degenerate" else (29, 333)
+        want = (43, 361) if report.summary["neutral"] == "degenerate" else (29, 333)
         assert (len(sizes), sum(sizes)) == want, name
         assert report.to_dict() == degeneration_check(plain, x).to_dict(), name
 
@@ -460,16 +463,22 @@ FAILING_RESIDUAL_BUDGET = (1e-4, 3.7e-5)  # neutral_gradient_cancel, the only on
 
 @pytest.mark.parametrize("at", [[0.2, -0.1, 0.3, 0.05], [0, 0, 0, 0], [2, 1, -1, 0.5]])
 def test_degeneration_matches_four_point_reference(all_worlds, at, monkeypatch):
+    # the reference reads every tensor on the 4-point rule, and the directed
+    # tubes' e . H . e from the full (0, 2) Hessian
     plain = fd.part_tensors
 
     def four_point(w, x, xp, orders, *, second_order=False):
         return plain(w, x, xp, orders)
+
+    def hessian_contraction(w, p, x, e, at_x):
+        return float(e @ plain(w, p, x, [(0, 2)])["asym"][(0, 2)] @ e)
 
     at = np.array(at, dtype=float)
     for name, w in all_worlds.items():
         got = degeneration_check(w, at)
         with monkeypatch.context() as m:
             m.setattr(fd, "part_tensors", four_point)
+            m.setattr(degeneracy, "_directional_second_difference", hessian_contraction)
             want = degeneration_check(w, at)
         assert got.summary == want.summary, name
         assert [c.name for c in got.checks] == [c.name for c in want.checks], name
@@ -487,6 +496,38 @@ def test_degeneration_matches_four_point_reference(all_worlds, at, monkeypatch):
         if got.summary["neutral"] == "degenerate":
             for g, r in zip(got.checks, want.checks):
                 assert g.residual < 1e-10 or r.residual >= 1e-10, (name, g.name)
+
+
+# The directed tubes' second difference against e . H . e of the full
+# 2-point (0, 2) Hessian it replaces, at the check's outer separation along
+# its seven directions: worst |change| relative to the unit plus max |H|, as
+# (budget, measured) per family.  The polynomial worlds' rules are exact;
+# case2's differ by their truncation.
+DIRECTIONAL_DIFFERENCE_BUDGETS = {
+    "euclidean": (1e-15, 0.0),
+    "constant_a": (2e-15, 4.7e-16),
+    "case1": (2e-15, 7.2e-16),
+    "case2": (6e-9, 3.0e-9),
+    "cubic_a": (1e-15, 9.4e-17),
+}
+
+
+def test_directional_second_difference_matches_the_hessian(all_worlds):
+    d = 4
+    for name, w in all_worlds.items():
+        worst = 0.0
+        for at in ([0.2, -0.1, 0.3, 0.05], [0, 0, 0, 0], [2, 1, -1, 0.5]):
+            x = np.array(at, dtype=float)
+            step = degeneracy._DEGENERATION_DELTA * (1.0 + np.max(np.abs(x)))
+            rng = np.random.default_rng(7)
+            dirs = [*np.eye(d), np.ones(d) / np.sqrt(d),
+                    *(v / np.linalg.norm(v) for v in rng.normal(size=(2, d)))]
+            for e in dirs:
+                p = x + step * e
+                got = degeneracy._directional_second_difference(w, p, x, e, w.asym(p, x))
+                hess = fd.part_tensors(w, p, x, [(0, 2)], second_order=True)["asym"][(0, 2)]
+                worst = max(worst, abs(got - e @ hess @ e) / (w.unit + np.max(np.abs(hess))))
+        assert worst <= DIRECTIONAL_DIFFERENCE_BUDGETS[name][0], (name, worst)
 
 
 @pytest.mark.parametrize("at", [[2, 1, -1, 0.5], [0.5, 0.25, -0.25, 0.125], [8, 4, -4, 2]])

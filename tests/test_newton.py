@@ -84,7 +84,8 @@ def _circle_diagonal(calls):
 
 def test_broyden_takes_fewer_jacobians_than_steps():
     # the same root as test_converges_to_known_root: the Jacobian runs once
-    # per step without broyden, and fewer times than that with it
+    # per step without broyden, where no step predicts the tolerance, and
+    # fewer times than that with it
     calls = []
     _, plain = newton(*_circle_diagonal(calls), [1.0, 0.5], 1e-13)
     assert len(calls) == plain.jacobians == plain.iterations
@@ -158,3 +159,60 @@ def test_broyden_singular_update_takes_a_fresh_jacobian():
     assert z.tolist() == [0.0, 1.0] and record.residual_norm == 0.0
     assert [c.tolist() for c in calls] == [[0.0, 0.0], [1.0, -1.0]]
     assert (record.iterations, record.jacobians, record.backtracks) == (2, 2, 0)
+
+
+def _logged_circle(points, calls):
+    # _circle_diagonal, logging the points of its residuals and, for each
+    # Jacobian, how many residuals came before it
+    residual, jacobian = _circle_diagonal([])
+
+    def logged_residual(z):
+        points.append(z.copy())
+        return residual(z)
+
+    def logged_jacobian(z):
+        calls.append(len(points))
+        return jacobian(z)
+
+    return logged_residual, logged_jacobian
+
+
+def _circle_norms(points):
+    return [float(np.hypot(p[0] ** 2 + p[1] ** 2 - 4.0, p[0] - p[1])) for p in points]
+
+
+def test_step_that_predicts_the_tolerance_keeps_its_jacobian():
+    # at tol 1e-10 the fourth step takes |r| from 2.0e-3 to 2.6e-7, whose
+    # contraction predicts 3.3e-11 from one more step: the fifth step reuses
+    # the fourth Jacobian and lands at 6.5e-11.  At 1e-13 the prediction
+    # misses the tolerance and every step takes a stencil Jacobian
+    points, calls = [], []
+    z, record = newton(*_logged_circle(points, calls), [1.0, 0.5], 1e-10)
+    norms = _circle_norms(points)
+    assert np.allclose(z, np.sqrt(2.0), rtol=0, atol=1e-10)
+    assert (record.iterations, record.jacobians, record.backtracks) == (5, 4, 0)
+    assert calls == [1, 2, 3, 4]
+    assert norms[4] * (norms[4] / norms[3]) <= 1e-10 < norms[4]
+    assert record.residual_norm == norms[5] <= 1e-10
+    _, fresh = newton(*_circle_diagonal([]), [1.0, 0.5], 1e-13)
+    assert fresh.iterations == fresh.jacobians == 5
+
+
+def test_kept_jacobian_short_of_the_contraction_is_dropped():
+    # a refresh that turns the kept Jacobian uphill: the chord step is
+    # dropped, uncounted as a halving, for a stencil Jacobian at the point
+    # it left, which converges
+    points, calls, kept = [], [], []
+
+    def uphill(J, z):
+        kept.append(z.copy())
+        return -J
+
+    z, record = newton(*_logged_circle(points, calls), [1.0, 0.5], 1e-10, uphill)
+    norms = _circle_norms(points)
+    assert np.allclose(z, np.sqrt(2.0), rtol=0, atol=1e-10)
+    assert (record.iterations, record.jacobians, record.backtracks) == (6, 5, 0)
+    assert [k.tolist() for k in kept] == [points[4].tolist()]
+    assert calls == [1, 2, 3, 4, 6]  # the fifth at points[4], where it stood
+    assert norms[5] >= BROYDEN_CONTRACTION * norms[4]
+    assert record.residual_norm == norms[6] <= 1e-10

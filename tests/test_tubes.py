@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -1048,6 +1049,88 @@ def _assert_flags_match_the_always_probe_reference(monkeypatch, w):
 def test_cubic_flags_match_the_always_probe_reference(monkeypatch, scale, seed):
     cub = world("cubic_a", a3=random_a3(scale=scale, seed=seed).ravel().tolist())
     _assert_flags_match_the_always_probe_reference(monkeypatch, cub)
+
+
+def test_spacelike_chain_names_its_first_spacelike_segment(case2):
+    # at mu 0.3 the case2 chains hold their kind lengths but turn spacelike:
+    # the symmetrized squared lengths read 0.0012, -0.0605, ... for kind f,
+    # so the parallelism residuals, which read them, are undefined
+    v = np.array([1.0, 0.25, -0.15, 0.1])
+    v = v / np.sqrt(v @ MINK @ v)
+    for kind, u in (("f", -v), ("p", v)):
+        p1 = advance_seed(case2, kind, np.zeros(4), u, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError) as info:
+                build_broken_tube(case2, kind, np.zeros(4), p1, 0.3, 4)
+        assert type(info.value) is GeometryError
+        message = str(info.value)
+        assert message.startswith("chain segment 1 (vertex 1 to 2) is not timelike"), message
+        value = float(re.search(r"symmetrized squared length (\S+);", message).group(1))
+        assert value == pytest.approx(-0.0605, abs=1e-4)
+
+
+def _recording(solve, records):
+    """solve, appending the NewtonRecord of each call to records."""
+    def newton(*args):
+        z, record = solve(*args)
+        records.append(record)
+        return z, record
+    return newton
+
+
+def test_chain_step_keeps_its_jacobian_for_the_last_step(cubic, monkeypatch):
+    # a kind-f step on cubic_a contracts quadratically, 7e-4 -> 2e-6 ->
+    # 3e-11, which predicts the tolerance (1e-12) from one more step: that
+    # step reuses the second stencil Jacobian (tgeom.newton)
+    v = np.array([1.0, 0.25, -0.15, 0.1])
+    v = v / np.sqrt(v @ MINK @ v)
+    p1 = advance_seed(cubic, "f", np.zeros(4), v, 0.2)
+    records = []
+    monkeypatch.setattr(tubes, "newton", _recording(tubes.newton, records))
+    chain = build_broken_tube(cubic, "f", np.zeros(4), p1, 0.2, 3)
+    assert np.max(chain.length_residuals) < 1e-14
+    assert [(r.iterations, r.jacobians) for r in records] == [(3, 2)] * 3
+
+
+# chain vertices (relative to mu) and length residuals with the chord step
+# against a reference that takes a stencil Jacobian at every step, as
+# (budget, measured)
+CHORD_VERTEX_BUDGET = (1e-11, 5.4e-12)
+CHORD_LENGTH_BUDGET = (1e-15, 4.7e-16)
+
+
+def test_chord_step_matches_the_always_fresh_reference(monkeypatch):
+    # the reference's refresh takes a stencil Jacobian wherever Newton keeps
+    # one; a chain that stalls stalls the same way on both sides
+    solve, records = tubes.newton, []
+    newton = _recording(solve, records)
+
+    def always_fresh(residual, jacobian, z0, tol, refresh=None):
+        return solve(residual, jacobian, z0, tol, lambda J, z: jacobian(z))
+
+    v = np.array([1.0, 0.25, -0.15, 0.1])
+    v = v / np.sqrt(v @ MINK @ v)
+    p0 = np.zeros(4)
+    for scale, seed in itertools.product((0.3, 1.0), (0, 1, 2)):
+        w = world("cubic_a", a3=random_a3(scale=scale, seed=seed).ravel().tolist())
+        for mu, kind in itertools.product((0.03, 0.1, 0.3), "fp"):
+            p1 = advance_seed(w, kind, p0, v, mu)
+            with monkeypatch.context() as patch:
+                patch.setattr(tubes, "newton", newton)
+                chain = _chain_or_error(w, kind, p0, p1, mu, 4)
+            with monkeypatch.context() as patch:
+                patch.setattr(tubes, "newton", always_fresh)
+                ref = _chain_or_error(w, kind, p0, p1, mu, 4)
+            if isinstance(ref, str):
+                assert chain == ref
+                continue
+            assert chain.multiplicity_flags == ref.multiplicity_flags
+            assert (np.max(np.abs(chain.vertices - ref.vertices))
+                    <= CHORD_VERTEX_BUDGET[0] * mu), (scale, seed, mu, kind)
+            assert (np.max(np.abs(chain.length_residuals - ref.length_residuals))
+                    <= CHORD_LENGTH_BUDGET[0]), (scale, seed, mu, kind)
+    assert sum(r.iterations - r.jacobians for r in records) > 0  # chord steps were taken
 
 
 @pytest.mark.parametrize("family", ["case1", "case2", "constant_a", "euclidean"])
