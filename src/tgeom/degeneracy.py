@@ -325,11 +325,12 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
     'nondegenerate'.  The directed-tube checks run only where the neutral
     tube degenerates; elsewhere a note names them as skipped.
 
-    Every tensor is read on 2-point stencils (fd, second_order=True), and
-    the directed-tube conditions, which read only e . H . e of the
-    antisymmetric part's (0, 2) Hessian, take it from one second
-    difference along e: at d = 4, 333 world points in 29 calls, or 361 in
-    43 where the neutral tube degenerates.  The rule's truncation, about
+    Every tensor is read on 2-point stencils (fd, second_order=True; the
+    coincidence Hessians on the 2-point product rule, which fd keeps at
+    coincidence), and the directed-tube conditions, which read only
+    e . H . e of the antisymmetric part's (0, 2) Hessian, take it from one
+    second difference along e: at d = 4, 333 world points in 29 calls, or
+    361 in 43 where the neutral tube degenerates.  The rule's truncation, about
     1e-7 relative at the first-order step, stays clear of the thresholds:
     neutral_gradient_cancel passes only on an antisymmetric part linear to
     within 1e-8, on which the rule is exact; elsewhere the truncation of
@@ -339,7 +340,8 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
     the five families a passing residual stays within 5e-12 of the 4-point
     rule's and a failing one within 1e-4 of it, relative
     (tests/test_degeneracy.py).  The scales of the residuals take w.unit
-    where an absolute 1 would stand.
+    where an absolute 1 would stand; a scale that overflows, on coefficients
+    near the float range, raises FloatingPointError.
     """
     x = np.asarray(x, dtype=float)
     d = w.dim
@@ -357,6 +359,10 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
     cc_g = co["sym"][(2, 0)]  # coincidence metric
     g_inv = _inv(cc_g, "coincidence metric")
     a_co = co["asym"][(1, 0)]
+    with np.errstate(over="ignore"):  # coefficients near the float range
+        a_co_norm = float(np.linalg.norm(a_co))
+    if a_co_norm == np.inf:
+        raise FloatingPointError("neutral-gradient scale overflows at this anchor")
     sigma_f = co["full"][(2, 0)]
     sigma_p = co["full"][(0, 2)]
 
@@ -372,7 +378,7 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
             a_grad = t["asym"][(0, 1)]
             grad_cancel = max(
                 grad_cancel,
-                abs(float((a_grad + a_co) @ e)) / (dlt * (w.unit + np.linalg.norm(a_co))),
+                abs(float((a_grad + a_co) @ e)) / (dlt * (w.unit + a_co_norm)),
             )
             g_grad = t["sym"][(0, 1)]
             two_g = 2.0 * float(t["sym"][(0, 0)])

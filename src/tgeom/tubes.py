@@ -383,8 +383,9 @@ def _grid_brackets(signed_residual, residual, taus, rmaxs, block_rows):
     r) is the residual, whether it has a sign and its round-off floor;
     residual(rows, r) the residual at the block's rows.  Returns, with rows of the block, the rows
     with a root at r = 0, the brackets (rows, a, b, f(a), f(b)), which of
-    them have two signed ends, and the minima within round-off (r, rows):
-    the inputs of _settle.
+    them have two signed ends, their slopes (NaN: _settle reads each from
+    the residual either side of the root) and the minima within round-off
+    (r, rows): the inputs of _settle.
     """
     taus, rmaxs = taus[block_rows], rmaxs[block_rows]
     grid = np.concatenate([np.zeros((len(taus), 1)),
@@ -440,7 +441,7 @@ def _grid_brackets(signed_residual, residual, taus, rmaxs, block_rows):
     signed_ends = np.arange(len(a)) < len(rows)
     rows = np.concatenate([rows, ext[cross], ext[cross]])
     return (block_rows[~signed[:, 0]], block_rows[rows], a, b, f_a, f_b, signed_ends,
-            m_x[~cross], block_rows[ext[~cross]])
+            np.full(len(a), np.nan), m_x[~cross], block_rows[ext[~cross]])
 
 
 @functools.lru_cache(maxsize=None)
@@ -493,11 +494,12 @@ def _proxy_brackets(signed_residual, taus, rmaxs, degree: int, even: bool):
     which round-off of the node values can move it; overlapping radii make
     one cluster.  A lone real root inside (_RESOLUTION, rmax) is bracketed
     by its radius, and at least _RESOLUTION (1 + r), either side; _settle
-    refines it as it refines a grid bracket.  On an even residual, the pair
-    of roots about r = 0 is the axis root when the residual there has no
-    sign.  Returns what _grid_brackets returns for the taus it settles
-    (every bracket with two signed ends, no minima), and the rows of the
-    rest, for the grid: a fit that fails, a bracket without two signed ends
+    refines it as it refines a grid bracket, and polishes it on the proxy's
+    slope there, d/dr.  On an even residual, the pair of roots about r = 0
+    is the axis root when the residual there has no sign.  Returns what
+    _grid_brackets returns for the taus it settles (every bracket with two
+    signed ends and its proxy slope, no minima), and the rows of the rest,
+    for the grid: a fit that fails, a bracket without two signed ends
     of opposite signs, or any cluster or root the proxy cannot settle (one
     that touches the axis or rmax, a near-double or near-real pair).
     """
@@ -564,43 +566,51 @@ def _proxy_brackets(signed_residual, taus, rmaxs, degree: int, even: bool):
     bad[order[1:][overlap]] = bad[order[:-1][overlap]] = True
     fallback[rows[bad]] = True
     keep = ~fallback[rows]
+    d_dr = slope[rows, col].real / half[rows, 0]
     return ((np.flatnonzero(axis & ~fallback), rows[keep], a[keep], b[keep], f_a[keep],
-             f_b[keep], np.ones(np.count_nonzero(keep), bool), np.empty(0), np.empty(0, int)),
+             f_b[keep], np.ones(np.count_nonzero(keep), bool), d_dr[keep], np.empty(0),
+             np.empty(0, int)),
             np.flatnonzero(fallback))
 
 
-def _settle(signed_residual, residual, taus, y2, rows, a, b, f_a, f_b, signed_ends, x,
-            x_rows):
+def _settle(signed_residual, residual, taus, y2, rows, a, b, f_a, f_b, signed_ends, slopes,
+            x, x_rows):
     """The roots of a block of taus from its brackets (rows, a, b, f(a),
     f(b)) and its minima within round-off (x, x_rows), which are fold roots:
     (rows, radii).
 
     Each bracket is solved by Brent's method to 1e-12 (1 + b) and polished
-    by one Newton step; every root must meet |residual| <= 1e-10 (y2 (1 +
-    tau^2 + r^2))^2.  A root is resolved when the residual is signed
-    _RESOLUTION (1 + r) either side of it, or when its bracket has two
-    signed ends; else it lies in a round-off band that may hold no root,
-    one or a pair.  A minimum within round-off is a fold root, which must be
+    by one Newton step on its slope, or, where that is NaN, on the slope of
+    the residual _RESOLUTION (1 + r) either side of the root; every root
+    must meet |residual| <= 1e-10 (y2 (1 + tau^2 + r^2))^2.  A root is
+    resolved when its bracket has two signed ends, or when the residual is
+    signed either side of it; else it lies in a round-off band that may
+    hold no root, one or a pair.  A bracket with a slope must have two
+    signed ends.  A minimum within round-off is a fold root, which must be
     resolved too.  Raises GeometryError naming the tau of a root that is not.
     """
     r, fr = np.empty((2, 0))
     if len(rows):
         r, fr = _brent(lambda index, z: residual(rows[index], z), a, b, f_a, f_b,
                        1e-12 * (1.0 + b), 1e-15)
-    # The side values of a bracket's root also give one Newton step on their
-    # slope, kept when it stays in the bracket and lowers the residual.
-    at, at_rows, fold = np.concatenate([r, x]), np.concatenate([rows, x_rows]), np.empty(0, bool)
+    # The side values of a bracket's root without a slope also give its
+    # slope, and one Newton step on the slope is kept when it stays in the
+    # bracket and lowers the residual.
+    sided = np.isnan(slopes)
+    at = np.concatenate([r[sided], x])
+    at_rows, fold = np.concatenate([rows[sided], x_rows]), np.empty(0, bool)
+    slope = np.array(slopes, dtype=float)
     if len(at):
-        n, dr = len(at), _RESOLUTION * (1.0 + at)
+        n, m, dr = len(at), len(at) - len(x), _RESOLUTION * (1.0 + at)
         f_at, s_at, _ = signed_residual(taus[np.concatenate([at_rows, at_rows, x_rows])],
                                         np.concatenate([at + dr, at - dr, x]))
         fold, side = ~s_at[2 * n:], s_at[:n] & s_at[n:2 * n]
-        lost = ~side & np.concatenate([~signed_ends, fold])
+        lost = ~side & np.concatenate([~signed_ends[sided], fold])
         if lost.any():
             raise GeometryError("tube root is lost to round-off at tau "
                                 f"{float(taus[at_rows[lost][0]])!r}")
+        slope[sided] = (f_at[:m] - f_at[n:n + m]) / (2.0 * dr[:m])
     if len(r):
-        slope = (f_at[:len(r)] - f_at[n:n + len(r)]) / (2.0 * dr[:len(r)])
         with np.errstate(divide="ignore", invalid="ignore"):
             polished = r - fr / slope
         trial = np.flatnonzero((slope != 0.0) & (a <= polished) & (polished <= b))
@@ -853,12 +863,17 @@ def chain_parallel_residual(w: WorldFunction, kind: str, pa, pb, pc):
     the neutral kind takes the root of the two products.  Broadcasts over
     leading axes, and is a float for one segment pair."""
     check_kind(kind)
-    wab, wba, wac, wca, wbc, wcb = _triple_worlds(w, pa, pb, pc)
+    res = _parallel_residual(kind, *_triple_worlds(w, pa, pb, pc))
+    return float(res) if res.ndim == 0 else res
+
+
+def _parallel_residual(kind: str, wab, wba, wac, wca, wbc, wcb):
+    """chain_parallel_residual from the six ordered world values of the
+    segment pairs, as _triple_worlds lists them."""
     lab, lbc = (_real_length(sq, "segment length") for sq in (wab + wba, wbc + wcb))
     x, y = kind_pair(kind, wac - wbc - wab, wca - wcb - wba)  # (ab . bc), (bc . ab)
     prod = np.sqrt(np.maximum(x * y, 0.0)) if kind == "n" else x
-    res = lab * lbc - prod
-    return float(res) if res.ndim == 0 else res
+    return lab * lbc - prod
 
 
 def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
@@ -870,8 +885,8 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     to the kind's gradient line as mu shrinks.  The residual, the Jacobian
     and the step's start share one memo, keyed by the last vertex asked
     for, of the objective and constraint gradients (order 1) and their
-    2-point Hessians (order 2), each computed when first asked for there:
-    the Jacobian's border reads the constraint gradient alone.  The border
+    second_order Hessians (order 2, fd), each computed when first asked for
+    there: the Jacobian's border reads the constraint gradient alone.  The border
     builder puts that border, at z's vertex, on a Jacobian: a Jacobian that
     Newton keeps for a chord step (tgeom.newton) takes it at the step's
     start, whose gradient the residual already read, so its length row
@@ -1025,18 +1040,25 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         flags.append(flagged)
         verts[index + 2] = new_p
 
-    # the parallelism residuals read the symmetrized lengths, which a chain
-    # of kind f or p can turn spacelike while its kind lengths hold mu
-    sym_sq = kind_length_sq(w, "n", verts[:-1], verts[1:])
+    # The closing pass reads each ordered pair of neighbours and of next
+    # neighbours once, and forms every length and parallelism residual from
+    # those values as kind_length_sq and chain_parallel_residual do.  The
+    # parallelism residuals read the symmetrized lengths, which a chain of
+    # kind f or p can turn spacelike while its kind lengths hold mu.
+    with np.errstate(all="ignore"):  # NaN or infinite at a pole, as kind_length_sq
+        fwd, rev = (np.asarray(w(*pair), dtype=float)
+                    for pair in ((verts[:-1], verts[1:]), (verts[1:], verts[:-1])))
+        sym_sq = 2.0 * parts(fwd, rev)[0]
+        kind_sq = sym_sq if kind == "n" else 2.0 * (fwd if kind == "f" else rev)
     spacelike = np.flatnonzero(~(sym_sq > 0.0))
     if spacelike.size:
         i = int(spacelike[0])
         raise GeometryError(f"chain segment {i} (vertex {i} to {i + 1}) is not timelike: "
                             f"symmetrized squared length {float(sym_sq[i])!r}; "
                             f"parallelism residual undefined")
-    par = chain_parallel_residual(w, kind, verts[:-2], verts[1:-1], verts[2:])
-    lens, sym_lens = (np.abs(np.sqrt(sq) - mu) / mu
-                      for sq in (kind_length_sq(w, kind, verts[:-1], verts[1:]), sym_sq))
+    par = _parallel_residual(kind, fwd[:-1], rev[:-1], w(verts[:-2], verts[2:]),
+                             w(verts[2:], verts[:-2]), fwd[1:], rev[1:])
+    lens, sym_lens = (np.abs(np.sqrt(sq) - mu) / mu for sq in (kind_sq, sym_sq))
     return BrokenTube(vertices=verts, mu=float(mu), kind=kind,
                       parallel_residuals=par, length_residuals=lens,
                       sym_length_residuals=sym_lens,

@@ -692,6 +692,26 @@ def test_extreme_coefficients_meet_error_contract(tmp_path, world_file, command,
     jsonschema.validate(json.loads(lines[0]), schema("error.json"))
 
 
+def test_degeneration_gradient_scale_overflow_meets_error_contract(tmp_path, world_file):
+    # a world scaled near the float range passes the coincidence metric's
+    # conditioning, but the norm of its antisymmetric coincidence gradient,
+    # about 1e160, overflows: a solver error, not a numpy warning
+    doc = {"kind": "constant_a", "dim": 4, "b": [1e160, 0, 0, 0],
+           "metric": (np.diag([1.0, -1.0, -1.0, -1.0]) * 1e160).tolist()}
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = run(["check", "degeneration", "--world", world_file(doc), "--at", "0.1,0,0,0",
+                    "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert not caught, [str(w.message) for w in caught]
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    jsonschema.validate(error, schema("error.json"))
+    assert error["detail"] == "neutral-gradient scale overflows at this anchor"
+
+
 def test_seed_mismatch_detail_reads_plain_floats(tmp_path, world_file, capsys):
     # the seed's kind length is about 0.09992, not mu: the detail prints
     # both as plain floats, not as numpy scalar reprs

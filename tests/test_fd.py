@@ -4,7 +4,7 @@ A plan evaluates each unique stencil point once and reads every entry's
 values back by index; the naive reference below evaluates each entry's own
 stencil, and at xp = x also calls w(Q, P), as the engine did before plans.
 Equality is exact: the plan must change which points are evaluated, never
-the numbers.
+the numbers.  The reference builds the seven-point rule's stencils itself.
 """
 
 import warnings
@@ -21,6 +21,9 @@ X0 = np.array([0.2, -0.1, 0.3, 0.05])
 XP0 = np.array([0.5, 0.2, -0.1, 0.1])
 NEG_ZERO = np.array([0.2, -0.0, 0.3, -0.0])
 ANCHORS = {"coincident": (X0, X0), "separated": (X0, XP0), "negative_zero": (NEG_ZERO, NEG_ZERO)}
+# the seven-point rule reads the anchor pair itself: a separated one with
+# signed zeros too
+SEVEN_POINT_ANCHORS = {**ANCHORS, "negative_zero_separated": (NEG_ZERO, XP0)}
 UP_TO_22 = [(nx, npr) for nx in range(3) for npr in range(3)]
 ORDER_SETS = {
     "coefficients": _COEFFICIENT_ORDERS,
@@ -31,14 +34,42 @@ ORDER_SETS = {
 }
 PARTS = ("full", "sym", "asym")
 
+# A second_order request at separated points takes the seven-point rule for
+# the off-diagonal entries of an order-2 tensor from the dimension at which
+# that tensor reads fewer points on it than on the 2-point product rule:
+# (1, 1) 1 + 4d + 2d^2 against 4d^2, (2, 0) and (0, 2) 1 + 2d + d(d - 1)
+# against 1 + 2d + 2d(d - 1).
+SEVEN_POINT_FROM = {(1, 1): 3, (2, 0): 2, (0, 2): 2}
+SEVEN_POINT_COUNTS = {(1, 1): (7, 17, 31, 49), (2, 0): (3, 7, 13, 21), (0, 2): (3, 7, 13, 21)}
+PRODUCT_COUNTS = {(1, 1): (4, 16, 36, 64), (2, 0): (3, 9, 19, 33), (0, 2): (3, 9, 19, 33)}
+
+
+def seven_point_values(w, x, xp, step, u, v):
+    """w and w swapped at the seven-point stencil of the axes u and v of the
+    stacked pair (x, xp), in the order (0, +-u, +-v, +-(u + v)), with the
+    rule's weights (f(u+v) + f(-u-v) - f(u) - f(-u) - f(v) - f(-v) + 2 f(0))
+    / (2 h^2).  The zero offset is the anchor pair itself."""
+    d = len(x)
+    pairs = [(x, xp)]
+    for sign_u, sign_v in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
+        z = np.zeros(2 * d)
+        z[u] += sign_u
+        z[v] += sign_v
+        pairs.append((x + step * z[:d], xp + step * z[d:]))
+    p, q = (np.array(side) for side in zip(*pairs))
+    return w(p, q), w(q, p), np.array([2.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0]) / 2.0
+
 
 def naive_part_tensors(w, x, xp, orders, second_order=False):
     """part_tensors entry by entry: two world calls per entry stencil, at
     w's own steps (fd.step_size) and on w's own rule: the 2-point rule on
     the first-derivative axes of every order in a second_order request,
-    from order 2 on a polynomial world and from order 3 elsewhere."""
+    from order 2 on a polynomial world and from order 3 elsewhere, and the
+    seven-point rule where a second_order request at separated points
+    takes it (SEVEN_POINT_FROM)."""
     polynomial = getattr(w, "polynomial_scale", None) is not None
     two_point_from = 1 if second_order else 2 if polynomial else 3
+    d = x.shape[-1]
     out = {part: {} for part in PARTS}
     for nx, npr in orders:
         order = nx + npr
@@ -48,11 +79,17 @@ def naive_part_tensors(w, x, xp, orders, second_order=False):
                 out[part][(nx, npr)] = np.asarray(value, dtype=float)[()]
             continue
         step = fd.step_size(w, order, x, xp)
-        tensors = np.zeros((3,) + (x.shape[-1],) * order)
-        for offs_x, offs_xp, unit, targets in fd._tensor_entries(x.shape[-1], nx, npr,
-                                                                 two_point_from):
-            p, q = x + step * offs_x, xp + step * offs_xp
-            fwd, rev = w(p, q), w(q, p)
+        tensors = np.zeros((3,) + (d,) * order)
+        seven_point = (second_order and not np.array_equal(x, xp)
+                       and d >= SEVEN_POINT_FROM.get((nx, npr), d + 1))
+        for offs_x, offs_xp, unit, targets in fd._tensor_entries(d, nx, npr, two_point_from):
+            if seven_point and (nx == 1 or len(set(targets[0])) == 2):  # off the diagonal
+                i, j = min(targets)
+                fwd, rev, unit = seven_point_values(w, x, xp, step, i + d * (nx == 0),
+                                                    j + d * (nx < 2))
+            else:
+                p, q = x + step * offs_x, xp + step * offs_xp
+                fwd, rev = w(p, q), w(q, p)
             wts = unit / step**order
             for i, row in enumerate((fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev))):
                 val = np.dot(row, wts)
@@ -80,21 +117,38 @@ def test_plan_matches_naive_entries(all_worlds, orders, anchor):
 
 
 # the Newton Jacobians: 2-point rule on every first-derivative axis, at the
-# order-2 step; one (1, 1) tensor reads 64 points and one (0, 2) tensor 33
-@pytest.mark.parametrize("anchor", ANCHORS)
-@pytest.mark.parametrize("key,points", [((1, 1), 64), ((0, 2), 33)], ids=["11", "02"])
-def test_second_order_plan_matches_naive_entries(all_worlds, key, points, anchor):
-    x, xp = ANCHORS[anchor]
-    for offs_x, offs_xp, _, _ in fd._tensor_entries(4, *key, 1):
+# order-2 step, and the seven-point rule off the diagonal at separated
+# points: one (1, 1) tensor reads 49 points there and one (0, 2) tensor 21,
+# and 64 and 33 at coincidence, on the product rule
+@pytest.mark.parametrize("anchor", SEVEN_POINT_ANCHORS)
+@pytest.mark.parametrize("key", [(1, 1), (0, 2), (2, 0)], ids=["11", "02", "20"])
+def test_second_order_plan_matches_naive_entries(all_worlds, key, anchor):
+    x, xp = SEVEN_POINT_ANCHORS[anchor]
+    seven_point = not np.array_equal(x, xp)
+    for offs_x, offs_xp, _, _ in fd._tensor_entries(4, *key, 1, seven_point):
         assert np.max(np.abs(np.concatenate([offs_x, offs_xp]))) == 1  # no 4-point rule
-    assert len(fd._stencil_plan(4, (key,), False, 1).cls) == points
+    counts = SEVEN_POINT_COUNTS if seven_point else PRODUCT_COUNTS
     for name, w in all_worlds.items():
+        counted, sizes = _counting(w)
+        fd.partial_tensors(world_from_callable(counted, 4), x, xp, [key], second_order=True)
+        assert sizes == [counts[key][-1]], name
         got = fd.part_tensors(w, x, xp, [key], second_order=True)
         want = naive_part_tensors(w, x, xp, [key], second_order=True)
         plain = fd.partial_tensors(w, x, xp, [key], second_order=True)
         for part in PARTS:
             assert np.array_equal(got[part][key], want[part][key]), (name, part)
         assert np.array_equal(plain[key], want["full"][key]), name
+
+
+@pytest.mark.parametrize("key", [(1, 1), (0, 2), (2, 0)], ids=["11", "02", "20"])
+def test_second_order_plans_never_read_more_points(key):
+    # the seven-point rule is taken only where it reads fewer points than
+    # the product rule, and (1, 1) keeps the product rule at d = 1 and 2
+    for d in (1, 2, 3, 4):
+        seven = len(fd._stencil_plan(d, (key,), False, 1, seven_point=True).cls)
+        product = len(fd._stencil_plan(d, (key,), False, 1).cls)
+        assert product == PRODUCT_COUNTS[key][d - 1], d
+        assert seven == min(SEVEN_POINT_COUNTS[key][d - 1], product), d
 
 
 def _recording(w, dim):
@@ -236,12 +290,29 @@ def _points(w, x, xp, orders):
     return sum(sizes)
 
 
+def _shared_entries(key, d, separated):
+    """The entries of a key tensor that a plain and a second_order request
+    on a polynomial world read on one rule: all but, at separated points,
+    those that the second_order request takes from the seven-point rule, the
+    off-diagonal entries of order 2 (SEVEN_POINT_FROM)."""
+    if not separated or d < SEVEN_POINT_FROM.get(key, d + 1):
+        return np.ones((d,) * sum(key), dtype=bool)
+    return np.eye(d, dtype=bool) if key != (1, 1) else np.zeros((d, d), dtype=bool)
+
+
 def _assert_plain_is_second_order(w, x, xp, name, orders=ORDERS_2_TO_4):
-    """A plain request of orders gives the bits of a second_order one."""
-    plain = fd.partial_tensors(w, x, xp, orders)
-    second = fd.partial_tensors(w, x, xp, orders, second_order=True)
+    """A plain request of orders gives the bits of a second_order one on
+    their shared entries (_shared_entries), for the world and its parts."""
+    separated = not np.array_equal(x, xp)
+    plain = fd.part_tensors(w, x, xp, orders)
+    second = fd.part_tensors(w, x, xp, orders, second_order=True)
+    full = fd.partial_tensors(w, x, xp, orders, second_order=True)
     for key in orders:
-        assert np.array_equal(plain[key], second[key]), (name, key)
+        shared = _shared_entries(key, len(x), separated)
+        assert np.array_equal(full[key], second["full"][key]), (name, key)
+        for part in PARTS:
+            assert np.array_equal(plain[part][key][shared], second[part][key][shared]), (
+                name, part, key)
 
 
 @pytest.mark.parametrize("request_name", COINCIDENCE_REQUESTS)
@@ -288,20 +359,17 @@ def test_screened_and_callable_worlds_keep_the_balance(all_worlds, request_name)
 
 @pytest.mark.parametrize("anchor", ["coincident", "separated"])
 def test_polynomial_worlds_take_the_two_point_rule_from_order_2(all_worlds, anchor):
-    # plain and second_order requests agree bit for bit from order 2 on, and
-    # a (1, 1) tensor reads 64 points, not 256; order 1 keeps the 4-point
-    # rule, and case2 and callable worlds keep it at order 2
+    # plain and second_order requests agree bit for bit at orders 3 and 4,
+    # and at order 2 on every entry but those that a second_order request at
+    # separated points takes from the seven-point rule; a plain (1, 1)
+    # tensor reads 64 points, not 256; order 1 keeps the 4-point rule, and
+    # case2 and callable worlds keep it at order 2
     x, xp = ANCHORS[anchor]
     for name, w in all_worlds.items():
         if name == "case2":
             assert _points(w, x, XP0, [(1, 1)]) == 256
             continue
         _assert_plain_is_second_order(w, x, xp, name)
-        got = fd.part_tensors(w, x, xp, ORDERS_2_TO_4)
-        want = fd.part_tensors(w, x, xp, ORDERS_2_TO_4, second_order=True)
-        for part in PARTS:
-            for key in ORDERS_2_TO_4:
-                assert np.array_equal(got[part][key], want[part][key]), (name, part, key)
         assert _points(w, x, XP0, [(1, 1)]) == 64, name
         assert _points(w, x, XP0, [(1, 0)]) == 16, name
         counted, sizes = _counting(w)

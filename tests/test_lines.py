@@ -171,7 +171,7 @@ def test_ode_rejects_unaddressable_grid_before_world_calls(cubic, steps):
 def test_implicit_world_point_budget(cubic):
     # 13 Newton solves of 24 iterations in all, none at tau = 0 and two at
     # each later sample: a 16-point (0, 1) stencil per residual, and a
-    # 64-point (1, 1) Jacobian on the 2-point rule for the first iteration
+    # 49-point (1, 1) Jacobian on the seven-point rule for the first iteration
     # of each solve only, the second stepping on its Broyden update; plus
     # the target covector and the left side at the start, whose norm is the
     # coincidence gradient's
@@ -183,7 +183,7 @@ def test_implicit_world_point_budget(cubic):
 
     traj = gradient_line_implicit(world_from_callable(counted, 4), "f", XA, XB, GRID)
     assert traj.converged.all()
-    assert (len(sizes), sum(sizes)) == (51, 1392)
+    assert (len(sizes), sum(sizes)) == (51, 1212)
 
 
 @pytest.mark.parametrize("kind, budget", [("f", (15, 240)), ("p", (15, 240)), ("n", (27, 448))])

@@ -19,6 +19,7 @@ from tgeom import (
     Multivector,
     SolverError,
     TubeSpec,
+    WorldFunction,
     advance_seed,
     build_broken_tube,
     case1_radii,
@@ -555,6 +556,42 @@ def test_sampler_matches_a_dense_probe_grid(monkeypatch, family, strength):
                 assert abs(a - b) <= 1e-6 * max(abs(b), 1e-3), (kind, tau, radii, ref)
 
 
+def test_proxy_roots_polish_on_the_proxy_slope(monkeypatch):
+    # a proxy bracket has two signed ends, so _settle reads no residual
+    # either side of its root and polishes it on the proxy's slope: the
+    # radii are those of the side-slope polish, and each proxy root reads 8
+    # points fewer, two radii of four world points each
+    base = world("case1", b=[1, 0, 0, 0], alpha=0.2)
+    y = np.array([1.0, 0, 0, 0])
+    proxy = tubes._proxy_brackets
+    roots = []
+
+    def side_slopes(*args):
+        settled, rest = proxy(*args)
+        roots.append(len(settled[1]))
+        return (*settled[:7], np.full(len(settled[1]), np.nan), *settled[8:]), rest
+
+    for kind in "nfp":
+        runs = []
+        roots.clear()
+        for reference in (False, True):
+            sizes = []
+
+            def counted(a, b):
+                sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1],
+                                                             np.shape(b)[:-1]))))
+                return base(a, b)
+
+            w = WorldFunction(counted, 4, spec=base.spec, label=base.kind)
+            with monkeypatch.context() as patch:
+                if reference:
+                    patch.setattr(tubes, "_proxy_brackets", side_slopes)
+                runs.append((sample_axisymmetric_tube(w, y, kind, _DENSE_TAUS), sum(sizes)))
+        (got, points), (want, side_points) = runs
+        assert got == want, kind
+        assert sum(roots) > 0 and side_points - points == 8 * sum(roots), kind
+
+
 def test_colleague_roots_of_chebyshev_series():
     # rows of one series each: three real roots, a complex pair, one root,
     # and a constant without any; a row's roots fill from the left
@@ -876,13 +913,14 @@ def test_chain_kinds_coincide_symmetric(minkowski):
 def test_chain_world_point_budget(cubic):
     # 4 steps, each a step solve and the chord-step test that clears its
     # probe: a residual reads two 16-point gradients and one length, a
-    # Jacobian two 33-point (0, 2) stencils on the 2-point rule and the
+    # Jacobian two 21-point (0, 2) stencils on the seven-point rule and the
     # constraint gradient of its point.  The start multiplier takes the
     # guess's gradients (32 points), which the solve's first residual
-    # reuses; the solve takes 2 iterations (199 points).  The test takes
+    # reuses; the solve takes 2 iterations (151 points).  The test takes
     # the solve's last Jacobian and the residual at the probe's start (3
     # calls, 33 points); no probe solve runs.  The seed check takes one
-    # point, and the lengths and parallelism of the chain nine calls (39)
+    # point, and the lengths and parallelism of the chain four calls (18),
+    # one per ordered pair of neighbours or of next neighbours
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     p1 = advance_seed(cubic, "f", np.zeros(4), v, 0.1)
@@ -894,7 +932,7 @@ def test_chain_world_point_budget(cubic):
 
     chain = build_broken_tube(world_from_callable(counted, 4), "f", np.zeros(4), p1, 0.1, 4)
     assert np.max(chain.length_residuals) < 1e-10
-    assert (len(sizes), sum(sizes)) == (74, 1096)
+    assert (len(sizes), sum(sizes)) == (69, 883)
 
 
 @pytest.mark.parametrize("shift", [10.0, 1e3, 1e5])
@@ -1100,6 +1138,41 @@ CHORD_VERTEX_BUDGET = (1e-11, 5.4e-12)
 CHORD_LENGTH_BUDGET = (1e-15, 4.7e-16)
 
 
+# the directed kinds stall on the b-worlds at this seed (ROADMAP, chain stalls)
+_CLOSING_PASS_CHAINS = [(name, kind) for name in ("euclidean", "constant_a", "case1", "case2",
+                                                   "cubic_a")
+                        for kind in ("nfp" if name in ("euclidean", "cubic_a") else "n")]
+
+
+@pytest.mark.parametrize("name,kind", _CLOSING_PASS_CHAINS)
+def test_closing_pass_reads_each_ordered_pair_once(all_worlds, name, kind):
+    # the chain's residuals equal kind_length_sq's lengths and
+    # chain_parallel_residual's defects bit for bit, from four world calls
+    # over the s + 1 neighbour pairs and s next-neighbour pairs, each way
+    w = all_worlds[name]
+    v = np.array([1.0, 0.25, -0.15, 0.1])
+    v = v / np.sqrt(v @ MINK @ v)
+    mu, steps = 0.1, 4
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+        return w(a, b)
+
+    p1 = advance_seed(w, kind, np.zeros(4), v, mu)
+    chain = build_broken_tube(WorldFunction(counted, 4, spec=w.spec, label=w.kind), kind,
+                              np.zeros(4), p1, mu, steps)
+    assert sizes[-4:] == [steps + 1, steps + 1, steps, steps]
+    verts = chain.vertices
+    lens, sym_lens = (np.abs(np.sqrt(kind_length_sq(w, k, verts[:-1], verts[1:])) - mu) / mu
+                      for k in (kind, "n"))
+    assert np.array_equal(chain.length_residuals, lens)
+    assert np.array_equal(chain.sym_length_residuals, sym_lens)
+    assert np.array_equal(chain.parallel_residuals,
+                          tgeom.chain_parallel_residual(w, kind, verts[:-2], verts[1:-1],
+                                                        verts[2:]))
+
+
 def test_chord_step_matches_the_always_fresh_reference(monkeypatch):
     # the reference's refresh takes a stencil Jacobian wherever Newton keeps
     # one; a chain that stalls stalls the same way on both sides
@@ -1143,11 +1216,11 @@ def test_neutral_chain_world_point_budget_on_minkowski(minkowski):
     # chord-step test takes the Jacobian at the probe's start and is most
     # of a step's cost: a kind-n tensor differences the symmetrized world
     # both ways, so the start multiplier's gradients take 64 points and the
-    # step's residual its 2-point length, and the test 198 (the Jacobian
-    # with its constraint gradient, 164, and the residual's objective
+    # step's residual its 2-point length, and the test 150 (the Jacobian
+    # with its constraint gradient, 116, and the residual's objective
     # gradient and length, 34); the seed check takes 2 points, the lengths
-    # and parallelism of the chain 44.  Probing every step would take 180
-    # calls and 2,950 points.
+    # and parallelism of the chain 18.  Probing every step would take 174
+    # calls and 2,348 points.
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     sizes = []
@@ -1160,7 +1233,7 @@ def test_neutral_chain_world_point_budget_on_minkowski(minkowski):
                               0.1, 4)
     assert np.max(chain.length_residuals) < 1e-10
     assert chain.multiplicity_flags == [False] * 4
-    assert (len(sizes), sum(sizes)) == (76, 1102)
+    assert (len(sizes), sum(sizes)) == (70, 884)
 
 
 def test_chain_seed_validation(minkowski):
