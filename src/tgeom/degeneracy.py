@@ -326,11 +326,11 @@ def degeneration_check(w: WorldFunction, x) -> DegeneracyReport:
     tube degenerates; elsewhere a note names them as skipped.
 
     Every tensor is read on 2-point stencils (fd, second_order=True; the
-    coincidence Hessians on the 2-point product rule, which fd keeps at
-    coincidence), and the directed-tube conditions, which read only
-    e . H . e of the antisymmetric part's (0, 2) Hessian, take it from one
-    second difference along e: at d = 4, 333 world points in 29 calls, or
-    361 in 43 where the neutral tube degenerates.  The rule's truncation, about
+    coincidence Hessians' off-diagonal entries on the seven-point rule),
+    and the directed-tube conditions, which read only e . H . e of the
+    antisymmetric part's (0, 2) Hessian, take it from one second difference
+    along e: at d = 4, 309 world points in 29 calls, or 337 in 43 where the
+    neutral tube degenerates.  The rule's truncation, about
     1e-7 relative at the first-order step, stays clear of the thresholds:
     neutral_gradient_cancel passes only on an antisymmetric part linear to
     within 1e-8, on which the rule is exact; elsewhere the truncation of

@@ -5,18 +5,16 @@ d-dimensional chart.  Stencils are tensor products of 1-D central rules, one
 rule per distinct axis with the axis multiplicity selecting the rule, but
 for the seven-point rule below.  A first-derivative axis takes the 2-point
 central rule in tensors of total order 3 and 4, whose steps balance a
-second-order truncation anyway, and of order 2 on a polynomial world
-(below), where that truncation, a derivative of order 4, vanishes;
-elsewhere it takes the 4-point fourth-order rule.
-Higher multiplicities use the standard second-order rules.  An entry with k
-distinct first-derivative axes then costs 2^k points instead of 4^k: at d=4
-the coincidence coefficients read 1,057 unique points and the curvature
-bundle 2,993, or 625 and 1,969 on a polynomial world.
+second-order truncation anyway, of order 2 on a polynomial world (below),
+where that truncation, a derivative of order 4, vanishes, and of every order
+in a request with second_order=True; elsewhere it takes the 4-point
+fourth-order rule.  Higher multiplicities use the standard second-order
+rules.  An entry with k distinct first-derivative axes then costs 2^k points,
+not 4^k.
 
-A request with second_order=True takes the 2-point rule at every order, and
-at separated points (xp != x) the seven-point rule for each off-diagonal
-entry of order 2, one whose two derivative axes u and v differ (two axes
-of one slot, or one axis of each):
+An order-2 tensor on the 2-point rule takes the seven-point rule, at every
+anchor, for each off-diagonal entry, one whose two derivative axes u and v
+differ (two axes of one slot, or one axis of each):
 
     (f(u+v) + f(-u-v) - f(u) - f(-u) - f(v) - f(-v) + 2 f(0)) / (2 h^2)
 
@@ -26,22 +24,21 @@ derivative, which vanishes on a polynomial world; five of its seven points
 are shared with the rest of its tensor.  A tensor takes it where it reads
 fewer unique points: (2, 0) and (0, 2) at every d >= 2, 1 + 2d + d(d - 1)
 points against 1 + 2d + 2d(d - 1), and (1, 1) from d = 3, 1 + 4d + 2d^2
-against 4d^2.  At coincidence a second_order request keeps the product
-rule: there the seven-point sums of the degeneration check's Hessians round
-to within 5% of their error budgets (tests/test_fd_exact.py).  The damped
-Newton solves (tgeom.newton) ask for second_order in their order-2
-Jacobians: a Jacobian only steers the step, and the residual, still
-on the 4-point rule, fixes the root.  At d=4 a (1, 1) tensor then reads 49
-points instead of 256 and a (0, 2) tensor 21 instead of 105 (64 and 33 on
-the product rule, as a plain request on a polynomial world reads).  Its
-steps are those of the plain request.  The tube-degeneration check
-(tgeom.degeneracy.degeneration_check) asks for it in every request, of
-orders 0 and 1 at separation and 1 and 2 at coincidence, and reads 333
-points instead of 717 (361 where the neutral tube degenerates, whose
-directed-tube conditions read a directional second difference rather than
-a tensor).  Order 1 keeps its step, so there the 2-point truncation is
-about 1e-7 relative wherever the function has a third derivative; the
-check's verdicts absorb it (degeneracy).
+against 4d^2.  At d=4 a (1, 1) tensor on the 2-point rule reads 49 points
+and a (0, 2) tensor 21; the coincidence coefficients read 1,057 unique
+points and the curvature bundle 2,993, or 625 and 1,969 on a polynomial
+world.
+
+The damped Newton solves (tgeom.newton) ask for second_order in their
+order-2 Jacobians, at the steps of the plain request: a Jacobian only steers
+the step, and the residual, still on the 4-point rule, fixes the root.  The
+tube-degeneration check (tgeom.degeneracy.degeneration_check) asks for it in
+every request, of orders 0 and 1 at separation and 1 and 2 at coincidence,
+and reads 309 points (337 where the neutral tube degenerates, whose
+directed-tube conditions read a directional second difference rather than a
+tensor).  Order 1 keeps its step, so there the 2-point truncation is about
+1e-7 relative wherever the function has a third derivative; the check's
+verdicts absorb it (degeneracy).
 
 Step sizes balance truncation against rounding per total derivative order:
 
@@ -161,28 +158,25 @@ def _seven_point_reads_fewer(dim: int, nx: int) -> bool:
     return nx != 1 or 1 + 4 * dim + 2 * dim * dim < 4 * dim * dim
 
 
-def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple, two_point_from: int = 3,
-                   seven_point: bool = False):
+def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple, two_point_from: int = 3):
     """Unit-step stencil for one tensor entry.
 
     Returns (offs_x, offs_xp, unit_weights) where the displacement of stencil
     point k is h * offs[k] and its weight is unit_weights[k] / h^order.  At
     total order two_point_from or more (partial_tensors picks it: 1 for a
     second_order request, else _world_class) a multiplicity-1 axis takes
-    the 2-point rule.  With seven_point (partial_tensors sets it for a
-    second_order request at separated points) an off-diagonal entry of
-    order 2, one whose two derivative axes u and v differ, takes the
-    seven-point rule where its tensor reads fewer points on it
-    (_seven_point_reads_fewer), listed as (0, +-u, +-v, +-(u + v)); every
-    other entry is a product of 1-D rules.
+    the 2-point rule, and an off-diagonal entry of order 2, one whose two
+    derivative axes u and v differ, takes the seven-point rule where its
+    tensor reads fewer points on it (_seven_point_reads_fewer), listed as
+    (0, +-u, +-v, +-(u + v)); every other entry is a product of 1-D rules.
     """
     axes = [*combo_x, *(dim + axis for axis in combo_xp)]
-    if (seven_point and len(axes) == 2 and axes[0] != axes[1]
+    two_point = len(axes) >= two_point_from
+    if (two_point and len(axes) == 2 and axes[0] != axes[1]
             and _seven_point_reads_fewer(dim, len(combo_x))):
         offs = np.zeros((len(_SEVEN_POINT[1]), 2 * dim), dtype=np.int8)
         offs[:, axes] = _SEVEN_POINT[0]  # integers in [-1, 1]
         return offs[:, :dim], offs[:, dim:], _SEVEN_POINT[1]
-    two_point = len(axes) >= two_point_from
     offs, wts = np.zeros((1, 2 * dim)), np.ones(1)
     for shift, combo in ((0, combo_x), (dim, combo_xp)):
         for axis in sorted(set(combo)):
@@ -196,14 +190,13 @@ def _entry_stencil(dim: int, combo_x: tuple, combo_xp: tuple, two_point_from: in
     return offs[:, :dim], offs[:, dim:], wts
 
 
-def _tensor_entries(dim: int, nx: int, npr: int, two_point_from: int = 3,
-                    seven_point: bool = False):
+def _tensor_entries(dim: int, nx: int, npr: int, two_point_from: int = 3):
     """All unique entries of a (nx, npr) tensor with their stencils and the
     index permutations each entry scatters to."""
     entries = []
     for cx in combinations_with_replacement(range(dim), nx):
         for cp in combinations_with_replacement(range(dim), npr):
-            offs_x, offs_xp, wts = _entry_stencil(dim, cx, cp, two_point_from, seven_point)
+            offs_x, offs_xp, wts = _entry_stencil(dim, cx, cp, two_point_from)
             targets = {px + pp for px in permutations(cx) for pp in permutations(cp)}
             entries.append((offs_x, offs_xp, wts, tuple(targets)))
     return entries
@@ -245,8 +238,8 @@ _SHARED_STEPS = tuple(map(_STEP_COEFS.index, _STEP_COEFS))
 
 @lru_cache(maxsize=None)
 def _stencil_plan(dim: int, orders: tuple, coincident: bool, two_point_from: int = 3,
-                  shared: tuple = _SHARED_STEPS, seven_point: bool = False) -> _Plan:
-    """two_point_from and seven_point as in _entry_stencil.  shared: an index
+                  shared: tuple = _SHARED_STEPS) -> _Plan:
+    """two_point_from as in _entry_stencil.  shared: an index
     per total order 1 to 4, equal where two orders share a step
     (_world_class), one class each."""
     classes, tensors, blocks = {}, [], []  # classes: shared index -> (class, order)
@@ -258,7 +251,7 @@ def _stencil_plan(dim: int, orders: tuple, coincident: bool, two_point_from: int
             cursor += 1
             continue
         cls, _ = classes.setdefault(shared[nx + npr - 1], (len(classes), nx + npr))
-        entries = sorted(_tensor_entries(dim, nx, npr, two_point_from, seven_point),
+        entries = sorted(_tensor_entries(dim, nx, npr, two_point_from),
                          key=lambda e: len(e[2]))
         units, place = {}, np.empty((dim,) * (nx + npr), dtype=np.intp)
         for column, (offs_x, offs_xp, wts, targets) in enumerate(entries):
@@ -331,18 +324,16 @@ def partial_tensors(fn, x, xp, orders, *, second_order: bool = False):
     """Batch form: orders is a list of (nx, npr); one fn call evaluates the
     unique stencil points of every requested tensor.  fn may return value
     rows stacked on a leading axis; each row then gets its own tensor.
-    second_order=True puts the 2-point rule on every first-derivative axis
-    and, at separated points, the seven-point rule on the off-diagonal
-    entries of order 2 (module docstring)."""
+    second_order=True puts the 2-point rule on every first-derivative axis,
+    and so the seven-point rule on the off-diagonal entries of order 2
+    (module docstring)."""
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     d = x.shape[-1]
-    at_coincidence = np.array_equal(x, xp)
-    coincident = isinstance(fn, _Parts) and at_coincidence
+    coincident = isinstance(fn, _Parts) and np.array_equal(x, xp)
     two_point_from, coefs = _world_class(fn)
     plan = _stencil_plan(d, tuple((nx, npr) for nx, npr in orders), coincident,
-                         1 if second_order else two_point_from, tuple(map(coefs.index, coefs)),
-                         second_order and not at_coincidence)
+                         1 if second_order else two_point_from, tuple(map(coefs.index, coefs)))
 
     # stencils far out in the chart overflow: raise below rather than warn
     with np.errstate(all="ignore"):

@@ -76,9 +76,9 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
     the secant through the last two converged samples, extrapolated to tau;
     the corrector is the damped Newton iteration with Broyden-updated
     Jacobians (tgeom.newton, broyden=True): each solve, the chord retry's
-    included, takes a 2-point stencil Jacobian at its first step and again
-    only where a step on an updated one fails to cut the residual norm
-    tenfold (newton.BROYDEN_CONTRACTION).  A secant start that does not
+    included, takes a second_order stencil Jacobian (fd) at its first step
+    and again only where a step on an updated one fails to cut the
+    residual norm tenfold (newton.BROYDEN_CONTRACTION).  A secant start that does not
     converge is retried once from the chord point.  On a straight line the
     secant is exact, so its samples take no Newton step.
     For rough-antisymmetric worlds the future/past equations degenerate as

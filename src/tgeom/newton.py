@@ -5,9 +5,9 @@ root is found.  A Jacobian with relative error delta keeps the contraction
 near delta per step (Dennis & Schnabel, Numerical Methods for Unconstrained
 Optimization and Nonlinear Equations, 1983, sec. 5.4), so the gradient-line
 and chain solves take their Jacobians from the second_order stencils of fd
-(the 2-point rule, and the seven-point rule for a mixed second derivative
-at separated points: 49 points for a (1, 1) Jacobian and 21 for a (0, 2)
-Hessian at d = 4) and their residuals from the 4-point ones, and the
+(the 2-point rule, and the seven-point rule for a mixed second
+derivative: 49 points for a (1, 1) Jacobian and 21 for a (0, 2) Hessian
+at d = 4) and their residuals from the 4-point ones, and the
 condition-IV solves of degeneracy take theirs from the 2-point stencil of
 the coordinate map, whose residual needs no stencil.
 

@@ -674,10 +674,11 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
 
     For each tau, finds all r >= 0 such that the point tau*y + r*|y|*e_perp
     lies on the tube of the given kind, with e_perp the deterministic unit
-    normal to y.  rmax is per tau, max(10 (1 + 1/g), 3 + 2 sqrt(3) |tau|)
-    for reduced asymmetry g = alpha |b.y|, so no tau's profile depends on
-    the other taus.  World values are read in w.unit, b.y on case2 too,
-    whose alpha has no unit.
+    normal to y.  rmax is per tau, max(10 (1 + 1/max(g, 0.01)),
+    3 + 2 sqrt(3) |tau|) for reduced asymmetry g = alpha |b.y|, 0 without
+    an alpha: the floor holds the first term to at most 1,010.  So no tau's
+    profile depends on the other taus.  World values are read in w.unit,
+    b.y on case2 too, whose alpha has no unit.
 
     On a world without a screening beta the residual along a section is a
     polynomial in r, of degree 6 with an a3 term and 4 without, and a

@@ -426,14 +426,14 @@ def test_degeneration_report_structure(minkowski):
 
 
 def test_degeneration_world_call_budget(all_worlds):
-    # every request takes the 2-point rule: the coincidence tensors take one
-    # call over 81 points; each of the 7 directions requests (0, 0) and
+    # every request takes the 2-point rule, and the coincidence Hessians the
+    # seven-point rule off the diagonal: the coincidence tensors take one
+    # call over 57 points; each of the 7 directions requests (0, 0) and
     # (0, 1) at two separations, 9 points in each of two calls (w(P, Q) and
     # w(Q, P)), 252 points in 28 calls in all.  Only a degenerate neutral
     # tube adds each direction's second difference at the outer separation,
     # 2 points in each of two calls, whose middle value the outer request
-    # read (a full (0, 2) Hessian there took 33 points in each call, 795 in
-    # all).  The counting world carries the plain world's spec, so it takes
+    # read, where a full (0, 2) Hessian would read 21.  The counting world carries the plain world's spec, so it takes
     # the same steps, and the report is the one of the uncounted world
     x = np.array([0.2, -0.1, 0.3, 0.05])
     for name, plain in all_worlds.items():
@@ -444,7 +444,7 @@ def test_degeneration_world_call_budget(all_worlds):
             return plain(a, b)
 
         report = degeneration_check(WorldFunction(counted, 4, spec=plain.spec, label=plain.kind), x)
-        want = (43, 361) if report.summary["neutral"] == "degenerate" else (29, 333)
+        want = (43, 337) if report.summary["neutral"] == "degenerate" else (29, 309)
         assert (len(sizes), sum(sizes)) == want, name
         assert report.to_dict() == degeneration_check(plain, x).to_dict(), name
 

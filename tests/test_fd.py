@@ -34,11 +34,11 @@ ORDER_SETS = {
 }
 PARTS = ("full", "sym", "asym")
 
-# A second_order request at separated points takes the seven-point rule for
-# the off-diagonal entries of an order-2 tensor from the dimension at which
-# that tensor reads fewer points on it than on the 2-point product rule:
-# (1, 1) 1 + 4d + 2d^2 against 4d^2, (2, 0) and (0, 2) 1 + 2d + d(d - 1)
-# against 1 + 2d + 2d(d - 1).
+# An order-2 tensor on the 2-point rule (a second_order request, or a plain
+# one on a polynomial world) takes the seven-point rule for its off-diagonal
+# entries, at any anchor, from the dimension at which it reads fewer points
+# on it than on the 2-point product rule: (1, 1) 1 + 4d + 2d^2 against 4d^2,
+# (2, 0) and (0, 2) 1 + 2d + d(d - 1) against 1 + 2d + 2d(d - 1).
 SEVEN_POINT_FROM = {(1, 1): 3, (2, 0): 2, (0, 2): 2}
 SEVEN_POINT_COUNTS = {(1, 1): (7, 17, 31, 49), (2, 0): (3, 7, 13, 21), (0, 2): (3, 7, 13, 21)}
 PRODUCT_COUNTS = {(1, 1): (4, 16, 36, 64), (2, 0): (3, 9, 19, 33), (0, 2): (3, 9, 19, 33)}
@@ -65,8 +65,8 @@ def naive_part_tensors(w, x, xp, orders, second_order=False):
     w's own steps (fd.step_size) and on w's own rule: the 2-point rule on
     the first-derivative axes of every order in a second_order request,
     from order 2 on a polynomial world and from order 3 elsewhere, and the
-    seven-point rule where a second_order request at separated points
-    takes it (SEVEN_POINT_FROM)."""
+    seven-point rule where an order-2 tensor on the 2-point rule takes it
+    (SEVEN_POINT_FROM)."""
     polynomial = getattr(w, "polynomial_scale", None) is not None
     two_point_from = 1 if second_order else 2 if polynomial else 3
     d = x.shape[-1]
@@ -80,8 +80,7 @@ def naive_part_tensors(w, x, xp, orders, second_order=False):
             continue
         step = fd.step_size(w, order, x, xp)
         tensors = np.zeros((3,) + (d,) * order)
-        seven_point = (second_order and not np.array_equal(x, xp)
-                       and d >= SEVEN_POINT_FROM.get((nx, npr), d + 1))
+        seven_point = two_point_from <= 2 and d >= SEVEN_POINT_FROM.get((nx, npr), d + 1)
         for offs_x, offs_xp, unit, targets in fd._tensor_entries(d, nx, npr, two_point_from):
             if seven_point and (nx == 1 or len(set(targets[0])) == 2):  # off the diagonal
                 i, j = min(targets)
@@ -117,21 +116,16 @@ def test_plan_matches_naive_entries(all_worlds, orders, anchor):
 
 
 # the Newton Jacobians: 2-point rule on every first-derivative axis, at the
-# order-2 step, and the seven-point rule off the diagonal at separated
-# points: one (1, 1) tensor reads 49 points there and one (0, 2) tensor 21,
-# and 64 and 33 at coincidence, on the product rule
+# order-2 step, and the seven-point rule off the diagonal at every anchor:
+# one (1, 1) tensor reads 49 points and one (0, 2) or (2, 0) tensor 21
 @pytest.mark.parametrize("anchor", SEVEN_POINT_ANCHORS)
 @pytest.mark.parametrize("key", [(1, 1), (0, 2), (2, 0)], ids=["11", "02", "20"])
 def test_second_order_plan_matches_naive_entries(all_worlds, key, anchor):
     x, xp = SEVEN_POINT_ANCHORS[anchor]
-    seven_point = not np.array_equal(x, xp)
-    for offs_x, offs_xp, _, _ in fd._tensor_entries(4, *key, 1, seven_point):
+    for offs_x, offs_xp, _, _ in fd._tensor_entries(4, *key, 1):
         assert np.max(np.abs(np.concatenate([offs_x, offs_xp]))) == 1  # no 4-point rule
-    counts = SEVEN_POINT_COUNTS if seven_point else PRODUCT_COUNTS
     for name, w in all_worlds.items():
-        counted, sizes = _counting(w)
-        fd.partial_tensors(world_from_callable(counted, 4), x, xp, [key], second_order=True)
-        assert sizes == [counts[key][-1]], name
+        assert _points(w, x, xp, [key], second_order=True) == SEVEN_POINT_COUNTS[key][-1], name
         got = fd.part_tensors(w, x, xp, [key], second_order=True)
         want = naive_part_tensors(w, x, xp, [key], second_order=True)
         plain = fd.partial_tensors(w, x, xp, [key], second_order=True)
@@ -145,10 +139,8 @@ def test_second_order_plans_never_read_more_points(key):
     # the seven-point rule is taken only where it reads fewer points than
     # the product rule, and (1, 1) keeps the product rule at d = 1 and 2
     for d in (1, 2, 3, 4):
-        seven = len(fd._stencil_plan(d, (key,), False, 1, seven_point=True).cls)
-        product = len(fd._stencil_plan(d, (key,), False, 1).cls)
-        assert product == PRODUCT_COUNTS[key][d - 1], d
-        assert seven == min(SEVEN_POINT_COUNTS[key][d - 1], product), d
+        got = len(fd._stencil_plan(d, (key,), False, 1).cls)
+        assert got == min(SEVEN_POINT_COUNTS[key][d - 1], PRODUCT_COUNTS[key][d - 1]), d
 
 
 def _recording(w, dim):
@@ -282,37 +274,25 @@ def _counting(w):
     return counted, sizes
 
 
-def _points(w, x, xp, orders):
+def _points(w, x, xp, orders, second_order=False):
     """The world points that partial_tensors reads for orders on w, through
     a counting world with w's spec."""
     counted, sizes = _counting(w)
-    fd.partial_tensors(WorldFunction(counted, w.dim, spec=w.spec, label=w.kind), x, xp, orders)
+    fd.partial_tensors(WorldFunction(counted, w.dim, spec=w.spec, label=w.kind), x, xp, orders,
+                       second_order=second_order)
     return sum(sizes)
 
 
-def _shared_entries(key, d, separated):
-    """The entries of a key tensor that a plain and a second_order request
-    on a polynomial world read on one rule: all but, at separated points,
-    those that the second_order request takes from the seven-point rule, the
-    off-diagonal entries of order 2 (SEVEN_POINT_FROM)."""
-    if not separated or d < SEVEN_POINT_FROM.get(key, d + 1):
-        return np.ones((d,) * sum(key), dtype=bool)
-    return np.eye(d, dtype=bool) if key != (1, 1) else np.zeros((d, d), dtype=bool)
-
-
 def _assert_plain_is_second_order(w, x, xp, name, orders=ORDERS_2_TO_4):
-    """A plain request of orders gives the bits of a second_order one on
-    their shared entries (_shared_entries), for the world and its parts."""
-    separated = not np.array_equal(x, xp)
+    """A plain request of orders gives the bits of a second_order one, for
+    the world and its parts."""
     plain = fd.part_tensors(w, x, xp, orders)
     second = fd.part_tensors(w, x, xp, orders, second_order=True)
     full = fd.partial_tensors(w, x, xp, orders, second_order=True)
     for key in orders:
-        shared = _shared_entries(key, len(x), separated)
         assert np.array_equal(full[key], second["full"][key]), (name, key)
         for part in PARTS:
-            assert np.array_equal(plain[part][key][shared], second[part][key][shared]), (
-                name, part, key)
+            assert np.array_equal(plain[part][key], second[part][key]), (name, part, key)
 
 
 @pytest.mark.parametrize("request_name", COINCIDENCE_REQUESTS)
@@ -359,21 +339,20 @@ def test_screened_and_callable_worlds_keep_the_balance(all_worlds, request_name)
 
 @pytest.mark.parametrize("anchor", ["coincident", "separated"])
 def test_polynomial_worlds_take_the_two_point_rule_from_order_2(all_worlds, anchor):
-    # plain and second_order requests agree bit for bit at orders 3 and 4,
-    # and at order 2 on every entry but those that a second_order request at
-    # separated points takes from the seven-point rule; a plain (1, 1)
-    # tensor reads 64 points, not 256; order 1 keeps the 4-point rule, and
-    # case2 and callable worlds keep it at order 2
+    # plain and second_order requests agree bit for bit at orders 2 to 4, the
+    # seven-point rule included; a plain (1, 1) tensor reads 49 points, not
+    # 256, at either anchor; order 1 keeps the 4-point rule, and case2 and
+    # callable worlds keep it at order 2
     x, xp = ANCHORS[anchor]
     for name, w in all_worlds.items():
         if name == "case2":
-            assert _points(w, x, XP0, [(1, 1)]) == 256
+            assert _points(w, x, xp, [(1, 1)]) == 256
             continue
         _assert_plain_is_second_order(w, x, xp, name)
-        assert _points(w, x, XP0, [(1, 1)]) == 64, name
-        assert _points(w, x, XP0, [(1, 0)]) == 16, name
+        assert _points(w, x, xp, [(1, 1)]) == SEVEN_POINT_COUNTS[(1, 1)][-1], name
+        assert _points(w, x, xp, [(1, 0)]) == 16, name
         counted, sizes = _counting(w)
-        fd.partial_tensors(world_from_callable(counted, 4), x, XP0, [(1, 1)])
+        fd.partial_tensors(world_from_callable(counted, 4), x, xp, [(1, 1)])
         assert sizes == [256], name
 
 
