@@ -70,12 +70,10 @@ two-point function k(a, b) of a tube or line kind.  Reading one value for
 several entries assumes pointwise evaluation (worlds.world_from_callable).
 
 One contraction path serves every order, rule and number of value rows:
-the plan groups a tensor's entries by stencil length k, each group is one
-batched (1, k) @ (k, 1) product over the entries' stencil values, and one
-index map mirrors the entries into the tensor.  The stencil values are
-made C-contiguous first: a contiguous product is the BLAS dot that a
-per-entry np.dot calls, so each entry rounds as np.dot would, while a
-strided operand falls to numpy's own loop, which sums in another order.
+the plan groups a tensor's entries by stencil length k, each entry is summed
+left to right in the order _entry_stencil lists its points, by elementwise
+adds that no BLAS kernel or SIMD dispatch reorders, and one index map
+mirrors the entries into the tensor.
 """
 
 from __future__ import annotations
@@ -226,7 +224,7 @@ class _Plan:
     class_orders: tuple           # per step class, a total order that takes its step
     # per requested order: (order, class, groups, place).  The entries of a
     # tensor are grouped by stencil length k, shortest first; a group is
-    # (rows, unit weights), both (entries, k), rows being slices of gather.
+    # (rows, unit weights), both (k, entries), rows being slices of gather.
     # place (d,)*order maps each tensor index to its entry's column in the
     # groups' concatenated values.  (0, 0) has no groups and place None.
     tensors: tuple
@@ -283,8 +281,8 @@ def _stencil_plan(dim: int, orders: tuple, coincident: bool, two_point_from: int
                  offs_xp=unique[:, 1 + dim:].copy(), gather=gather, swap=swap,
                  anchor=int(zero[0]) if zero.size else None,
                  class_orders=tuple(order for _, order in classes.values()),
-                 tensors=tuple((order, cls, tuple((gather[sl].reshape(unit.shape), unit)
-                                                  for sl, unit in groups), place)
+                 tensors=tuple((order, cls, tuple((gather[sl].reshape(unit.shape).T.copy(),
+                                                   unit.T.copy()) for sl, unit in groups), place)
                                for order, cls, groups, place in tensors))
 
 
@@ -364,12 +362,9 @@ def partial_tensors(fn, x, xp, orders, *, second_order: bool = False):
             out[(nx, npr)] = np.array(values[..., plan.anchor])
             continue
         scale = class_step[cls]**(nx + npr)
-        # one (1, k) @ (k, 1) product per entry and value row; on contiguous
-        # stencil values it is np.dot's BLAS dot, which a strided operand
-        # would swap for a loop summing in another order
         with np.errstate(all="ignore"):  # an overflowing sum raises below
-            vals = [(np.ascontiguousarray(values[..., rows])[..., None, :]
-                     @ (unit / scale)[..., None])[..., 0, 0] for rows, unit in groups]
+            vals = [np.add.accumulate(values[..., rows] * (unit / scale), axis=-2)[..., -1, :]
+                    for rows, unit in groups]
         out[(nx, npr)] = np.concatenate(vals, axis=-1)[..., place]
         if not np.all(np.isfinite(out[(nx, npr)])):
             raise FloatingPointError(f"stencil tensor overflows at derivative order {nx + npr}")

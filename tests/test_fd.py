@@ -7,6 +7,11 @@ Equality is exact: the plan must change which points are evaluated, never
 the numbers.  The reference builds the seven-point rule's stencils itself.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -61,12 +66,12 @@ def seven_point_values(w, x, xp, step, u, v):
 
 
 def naive_part_tensors(w, x, xp, orders, second_order=False):
-    """part_tensors entry by entry: two world calls per entry stencil, at
-    w's own steps (fd.step_size) and on w's own rule: the 2-point rule on
-    the first-derivative axes of every order in a second_order request,
-    from order 2 on a polynomial world and from order 3 elsewhere, and the
-    seven-point rule where an order-2 tensor on the 2-point rule takes it
-    (SEVEN_POINT_FROM)."""
+    """part_tensors entry by entry: two world calls per entry stencil, each
+    summed left to right, at w's own steps (fd.step_size) and on w's own
+    rule: the 2-point rule on the first-derivative axes of every order in a
+    second_order request, from order 2 on a polynomial world and from order
+    3 elsewhere, and the seven-point rule where an order-2 tensor on the
+    2-point rule takes it (SEVEN_POINT_FROM)."""
     polynomial = getattr(w, "polynomial_scale", None) is not None
     two_point_from = 1 if second_order else 2 if polynomial else 3
     d = x.shape[-1]
@@ -91,7 +96,7 @@ def naive_part_tensors(w, x, xp, orders, second_order=False):
                 fwd, rev = w(p, q), w(q, p)
             wts = unit / step**order
             for i, row in enumerate((fwd, 0.5 * (fwd + rev), 0.5 * (fwd - rev))):
-                val = np.dot(row, wts)
+                val = sum(row * wts)
                 for idx in targets:
                     tensors[(i,) + idx] = val
         for i, part in enumerate(PARTS):
@@ -141,6 +146,43 @@ def test_second_order_plans_never_read_more_points(key):
     for d in (1, 2, 3, 4):
         got = len(fd._stencil_plan(d, (key,), False, 1).cls)
         assert got == min(SEVEN_POINT_COUNTS[key][d - 1], PRODUCT_COUNTS[key][d - 1]), d
+
+
+def tensor_digest(worlds):
+    """A sha256 of fd's part tensors on worlds: the f and curvature orders at
+    a coincident anchor, the second_order (1, 1) and (0, 2) at a separated
+    one."""
+    digest = hashlib.sha256()
+    for w in worlds:
+        for (x, xp), orders, second_order in (
+                (ANCHORS["coincident"], _F_ORDERS + _CURVATURE_ORDERS, False),
+                (ANCHORS["separated"], [(1, 1), (0, 2)], True)):
+            tensors = fd.part_tensors(w, x, xp, orders, second_order=second_order)
+            for part in PARTS:
+                for key in orders:
+                    digest.update(tensors[part][key].tobytes())
+    return digest.hexdigest()
+
+
+# each stencil sums left to right in elementwise adds, so child interpreters
+# on other OpenBLAS kernels (OPENBLAS_CORETYPE; one that numpy's OpenBLAS
+# ignores changes nothing) read the same bits: Haswell fuses multiply-adds in
+# its dot, Prescott does not
+def test_stencil_tensors_do_not_depend_on_the_blas_kernel(all_worlds):
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fd.__file__)))
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+    docs = json.dumps([w.spec.to_dict() for w in all_worlds.values()])
+    code = ("import json, sys\nfrom tgeom import WorldSpec, make_world\nfrom test_fd import "
+            "tensor_digest\nprint(tensor_digest([make_world(WorldSpec.from_dict(doc)) "
+            "for doc in json.loads(sys.argv[1])]))")
+    want = tensor_digest(all_worlds.values())
+    for kernel in ("Haswell", "Prescott"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=kernel)
+        proc = subprocess.run([sys.executable, "-c", code, docs], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == want, kernel
 
 
 def _recording(w, dim):

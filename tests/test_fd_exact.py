@@ -44,16 +44,16 @@ FAMILIES = {
 # families (all but case2) orders 2 to 4 take the 2-point rule and one
 # step bounded by rounding alone (fd._POLY_STEP), and read round-off.
 BUDGETS = {
-    "euclidean": ((5e-14, 1.1e-14, 1.1e-14), (2e-15, 1.0e-15, 1.8e-15),
-                  (5e-14, 1.6e-14, 2.8e-14), (5e-13, 2.0e-13, 2.0e-13)),
-    "constant_a": ((1e-13, 2.1e-14, 2.1e-14), (1e-14, 2.8e-15, 2.4e-15),
-                   (2e-13, 4.1e-14, 4.6e-14), (2e-12, 5.4e-13, 5.4e-13)),
-    "case1": ((1e-13, 3.7e-14, 3.7e-14), (2e-14, 4.9e-15, 4.9e-15),
-              (1e-13, 2.2e-14, 3.5e-14), (2e-12, 6.5e-13, 6.5e-13)),
+    "euclidean": ((5e-14, 1.2e-14, 1.2e-14), (2e-15, 1.3e-15, 1.3e-15),
+                  (5e-14, 2.5e-14, 2.8e-14), (5e-13, 1.8e-13, 1.8e-13)),
+    "constant_a": ((1e-13, 1.7e-14, 1.7e-14), (1e-14, 2.7e-15, 1.8e-15),
+                   (2e-13, 3.9e-14, 5.7e-14), (2e-12, 4.5e-13, 4.5e-13)),
+    "case1": ((1e-13, 3.1e-14, 3.1e-14), (2e-14, 4.6e-15, 4.6e-15),
+              (1e-13, 3.0e-14, 4.4e-14), (2e-12, 5.7e-13, 5.7e-13)),
     "case2": ((1e-11, 3.9e-12, 3.9e-12), (5e-8, 1.8e-8, 1.8e-8),
               (5e-5, 1.8e-5, 1.8e-5), (1e-3, 4.7e-4, 2.8e-4)),
-    "cubic_a": ((5e-14, 1.3e-14, 1.3e-14), (2e-15, 9.1e-16, 1.2e-15),
-                (1e-13, 2.1e-14, 2.3e-14), (5e-13, 1.9e-13, 1.9e-13)),
+    "cubic_a": ((5e-14, 1.1e-14, 1.1e-14), (2e-15, 1.2e-15, 1.4e-15),
+                (1e-13, 2.3e-14, 2.2e-14), (5e-13, 2.1e-13, 2.1e-13)),
 }
 
 
@@ -62,11 +62,11 @@ BUDGETS = {
 # entries): worst relative error of the (1, 1) and the (0, 2) tensor, as
 # (budget, measured).
 JACOBIAN_BUDGETS = {
-    "euclidean": ((2e-15, 8.8e-16), (5e-15, 8.9e-16)),
-    "constant_a": ((5e-15, 2.8e-15), (5e-15, 1.9e-15)),
-    "case1": ((1e-14, 3.4e-15), (2e-14, 6.6e-15)),
-    "case2": ((2e-7, 4.2e-8), (1e-7, 3.1e-8)),
-    "cubic_a": ((2e-15, 9.1e-16), (5e-15, 1.1e-15)),
+    "euclidean": ((2e-15, 8.9e-16), (5e-15, 8.9e-16)),
+    "constant_a": ((5e-15, 2.7e-15), (5e-15, 1.8e-15)),
+    "case1": ((1e-14, 4.6e-15), (2e-14, 4.6e-15)),
+    "case2": ((2e-7, 4.0e-8), (1e-7, 3.0e-8)),
+    "cubic_a": ((2e-15, 8.8e-16), (5e-15, 1.2e-15)),
 }
 
 
@@ -79,25 +79,23 @@ JACOBIAN_BUDGETS = {
 # third derivative (case1, case2, cubic_a), and there the check adds a_co
 # to a_grad, whose truncation errors cancel to the order of the separation.
 DEGENERATION_BUDGETS = {
-    "euclidean": ((1e-15, 0.0), (2e-14, 7.5e-15), (1e-14, 1.3e-20)),
-    "constant_a": ((1e-15, 0.0), (2e-14, 5.9e-15), (1e-14, 2.9e-15)),
+    "euclidean": ((1e-15, 0.0), (2e-14, 9.9e-15), (1e-14, 0.0)),
+    "constant_a": ((1e-15, 0.0), (2e-14, 5.7e-15), (1e-14, 2.9e-15)),
     "case1": ((1e-15, 5.6e-17), (5e-7, 2.5e-7), (5e-7, 1.9e-7)),
     "case2": ((1e-15, 5.6e-17), (1e-6, 2.8e-7), (5e-7, 1.5e-7)),
     "cubic_a": ((1e-15, 1.4e-17), (5e-8, 1.4e-8), (5e-8, 1.1e-8)),
 }
 
 # The coincidence Hessians are near the unit-sized metric, where a budget
-# on |fd - exact| tight enough to tell a rule would sit below one ulp and
-# read the BLAS dot's summation order.  So each is checked twice against
-# S, the exact sum (fractions.Fraction) of its stencil's weighted values
-# over h^2, rebuilt from fd._tensor_entries and fd.step_size.  (a) fd's
-# value rounds S as a k-term dot of weights divided by h^2 may: within
-# gamma_(k+1) sum |w_j f_j| / h^2, gamma_n = n u / (1 - n u), u = eps / 2
-# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-# ch. 3-4); measured at up to 18% of that bound under the SkylakeX,
-# Haswell and Prescott kernels.  (b) S is the exact derivative to within
-# HESSIAN_RULE_BUDGETS, as (budget, measured), the same under each kernel:
-# the rule's own error.  On these families the off-diagonal entries are 0
+# on |fd - exact| tight enough to tell a rule would sit below one ulp.  So
+# each is checked twice against S, the exact sum (fractions.Fraction) of its
+# stencil's weighted values over h^2, rebuilt from fd._tensor_entries and
+# fd.step_size.  (a) fd's value rounds S as a k-term sum of weighted values
+# divided by h^2 may, in any order: within gamma_(k+1) sum |w_j f_j| / h^2,
+# gamma_n = n u / (1 - n u), u = eps / 2 (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., 2002, ch. 3-4); measured at up to 18% of
+# that bound.  (b) S is the exact derivative to within HESSIAN_RULE_BUDGETS,
+# as (budget, measured): the rule's own error.  On these families the off-diagonal entries are 0
 # at coincidence, whatever the sign of the seven-point rule's (u, v) term;
 # the separated Jacobian budgets above and tests/test_fd.py's naive
 # reference hold that rule.
