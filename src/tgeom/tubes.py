@@ -877,7 +877,7 @@ def _parallel_residual(kind: str, wab, wba, wac, wca, wbc, wcb):
     return lab * lbc - prod
 
 
-def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
+def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu, carried):
     """Residual and Jacobian builders for one extremal continuation step.
 
     Stationarity of the kind's end-to-end objective on the level set of the
@@ -891,7 +891,11 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
     builder puts that border, at z's vertex, on a Jacobian: a Jacobian that
     Newton keeps for a chord step (tgeom.newton) takes it at the step's
     start, whose gradient the residual already read, so its length row
-    stays exact to first order.  All read the world in w.unit.
+    stays exact to first order.  The fifth builder returns the Jacobian
+    for the chord-step test of _isolated: the Jacobian last assembled,
+    else the carried one (the last step's test's) bordered at z, whose
+    constraint gradient the test's residual then reuses, else J(z).  All
+    read the world in w.unit.
     """
     d, unit = w.dim, w.unit
     ends = {"objective": p_prev, "constraint": p_mid}
@@ -927,8 +931,12 @@ def _step_system(w: WorldFunction, kind: str, p_prev, p_mid, mu):
         jac[:d, :d] = tensor(p, "objective", 2) - lam * tensor(p, "constraint", 2)
         return border(jac, z)
 
-    # the fifth builder returns the Jacobian last assembled, or J(z) before any
-    return residual, jacobian, border, tensor, lambda z: last[0] if last else jacobian(z)
+    def chord_jacobian(z):
+        if last:
+            return last[0]
+        return jacobian(z) if carried is None else border(carried, z)
+
+    return residual, jacobian, border, tensor, chord_jacobian
 
 
 #: the chord step's miss that clears a step, as a fraction of the probe's offset
@@ -938,8 +946,9 @@ _CHORD_CONTRACTION = 0.1
 def _isolated(residual, m, z1, z_a) -> bool:
     """True when a chord step shows that the step system has no root other
     than z1 within the probe's reach: with z_a the probe's start and m a
-    Jacobian taken near z1, the vertex part of z_a - m^-1 F(z_a) lies
-    within _CHORD_CONTRACTION |z_a - z1| of z1's (vertex parts both).
+    Jacobian taken near z1, or carried from the step before, the vertex
+    part of z_a - m^-1 F(z_a) lies within _CHORD_CONTRACTION |z_a - z1| of
+    z1's (vertex parts both).
 
     The chord step lands at z1 + m^-1 (m - Jbar)(z_a - z1), with Jbar the
     Jacobian averaged from z1 to z_a (Dennis & Schnabel, Numerical Methods
@@ -970,11 +979,14 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     step's root, mu in coordinates (mu / sqrt(w.unit)).  That probe solve
     runs only when the chord-step test of _isolated, with the Jacobian the
     step's solve last assembled (or, where the guess solved the step, the
-    probe's first), cannot show the root isolated; a step the test clears,
-    or with no transverse direction, is flagged False.  Raises ValueError
-    unless mu is positive and finite and p0 and p1 are finite, and
-    GeometryError naming the first segment whose symmetrized squared length
-    is not positive, which the parallelism residuals cannot read.
+    one the last step's test used, bordered at the probe's start; on the
+    first step, the probe's first), cannot show the root isolated; a step
+    the test clears, or with no transverse direction, is flagged False.
+    The carried Jacobian reaches no solve, so it can move only a flag.
+    Raises ValueError unless mu is positive and finite and p0 and p1 are
+    finite, and GeometryError naming the first segment whose symmetrized
+    squared length is not positive, which the parallelism residuals cannot
+    read.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -994,10 +1006,11 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
     flags = []
     scale = 1.0 + mu * mu / w.unit
     reach = mu / np.sqrt(w.unit)
+    carried = None  # the Jacobian of the last step's chord-step test
     for index in range(steps):
         prev_p, mid = verts[index], verts[index + 1]
         residual, jacobian, border, tensor, chord_jacobian = _step_system(
-            w, kind, prev_p, mid, mu)
+            w, kind, prev_p, mid, mu, carried)
 
         def solve(z0):
             try:
@@ -1031,7 +1044,8 @@ def build_broken_tube(w: WorldFunction, kind: str, p0, p1, mu: float,
         flagged = False
         if nrm > 1e-12:
             z_alt0 = np.concatenate([guess + 0.05 * reach * probe_dir / nrm, [lam0]])
-            if not _isolated(residual, chord_jacobian(z_alt0), z, z_alt0):
+            carried = chord_jacobian(z_alt0)
+            if not _isolated(residual, carried, z, z_alt0):
                 try:
                     z_alt = solve(z_alt0)
                     if np.linalg.norm(z_alt[:d] - new_p) > 1e-6 * reach:

@@ -983,6 +983,10 @@ def _chain_or_error(w, kind, p0, p1, mu, steps):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _probe_every_step(patch):
+    patch.setattr(tubes, "_isolated", lambda *args: False)
+
+
 def _assert_same_chain(chain, ref):
     if isinstance(ref, str):  # a stalled step, on both sides
         assert chain == ref
@@ -1011,7 +1015,7 @@ def test_quartic_flags_match_the_always_probe_reference(monkeypatch, offset):
         patch.setattr(tubes, "newton", newton)
         chain = build_broken_tube(quartic_world((offset * mu) ** -2, sizes), "f", p0, p1, mu, 3)
     with monkeypatch.context() as patch:
-        patch.setattr(tubes, "_isolated", lambda *args: False)  # probe every step
+        _probe_every_step(patch)
         ref = build_broken_tube(quartic_world((offset * mu) ** -2, ref_sizes), "f", p0, p1,
                                 mu, 3)
     _assert_same_chain(chain, ref)
@@ -1019,8 +1023,9 @@ def test_quartic_flags_match_the_always_probe_reference(monkeypatch, offset):
     if offset <= 0.1:
         assert len(solves) == 6  # each step's solve and its probe's
         # the straight continuation solves each step, so the test reads the
-        # residual and the Jacobian at the probe's start, and the probe
-        # solve reuses all of it but the residual's 1-point length
+        # residual at the probe's start and a Jacobian there (fresh at the
+        # first step, the carried one bordered after), and the probe solve
+        # reuses all the test read but the residual's 1-point length
         assert (len(sizes) - len(ref_sizes), sum(sizes) - sum(ref_sizes)) == (3, 3)
 
 
@@ -1030,6 +1035,76 @@ def test_singular_jacobian_proves_no_isolation():
     for m in (np.zeros((2, 2)), np.diag([0.0, 1.0])):
         assert not tubes._isolated(lambda z: np.zeros(2), m, np.zeros(2), np.ones(2))
     assert tubes._isolated(lambda z: z, np.eye(2), np.zeros(2), np.ones(2))
+
+
+@pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
+def test_chord_test_never_clears_a_second_root_within_reach(t):
+    # a quadratic step system F(z) = J1 (z - z1) - s^2 J1 e / t, with
+    # s = (z - z1) . e / |e|^2 and e = z_a - z1, has its second root at
+    # z1 + t e: from M = J1 (I + K) with |K| <= 0.1, the chord step lands
+    # about |e| / t from z1, never within a tenth of |e|'s vertex part
+    rng = np.random.default_rng(7)
+    z1 = rng.normal(size=3)
+    for _ in range(50):
+        j1 = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+        e = np.concatenate([rng.normal(size=2), rng.uniform(-1.0, 1.0, 1)])
+        k = rng.normal(size=(3, 3))
+        k *= rng.uniform(0.0, 0.1) / np.linalg.norm(k, 2)
+
+        def residual(z):
+            s = (z - z1) @ e / (e @ e)
+            return j1 @ (z - z1) - s * s * (j1 @ e) / t
+
+        assert np.allclose(residual(z1 + t * e), 0.0, atol=1e-12)
+        assert not tubes._isolated(residual, j1 @ (np.eye(3) + k), z1, z1 + e)
+        # with K = 0 and no second root the chord step lands on z1
+        assert tubes._isolated(lambda z: j1 @ (z - z1), j1, z1, z1 + e)
+
+
+def stale_carry_world(c):
+    # a flat world, with the quartic term of quartic_world, whose timelike
+    # scale h grows by 20 (0.35 - x0)^3 below x0 = 0.35 (x0 at the
+    # segment's midpoint): the step length in coordinates changes there, so
+    # the first steps iterate, and past it the straight guess solves each
+    # step, whose test then borders a Jacobian carried from where h varies
+    def evaluate(x, xp):
+        x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+        xi = x - xp
+        h = 1.0 + 20.0 * np.maximum(0.35 - 0.5 * (x[..., 0] + xp[..., 0]), 0.0) ** 3
+        return 0.5 * (h * xi[..., 0] ** 2 - xi[..., 1] ** 2) + 0.25 * c * xi[..., 1] ** 4
+    return world_from_callable(evaluate, 2)
+
+
+@pytest.mark.parametrize("offset,flagged", [(None, False), (0.04, True), (0.15, False)])
+def test_stale_carried_jacobian_keeps_the_flags(monkeypatch, offset, flagged):
+    # with extra stationary points offset mu either side of each root, or
+    # none, the flags match a probe at every step, and a step with a second
+    # root in reach is flagged wherever the test read a stale Jacobian.  At
+    # 0.1 mu the test clears the first step, whose solve iterates and which
+    # takes no carry, though a probe solve flags it
+    mu = 0.1
+    w = stale_carry_world(0.0 if offset is None else (offset * mu) ** -2)
+    p0 = np.zeros(2)
+    p1 = advance_seed(w, "f", p0, np.array([1.0, 0.0]), mu)
+    solve, calls = tubes.newton, []
+
+    def newton(residual, jacobian, z0, *args):
+        z, record = solve(residual, jacobian, z0, *args)
+        calls.append((np.array(z0), record.iterations))
+        return z, record
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tubes, "newton", newton)
+        chain = build_broken_tube(w, "f", p0, p1, mu, 8)
+    with monkeypatch.context() as patch:
+        _probe_every_step(patch)
+        ref = build_broken_tube(w, "f", p0, p1, mu, 8)
+    _assert_same_chain(chain, ref)
+    assert chain.multiplicity_flags == [flagged] * 8
+    guesses = 2.0 * chain.vertices[1:-1] - chain.vertices[:-2]
+    step_iterations = [n for z0, n in calls if (z0[:2] == guesses).all(axis=1).any()]
+    assert len(step_iterations) == 8
+    assert min(step_iterations[:4]) > 0 and step_iterations[4:] == [0] * 4
 
 
 def test_failed_probe_solve_leaves_the_step_unflagged(monkeypatch):
@@ -1050,7 +1125,7 @@ def test_failed_probe_solve_leaves_the_step_unflagged(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(tubes, "newton", newton)
-        patch.setattr(tubes, "_isolated", lambda *args: False)  # probe every step
+        _probe_every_step(patch)
         chain = build_broken_tube(w, "f", p0, p1, mu, 3)
     assert len(solves) == 6
     assert ref.multiplicity_flags == [True] * 3
@@ -1058,10 +1133,22 @@ def test_failed_probe_solve_leaves_the_step_unflagged(monkeypatch):
     assert np.array_equal(chain.vertices, ref.vertices)
 
 
-def _assert_flags_match_the_always_probe_reference(monkeypatch, w):
-    # the same flags, vertices and residuals with the chord-step test as
-    # with a probe solve at every step; a chain that stalls, or that ends
-    # with a complex segment length, fails the same way on both sides
+_STEP_SYSTEM = tubes._step_system
+
+
+def _fresh_test_jacobian(patch):
+    # each step system drops the carried Jacobian, so a multiplicity test
+    # where the guess solved the step takes a fresh one at the probe's start
+    patch.setattr(tubes, "_step_system",
+                  lambda w, kind, p_prev, p_mid, mu, carried:
+                  _STEP_SYSTEM(w, kind, p_prev, p_mid, mu, None))
+
+
+def _assert_chains_match_the_reference(monkeypatch, w, reference=_probe_every_step):
+    # the same flags, vertices and residuals as the reference chain, which
+    # runs with the patch that reference applies (by default, a probe solve
+    # at every step); a chain that stalls, or that ends with a complex
+    # segment length, fails the same way on both sides
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     p0 = np.zeros(4)
@@ -1077,7 +1164,7 @@ def _assert_flags_match_the_always_probe_reference(monkeypatch, w):
                 continue
             chain = _chain_or_error(w, kind, p0, p1, mu, 4)
             with monkeypatch.context() as patch:
-                patch.setattr(tubes, "_isolated", lambda *args: False)  # probe every step
+                reference(patch)
                 ref = _chain_or_error(w, kind, p0, p1, mu, 4)
             _assert_same_chain(chain, ref)
 
@@ -1086,7 +1173,7 @@ def _assert_flags_match_the_always_probe_reference(monkeypatch, w):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cubic_flags_match_the_always_probe_reference(monkeypatch, scale, seed):
     cub = world("cubic_a", a3=random_a3(scale=scale, seed=seed).ravel().tolist())
-    _assert_flags_match_the_always_probe_reference(monkeypatch, cub)
+    _assert_chains_match_the_reference(monkeypatch, cub)
 
 
 def test_spacelike_chain_names_its_first_spacelike_segment(case2):
@@ -1208,19 +1295,30 @@ def test_chord_step_matches_the_always_fresh_reference(monkeypatch):
 
 @pytest.mark.parametrize("family", ["case1", "case2", "constant_a", "euclidean"])
 def test_family_flags_match_the_always_probe_reference(monkeypatch, all_worlds, family):
-    _assert_flags_match_the_always_probe_reference(monkeypatch, all_worlds[family])
+    _assert_chains_match_the_reference(monkeypatch, all_worlds[family])
+
+
+@pytest.mark.parametrize("family", ["case1", "case2", "constant_a", "cubic_a", "euclidean"])
+def test_solves_never_see_the_carried_jacobian(monkeypatch, all_worlds, family):
+    # the carried Jacobian reaches only the multiplicity test of a step the
+    # straight guess solved: every vertex and residual equals, bit for bit,
+    # that of a chain whose every test takes a fresh Jacobian, and so do
+    # the flags
+    _assert_chains_match_the_reference(monkeypatch, all_worlds[family], _fresh_test_jacobian)
 
 
 def test_neutral_chain_world_point_budget_on_minkowski(minkowski):
     # the straight guess solves each step (no Newton iteration), so the
-    # chord-step test takes the Jacobian at the probe's start and is most
-    # of a step's cost: a kind-n tensor differences the symmetrized world
-    # both ways, so the start multiplier's gradients take 64 points and the
-    # step's residual its 2-point length, and the test 150 (the Jacobian
-    # with its constraint gradient, 116, and the residual's objective
-    # gradient and length, 34); the seed check takes 2 points, the lengths
-    # and parallelism of the chain 18.  Probing every step would take 174
-    # calls and 2,348 points.
+    # chord-step test has no Jacobian of the step's solve: a kind-n tensor
+    # differences the symmetrized world both ways, so the start
+    # multiplier's gradients take 64 points and the step's residual its
+    # 2-point length.  The first step's test takes a fresh Jacobian at the
+    # probe's start, 150 points (the two (0, 2) Hessians, 84, the
+    # constraint gradient, 32, and the residual's objective gradient and
+    # length, 34); each later step's test borders the Jacobian the step
+    # before carried, 66 points (the two gradients and the length).  The
+    # seed check takes 2 points, the lengths and parallelism of the chain
+    # 18.  Probing every step would take 174 calls and 2,348 points.
     v = np.array([1.0, 0.25, -0.15, 0.1])
     v = v / np.sqrt(v @ MINK @ v)
     sizes = []
@@ -1233,7 +1331,30 @@ def test_neutral_chain_world_point_budget_on_minkowski(minkowski):
                               0.1, 4)
     assert np.max(chain.length_residuals) < 1e-10
     assert chain.multiplicity_flags == [False] * 4
-    assert (len(sizes), sum(sizes)) == (70, 884)
+    assert (len(sizes), sum(sizes)) == (58, 632)
+
+
+@pytest.mark.parametrize("family,kind,budget", [("case1", "n", (74, 772)),
+                                                ("euclidean", "f", (39, 397))])
+def test_carried_jacobian_world_point_budget(all_worlds, family, kind, budget):
+    # a benchmark-shaped chain, seed and 5 steps at mu 0.1, whose straight
+    # guess solves every step: only the first step's multiplicity test
+    # takes the two (0, 2) Hessians, 84 points for kind n and 42 for kind
+    # f, and the four later tests border the carried Jacobian instead
+    v = np.array([1.0, 0.25, -0.15, 0.1])
+    v = v / np.sqrt(v @ MINK @ v)
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+        return all_worlds[family](a, b)
+
+    w = world_from_callable(counted, 4)
+    chain = build_broken_tube(w, kind, np.zeros(4), advance_seed(w, kind, np.zeros(4), v, 0.1),
+                              0.1, 5)
+    assert np.max(chain.length_residuals) < 1e-10
+    assert chain.multiplicity_flags == [False] * 5
+    assert (len(sizes), sum(sizes)) == budget
 
 
 def test_chain_seed_validation(minkowski):
