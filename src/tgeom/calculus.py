@@ -132,7 +132,8 @@ class CoincidenceCoefficients:
     """
 
     x: np.ndarray
-    a: np.ndarray            # coincidence gradient of the antisymmetric part
+    a: np.ndarray | None     # coincidence gradient of the antisymmetric part
+                             # (None in a curvature bundle, which reads none)
     g: np.ndarray            # metric tensor
     g_inv: np.ndarray
     g_tilde: np.ndarray      # metric from the mixed second derivative
@@ -172,12 +173,12 @@ def _a_hess(t30, t21, t12) -> np.ndarray:
     return t30 + t21 + np.swapaxes(t21, 1, 2) + t12
 
 
-def _coefficients_from(x: np.ndarray, t: dict) -> CoincidenceCoefficients:
+def _coefficients_from(x: np.ndarray, t: dict, a: np.ndarray | None) -> CoincidenceCoefficients:
     """The one-point fields from part tensors taken at xp = x (keys of
-    _COEFFICIENT_ORDERS, per part as fd.part_tensors returns them)."""
+    _COEFFICIENT_ORDERS but (1, 0), per part as fd.part_tensors returns
+    them) and the coincidence gradient a, which no other field reads."""
     sig, gpart, apart = t["full"], t["sym"], t["asym"]
 
-    a = apart[(1, 0)]
     g = gpart[(2, 0)]
     g3 = gpart[(3, 0)]
     a3 = apart[(3, 0)]
@@ -215,7 +216,8 @@ def coincidence_coefficients(w: WorldFunction, x) -> CoincidenceCoefficients:
     e.g. d/dx^l of [G_,ik] is [G_,ikl] + [G_,ikl'] -- direct stencils only.
     """
     x = np.asarray(x, dtype=float)
-    return _coefficients_from(x, fd.part_tensors(w, x, x, _COEFFICIENT_ORDERS))
+    t = fd.part_tensors(w, x, x, _COEFFICIENT_ORDERS)
+    return _coefficients_from(x, t, t["asym"][(1, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +352,10 @@ def _connection_derivatives(cc: CoincidenceCoefficients, t: dict):
     return out
 
 
-_CURVATURE_ORDERS = [(1, 0), (2, 0), (0, 2), (3, 0), (4, 0), (3, 1), (1, 3)]
+#: the orders of the curvature bundle's request besides F's: those of
+#: _coefficients_from but a's (1, 0), and the fourth-order ones of
+#: _connection_derivatives
+_CURVATURE_ORDERS = [(2, 0), (0, 2), (3, 0), (4, 0), (3, 1), (1, 3)]
 
 
 def curvature_bundle(w: WorldFunction, x) -> CurvatureBundle:
@@ -358,8 +363,9 @@ def curvature_bundle(w: WorldFunction, x) -> CurvatureBundle:
 
     Every field comes from direct coincidence stencils, with no nested
     differencing: one fd.part_tensors pass at xp = x over the orders of F
-    and the remaining orders up to four, one world call over 2,993 unique
-    points at d=4, 1,969 on a polynomial world.  The connections gamma,
+    and the remaining orders up to four but a's (1, 0), which no field of
+    the bundle reads: one world call over 2,993 unique points at d=4, 1,937
+    on a polynomial world.  The connections gamma,
     gamma_tilde_f and gamma_tilde_p are exactly coincidence_coefficients';
     their derivatives follow from the chain rule along the diagonal,
     d/dx^m t_(a,b)(x, x) = t_(a+1,b) + t_(a,b+1) with m joining the unprimed
@@ -378,7 +384,7 @@ def curvature_bundle(w: WorldFunction, x) -> CurvatureBundle:
     t = fd.part_tensors(w, x, x, _F_ORDERS + _CURVATURE_ORDERS)
     f_tilde_co, f_co = _f_from(t["full"]), _f_from(t["sym"])
 
-    cc = _coefficients_from(x, t)
+    cc = _coefficients_from(x, t, None)
     d_gamma, d_gamma_f, d_gamma_p = _connection_derivatives(cc, t)
     r = riemann_from_gamma(cc.gamma, d_gamma)
     r_f = riemann_from_gamma(cc.gamma_tilde_f, d_gamma_f)

@@ -26,7 +26,7 @@ fewer unique points: (2, 0) and (0, 2) at every d >= 2, 1 + 2d + d(d - 1)
 points against 1 + 2d + 2d(d - 1), and (1, 1) from d = 3, 1 + 4d + 2d^2
 against 4d^2.  At d=4 a (1, 1) tensor on the 2-point rule reads 49 points
 and a (0, 2) tensor 21; the coincidence coefficients read 1,057 unique
-points and the curvature bundle 2,993, or 625 and 1,969 on a polynomial
+points and the curvature bundle 2,993, or 625 and 1,937 on a polynomial
 world.
 
 The damped Newton solves (tgeom.newton) ask for second_order in their

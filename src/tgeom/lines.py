@@ -35,11 +35,17 @@ from .worlds import WorldFunction, check_kind, world_from_callable
 ROUGH_SMALL_TAU = 0.05
 
 
-def _roughness(kind: str, gradient) -> float:
-    """The norm of gradient(), the coincidence gradient in w.unit, above
-    which (1e-10) a future/past equation is rough-antisymmetric, or 0.0
-    below it; the neutral equation has no such term and reads none."""
-    norm = float(np.linalg.norm(gradient())) if kind in ("f", "p") else 0.0
+def _reads_gradient(kind: str) -> bool:
+    """Whether the kind's equation has a coincidence-gradient term: the
+    future/past ones do, the neutral one does not."""
+    return kind in ("f", "p")
+
+
+def _roughness(gradient) -> float:
+    """The norm of the coincidence gradient in w.unit, above which (1e-10)
+    a future/past equation is rough-antisymmetric, or 0.0 below it or for
+    None, the neutral equation's, which reads none."""
+    norm = 0.0 if gradient is None else float(np.linalg.norm(gradient))
     return norm if norm > 1e-10 else 0.0
 
 
@@ -100,8 +106,10 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
 
     rhs_covector = lhs(x_end)
 
-    # a future/past line's left side at its start is -a or a: its norm is |a|
-    gradient_norm = _roughness(kind, lambda: lhs(x_start))
+    # a future/past line's left side at its start is -a or a: its norm is |a|.
+    # A solve that starts there, as the parameter-0 sample's does, reuses it
+    lhs_start = lhs(x_start) if _reads_gradient(kind) else None
+    gradient_norm = _roughness(lhs_start)
     bad = tau_grid[np.abs(tau_grid) < ROUGH_SMALL_TAU]
     # a rough line is warned, and returns its unconverged samples rather than raising
     rough = bool(gradient_norm and bad.size)
@@ -117,10 +125,13 @@ def gradient_line_implicit(w: WorldFunction, kind: str, x_start, x_end,
 
     scale = 1.0 + float(np.linalg.norm(rhs_covector))
 
+    def left(x):
+        return lhs_start if lhs_start is not None and np.array_equal(x, x_start) else lhs(x)
+
     def solve_one(tau, start):
         target = tau * rhs_covector
         try:
-            x, record = newton(lambda x: lhs(x) - target,
+            x, record = newton(lambda x: left(x) - target,
                                lambda x: fd.kind_tensor(w, kind, x, x_start, 1, 1,
                                                         second_order=True).T / w.unit,
                                start, 1e-12 * scale, broyden=True)
@@ -284,7 +295,7 @@ def gradient_line_ode(w: WorldFunction, kind: str, x0, v0, tau_span,
     y = np.concatenate([x0, v0])
     stages = np.empty((7, 2 * d))
     stages[0], cc = rhs(y)
-    rough = _roughness(kind, lambda: cc.a / w.unit)
+    rough = _roughness(cc.a / w.unit if _reads_gradient(kind) else None)
     if rough:
         raise GeometryError(
             "future/past geodesic form needs a fine-antisymmetric world "

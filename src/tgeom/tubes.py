@@ -381,11 +381,10 @@ def _grid_brackets(signed_residual, residual, taus, rmaxs, block_rows):
     between signed probes bracket roots, and Brent's minimiser searches the
     intervals where a root pair may hide between probes.  signed_residual(tau,
     r) is the residual, whether it has a sign and its round-off floor;
-    residual(rows, r) the residual at the block's rows.  Returns, with rows of the block, the rows
-    with a root at r = 0, the brackets (rows, a, b, f(a), f(b)), which of
-    them have two signed ends, their slopes (NaN: _settle reads each from
-    the residual either side of the root) and the minima within round-off
-    (r, rows): the inputs of _settle.
+    residual(rows, r) the residual at the block's rows.  Returns, with rows
+    of the block, the rows with a root at r = 0, the brackets (rows, a, b,
+    f(a), f(b)), which of them have two signed ends and the minima within
+    round-off (r, rows): the inputs of _settle.
     """
     taus, rmaxs = taus[block_rows], rmaxs[block_rows]
     grid = np.concatenate([np.zeros((len(taus), 1)),
@@ -441,7 +440,7 @@ def _grid_brackets(signed_residual, residual, taus, rmaxs, block_rows):
     signed_ends = np.arange(len(a)) < len(rows)
     rows = np.concatenate([rows, ext[cross], ext[cross]])
     return (block_rows[~signed[:, 0]], block_rows[rows], a, b, f_a, f_b, signed_ends,
-            np.full(len(a), np.nan), m_x[~cross], block_rows[ext[~cross]])
+            m_x[~cross], block_rows[ext[~cross]])
 
 
 @functools.lru_cache(maxsize=None)
@@ -483,8 +482,8 @@ def _colleague_roots(coef):
     return roots
 
 
-def _proxy_brackets(signed_residual, taus, rmaxs, degree: int, even: bool):
-    """Brackets of a block of taus from a Chebyshev proxy of the residual,
+def _proxy_roots(signed_residual, residual, taus, y2, rmaxs, degree: int, even: bool):
+    """Roots of a block of taus from a Chebyshev proxy of the residual,
     which is a polynomial in r of the given degree along a section (even in
     r when even is set).
 
@@ -493,15 +492,18 @@ def _proxy_brackets(signed_residual, taus, rmaxs, degree: int, even: bool):
     values.  The colleague matrix gives its roots, each with the radius by
     which round-off of the node values can move it; overlapping radii make
     one cluster.  A lone real root inside (_RESOLUTION, rmax) is bracketed
-    by its radius, and at least _RESOLUTION (1 + r), either side; _settle
-    refines it as it refines a grid bracket, and polishes it on the proxy's
-    slope there, d/dr.  On an even residual, the pair of roots about r = 0
-    is the axis root when the residual there has no sign.  Returns what
-    _grid_brackets returns for the taus it settles (every bracket with two
-    signed ends and its proxy slope, no minima), and the rows of the rest,
-    for the grid: a fit that fails, a bracket without two signed ends
-    of opposite signs, or any cluster or root the proxy cannot settle (one
-    that touches the axis or rmax, a near-double or near-real pair).
+    by its radius, and at least _RESOLUTION (1 + r), either side, and the
+    residual is read at its estimate with the bracket's ends.  The
+    estimate is the root where that read meets _tolerance, else Brent's
+    method solves the half of the bracket its sign picks (_from_estimates);
+    _polish then takes one step on the proxy's slope d/dr.  On an even
+    residual, the pair of roots about r = 0 is the axis root when the
+    residual there has no sign.  Returns, for the taus it settles, the rows
+    with a root at r = 0 and the (rows, radii) of the other roots, and the
+    rows of the rest, for the grid: a fit that fails, a bracket without two
+    signed ends of opposite signs, or any cluster or root the proxy cannot
+    settle (one that touches the axis or rmax, a near-double or near-real
+    pair).
     """
     # numpy.polynomial loads only for worlds that reach the proxy
     from numpy.polynomial.chebyshev import chebder, chebval
@@ -547,18 +549,17 @@ def _proxy_brackets(signed_residual, taus, rmaxs, degree: int, even: bool):
     fallback |= np.any(counted & ~simple & ~axis_pair, axis=1)
     fallback |= axis != np.any(axis_pair, axis=1)
 
-    # each lone root is bracketed by its spread, and at least the width
-    # _settle resolves; _settle refines it like any grid bracket
+    # each lone root is bracketed by its spread, and at least _RESOLUTION
+    # (1 + r), and read at its estimate in the same call as the ends
     rows, col = np.nonzero(simple & ~fallback[:, None])
     root = r[rows, col]
     dr = np.maximum(spread[rows, col], _RESOLUTION * (1.0 + root))
     a, b = root - dr, root + dr
     with np.errstate(all="ignore"):
-        f_ab, s_ab, _ = signed_residual(taus[np.concatenate([rows, rows])],
-                                        np.concatenate([a, b]))
-    f_a, f_b = f_ab[:len(rows)], f_ab[len(rows):]
-    bad = ((a <= 0.0) | ~(b < rmaxs[rows])
-           | ~(s_ab[:len(rows)] & s_ab[len(rows):]) | ~(np.sign(f_a) * np.sign(f_b) < 0))
+        f_abr, s_abr, _ = signed_residual(taus[np.tile(rows, 3)], np.concatenate([a, b, root]))
+    f_a, f_b, f_r = np.split(f_abr, 3)
+    s_a, s_b, _ = np.split(s_abr, 3)
+    bad = ((a <= 0.0) | ~(b < rmaxs[rows]) | ~(s_a & s_b) | ~(np.sign(f_a) * np.sign(f_b) < 0))
     # the brackets of one tau must be disjoint: two that overlap may both
     # settle on one root and leave the other unfound
     order = np.lexsort((a, rows))
@@ -566,66 +567,91 @@ def _proxy_brackets(signed_residual, taus, rmaxs, degree: int, even: bool):
     bad[order[1:][overlap]] = bad[order[:-1][overlap]] = True
     fallback[rows[bad]] = True
     keep = ~fallback[rows]
-    d_dr = slope[rows, col].real / half[rows, 0]
-    return ((np.flatnonzero(axis & ~fallback), rows[keep], a[keep], b[keep], f_a[keep],
-             f_b[keep], np.ones(np.count_nonzero(keep), bool), d_dr[keep], np.empty(0),
-             np.empty(0, int)),
-            np.flatnonzero(fallback))
+    rows, a, b, f_a, f_b, root, f_r = (v[keep] for v in (rows, a, b, f_a, f_b, root, f_r))
+    root, f_r = _from_estimates(residual, taus, y2, rows, a, b, f_a, f_b, root, f_r)
+    d_dr = slope[rows, col[keep]].real / half[rows, 0]
+    root, _ = _polish(residual, taus, y2, rows, a, b, root, f_r, d_dr)
+    return (np.flatnonzero(axis & ~fallback), rows, root), np.flatnonzero(fallback)
 
 
-def _settle(signed_residual, residual, taus, y2, rows, a, b, f_a, f_b, signed_ends, slopes,
-            x, x_rows):
-    """The roots of a block of taus from its brackets (rows, a, b, f(a),
-    f(b)) and its minima within round-off (x, x_rows), which are fold roots:
-    (rows, radii).
+def _tolerance(y2, tau, r):
+    """The residual every tube root must meet: 1e-10 (y2 (1 + tau^2 + r^2))^2."""
+    return 1e-10 * (y2 * (1.0 + tau * tau + r * r)) ** 2
+
+
+def _from_estimates(residual, taus, y2, rows, a, b, f_a, f_b, r, fr):
+    """The roots of brackets [a, b] with ends of opposite signs f(a), f(b),
+    from an estimate r inside each and f there: an estimate that meets
+    _tolerance stands, and Brent's method solves the rest to 1e-12 (1 + b)
+    on the half of the bracket that the sign of f(r) picks.  Returns the
+    roots and f there.
+    """
+    if np.any(np.isnan(fr)):
+        raise SolverError("NaN residual inside a root bracket",
+                          {"brackets": len(r), "iteration": 0})
+    r, fr = r.copy(), fr.copy()
+    miss = np.flatnonzero(np.abs(fr) > _tolerance(y2, taus[rows], r))
+    if len(miss):
+        up = np.sign(fr[miss]) == np.sign(f_a[miss])  # the root lies above r
+        lo, hi = np.where(up, r[miss], a[miss]), np.where(up, b[miss], r[miss])
+        f_lo, f_hi = np.where(up, fr[miss], f_a[miss]), np.where(up, f_b[miss], fr[miss])
+        r[miss], fr[miss] = _brent(lambda index, z: residual(rows[miss[index]], z),
+                                   lo, hi, f_lo, f_hi, 1e-12 * (1.0 + b[miss]), 1e-15)
+    return r, fr
+
+
+def _polish(residual, taus, y2, rows, a, b, r, fr, slope):
+    """The roots r after one Newton step on each one's slope, kept where it
+    stays in [a, b] and lowers |residual|, and f there; every root must then
+    meet _tolerance, else SolverError names the worst."""
+    r, fr = r.copy(), fr.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        polished = r - fr / slope
+    trial = np.flatnonzero((slope != 0.0) & (a <= polished) & (polished <= b))
+    if len(trial):
+        with np.errstate(all="ignore"):  # a step onto a pole is not kept
+            f_pol = residual(rows[trial], polished[trial])
+        keep = np.abs(f_pol) < np.abs(fr[trial])
+        r[trial[keep]], fr[trial[keep]] = polished[trial[keep]], f_pol[keep]
+    tau = taus[rows]
+    bound = _tolerance(y2, tau, r)
+    if np.any(np.abs(fr) > bound):
+        k = int(np.argmax(np.abs(fr) / bound))
+        raise SolverError("tube root polish failed to meet tolerance", {
+            "tau": float(tau[k]), "radius": float(r[k]),
+            "residual": float(fr[k]), "bound": float(bound[k])})
+    return r, fr
+
+
+def _settle(signed_residual, residual, taus, y2, rows, a, b, f_a, f_b, signed_ends, x, x_rows):
+    """The roots of a block of taus from its probe grid's brackets (rows, a,
+    b, f(a), f(b)) and its minima within round-off (x, x_rows), which are
+    fold roots: (rows, radii).
 
     Each bracket is solved by Brent's method to 1e-12 (1 + b) and polished
-    by one Newton step on its slope, or, where that is NaN, on the slope of
-    the residual _RESOLUTION (1 + r) either side of the root; every root
-    must meet |residual| <= 1e-10 (y2 (1 + tau^2 + r^2))^2.  A root is
-    resolved when its bracket has two signed ends, or when the residual is
-    signed either side of it; else it lies in a round-off band that may
-    hold no root, one or a pair.  A bracket with a slope must have two
-    signed ends.  A minimum within round-off is a fold root, which must be
-    resolved too.  Raises GeometryError naming the tau of a root that is not.
+    by _polish on the slope of the residual _RESOLUTION (1 + r) either side
+    of the root.  A root is resolved when its bracket has two signed ends,
+    or when the residual is signed either side of it; else it lies in a
+    round-off band that may hold no root, one or a pair.  A minimum within
+    round-off is a fold root, which must be resolved too.  Raises
+    GeometryError naming the tau of a root that is not.
     """
     r, fr = np.empty((2, 0))
     if len(rows):
         r, fr = _brent(lambda index, z: residual(rows[index], z), a, b, f_a, f_b,
                        1e-12 * (1.0 + b), 1e-15)
-    # The side values of a bracket's root without a slope also give its
-    # slope, and one Newton step on the slope is kept when it stays in the
-    # bracket and lowers the residual.
-    sided = np.isnan(slopes)
-    at = np.concatenate([r[sided], x])
-    at_rows, fold = np.concatenate([rows[sided], x_rows]), np.empty(0, bool)
-    slope = np.array(slopes, dtype=float)
+    at, at_rows, fold = np.concatenate([r, x]), np.concatenate([rows, x_rows]), np.empty(0, bool)
     if len(at):
-        n, m, dr = len(at), len(at) - len(x), _RESOLUTION * (1.0 + at)
+        n, m, dr = len(at), len(r), _RESOLUTION * (1.0 + at)
         f_at, s_at, _ = signed_residual(taus[np.concatenate([at_rows, at_rows, x_rows])],
                                         np.concatenate([at + dr, at - dr, x]))
         fold, side = ~s_at[2 * n:], s_at[:n] & s_at[n:2 * n]
-        lost = ~side & np.concatenate([~signed_ends[sided], fold])
+        lost = ~side & np.concatenate([~signed_ends, fold])
         if lost.any():
             raise GeometryError("tube root is lost to round-off at tau "
                                 f"{float(taus[at_rows[lost][0]])!r}")
-        slope[sided] = (f_at[:m] - f_at[n:n + m]) / (2.0 * dr[:m])
-    if len(r):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            polished = r - fr / slope
-        trial = np.flatnonzero((slope != 0.0) & (a <= polished) & (polished <= b))
-        if len(trial):
-            with np.errstate(all="ignore"):  # a step onto a pole is not kept
-                f_pol = residual(rows[trial], polished[trial])
-            keep = np.abs(f_pol) < np.abs(fr[trial])
-            r[trial[keep]], fr[trial[keep]] = polished[trial[keep]], f_pol[keep]
-        tau = taus[rows]
-        bound = 1e-10 * (y2 * (1.0 + tau * tau + r * r)) ** 2
-        if np.any(np.abs(fr) > bound):
-            k = int(np.argmax(np.abs(fr) / bound))
-            raise SolverError("tube root polish failed to meet tolerance", {
-                "tau": float(tau[k]), "radius": float(r[k]),
-                "residual": float(fr[k]), "bound": float(bound[k])})
+        r, fr = _polish(residual, taus, y2, rows, a, b, r, fr,
+                        (f_at[:m] - f_at[n:n + m]) / (2.0 * dr[:m]))
     return np.concatenate([rows, x_rows[fold]]), np.concatenate([r, x[fold]])
 
 
@@ -648,12 +674,12 @@ def _block_profiles(worlds, kind: str, y2: float, taus: np.ndarray, rmaxs: np.nd
 
     found, grid = [], np.arange(len(taus))
     if degree is not None:
-        settled, grid = _proxy_brackets(signed_residual, taus, rmaxs, degree, even)
+        settled, grid = _proxy_roots(signed_residual, residual, taus, y2, rmaxs, degree, even)
         found.append(settled)
     if len(grid):
-        found.append(_grid_brackets(signed_residual, residual, taus, rmaxs, grid))
-    axis, *found = (np.concatenate(parts) for parts in zip(*found))
-    rows, radii = _settle(signed_residual, residual, taus, y2, *found)
+        axis, *brackets = _grid_brackets(signed_residual, residual, taus, rmaxs, grid)
+        found.append((axis, *_settle(signed_residual, residual, taus, y2, *brackets)))
+    axis, rows, radii = (np.concatenate(parts) for parts in zip(*found))
     roots = [[] for _ in range(len(taus))]
     for i, root in zip(np.concatenate([axis, rows]).tolist(),
                        np.concatenate([np.zeros(len(axis)), radii]).tolist()):
@@ -688,10 +714,13 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     polynomial of that degree to round-off; the colleague matrix gives its
     roots, each with the spread by which round-off of the node values can
     move it.  Each lone real root is bracketed by its spread, and at least
-    1e-6 (1 + r), either side.  Without an a3 term the residual is even in
-    r, and the proxy's root pair about r = 0 is the axis root when the
-    residual there is within round-off (the axis of a flat world, at every
-    tau).  A tau goes to the probe grid when its fit fails,
+    1e-6 (1 + r), either side.  Its estimate is the root when the residual
+    there meets the acceptance below; else Brent's method solves the half
+    of the bracket that the residual's sign there picks.  Either is then
+    polished by one Newton step on the proxy's slope.  Without an a3 term
+    the residual is even in r, and the proxy's root pair about r = 0 is the
+    axis root when the residual there is within round-off (the axis of a
+    flat world, at every tau).  A tau goes to the probe grid when its fit fails,
     when a bracket lacks two signed ends of opposite signs, or when a root
     or a cluster of roots lies where round-off of the node values leaves it
     unsettled: near-double roots and folds, roots near the axis or near
@@ -708,8 +737,9 @@ def sample_axisymmetric_tube(w: WorldFunction, y, kind: str, tau_grid: Sequence[
     minimum within round-off (a fold root).  r = 0 within round-off is a
     root when the probe at 1e-6 is not.
 
-    Brackets of either kind are solved by Brent's method to 1e-12 and
-    polished with one Newton step; roots closer than 1e-8 are merged
+    The grid's brackets are solved by Brent's method to 1e-12 and polished
+    with one Newton step.  Every root must meet |residual| <= 1e-10 (y2 (1 +
+    tau^2 + r^2))^2, else SolverError; roots closer than 1e-8 are merged
     (tangential root at a fold).  A root whose neighbourhood, 1e-6 (1 + r)
     either side, is lost to round-off of the world values the residual is
     built from raises GeometryError naming the tau, unless its bracket has

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from tgeom.calculus import (
     _CURVATURE_ORDERS,
     _F_ORDERS,
 )
-from tgeom import fd
+from tgeom import calculus, fd
 from conftest import world, _WARP
 
 MINK = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -418,13 +420,25 @@ def test_curvature_bundle_world_points(cubic):
     assert calls == [2993]
 
 
+def test_curvature_bundle_reads_no_coincidence_gradient(all_worlds, monkeypatch):
+    # no field of the bundle reads a: with its (1, 0) tensor requested too,
+    # every tensor and defect is the same to the bit
+    got = {name: curvature_bundle(w, X0) for name, w in all_worlds.items()}
+    monkeypatch.setattr(calculus, "_CURVATURE_ORDERS", [(1, 0), *calculus._CURVATURE_ORDERS])
+    for name, w in all_worlds.items():
+        want = curvature_bundle(w, X0)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got[name], field.name), getattr(want, field.name)
+            assert (a == b if field.name == "defects" else np.array_equal(a, b)), (name, field.name)
+
+
 def test_curvature_bundle_connections_are_coincidence_coefficients(all_worlds):
     # the bundle's connections come from the same stencils and the same
     # formulas as coincidence_coefficients
     for name, w in all_worlds.items():
         t = fd.part_tensors(w, X0, X0, _F_ORDERS)
         rest = fd.part_tensors(w, X0, X0, _CURVATURE_ORDERS)
-        bundled = _coefficients_from(X0, {p: {**t[p], **rest[p]} for p in t})
+        bundled = _coefficients_from(X0, {p: {**t[p], **rest[p]} for p in t}, None)
         cc = coincidence_coefficients(w, X0)
         for field in ("g", "g_tilde", "gamma", "beta", "gamma_tilde_f", "gamma_tilde_p"):
             assert np.array_equal(getattr(bundled, field), getattr(cc, field)), (name, field)
@@ -452,7 +466,7 @@ def test_connection_derivatives_match_nested_differencing(warped_chart, which):
     t = fd.part_tensors(w, xw, xw, _F_ORDERS)
     rest = fd.part_tensors(w, xw, xw, _CURVATURE_ORDERS)
     t = {p: {**t[p], **rest[p]} for p in t}
-    direct = _connection_derivatives(_coefficients_from(xw, t), t)
+    direct = _connection_derivatives(_coefficients_from(xw, t, None), t)
 
     def connections(p):
         cc = coincidence_coefficients(w, p)

@@ -301,7 +301,7 @@ def test_non_finite_world_value_raises(cubic, bad, anchor):
 EPS = np.finfo(float).eps
 BALANCE = {1: EPS ** (1 / 5), 2: EPS ** (1 / 4), 3: EPS ** (1 / 5), 4: EPS ** (1 / 6)}
 COINCIDENCE_REQUESTS = {"coefficients": (_COEFFICIENT_ORDERS, 625, 1057),
-                        "curvature": (_F_ORDERS + _CURVATURE_ORDERS, 1969, 2993)}
+                        "curvature": (_F_ORDERS + _CURVATURE_ORDERS, 1937, 2993)}
 ORDERS_2_TO_4 = [(nx, n - nx) for n in (2, 3, 4) for nx in range(n + 1)]
 
 

@@ -524,13 +524,13 @@ _DENSE_TAUS = np.linspace(-3.0, 4.0, 61)
 
 def _grid_only(patch):
     # the proxy settles no tau, so the probe grid takes every one
-    proxy = tubes._proxy_brackets
+    proxy = tubes._proxy_roots
 
-    def settles_none(signed_residual, taus, rmaxs, degree, even):
-        settled, _ = proxy(signed_residual, taus[:0], rmaxs[:0], degree, even)
+    def settles_none(signed_residual, residual, taus, y2, rmaxs, degree, even):
+        settled, _ = proxy(signed_residual, residual, taus[:0], y2, rmaxs[:0], degree, even)
         return settled, np.arange(len(taus))
 
-    patch.setattr(tubes, "_proxy_brackets", settles_none)
+    patch.setattr(tubes, "_proxy_roots", settles_none)
 
 
 @pytest.mark.parametrize("family,strength",
@@ -556,40 +556,111 @@ def test_sampler_matches_a_dense_probe_grid(monkeypatch, family, strength):
                 assert abs(a - b) <= 1e-6 * max(abs(b), 1e-3), (kind, tau, radii, ref)
 
 
+def _brent_route(patch):
+    # each lone proxy root solved by Brent's method on its whole bracket from
+    # its ends, to 1e-12 (1 + b), as before the estimate stood where it met
+    # the tolerance; the estimate is still read with the ends, 4 points a
+    # root that the Brent route itself did not read
+    def brent(residual, taus, y2, rows, a, b, f_a, f_b, r, fr):
+        return tubes._brent(lambda index, z: residual(rows[index], z), a, b, f_a, f_b,
+                            1e-12 * (1.0 + b), 1e-15)
+
+    patch.setattr(tubes, "_from_estimates", brent)
+
+
+def _proxy_run(patch, base, y, kind, taus):
+    """The profile of a counting copy of base, its world points and the
+    (tau, r) of every root the proxy settled."""
+    proxy, sizes, settled = tubes._proxy_roots, [], []
+
+    def spy(signed_residual, residual, taus, *args):
+        (axis, rows, roots), rest = proxy(signed_residual, residual, taus, *args)
+        settled.extend(zip(taus[rows].tolist(), roots.tolist()))
+        return (axis, rows, roots), rest
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]))))
+        return base(a, b)
+
+    patch.setattr(tubes, "_proxy_roots", spy)
+    w = WorldFunction(counted, 4, spec=base.spec, label=base.kind)
+    return sample_axisymmetric_tube(w, y, kind, taus), sum(sizes), settled
+
+
+# (budget, measured): the largest relative distance of a proxy root from
+# the Brent route's on case1 (b = e0, alpha 0.2) over _DENSE_TAUS, on the
+# SkylakeX kernel of OpenBLAS (1.5e-13 on Haswell, Zen and Prescott)
+PROXY_RADIUS_BUDGET = (1e-12, 2.3e-13)
+
+
+# per kind, the roots the proxy settles there and the world points it
+# saves against the Brent route on the SkylakeX, Prescott and Haswell
+# kernels of OpenBLAS (Zen reads as Haswell): the saving follows the last
+# bits of the colleague eigenvalues
+PROXY_SAVINGS = {"n": (122, (824, 804, 792)), "f": (26, (196, 200, 200)),
+                 "p": (29, (212, 196, 196))}
+
+
 def test_proxy_roots_polish_on_the_proxy_slope(monkeypatch):
-    # a proxy bracket has two signed ends, so _settle reads no residual
-    # either side of its root and polishes it on the proxy's slope: the
-    # radii are those of the side-slope polish, and each proxy root reads 8
-    # points fewer, two radii of four world points each
+    # a colleague estimate that meets the tolerance stands, the rest are
+    # solved by Brent's method on half their bracket, and one polish step on
+    # the proxy's slope follows: the Brent route's roots within the budget,
+    # and about 7 world points a root fewer than it reads, at least the
+    # least of the kernels' readings
     base = world("case1", b=[1, 0, 0, 0], alpha=0.2)
     y = np.array([1.0, 0, 0, 0])
-    proxy = tubes._proxy_brackets
-    roots = []
+    for kind, (roots, saved) in PROXY_SAVINGS.items():
+        with monkeypatch.context() as patch:
+            got, points, settled = _proxy_run(patch, base, y, kind, _DENSE_TAUS)
+        with monkeypatch.context() as patch:
+            _brent_route(patch)
+            want, ref_points, _ = _proxy_run(patch, base, y, kind, _DENSE_TAUS)
+        assert _worst_radius_distance(got, want, kind) <= PROXY_RADIUS_BUDGET[0], kind
+        assert len(settled) == roots, kind
+        assert ref_points - 4 * roots - points >= min(saved), kind
 
-    def side_slopes(*args):
-        settled, rest = proxy(*args)
-        roots.append(len(settled[1]))
-        return (*settled[:7], np.full(len(settled[1]), np.nan), *settled[8:]), rest
 
-    for kind in "nfp":
-        runs = []
-        roots.clear()
-        for reference in (False, True):
-            sizes = []
+def _worst_radius_distance(got, want, kind):
+    # equal root counts at every tau, and the largest relative distance of
+    # a radius from its reference
+    worst = 0.0
+    for (tau, radii), (_, ref) in zip(got, want):
+        assert len(radii) == len(ref), (kind, tau, radii, ref)
+        worst = max([worst, *(abs(a - b) / max(b, 1e-300) for a, b in zip(radii, ref))])
+    return worst
 
-            def counted(a, b):
-                sizes.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-1],
-                                                             np.shape(b)[:-1]))))
-                return base(a, b)
 
-            w = WorldFunction(counted, 4, spec=base.spec, label=base.kind)
-            with monkeypatch.context() as patch:
-                if reference:
-                    patch.setattr(tubes, "_proxy_brackets", side_slopes)
-                runs.append((sample_axisymmetric_tube(w, y, kind, _DENSE_TAUS), sum(sizes)))
-        (got, points), (want, side_points) = runs
-        assert got == want, kind
-        assert sum(roots) > 0 and side_points - points == 8 * sum(roots), kind
+# (budget, measured): the largest relative distance of a root from the
+# Brent route's over the cubic_a sweep below, on the Haswell and Prescott
+# kernels of OpenBLAS (7.5e-14 on SkylakeX)
+CUBIC_RADIUS_BUDGET = (1e-12, 9.8e-14)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scale", [0.05, 0.2, 0.5, 1.0])
+def test_proxy_roots_meet_the_tolerance_on_cubic_worlds(monkeypatch, scale, seed):
+    # colleague estimates up to 5.4e-5 (1 + r) off, inside brackets up to
+    # 69% of 1 + r wide: Brent's method on the half of the bracket that the
+    # estimate's sign picks settles each within the sampler's tolerance,
+    # where one polish step from the estimate leaves roots outside it on 8
+    # of these 16 worlds, and finds the Brent route's roots
+    base = world("cubic_a", a3=random_a3(scale=scale, seed=seed).ravel().tolist())
+    y = np.array([1.0, 0, 0, 0])
+    e_perp = tubes.spacelike_unit_normal(base, y)
+    taus = np.linspace(-3.0, 3.0, 25)
+    proxy_roots = 0
+    for kind in "fp":
+        with monkeypatch.context() as patch:
+            got, _, settled = _proxy_run(patch, base, y, kind, taus)
+        with monkeypatch.context() as patch:
+            _brent_route(patch)
+            want = sample_axisymmetric_tube(base, y, kind, taus)
+        assert _worst_radius_distance(got, want, kind) <= CUBIC_RADIUS_BUDGET[0], kind
+        proxy_roots += len(settled)
+        for tau, r in settled:
+            res = first_order_residual(base, kind, np.zeros(4), y, tau * y + r * e_perp)
+            assert abs(res) <= 1e-10 * (1.0 + tau * tau + r * r) ** 2, (kind, tau, r, res)
+    assert proxy_roots > 0
 
 
 def test_colleague_roots_of_chebyshev_series():
